@@ -1,7 +1,9 @@
 // google-benchmark microbenchmarks of the dense kernel substrate (the
 // real-execution speed of the simulation, not the modeled device times):
 // the four offloaded operations across supernodal panel shapes, serial vs
-// thread-pool parallel.
+// thread-pool parallel. The 866×466 and 1050 shapes are the largest
+// supernode of the request benchmark's warm_kkt workload (width 466 with
+// 866 rows below it; a 1050-wide diagonal block).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -62,7 +64,8 @@ void BM_GemmParallel(benchmark::State& state) {
       dense::flops_gemm(m, n, k) * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_GemmParallel)->Args({1024, 128, 256})->Args({2048, 256, 256});
+BENCHMARK(BM_GemmParallel)->Args({1024, 128, 256})->Args({2048, 256, 256})
+    ->UseRealTime();
 
 void BM_Syrk(benchmark::State& state) {
   const index_t n = state.range(0), k = state.range(1);
@@ -76,7 +79,11 @@ void BM_Syrk(benchmark::State& state) {
       dense::flops_syrk(n, k) * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Syrk)->Args({256, 64})->Args({1024, 128})->Args({2048, 128});
+BENCHMARK(BM_Syrk)
+    ->Args({256, 64})
+    ->Args({1024, 128})
+    ->Args({2048, 128})
+    ->Args({866, 466});
 
 void BM_SyrkParallel(benchmark::State& state) {
   const index_t n = state.range(0), k = state.range(1);
@@ -92,7 +99,11 @@ void BM_SyrkParallel(benchmark::State& state) {
       dense::flops_syrk(n, k) * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SyrkParallel)->Args({1024, 128})->Args({2048, 128});
+BENCHMARK(BM_SyrkParallel)
+    ->Args({1024, 128})
+    ->Args({2048, 128})
+    ->Args({866, 466})
+    ->UseRealTime();
 
 void BM_Trsm(benchmark::State& state) {
   const index_t m = state.range(0), n = state.range(1);
@@ -111,7 +122,29 @@ void BM_Trsm(benchmark::State& state) {
       dense::flops_trsm(m, n) * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Trsm)->Args({1024, 128})->Args({2048, 256});
+BENCHMARK(BM_Trsm)->Args({1024, 128})->Args({2048, 256})->Args({866, 466});
+
+void BM_TrsmParallel(benchmark::State& state) {
+  const index_t m = state.range(0), n = state.range(1);
+  auto l = make_spd(n, 6);
+  dense::potrf_lower(n, l.data(), n);
+  const auto b0 = make_matrix(m, n, 7);
+  auto b = b0;
+  auto& pool = ThreadPool::global();
+  for (auto _ : state) {
+    state.PauseTiming();
+    b = b0;
+    state.ResumeTiming();
+    dense::trsm_right_lower_trans_parallel(pool, pool.size() + 1, m, n,
+                                           l.data(), n, b.data(), m);
+    benchmark::DoNotOptimize(b.data());
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      dense::flops_trsm(m, n) * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TrsmParallel)->Args({866, 466})
+    ->UseRealTime();
 
 void BM_Potrf(benchmark::State& state) {
   const index_t n = state.range(0);
@@ -128,7 +161,26 @@ void BM_Potrf(benchmark::State& state) {
       dense::flops_potrf(n) * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Potrf)->Arg(128)->Arg(512)->Arg(1024);
+BENCHMARK(BM_Potrf)->Arg(128)->Arg(512)->Arg(1024)->Arg(1050);
+
+void BM_PotrfParallel(benchmark::State& state) {
+  const index_t n = state.range(0);
+  const auto a0 = make_spd(n, 8);
+  auto a = a0;
+  auto& pool = ThreadPool::global();
+  for (auto _ : state) {
+    state.PauseTiming();
+    a = a0;
+    state.ResumeTiming();
+    dense::potrf_lower_parallel(pool, pool.size() + 1, n, a.data(), n);
+    benchmark::DoNotOptimize(a.data());
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      dense::flops_potrf(n) * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_PotrfParallel)->Arg(1050)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -97,7 +97,8 @@ int main() {
   }
   print_rule();
   std::printf(
-      "runtime/speedup: modeled on the simulated device (DESIGN.md §5); "
+      "runtime/speedup: modeled on the simulated device (README, Simulated "
+      "device); "
       "batchSpd: modeled hybrid time at 8\nworkers with batching OFF over "
       "ON (batch_entries 4096 — the small-supernode batch transform "
       "alone);\norder/analyze: REAL wall seconds of compute_ordering and "

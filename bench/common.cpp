@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -78,45 +79,61 @@ void print_rule(char c, int width) {
   std::putchar('\n');
 }
 
+namespace {
+
+/// `s` as a JSON string literal: quotes, backslashes and control characters
+/// escaped.
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char ch : s) {
+    const auto u = static_cast<unsigned char>(ch);
+    if (ch == '"' || ch == '\\') {
+      out += '\\';
+      out += ch;
+    } else if (u < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", u);
+      out += buf;
+    } else {
+      out += ch;
+    }
+  }
+  return out + "\"";
+}
+
+/// `v` as a JSON number, or null when it has none (NaN for the OOM rows,
+/// ±inf): JSON has no token for non-finite values.
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.9g", v);
+  return buf;
+}
+
+}  // namespace
+
 void JsonReport::row(
     const std::string& section, const std::string& matrix,
     std::initializer_list<std::pair<const char*, double>> fields,
     std::initializer_list<std::pair<const char*, const char*>> text) {
-  std::string r = "{\"section\": \"" + section + "\", \"matrix\": \"" +
-                  matrix + "\"";
-  char buf[64];
-  for (const auto& [key, value] : fields) {
-    if (value != value) {  // NaN (the OOM rows)
-      std::snprintf(buf, sizeof buf, "null");
-    } else {
-      std::snprintf(buf, sizeof buf, "%.9g", value);
-    }
-    r += std::string(", \"") + key + "\": " + buf;
-  }
-  for (const auto& [key, value] : text) {
-    r += std::string(", \"") + key + "\": \"" + value + "\"";
-  }
-  r += "}";
-  rows_.push_back(std::move(r));
+  row(section, matrix,
+      std::vector<std::pair<std::string, double>>(fields.begin(),
+                                                  fields.end()),
+      std::vector<std::pair<std::string, std::string>>(text.begin(),
+                                                       text.end()));
 }
 
 void JsonReport::row(
     const std::string& section, const std::string& matrix,
     const std::vector<std::pair<std::string, double>>& fields,
     const std::vector<std::pair<std::string, std::string>>& text) {
-  std::string r = "{\"section\": \"" + section + "\", \"matrix\": \"" +
-                  matrix + "\"";
-  char buf[64];
+  std::string r = "{\"section\": " + json_string(section) +
+                  ", \"matrix\": " + json_string(matrix);
   for (const auto& [key, value] : fields) {
-    if (value != value) {  // NaN (the OOM rows)
-      std::snprintf(buf, sizeof buf, "null");
-    } else {
-      std::snprintf(buf, sizeof buf, "%.9g", value);
-    }
-    r += ", \"" + key + "\": " + buf;
+    r += ", " + json_string(key) + ": " + json_number(value);
   }
   for (const auto& [key, value] : text) {
-    r += ", \"" + key + "\": \"" + value + "\"";
+    r += ", " + json_string(key) + ": " + json_string(value);
   }
   r += "}";
   rows_.push_back(std::move(r));
@@ -128,7 +145,8 @@ void JsonReport::write(const std::string& path) const {
     std::fprintf(stderr, "JsonReport: cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\"bench\": \"%s\", \"rows\": [\n", bench_.c_str());
+  std::fprintf(f, "{\"bench\": %s, \"rows\": [\n",
+               json_string(bench_).c_str());
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     std::fprintf(f, "  %s%s\n", rows_[i].c_str(),
                  i + 1 < rows_.size() ? "," : "");

@@ -72,7 +72,8 @@ class JsonReport {
  public:
   explicit JsonReport(std::string bench) : bench_(std::move(bench)) {}
 
-  /// Appends one row; NaN values (OOM rows) are emitted as null. The
+  /// Appends one row; non-finite values (NaN for the OOM rows, ±inf) are
+  /// emitted as null, and every key and string is JSON-escaped. The
   /// optional `text` fields are emitted as JSON strings — used for
   /// explicit markers like {"skipped", "<reason>"} so downstream tooling
   /// never has to interpret a bare null.

@@ -1,58 +1,14 @@
-#include <algorithm>
+#include <vector>
 
 #include "spchol/dense/kernels.hpp"
+#include "spchol/dense/microkernel.hpp"
 
 namespace spchol::dense {
-
-namespace {
-
-// Cache blocking: the A panel (kIB × kKB doubles ≈ 192 KiB) stays L2-hot
-// across all columns of C.
-constexpr index_t kIB = 96;
-constexpr index_t kKB = 256;
-
-// C(i0:i0+iw, j) -= A(i0:., k0:k0+kw) · B(j, k0:k0+kw)ᵀ for one column j,
-// saxpy-4 over k so the i-loop vectorizes to FMA.
-inline void gemm_column(index_t iw, index_t kw, const double* a, index_t lda,
-                        const double* brow, index_t ldb, double* c) {
-  index_t kk = 0;
-  for (; kk + 4 <= kw; kk += 4) {
-    const double b0 = brow[(kk + 0) * ldb];
-    const double b1 = brow[(kk + 1) * ldb];
-    const double b2 = brow[(kk + 2) * ldb];
-    const double b3 = brow[(kk + 3) * ldb];
-    const double* a0 = a + (kk + 0) * lda;
-    const double* a1 = a + (kk + 1) * lda;
-    const double* a2 = a + (kk + 2) * lda;
-    const double* a3 = a + (kk + 3) * lda;
-    for (index_t i = 0; i < iw; ++i) {
-      c[i] -= a0[i] * b0 + a1[i] * b1 + a2[i] * b2 + a3[i] * b3;
-    }
-  }
-  for (; kk < kw; ++kk) {
-    const double b0 = brow[kk * ldb];
-    const double* a0 = a + kk * lda;
-    for (index_t i = 0; i < iw; ++i) c[i] -= a0[i] * b0;
-  }
-}
-
-}  // namespace
 
 void gemm_nt_minus(index_t m, index_t n, index_t k, const double* a,
                    index_t lda, const double* b, index_t ldb, double* c,
                    index_t ldc) {
-  if (m <= 0 || n <= 0 || k <= 0) return;
-  for (index_t i0 = 0; i0 < m; i0 += kIB) {
-    const index_t iw = std::min(kIB, m - i0);
-    for (index_t k0 = 0; k0 < k; k0 += kKB) {
-      const index_t kw = std::min(kKB, k - k0);
-      const double* ablk = a + i0 + k0 * lda;
-      for (index_t j = 0; j < n; ++j) {
-        gemm_column(iw, kw, ablk, lda, b + j + k0 * ldb, ldb,
-                    c + i0 + j * ldc);
-      }
-    }
-  }
+  detail::update_nt(m, n, k, a, lda, b, ldb, c, ldc, /*lower=*/false);
 }
 
 void gemm_nt_minus_parallel(ThreadPool& pool, std::size_t threads, index_t m,
@@ -64,39 +20,16 @@ void gemm_nt_minus_parallel(ThreadPool& pool, std::size_t threads, index_t m,
     gemm_nt_minus(m, n, k, a, lda, b, ldb, c, ldc);
     return;
   }
-  // Partition rows of C: each thread owns a contiguous row band, so every
-  // output element has one writer and the k-accumulation order is fixed.
-  parallel_for(
-      pool, 0, m, threads,
-      [&](index_t lo, index_t hi) {
-        gemm_nt_minus(hi - lo, n, k, a + lo, lda, b, ldb, c + lo, ldc);
-      },
-      /*grain=*/32);
+  // Each thread owns a row band of C, so every output element has one
+  // writer; the core's per-element order makes the split invisible.
+  detail::parallel_row_bands(pool, threads, m, [&](index_t lo, index_t hi) {
+    gemm_nt_minus(hi - lo, n, k, a + lo, lda, b, ldb, c + lo, ldc);
+  });
 }
 
 void syrk_lower_nt(index_t n, index_t k, const double* a, index_t lda,
                    double* c, index_t ldc) {
-  if (n <= 0 || k <= 0) return;
-  // Column block of width kJB; the triangle is handled per column (the
-  // ragged start), everything below row j0+jw uses the rectangular kernel.
-  constexpr index_t kJB = 64;
-  for (index_t j0 = 0; j0 < n; j0 += kJB) {
-    const index_t jw = std::min(kJB, n - j0);
-    // Ragged diagonal block: per-column saxpy from the column's own row.
-    for (index_t k0 = 0; k0 < k; k0 += kKB) {
-      const index_t kw = std::min(kKB, k - k0);
-      for (index_t j = j0; j < j0 + jw; ++j) {
-        gemm_column(jw - (j - j0), kw, a + j + k0 * lda, lda,
-                    a + j + k0 * lda, lda, c + j + j * ldc);
-      }
-    }
-    // Rectangle below the block: C(j0+jw:n, j0:j0+jw) -= A_below · A_blkᵀ.
-    const index_t below = n - (j0 + jw);
-    if (below > 0) {
-      gemm_nt_minus(below, jw, k, a + j0 + jw, lda, a + j0, lda,
-                    c + (j0 + jw) + j0 * ldc, ldc);
-    }
-  }
+  detail::update_nt(n, n, k, a, lda, a, lda, c, ldc, /*lower=*/true);
 }
 
 void syrk_lower_nt_parallel(ThreadPool& pool, std::size_t threads, index_t n,
@@ -127,15 +60,10 @@ void syrk_lower_nt_parallel(ThreadPool& pool, std::size_t threads, index_t n,
   }
   pool.run(nchunks, [&](std::size_t cidx) {
     const index_t lo = bounds[cidx], hi = bounds[cidx + 1];
-    if (lo >= hi) return;
-    // This chunk owns C(lo:n, lo:hi): the diagonal trapezoid via the serial
-    // syrk on the sub-triangle plus a gemm for rows below hi.
-    syrk_lower_nt(hi - lo, k, a + lo, lda, c + lo + lo * ldc, ldc);
-    const index_t below = n - hi;
-    if (below > 0) {
-      gemm_nt_minus(below, hi - lo, k, a + hi, lda, a + lo, lda,
-                    c + hi + lo * ldc, ldc);
-    }
+    // This chunk owns the trapezoid C(lo:n, lo:hi), lower part only.
+    detail::update_nt(n - lo, hi - lo, k, a + lo, lda, a + lo, lda,
+                      c + lo + static_cast<std::ptrdiff_t>(lo) * ldc, ldc,
+                      /*lower=*/true);
   });
 }
 

@@ -1,0 +1,269 @@
+#include "spchol/dense/microkernel.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <new>
+
+#if defined(__AVX512F__) || defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
+namespace spchol::dense::detail {
+
+namespace {
+
+// ---- vector width ---------------------------------------------------------
+// dense/ is compiled for the host ISA; the widest available vector sets
+// the micro-tile. madd() is the scalar twin of vfma(): both paths of the
+// core must apply the identical per-element operation.
+
+#if defined(__AVX512F__)
+using vec = __m512d;
+constexpr index_t kVec = 8;
+constexpr index_t kNR = 8;
+inline vec vzero() { return _mm512_setzero_pd(); }
+inline vec vload(const double* p) { return _mm512_loadu_pd(p); }
+inline void vstore(double* p, vec v) { _mm512_storeu_pd(p, v); }
+inline vec vbroadcast(double x) { return _mm512_set1_pd(x); }
+inline vec vfma(vec a, vec b, vec acc) { return _mm512_fmadd_pd(a, b, acc); }
+inline vec vsub(vec a, vec b) { return _mm512_sub_pd(a, b); }
+inline double madd(double a, double b, double acc) {
+  return std::fma(a, b, acc);
+}
+#elif defined(__AVX2__) && defined(__FMA__)
+using vec = __m256d;
+constexpr index_t kVec = 4;
+constexpr index_t kNR = 4;
+inline vec vzero() { return _mm256_setzero_pd(); }
+inline vec vload(const double* p) { return _mm256_loadu_pd(p); }
+inline void vstore(double* p, vec v) { _mm256_storeu_pd(p, v); }
+inline vec vbroadcast(double x) { return _mm256_set1_pd(x); }
+inline vec vfma(vec a, vec b, vec acc) { return _mm256_fmadd_pd(a, b, acc); }
+inline vec vsub(vec a, vec b) { return _mm256_sub_pd(a, b); }
+inline double madd(double a, double b, double acc) {
+  return std::fma(a, b, acc);
+}
+#else
+// Portable two-lane fallback (no hardware FMA assumed): a multiply and an
+// add, two roundings, in both paths. dense/ is built with
+// -ffp-contract=off, so the compiler cannot fuse one path and not the other.
+typedef double vec __attribute__((vector_size(16)));
+constexpr index_t kVec = 2;
+constexpr index_t kNR = 4;
+inline vec vzero() { return vec{0.0, 0.0}; }
+inline vec vload(const double* p) {
+  vec v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+inline void vstore(double* p, vec v) { std::memcpy(p, &v, sizeof v); }
+inline vec vbroadcast(double x) { return vec{x, x}; }
+inline vec vfma(vec a, vec b, vec acc) { return acc + a * b; }
+inline vec vsub(vec a, vec b) { return a - b; }
+inline double madd(double a, double b, double acc) { return acc + a * b; }
+#endif
+
+// ---- blocking -------------------------------------------------------------
+
+/// Micro-tile rows: two vectors. Columns: kNR broadcast values of B.
+constexpr index_t kMR = 2 * kVec;
+/// k-block. Part of the accumulation-order invariant: C is updated once per
+/// k-block, so this constant fixes every element's rounding sequence.
+constexpr index_t kKB = 64;
+/// Columns of B packed per chunk; each packed A strip is reused across them.
+constexpr index_t kNC = 24;
+/// Pack scratch per thread: one packed A strip (kMR × kKB) plus one packed
+/// B chunk (kNC × kKB): 20 KiB with AVX-512. A larger chunk measured no faster
+/// on the warm_kkt supernode shapes and cost resident memory in every
+/// thread that runs a kernel.
+constexpr std::size_t kPackCapBytes =
+    static_cast<std::size_t>(kMR + kNC) * kKB * sizeof(double);
+static_assert(kPackCapBytes <= 64 * 1024, "pack scratch over 64 KiB");
+static_assert(kNC % kNR == 0, "B chunk must hold whole strips");
+
+// ---- pack scratch ---------------------------------------------------------
+
+struct FreeDeleter {
+  void operator()(double* p) const noexcept { std::free(p); }
+};
+
+/// Per-thread pack buffer, sized from the call's shape: it grows to the
+/// largest shape this thread has packed and never past kPackCapBytes. Each
+/// kernel call finishes with it before the thread can start another.
+double* pack_scratch(std::size_t doubles) {
+  thread_local std::unique_ptr<double[], FreeDeleter> buf;
+  thread_local std::size_t size = 0;
+  if (doubles > size) {
+    const std::size_t bytes = (doubles * sizeof(double) + 63) / 64 * 64;
+    buf.reset(static_cast<double*>(std::aligned_alloc(64, bytes)));
+    if (!buf) {
+      size = 0;
+      throw std::bad_alloc();
+    }
+    size = bytes / sizeof(double);
+  }
+  return buf.get();
+}
+
+// ---- packing --------------------------------------------------------------
+
+/// A(0:mr, 0:kb) → dst[p·kMR + r], rows mr..kMR zero-filled.
+void pack_a(index_t mr, index_t kb, const double* a, index_t lda,
+            double* dst) {
+  for (index_t p = 0; p < kb; ++p, dst += kMR) {
+    const double* src = a + static_cast<std::ptrdiff_t>(p) * lda;
+    std::copy(src, src + mr, dst);
+    std::fill(dst + mr, dst + kMR, 0.0);
+  }
+}
+
+/// B(0:nc, 0:kb) → strips of kNR columns, strip s at dst + s·kb·kNR laid
+/// out [p·kNR + c]; columns past nc zero-filled.
+void pack_b(index_t nc, index_t kb, const double* b, index_t ldb,
+            double* dst) {
+  for (index_t j0 = 0; j0 < nc; j0 += kNR, dst += kb * kNR) {
+    const index_t nr = std::min(kNR, nc - j0);
+    double* d = dst;
+    for (index_t p = 0; p < kb; ++p, d += kNR) {
+      const double* src = b + j0 + static_cast<std::ptrdiff_t>(p) * ldb;
+      std::copy(src, src + nr, d);
+      std::fill(d + nr, d + kNR, 0.0);
+    }
+  }
+}
+
+// ---- micro-tile -----------------------------------------------------------
+
+/// One kMR×kNR tile over a k-block from packed panels: acc = Σ_p a·b in
+/// vector registers, then C −= acc on the mr×nr valid part. With `lower`,
+/// element (r, jj) is written only when diag + r ≥ jj, where diag is the
+/// tile's first row minus its first column.
+void micro_tile(index_t kb, const double* ap, const double* bp, double* c,
+                index_t ldc, index_t mr, index_t nr, bool lower,
+                index_t diag) {
+  vec acc0[kNR], acc1[kNR];
+#pragma GCC unroll 8
+  for (index_t jj = 0; jj < kNR; ++jj) acc0[jj] = acc1[jj] = vzero();
+  for (index_t p = 0; p < kb; ++p, ap += kMR, bp += kNR) {
+    const vec a0 = vload(ap);
+    const vec a1 = vload(ap + kVec);
+#pragma GCC unroll 8
+    for (index_t jj = 0; jj < kNR; ++jj) {
+      const vec bj = vbroadcast(bp[jj]);
+      acc0[jj] = vfma(a0, bj, acc0[jj]);
+      acc1[jj] = vfma(a1, bj, acc1[jj]);
+    }
+  }
+  if (mr == kMR && nr == kNR && (!lower || diag >= kNR - 1)) {
+#pragma GCC unroll 8
+    for (index_t jj = 0; jj < kNR; ++jj) {
+      double* cj = c + static_cast<std::ptrdiff_t>(jj) * ldc;
+      vstore(cj, vsub(vload(cj), acc0[jj]));
+      vstore(cj + kVec, vsub(vload(cj + kVec), acc1[jj]));
+    }
+    return;
+  }
+  alignas(64) double t[kNR][kMR];
+  for (index_t jj = 0; jj < kNR; ++jj) {
+    vstore(t[jj], acc0[jj]);
+    vstore(t[jj] + kVec, acc1[jj]);
+  }
+  for (index_t jj = 0; jj < nr; ++jj) {
+    double* cj = c + static_cast<std::ptrdiff_t>(jj) * ldc;
+    for (index_t r = lower ? std::max<index_t>(0, jj - diag) : 0; r < mr;
+         ++r) {
+      cj[r] -= t[jj][r];
+    }
+  }
+}
+
+// ---- the two paths --------------------------------------------------------
+
+void packed_update(index_t m, index_t n, index_t k, const double* a,
+                   index_t lda, const double* b, index_t ldb, double* c,
+                   index_t ldc, bool lower) {
+  const index_t kb_max = std::min(k, kKB);
+  const index_t nc_max = (std::min(n, kNC) + kNR - 1) / kNR * kNR;
+  double* apack = pack_scratch(static_cast<std::size_t>(kMR + nc_max) *
+                               static_cast<std::size_t>(kb_max));
+  double* bpack = apack + static_cast<std::ptrdiff_t>(kMR) * kb_max;
+  for (index_t k0 = 0; k0 < k; k0 += kKB) {
+    const index_t kb = std::min(kKB, k - k0);
+    const std::ptrdiff_t koff = k0;
+    for (index_t j0 = 0; j0 < n; j0 += kNC) {
+      const index_t nc = std::min(kNC, n - j0);
+      pack_b(nc, kb, b + j0 + koff * ldb, ldb, bpack);
+      // In lower mode rows above j0 have nothing to write in this chunk.
+      for (index_t i0 = lower ? j0 : 0; i0 < m; i0 += kMR) {
+        const index_t mr = std::min(kMR, m - i0);
+        pack_a(mr, kb, a + i0 + koff * lda, lda, apack);
+        for (index_t jr = 0; jr < nc; jr += kNR) {
+          const index_t j = j0 + jr;
+          if (lower && i0 + mr <= j) break;  // tile wholly above diagonal
+          micro_tile(kb, apack, bpack + static_cast<std::ptrdiff_t>(jr) * kb,
+                     c + i0 + static_cast<std::ptrdiff_t>(j) * ldc, ldc, mr,
+                     std::min(kNR, nc - jr), lower, i0 - j);
+        }
+      }
+    }
+  }
+}
+
+/// Unpacked path for small shapes: no padding, the same per-element
+/// sequence as micro_tile.
+void small_update(index_t m, index_t n, index_t k, const double* a,
+                  index_t lda, const double* b, index_t ldb, double* c,
+                  index_t ldc, bool lower) {
+  for (index_t k0 = 0; k0 < k; k0 += kKB) {
+    const index_t kb = std::min(kKB, k - k0);
+    for (index_t j = 0; j < n; ++j) {
+      double* cj = c + static_cast<std::ptrdiff_t>(j) * ldc;
+      for (index_t i0 = lower ? j : 0; i0 < m; i0 += kMR) {
+        const index_t mr = std::min(kMR, m - i0);
+        double acc[kMR] = {};
+        for (index_t p = k0; p < k0 + kb; ++p) {
+          const double bj = b[j + static_cast<std::ptrdiff_t>(p) * ldb];
+          const double* ap = a + i0 + static_cast<std::ptrdiff_t>(p) * lda;
+          for (index_t r = 0; r < mr; ++r) acc[r] = madd(ap[r], bj, acc[r]);
+        }
+        for (index_t r = 0; r < mr; ++r) cj[i0 + r] -= acc[r];
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void update_nt(index_t m, index_t n, index_t k, const double* a, index_t lda,
+               const double* b, index_t ldb, double* c, index_t ldc,
+               bool lower) {
+  if (m <= 0 || n <= 0 || k <= 0) return;
+  // Packing pays unless padding to whole tiles would more than double the
+  // computed area (shapes just past a tile edge, e.g. 20×10 on 16×8 tiles).
+  const std::int64_t padded =
+      static_cast<std::int64_t>((m + kMR - 1) / kMR * kMR) *
+      ((n + kNR - 1) / kNR * kNR);
+  if (m >= kMR && n >= kNR &&
+      padded <= 2 * static_cast<std::int64_t>(m) * n) {
+    packed_update(m, n, k, a, lda, b, ldb, c, ldc, lower);
+  } else {
+    small_update(m, n, k, a, lda, b, ldb, c, ldc, lower);
+  }
+}
+
+void parallel_row_bands(ThreadPool& pool, std::size_t threads, index_t m,
+                        const std::function<void(index_t, index_t)>& body) {
+  const index_t strips = (m + kMR - 1) / kMR;
+  parallel_for(
+      pool, 0, strips, threads,
+      [&](index_t lo, index_t hi) {
+        body(lo * kMR, std::min(hi * kMR, m));
+      },
+      /*grain=*/std::max<index_t>(1, 32 / kMR));
+}
+
+}  // namespace spchol::dense::detail

@@ -4,7 +4,7 @@
 // with MKL, one NVIDIA A100-40GB with MAGMA BLAS and CUDA transfers. No GPU
 // exists in this environment, so runtimes reported by the benches are
 // *modeled* from these calibrated first-order costs; the numerics always
-// execute for real (see DESIGN.md §1 and §5).
+// execute for real (see the README's Simulated device section).
 //
 // Calibration (derived from the paper's own numbers where possible):
 //  * CPU: the paper's best CPU-only Queen_4147 time (89.552 s × 4.27 ≈

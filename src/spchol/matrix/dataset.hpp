@@ -2,7 +2,8 @@
 // synthetic analogs ~30x smaller in dimension. Each entry carries the
 // paper-reported numbers so benches can print paper-vs-measured rows.
 //
-// Analog selection rationale (see DESIGN.md §1):
+// Analog selection rationale (the README's Simulated device section says
+// why the dataset is scaled down):
 //  * EM / scalar-PDE matrices (CurlCurl_*, Hook_1498, ...) → 3D 7-point
 //    Laplacians: moderate-density factors, mid-size supernodes.
 //  * Dielectric filters → 3D 27-point stencils: denser rows.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "spchol/matrix/coo.hpp"
@@ -51,14 +52,21 @@ MatrixMarketData read_matrix_market(const std::string& path) {
   }
   long long rows = 0, cols = 0, nnz = 0;
   {
+    constexpr long long kMaxDim = std::numeric_limits<index_t>::max();
     std::istringstream sz(line);
-    if (!(sz >> rows >> cols >> nnz) || rows < 0 || cols < 0 || nnz < 0) {
+    if (!(sz >> rows >> cols >> nnz) || rows < 0 || cols < 0 || nnz < 0 ||
+        rows > kMaxDim || cols > kMaxDim) {
       throw InvalidArgument("malformed size line: " + path);
     }
   }
 
   CooMatrix coo(static_cast<index_t>(rows), static_cast<index_t>(cols));
-  coo.reserve(static_cast<std::size_t>(nnz));
+  // The header's nnz is untrusted: reserve no more entries than the matrix
+  // has positions (rows·cols fits: both are below 2^31), nor more than
+  // kMaxReserve; a longer valid entry list still grows the storage.
+  constexpr long long kMaxReserve = 1LL << 24;
+  coo.reserve(static_cast<std::size_t>(
+      std::min({nnz, rows * cols, kMaxReserve})));
   for (long long k = 0; k < nnz; ++k) {
     long long i = 0, j = 0;
     double v = 1.0;

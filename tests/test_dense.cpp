@@ -3,6 +3,9 @@
 // determinism rests on).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include "spchol/dense/kernels.hpp"
@@ -268,6 +271,251 @@ TEST(Potrf, ThrowsOnIndefiniteWithColumnIndex) {
     FAIL() << "expected NotPositiveDefinite";
   } catch (const NotPositiveDefinite& e) {
     EXPECT_EQ(e.column(), 70);
+  }
+}
+
+// ---- micro-tile edges, padding and band splits ---------------------------
+//
+// The update core works in micro-tiles of MR rows × NR columns (MR is 16,
+// 8 or 4 and NR 8 or 4, by the compiled vector width) over k-blocks of 64.
+// m in [16, 48) and n in [8, 16) cover every residue of m mod MR and n mod
+// NR for all of them, and the k values cross the k-block boundary.
+
+constexpr double kSentinel = -12345.5;
+
+/// Column-major m×n with leading dimension ld > m: entries uniform in
+/// [-1, 1], padding rows set to `pad`.
+std::vector<double> padded_matrix(index_t m, index_t n, index_t ld,
+                                  std::uint64_t seed, double pad) {
+  auto v = random_matrix(m, n, ld, seed);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = m; i < ld; ++i) {
+      v[i + static_cast<std::size_t>(j) * ld] = pad;
+    }
+  }
+  return v;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(DenseTiles, GemmEveryResidueStaysInsideC) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const index_t k : {3, 64, 65, 150}) {
+    for (index_t m = 16; m < 48; ++m) {
+      for (index_t n = 8; n < 16; ++n) {
+        const index_t lda = m + 5, ldb = n + 3, ldc = m + 4;
+        // NaN in A/B padding: any read outside the operands poisons C.
+        const auto a = padded_matrix(m, k, lda, 31, nan);
+        const auto b = padded_matrix(n, k, ldb, 32, nan);
+        auto c1 = padded_matrix(m, n, ldc, 33, kSentinel);
+        auto c2 = c1;
+        gemm_nt_minus(m, n, k, a.data(), lda, b.data(), ldb, c1.data(), ldc);
+        ref::gemm_nt_minus(m, n, k, a.data(), lda, b.data(), ldb, c2.data(),
+                           ldc);
+        for (index_t j = 0; j < n; ++j) {
+          for (index_t i = 0; i < ldc; ++i) {
+            const std::size_t idx = i + static_cast<std::size_t>(j) * ldc;
+            if (i < m) {
+              ASSERT_NEAR(c1[idx], c2[idx], 1e-12 * k)
+                  << "m" << m << " n" << n << " k" << k << " (" << i << ","
+                  << j << ")";
+            } else {
+              ASSERT_EQ(c1[idx], kSentinel)
+                  << "m" << m << " n" << n << " k" << k << " wrote padding";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseTiles, SyrkEveryResidueWritesOnlyTheLowerTriangle) {
+  for (const index_t k : {2, 64, 65, 140}) {
+    for (index_t n = 1; n < 48; ++n) {
+      const index_t lda = n + 3, ldc = n + 2;
+      const auto a = padded_matrix(n, k, lda, 34,
+                                   std::numeric_limits<double>::quiet_NaN());
+      auto c1 = padded_matrix(n, n, ldc, 35, kSentinel);
+      for (index_t j = 1; j < n; ++j) {
+        for (index_t i = 0; i < j; ++i) {
+          c1[i + static_cast<std::size_t>(j) * ldc] = kSentinel;
+        }
+      }
+      auto c2 = c1;
+      syrk_lower_nt(n, k, a.data(), lda, c1.data(), ldc);
+      ref::syrk_lower_nt(n, k, a.data(), lda, c2.data(), ldc);
+      for (index_t j = 0; j < n; ++j) {
+        for (index_t i = 0; i < ldc; ++i) {
+          const std::size_t idx = i + static_cast<std::size_t>(j) * ldc;
+          if (i >= j && i < n) {
+            ASSERT_NEAR(c1[idx], c2[idx], 1e-12 * k)
+                << "n" << n << " k" << k << " (" << i << "," << j << ")";
+          } else {
+            ASSERT_EQ(c1[idx], kSentinel)
+                << "n" << n << " k" << k << " wrote (" << i << "," << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseTiles, TrsmAndPotrfNeverWriteOutsideTheirTriangle) {
+  for (const index_t n : {1, 17, 64, 65, 130}) {
+    const index_t lda = n + 3;
+    auto a = random_spd_dense(n, lda, 36);
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = 0; i < lda; ++i) {
+        if (i < j || i >= n) {
+          a[i + static_cast<std::size_t>(j) * lda] = kSentinel;
+        }
+      }
+    }
+    auto l = a;
+    potrf_lower(n, l.data(), lda);
+    auto lp = a;
+    potrf_lower_parallel(ThreadPool::global(), 4, n, lp.data(), lda);
+    EXPECT_TRUE(same_bits(l, lp)) << "n" << n;
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = 0; i < lda; ++i) {
+        if (i < j || i >= n) {
+          ASSERT_EQ(l[i + static_cast<std::size_t>(j) * lda], kSentinel)
+              << "potrf n" << n << " wrote (" << i << "," << j << ")";
+        }
+      }
+    }
+    const index_t m = 37, ldb = m + 6;
+    auto b = padded_matrix(m, n, ldb, 37, kSentinel);
+    trsm_right_lower_trans(m, n, l.data(), lda, b.data(), ldb);
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = m; i < ldb; ++i) {
+        ASSERT_EQ(b[i + static_cast<std::size_t>(j) * ldb], kSentinel)
+            << "trsm n" << n << " wrote padding";
+      }
+    }
+  }
+}
+
+// Any row split of a call is bitwise equal to the whole call, whatever the
+// split's alignment to micro-tiles and whichever path (packed or
+// small-shape) each piece takes.
+TEST(DenseTiles, RowBandsAreBitwiseEqualToTheWholeCall) {
+  const index_t m = 203, n = 45, k = 150;
+  const auto a = random_matrix(m, k, m, 41);
+  const auto b = random_matrix(n, k, n, 42);
+  const auto c0 = random_matrix(m, n, m, 43);
+  auto whole = c0;
+  gemm_nt_minus(m, n, k, a.data(), m, b.data(), n, whole.data(), m);
+  // Bands of 3 and 5 rows take the small-shape path; 13, 29 and 153 are
+  // not multiples of any micro-tile height.
+  for (const std::vector<index_t>& cuts :
+       {std::vector<index_t>{3, 16, 45, 203}, std::vector<index_t>{13, 203},
+        std::vector<index_t>{29, 34, 187, 203},
+        std::vector<index_t>{5, 153, 203}}) {
+    auto banded = c0;
+    index_t lo = 0;
+    for (const index_t hi : cuts) {
+      gemm_nt_minus(hi - lo, n, k, a.data() + lo, m, b.data(), n,
+                    banded.data() + lo, m);
+      lo = hi;
+    }
+    EXPECT_TRUE(same_bits(whole, banded)) << "first cut " << cuts.front();
+  }
+}
+
+TEST(DenseTiles, SyrkColumnSplitsAreBitwiseEqualToTheWholeCall) {
+  const index_t n = 157, k = 131;
+  const auto a = random_matrix(n, k, n, 44);
+  const auto c0 = random_matrix(n, n, n, 45);
+  auto whole = c0;
+  syrk_lower_nt(n, k, a.data(), n, whole.data(), n);
+  for (const index_t j1 : {3, 21, 64, 150}) {
+    // Triangle over [0, j1), the rectangle below it, triangle over [j1, n).
+    auto split = c0;
+    syrk_lower_nt(j1, k, a.data(), n, split.data(), n);
+    gemm_nt_minus(n - j1, j1, k, a.data() + j1, n, a.data(), n,
+                  split.data() + j1, n);
+    syrk_lower_nt(n - j1, k, a.data() + j1, n,
+                  split.data() + j1 + static_cast<std::size_t>(j1) * n, n);
+    EXPECT_TRUE(same_bits(whole, split)) << "j1 " << j1;
+  }
+}
+
+// Supernode-sized shapes through the parallel kernels, with row counts
+// that leave a partial last tile in the last band.
+TEST(DenseTiles, ParallelKernelsSplitLargeShapesBitwise) {
+  auto& pool = ThreadPool::global();
+  {
+    const index_t m = 1013, n = 100, k = 200;
+    const auto a = random_matrix(m, k, m, 46);
+    const auto b = random_matrix(n, k, n, 47);
+    auto c1 = random_matrix(m, n, m, 48);
+    auto c2 = c1;
+    gemm_nt_minus(m, n, k, a.data(), m, b.data(), n, c1.data(), m);
+    gemm_nt_minus_parallel(pool, 8, m, n, k, a.data(), m, b.data(), n,
+                           c2.data(), m);
+    EXPECT_TRUE(same_bits(c1, c2)) << "gemm";
+  }
+  {
+    const index_t n = 601, k = 200;
+    const auto a = random_matrix(n, k, n, 49);
+    auto c1 = random_matrix(n, n, n, 50);
+    auto c2 = c1;
+    syrk_lower_nt(n, k, a.data(), n, c1.data(), n);
+    syrk_lower_nt_parallel(pool, 8, n, k, a.data(), n, c2.data(), n);
+    EXPECT_TRUE(same_bits(c1, c2)) << "syrk";
+  }
+  {
+    const index_t m = 1001, n = 200;
+    auto l = random_spd_dense(n, n, 51);
+    ref::potrf_lower(n, l.data(), n);
+    auto b1 = random_matrix(m, n, m, 52);
+    auto b2 = b1;
+    trsm_right_lower_trans(m, n, l.data(), n, b1.data(), m);
+    trsm_right_lower_trans_parallel(pool, 8, m, n, l.data(), n, b2.data(), m);
+    EXPECT_TRUE(same_bits(b1, b2)) << "trsm";
+  }
+  {
+    const index_t n = 901;
+    const auto a0 = random_spd_dense(n, n, 53);
+    auto a1 = a0, a2 = a0;
+    potrf_lower(n, a1.data(), n);
+    potrf_lower_parallel(pool, 8, n, a2.data(), n);
+    EXPECT_TRUE(same_bits(a1, a2)) << "potrf";
+  }
+}
+
+// Several callers share ThreadPool::global() at once, as scheduler tasks
+// do: each thread's pack scratch is its own, so results stay bitwise equal
+// to isolated serial calls.
+TEST(DenseTiles, ConcurrentCallersOnTheSharedPool) {
+  const index_t m = 301, n = 77, k = 90;
+  constexpr int kCallers = 3;
+  std::vector<std::vector<double>> a, b, want, got;
+  for (int t = 0; t < kCallers; ++t) {
+    a.push_back(random_matrix(m, k, m, 60 + t));
+    b.push_back(random_matrix(n, k, n, 70 + t));
+    want.push_back(random_matrix(m, n, m, 80 + t));
+    got.push_back(want.back());
+    gemm_nt_minus(m, n, k, a[t].data(), m, b[t].data(), n, want[t].data(), m);
+    syrk_lower_nt(n, k, b[t].data(), n, want[t].data(), m);
+  }
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      gemm_nt_minus_parallel(ThreadPool::global(), 4, m, n, k, a[t].data(), m,
+                             b[t].data(), n, got[t].data(), m);
+      syrk_lower_nt_parallel(ThreadPool::global(), 4, n, k, b[t].data(), n,
+                             got[t].data(), m);
+    });
+  }
+  for (auto& th : callers) th.join();
+  for (int t = 0; t < kCallers; ++t) {
+    EXPECT_TRUE(same_bits(want[t], got[t])) << "caller " << t;
   }
 }
 

@@ -177,6 +177,36 @@ TEST_F(MatrixMarketIo, RejectsMalformed) {
   EXPECT_THROW(read_matrix_market("/nonexistent/file.mtx"), InvalidArgument);
 }
 
+TEST_F(MatrixMarketIo, RejectsDimensionsAboveIndexRange) {
+  for (const char* size : {"2147483648 1 0\n", "1 4294967296 0\n",
+                           "4294967297 4294967297 1\n"}) {
+    {
+      std::ofstream out(path_);
+      out << "%%MatrixMarket matrix coordinate real general\n"
+          << size << "1 1 1.0\n";
+    }
+    EXPECT_THROW(read_matrix_market(path_), InvalidArgument) << size;
+  }
+  {
+    std::ofstream out(path_);
+    out << "%%MatrixMarket matrix coordinate real general\n"
+        << "2147483647 1 1\n1 1 1.0\n";
+  }
+  EXPECT_EQ(read_matrix_market(path_).matrix.rows(), 2147483647);
+}
+
+TEST_F(MatrixMarketIo, HugeClaimedNnzDoesNotDriveTheReservation) {
+  // 10^15 entries claimed for a 2×2 matrix: the reservation is capped by
+  // the 4 positions, so the reader reaches its truncation check instead of
+  // failing to allocate petabytes.
+  {
+    std::ofstream out(path_);
+    out << "%%MatrixMarket matrix coordinate real general\n"
+        << "2 2 1000000000000000\n1 1 1.0\n";
+  }
+  EXPECT_THROW(read_matrix_market(path_), InvalidArgument);
+}
+
 TEST_F(MatrixMarketIo, SymLowerRequiresSymmetric) {
   {
     std::ofstream out(path_);

@@ -8,7 +8,7 @@
 //
 // The factor pattern below reproduces every per-row nonzero count in the
 // figure (rows 6,7,8,9,11..15 have 3,4,2,3,1,2,8,9,8 off-diagonal
-// entries). Note two reproduction findings, both documented in DESIGN.md:
+// entries). Note two reproduction findings, both asserted below:
 //  * J3 = {5,6,7} is a MAXIMAL supernode but not a FUNDAMENTAL one
 //    (column 6 has two etree children), so the paper's partition requires
 //    the same-structure definition.
