@@ -55,11 +55,6 @@ void validate(const FactorOptions& o) {
   if (o.gpu_threshold_rl < 0 || o.gpu_threshold_rlb < 0) {
     throw InvalidArgument("FactorOptions GPU thresholds must be >= 0");
   }
-  if (o.assembly_threads < 1) {
-    throw InvalidArgument(
-        "FactorOptions::assembly_threads must be >= 1; got " +
-        std::to_string(o.assembly_threads));
-  }
   if (o.batch_entries < 0) {
     throw InvalidArgument(
         "FactorOptions::batch_entries must be >= 0 (0 disables "
@@ -70,17 +65,6 @@ void validate(const FactorOptions& o) {
     throw InvalidArgument(
         "FactorOptions::batch_max_supernodes must be >= 1; got " +
         std::to_string(o.batch_max_supernodes));
-  }
-  if (o.aggregate_min_contributors < 2) {
-    throw InvalidArgument(
-        "FactorOptions::aggregate_min_contributors must be >= 2; got " +
-        std::to_string(o.aggregate_min_contributors));
-  }
-  if (o.aggregate_buffer_cap < 0) {
-    throw InvalidArgument(
-        "FactorOptions::aggregate_buffer_cap must be >= 0 (0 = "
-        "unlimited); got " +
-        std::to_string(o.aggregate_buffer_cap));
   }
   o.topology.validate(o.gpu_devices, "FactorOptions::topology");
 }
@@ -122,64 +106,6 @@ void validate(const SolveOptions& o) {
 }
 
 namespace detail {
-
-thread_local FactorContext::BatchAccum* FactorContext::tl_batch_ = nullptr;
-
-PlannedGraph build_planned_graph(const SymbolicFactor& symb,
-                                 const FactorOptions& opts,
-                                 std::size_t workers) {
-  PlannedGraph pg;
-  // Subtree-partitioned ready queues: whole supernodal-etree subtrees map
-  // to one queue, so a supernode's tasks usually land on the worker that
-  // just ran its children (warm caches) and the crew stops contending on
-  // one heap. A locality hint only — never a correctness input.
-  pg.partitions = std::min(std::max<std::size_t>(1, workers),
-                           TaskScheduler::kMaxPartitions);
-  const index_t ns = symb.num_supernodes();
-  std::vector<index_t> parent(static_cast<std::size_t>(ns));
-  for (index_t s = 0; s < ns; ++s) parent[s] = symb.sn_parent(s);
-  pg.queue_of =
-      subtree_partition(parent, static_cast<index_t>(pg.partitions));
-
-  std::vector<char> on_gpu(static_cast<std::size_t>(ns), 0);
-  for (index_t s = 0; s < ns; ++s) {
-    on_gpu[s] = supernode_on_gpu(symb, opts, s) ? 1 : 0;
-  }
-  PlanOptions popts;
-  if (opts.method == Method::kRLB) {
-    popts.split_scatter_per_target = true;
-    popts.fuse_gpu_scatter = true;
-  }
-  // Fan-both is an RL-only shape: RLB writes update blocks directly into
-  // ancestor storage (no update matrices to aggregate), so it keeps the
-  // right-looking chains regardless of the option.
-  if (opts.method == Method::kRL && opts.fan_both) {
-    popts.shape = PlanShape::kFanBoth;
-    popts.aggregate_min_contributors = opts.aggregate_min_contributors;
-    popts.aggregate_buffer_cap = opts.aggregate_buffer_cap;
-  }
-  popts.batch_entries = opts.batch_entries;
-  popts.batch_max_supernodes = opts.batch_max_supernodes;
-  // Separator-tree device sharding: assign each top-level ND subtree
-  // (and its enclosed supernodes) to a device ordinal; the plan nodes
-  // carry the assignment so the executors can route without re-deriving
-  // it. Single-device plans skip the pass entirely (device_of empty).
-  pg.devices = static_cast<index_t>(std::max(1, opts.gpu_devices));
-  if (pg.devices > 1 && (opts.exec == Execution::kGpuHybrid ||
-                         opts.exec == Execution::kGpuOnly)) {
-    // RL additionally runs spine supernodes cooperatively (device -1):
-    // its per-supernode kernels decompose cleanly into block rounds. RLB
-    // keeps whole-supernode placement (its fused per-block-pair updates
-    // do not), so spine supernodes follow their heaviest child there.
-    pg.device_of =
-        assign_devices(symb, on_gpu, pg.devices,
-                       /*coop_spine=*/opts.method == Method::kRL,
-                       /*links=*/&opts.topology);
-  }
-  pg.plan =
-      ExecutionPlan::build(symb, on_gpu, pg.queue_of, popts, pg.device_of);
-  return pg;
-}
 
 void cpu_factor_panel(FactorContext& ctx, index_t s) {
   const index_t w = ctx.symb.sn_width(s);

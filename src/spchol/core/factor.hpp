@@ -110,8 +110,6 @@ struct FactorOptions {
   /// each device holds only its shard's panels. Default off: transient
   /// buffers only, the pre-sharding accounting.
   bool device_resident_factor = false;
-  /// Modeled CPU threads for the OpenMP-style parallel assembly loops.
-  int assembly_threads = 16;
   /// Real worker threads for the etree task scheduler (kCpuParallel, and
   /// the CPU side of kGpuHybrid). 0 = hardware concurrency; negative
   /// values are rejected with InvalidArgument. A value of 1 keeps the
@@ -151,14 +149,6 @@ struct FactorOptions {
   /// decouple into batched-COMPUTE plus per-target batched-SCATTER
   /// nodes.
   bool fan_both = false;
-  /// Fan-both: minimum contributors before a target is aggregated
-  /// (>= 2; rejected with InvalidArgument otherwise).
-  index_t aggregate_min_contributors = 2;
-  /// Fan-both: total (offset, value) slab-entry budget across all
-  /// aggregation buffers; 0 = unlimited. Negative values are rejected
-  /// with InvalidArgument. Targets are considered in ascending order and
-  /// fall back to plain scatter chains once the budget is exhausted.
-  offset_t aggregate_buffer_cap = 0;
 };
 
 /// Options of one triangular-solve call (CholeskyFactor::solve /
@@ -368,7 +358,7 @@ struct FactorStats {
 
 /// Rejects malformed FactorOptions with InvalidArgument (negative
 /// cpu_workers or thresholds or batch_entries; gpu_streams, gpu_devices,
-/// assembly_threads, or batch_max_supernodes < 1). factorize() calls
+/// or batch_max_supernodes < 1). factorize() calls
 /// this itself; CholeskySolver and SolverService call it up front so a
 /// bad option set fails at analyze()/session creation, before any
 /// ordering or symbolic work runs.
@@ -379,7 +369,7 @@ class CholeskyFactor {
   /// Factorizes PAPᵀ = LLᵀ where P is symb.permutation() and A is given by
   /// its lower triangle in the ORIGINAL ordering. Throws InvalidArgument
   /// on malformed options (negative cpu_workers or thresholds,
-  /// gpu_streams or assembly_threads or batch_max_supernodes < 1,
+  /// gpu_streams or batch_max_supernodes < 1,
   /// negative batch_entries), NotPositiveDefinite (column reported in
   /// original indices), or gpu::DeviceOutOfMemory (RL on matrices whose
   /// update matrix exceeds device capacity — the paper's nlpkkt120 row).

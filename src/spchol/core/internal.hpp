@@ -6,135 +6,42 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "spchol/core/factor.hpp"
+#include "spchol/core/plan_executor.hpp"
 #include "spchol/dense/kernels.hpp"
 #include "spchol/gpu/blas.hpp"
-#include "spchol/gpu/device_arena.hpp"
-#include "spchol/support/task_scheduler.hpp"
 #include "spchol/support/thread_pool.hpp"
-#include "spchol/support/worker_crew.hpp"
 #include "spchol/symbolic/etree.hpp"
-#include "spchol/symbolic/exec_plan.hpp"
-#include "spchol/symbolic/solve_plan.hpp"
 
 namespace spchol::detail {
 
 /// True when supernode s runs its BLAS on the device under `opts` — the
-/// hybrid threshold split. Shared by the drivers (FactorContext::on_gpu)
-/// and the plan builder (build_planned_graph), so a cached plan and a
-/// per-call plan can never disagree about device placement.
+/// hybrid threshold split of the drivers (FactorContext::on_gpu) and the
+/// plan builder alike.
 inline bool supernode_on_gpu(const SymbolicFactor& symb,
                              const FactorOptions& opts, index_t s) {
-  if (opts.exec == Execution::kCpuSerial ||
-      opts.exec == Execution::kCpuParallel) {
-    return false;
-  }
-  if (opts.exec == Execution::kGpuOnly) return true;
-  const offset_t threshold = opts.method == Method::kRL
-                                 ? opts.gpu_threshold_rl
-                                 : opts.gpu_threshold_rlb;
-  return symb.sn_entries(s) >= threshold;
+  return gpu_marked(opts.exec,
+                    opts.method == Method::kRL ? opts.gpu_threshold_rl
+                                               : opts.gpu_threshold_rlb,
+                    symb.sn_entries(s));
 }
 
-/// True when supernode s's SOLVE runs on the device under `opts` — the
-/// solve path's threshold split. Shared by the executor (core/solve.cpp)
-/// and build_planned_solve, so a cached solve plan and a per-call plan
-/// can never disagree about device placement.
-inline bool solve_supernode_on_gpu(const SymbolicFactor& symb,
-                                   const SolveOptions& opts, index_t s) {
-  if (opts.exec == Execution::kCpuSerial ||
-      opts.exec == Execution::kCpuParallel) {
-    return false;
-  }
-  if (opts.exec == Execution::kGpuOnly) return true;
-  return symb.sn_entries(s) >= opts.gpu_threshold;
+/// True when a call drains the task scheduler instead of running a
+/// sequential driver: more than one worker and a scheduled mode. The
+/// factorization schedules kCpuParallel and kGpuHybrid (kGpuOnly keeps the
+/// sequential device pipeline); the solve schedules every non-serial mode.
+inline bool runs_scheduled(const FactorOptions& o) {
+  return (o.exec == Execution::kCpuParallel ||
+          o.exec == Execution::kGpuHybrid) &&
+         resolve_worker_count(o.cpu_workers) > 1;
 }
-
-/// Everything a scheduled driver derives from (symbolic, options, worker
-/// count) alone — the read-only, reusable half of a scheduled
-/// factorization. SolverService caches one per (pattern, plan options)
-/// fingerprint so repeat same-pattern requests skip the plan build
-/// entirely; the per-call path builds a transient one through the SAME
-/// function, so both paths execute the same graph shape and stay bitwise
-/// identical.
-struct PlannedGraph {
-  ExecutionPlan plan;
-  std::vector<index_t> queue_of;  ///< ready-queue partition per supernode
-  std::size_t partitions = 1;  ///< partition count queue_of was built for
-  /// Per-supernode device assignment (assign_devices); empty when the
-  /// plan was built for one device. The executors read it to price
-  /// cross-device separator assembly (plan nodes carry their own copy
-  /// of the routing ordinal).
-  std::vector<index_t> device_of;
-  index_t devices = 1;  ///< device count the plan was built for
-};
-
-/// The solve-path counterpart of PlannedGraph: one SolvePlan (forward +
-/// backward DAGs) plus the partition assignment it was built with.
-/// Immutable after construction; shared by any number of concurrent
-/// solves against any factor of the same pattern.
-struct PlannedSolve {
-  SolvePlan plan;
-  std::vector<index_t> queue_of;  ///< ready-queue partition per supernode
-  std::size_t partitions = 1;  ///< partition count queue_of was built for
-  index_t devices = 1;  ///< device count the plan was built for
-};
-
-/// Builds the scheduled-solve graph for `symb` under `opts` with
-/// `workers` scheduler workers. Defined in solve.cpp. As with
-/// build_planned_graph, the worker count feeds only the ready-queue
-/// partitioning — a locality hint, never a correctness input.
-PlannedSolve build_planned_solve(const SymbolicFactor& symb,
-                                 const SolveOptions& opts,
-                                 std::size_t workers);
-
-/// Builds the scheduled-driver graph for `symb` under `opts` with
-/// `workers` scheduler workers. Defined in factor.cpp. The plan shape
-/// depends on the worker count only through the ready-queue partition
-/// count — a locality hint, never a correctness input.
-PlannedGraph build_planned_graph(const SymbolicFactor& symb,
-                                 const FactorOptions& opts,
-                                 std::size_t workers);
-
-/// Long-lived execution substrate injected by SolverRuntime/SolverService
-/// into one factorization call. All pointers are optional and non-owning;
-/// a nullptr field falls back to the per-call construction it replaces,
-/// so a default ExecutionResources reproduces the standalone path
-/// exactly. Everything injected here affects scheduling, resource reuse,
-/// and the modeled timeline ONLY — the device executes numerics eagerly
-/// and the task graph fixes every accumulation order, so factors stay
-/// bitwise identical with or without injection.
-struct ExecutionResources {
-  /// Persistent worker complement: the scheduled drivers and staged
-  /// pipelines drain on it (TaskScheduler::run_on) instead of spawning
-  /// dedicated threads per call.
-  WorkerCrew* crew = nullptr;
-  /// Shared long-lived device; must be &arena->device() (the arena
-  /// registry's device 0) when arena is also set (checked in factorize).
-  /// Multi-device runs reach the other devices through the arena's
-  /// DeviceRegistry; a bare injected device caps the run at one device.
-  gpu::Device* device = nullptr;
-  /// Keyed slot-pool cache decoupling GPU buffer/stream lifetime from
-  /// this one call.
-  gpu::DeviceArena* arena = nullptr;
-  /// Reusable per-session scheduler (reset() and rebuilt each run).
-  TaskScheduler* sched = nullptr;
-  /// Cached plan; must have been built for this call's (symb, opts,
-  /// workers) via build_planned_graph.
-  const PlannedGraph* planned = nullptr;
-  /// Cached SOLVE plan; must have been built for this call's (symb,
-  /// SolveOptions, workers) via build_planned_solve. Solve calls ignore
-  /// `planned` and `sched` (each scheduled solve drains its own
-  /// scheduler so concurrent solves never share mutable state).
-  const PlannedSolve* planned_solve = nullptr;
-  /// Arena cache key fingerprinting the pattern + plan-relevant options;
-  /// the drivers mix in a per-method tag before pool lookup.
-  std::uint64_t pool_key = 0;
-};
+inline bool runs_scheduled(const SolveOptions& o) {
+  return o.exec != Execution::kCpuSerial &&
+         resolve_worker_count(o.workers) > 1;
+}
 
 /// Plan-driven triangular solve executor (solve.cpp): permutes b in,
 /// runs the serial sweeps or the scheduled SolvePlan DAGs per
@@ -166,16 +73,10 @@ struct FactorContext {
   std::vector<double>& values;
   const FactorOptions& opts;
   const ExecutionResources* res;  ///< injected services; may be nullptr
-  /// Per-call device registry, engaged only when no shared registry or
-  /// device was injected; sized from opts.gpu_devices.
-  std::optional<gpu::DeviceRegistry> own_reg;
-  /// Registry GPU work shards across: the injected arena's when one was
-  /// given, own_reg otherwise. Null only when a bare device (no arena)
-  /// was injected — that configuration is pinned to one device.
-  gpu::DeviceRegistry* reg;
+  /// The devices GPU work shards across (injected or per call).
+  DeviceSet devices;
   /// Device 0 — the primary device. It carries the modeled host clock
-  /// (the deferred CPU/assembly floor folds here exactly once), so every
-  /// single-device code path and stat is unchanged by the registry.
+  /// (the deferred CPU/assembly floor folds here exactly once).
   gpu::Device& dev;
   ThreadPool& pool;            ///< backend for nested parallel kernels
   std::size_t blas_capacity;   ///< pool workers + calling thread
@@ -211,29 +112,15 @@ struct FactorContext {
   double modeled_task_serial_seconds = 0.0;
   double modeled_task_parallel_seconds = 0.0;
   SchedulerStats sched_stats{};
-  /// Device stats/timeline at construction. On a shared long-lived
-  /// device the accumulators reflect every run so far; factorize()
-  /// subtracts these baselines so one call's FactorStats report only its
-  /// own contribution (the per-call device makes them zero, so the
-  /// standalone numbers are unchanged).
-  gpu::DeviceStats dev_stats0{};
-  double makespan0 = 0.0;
-  /// Per-effective-device baselines (index = device ordinal < ndev);
-  /// entry 0 duplicates dev_stats0/makespan0.
+  /// Per-effective-device stats/timeline at construction (index =
+  /// device ordinal < ndev). On a shared long-lived device the
+  /// accumulators reflect every run so far; factorize() subtracts these
+  /// baselines so one call's FactorStats report only its own contribution
+  /// (a per-call device makes them zero).
   std::vector<gpu::DeviceStats> dev_stats0_of;
   std::vector<double> makespan0_of;
   /// GPU supernodes routed to each device ordinal (stats breakdown).
   std::vector<index_t> gpu_supernodes_of;
-
-  /// The self-owned registry's device config: the per-call config with
-  /// the topology table installed into its PerfModel, so p2p hops price
-  /// against the per-pair links. Injected registries (arena/device) keep
-  /// their own model — RuntimeOptions::topology configures those.
-  static gpu::DeviceConfig own_device_config(const FactorOptions& o) {
-    gpu::DeviceConfig cfg = o.device;
-    cfg.model.links = o.topology;
-    return cfg;
-  }
 
   FactorContext(const SymbolicFactor& s, std::vector<double>& v,
                 const FactorOptions& o,
@@ -242,30 +129,13 @@ struct FactorContext {
         values(v),
         opts(o),
         res(r),
-        own_reg(),
-        reg(r != nullptr && r->arena != nullptr
-                ? &r->arena->registry()
-                : (r != nullptr && r->device != nullptr
-                       ? nullptr
-                       : &own_reg.emplace(
-                             own_device_config(o),
-                             static_cast<std::size_t>(
-                                 o.gpu_devices > 0 ? o.gpu_devices : 1)))),
-        dev(r != nullptr && r->device != nullptr ? *r->device
-                                                 : reg->device(0)),
+        devices(r, o.device, o.topology, o.gpu_devices),
+        dev(devices.primary()),
         pool(ThreadPool::global()),
         blas_capacity(ThreadPool::global().concurrency()),
         workers(resolve_worker_count(o.cpu_workers)),
-        scheduled((o.exec == Execution::kCpuParallel ||
-                   o.exec == Execution::kGpuHybrid) &&
-                  workers > 1),
-        ndev(reg == nullptr
-                 ? std::size_t{1}
-                 : std::min(reg->size(),
-                            static_cast<std::size_t>(
-                                o.gpu_devices > 0 ? o.gpu_devices : 1))) {
-    dev_stats0 = dev.stats();
-    makespan0 = dev.makespan();
+        scheduled(runs_scheduled(o)),
+        ndev(devices.size()) {
     dev_stats0_of.reserve(ndev);
     makespan0_of.reserve(ndev);
     for (std::size_t d = 0; d < ndev; ++d) {
@@ -277,22 +147,8 @@ struct FactorContext {
     link_accum_.assign(ndev * ndev, LinkAccum{});
   }
 
-  /// Device a plan-node ordinal resolves to. Plans may have been built
-  /// for more devices than this run can reach (fewer registry devices,
-  /// or a bare injected device); the modulo fold keeps routing total.
-  /// Negative ordinals (cooperative plan nodes) fold to device 0 — the
-  /// owner of a cooperative supernode's buffers. Numerics never depend
-  /// on the fold — assembly order is fixed by the plan, so a degraded
-  /// run stays bitwise identical.
-  gpu::Device& device(index_t ordinal) {
-    if (reg == nullptr || ndev <= 1 || ordinal < 0) return dev;
-    return reg->device(static_cast<std::size_t>(ordinal) % ndev);
-  }
-  /// The effective ordinal `device(ordinal)` resolved to.
-  index_t device_ordinal(index_t ordinal) const {
-    if (reg == nullptr || ndev <= 1 || ordinal < 0) return 0;
-    return static_cast<index_t>(static_cast<std::size_t>(ordinal) % ndev);
-  }
+  /// Device a plan-node ordinal resolves to (DeviceSet::device).
+  gpu::Device& device(index_t ordinal) { return devices.device(ordinal); }
 
   double* sn_values(index_t s) {
     return values.data() + symb.sn_values_offset(s);
@@ -300,14 +156,6 @@ struct FactorContext {
 
   /// True when supernode s runs its BLAS on the device.
   bool on_gpu(index_t s) const { return supernode_on_gpu(symb, opts, s); }
-
-  /// Stream/buffer slots the scheduled hybrid drivers may keep in flight.
-  /// validate_options rejects gpu_streams < 1 before any driver runs;
-  /// the guard below is purely defensive.
-  std::size_t gpu_slot_budget() const {
-    return opts.gpu_streams > 0 ? static_cast<std::size_t>(opts.gpu_streams)
-                                : 1;
-  }
 
   /// Real fork width for one dense kernel / assembly loop.
   std::size_t kernel_threads() const {
@@ -368,6 +216,20 @@ struct FactorContext {
     BatchAccum* prev_;
   };
 
+  /// Charges `t` modeled host seconds (and `calls` BLAS calls) to
+  /// `bucket`: inline on the host clock in the sequential drivers,
+  /// deferred for flush_deferred() in scheduled runs.
+  void charge_host(double t, double& bucket, std::size_t calls = 0) {
+    std::lock_guard<std::mutex> lk(account_mu_);
+    if (scheduled) {
+      deferred_host_seconds_ += t;
+    } else {
+      dev.advance_host(t);
+    }
+    bucket += t;
+    num_cpu_blas_calls += calls;
+  }
+
   // --- CPU BLAS: execute for real, advance the modeled host clock --------
   //
   // Sequential drivers advance the device host clock inline (exactly the
@@ -383,19 +245,10 @@ struct FactorContext {
       tl_batch_->calls++;
       return;
     }
-    const double t = opts.exec == Execution::kCpuSerial
-                         ? dev.model().cpu_kernel_seconds(flops, 1)
-                         : dev.model().cpu_kernel_seconds_best(flops);
-    if (scheduled) {
-      std::lock_guard<std::mutex> lk(account_mu_);
-      deferred_host_seconds_ += t;
-      cpu_blas_seconds += t;
-      num_cpu_blas_calls++;
-    } else {
-      dev.advance_host(t);
-      cpu_blas_seconds += t;
-      num_cpu_blas_calls++;
-    }
+    charge_host(opts.exec == Execution::kCpuSerial
+                    ? dev.model().cpu_kernel_seconds(flops, 1)
+                    : dev.model().cpu_kernel_seconds_best(flops),
+                cpu_blas_seconds, /*calls=*/1);
   }
   void cpu_potrf(index_t n, double* a, index_t lda) {
     dense::potrf_lower_parallel(pool, kernel_threads(), n, a, lda);
@@ -426,16 +279,7 @@ struct FactorContext {
       tl_batch_->entries += entries;
       return;
     }
-    const double t = dev.model().assembly_seconds(
-        entries, opts.assembly_threads);
-    if (scheduled) {
-      std::lock_guard<std::mutex> lk(account_mu_);
-      deferred_host_seconds_ += t;
-      assembly_seconds += t;
-    } else {
-      dev.advance_host(t);
-      assembly_seconds += t;
-    }
+    charge_host(dev.model().assembly_seconds(entries), assembly_seconds);
   }
 
   void count_gpu_supernode(index_t device_ord = 0) {
@@ -515,8 +359,7 @@ struct FactorContext {
   /// pairs. Deferred like the other scheduled CPU work; attributed to
   /// assembly_seconds (it is the parallelizable half of assembly).
   void account_aggregation(double entries) {
-    const double t = dev.model().aggregation_seconds(
-        entries, opts.assembly_threads);
+    const double t = dev.model().aggregation_seconds(entries);
     std::lock_guard<std::mutex> lk(account_mu_);
     deferred_host_seconds_ += t;
     assembly_seconds += t;
@@ -559,8 +402,7 @@ struct FactorContext {
       blas = dev.model().cpu_batched_kernel_seconds_best(acc.flops,
                                                          acc.calls);
     }
-    const double asm_t =
-        dev.model().assembly_seconds(acc.entries, opts.assembly_threads);
+    const double asm_t = dev.model().assembly_seconds(acc.entries);
     std::lock_guard<std::mutex> lk(account_mu_);
     deferred_host_seconds_ += blas + asm_t;
     cpu_blas_seconds += blas;
@@ -568,7 +410,7 @@ struct FactorContext {
     num_cpu_blas_calls += acc.calls;
   }
 
-  static thread_local BatchAccum* tl_batch_;
+  static inline thread_local BatchAccum* tl_batch_ = nullptr;
 
   /// One (src,dst) pair's running cross-device traffic (ndev×ndev,
   /// row-major; guarded by account_mu_).
@@ -584,6 +426,18 @@ struct FactorContext {
   std::size_t agg_bytes_live_ = 0;
   std::atomic<std::size_t> active_tasks_{0};
 };
+
+template <class Fn>
+std::size_t PlanExecutor::add(const PlanNode& n, Fn fn,
+                              std::size_t resource) {
+  return sched_->add_task(
+      n.priority,
+      [ctx = ctx_, fn = std::move(fn)](std::size_t) {
+        FactorContext::TaskScope scope(*ctx);
+        fn();
+      },
+      resource, n.queue);
+}
 
 /// Factors the supernode panel on the CPU (DPOTRF on the diagonal block,
 /// DTRSM on the rectangular part). Throws NotPositiveDefinite with the

@@ -1,0 +1,376 @@
+// PlanExecutor: the one execution substrate behind the scheduled RL and
+// RLB factorizations and the scheduled triangular solve. Not part of the
+// public API.
+//
+// The three scheduled paths differ only in their node kernels
+// (COMPUTE/SCATTER/BATCH/AGGREGATE/APPLY for the factorizations, forward
+// and backward solve steps for the solve). Everything else lives here:
+//   * the layout every plan is built from — ready-queue partitions,
+//     on_gpu marks and the separator-tree device assignment;
+//   * the device set a call reaches (DeviceSet) and the fold of plan
+//     device ordinals onto it;
+//   * scheduler and plan acquisition (injected by the service, or built
+//     per call through the same builder);
+//   * per-device slot pools sized from ranked buffer needs, cached in the
+//     arena per device, with one scheduler resource per device;
+//   * the device-resident reservation and cross-device hop pricing;
+//   * plan-edge wiring and the drain.
+// Nothing here touches numerics: the plan and the kernels fix every
+// accumulation order, so results stay bitwise identical to the
+// sequential drivers whatever this layer decides.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "spchol/core/factor.hpp"
+#include "spchol/gpu/device_arena.hpp"
+#include "spchol/support/task_scheduler.hpp"
+#include "spchol/support/worker_crew.hpp"
+#include "spchol/symbolic/exec_plan.hpp"
+#include "spchol/symbolic/solve_plan.hpp"
+
+namespace spchol::detail {
+
+struct FactorContext;
+
+/// True when a supernode of `entries` dense entries runs on the device
+/// under `exec`: never on the CPU modes, always in kGpuOnly, at or above
+/// `threshold` in kGpuHybrid. The one placement rule of the factor and
+/// solve paths, so a cached plan and a per-call plan never disagree.
+inline bool gpu_marked(Execution exec, offset_t threshold, offset_t entries) {
+  if (exec == Execution::kCpuSerial || exec == Execution::kCpuParallel) {
+    return false;
+  }
+  return exec == Execution::kGpuOnly || entries >= threshold;
+}
+
+/// Everything a scheduled plan is built from besides the pattern. The
+/// worker count feeds only the partition count — a locality hint, never
+/// a correctness input.
+struct PlanLayout {
+  std::vector<index_t> queue_of;  ///< ready-queue partition per supernode
+  std::size_t partitions = 1;  ///< partition count queue_of was built for
+  std::vector<char> on_gpu;    ///< gpu_marked() per supernode
+  /// Per-supernode device assignment (assign_devices); empty when the
+  /// plan was built for one device. Plan nodes carry their own copy of
+  /// the ordinal; the executor reads this to price cross-device hops.
+  std::vector<index_t> device_of;
+  index_t devices = 1;  ///< device count the plan was built for
+};
+
+/// The read-only, reusable half of a scheduled factorization: the
+/// ExecutionPlan plus its layout. SolverService caches one per (pattern,
+/// plan options) fingerprint; the per-call path builds a transient one
+/// through the SAME function, so both execute the same graph shape.
+struct PlannedGraph : PlanLayout {
+  ExecutionPlan plan;
+};
+
+/// The solve-path counterpart: one SolvePlan (forward + backward DAGs)
+/// plus its layout. Immutable after construction; shared by any number
+/// of concurrent solves against any factor of the same pattern.
+struct PlannedSolve : PlanLayout {
+  SolvePlan plan;
+};
+
+/// Builds the scheduled-driver graph for `symb` under `opts` with
+/// `workers` scheduler workers.
+PlannedGraph build_planned_graph(const SymbolicFactor& symb,
+                                 const FactorOptions& opts,
+                                 std::size_t workers);
+
+/// Builds the scheduled-solve graph for `symb` under `opts` with
+/// `workers` scheduler workers.
+PlannedSolve build_planned_solve(const SymbolicFactor& symb,
+                                 const SolveOptions& opts,
+                                 std::size_t workers);
+
+/// Long-lived execution substrate injected by SolverRuntime/SolverService
+/// into one factorization or solve call. All pointers are optional and
+/// non-owning; a nullptr field falls back to the per-call construction it
+/// replaces, so a default ExecutionResources reproduces the standalone
+/// path exactly. Injection affects scheduling, resource reuse, and the
+/// modeled timeline ONLY — never the bits.
+struct ExecutionResources {
+  /// Persistent worker complement: the scheduled drivers drain on it
+  /// (TaskScheduler::run_on) instead of spawning threads per call.
+  WorkerCrew* crew = nullptr;
+  /// Shared long-lived device; must be &arena->device() (the arena
+  /// registry's device 0) when arena is also set (checked in factorize).
+  /// A bare injected device caps the run at one device.
+  gpu::Device* device = nullptr;
+  /// Keyed slot-pool cache decoupling GPU buffer/stream lifetime from
+  /// one call; its registry is the device set multi-device runs reach.
+  gpu::DeviceArena* arena = nullptr;
+  /// Reusable per-session scheduler (reset() and rebuilt each run).
+  /// Solves never borrow it: concurrent solves drain their own.
+  TaskScheduler* sched = nullptr;
+  /// Cached plan; must have been built for this call's (symb, opts,
+  /// workers) via build_planned_graph.
+  const PlannedGraph* planned = nullptr;
+  /// Cached SOLVE plan; must have been built via build_planned_solve.
+  const PlannedSolve* planned_solve = nullptr;
+  /// Arena cache key fingerprinting the pattern + plan-relevant options;
+  /// the executors mix in a per-method tag and the device ordinal.
+  std::uint64_t pool_key = 0;
+};
+
+/// The devices one call reaches: the injected arena's registry, a bare
+/// injected device (pinned to one device), or a per-call registry of
+/// `gpu_devices` devices whose PerfModel prices p2p hops over `topology`.
+/// Plans may be built for more devices than a call reaches: ordinals fold
+/// mod size(), and negative (cooperative) ordinals fold to device 0, the
+/// owner of a cooperative supernode's buffers. Numerics never depend on
+/// the fold — the plan fixes assembly order — so a degraded run stays
+/// bitwise identical.
+class DeviceSet {
+ public:
+  DeviceSet(const ExecutionResources* res, const gpu::DeviceConfig& cfg,
+            const gpu::LinkTable& topology, int gpu_devices);
+  DeviceSet(const DeviceSet&) = delete;
+  DeviceSet& operator=(const DeviceSet&) = delete;
+
+  std::size_t size() const noexcept { return ndev_; }
+  /// Device 0. It carries the modeled host clock, so every
+  /// single-device code path and stat is unchanged by the registry.
+  gpu::Device& primary() noexcept { return *dev_; }
+  /// The effective ordinal a plan ordinal resolves to.
+  index_t ordinal(index_t plan_ordinal) const noexcept {
+    if (reg_ == nullptr || ndev_ <= 1 || plan_ordinal < 0) return 0;
+    return static_cast<index_t>(static_cast<std::size_t>(plan_ordinal) %
+                                ndev_);
+  }
+  gpu::Device& device(index_t plan_ordinal) noexcept {
+    const index_t d = ordinal(plan_ordinal);
+    return d == 0 ? *dev_ : reg_->device(static_cast<std::size_t>(d));
+  }
+
+ private:
+  std::optional<gpu::DeviceRegistry> own_reg_;
+  gpu::DeviceRegistry* reg_ = nullptr;
+  gpu::Device* dev_ = nullptr;
+  std::size_t ndev_ = 1;
+};
+
+/// One modeled cross-device assembly hop: `entries` update entries
+/// produced on effective ordinal `src`, assembled into a panel on `dst`.
+struct CrossHop {
+  index_t src = 0;
+  index_t dst = 0;
+  double entries = 0.0;
+};
+
+/// Scheduler, device pools and drain of one scheduled run. A driver
+/// constructs one, records its device tasks' buffer needs, builds its
+/// pools, adds one task per plan node (add_nodes for factor plans, which
+/// also wires the edges) and drains; its only own code is the node
+/// kernels.
+class PlanExecutor {
+ public:
+  /// Scheduled factorization on ctx's device set. The plan is
+  /// res->planned or a per-call build_planned_graph; the scheduler is
+  /// res->sched (reset here) or a per-call one. Devices engage in
+  /// kGpuHybrid only. Makes the device-resident reservation
+  /// (FactorOptions::device_resident_factor) before any pool exists.
+  explicit PlanExecutor(FactorContext& ctx);
+  /// Scheduled solve. The plan is res->planned_solve or a per-call
+  /// build_planned_solve; the scheduler is always this call's own, so
+  /// concurrent solves never share mutable state (the crew is still
+  /// shared). A device set is resolved only when the plan has device
+  /// nodes.
+  PlanExecutor(const SymbolicFactor& symb, const SolveOptions& opts,
+               const ExecutionResources* res, std::size_t workers);
+  PlanExecutor(const PlanExecutor&) = delete;
+  PlanExecutor& operator=(const PlanExecutor&) = delete;
+
+  const PlannedGraph& graph() const noexcept { return *graph_; }
+  const PlannedSolve& solve_plan() const noexcept { return *solve_; }
+  TaskScheduler& sched() noexcept { return *sched_; }
+  /// Devices this run engages (1 without device work).
+  std::size_t ndev() const noexcept { return ndev_; }
+  /// The effective device a plan ordinal routes to on this run.
+  std::size_t ord(index_t plan_ordinal) const noexcept {
+    return ndev_ <= 1 ? 0
+                      : static_cast<std::size_t>(
+                            devices_->ordinal(plan_ordinal));
+  }
+  gpu::Device& device(std::size_t d) noexcept {
+    return devices_->device(static_cast<index_t>(d));
+  }
+
+  /// Records one device task's buffer needs (entries) on the device
+  /// `plan_ordinal` routes to.
+  void need(index_t plan_ordinal, std::size_t a, std::size_t b) {
+    auto& [as, bs] = needs_[ord(plan_ordinal)];
+    as.push_back(a);
+    bs.push_back(b);
+  }
+
+  template <class Slot>
+  using PoolPtr = std::shared_ptr<gpu::SlotPool<Slot>>;
+
+  /// `count` slots made by make(k), cached in the injected arena under
+  /// pool_key ^ tag ^ kDevKeyMix * d (so cached slots never migrate
+  /// across devices; device 0 keeps pool_key ^ tag), or built per call.
+  template <class Slot, class Make>
+  PoolPtr<Slot> pool(std::size_t d, std::uint64_t tag, std::size_t count,
+                     Make&& make) {
+    auto build = [&] {
+      return std::make_shared<gpu::SlotPool<Slot>>(count, make);
+    };
+    if (res_ == nullptr || res_->arena == nullptr) return build();
+    return res_->arena->pool<gpu::SlotPool<Slot>>(
+        res_->pool_key ^ tag ^ (kDevKeyMix * d), build);
+  }
+
+  /// A scheduler resource with one token per slot of `pool`, so the
+  /// tasks holding a token never outnumber its slots.
+  template <class Slot>
+  std::size_t tokens(const PoolPtr<Slot>& pool) {
+    return sched_->add_resource(pool->size());
+  }
+
+  /// The per-device slot pools of one run and their scheduler resources.
+  template <class Slot>
+  struct Pools {
+    std::vector<PoolPtr<Slot>> of;   ///< null where no device task runs
+    std::vector<std::size_t> res;    ///< scheduler resource per device
+    std::size_t slots = 0;           ///< slots built for this run's needs
+    /// Leases a slot of device d holding at least (a, b) entries. The
+    /// resource token caps in-flight tasks at the pool size, so the wait
+    /// for a FITTING slot is rare and bounded (slot 0 fits everything).
+    typename gpu::SlotPool<Slot>::Lease acquire(std::size_t d, std::size_t a,
+                                                std::size_t b) const {
+      return of[d]->acquire([&](const Slot& s) { return s.fits(a, b); });
+    }
+  };
+
+  /// One pool per device with recorded needs, at most gpu_streams slots,
+  /// slot k made by make(device, a_k, b_k) from the needs ranked
+  /// descending: slot k only hosts the k-th largest concurrent task, so N
+  /// slots cost far less than N copies of the largest — that is what lets
+  /// several fit under a tight memory cap. A pool shrinks (down to one
+  /// slot) when its device cannot fit every slot; when not even one
+  /// fits, on_oom(d, a_0, b_0) may hand back a pool to share (not counted
+  /// in `slots`), else the DeviceOutOfMemory propagates. Each pool gets
+  /// its own scheduler resource, so one saturated device never blocks
+  /// another's issue.
+  template <class Slot, class Make, class OnOom>
+  Pools<Slot> pools(std::uint64_t tag, Make&& make, OnOom&& on_oom) {
+    Pools<Slot> p;
+    p.of.resize(ndev_);
+    p.res.assign(ndev_, TaskScheduler::kNoResource);
+    for (std::size_t d = 0; d < ndev_; ++d) {
+      auto& [as, bs] = needs_[d];
+      if (as.empty()) continue;
+      std::sort(as.rbegin(), as.rend());
+      std::sort(bs.rbegin(), bs.rend());
+      gpu::Device& dv = device(d);
+      try {
+        p.of[d] = pool<Slot>(d, tag, std::min(slot_budget_, as.size()),
+                             [&](std::size_t k) {
+                               return make(dv, as[k], bs[k]);
+                             });
+        p.slots += p.of[d]->size();
+      } catch (const gpu::DeviceOutOfMemory&) {
+        p.of[d] = on_oom(d, as[0], bs[0]);
+        if (p.of[d] == nullptr) throw;
+      }
+      p.res[d] = tokens(p.of[d]);
+    }
+    return p;
+  }
+  template <class Slot, class Make>
+  Pools<Slot> pools(std::uint64_t tag, Make&& make) {
+    return pools<Slot>(tag, make, [](std::size_t, std::size_t, std::size_t) {
+      return PoolPtr<Slot>();
+    });
+  }
+
+  /// Cross-device separator assembly of the update slices of factor
+  /// supernodes [first, last] aimed at target `only_t` (every target when
+  /// only_t < 0): each segment whose GPU target lives on another device
+  /// than its GPU source pays one modeled hop, merged per (src, dst).
+  /// Deterministic from the plan, so drivers price hops at build time.
+  /// Cooperative supernodes (ordinal -1) assemble on the host from their
+  /// per-device slices, so neither side of a cooperative pair pays.
+  std::vector<CrossHop> cross_hops(index_t first, index_t last,
+                                   index_t only_t) const;
+  /// Charges build-time-priced hops to the factor context.
+  void charge(std::span<const CrossHop> hops) const;
+
+  /// Adds factor plan node n's task (its priority and ready queue)
+  /// running fn() under a FactorContext::TaskScope, the in-flight count
+  /// the dense kernels' fork width follows. Defined in internal.hpp.
+  template <class Fn>
+  std::size_t add(const PlanNode& n, Fn fn,
+                  std::size_t resource = TaskScheduler::kNoResource);
+
+  /// Maps every factor plan node to the task add_node(i, node) returns,
+  /// then adds the plan's edges between them (chain flags forwarded).
+  template <class AddNode>
+  void add_nodes(AddNode&& add_node) {
+    const ExecutionPlan& plan = graph_->plan;
+    const auto nodes = plan.nodes();
+    task_of_.resize(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      task_of_[i] = add_node(i, nodes[i]);
+    }
+    wire(plan.edges(), [&](std::size_t k) { return task_of_[k]; },
+         plan.edge_chain());
+  }
+  /// The task add_nodes() mapped plan node i to.
+  std::size_t task_of(std::size_t i) const { return task_of_[i]; }
+
+  /// Adds `edges` between the tasks `task(node)` maps their nodes to,
+  /// forwarding the chain flags when given.
+  template <class TaskOf>
+  void wire(std::span<const std::pair<std::size_t, std::size_t>> edges,
+            TaskOf&& task, std::span<const char> chain = {}) {
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      sched_->add_edge(task(edges[e].first), task(edges[e].second),
+                       !chain.empty() && chain[e] != 0);
+    }
+  }
+
+  struct Drained {
+    SchedulerStats stats;
+    double serial_seconds = 0.0;    ///< modeled_makespan(1)
+    double parallel_seconds = 0.0;  ///< modeled_makespan(workers)
+  };
+  /// Runs the graph on the injected crew (the caller joins as one more
+  /// worker) or on per-call threads — execution order is bitwise-neutral
+  /// by construction — then replays the task-graph makespans from the
+  /// measured task durations. A factorization additionally records them
+  /// in its context and folds the deferred CPU time into the host clock.
+  Drained drain();
+
+ private:
+  static constexpr std::uint64_t kDevKeyMix = 0x9e3779b97f4a7c15ull;
+
+  FactorContext* ctx_ = nullptr;
+  const ExecutionResources* res_ = nullptr;
+  std::size_t workers_ = 1;
+  std::size_t slot_budget_ = 1;  ///< gpu_streams: slots per device pool
+  std::optional<PlannedGraph> own_graph_;
+  const PlannedGraph* graph_ = nullptr;
+  std::optional<PlannedSolve> own_solve_;
+  const PlannedSolve* solve_ = nullptr;
+  std::optional<DeviceSet> own_devices_;
+  DeviceSet* devices_ = nullptr;
+  TaskScheduler own_sched_;
+  TaskScheduler* sched_ = &own_sched_;
+  std::size_t ndev_ = 1;
+  std::vector<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>>
+      needs_;
+  std::vector<gpu::DeviceBuffer> resident_;
+  std::vector<std::size_t> task_of_;
+};
+
+}  // namespace spchol::detail

@@ -9,8 +9,10 @@
 // the compute stream → synchronous D2H(update matrix) → parallel CPU
 // assembly. Small supernodes (entries < threshold) stay on the CPU.
 //
-// Parallel path (ctx.scheduled): the driver is a thin EXECUTOR over the
-// shared ExecutionPlan (symbolic/exec_plan.*). The plan's COMPUTE nodes
+// Parallel path (ctx.scheduled): the driver supplies node kernels to the
+// shared PlanExecutor (core/plan_executor.*), which runs the
+// ExecutionPlan (symbolic/exec_plan.*) and owns the scheduler, device
+// pools, hop pricing and drain. The plan's COMPUTE nodes
 // map to panel factorization + SYRK into a per-supernode update buffer,
 // SCATTER nodes to the ancestor assembly, and BATCH nodes to fused
 // compute+scatter sweeps over a run of small sibling subtrees (one fused
@@ -45,7 +47,6 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -55,29 +56,6 @@
 namespace spchol::detail {
 
 namespace {
-
-/// Buffer requirements, computed in std::size_t so a wide supernode's
-/// below² can never wrap a narrower intermediate type.
-struct RlSizes {
-  std::size_t host_update_max = 0;  // CPU-side update scratch (entries)
-  std::size_t gpu_panel_max = 0;    // device panel buffer (entries)
-  std::size_t gpu_update_max = 0;   // device update buffer (entries)
-};
-
-RlSizes rl_sizes(FactorContext& ctx, bool gpu_enabled) {
-  const SymbolicFactor& symb = ctx.symb;
-  RlSizes sz;
-  for (index_t s = 0; s < symb.num_supernodes(); ++s) {
-    const std::size_t below = static_cast<std::size_t>(symb.sn_below(s));
-    sz.host_update_max = std::max(sz.host_update_max, below * below);
-    if (gpu_enabled && ctx.on_gpu(s)) {
-      sz.gpu_panel_max = std::max(
-          sz.gpu_panel_max, static_cast<std::size_t>(symb.sn_entries(s)));
-      sz.gpu_update_max = std::max(sz.gpu_update_max, below * below);
-    }
-  }
-  return sz;
-}
 
 /// One in-flight GPU supernode's device resources: a compute/copy stream
 /// pair plus panel and update buffers sized for the largest GPU supernode.
@@ -93,77 +71,51 @@ struct RlGpuSlot {
     if (panel_entries > 0) panel = gpu::DeviceBuffer(dev, panel_entries);
     if (update_entries > 0) update = gpu::DeviceBuffer(dev, update_entries);
   }
+  bool fits(std::size_t p, std::size_t u) const {
+    return panel.size() >= p && update.size() >= u;
+  }
 };
 
-/// The paper-§III device pipeline for one supernode, including the final
-/// CPU assembly. Callers guarantee exclusivity of the streams/buffers
-/// (the sequential loop). Host-clock semantics are sequential: the host
-/// genuinely waits for the update transfer before assembling.
-void rl_gpu_supernode(FactorContext& ctx, index_t s, gpu::Stream& compute,
-                      gpu::Stream& copy, gpu::DeviceBuffer& panel_dev,
-                      gpu::DeviceBuffer& update_dev, double* u_host) {
-  const SymbolicFactor& symb = ctx.symb;
-  const index_t w = symb.sn_width(s);
-  const index_t r = symb.sn_nrows(s);
+/// CPU panel factorization of s plus the SYRK of its update matrix into
+/// `u` (resized to below × below and zeroed first — the update holds
+/// MINUS the outer product).
+void rl_cpu_compute(FactorContext& ctx, index_t s, std::vector<double>& u) {
+  const index_t w = ctx.symb.sn_width(s);
+  const index_t r = ctx.symb.sn_nrows(s);
   const index_t below = r - w;
-  double* panel = ctx.sn_values(s);
-  // Element COUNT of the update matrix (not bytes; transfers and memsets
-  // below scale by sizeof(double) where needed).
-  const std::size_t ucount =
-      static_cast<std::size_t>(below) * static_cast<std::size_t>(below);
-
-  ctx.count_gpu_supernode();
-  // The panel buffer is reused: wait out the previous async D2H.
-  copy.synchronize();
-  const std::size_t entries = static_cast<std::size_t>(r) * w;
-  gpu::copy_h2d(ctx.dev, compute, panel_dev, 0, panel, entries,
-                /*async=*/true);
-  try {
-    gpu::potrf_lower(ctx.dev, compute, w, panel_dev, 0, r);
-  } catch (const NotPositiveDefinite& e) {
-    throw NotPositiveDefinite(symb.sn_begin(s) + e.column());
-  }
-  if (below > 0) {
-    gpu::trsm_right_lower_trans(ctx.dev, compute, below, w, panel_dev, 0,
-                                r, w, r);
-  }
-  // Asynchronous D2H of the factored supernode: the CPU does not need it
-  // yet, so it overlaps the update SYRK (paper §III).
-  copy.wait(compute.record());
-  gpu::copy_d2h(ctx.dev, copy, panel, panel_dev, 0, entries,
-                /*async=*/true);
-  if (below > 0) {
-    gpu::syrk_lower_nt_beta0(ctx.dev, compute, below, w, panel_dev, w, r,
-                             update_dev, 0, below);
-    gpu::copy_d2h(ctx.dev, compute, u_host, update_dev, 0, ucount,
-                  /*async=*/false);
-    ctx.account_assembly(rl_assemble(ctx, s, u_host));
-  }
+  cpu_factor_panel(ctx, s);
+  if (below == 0) return;
+  u.assign(static_cast<std::size_t>(below) * below, 0.0);
+  ctx.cpu_syrk(below, w, ctx.sn_values(s) + w, r, u.data(), below);
 }
 
-/// The scheduled-path device pipeline for one supernode: same §III
-/// operation sequence, but (a) the update matrix lands in the
-/// per-supernode buffer `u` consumed by a separate SCATTER task, and
-/// (b) every synchronization is DEVICE-side (stream waits on events) —
-/// a scheduled task must never advance the shared modeled host clock to a
-/// stream tail, or the post-drain fold of deferred CPU-task time would
-/// count the overlapped transfer wait twice. `dev` is the device the
-/// planner assigned this supernode to (the slot's owner); `dev_ord` its
-/// effective ordinal, recorded for the per-device stats breakdown.
+/// The paper-§III device pipeline for one supernode, on `slot` of `dev`
+/// (the device the planner assigned s to; `dev_ord` its effective ordinal
+/// for the stats breakdown): H2D(panel) → POTRF → TRSM → async D2H of the
+/// factored panel overlapped with the SYRK → D2H of the update matrix
+/// into `u` (the caller assembles it). `deferred` selects the scheduled
+/// semantics: every synchronization is DEVICE-side (stream waits on
+/// events) — a scheduled task must never advance the shared modeled host
+/// clock to a stream tail, or the post-drain fold of deferred CPU-task
+/// time would count the overlapped transfer wait twice. The sequential
+/// loop's host genuinely waits instead.
 void rl_gpu_compute(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
-                    index_t s, RlGpuSlot& slot, std::vector<double>& u) {
+                    index_t s, RlGpuSlot& slot, std::vector<double>& u,
+                    bool deferred) {
   const SymbolicFactor& symb = ctx.symb;
   const index_t w = symb.sn_width(s);
   const index_t r = symb.sn_nrows(s);
   const index_t below = r - w;
   double* panel = ctx.sn_values(s);
-  const std::size_t ucount =
-      static_cast<std::size_t>(below) * static_cast<std::size_t>(below);
 
   ctx.count_gpu_supernode(dev_ord);
   // Slot-reuse hazard: the previous occupant's async panel D2H is still
-  // draining the copy stream; chain behind it on the device timeline.
-  slot.compute.wait(slot.copy.record());
+  // draining the copy stream.
+  if (deferred) {
+    slot.compute.wait(slot.copy.record());
+  } else {
+    slot.copy.synchronize();
+  }
   const std::size_t entries = static_cast<std::size_t>(r) * w;
   gpu::copy_h2d(dev, slot.compute, slot.panel, 0, panel, entries,
                 /*async=*/true);
@@ -176,18 +128,19 @@ void rl_gpu_compute(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
     gpu::trsm_right_lower_trans(dev, slot.compute, below, w, slot.panel,
                                 0, r, w, r);
   }
+  // Asynchronous D2H of the factored supernode: the CPU does not need it
+  // yet, so it overlaps the update SYRK (paper §III).
   slot.copy.wait(slot.compute.record());
   gpu::copy_d2h(dev, slot.copy, panel, slot.panel, 0, entries,
                 /*async=*/true);
   if (below > 0) {
     gpu::syrk_lower_nt_beta0(dev, slot.compute, below, w, slot.panel, w,
                              r, slot.update, 0, below);
-    // Into the per-supernode buffer: the update-buffer reuse hazard is
-    // covered by FIFO order on the compute stream (the next occupant's
-    // SYRK queues behind this transfer).
-    u.resize(ucount);
-    gpu::copy_d2h(dev, slot.compute, u.data(), slot.update, 0, ucount,
-                  /*async=*/true);
+    // The update-buffer reuse hazard is covered by FIFO order on the
+    // compute stream (the next occupant's SYRK queues behind this copy).
+    u.resize(static_cast<std::size_t>(below) * below);
+    gpu::copy_d2h(dev, slot.compute, u.data(), slot.update, 0, u.size(),
+                  /*async=*/deferred);
   }
 }
 
@@ -323,82 +276,51 @@ void rl_gpu_batch(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
 void run_rl_sequential(FactorContext& ctx) {
   const SymbolicFactor& symb = ctx.symb;
   const index_t ns = symb.num_supernodes();
-  const FactorOptions& opts = ctx.opts;
-  const bool gpu_enabled = opts.exec == Execution::kGpuHybrid ||
-                           opts.exec == Execution::kGpuOnly;
 
   // Host scratch for the update matrix, preallocated at the largest size
   // (the paper preallocates "so that it can store the largest update
-  // matrix during the factorization").
-  const RlSizes sz = rl_sizes(ctx, gpu_enabled);
-  std::vector<double> u_host(sz.host_update_max);
-
-  // Device buffers are preallocated once; this is where RL fails on the
-  // nlpkkt120 class (update matrix larger than device memory).
-  gpu::Stream compute(ctx.dev);
-  gpu::Stream copy(ctx.dev);
-  gpu::DeviceBuffer panel_dev;
-  gpu::DeviceBuffer update_dev;
-  if (sz.gpu_panel_max > 0) {
-    panel_dev = gpu::DeviceBuffer(ctx.dev, sz.gpu_panel_max);
-    ctx.gpu_stream_pairs = 1;
+  // matrix during the factorization"), and one device slot sized for the
+  // largest GPU supernode — this is where RL fails on the nlpkkt120 class
+  // (update matrix larger than device memory). Sizes are std::size_t so a
+  // wide supernode's below² can never wrap a narrower type.
+  std::size_t host_max = 0, panel_max = 0, update_max = 0;
+  for (index_t s = 0; s < ns; ++s) {
+    const std::size_t below = static_cast<std::size_t>(symb.sn_below(s));
+    host_max = std::max(host_max, below * below);
+    if (!ctx.on_gpu(s)) continue;
+    panel_max = std::max(panel_max,
+                         static_cast<std::size_t>(symb.sn_entries(s)));
+    update_max = std::max(update_max, below * below);
   }
-  if (sz.gpu_update_max > 0) {
-    update_dev = gpu::DeviceBuffer(ctx.dev, sz.gpu_update_max);
-  }
+  std::vector<double> u;
+  u.reserve(host_max);
+  RlGpuSlot slot(ctx.dev, panel_max, update_max);
+  if (panel_max > 0) ctx.gpu_stream_pairs = 1;
 
   for (index_t s = 0; s < ns; ++s) {
-    if (!ctx.on_gpu(s)) {
-      const index_t w = symb.sn_width(s);
-      const index_t r = symb.sn_nrows(s);
-      const index_t below = r - w;
-      const std::size_t ucount =
-          static_cast<std::size_t>(below) * static_cast<std::size_t>(below);
-      cpu_factor_panel(ctx, s);
-      if (below > 0) {
-        std::memset(u_host.data(), 0, ucount * sizeof(double));
-        ctx.cpu_syrk(below, w, ctx.sn_values(s) + w, r, u_host.data(),
-                     below);
-        ctx.account_assembly(rl_assemble(ctx, s, u_host.data()));
-      }
-      continue;
+    if (ctx.on_gpu(s)) {
+      rl_gpu_compute(ctx, ctx.dev, 0, s, slot, u, /*deferred=*/false);
+    } else {
+      rl_cpu_compute(ctx, s, u);
     }
-    rl_gpu_supernode(ctx, s, compute, copy, panel_dev, update_dev,
-                     u_host.data());
+    if (symb.sn_below(s) > 0) {
+      ctx.account_assembly(rl_assemble(ctx, s, u.data()));
+    }
   }
-  ctx.dev.synchronize();
 }
 
 void run_rl_scheduled(FactorContext& ctx) {
   const SymbolicFactor& symb = ctx.symb;
   const index_t ns = symb.num_supernodes();
   const bool hybrid = ctx.opts.exec == Execution::kGpuHybrid;
-  const ExecutionResources* res = ctx.res;
-
-  // Scheduler: the injected per-session one (reset and rebuilt each
-  // run), or a per-call local — identical semantics either way.
-  TaskScheduler own_sched;
-  TaskScheduler& sched =
-      (res != nullptr && res->sched != nullptr) ? *res->sched : own_sched;
-  if (&sched != &own_sched) sched.reset();
 
   // The shared task-graph shape: COMPUTE/SCATTER/BATCH nodes + readiness
   // and per-target chain edges, with small sibling subtrees coalesced
-  // into BATCH nodes (see symbolic/exec_plan.*), plus the
-  // subtree-partitioned ready-queue assignment. Served from the service's
-  // pattern cache when injected, built per call otherwise — the same
-  // build_planned_graph either way, so both paths execute the same graph.
-  std::optional<PlannedGraph> own_plan;
-  const PlannedGraph* pg =
-      (res != nullptr && res->planned != nullptr)
-          ? res->planned
-          : &own_plan.emplace(
-                build_planned_graph(symb, ctx.opts, ctx.workers));
-  sched.set_partitions(pg->partitions);
-  const ExecutionPlan& plan = pg->plan;
+  // into BATCH nodes (see symbolic/exec_plan.*).
+  PlanExecutor ex(ctx);
+  const ExecutionPlan& plan = ex.graph().plan;
   const auto nodes = plan.nodes();
-  ctx.batches_formed = plan.batches_formed();
-  ctx.supernodes_batched = plan.supernodes_batched();
+  const std::size_t ndev = ex.ndev();
 
   // Packed buffer needs of one batch (panel entries, update entries).
   auto batch_needs = [&](const PlanNode& n) {
@@ -418,125 +340,56 @@ void run_rl_scheduled(FactorContext& ctx) {
   // device runs the same deterministic kernels in the same order.)
   std::vector<char> batch_on_dev(nodes.size(), 0);
 
-  // Effective ordinal a plan-node device assignment resolves to on THIS
-  // run (mod-folded when the plan was built for more devices than the
-  // registry provides).
-  const std::size_t ndev = hybrid ? ctx.ndev : 1;
-  auto ord = [&ctx](index_t dv) {
-    return static_cast<std::size_t>(ctx.device_ordinal(dv));
-  };
-
-  // Per-device, per-GPU-task buffer needs (supernodes AND device
-  // batches), ranked descending: slot k only has to host the k-th
-  // largest panel / update among CONCURRENTLY in-flight GPU tasks on
-  // that device, so N slots cost far less than N copies of the largest —
-  // that is what lets several pairs fit under a tight device memory cap.
-  // Needs never mix devices, so one device's pool sizing cannot be
-  // inflated by another shard's supernodes.
-  // Cooperative spine supernodes (plan ordinal -1, with more than one
-  // device engaged) bypass the pools entirely: they get ONE dedicated
+  // Per-device buffer needs of every GPU task (supernodes AND device
+  // batches). Cooperative spine supernodes (plan ordinal -1, with more
+  // than one device engaged) bypass the pools: they get ONE dedicated
   // slot sized for the largest coop panel/update, so the all-to-all
   // fences of the cooperative mesh never couple into pool-slot reuse by
-  // unrelated supernodes. With one device the -1 clamps to ordinal 0 and
+  // unrelated supernodes. With one device the -1 folds to ordinal 0 and
   // they run the plain pipeline from the ordinary pool.
-  const bool coop_run = hybrid && ndev > 1;
+  const bool coop_run = ndev > 1;
   std::size_t coop_panel_max = 0, coop_update_max = 0;
-  std::vector<std::vector<std::size_t>> panel_need(ndev), update_need(ndev);
-  if (hybrid) {
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const PlanNode& n = nodes[i];
-      if (n.kind == PlanNodeKind::kCompute && n.on_gpu) {
-        const std::size_t below =
-            static_cast<std::size_t>(symb.sn_below(n.sn));
-        if (coop_run && n.device < 0) {
-          coop_panel_max = std::max(
-              coop_panel_max,
-              static_cast<std::size_t>(symb.sn_entries(n.sn)));
-          coop_update_max = std::max(coop_update_max, below * below);
-          continue;
-        }
-        panel_need[ord(n.device)].push_back(
-            static_cast<std::size_t>(symb.sn_entries(n.sn)));
-        update_need[ord(n.device)].push_back(below * below);
-      } else if (n.kind == PlanNodeKind::kBatch && n.device_eligible) {
-        const auto [p, u] = batch_needs(n);
-        if (static_cast<offset_t>(p) < ctx.opts.gpu_threshold_rl) continue;
-        batch_on_dev[i] = 1;
-        panel_need[ord(n.device)].push_back(p);
-        update_need[ord(n.device)].push_back(u);
+  for (std::size_t i = 0; hybrid && i < nodes.size(); ++i) {
+    const PlanNode& n = nodes[i];
+    if (n.kind == PlanNodeKind::kCompute && n.on_gpu) {
+      const std::size_t below = static_cast<std::size_t>(symb.sn_below(n.sn));
+      const auto entries = static_cast<std::size_t>(symb.sn_entries(n.sn));
+      if (coop_run && n.device < 0) {
+        coop_panel_max = std::max(coop_panel_max, entries);
+        coop_update_max = std::max(coop_update_max, below * below);
+      } else {
+        ex.need(n.device, entries, below * below);
       }
-    }
-    for (std::size_t d = 0; d < ndev; ++d) {
-      std::sort(panel_need[d].rbegin(), panel_need[d].rend());
-      std::sort(update_need[d].rbegin(), update_need[d].rend());
-    }
-  }
-
-  // Device-resident factor storage (opt-in): the paper's multi-GPU
-  // runs keep each shard's factor panels resident on its device for the
-  // whole factorization, so one device must hold the SUM of its assigned
-  // GPU panels — the 40 GB bound a nlpkkt120-class factor breaks on one
-  // device and fits when two devices each hold half. Modeled as one
-  // held reservation per engaged device; DeviceOutOfMemory propagates
-  // exactly where the real allocation would fail.
-  std::vector<gpu::DeviceBuffer> resident;
-  if (hybrid && ctx.opts.device_resident_factor) {
-    const std::span<const index_t> devof = pg->device_of;
-    std::vector<std::size_t> resident_entries(ndev, 0);
-    for (index_t s = 0; s < ns; ++s) {
-      if (!ctx.on_gpu(s)) continue;
-      // Cooperative spine supernodes (ordinal -1) have no single home;
-      // their resident panels are charged block-cyclically so the spine
-      // weight spreads across the registry instead of piling onto the
-      // owner.
-      const std::size_t d =
-          devof.empty() ? 0
-          : devof[s] < 0 ? static_cast<std::size_t>(s) % ndev
-                         : ord(devof[s]);
-      resident_entries[d] += static_cast<std::size_t>(symb.sn_entries(s));
-    }
-    for (std::size_t d = 0; d < ndev; ++d) {
-      if (resident_entries[d] == 0) continue;
-      resident.emplace_back(ctx.device(static_cast<index_t>(d)),
-                            resident_entries[d]);
+    } else if (n.kind == PlanNodeKind::kBatch && n.device_eligible) {
+      const auto [p, u] = batch_needs(n);
+      if (static_cast<offset_t>(p) < ctx.opts.gpu_threshold_rl) continue;
+      batch_on_dev[i] = 1;
+      ex.need(n.device, p, u);
     }
   }
 
-  // Bounded per-device slot pools: one compute/copy stream pair + device
-  // buffers per in-flight GPU task, on the device the planner assigned.
-  // A pool shrinks (down to one pair) when its device cannot fit every
-  // slot; if not even one fits, the DeviceOutOfMemory (with its
-  // available-byte report) propagates rather than leaving GPU tasks
-  // waiting on an empty pool forever. With an injected arena each pool
-  // is cached under the pattern+options key MIXED with its device
-  // ordinal, so cached slots can never migrate across devices; ordinal 0
-  // keeps the legacy key, so single-device sessions rehit their old
-  // pools. Each device also gets its own scheduler counting resource, so
-  // one saturated device never blocks another's issue.
-  using RlSlotPool = gpu::SlotPool<RlGpuSlot>;
+  // Cooperative spine support: the spine supernodes' kernels are
+  // block-distributed across the whole registry. Device 0 (the owner,
+  // where the numerics run) gets one dedicated stream for its share of
+  // the cooperative timeline, every peer device one more; the coop
+  // chain's buffers live in a dedicated single-slot pool with its own
+  // scheduler resource — the spine is a chain, so one in-flight coop task
+  // is the natural cap. Allocated BEFORE the per-device pools: the coop
+  // slot is mandatory (no smaller fallback exists for the spine), so the
+  // shrinkable pools must size themselves around it — otherwise a run
+  // that fits on one device could OOM on four.
   constexpr std::uint64_t kRlPoolTag = 0x524c2d504f4f4cull;  // "RL-POOL"
-  constexpr std::uint64_t kDevKeyMix = 0x9e3779b97f4a7c15ull;
-
-  // Cooperative spine support: when the plan marks supernodes with
-  // device ordinal -1 (and more than one device is engaged), their
-  // kernels are block-distributed across the whole registry. Device 0
-  // (the owner, where the numerics run) gets one dedicated stream for
-  // its share of the cooperative timeline, every peer device one more;
-  // the coop chain's buffers live in a dedicated single-slot pool
-  // (arena-cached under its own tag) with its own scheduler resource —
-  // the spine is a chain, so one in-flight coop task is the natural cap.
-  // Allocated BEFORE the per-device pools: the coop slot is mandatory
-  // (no smaller fallback exists for the spine), so the shrinkable pools
-  // below must size themselves around it, not the other way round —
-  // otherwise a run that fits on one device could OOM on four.
   const bool has_coop = coop_run && coop_panel_max > 0;
   std::vector<std::unique_ptr<gpu::Stream>> coop_streams;
   std::vector<gpu::CoopPeer> coop_peers;
-  std::shared_ptr<RlSlotPool> coop_pool;
+  PlanExecutor::PoolPtr<RlGpuSlot> coop_pool;
   std::size_t coop_res = TaskScheduler::kNoResource;
+  const auto make_slot = [](gpu::Device& dv, std::size_t p, std::size_t u) {
+    return std::make_unique<RlGpuSlot>(dv, p, u);
+  };
   if (has_coop) {
     for (std::size_t d = 0; d < ndev; ++d) {
-      gpu::Device& dv = ctx.device(static_cast<index_t>(d));
+      gpu::Device& dv = ex.device(d);
       coop_streams.push_back(std::make_unique<gpu::Stream>(dv));
       if (d > 0) {
         gpu::Stream* mesh = coop_streams.back().get();
@@ -546,58 +399,27 @@ void run_rl_scheduled(FactorContext& ctx) {
       }
     }
     constexpr std::uint64_t kCoopPoolTag = 0x434f4f502d534c54ull;  // "COOP"
-    auto make_coop_pool = [&] {
-      return std::make_shared<RlSlotPool>(1, [&](std::size_t) {
-        return std::make_unique<RlGpuSlot>(ctx.device(0), coop_panel_max,
-                                           coop_update_max);
-      });
-    };
-    coop_pool = (res != nullptr && res->arena != nullptr)
-                    ? res->arena->pool<RlSlotPool>(
-                          res->pool_key ^ kCoopPoolTag, make_coop_pool)
-                    : make_coop_pool();
-    coop_res = sched.add_resource(1);
+    coop_pool = ex.pool<RlGpuSlot>(0, kCoopPoolTag, 1, [&](std::size_t) {
+      return make_slot(ex.device(0), coop_panel_max, coop_update_max);
+    });
+    coop_res = ex.tokens(coop_pool);
   }
 
-  std::vector<std::shared_ptr<RlSlotPool>> pools(ndev);
-  std::vector<std::size_t> gpu_res(ndev, TaskScheduler::kNoResource);
-  std::size_t pool_slots = 0;
-  for (std::size_t d = 0; d < ndev; ++d) {
-    const std::size_t num_gpu = panel_need[d].size();
-    if (num_gpu == 0) continue;
-    gpu::Device& dv = ctx.device(static_cast<index_t>(d));
-    const std::size_t want = std::min(ctx.gpu_slot_budget(), num_gpu);
-    auto make_pool = [&] {
-      return std::make_shared<RlSlotPool>(want, [&, d](std::size_t k) {
-        return std::make_unique<RlGpuSlot>(dv, panel_need[d][k],
-                                           update_need[d][k]);
+  // Bounded per-device slot pools. Device 0 under extreme pressure: when
+  // the mandatory coop slot left no room for even one regular slot but
+  // covers device 0's largest regular need, regular tasks share it — they
+  // and the spine serialize on the one slot, degrading throughput
+  // instead of failing a run that fits on fewer devices.
+  const auto pools = ex.pools<RlGpuSlot>(
+      kRlPoolTag, make_slot,
+      [&](std::size_t d, std::size_t panel0, std::size_t update0) {
+        return d == 0 && has_coop && coop_panel_max >= panel0 &&
+                       coop_update_max >= update0
+                   ? coop_pool
+                   : nullptr;
       });
-    };
-    const std::uint64_t key =
-        res != nullptr ? res->pool_key ^ kRlPoolTag ^ (kDevKeyMix * d) : 0;
-    try {
-      pools[d] = (res != nullptr && res->arena != nullptr)
-                     ? res->arena->pool<RlSlotPool>(key, make_pool)
-                     : make_pool();
-    } catch (const gpu::DeviceOutOfMemory&) {
-      // Device 0 under extreme pressure: the mandatory coop slot left no
-      // room for even one regular slot. When the coop slot also covers
-      // device 0's largest regular need, share it — regular tasks and
-      // the spine serialize on the one slot (acquire blocks), degrading
-      // throughput instead of failing a run that fits on fewer devices.
-      if (d != 0 || !has_coop || coop_panel_max < panel_need[0][0] ||
-          coop_update_max < update_need[0][0]) {
-        throw;
-      }
-      pools[0] = coop_pool;
-      gpu_res[0] = sched.add_resource(1);
-      continue;
-    }
-    gpu_res[d] = sched.add_resource(pools[d]->size());
-    pool_slots += pools[d]->size();
-  }
-  ctx.gpu_stream_pairs = static_cast<index_t>(pool_slots);
-  if (has_coop) ctx.gpu_stream_pairs += 1;
+  ctx.gpu_stream_pairs =
+      static_cast<index_t>(pools.slots) + (has_coop ? 1 : 0);
 
   // Per-supernode update buffers: allocated by COMPUTE (the device path
   // fills them through its final D2H), consumed and released by SCATTER.
@@ -606,68 +428,7 @@ void run_rl_scheduled(FactorContext& ctx) {
 
   // --- fan-both support --------------------------------------------------
   const bool fan_both = plan.fan_both();
-  const std::span<const index_t> devof = pg->device_of;
-
-  // One cross-device assembly hop: `entries` produced on effective
-  // ordinal `src`, assembled into a target panel on `dst`. The hops are
-  // deterministic from the plan, so they are priced at build time; with
-  // a link topology each pair charges its actual src→dst link.
-  struct CrossHop {
-    index_t src = 0;
-    index_t dst = 0;
-    double entries = 0.0;
-  };
-  // Cross-device separator assembly of s's update slice aimed at target
-  // `only_t` (or at EVERY off-device GPU target when only_t < 0):
-  // entries whose contributor was produced on one device while the
-  // target panel lives on another pay an explicit modeled hop, returned
-  // per destination ordinal (src is fixed — s's device). Cooperative
-  // supernodes (ordinal -1) assemble on the host from their per-device
-  // D2H slices, so neither side of a coop pair pays the hop.
-  auto cross_slice = [&](index_t s,
-                         index_t only_t) -> std::vector<CrossHop> {
-    std::vector<CrossHop> hops;
-    if (ndev <= 1 || devof.empty() || !ctx.on_gpu(s) || devof[s] < 0) {
-      return hops;
-    }
-    const index_t w = symb.sn_width(s);
-    const index_t below = symb.sn_below(s);
-    const auto rows = symb.sn_rows(s);
-    const std::size_t sd = ord(devof[s]);
-    index_t b0 = 0;
-    while (b0 < below) {
-      const index_t target = symb.col_to_sn(rows[w + b0]);
-      index_t b1 = b0;
-      while (b1 < below && symb.col_to_sn(rows[w + b1]) == target) ++b1;
-      if ((only_t < 0 || target == only_t) && ctx.on_gpu(target) &&
-          devof[target] >= 0 && ord(devof[target]) != sd) {
-        const index_t td = static_cast<index_t>(ord(devof[target]));
-        const double xe = 0.5 * static_cast<double>(b1 - b0) *
-                          static_cast<double>((below - b0) +
-                                              (below - b1 + 1));
-        bool merged = false;
-        for (CrossHop& h : hops) {
-          if (h.dst == td) {
-            h.entries += xe;
-            merged = true;
-            break;
-          }
-        }
-        if (!merged) {
-          hops.push_back({static_cast<index_t>(sd), td, xe});
-        }
-      }
-      b0 = b1;
-    }
-    return hops;
-  };
-  // Charges every hop of a build-time-priced list (captured by value in
-  // the task lambdas).
-  const auto account_hops = [&ctx](const std::vector<CrossHop>& hops) {
-    for (const CrossHop& h : hops) {
-      ctx.account_cross_device(h.src, h.dst, h.entries);
-    }
-  };
+  const std::span<const index_t> devof = ex.graph().device_of;
 
   // Fan-both splits one supernode's assembly across several consumer
   // tasks (per-target scatters, batch-scatters, aggregation groups), so
@@ -724,7 +485,7 @@ void run_rl_scheduled(FactorContext& ctx) {
       index_t md = 0;
       if (!devof.empty()) {
         if (devof[m] < 0) return -1;
-        md = static_cast<index_t>(ord(devof[m]));
+        md = static_cast<index_t>(ex.ord(devof[m]));
       }
       if (d < 0) {
         d = md;
@@ -736,144 +497,88 @@ void run_rl_scheduled(FactorContext& ctx) {
   };
 
   // --- map plan nodes to scheduler tasks ---------------------------------
-  std::vector<std::size_t> task_of(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const PlanNode& n = nodes[i];
+  ex.add_nodes([&](std::size_t i, const PlanNode& n) -> std::size_t {
     switch (n.kind) {
       case PlanNodeKind::kCompute: {
         const index_t s = n.sn;
-        const index_t w = symb.sn_width(s);
-        const index_t r = symb.sn_nrows(s);
-        const index_t below = r - w;
-        if (n.on_gpu) {
-          // Device COMPUTE: acquires a slot big enough for this
-          // supernode from ITS OWN device's pool, runs the §III pipeline
-          // there, leaves the update matrix in ubuf[s]. The per-device
-          // resource token caps in-flight GPU tasks at that pool's size,
-          // so waiting for a FITTING slot is rare and always bounded
-          // (slot 0 fits everything).
-          const std::size_t need_panel = static_cast<std::size_t>(r) * w;
-          const std::size_t need_update =
-              static_cast<std::size_t>(below) *
-              static_cast<std::size_t>(below);
-          const std::size_t dord = ord(n.device);
-          if (has_coop && n.device < 0) {
-            task_of[i] = sched.add_task(
-                n.priority,
-                [&ctx, &coop_pool, &coop_streams, &coop_peers, &ubuf,
-                 s](std::size_t) {
-                  FactorContext::TaskScope scope(ctx);
-                  auto lease = coop_pool->acquire(
-                      [](const RlGpuSlot&) { return true; });
-                  rl_gpu_compute_coop(ctx, ctx.device(0), *coop_streams[0],
-                                      s, *lease, ubuf[s], coop_peers);
-                },
-                coop_res, n.queue);
-            break;
-          }
-          task_of[i] = sched.add_task(
-              n.priority,
-              [&ctx, &pools, &ubuf, s, need_panel, need_update,
-               dord](std::size_t) {
-                FactorContext::TaskScope scope(ctx);
-                auto lease = pools[dord]->acquire(
-                    [&](const RlGpuSlot& slot) {
-                      return slot.panel.size() >= need_panel &&
-                             slot.update.size() >= need_update;
-                    });
-                rl_gpu_compute(ctx,
-                               ctx.device(static_cast<index_t>(dord)),
-                               static_cast<index_t>(dord), s, *lease,
-                               ubuf[s]);
-              },
-              gpu_res[dord], n.queue);
-        } else {
-          task_of[i] = sched.add_task(
-              n.priority,
-              [&ctx, &ubuf, s, w, r, below](std::size_t) {
-                FactorContext::TaskScope scope(ctx);
-                cpu_factor_panel(ctx, s);
-                if (below > 0) {
-                  const std::size_t ucount =
-                      static_cast<std::size_t>(below) *
-                      static_cast<std::size_t>(below);
-                  ubuf[s].assign(ucount, 0.0);
-                  ctx.cpu_syrk(below, w, ctx.sn_values(s) + w, r,
-                               ubuf[s].data(), below);
-                }
-              },
-              TaskScheduler::kNoResource, n.queue);
+        if (!n.on_gpu) {
+          return ex.add(n, [&ctx, &ubuf, s] {
+            rl_cpu_compute(ctx, s, ubuf[s]);
+          });
         }
-        break;
+        if (has_coop && n.device < 0) {
+          return ex.add(
+              n,
+              [&ctx, &coop_pool, &coop_streams, &coop_peers, &ubuf, s] {
+                auto lease = coop_pool->acquire();
+                rl_gpu_compute_coop(ctx, ctx.device(0), *coop_streams[0], s,
+                                    *lease, ubuf[s], coop_peers);
+              },
+              coop_res);
+        }
+        // Device COMPUTE: a slot big enough for s from ITS OWN device's
+        // pool runs the §III pipeline there; the update matrix lands in
+        // ubuf[s] for the SCATTER.
+        const std::size_t below = static_cast<std::size_t>(symb.sn_below(s));
+        const std::size_t need_panel =
+            static_cast<std::size_t>(symb.sn_entries(s));
+        const std::size_t dord = ex.ord(n.device);
+        return ex.add(
+            n,
+            [&ctx, &ex, &pools, &ubuf, s, need_panel, below, dord] {
+              auto lease = pools.acquire(dord, need_panel, below * below);
+              rl_gpu_compute(ctx, ex.device(dord),
+                             static_cast<index_t>(dord), s, *lease, ubuf[s],
+                             /*deferred=*/true);
+            },
+            pools.res[dord]);
       }
       case PlanNodeKind::kScatter: {
-        const index_t s = n.sn;
         // Cross-device separator assembly: the slice of s's update
         // matrix aimed at GPU targets on OTHER devices pays an explicit
-        // D2H→H2D hop (cross_slice; deterministic from the plan, so
-        // priced here at build time). The assembly itself still runs on
-        // the host in the plan's fixed per-target ascending order — the
-        // hop changes the modeled timeline, never the bits.
-        if (fan_both && n.target >= 0) {
-          // Fan-both per-target split: assemble ONLY this target's
-          // segment, then drop one ubuf reference.
-          const index_t t = n.target;
-          const std::vector<CrossHop> xhops = cross_slice(s, t);
-          task_of[i] = sched.add_task(
-              n.priority,
-              [&ctx, &ubuf, unref, account_hops, s, t,
-               xhops](std::size_t) {
-                FactorContext::TaskScope scope(ctx);
-                account_hops(xhops);
-                ctx.account_assembly(
-                    rl_assemble_range(ctx, s, ubuf[s].data(), t, t));
-                unref(s);
-              },
-              TaskScheduler::kNoResource, n.queue);
-          break;
-        }
-        const std::vector<CrossHop> xhops = cross_slice(s, -1);
-        task_of[i] = sched.add_task(
-            n.priority,
-            [&ctx, &ubuf, account_hops, s, xhops](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
-              account_hops(xhops);
-              ctx.account_assembly(rl_assemble(ctx, s, ubuf[s].data()));
-              std::vector<double>().swap(ubuf[s]);  // free eagerly
-            },
-            TaskScheduler::kNoResource, n.queue);
-        break;
+        // modeled hop (priced here at build time). The assembly itself
+        // still runs on the host in the plan's fixed per-target ascending
+        // order — the hop changes the modeled timeline, never the bits.
+        // A fan-both per-target split assembles ONLY its target's segment
+        // and drops one ubuf reference; the plain scatter frees eagerly.
+        const index_t s = n.sn;
+        const index_t t = fan_both ? n.target : -1;
+        return ex.add(n, [&ctx, &ex, &ubuf, unref, s, t,
+                          xhops = ex.cross_hops(s, s, t)] {
+          ex.charge(xhops);
+          if (t >= 0) {
+            ctx.account_assembly(
+                rl_assemble_range(ctx, s, ubuf[s].data(), t, t));
+            unref(s);
+          } else {
+            ctx.account_assembly(rl_assemble(ctx, s, ubuf[s].data()));
+            std::vector<double>().swap(ubuf[s]);
+          }
+        });
       }
       case PlanNodeKind::kBatch: {
         const index_t first = n.batch_first;
         const index_t last = n.batch_last;
         if (batch_on_dev[i]) {
           const auto [need_panel, need_update] = batch_needs(n);
-          const std::size_t dord = ord(n.device);
-          task_of[i] = sched.add_task(
-              n.priority,
-              [&ctx, &pools, &ubuf, unref, first, last, need_panel,
-               need_update, dord, fan_both](std::size_t) {
-                FactorContext::TaskScope scope(ctx);
-                auto lease = pools[dord]->acquire(
-                    [&](const RlGpuSlot& slot) {
-                      return slot.panel.size() >= need_panel &&
-                             slot.update.size() >= need_update;
-                    });
-                rl_gpu_batch(ctx,
-                             ctx.device(static_cast<index_t>(dord)),
+          const std::size_t dord = ex.ord(n.device);
+          return ex.add(
+              n,
+              [&ctx, &ex, &pools, &ubuf, unref, first, last, need_panel,
+               need_update, dord, fan_both] {
+                auto lease = pools.acquire(dord, need_panel, need_update);
+                rl_gpu_batch(ctx, ex.device(dord),
                              static_cast<index_t>(dord), first, last,
                              *lease, fan_both ? &ubuf : nullptr);
                 if (fan_both) {
                   for (index_t m = first; m <= last; ++m) unref(m);
                 }
               },
-              gpu_res[dord], n.queue);
-          break;
+              pools.res[dord]);
         }
         // Fused CPU sweep: compute then assemble each member in
         // ascending order — exactly the sequential driver's pattern
-        // (shared scratch, memset per member), so the bits match it.
+        // (shared scratch, zeroed per member), so the bits match it.
         // BatchScope gathers the members' modeled costs and charges the
         // batch as one fused call group + one fused assembly region.
         // Fan-both decouples the batch: each member's update matrix goes
@@ -881,94 +586,43 @@ void run_rl_scheduled(FactorContext& ctx) {
         // AGGREGATE consumers) and only in-batch targets are assembled
         // here — the same entries in the same order the plain sweep
         // would have applied them.
-        task_of[i] = sched.add_task(
-            n.priority,
-            [&ctx, &ubuf, unref, first, last, fan_both](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
-              FactorContext::BatchScope batch(ctx);
-              const SymbolicFactor& sb = ctx.symb;
-              std::vector<double> u;
-              if (!fan_both) {
-                std::size_t umax = 0;
-                for (index_t s = first; s <= last; ++s) {
-                  const std::size_t below =
-                      static_cast<std::size_t>(sb.sn_below(s));
-                  umax = std::max(umax, below * below);
-                }
-                u.resize(umax);
-              }
-              for (index_t s = first; s <= last; ++s) {
-                const index_t w = sb.sn_width(s);
-                const index_t r = sb.sn_nrows(s);
-                const index_t below = r - w;
-                cpu_factor_panel(ctx, s);
-                if (below > 0) {
-                  const std::size_t ucount =
-                      static_cast<std::size_t>(below) *
-                      static_cast<std::size_t>(below);
-                  if (fan_both) {
-                    ubuf[s].assign(ucount, 0.0);
-                    ctx.cpu_syrk(below, w, ctx.sn_values(s) + w, r,
-                                 ubuf[s].data(), below);
-                    ctx.account_assembly(rl_assemble_range(
-                        ctx, s, ubuf[s].data(), first, last));
-                  } else {
-                    std::memset(u.data(), 0, ucount * sizeof(double));
-                    ctx.cpu_syrk(below, w, ctx.sn_values(s) + w, r,
-                                 u.data(), below);
-                    ctx.account_assembly(rl_assemble(ctx, s, u.data()));
-                  }
-                }
-              }
-              if (fan_both) {
-                for (index_t s = first; s <= last; ++s) unref(s);
-              }
-            },
-            TaskScheduler::kNoResource, n.queue);
-        break;
+        return ex.add(n, [&ctx, &ubuf, unref, first, last, fan_both] {
+          FactorContext::BatchScope batch(ctx);
+          std::vector<double> scratch;
+          for (index_t s = first; s <= last; ++s) {
+            std::vector<double>& u = fan_both ? ubuf[s] : scratch;
+            rl_cpu_compute(ctx, s, u);
+            if (ctx.symb.sn_below(s) == 0) continue;
+            ctx.account_assembly(
+                fan_both ? rl_assemble_range(ctx, s, u.data(), first, last)
+                         : rl_assemble(ctx, s, u.data()));
+          }
+          if (fan_both) {
+            for (index_t s = first; s <= last; ++s) unref(s);
+          }
+        });
       }
       case PlanNodeKind::kBatchScatter: {
         // Fan-both decoupled batch assembly: every batch member's slice
         // into ONE out-of-batch target, in ascending member order — the
         // contiguous run of the target's contributor chain the batch
-        // replaced. Each member drops one ubuf reference.
+        // replaced. Each member drops one ubuf reference. Members may
+        // live on different devices; their hops merge per (src,dst).
         const index_t first = n.batch_first;
         const index_t last = n.batch_last;
         const index_t t = n.target;
-        // Members of one batch may live on different devices: merge
-        // their hops per (src,dst) pair so each pair charges its link.
-        std::vector<CrossHop> xhops;
-        for (index_t m = first; m <= last; ++m) {
-          for (const CrossHop& h : cross_slice(m, t)) {
-            bool merged = false;
-            for (CrossHop& o : xhops) {
-              if (o.src == h.src && o.dst == h.dst) {
-                o.entries += h.entries;
-                merged = true;
-                break;
-              }
+        return ex.add(n, [&ctx, &ex, &ubuf, unref, first, last, t,
+                          xhops = ex.cross_hops(first, last, t)] {
+          ex.charge(xhops);
+          double entries = 0.0;
+          for (index_t m = first; m <= last; ++m) {
+            if (!ubuf[m].empty()) {
+              entries += rl_assemble_range(ctx, m, ubuf[m].data(), t, t);
             }
-            if (!merged) xhops.push_back(h);
+            unref(m);
           }
-        }
-        task_of[i] = sched.add_task(
-            n.priority,
-            [&ctx, &ubuf, unref, account_hops, first, last, t,
-             xhops](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
-              account_hops(xhops);
-              double entries = 0.0;
-              for (index_t m = first; m <= last; ++m) {
-                if (!ubuf[m].empty()) {
-                  entries +=
-                      rl_assemble_range(ctx, m, ubuf[m].data(), t, t);
-                }
-                unref(m);
-              }
-              ctx.account_assembly(entries);
-            },
-            TaskScheduler::kNoResource, n.queue);
-        break;
+          ctx.account_assembly(entries);
+        });
       }
       case PlanNodeKind::kAggregate: {
         // Fan-both gather: every group member's update slice for the
@@ -987,54 +641,44 @@ void run_rl_scheduled(FactorContext& ctx) {
         gpu::Stream* astream =
             fd >= 0 ? agg_streams[static_cast<std::size_t>(fd)].get()
                     : nullptr;
-        task_of[i] = sched.add_task(
-            n.priority,
-            [&ctx, &plan, &ubuf, &slab_offs, &slab_vals, unref, g, t,
-             total, fd, astream](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
-              const std::size_t bytes =
-                  static_cast<std::size_t>(total) *
-                  (sizeof(offset_t) + sizeof(double));
-              slab_offs[g].resize(static_cast<std::size_t>(total));
-              slab_vals[g].resize(static_cast<std::size_t>(total));
-              ctx.note_agg_alloc(bytes);
-              offset_t k = 0;
-              for (const index_t m : plan.agg_members(g)) {
-                if (!ubuf[m].empty()) {
-                  k += rl_gather_target(ctx, m, ubuf[m].data(), t,
-                                        slab_offs[g].data() + k,
-                                        slab_vals[g].data() + k);
-                }
-                unref(m);
-              }
-              SPCHOL_CHECK(k == total,
-                           "aggregation slab entry count mismatch");
-              if (astream != nullptr) {
-                // Every member's update buffer already lives on device
-                // fd: model the gather as one fused batched kernel plus
-                // one slab D2H on the device's aggregation stream. The
-                // host-side gather above IS the numerics (the simulated
-                // device computes on host memory), so only the price
-                // moves to the device timeline.
-                gpu::Device& dv = ctx.device(fd);
-                const auto& pm = dv.model();
-                const double kt = pm.gpu_batched_kernel_seconds(
-                    static_cast<double>(total),
-                    plan.agg_members(g).size());
-                dv.enqueue(*astream, kt);
-                dv.note_kernel(kt);
-                const double dt =
-                    pm.d2h_seconds(static_cast<double>(bytes));
-                dv.enqueue(*astream, dt);
-                dv.note_d2h(bytes, dt);
-                ctx.count_fused_launch();
-                ctx.account_aggregation(0.0);  // count the buffer only
-              } else {
-                ctx.account_aggregation(static_cast<double>(total));
-              }
-            },
-            TaskScheduler::kNoResource, n.queue);
-        break;
+        return ex.add(n, [&ctx, &plan, &ubuf, &slab_offs, &slab_vals, unref,
+                          g, t, total, fd, astream] {
+          const std::size_t bytes = static_cast<std::size_t>(total) *
+                                    (sizeof(offset_t) + sizeof(double));
+          slab_offs[g].resize(static_cast<std::size_t>(total));
+          slab_vals[g].resize(static_cast<std::size_t>(total));
+          ctx.note_agg_alloc(bytes);
+          offset_t k = 0;
+          for (const index_t m : plan.agg_members(g)) {
+            if (!ubuf[m].empty()) {
+              k += rl_gather_target(ctx, m, ubuf[m].data(), t,
+                                    slab_offs[g].data() + k,
+                                    slab_vals[g].data() + k);
+            }
+            unref(m);
+          }
+          SPCHOL_CHECK(k == total, "aggregation slab entry count mismatch");
+          if (astream == nullptr) {
+            ctx.account_aggregation(static_cast<double>(total));
+            return;
+          }
+          // Every member's update buffer already lives on device fd:
+          // model the gather as one fused batched kernel plus one slab
+          // D2H on the device's aggregation stream. The host-side gather
+          // above IS the numerics (the simulated device computes on host
+          // memory), so only the price moves to the device timeline.
+          gpu::Device& dv = ctx.device(fd);
+          const auto& pm = dv.model();
+          const double kt = pm.gpu_batched_kernel_seconds(
+              static_cast<double>(total), plan.agg_members(g).size());
+          dv.enqueue(*astream, kt);
+          dv.note_kernel(kt);
+          const double dt = pm.d2h_seconds(static_cast<double>(bytes));
+          dv.enqueue(*astream, dt);
+          dv.note_d2h(bytes, dt);
+          ctx.count_fused_launch();
+          ctx.account_aggregation(0.0);  // count the buffer only
+        });
       }
       case PlanNodeKind::kApply: {
         // Fan-both replay: fold one slab into the target panel
@@ -1064,7 +708,7 @@ void run_rl_scheduled(FactorContext& ctx) {
         };
         std::vector<SrcUnion> unions;
         for (const index_t m : plan.agg_members(g)) {
-          const std::vector<CrossHop> ch = cross_slice(m, t);
+          const std::vector<CrossHop> ch = ex.cross_hops(m, m, t);
           if (ch.empty()) continue;  // only_t fixed: at most one hop
           const auto trows = symb.sn_rows(t);
           SrcUnion* su = nullptr;
@@ -1105,7 +749,7 @@ void run_rl_scheduled(FactorContext& ctx) {
         const index_t tord =
             devof.empty() || devof[t] < 0
                 ? 0
-                : static_cast<index_t>(ord(devof[t]));
+                : static_cast<index_t>(ex.ord(devof[t]));
         for (const SrcUnion& u : unions) {
           const index_t wt = symb.sn_width(t);
           double tail = 0.0, union_bound = 0.0;
@@ -1120,40 +764,24 @@ void run_rl_scheduled(FactorContext& ctx) {
                         static_cast<double>(symb.sn_entries(t))});
           if (xe > 0.0) xhops.push_back({u.src, tord, xe});
         }
-        task_of[i] = sched.add_task(
-            n.priority,
-            [&ctx, &slab_offs, &slab_vals, account_hops, g, t, total,
-             xhops](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
-              account_hops(xhops);
-              double* panel = ctx.sn_values(t);
-              const offset_t* offs = slab_offs[g].data();
-              const double* vals = slab_vals[g].data();
-              for (offset_t k = 0; k < total; ++k) {
-                panel[offs[k]] += vals[k];
-              }
-              ctx.account_assembly(static_cast<double>(total));
-              ctx.count_apply();
-              const std::size_t bytes =
-                  static_cast<std::size_t>(total) *
-                  (sizeof(offset_t) + sizeof(double));
-              std::vector<offset_t>().swap(slab_offs[g]);
-              std::vector<double>().swap(slab_vals[g]);
-              ctx.note_agg_free(bytes);
-            },
-            TaskScheduler::kNoResource, n.queue);
-        break;
+        return ex.add(n, [&ctx, &ex, &slab_offs, &slab_vals, g, t, total,
+                          xhops] {
+          ex.charge(xhops);
+          double* panel = ctx.sn_values(t);
+          const offset_t* offs = slab_offs[g].data();
+          const double* vals = slab_vals[g].data();
+          for (offset_t k = 0; k < total; ++k) panel[offs[k]] += vals[k];
+          ctx.account_assembly(static_cast<double>(total));
+          ctx.count_apply();
+          std::vector<offset_t>().swap(slab_offs[g]);
+          std::vector<double>().swap(slab_vals[g]);
+          ctx.note_agg_free(static_cast<std::size_t>(total) *
+                            (sizeof(offset_t) + sizeof(double)));
+        });
       }
     }
-  }
-  {
-    const auto edges = plan.edges();
-    const auto echain = plan.edge_chain();
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      sched.add_edge(task_of[edges[e].first], task_of[edges[e].second],
-                     echain[e] != 0);
-    }
-  }
+    return TaskScheduler::kNoResource;  // unreachable: every kind returns
+  });
 
   // Memory throttle: at most ~K update buffers in flight. The edge
   // target's compute may not start until the K-back scatter has freed
@@ -1181,32 +809,17 @@ void run_rl_scheduled(FactorContext& ctx) {
     } else {
       continue;
     }
-    throttled.push_back({task_of[i], task_of[plan.compute_node(src)], src});
+    throttled.push_back(
+        {ex.task_of(i), ex.task_of(plan.compute_node(src)), src});
   }
-  const std::size_t kWindow = 2 * ctx.workers + 2 + pool_slots;
+  const std::size_t kWindow = 2 * ctx.workers + 2 + pools.slots;
   for (std::size_t j = kWindow; j < throttled.size(); ++j) {
     if (throttled[j - kWindow].src < throttled[j].src) {
-      sched.add_edge(throttled[j - kWindow].consumer_task,
+      ex.sched().add_edge(throttled[j - kWindow].consumer_task,
                      throttled[j].compute_task);
     }
   }
-
-  // Drain on the injected persistent crew (caller participates as one
-  // extra worker) or on per-call dedicated threads. Execution-order
-  // freedom is bitwise-neutral by construction, so both produce the same
-  // factors.
-  ctx.sched_stats = (res != nullptr && res->crew != nullptr)
-                        ? sched.run_on(*res->crew)
-                        : sched.run(ctx.workers);
-  // Task-graph makespans replayed from the measured per-task durations:
-  // the order-independent basis for comparing plan SHAPES (the deferred
-  // host-clock fold below is a shape-blind sum).
-  ctx.modeled_task_serial_seconds = sched.modeled_makespan(1);
-  ctx.modeled_task_parallel_seconds = sched.modeled_makespan(ctx.workers);
-  ctx.flush_deferred();
-  for (std::size_t d = 0; d < ndev; ++d) {
-    ctx.device(static_cast<index_t>(d)).synchronize();
-  }
+  ex.drain();
 }
 
 }  // namespace

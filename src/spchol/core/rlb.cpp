@@ -16,8 +16,9 @@
 // as it completes; device scratch is a single block pair — the low-memory
 // variant that survives nlpkkt120.
 //
-// Parallel path (ctx.scheduled): a thin EXECUTOR over the shared
-// ExecutionPlan (symbolic/exec_plan.*), built in split-scatter mode:
+// Parallel path (ctx.scheduled): node kernels for the shared
+// PlanExecutor (core/plan_executor.*) over the ExecutionPlan
+// (symbolic/exec_plan.*), built in split-scatter mode:
 // COMPUTE(s) = panel factorization, SCATTER(s, t) = the direct block
 // updates of s into ONE target supernode t — one node per (source,
 // target), so the updates of s into different ancestors run concurrently
@@ -42,7 +43,6 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "spchol/core/internal.hpp"
@@ -125,35 +125,17 @@ void rlb_cpu_updates(FactorContext& ctx, index_t s) {
   }
 }
 
-/// Buffer requirements of the GPU variants, in std::size_t (entries).
-struct RlbSizes {
-  std::size_t gpu_panel_max = 0;
-  std::size_t gpu_update_max = 0;   // v1: below²; v2: largest block pair
-  std::size_t host_update_max = 0;  // staging area element count
-};
-
-RlbSizes rlb_sizes(FactorContext& ctx, bool gpu_enabled, bool batched) {
-  const SymbolicFactor& symb = ctx.symb;
-  RlbSizes sz;
-  for (index_t s = 0; s < symb.num_supernodes(); ++s) {
-    if (!gpu_enabled || !ctx.on_gpu(s)) continue;
-    const std::size_t below = static_cast<std::size_t>(symb.sn_below(s));
-    sz.gpu_panel_max = std::max(
-        sz.gpu_panel_max, static_cast<std::size_t>(symb.sn_entries(s)));
-    if (batched) {
-      sz.gpu_update_max = std::max(sz.gpu_update_max, below * below);
-      sz.host_update_max = std::max(sz.host_update_max, below * below);
-    } else {
-      std::size_t max_block = 0;
-      for (const auto& b : symb.sn_blocks(s)) {
-        max_block = std::max(max_block, static_cast<std::size_t>(b.nrows));
-      }
-      sz.gpu_update_max = std::max(sz.gpu_update_max, max_block * max_block);
-      sz.host_update_max =
-          std::max(sz.host_update_max, max_block * max_block);
-    }
+/// Device update scratch of GPU supernode s, in entries: below² for the
+/// batched variant, the largest block pair for the streamed one.
+std::size_t rlb_update_entries(const SymbolicFactor& symb, index_t s,
+                               bool batched) {
+  const std::size_t below = static_cast<std::size_t>(symb.sn_below(s));
+  if (batched) return below * below;
+  std::size_t max_block = 0;
+  for (const auto& b : symb.sn_blocks(s)) {
+    max_block = std::max(max_block, static_cast<std::size_t>(b.nrows));
   }
-  return sz;
+  return max_block * max_block;
 }
 
 /// Device-pipeline state of the GPU variants: one slot of the scheduled
@@ -173,19 +155,20 @@ struct RlbGpuState {
   // (the deferred CPU-time fold owns the host timeline).
   bool deferred_clock = false;
 
-  RlbGpuState(gpu::Device& dev, const RlbSizes& sz, bool batched,
-              bool deferred = false)
+  RlbGpuState(gpu::Device& dev, std::size_t panel_entries,
+              std::size_t update_entries, bool batched, bool deferred)
       : compute(dev),
         copy(dev),
-        u_host(sz.host_update_max * (batched ? 1 : 2)),
-        host_update_max(sz.host_update_max),
+        u_host(update_entries * (batched ? 1 : 2)),
+        host_update_max(update_entries),
         deferred_clock(deferred) {
-    if (sz.gpu_panel_max > 0) {
-      panel_dev = gpu::DeviceBuffer(dev, sz.gpu_panel_max);
+    if (panel_entries > 0) panel_dev = gpu::DeviceBuffer(dev, panel_entries);
+    if (update_entries > 0) {
+      update_dev = gpu::DeviceBuffer(dev, update_entries);
     }
-    if (sz.gpu_update_max > 0) {
-      update_dev = gpu::DeviceBuffer(dev, sz.gpu_update_max);
-    }
+  }
+  bool fits(std::size_t p, std::size_t u) const {
+    return panel_dev.size() >= p && update_dev.size() >= u;
   }
 };
 
@@ -355,14 +338,18 @@ void rlb_gpu_supernode(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
 void run_rlb_sequential(FactorContext& ctx) {
   const SymbolicFactor& symb = ctx.symb;
   const index_t ns = symb.num_supernodes();
-  const FactorOptions& opts = ctx.opts;
-  const bool gpu_enabled = opts.exec == Execution::kGpuHybrid ||
-                           opts.exec == Execution::kGpuOnly;
-  const bool batched = opts.rlb_variant == RlbVariant::kBatched;
+  const bool batched = ctx.opts.rlb_variant == RlbVariant::kBatched;
 
-  const RlbSizes sz = rlb_sizes(ctx, gpu_enabled, batched);
-  RlbGpuState st(ctx.dev, sz, batched);
-  if (sz.gpu_panel_max > 0) ctx.gpu_stream_pairs = 1;
+  std::size_t panel_max = 0, update_max = 0;
+  for (index_t s = 0; s < ns; ++s) {
+    if (!ctx.on_gpu(s)) continue;
+    panel_max = std::max(panel_max,
+                         static_cast<std::size_t>(symb.sn_entries(s)));
+    update_max = std::max(update_max, rlb_update_entries(symb, s, batched));
+  }
+  RlbGpuState st(ctx.dev, panel_max, update_max, batched,
+                 /*deferred=*/false);
+  if (panel_max > 0) ctx.gpu_stream_pairs = 1;
   for (index_t s = 0; s < ns; ++s) {
     if (!ctx.on_gpu(s)) {
       cpu_factor_panel(ctx, s);
@@ -371,240 +358,69 @@ void run_rlb_sequential(FactorContext& ctx) {
       rlb_gpu_supernode(ctx, ctx.dev, 0, s, st, batched);
     }
   }
-  ctx.dev.synchronize();
 }
 
 void run_rlb_scheduled(FactorContext& ctx) {
   const SymbolicFactor& symb = ctx.symb;
-  const index_t ns = symb.num_supernodes();
-  const bool hybrid = ctx.opts.exec == Execution::kGpuHybrid;
   const bool batched = ctx.opts.rlb_variant == RlbVariant::kBatched;
 
-  const ExecutionResources* res = ctx.res;
-
-  // Scheduler: the injected per-session one (reset and rebuilt each
-  // run), or a per-call local — identical semantics either way.
-  TaskScheduler own_sched;
-  TaskScheduler& sched =
-      (res != nullptr && res->sched != nullptr) ? *res->sched : own_sched;
-  if (&sched != &own_sched) sched.reset();
-
   // The shared task-graph shape, in split-scatter mode with fused GPU
-  // nodes; small sibling subtrees coalesce into BATCH nodes. Served from
-  // the service's pattern cache when injected, built per call otherwise
-  // — the same build_planned_graph either way.
-  std::optional<PlannedGraph> own_plan;
-  const PlannedGraph* pg =
-      (res != nullptr && res->planned != nullptr)
-          ? res->planned
-          : &own_plan.emplace(
-                build_planned_graph(symb, ctx.opts, ctx.workers));
-  sched.set_partitions(pg->partitions);
-  const ExecutionPlan& plan = pg->plan;
-  const auto nodes = plan.nodes();
-  ctx.batches_formed = plan.batches_formed();
-  ctx.supernodes_batched = plan.supernodes_batched();
+  // nodes; small sibling subtrees coalesce into BATCH nodes.
+  PlanExecutor ex(ctx);
 
-  // Per-GPU-supernode buffer needs (panel; update scratch = below² for
-  // the batched variant, largest block pair for the streamed one),
-  // ranked descending: slot k only hosts the k-th largest concurrent
-  // supernode, so N slots fit where N copies of the largest could not.
-  auto update_entries = [&](index_t s) -> std::size_t {
-    const std::size_t below = static_cast<std::size_t>(symb.sn_below(s));
-    if (batched) return below * below;
-    std::size_t max_block = 0;
-    for (const auto& b : symb.sn_blocks(s)) {
-      max_block = std::max(max_block, static_cast<std::size_t>(b.nrows));
-    }
-    return max_block * max_block;
-  };
-  // Effective ordinal a plan-node device assignment resolves to on THIS
-  // run (mod-folded when the plan was built for more devices than the
-  // registry provides).
-  const std::size_t ndev = hybrid ? ctx.ndev : 1;
-  auto ord = [&ctx](index_t dv) {
-    return static_cast<std::size_t>(ctx.device_ordinal(dv));
-  };
-  const std::span<const index_t> devof = pg->device_of;
-  auto device_of_sn = [&](index_t s) {
-    return devof.empty() ? std::size_t{0} : ord(devof[s]);
-  };
-
-  std::vector<std::vector<std::size_t>> panel_need(ndev), update_need(ndev);
-  if (hybrid) {
-    for (index_t s = 0; s < ns; ++s) {
-      if (!ctx.on_gpu(s)) continue;
-      const std::size_t d = device_of_sn(s);
-      panel_need[d].push_back(static_cast<std::size_t>(symb.sn_entries(s)));
-      update_need[d].push_back(update_entries(s));
-    }
-    for (std::size_t d = 0; d < ndev; ++d) {
-      std::sort(panel_need[d].rbegin(), panel_need[d].rend());
-      std::sort(update_need[d].rbegin(), update_need[d].rend());
-    }
-  }
-
-  // Device-resident factor storage (opt-in; see rl.cpp for the full
-  // rationale): one held reservation per engaged device sized as the sum
-  // of its assigned GPU panels.
-  std::vector<gpu::DeviceBuffer> resident;
-  if (hybrid && ctx.opts.device_resident_factor) {
-    std::vector<std::size_t> resident_entries(ndev, 0);
-    for (index_t s = 0; s < ns; ++s) {
-      if (!ctx.on_gpu(s)) continue;
-      resident_entries[device_of_sn(s)] +=
-          static_cast<std::size_t>(symb.sn_entries(s));
-    }
-    for (std::size_t d = 0; d < ndev; ++d) {
-      if (resident_entries[d] == 0) continue;
-      resident.emplace_back(ctx.device(static_cast<index_t>(d)),
-                            resident_entries[d]);
+  for (const PlanNode& n : ex.graph().plan.nodes()) {
+    if (n.kind == PlanNodeKind::kCompute && n.on_gpu) {
+      ex.need(n.device, static_cast<std::size_t>(symb.sn_entries(n.sn)),
+              rlb_update_entries(symb, n.sn, batched));
     }
   }
 
   // One pipeline state (stream pair + device buffers + host staging) per
-  // in-flight GPU supernode, from a bounded PER-DEVICE pool that shrinks
-  // — down to the old single-pipeline behaviour — under device memory
-  // pressure. With an injected arena each pool is cached under the
-  // pattern+options key mixed with its device ordinal (ordinal 0 keeps
-  // the legacy key), so cached slots never migrate across devices; each
-  // device gets its own scheduler counting resource.
-  using RlbSlotPool = gpu::SlotPool<RlbGpuState>;
+  // in-flight GPU supernode, from bounded per-device pools.
   constexpr std::uint64_t kRlbPoolTag = 0x524c422d504f4full;  // "RLB-POO"
-  constexpr std::uint64_t kDevKeyMix = 0x9e3779b97f4a7c15ull;
-  std::vector<std::shared_ptr<RlbSlotPool>> pools(ndev);
-  std::vector<std::size_t> gpu_res(ndev, TaskScheduler::kNoResource);
-  std::size_t pool_slots = 0;
-  for (std::size_t d = 0; d < ndev; ++d) {
-    const std::size_t num_gpu = panel_need[d].size();
-    if (num_gpu == 0) continue;
-    gpu::Device& dv = ctx.device(static_cast<index_t>(d));
-    const std::size_t want = std::min(ctx.gpu_slot_budget(), num_gpu);
-    auto make_pool = [&] {
-      return std::make_shared<RlbSlotPool>(want, [&, d](std::size_t k) {
-        RlbSizes slot_sz;
-        slot_sz.gpu_panel_max = panel_need[d][k];
-        slot_sz.gpu_update_max = update_need[d][k];
-        slot_sz.host_update_max = update_need[d][k];
-        return std::make_unique<RlbGpuState>(dv, slot_sz, batched,
+  const auto pools = ex.pools<RlbGpuState>(
+      kRlbPoolTag,
+      [batched](gpu::Device& dv, std::size_t p, std::size_t u) {
+        return std::make_unique<RlbGpuState>(dv, p, u, batched,
                                              /*deferred=*/true);
       });
-    };
-    const std::uint64_t key =
-        res != nullptr ? res->pool_key ^ kRlbPoolTag ^ (kDevKeyMix * d) : 0;
-    pools[d] = (res != nullptr && res->arena != nullptr)
-                   ? res->arena->pool<RlbSlotPool>(key, make_pool)
-                   : make_pool();
-    gpu_res[d] = sched.add_resource(pools[d]->size());
-    pool_slots += pools[d]->size();
-  }
-  ctx.gpu_stream_pairs = static_cast<index_t>(pool_slots);
-
-  // Modeled cross-device hops of s's updates: the slice aimed at GPU
-  // targets assigned to OTHER devices pays an explicit modeled transfer
-  // (deterministic from the plan, priced at build time; the assembly
-  // itself keeps the plan's fixed order, so the bits never move),
-  // returned per destination ordinal so each hop charges its actual
-  // src→dst link when a topology is set. RLB fuses GPU assembly into
-  // the compute node, so the charge rides there.
-  struct CrossHop {
-    index_t src = 0;
-    index_t dst = 0;
-    double entries = 0.0;
-  };
-  auto cross_hops = [&](index_t s) -> std::vector<CrossHop> {
-    std::vector<CrossHop> hops;
-    if (ndev <= 1 || devof.empty() || !ctx.on_gpu(s)) return hops;
-    const index_t w = symb.sn_width(s);
-    const index_t below = symb.sn_below(s);
-    const auto rows = symb.sn_rows(s);
-    const std::size_t sd = device_of_sn(s);
-    index_t b0 = 0;
-    while (b0 < below) {
-      const index_t target = symb.col_to_sn(rows[w + b0]);
-      index_t b1 = b0;
-      while (b1 < below && symb.col_to_sn(rows[w + b1]) == target) ++b1;
-      if (ctx.on_gpu(target) && device_of_sn(target) != sd) {
-        const index_t td = static_cast<index_t>(device_of_sn(target));
-        const double x = 0.5 * static_cast<double>(b1 - b0) *
-                         static_cast<double>((below - b0) +
-                                             (below - b1 + 1));
-        bool merged = false;
-        for (CrossHop& h : hops) {
-          if (h.dst == td) {
-            h.entries += x;
-            merged = true;
-            break;
-          }
-        }
-        if (!merged) {
-          hops.push_back({static_cast<index_t>(sd), td, x});
-        }
-      }
-      b0 = b1;
-    }
-    return hops;
-  };
+  ctx.gpu_stream_pairs = static_cast<index_t>(pools.slots);
 
   // --- map plan nodes to scheduler tasks ---------------------------------
-  std::vector<std::size_t> task_of(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const PlanNode& n = nodes[i];
+  ex.add_nodes([&](std::size_t, const PlanNode& n) -> std::size_t {
+    const index_t s = n.sn;
     switch (n.kind) {
       case PlanNodeKind::kCompute: {
-        const index_t s = n.sn;
-        if (n.on_gpu) {
-          // Fused device task (pipeline + its own assembly) on a pooled
-          // slot big enough for this supernode. No ascending GPU chain:
-          // the plan's per-target contributor chains are the only
-          // ordering assembly needs, so GPU supernodes in independent
-          // subtrees overlap on the device.
-          const std::size_t need_panel =
-              static_cast<std::size_t>(symb.sn_entries(s));
-          const std::size_t need_update = update_entries(s);
-          const std::size_t dord = ord(n.device);
-          const std::vector<CrossHop> xhops = cross_hops(s);
-          task_of[i] = sched.add_task(
-              n.priority,
-              [&ctx, s, &pools, batched, need_panel, need_update, dord,
-               xhops](std::size_t) {
-                FactorContext::TaskScope scope(ctx);
-                auto lease = pools[dord]->acquire(
-                    [&](const RlbGpuState& slot) {
-                      return slot.panel_dev.size() >= need_panel &&
-                             slot.update_dev.size() >= need_update;
-                    });
-                for (const CrossHop& h : xhops) {
-                  ctx.account_cross_device(h.src, h.dst, h.entries);
-                }
-                rlb_gpu_supernode(ctx,
-                                  ctx.device(static_cast<index_t>(dord)),
-                                  static_cast<index_t>(dord), s, *lease,
-                                  batched);
-              },
-              gpu_res[dord], n.queue);
-        } else {
-          task_of[i] = sched.add_task(
-              n.priority,
-              [&ctx, s](std::size_t) {
-                FactorContext::TaskScope scope(ctx);
-                cpu_factor_panel(ctx, s);
-              },
-              TaskScheduler::kNoResource, n.queue);
+        if (!n.on_gpu) {
+          return ex.add(n, [&ctx, s] { cpu_factor_panel(ctx, s); });
         }
-        break;
+        // Fused device task (pipeline + its own assembly, so the
+        // cross-device hops of s's updates are charged here) on a pooled
+        // slot big enough for s. No ascending GPU chain: the plan's
+        // per-target contributor chains are the only ordering assembly
+        // needs, so GPU supernodes in independent subtrees overlap on the
+        // device.
+        const std::size_t need_panel =
+            static_cast<std::size_t>(symb.sn_entries(s));
+        const std::size_t need_update = rlb_update_entries(symb, s, batched);
+        const std::size_t dord = ex.ord(n.device);
+        return ex.add(
+            n,
+            [&ctx, &ex, &pools, s, batched, need_panel, need_update, dord,
+             xhops = ex.cross_hops(s, s, -1)] {
+              auto lease = pools.acquire(dord, need_panel, need_update);
+              ex.charge(xhops);
+              rlb_gpu_supernode(ctx, ex.device(dord),
+                                static_cast<index_t>(dord), s, *lease,
+                                batched);
+            },
+            pools.res[dord]);
       }
       case PlanNodeKind::kScatter: {
-        const index_t s = n.sn;
         const index_t target = n.target;
-        task_of[i] = sched.add_task(
-            n.priority,
-            [&ctx, s, target](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
-              rlb_cpu_updates_target(ctx, s, target);
-            },
-            TaskScheduler::kNoResource, n.queue);
-        break;
+        return ex.add(n, [&ctx, s, target] {
+          rlb_cpu_updates_target(ctx, s, target);
+        });
       }
       case PlanNodeKind::kBatch: {
         // Fused CPU sweep: panel factorization + ALL direct updates per
@@ -613,50 +429,25 @@ void run_rlb_scheduled(FactorContext& ctx) {
         // the whole batch as one fused call group.
         const index_t first = n.batch_first;
         const index_t last = n.batch_last;
-        task_of[i] = sched.add_task(
-            n.priority,
-            [&ctx, first, last](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
-              FactorContext::BatchScope batch(ctx);
-              for (index_t s = first; s <= last; ++s) {
-                cpu_factor_panel(ctx, s);
-                rlb_cpu_updates(ctx, s);
-              }
-            },
-            TaskScheduler::kNoResource, n.queue);
-        break;
+        return ex.add(n, [&ctx, first, last] {
+          FactorContext::BatchScope batch(ctx);
+          for (index_t m = first; m <= last; ++m) {
+            cpu_factor_panel(ctx, m);
+            rlb_cpu_updates(ctx, m);
+          }
+        });
       }
       case PlanNodeKind::kBatchScatter:
       case PlanNodeKind::kAggregate:
       case PlanNodeKind::kApply:
-        // Fan-both is an RL-only plan shape (build_planned_graph never
-        // requests it for RLB).
-        SPCHOL_CHECK(false, "fan-both plan node in an RLB plan");
         break;
     }
-  }
-  {
-    const auto edges = plan.edges();
-    const auto echain = plan.edge_chain();
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      sched.add_edge(task_of[edges[e].first], task_of[edges[e].second],
-                     echain[e] != 0);
-    }
-  }
-
-  // Drain on the injected persistent crew (caller participates as one
-  // extra worker) or on per-call dedicated threads; both produce the
-  // same factors.
-  ctx.sched_stats = (res != nullptr && res->crew != nullptr)
-                        ? sched.run_on(*res->crew)
-                        : sched.run(ctx.workers);
-  // Task-graph makespans replayed from measured per-task durations.
-  ctx.modeled_task_serial_seconds = sched.modeled_makespan(1);
-  ctx.modeled_task_parallel_seconds = sched.modeled_makespan(ctx.workers);
-  ctx.flush_deferred();
-  for (std::size_t d = 0; d < ndev; ++d) {
-    ctx.device(static_cast<index_t>(d)).synchronize();
-  }
+    // Fan-both is an RL-only plan shape (build_planned_graph never
+    // requests it for RLB).
+    SPCHOL_CHECK(false, "fan-both plan node in an RLB plan");
+    return TaskScheduler::kNoResource;
+  });
+  ex.drain();
 }
 
 }  // namespace

@@ -25,7 +25,6 @@
 // buffers) come from a ranked SlotPool cached in the DeviceArena under
 // the pattern/options key.
 #include <cstring>
-#include <optional>
 
 #include "spchol/core/internal.hpp"
 #include "spchol/support/timer.hpp"
@@ -33,41 +32,6 @@
 namespace spchol {
 
 namespace detail {
-
-PlannedSolve build_planned_solve(const SymbolicFactor& symb,
-                                 const SolveOptions& opts,
-                                 std::size_t workers) {
-  PlannedSolve ps;
-  ps.partitions = std::min(std::max<std::size_t>(1, workers),
-                           TaskScheduler::kMaxPartitions);
-  const index_t ns = symb.num_supernodes();
-  std::vector<index_t> parent(static_cast<std::size_t>(ns));
-  for (index_t s = 0; s < ns; ++s) parent[s] = symb.sn_parent(s);
-  ps.queue_of =
-      subtree_partition(parent, static_cast<index_t>(ps.partitions));
-
-  std::vector<char> on_gpu(static_cast<std::size_t>(ns), 0);
-  for (index_t s = 0; s < ns; ++s) {
-    on_gpu[s] = solve_supernode_on_gpu(symb, opts, s) ? 1 : 0;
-  }
-  SolvePlanOptions po;
-  po.batch_entries = opts.batch_entries;
-  po.batch_max_supernodes = opts.batch_max_supernodes;
-  // The solve shares the factorization's separator-tree device
-  // assignment (same assign_devices pass over the solve's own on_gpu
-  // marks): each top-level ND subtree solves on the device that holds
-  // its factor shard. Single-device plans skip the pass.
-  ps.devices = static_cast<index_t>(std::max(1, opts.gpu_devices));
-  std::vector<index_t> device_of;
-  if (ps.devices > 1 && (opts.exec == Execution::kGpuHybrid ||
-                         opts.exec == Execution::kGpuOnly)) {
-    device_of = assign_devices(symb, on_gpu, ps.devices,
-                               /*coop_spine=*/false,
-                               /*links=*/&opts.topology);
-  }
-  ps.plan = SolvePlan::build(symb, on_gpu, ps.queue_of, po, device_of);
-  return ps;
-}
 
 namespace {
 
@@ -201,59 +165,52 @@ struct SolveGpuSlot {
     if (l_entries > 0) lpanel = gpu::DeviceBuffer(dev, l_entries);
     if (rhs_entries > 0) rhs = gpu::DeviceBuffer(dev, rhs_entries);
   }
+  bool fits(std::size_t l, std::size_t r) const {
+    return lpanel.size() >= l && rhs.size() >= r;
+  }
 };
 
-/// Fused forward device solve of supernode s over RHS columns [q0, q1):
-/// gather all r rows → upload L → TRSM (in-panel) → solve-GEMM (below
-/// pushes) → scatter all r rows back. Stands in the forward chains for
-/// every one of s's targets. All synchronization is device-side; the
-/// scheduled task never advances the shared host clock to a stream tail.
-void fwd_gpu_node(const SymbolicFactor& symb, const double* values,
-                  double* y, index_t n, gpu::Device& dev, SolveGpuSlot& slot,
-                  index_t s, index_t q0, index_t q1) {
-  const auto rows = symb.sn_rows(s);
+/// Fused device solve of supernode s over RHS columns [q0, q1): gather
+/// all r rows, upload the L rectangle, then
+///   forward:  TRSM (in-panel) → solve-GEMM (below pushes) → scatter all
+///             r rows back; the node stands in the forward chains for
+///             every one of s's targets;
+///   backward: transposed solve-GEMM → transposed TRSM → scatter back
+///             ONLY s's own w rows (the below rows are other supernodes'
+///             solution values — inputs, not outputs).
+/// All synchronization is device-side; the scheduled task never advances
+/// the shared host clock to a stream tail.
+void gpu_solve_node(const SymbolicFactor& symb, const double* values,
+                    double* y, index_t n, gpu::Device& dev,
+                    SolveGpuSlot& slot, index_t s, index_t q0, index_t q1,
+                    bool forward) {
+  auto rows = symb.sn_rows(s);
   const index_t w = symb.sn_width(s);
   const index_t r = static_cast<index_t>(rows.size());
   const index_t pw = q1 - q0;
+  double* yp = y + static_cast<std::size_t>(q0) * n;
   gpu::Stream& st = slot.stream;
   gpu::copy_h2d(dev, st, slot.lpanel, 0, values + symb.sn_values_offset(s),
                 static_cast<std::size_t>(symb.sn_entries(s)), /*async=*/true);
-  gpu::gather_rows_h2d(dev, st, rows, y + static_cast<std::size_t>(q0) * n,
-                       n, pw, slot.rhs, 0, /*async=*/true);
-  gpu::trsm_left_lower(dev, st, w, pw, slot.lpanel, 0, r, slot.rhs, 0, r);
-  if (r > w) {
-    gpu::gemm_solve_update(dev, st, r - w, pw, w, slot.lpanel, w, r,
-                           slot.rhs, 0, w, r);
+  gpu::gather_rows_h2d(dev, st, rows, yp, n, pw, slot.rhs, 0,
+                       /*async=*/true);
+  if (forward) {
+    gpu::trsm_left_lower(dev, st, w, pw, slot.lpanel, 0, r, slot.rhs, 0, r);
+    if (r > w) {
+      gpu::gemm_solve_update(dev, st, r - w, pw, w, slot.lpanel, w, r,
+                             slot.rhs, 0, w, r);
+    }
+  } else {
+    if (r > w) {
+      gpu::gemm_solve_update_trans(dev, st, r - w, pw, w, slot.lpanel, w, r,
+                                   slot.rhs, 0, w, r);
+    }
+    gpu::trsm_left_lower_trans(dev, st, w, pw, slot.lpanel, 0, r, slot.rhs,
+                               0, r);
+    rows = rows.first(static_cast<std::size_t>(w));
   }
-  gpu::scatter_rows_d2h(dev, st, rows, r, y + static_cast<std::size_t>(q0) * n,
-                        n, pw, slot.rhs, 0, /*async=*/true);
-}
-
-/// Fused backward device solve: gather all r rows (own panel y values +
-/// already-solved ancestor x values) → transposed solve-GEMM → transposed
-/// TRSM → scatter back ONLY the supernode's own w rows (the below rows
-/// are other supernodes' solution values — inputs, not outputs).
-void bwd_gpu_node(const SymbolicFactor& symb, const double* values,
-                  double* y, index_t n, gpu::Device& dev, SolveGpuSlot& slot,
-                  index_t s, index_t q0, index_t q1) {
-  const auto rows = symb.sn_rows(s);
-  const index_t w = symb.sn_width(s);
-  const index_t r = static_cast<index_t>(rows.size());
-  const index_t pw = q1 - q0;
-  gpu::Stream& st = slot.stream;
-  gpu::copy_h2d(dev, st, slot.lpanel, 0, values + symb.sn_values_offset(s),
-                static_cast<std::size_t>(symb.sn_entries(s)), /*async=*/true);
-  gpu::gather_rows_h2d(dev, st, rows, y + static_cast<std::size_t>(q0) * n,
-                       n, pw, slot.rhs, 0, /*async=*/true);
-  if (r > w) {
-    gpu::gemm_solve_update_trans(dev, st, r - w, pw, w, slot.lpanel, w, r,
-                                 slot.rhs, 0, w, r);
-  }
-  gpu::trsm_left_lower_trans(dev, st, w, pw, slot.lpanel, 0, r, slot.rhs, 0,
-                             r);
-  gpu::scatter_rows_d2h(dev, st, rows.first(static_cast<std::size_t>(w)), r,
-                        y + static_cast<std::size_t>(q0) * n, n, pw,
-                        slot.rhs, 0, /*async=*/true);
+  gpu::scatter_rows_d2h(dev, st, rows, r, yp, n, pw, slot.rhs, 0,
+                        /*async=*/true);
 }
 
 // --- the scheduled executor ------------------------------------------------
@@ -262,131 +219,45 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
                      double* y, index_t n, index_t nrhs,
                      const SolveOptions& opts, const ExecutionResources* res,
                      std::size_t workers, SolveStats* stats) {
-  // Plan: the session's cached one, or a per-call build through the SAME
-  // function — both paths execute the same graph shape.
-  std::optional<PlannedSolve> own_plan;
-  const PlannedSolve* ps =
-      (res != nullptr && res->planned_solve != nullptr)
-          ? res->planned_solve
-          : &own_plan.emplace(build_planned_solve(symb, opts, workers));
-  const SolvePlan& plan = ps->plan;
+  PlanExecutor ex(symb, opts, res, workers);
+  TaskScheduler& sched = ex.sched();
+  const PlannedSolve& ps = ex.solve_plan();
+  const SolvePlan& plan = ps.plan;
   const auto nodes = plan.nodes();
   constexpr std::size_t kNoNode = SolvePlan::kNoNode;
-
-  // Unlike factorize, a solve NEVER borrows res->sched: SolverSession
-  // guarantees concurrent solves against one published factor, so every
-  // scheduled solve drains its own single-shot scheduler (the crew is
-  // still shared — several schedulers may run_on one crew at once).
-  TaskScheduler sched;
-  sched.set_partitions(ps->partitions);
 
   const index_t pw = opts.rhs_panel;
   const index_t npanels = (nrhs + pw - 1) / pw;
 
-  // --- device path setup --------------------------------------------------
+  // Device slots: the (L entries, RHS entries) needs of every (GPU node,
+  // panel) task, per device.
   std::size_t num_gpu_nodes = 0;
   for (const SolveNode& nd : nodes) {
-    if (nd.kind == SolveNodeKind::kCompute && nd.on_gpu) num_gpu_nodes++;
-  }
-  // Device substrate: the injected arena's registry when available (the
-  // multi-device path), a bare injected device (pinned to one device),
-  // or a per-call registry sized from opts.gpu_devices.
-  std::optional<gpu::DeviceRegistry> own_reg;
-  gpu::DeviceRegistry* reg = nullptr;
-  gpu::Device* dev = nullptr;  // primary device (ordinal 0)
-  std::size_t ndev = 1;
-  if (num_gpu_nodes > 0) {
-    if (res != nullptr && res->arena != nullptr) {
-      reg = &res->arena->registry();
-      dev = &reg->device(0);
-    } else if (res != nullptr && res->device != nullptr) {
-      dev = res->device;
-    } else {
-      gpu::DeviceConfig cfg = opts.device;
-      cfg.model.links = opts.topology;
-      reg = &own_reg.emplace(
-          cfg, static_cast<std::size_t>(
-                   opts.gpu_devices > 0 ? opts.gpu_devices : 1));
-      dev = &reg->device(0);
-    }
-    if (reg != nullptr) {
-      ndev = std::min(reg->size(),
-                      static_cast<std::size_t>(
-                          opts.gpu_devices > 0 ? opts.gpu_devices : 1));
+    if (nd.kind != SolveNodeKind::kCompute || !nd.on_gpu) continue;
+    num_gpu_nodes++;
+    const std::size_t r = static_cast<std::size_t>(symb.sn_nrows(nd.sn));
+    for (index_t p = 0; p < npanels; ++p) {
+      const index_t width = std::min(pw, nrhs - p * pw);
+      ex.need(nd.device, static_cast<std::size_t>(symb.sn_entries(nd.sn)),
+              r * static_cast<std::size_t>(width));
     }
   }
-  // Effective ordinal a plan-node device assignment resolves to on this
-  // run (mod-folded when the plan was built for more devices); routing
-  // never moves bits — the solve kernels accumulate in the serial order
-  // on every device.
-  auto ord = [&](index_t dv) {
-    return (reg == nullptr || ndev <= 1)
-               ? std::size_t{0}
-               : static_cast<std::size_t>(dv) % ndev;
-  };
-  auto device_at = [&](std::size_t d) -> gpu::Device& {
-    return (reg == nullptr || ndev <= 1) ? *dev : reg->device(d);
-  };
-  using SolveSlotPool = gpu::SlotPool<SolveGpuSlot>;
-  constexpr std::uint64_t kSolvePoolTag = 0x534c56504f4f4cull;  // "SLVPOOL"
-  constexpr std::uint64_t kDevKeyMix = 0x9e3779b97f4a7c15ull;
-  std::vector<std::shared_ptr<SolveSlotPool>> pools(ndev);
-  std::vector<std::size_t> gpu_res(ndev, TaskScheduler::kNoResource);
-  if (num_gpu_nodes > 0) {
-    // Ranked (L entries, RHS entries) needs of every (GPU node, panel)
-    // task PER DEVICE, descending: slot k only hosts the k-th largest
-    // concurrent task on its device, so N slots cost far less than N
-    // copies of the largest; needs never mix devices.
-    std::vector<std::vector<std::size_t>> lneed(ndev), rneed(ndev);
-    for (const SolveNode& nd : nodes) {
-      if (nd.kind != SolveNodeKind::kCompute || !nd.on_gpu) continue;
-      const std::size_t d = ord(nd.device);
-      const std::size_t r = static_cast<std::size_t>(symb.sn_nrows(nd.sn));
-      for (index_t p = 0; p < npanels; ++p) {
-        const index_t width = std::min(pw, nrhs - p * pw);
-        lneed[d].push_back(static_cast<std::size_t>(symb.sn_entries(nd.sn)));
-        rneed[d].push_back(r * static_cast<std::size_t>(width));
-      }
-    }
-    std::size_t pairs = 0;
-    for (std::size_t d = 0; d < ndev; ++d) {
-      if (lneed[d].empty()) continue;
-      std::sort(lneed[d].rbegin(), lneed[d].rend());
-      std::sort(rneed[d].rbegin(), rneed[d].rend());
-      gpu::Device& dv = device_at(d);
-      const std::size_t want = std::min(
-          static_cast<std::size_t>(opts.gpu_streams), lneed[d].size());
-      auto make_pool = [&] {
-        return std::make_shared<SolveSlotPool>(want, [&, d](std::size_t k) {
-          return std::make_unique<SolveGpuSlot>(dv, lneed[d][k],
-                                                rneed[d][k]);
-        });
-      };
-      // The solve pool's shape depends on the RHS blocking and the
-      // device routing, so those fold into the arena key next to the
-      // pattern key; the device ordinal mixes in last (ordinal 0 keeps
-      // the legacy key) so cached slots never migrate across devices.
-      std::uint64_t key =
-          (res != nullptr ? res->pool_key : 0) ^ kSolvePoolTag;
-      const auto mix = [&key](std::uint64_t v) {
-        key = (key ^ v) * 1099511628211ull;
-      };
-      mix(static_cast<std::uint64_t>(opts.rhs_panel));
-      mix(static_cast<std::uint64_t>(nrhs));
-      mix(static_cast<std::uint64_t>(opts.gpu_streams));
-      mix(static_cast<std::uint64_t>(opts.gpu_threshold));
-      mix(static_cast<std::uint64_t>(opts.exec));
-      key ^= kDevKeyMix * d;
-      pools[d] = (res != nullptr && res->arena != nullptr)
-                     ? res->arena->pool<SolveSlotPool>(key, make_pool)
-                     : make_pool();
-      gpu_res[d] = sched.add_resource(pools[d]->size());
-      pairs += pools[d]->size();
-    }
-    if (stats != nullptr) {
-      stats->gpu_stream_pairs = static_cast<index_t>(pairs);
-    }
+  // The solve pool's shape also depends on the RHS blocking and the
+  // device routing, so those fold into its arena tag.
+  std::uint64_t tag = 0x534c56504f4f4cull;  // "SLVPOOL"
+  for (const std::uint64_t v :
+       {static_cast<std::uint64_t>(opts.rhs_panel),
+        static_cast<std::uint64_t>(nrhs),
+        static_cast<std::uint64_t>(opts.gpu_streams),
+        static_cast<std::uint64_t>(opts.gpu_threshold),
+        static_cast<std::uint64_t>(opts.exec)}) {
+    tag = (tag ^ v) * 1099511628211ull;
   }
+  const auto pools = ex.pools<SolveGpuSlot>(
+      tag,
+      [](gpu::Device& dv, std::size_t l, std::size_t r) {
+        return std::make_unique<SolveGpuSlot>(dv, l, r);
+      });
 
   // --- map (plan node, RHS panel) to scheduler tasks ----------------------
   // Panels touch disjoint RHS columns, so tasks of different panels never
@@ -401,7 +272,7 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
     for (std::size_t i = 0; i < nn; ++i) {
       const SolveNode& nd = nodes[i];
       const std::size_t queue =
-          (nd.queue + static_cast<std::size_t>(p)) % ps->partitions;
+          (nd.queue + static_cast<std::size_t>(p)) % ps.partitions;
       const std::size_t at = i * static_cast<std::size_t>(npanels) +
                              static_cast<std::size_t>(p);
       switch (nd.kind) {
@@ -413,33 +284,20 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
             const std::size_t rn =
                 static_cast<std::size_t>(symb.sn_nrows(s)) *
                 static_cast<std::size_t>(q1 - q0);
-            const std::size_t dord = ord(nd.device);
-            fwd_task[at] = sched.add_task(
-                nd.fwd_priority,
-                [&symb, values, y, n, &device_at, &pools, s, q0, q1, ln,
-                 rn, dord](std::size_t) {
-                  auto lease =
-                      pools[dord]->acquire([&](const SolveGpuSlot& sl) {
-                        return sl.lpanel.size() >= ln &&
-                               sl.rhs.size() >= rn;
-                      });
-                  fwd_gpu_node(symb, values, y, n, device_at(dord), *lease,
-                               s, q0, q1);
-                },
-                gpu_res[dord], queue);
-            bwd_task[at] = sched.add_task(
-                nd.bwd_priority,
-                [&symb, values, y, n, &device_at, &pools, s, q0, q1, ln,
-                 rn, dord](std::size_t) {
-                  auto lease =
-                      pools[dord]->acquire([&](const SolveGpuSlot& sl) {
-                        return sl.lpanel.size() >= ln &&
-                               sl.rhs.size() >= rn;
-                      });
-                  bwd_gpu_node(symb, values, y, n, device_at(dord), *lease,
-                               s, q0, q1);
-                },
-                gpu_res[dord], queue);
+            const std::size_t dord = ex.ord(nd.device);
+            auto gpu_task = [&](std::size_t priority, bool forward) {
+              return sched.add_task(
+                  priority,
+                  [&symb, values, y, n, &ex, &pools, s, q0, q1, ln, rn, dord,
+                   forward](std::size_t) {
+                    auto lease = pools.acquire(dord, ln, rn);
+                    gpu_solve_node(symb, values, y, n, ex.device(dord),
+                                   *lease, s, q0, q1, forward);
+                  },
+                  pools.res[dord], queue);
+            };
+            fwd_task[at] = gpu_task(nd.fwd_priority, /*forward=*/true);
+            bwd_task[at] = gpu_task(nd.bwd_priority, /*forward=*/false);
           } else {
             fwd_task[at] = sched.add_task(
                 nd.fwd_priority,
@@ -502,34 +360,27 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
     auto bid = [&](std::size_t node) {
       return bwd_task[node * static_cast<std::size_t>(npanels) + base];
     };
-    for (const auto& [from, to] : plan.forward_edges()) {
-      sched.add_edge(fid(from), fid(to));
-    }
+    ex.wire(plan.forward_edges(), fid);
     for (std::size_t i = 0; i < nn; ++i) {
       if (bwd_task[i * static_cast<std::size_t>(npanels) + base] != kNoNode) {
         sched.add_edge(fid(i), bid(i));
       }
     }
-    for (const auto& [from, to] : plan.backward_edges()) {
-      sched.add_edge(bid(from), bid(to));
-    }
+    ex.wire(plan.backward_edges(), bid);
   }
 
-  const SchedulerStats st = (res != nullptr && res->crew != nullptr)
-                                ? sched.run_on(*res->crew)
-                                : sched.run(workers);
-  if (own_reg.has_value()) own_reg->synchronize();
-
+  const PlanExecutor::Drained dr = ex.drain();
   if (stats != nullptr) {
-    stats->tasks = st.tasks_run;
-    stats->edges = st.edges;
-    stats->steals = st.steals;
+    stats->tasks = dr.stats.tasks_run;
+    stats->edges = dr.stats.edges;
+    stats->steals = dr.stats.steals;
     stats->rhs_panels = npanels;
+    stats->gpu_stream_pairs = static_cast<index_t>(pools.slots);
     stats->supernodes_on_gpu = static_cast<index_t>(num_gpu_nodes);
     stats->batches_formed = plan.batches_formed();
     stats->supernodes_batched = plan.supernodes_batched();
-    stats->modeled_serial_seconds = sched.modeled_makespan(1);
-    stats->modeled_parallel_seconds = sched.modeled_makespan(workers);
+    stats->modeled_serial_seconds = dr.serial_seconds;
+    stats->modeled_parallel_seconds = dr.parallel_seconds;
   }
 }
 
@@ -553,9 +404,8 @@ void solve_with_resources(const SymbolicFactor& symb,
       (res != nullptr && res->crew != nullptr)
           ? res->crew->size() + 1
           : resolve_worker_count(opts.workers);
-  const bool scheduled = opts.exec != Execution::kCpuSerial &&
-                         resolve_worker_count(opts.workers) > 1 &&
-                         nrhs > 0 && symb.num_supernodes() > 0;
+  const bool scheduled =
+      runs_scheduled(opts) && nrhs > 0 && symb.num_supernodes() > 0;
 
   // Permute in (b may alias x; y is a private buffer either way).
   const Permutation& perm = symb.permutation();

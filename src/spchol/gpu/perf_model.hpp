@@ -152,7 +152,9 @@ struct PerfModel {
 
   // --- CPU assembly (scatter-add) ---
   double assembly_seconds_per_entry = 1.0e-9;
-  int assembly_threads = 16;
+  /// Modeled CPU threads of the OpenMP-style parallel assembly loops —
+  /// the paper's assembly width.
+  static constexpr int assembly_threads = 16;
   double assembly_parallel_exponent = 0.75;
   double assembly_fork_overhead = 0.5e-6;
   /// Fan-both aggregation gather: streaming (offset, value) slab writes
@@ -198,11 +200,13 @@ struct PerfModel {
   double p2p_seconds(int src, int dst, double bytes) const;
   /// Modeled time of scatter-assembling `entries` factor entries on the
   /// CPU with `threads` OpenMP-style workers (paper parallelizes assembly).
-  double assembly_seconds(double entries, int threads) const;
+  double assembly_seconds(double entries,
+                          int threads = assembly_threads) const;
   /// Modeled time of gathering `entries` update entries into a fan-both
   /// aggregation slab (relative-index merge + streaming store) with
   /// `threads` workers.
-  double aggregation_seconds(double entries, int threads) const;
+  double aggregation_seconds(double entries,
+                             int threads = assembly_threads) const;
 
   /// Unscaled nameplate constants of the paper's hardware (A100 9.7 TF/s
   /// FP64, PCIe 4.0 ≈ 24 GB/s, uncapped EPYC scaling). Useful for

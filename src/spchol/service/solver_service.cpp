@@ -84,18 +84,10 @@ std::uint64_t plan_fingerprint(const FactorOptions& fo) {
   f.pod(fo.gpu_devices);
   f.pod(fo.device_resident_factor);
   f.links(fo.topology);
-  // The fan-both shape and its aggregation knobs change the node set
-  // (AGGREGATE/APPLY/BATCHSCATTER) and the edge chains outright.
+  // The fan-both shape changes the node set (AGGREGATE/APPLY/
+  // BATCHSCATTER) and the edge chains outright.
   f.pod(fo.fan_both);
-  f.pod(fo.aggregate_min_contributors);
-  f.pod(fo.aggregate_buffer_cap);
   return f.hash();
-}
-
-bool scheduled_execution(const FactorOptions& fo) {
-  return (fo.exec == Execution::kCpuParallel ||
-          fo.exec == Execution::kGpuHybrid) &&
-         resolve_worker_count(fo.cpu_workers) > 1;
 }
 
 /// Fingerprint of the SolveOptions that shape a SolvePlan and its arena
@@ -113,11 +105,6 @@ std::uint64_t solve_plan_fingerprint(const SolveOptions& so) {
   f.pod(so.gpu_devices);  // device assignment lives on the plan nodes
   f.links(so.topology);   // placement permutes those assignments
   return f.hash();
-}
-
-bool scheduled_solve(const SolveOptions& so) {
-  return so.exec != Execution::kCpuSerial &&
-         resolve_worker_count(so.workers) > 1;
 }
 
 }  // namespace
@@ -326,7 +313,7 @@ std::shared_ptr<SolverSession> SolverService::session(
   // miss. Unscheduled sessions carry no plan.
   std::shared_ptr<const detail::PlannedGraph> planned;
   const std::uint64_t plan_fp = plan_fingerprint(solver_opts.factor);
-  if (scheduled_execution(solver_opts.factor)) {
+  if (detail::runs_scheduled(solver_opts.factor)) {
     const auto find_plan_locked =
         [&]() -> std::shared_ptr<const detail::PlannedGraph> {
       for (const auto& [fp, plan] : entry->plans) {
@@ -358,7 +345,7 @@ std::shared_ptr<SolverSession> SolverService::session(
   // on a miss. Serial-solve sessions carry no solve plan.
   std::shared_ptr<const detail::PlannedSolve> planned_solve;
   const std::uint64_t solve_fp = solve_plan_fingerprint(solver_opts.solve);
-  if (scheduled_solve(solver_opts.solve)) {
+  if (detail::runs_scheduled(solver_opts.solve)) {
     const auto find_solve_plan_locked =
         [&]() -> std::shared_ptr<const detail::PlannedSolve> {
       for (const auto& [fp, plan] : entry->solve_plans) {

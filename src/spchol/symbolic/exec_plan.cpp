@@ -529,10 +529,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
   if (fb) {
     SPCHOL_CHECK(!opts.split_scatter_per_target && !opts.fuse_gpu_scatter,
                  "fan-both requires the RL scatter layout");
-    SPCHOL_CHECK(opts.aggregate_min_contributors >= 2,
-                 "aggregate_min_contributors must be >= 2");
-    SPCHOL_CHECK(opts.aggregate_buffer_cap >= 0,
-                 "aggregate_buffer_cap must be >= 0");
   }
 
   ExecutionPlan plan;
@@ -578,34 +574,25 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
   };
 
   // --- aggregated-target selection (fan-both) -----------------------------
-  // A target is aggregated when it has enough contributors, is not itself
-  // inside a batch (a batched target's contributors are all in-batch),
-  // splits into >= 2 groups (one group would serialize exactly like the
-  // chain it replaces, plus replay overhead), and fits the slab budget.
-  // The walk is ascending and deterministic, so the shape is a pure
-  // function of the build inputs (the plan-cache contract).
+  // A target is aggregated when it is not itself inside a batch (a
+  // batched target's contributors are all in-batch) and its contributors
+  // split into >= 2 groups (one group would serialize exactly like the
+  // chain it replaces, plus replay overhead). The walk is deterministic,
+  // so the shape is a pure function of the build inputs (the plan-cache
+  // contract).
   std::vector<char> aggregated(static_cast<std::size_t>(ns), 0);
   if (fb) {
-    offset_t budget = opts.aggregate_buffer_cap;
     for (index_t t = 0; t < ns; ++t) {
       if (def_of[t] != kNoNode) continue;
       const auto& cs = contrib.srcs[t];
-      if (static_cast<index_t>(cs.size()) <
-          opts.aggregate_min_contributors) {
-        continue;
-      }
+      if (cs.size() < 2) continue;
       std::size_t runs = 1;
       offset_t total = contrib.entries[t][0];
       for (std::size_t k = 1; k < cs.size(); ++k) {
         if (unit_queue(cs[k]) != unit_queue(cs[k - 1])) ++runs;
         total += contrib.entries[t][k];
       }
-      if (runs < 2 || total <= 0) continue;
-      if (opts.aggregate_buffer_cap > 0) {
-        if (total > budget) continue;
-        budget -= total;
-      }
-      aggregated[t] = 1;
+      if (runs >= 2 && total > 0) aggregated[t] = 1;
     }
   }
 

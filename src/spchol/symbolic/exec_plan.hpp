@@ -27,7 +27,7 @@
 //
 // The FAN-BOTH shape (PlanOptions::shape = kFanBoth, RL only) breaks the
 // per-target scatter chains that bound parallelism on shared-separator
-// matrices. A target with >= aggregate_min_contributors contributors has
+// matrices. A target with two or more contributors has
 // its ascending contributor list cut into contiguous runs of equal
 // ready-queue partition (a per-subtree group; batch units are atomic, so
 // a run never splits a batch):
@@ -216,13 +216,6 @@ struct PlanOptions {
   /// Graph shape. kFanBoth requires the RL scatter layout (no
   /// split_scatter_per_target, no fuse_gpu_scatter).
   PlanShape shape = PlanShape::kRightLooking;
-  /// Fan-both: only targets with at least this many contributors are
-  /// aggregated (must be >= 2; smaller fan-ins keep plain chains).
-  index_t aggregate_min_contributors = 2;
-  /// Fan-both: total slab-entry budget across all aggregation buffers
-  /// (each entry is an (offset, value) pair); 0 = unlimited. Targets are
-  /// considered in ascending order and skipped once they no longer fit.
-  offset_t aggregate_buffer_cap = 0;
 };
 
 class ExecutionPlan {

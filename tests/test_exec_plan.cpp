@@ -254,8 +254,6 @@ TEST(ExecPlan, OptionsValidation) {
                InvalidArgument);
   EXPECT_THROW(try_opts([](FactorOptions& o) { o.gpu_threshold_rlb = -1; }),
                InvalidArgument);
-  EXPECT_THROW(try_opts([](FactorOptions& o) { o.assembly_threads = 0; }),
-               InvalidArgument);
   EXPECT_THROW(try_opts([](FactorOptions& o) { o.batch_entries = -1; }),
                InvalidArgument);
   EXPECT_THROW(

@@ -280,32 +280,6 @@ TEST(FanBoth, AggregatedCrossDeviceTransfersShrink) {
   }
 }
 
-TEST(FanBoth, BufferCapFallsBackToPlainChains) {
-  // A 1-entry budget can hold no aggregation group, so the planner must
-  // fall back to plain scatter chains everywhere — and stay bitwise
-  // identical while doing it.
-  const CscMatrix a = small_supernode_forest(60, 8, 12);
-  SolverOptions serial;
-  serial.factor.exec = Execution::kCpuSerial;
-  const auto reference = factor_values(a, serial);
-
-  auto run = [&](offset_t cap, FactorStats* st) {
-    SolverOptions opts;
-    opts.factor.method = Method::kRL;
-    opts.factor.exec = Execution::kCpuParallel;
-    opts.factor.cpu_workers = 4;
-    opts.factor.fan_both = true;
-    opts.factor.aggregate_buffer_cap = cap;
-    return factor_values(a, opts, st);
-  };
-  FactorStats capped, unlimited;
-  expect_bitwise_equal(reference, run(1, &capped), "cap=1");
-  expect_bitwise_equal(reference, run(0, &unlimited), "cap=0 (unlimited)");
-  EXPECT_EQ(capped.aggregation_buffers, 0);
-  EXPECT_EQ(capped.aggregation_bytes_peak, 0u);
-  EXPECT_GT(unlimited.aggregation_buffers, 0);
-}
-
 TEST(FanBoth, RlbIgnoresFanBoth) {
   // fan_both is an RL plan shape; RLB must run its usual plan (no
   // aggregation nodes) and produce its usual bits.
@@ -324,31 +298,6 @@ TEST(FanBoth, RlbIgnoresFanBoth) {
   expect_bitwise_equal(voff, von, "rlb fan_both on vs off");
   EXPECT_EQ(on.aggregation_buffers, 0);
   EXPECT_EQ(on.apply_nodes, 0);
-}
-
-TEST(FanBoth, OptionsValidation) {
-  const CscMatrix a = grid2d_5pt(8, 8);
-  auto try_opts = [&](auto&& mutate) {
-    SolverOptions opts;
-    mutate(opts.factor);
-    CholeskySolver solver(opts);
-    solver.factorize(a);
-  };
-  EXPECT_THROW(
-      try_opts([](FactorOptions& o) { o.aggregate_min_contributors = 0; }),
-      InvalidArgument);
-  EXPECT_THROW(
-      try_opts([](FactorOptions& o) { o.aggregate_min_contributors = 1; }),
-      InvalidArgument);
-  EXPECT_THROW(
-      try_opts([](FactorOptions& o) { o.aggregate_buffer_cap = -1; }),
-      InvalidArgument);
-  // The defaults pass, as does fan-both with sane knobs.
-  try_opts([](FactorOptions& o) {
-    o.fan_both = true;
-    o.aggregate_min_contributors = 3;
-    o.aggregate_buffer_cap = 1 << 20;
-  });
 }
 
 }  // namespace

@@ -217,29 +217,90 @@ TEST(MultiDevice, OneDeviceOomTwoDevicesSucceed) {
 TEST(MultiDevice, PlanBuiltForFourExecutesOnSmallerRegistry) {
   // The registry-shrink path: a plan built for N devices may execute on
   // an injected runtime whose registry holds M < N — plan ordinals fold
-  // mod M (FactorContext::device), so routing stays total, the factor
-  // stays bitwise identical, and the per-device stats describe the M
-  // devices that actually ran.
+  // mod M (DeviceSet, shared by every scheduled executor), so routing
+  // stays total, results stay bitwise identical to the sequential run,
+  // and the per-device stats describe the M devices that actually ran.
+  // Covered for the RL and RLB factorizations and the scheduled solve.
   const CscMatrix a = grid3d_vector(8, 8, 8, 3);
   const Permutation fill =
       compute_ordering(a, OrderingMethod::kNestedDissection);
   const SymbolicFactor symb =
       SymbolicFactor::analyze(a, fill, AnalyzeOptions{});
-  FactorOptions fo;
-  fo.method = Method::kRL;
-  fo.exec = Execution::kGpuHybrid;
-  fo.cpu_workers = 4;
-  fo.gpu_streams = 2;
-  fo.gpu_devices = 4;
-  fo.gpu_threshold_rl = 2000;
-  const detail::PlannedGraph pg = detail::build_planned_graph(
-      symb, fo, resolve_worker_count(fo.cpu_workers));
-  ASSERT_EQ(pg.devices, 4);
+  for (const Method method : {Method::kRL, Method::kRLB}) {
+    SCOPED_TRACE(to_string(method));
+    FactorOptions fo;
+    fo.method = method;
+    fo.exec = Execution::kGpuHybrid;
+    fo.cpu_workers = 4;
+    fo.gpu_streams = 2;
+    fo.gpu_devices = 4;
+    fo.gpu_threshold_rl = 2000;
+    fo.gpu_threshold_rlb = 2000;
+    const detail::PlannedGraph pg = detail::build_planned_graph(
+        symb, fo, resolve_worker_count(fo.cpu_workers));
+    ASSERT_EQ(pg.devices, 4);
+    // The sequential driver (one worker). RLB's device products round
+    // through device scratch, so its reference is the one-worker hybrid
+    // run rather than kCpuSerial (see FactorBitwiseAcrossDeviceCounts).
+    const auto reference =
+        factor_values(a, method, Execution::kGpuHybrid, 1, 1, 1,
+                      /*threshold=*/2000);
+    for (const int registry_devices : {1, 2, 3}) {
+      SCOPED_TRACE("registry=" + std::to_string(registry_devices));
+      RuntimeOptions ro;
+      ro.workers = 4;
+      ro.gpu_devices = registry_devices;
+      SolverRuntime rt(ro);
+      detail::ExecutionResources res;
+      res.device = &rt.arena().device();
+      res.arena = &rt.arena();
+      res.planned = &pg;
+      const CholeskyFactor f = CholeskyFactor::factorize(a, symb, fo, &res);
+      const auto v = f.values();
+      expect_bitwise_equal(reference, {v.begin(), v.end()},
+                           "shrunk registry factor");
+      const FactorStats& st = f.stats();
+      EXPECT_EQ(st.gpu_devices_used, registry_devices);
+      ASSERT_EQ(static_cast<int>(st.per_device.size()), registry_devices);
+      index_t routed = 0;
+      double kernel_seconds = 0.0;
+      for (const auto& d : st.per_device) {
+        EXPECT_GE(d.kernel_seconds, 0.0);
+        routed += d.supernodes;
+        kernel_seconds += d.kernel_seconds;
+      }
+      EXPECT_EQ(routed, st.supernodes_on_gpu);
+      EXPECT_GT(st.supernodes_on_gpu, 0);
+      EXPECT_GT(kernel_seconds, 0.0);
+      // Folded ordinals keep every engaged device busy: with four plan
+      // shards on a two-device registry both devices must run work.
+      if (registry_devices == 2) {
+        for (const auto& d : st.per_device) EXPECT_GT(d.supernodes, 0);
+      }
+    }
+  }
 
-  const auto reference = factor_values(a, Method::kRL, Execution::kGpuHybrid,
-                                       1, 1, 1, /*threshold=*/2000);
+  // The scheduled kGpuHybrid solve: a PlannedSolve built for 4 devices
+  // on the same shrunk registries, against the serial sweep.
+  const CholeskyFactor f = CholeskyFactor::factorize(a, symb);
+  const index_t n = a.cols();
+  const index_t nrhs = 3;
+  std::vector<double> b(static_cast<std::size_t>(n) * nrhs);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = 1.0 + static_cast<double>(i % 17) / 7.0;
+  }
+  std::vector<double> serial(b.size());
+  f.solve_multi(b, serial, nrhs);
+  SolveOptions so;
+  so.exec = Execution::kGpuHybrid;
+  so.workers = 4;
+  so.rhs_panel = 2;
+  so.gpu_devices = 4;
+  so.gpu_threshold = 2000;
+  const detail::PlannedSolve ps = detail::build_planned_solve(symb, so, 4);
+  ASSERT_EQ(ps.devices, 4);
   for (const int registry_devices : {1, 2, 3}) {
-    SCOPED_TRACE("registry=" + std::to_string(registry_devices));
+    SCOPED_TRACE("solve registry=" + std::to_string(registry_devices));
     RuntimeOptions ro;
     ro.workers = 4;
     ro.gpu_devices = registry_devices;
@@ -247,29 +308,14 @@ TEST(MultiDevice, PlanBuiltForFourExecutesOnSmallerRegistry) {
     detail::ExecutionResources res;
     res.device = &rt.arena().device();
     res.arena = &rt.arena();
-    res.planned = &pg;
-    const CholeskyFactor f = CholeskyFactor::factorize(a, symb, fo, &res);
-    const auto v = f.values();
-    expect_bitwise_equal(reference, {v.begin(), v.end()},
-                         "shrunk registry factor");
-    const FactorStats& st = f.stats();
-    EXPECT_EQ(st.gpu_devices_used, registry_devices);
-    ASSERT_EQ(static_cast<int>(st.per_device.size()), registry_devices);
-    index_t routed = 0;
-    double kernel_seconds = 0.0;
-    for (const auto& d : st.per_device) {
-      EXPECT_GE(d.kernel_seconds, 0.0);
-      routed += d.supernodes;
-      kernel_seconds += d.kernel_seconds;
-    }
-    EXPECT_EQ(routed, st.supernodes_on_gpu);
+    res.planned_solve = &ps;
+    std::vector<double> x(b.size());
+    SolveStats st;
+    detail::solve_with_resources(symb, f.values(), b, x, nrhs, so, &res,
+                                 &st);
+    expect_bitwise_equal(serial, x, "shrunk registry solve");
     EXPECT_GT(st.supernodes_on_gpu, 0);
-    EXPECT_GT(kernel_seconds, 0.0);
-    // Folded ordinals keep every engaged device busy: with four plan
-    // shards on a two-device registry both devices must run work.
-    if (registry_devices == 2) {
-      for (const auto& d : st.per_device) EXPECT_GT(d.supernodes, 0);
-    }
+    EXPECT_GT(st.tasks, 0u);
   }
 }
 

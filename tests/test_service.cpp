@@ -8,6 +8,7 @@
 // (this file runs under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <latch>
 #include <thread>
 #include <vector>
@@ -145,6 +146,77 @@ TEST(SolverService, CachedPlanAndPoolsAreReused) {
   EXPECT_GE(r2.pool_hits, 2u);
   EXPECT_EQ(r2.factorizations, 3u);
   expect_bitwise_equal(reference_values(a, ho), s2->factor()->values());
+}
+
+TEST(SolverService, MidDagFaultLeavesWarmSessionUsable) {
+  // A NotPositiveDefinite thrown by a deep (leaf) supernode in the middle
+  // of a warm session's scheduled kGpuHybrid DAG on the shared crew must
+  // fail only that request: the admission gate is released, the session
+  // keeps its last good factor, and its next request reuses the cached
+  // plan and pool and is bitwise equal to kCpuSerial.
+  const CscMatrix a = grid3d_7pt(6, 6, 6);
+  ServiceOptions so;
+  so.runtime.workers = 3;  // crew of 3 + the caller = 4 workers
+  SolverService service(so);
+  const SolverOptions ho = hybrid_options(Method::kRL, 4, 2);
+  const auto s = service.session(a, ho);
+  s->factorize(a);
+  const auto warm_factor = s->factor();
+  const RuntimeStats warm = service.runtime().stats();
+  ASSERT_GT(s->stats().last_factor.scheduler_tasks, 0u);
+  ASSERT_GT(s->stats().last_factor.supernodes_on_gpu, 0);
+
+  // Same pattern; the first pivot of the leaf supernode nearest the
+  // middle of the elimination order turns negative.
+  const SymbolicFactor& symb = s->symbolic();
+  const index_t ns = symb.num_supernodes();
+  std::vector<char> has_child(static_cast<std::size_t>(ns), 0);
+  for (index_t t = 0; t < ns; ++t) {
+    if (symb.sn_parent(t) >= 0) has_child[symb.sn_parent(t)] = 1;
+  }
+  index_t leaf = -1;
+  for (index_t t = 0; t < ns; ++t) {
+    if (has_child[t] == 0 &&
+        (leaf < 0 || std::abs(t - ns / 2) < std::abs(leaf - ns / 2))) {
+      leaf = t;
+    }
+  }
+  ASSERT_GT(leaf, 0);
+  const index_t bad = symb.permutation().new_to_old(symb.sn_begin(leaf));
+  CscMatrix a_bad = a;
+  const auto rows = a_bad.col_rows(bad);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    if (rows[k] == bad) {
+      a_bad.mutable_values()[a_bad.colptr()[bad] + k] = -1.0;
+    }
+  }
+  try {
+    s->factorize(a_bad);
+    FAIL() << "expected NotPositiveDefinite";
+  } catch (const NotPositiveDefinite& e) {
+    EXPECT_EQ(e.column(), bad);
+  }
+  EXPECT_EQ(service.runtime().stats().in_flight, 0u);
+  EXPECT_EQ(s->factor(), warm_factor);  // the last good factor survives
+
+  // The same session serves a good request, bitwise equal to kCpuSerial,
+  // on its cached plan and pool.
+  s->factorize(a);
+  SolverOptions serial;
+  serial.factor.exec = Execution::kCpuSerial;
+  expect_bitwise_equal(reference_values(a, serial), s->factor()->values());
+  const RuntimeStats after = service.runtime().stats();
+  EXPECT_EQ(after.in_flight, 0u);
+  EXPECT_EQ(after.pool_misses, warm.pool_misses);
+  EXPECT_GT(after.pool_hits, warm.pool_hits);
+  EXPECT_EQ(s->stats().last_factor.scheduler_tasks,
+            warm_factor->stats().scheduler_tasks);
+  const std::vector<double> b(static_cast<std::size_t>(a.cols()), 1.0);
+  CholeskySolver ref(serial);
+  ref.factorize(a);
+  std::vector<double> x_ref(b.size());
+  ref.factor().solve(b, x_ref);
+  expect_bitwise_equal(x_ref, s->solve(b));
 }
 
 TEST(SolverService, WarmSessionsBitwiseMatchPerCallAcrossWorkersAndStreams) {
