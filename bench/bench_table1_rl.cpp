@@ -311,120 +311,6 @@ int main() {
       "threshold (the last row\nlowers gpu_threshold_rl to 2000 so the "
       "batches cross it as a unit).\n");
 
-  // --- fan-both plan shape: aggregation + decoupled batches --------------
-  // PlanOptions::kFanBoth rewrites the RL plan: per-subtree AGGREGATE
-  // nodes gather scatter contributions into private slab buffers and
-  // chained APPLY nodes fold them in a fixed ascending order, and device
-  // batches split into a batched COMPUTE plus per-target BATCHSCATTER so
-  // batches no longer serialize behind each other's shared targets. On
-  // the shared-separator-heavy PFlow analog with batching on, the RL
-  // shape's scheduler chain-waits collapse and the measured 8-worker
-  // task makespan drops; factors are bitwise identical across shapes
-  // (asserted in test_fan_both). Makespans here are MEASURED wall
-  // durations replayed through the list schedule, so the ratio wobbles
-  // run to run — the shape of the table is the claim, not digit-exact
-  // numbers.
-  std::printf(
-      "\nFan-both plan shape sweep (RL, PFlow_742_small analog, 8 "
-      "workers)\n");
-  print_rule('=');
-  std::printf("%-9s %8s | %11s %11s %8s | %8s %8s %9s\n", "shape",
-              "batch", "task(s)", "makespan", "chainW", "aggBuf",
-              "apply", "aggPeakB");
-  for (const offset_t be : {offset_t{0}, offset_t{4096}}) {
-    double rl_makespan = 0.0;
-    for (const bool fan_both : {false, true}) {
-      FactorOptions fopts;
-      fopts.method = Method::kRL;
-      fopts.exec = Execution::kCpuParallel;
-      fopts.cpu_workers = 8;
-      fopts.batch_entries = be;
-      fopts.batch_max_supernodes = kSweepMaxSn;
-      fopts.fan_both = fan_both;
-      const RunResult r = run_factor(pf, fopts);
-      if (!fan_both) rl_makespan = r.stats.modeled_task_parallel_seconds;
-      std::printf(
-          "%-9s %8lld | %11.5f %11.5f %8zu | %8zu %8zu %9zu\n",
-          fan_both ? "fan-both" : "rl", static_cast<long long>(be),
-          r.stats.modeled_task_serial_seconds,
-          r.stats.modeled_task_parallel_seconds,
-          r.stats.scheduler_chain_waits,
-          static_cast<std::size_t>(r.stats.aggregation_buffers),
-          static_cast<std::size_t>(r.stats.apply_nodes),
-          static_cast<std::size_t>(r.stats.aggregation_bytes_peak));
-      report.row(
-          "fan_both", "PFlow_742_small",
-          {{"fan_both", fan_both ? 1.0 : 0.0},
-           {"batch_entries", static_cast<double>(be)},
-           {"modeled_task_serial_seconds",
-            r.stats.modeled_task_serial_seconds},
-           {"modeled_task_parallel_seconds",
-            r.stats.modeled_task_parallel_seconds},
-           {"makespan_vs_rl",
-            fan_both ? rl_makespan / r.stats.modeled_task_parallel_seconds
-                     : 1.0},
-           {"chain_waits",
-            static_cast<double>(r.stats.scheduler_chain_waits)},
-           {"aggregation_buffers",
-            static_cast<double>(r.stats.aggregation_buffers)},
-           {"apply_nodes", static_cast<double>(r.stats.apply_nodes)},
-           {"aggregation_bytes_peak",
-            static_cast<double>(r.stats.aggregation_bytes_peak)}});
-    }
-  }
-  // Cross-device view: on a vector-valued mesh whose separators shard
-  // across devices (non-cooperatively), the pre-folded slabs ship each
-  // distinct target offset once, so the modeled cross-device assembly
-  // traffic shrinks vs the RL shape (asserted at 2 and 4 devices in
-  // test_fan_both).
-  {
-    PreparedMatrix vm;
-    vm.a = grid3d_vector(12, 12, 12, 4);
-    const Permutation vfill =
-        compute_ordering(vm.a, OrderingMethod::kNestedDissection);
-    vm.symb = SymbolicFactor::analyze(vm.a, vfill, AnalyzeOptions{});
-    std::printf("%-9s %8s | %11s %11s %8s\n", "shape", "devices",
-                "xferBytes", "xfers", "aggBuf");
-    for (const int devices : {2, 4}) {
-      for (const bool fan_both : {false, true}) {
-        FactorOptions opts =
-            gpu_options(Method::kRL, RlbVariant::kStreamed,
-                        Execution::kGpuHybrid, /*thr_rl=*/1500,
-                        kThresholdRlb);
-        opts.cpu_workers = 8;
-        opts.gpu_streams = 4;
-        opts.gpu_devices = devices;
-        opts.fan_both = fan_both;
-        const RunResult r = run_factor(vm, opts);
-        std::printf("%-9s %8d | %11zu %11zu %8zu\n",
-                    fan_both ? "fan-both" : "rl", devices,
-                    static_cast<std::size_t>(
-                        r.stats.cross_device_transfer_bytes),
-                    r.stats.num_cross_device_transfers,
-                    static_cast<std::size_t>(r.stats.aggregation_buffers));
-        report.row(
-            "fan_both_multi_device", "vector_12x12x12x4",
-            {{"fan_both", fan_both ? 1.0 : 0.0},
-             {"devices", static_cast<double>(devices)},
-             {"cross_device_transfer_bytes",
-              static_cast<double>(r.stats.cross_device_transfer_bytes)},
-             {"cross_device_transfers",
-              static_cast<double>(r.stats.num_cross_device_transfers)},
-             {"aggregation_buffers",
-              static_cast<double>(r.stats.aggregation_buffers)}},
-            {{"topology", "uniform"}});
-      }
-    }
-  }
-  print_rule();
-  std::printf(
-      "task(s)/makespan: measured per-task wall seconds summed / replayed "
-      "through the 8-worker list schedule;\nchainW: scheduler waits on "
-      "not-yet-satisfied chain edges; aggBuf/apply: AGGREGATE buffers and "
-      "APPLY\nnodes in the plan (rl shape has none); xferBytes: modeled "
-      "cross-device assembly traffic (union-\nfootprint priced for the "
-      "fan-both slabs).\n");
-
   // --- multi-device sharding: modeled time vs gpu_devices ----------------
   // The DeviceRegistry sweep: the planner's separator-tree partition
   // shards the GPU supernodes across 1/2/4 devices and the separators
@@ -481,8 +367,9 @@ int main() {
       "identical across the row.\n");
 
   // --- topology sweep: per-pair links + placement-optimized shards -------
-  // FactorOptions::topology installs a per-pair link table into every
-  // device's PerfModel and turns device assignment into two phases:
+  // FactorOptions::device.model.links is a per-pair link table every
+  // device's PerfModel prices hops over; it turns device assignment
+  // into two phases:
   // the size-balanced partition produces shards, then a placement pass
   // permutes shard -> ordinal to minimize the modeled cross-shard
   // traffic seconds over the table (heavy parent/child shard pairs land
@@ -522,7 +409,7 @@ int main() {
       opts.cpu_workers = 8;
       opts.gpu_streams = 4;
       opts.gpu_devices = devices;
-      opts.topology = p.table;
+      opts.device.model.links = p.table;
       const RunResult r = run_factor(tm, opts);
       if (r.out_of_memory) {
         std::printf("%-9s %10s\n", p.name, "OOM");
@@ -540,8 +427,7 @@ int main() {
       for (index_t s = 0; s < ns; ++s) {
         on_gpu[s] = detail::supernode_on_gpu(tm.symb, opts, s) ? 1 : 0;
       }
-      gpu::PerfModel model = opts.device.model;
-      model.links = p.table;
+      const gpu::PerfModel& model = opts.device.model;
       const std::vector<index_t> naive_dev = assign_devices(
           tm.symb, on_gpu, devices, /*coop_spine=*/true, nullptr);
       const std::vector<index_t> placed_dev = assign_devices(

@@ -66,7 +66,8 @@ void validate(const FactorOptions& o) {
         "FactorOptions::batch_max_supernodes must be >= 1; got " +
         std::to_string(o.batch_max_supernodes));
   }
-  o.topology.validate(o.gpu_devices, "FactorOptions::topology");
+  o.device.model.links.validate(o.gpu_devices,
+                                "FactorOptions::device.model.links");
 }
 
 void validate(const SolveOptions& o) {
@@ -102,7 +103,8 @@ void validate(const SolveOptions& o) {
         "SolveOptions::batch_max_supernodes must be >= 1; got " +
         std::to_string(o.batch_max_supernodes));
   }
-  o.topology.validate(o.gpu_devices, "SolveOptions::topology");
+  o.device.model.links.validate(o.gpu_devices,
+                                "SolveOptions::device.model.links");
 }
 
 namespace detail {
@@ -122,8 +124,7 @@ void cpu_factor_panel(FactorContext& ctx, index_t s) {
   }
 }
 
-double rl_assemble_range(FactorContext& ctx, index_t s, const double* u,
-                         index_t t_lo, index_t t_hi) {
+double rl_assemble(FactorContext& ctx, index_t s, const double* u) {
   const SymbolicFactor& symb = ctx.symb;
   const index_t w = symb.sn_width(s);
   const index_t below = symb.sn_below(s);
@@ -135,19 +136,13 @@ double rl_assemble_range(FactorContext& ctx, index_t s, const double* u,
   // Walk the below-diagonal rows in segments per target supernode; the
   // relative indices of ALL remaining rows inside the target are produced
   // by one two-pointer merge per target (they are reused for every column
-  // of the segment). Targets outside [t_lo, t_hi] are skipped whole —
-  // the fan-both split-scatter and decoupled-batch paths assemble one
-  // target (or one batch range) per task, in the same per-entry order.
+  // of the segment).
   std::vector<index_t> rel(static_cast<std::size_t>(below));
   index_t b0 = 0;  // below-row cursor
   while (b0 < below) {
     const index_t target = symb.col_to_sn(rows[w + b0]);
     index_t b1 = b0;
     while (b1 < below && symb.col_to_sn(rows[w + b1]) == target) ++b1;
-    if (target < t_lo || target > t_hi) {
-      b0 = b1;
-      continue;
-    }
     // Relative indices of rows[w+b0 .. end) within the target's row list.
     const auto trows = symb.sn_rows(target);
     std::size_t t = 0;
@@ -181,58 +176,6 @@ double rl_assemble_range(FactorContext& ctx, index_t s, const double* u,
     b0 = b1;
   }
   return entries;
-}
-
-double rl_assemble(FactorContext& ctx, index_t s, const double* u) {
-  return rl_assemble_range(ctx, s, u, 0, ctx.symb.num_supernodes() - 1);
-}
-
-offset_t rl_gather_target(FactorContext& ctx, index_t s, const double* u,
-                          index_t target, offset_t* offs, double* vals) {
-  const SymbolicFactor& symb = ctx.symb;
-  const index_t w = symb.sn_width(s);
-  const index_t below = symb.sn_below(s);
-  if (below == 0) return 0;
-  const auto rows = symb.sn_rows(s);
-  const index_t ldu = below;
-
-  // Locate `target`'s column segment of the update matrix (each target
-  // owns exactly one contiguous segment of the sorted below rows).
-  index_t b0 = 0;
-  while (b0 < below && symb.col_to_sn(rows[w + b0]) != target) ++b0;
-  if (b0 == below) return 0;
-  index_t b1 = b0;
-  while (b1 < below && symb.col_to_sn(rows[w + b1]) == target) ++b1;
-
-  // Same two-pointer relative-index merge as rl_assemble_range; instead
-  // of read-modify-writing the target panel, stream the (panel offset,
-  // value) pairs out in the IDENTICAL per-entry order (columns
-  // ascending, rows from the diagonal down), so a sequential replay of
-  // the slab reproduces the serial accumulation bit for bit.
-  std::vector<index_t> rel(static_cast<std::size_t>(below));
-  const auto trows = symb.sn_rows(target);
-  std::size_t t = 0;
-  for (index_t b = b0; b < below; ++b) {
-    const index_t rr = rows[w + b];
-    while (t < trows.size() && trows[t] < rr) ++t;
-    SPCHOL_CHECK(t < trows.size() && trows[t] == rr,
-                 "update row missing from ancestor structure");
-    rel[b] = static_cast<index_t>(t);
-  }
-  const index_t ldt = symb.sn_nrows(target);
-  const index_t tfirst = symb.sn_begin(target);
-  offset_t k = 0;
-  for (index_t b = b0; b < b1; ++b) {
-    const index_t tcol = rows[w + b] - tfirst;
-    const offset_t colbase = static_cast<offset_t>(tcol) * ldt;
-    const double* ucol = u + static_cast<offset_t>(b) * ldu;
-    for (index_t a = b; a < below; ++a) {
-      offs[k] = colbase + rel[a];
-      vals[k] = ucol[a];
-      ++k;
-    }
-  }
-  return k;
 }
 
 }  // namespace detail
@@ -373,9 +316,6 @@ CholeskyFactor CholeskyFactor::factorize(
   st.batches_formed = ctx.batches_formed;
   st.supernodes_batched = ctx.supernodes_batched;
   st.fused_device_launches = ctx.fused_device_launches;
-  st.aggregation_buffers = ctx.aggregation_buffers;
-  st.apply_nodes = ctx.apply_nodes;
-  st.aggregation_bytes_peak = ctx.aggregation_bytes_peak;
   st.scheduler_chain_waits = ctx.sched_stats.chain_waits;
   st.modeled_task_serial_seconds = ctx.modeled_task_serial_seconds;
   st.modeled_task_parallel_seconds = ctx.modeled_task_parallel_seconds;

@@ -77,6 +77,18 @@ struct FactorOptions {
   offset_t gpu_threshold_rl = 60'000;
   offset_t gpu_threshold_rlb = 75'000;
   /// Simulated device configuration (memory capacity, performance model).
+  /// `device.model.links` is the per-pair p2p link topology of a
+  /// multi-device run (gpu::LinkTable presets: NVLink islands, PCIe
+  /// trees). Empty (default) keeps the flat uniform mesh and the
+  /// order-of-partition shard placement. A non-empty table must be
+  /// square, symmetric, positive-bandwidth, non-negative-latency and
+  /// cover at least gpu_devices devices (InvalidArgument otherwise); it
+  /// turns on the planner's topology-aware shard placement and prices
+  /// every modeled cross-device hop (separator assembly, coop
+  /// all-gathers and panel exchanges) over its src→dst link. On an
+  /// injected runtime, hops are priced by the runtime's own device
+  /// config; this table still drives placement. Links never change
+  /// numerics.
   gpu::DeviceConfig device{};
   /// Number of simulated devices the scheduled GPU paths shard across
   /// (each a copy of `device`). The planner assigns top-level
@@ -90,18 +102,6 @@ struct FactorOptions {
   /// InvalidArgument. When factorizing on an injected runtime the
   /// effective count is capped by the runtime's device registry size.
   int gpu_devices = 1;
-  /// Per-pair p2p link topology of the multi-device run (NVLink islands,
-  /// PCIe trees — gpu::LinkTable presets). Empty (default) keeps the
-  /// flat uniform mesh and the PR 8 order-of-partition placement,
-  /// byte-for-byte. Non-empty tables must be square, symmetric,
-  /// positive-bandwidth, non-negative-latency, and cover at least
-  /// gpu_devices devices (InvalidArgument otherwise); they turn on the
-  /// planner's two-phase topology-aware shard placement and route every
-  /// modeled cross-device hop (separator assembly, fan-both APPLY, coop
-  /// all-gathers and panel exchanges) over its actual src→dst link.
-  /// Topology never changes numerics: factors stay bitwise identical to
-  /// the uniform single-device run at every preset.
-  gpu::LinkTable topology{};
   /// Models the paper's device-resident factor storage: each GPU
   /// supernode's factored panel stays allocated on its assigned device
   /// until the factorization completes (scheduled kGpuHybrid paths
@@ -138,17 +138,6 @@ struct FactorOptions {
   /// Greedy sibling packing stops a batch at this many supernodes
   /// (>= 1; rejected with InvalidArgument otherwise).
   index_t batch_max_supernodes = 16;
-  /// Fan-both plan shape (scheduled RL only; ignored by RLB and
-  /// left-looking). Targets with enough contributors have their updates
-  /// gathered into per-subtree aggregation buffers (AGGREGATE nodes,
-  /// fully parallel across groups) and folded in by short chained APPLY
-  /// replays — breaking the per-target scatter chains that bound
-  /// parallelism on shared-separator matrices, with factors bitwise
-  /// identical to serial (the buffers record (offset, value) pairs in
-  /// the exact serial order; replay preserves it). Batches additionally
-  /// decouple into batched-COMPUTE plus per-target batched-SCATTER
-  /// nodes.
-  bool fan_both = false;
 };
 
 /// Options of one triangular-solve call (CholeskyFactor::solve /
@@ -183,12 +172,10 @@ struct SolveOptions {
   offset_t batch_entries = 0;
   index_t batch_max_supernodes = 16;
   /// Simulated device configuration (used only when no shared device is
-  /// injected and the exec mode touches the device).
+  /// injected and the exec mode touches the device). `device.model.links`
+  /// drives the SolvePlan's shard placement exactly as in FactorOptions
+  /// (same validation, same bitwise-identity contract).
   gpu::DeviceConfig device{};
-  /// Per-pair p2p link topology of the multi-device solve — the
-  /// FactorOptions::topology mirror (same validation, same two-phase
-  /// placement in the SolvePlan, same bitwise-identity contract).
-  gpu::LinkTable topology{};
 };
 
 /// Rejects malformed SolveOptions with InvalidArgument (negative
@@ -316,10 +303,9 @@ struct FactorStats {
   std::size_t num_cross_device_transfers = 0;
   /// Per-(src,dst) breakdown of the cross-device hops above, one entry
   /// per link that actually carried traffic, sorted by (src, dst). The
-  /// aggregate fields are the exact sums of these rows (kept unchanged
-  /// for single-topology byte-compatibility); with a topology set the
-  /// seconds price each hop over its actual link, so slow cross-island
-  /// links surface directly here.
+  /// aggregate fields are the exact sums of these rows; with
+  /// device.model.links set the seconds price each hop over its actual
+  /// link, so slow cross-island links surface directly here.
   std::vector<LinkTransfer> per_link;
   /// Supernodes executed through the cooperative all-device pipeline
   /// (top separators the planner marked device -1: their kernels are
@@ -327,18 +313,9 @@ struct FactorStats {
   /// broadcasts, because no single shard can absorb them without capping
   /// the run's scaling). Zero on single-device runs; RL hybrid only.
   index_t coop_supernodes = 0;
-  // --- fan-both plan-shape counters ---------------------------------------
-  /// Aggregation buffers (AGGREGATE groups) the fan-both plan executed;
-  /// zero for the right-looking shape.
-  index_t aggregation_buffers = 0;
-  /// APPLY (slab replay) tasks executed; equals aggregation_buffers.
-  index_t apply_nodes = 0;
-  /// Peak bytes simultaneously held by live aggregation slabs
-  /// ((offset, value) pairs between AGGREGATE fill and APPLY replay).
-  std::size_t aggregation_bytes_peak = 0;
   /// Tasks whose LAST unmet dependency was a same-target chain edge
-  /// (SchedulerStats::chain_waits): the scatter-chain serialization the
-  /// fan-both shape removes, observable before/after.
+  /// (SchedulerStats::chain_waits): how often the per-target scatter
+  /// chains, rather than data readiness, held a task back.
   std::size_t scheduler_chain_waits = 0;
   /// Measured per-task durations replayed through a greedy list schedule
   /// at 1 and at `scheduler_workers` workers — the modeled serial and
@@ -346,7 +323,7 @@ struct FactorStats {
   /// speedup convention; see TaskScheduler::modeled_makespan). Zero on
   /// the sequential drivers. Unlike modeled_seconds (an
   /// order-independent deferred sum), these see the dependency
-  /// structure, so they are where chain removal shows up.
+  /// structure: the scatter chains and batching show up here.
   double modeled_task_serial_seconds = 0.0;
   double modeled_task_parallel_seconds = 0.0;
   // --- solve-path accumulators (filled by CholeskySolver, which owns the

@@ -102,10 +102,6 @@ struct FactorContext {
   std::size_t num_cross_device_transfers = 0;
   /// Supernodes executed through the cooperative all-device pipeline.
   index_t coop_supernodes = 0;
-  // --- fan-both plan-shape counters --------------------------------------
-  index_t aggregation_buffers = 0;  ///< AGGREGATE groups executed
-  index_t apply_nodes = 0;          ///< APPLY replays executed
-  std::size_t aggregation_bytes_peak = 0;  ///< peak live slab bytes
   /// Modeled task-graph makespans at 1 worker and at ctx.workers
   /// (TaskScheduler::modeled_makespan after the drain); zero on the
   /// sequential drivers.
@@ -129,7 +125,7 @@ struct FactorContext {
         values(v),
         opts(o),
         res(r),
-        devices(r, o.device, o.topology, o.gpu_devices),
+        devices(r, o.device, o.gpu_devices),
         dev(devices.primary()),
         pool(ThreadPool::global()),
         blas_capacity(ThreadPool::global().concurrency()),
@@ -355,34 +351,6 @@ struct FactorContext {
     fused_device_launches++;
   }
 
-  /// Models one fan-both AGGREGATE gather of `entries` (offset, value)
-  /// pairs. Deferred like the other scheduled CPU work; attributed to
-  /// assembly_seconds (it is the parallelizable half of assembly).
-  void account_aggregation(double entries) {
-    const double t = dev.model().aggregation_seconds(entries);
-    std::lock_guard<std::mutex> lk(account_mu_);
-    deferred_host_seconds_ += t;
-    assembly_seconds += t;
-    aggregation_buffers++;
-  }
-
-  /// Tracks live aggregation-slab memory for the peak counter.
-  void note_agg_alloc(std::size_t bytes) {
-    std::lock_guard<std::mutex> lk(account_mu_);
-    agg_bytes_live_ += bytes;
-    aggregation_bytes_peak = std::max(aggregation_bytes_peak,
-                                      agg_bytes_live_);
-  }
-  void note_agg_free(std::size_t bytes) {
-    std::lock_guard<std::mutex> lk(account_mu_);
-    agg_bytes_live_ -= bytes;
-  }
-
-  void count_apply() {
-    std::lock_guard<std::mutex> lk(account_mu_);
-    apply_nodes++;
-  }
-
   /// Folds the modeled time of scheduler-executed CPU work into the
   /// device host clock. Call after the task graph has drained.
   void flush_deferred() {
@@ -423,7 +391,6 @@ struct FactorContext {
 
   std::mutex account_mu_;
   double deferred_host_seconds_ = 0.0;
-  std::size_t agg_bytes_live_ = 0;
   std::atomic<std::size_t> active_tasks_{0};
 };
 
@@ -448,26 +415,6 @@ void cpu_factor_panel(FactorContext& ctx, index_t s);
 /// ld = below, holding MINUS the outer product) into the ancestors of s.
 /// Returns the number of entries scattered (for the assembly model).
 double rl_assemble(FactorContext& ctx, index_t s, const double* u);
-
-/// Target-restricted RL assembly: like rl_assemble, but only the
-/// segments of s's update matrix whose target supernode lies in
-/// [t_lo, t_hi] are applied (same per-entry order). The fan-both
-/// executor uses it for per-target split scatters (t_lo == t_hi) and
-/// the in-batch half of a decoupled batch (the batch's own index
-/// range). rl_assemble(ctx, s, u) == rl_assemble_range(ctx, s, u, 0,
-/// num_supernodes - 1).
-double rl_assemble_range(FactorContext& ctx, index_t s, const double* u,
-                         index_t t_lo, index_t t_hi);
-
-/// Fan-both gather: writes the (offset-into-target-panel, value) pairs
-/// of s's update slice for `target` into offs/vals, in the EXACT
-/// per-entry order rl_assemble applies them (columns ascending, rows at
-/// or below the diagonal ascending). Returns the number of pairs
-/// written; the caller sizes the slab from the plan's agg_entries().
-/// Sequentially replaying `panel[offs[k]] += vals[k]` reproduces
-/// rl_assemble's writes into `target` bit for bit.
-offset_t rl_gather_target(FactorContext& ctx, index_t s, const double* u,
-                          index_t target, offset_t* offs, double* vals);
 
 /// RL / RLB / left-looking drivers (rl.cpp, rlb.cpp, left_looking.cpp).
 /// Each dispatches to a sequential loop (kCpuSerial, kGpuOnly, or a

@@ -15,7 +15,7 @@ namespace {
 /// the separator-tree device assignment of each top-level ND subtree.
 PlanLayout plan_layout(const SymbolicFactor& symb, std::size_t workers,
                        Execution exec, offset_t threshold, int gpu_devices,
-                       bool coop_spine, const gpu::LinkTable& topology) {
+                       bool coop_spine, const gpu::LinkTable& links) {
   PlanLayout l;
   l.partitions = std::min(std::max<std::size_t>(1, workers),
                           TaskScheduler::kMaxPartitions);
@@ -31,7 +31,7 @@ PlanLayout plan_layout(const SymbolicFactor& symb, std::size_t workers,
   if (l.devices > 1 &&
       (exec == Execution::kGpuHybrid || exec == Execution::kGpuOnly)) {
     l.device_of =
-        assign_devices(symb, l.on_gpu, l.devices, coop_spine, &topology);
+        assign_devices(symb, l.on_gpu, l.devices, coop_spine, &links);
   }
   return l;
 }
@@ -50,15 +50,12 @@ PlannedGraph build_planned_graph(const SymbolicFactor& symb,
   static_cast<PlanLayout&>(pg) = plan_layout(
       symb, workers, opts.exec,
       rl ? opts.gpu_threshold_rl : opts.gpu_threshold_rlb, opts.gpu_devices,
-      /*coop_spine=*/rl, opts.topology);
+      /*coop_spine=*/rl, opts.device.model.links);
   PlanOptions popts;
   if (opts.method == Method::kRLB) {
     popts.split_scatter_per_target = true;
     popts.fuse_gpu_scatter = true;
   }
-  // Fan-both is an RL-only shape: RLB writes update blocks directly into
-  // ancestor storage (no update matrices to aggregate).
-  if (rl && opts.fan_both) popts.shape = PlanShape::kFanBoth;
   popts.batch_entries = opts.batch_entries;
   popts.batch_max_supernodes = opts.batch_max_supernodes;
   pg.plan = ExecutionPlan::build(symb, pg.on_gpu, pg.queue_of, popts,
@@ -75,7 +72,8 @@ PlannedSolve build_planned_solve(const SymbolicFactor& symb,
   // that holds its factor shard.
   static_cast<PlanLayout&>(ps) =
       plan_layout(symb, workers, opts.exec, opts.gpu_threshold,
-                  opts.gpu_devices, /*coop_spine=*/false, opts.topology);
+                  opts.gpu_devices, /*coop_spine=*/false,
+                  opts.device.model.links);
   SolvePlanOptions po;
   po.batch_entries = opts.batch_entries;
   po.batch_max_supernodes = opts.batch_max_supernodes;
@@ -84,8 +82,7 @@ PlannedSolve build_planned_solve(const SymbolicFactor& symb,
 }
 
 DeviceSet::DeviceSet(const ExecutionResources* res,
-                     const gpu::DeviceConfig& cfg,
-                     const gpu::LinkTable& topology, int gpu_devices) {
+                     const gpu::DeviceConfig& cfg, int gpu_devices) {
   const auto want = static_cast<std::size_t>(std::max(1, gpu_devices));
   if (res != nullptr && res->arena != nullptr) {
     reg_ = &res->arena->registry();
@@ -93,11 +90,7 @@ DeviceSet::DeviceSet(const ExecutionResources* res,
     dev_ = res->device;
     return;
   } else {
-    // The per-call registry prices p2p hops over the call's topology;
-    // injected registries keep their own model (RuntimeOptions::topology).
-    gpu::DeviceConfig own = cfg;
-    own.model.links = topology;
-    reg_ = &own_reg_.emplace(own, want);
+    reg_ = &own_reg_.emplace(cfg, want);
   }
   dev_ = &reg_->device(0);
   ndev_ = std::min(reg_->size(), want);
@@ -162,47 +155,44 @@ PlanExecutor::PlanExecutor(const SymbolicFactor& symb,
   if (std::any_of(nodes.begin(), nodes.end(), [](const SolveNode& nd) {
         return nd.kind == SolveNodeKind::kCompute && nd.on_gpu;
       })) {
-    devices_ = &own_devices_.emplace(res, opts.device, opts.topology,
-                                     opts.gpu_devices);
+    devices_ = &own_devices_.emplace(res, opts.device, opts.gpu_devices);
     ndev_ = devices_->size();
   }
   needs_.resize(ndev_);
 }
 
-std::vector<CrossHop> PlanExecutor::cross_hops(index_t first, index_t last,
-                                               index_t only_t) const {
+std::vector<CrossHop> PlanExecutor::cross_hops(index_t s) const {
   std::vector<CrossHop> hops;
   const std::span<const index_t> devof = graph_->device_of;
-  if (ndev_ <= 1 || devof.empty()) return hops;
+  if (ndev_ <= 1 || devof.empty() || !ctx_->on_gpu(s) || devof[s] < 0) {
+    return hops;
+  }
   const SymbolicFactor& symb = ctx_->symb;
-  for (index_t s = first; s <= last; ++s) {
-    if (!ctx_->on_gpu(s) || devof[s] < 0) continue;
-    const index_t w = symb.sn_width(s);
-    const index_t below = symb.sn_below(s);
-    const auto rows = symb.sn_rows(s);
-    const auto sd = static_cast<index_t>(ord(devof[s]));
-    index_t b0 = 0;
-    while (b0 < below) {
-      const index_t target = symb.col_to_sn(rows[w + b0]);
-      index_t b1 = b0;
-      while (b1 < below && symb.col_to_sn(rows[w + b1]) == target) ++b1;
-      if ((only_t < 0 || target == only_t) && ctx_->on_gpu(target) &&
-          devof[target] >= 0 && ord(devof[target]) != ord(devof[s])) {
-        const auto td = static_cast<index_t>(ord(devof[target]));
-        const double entries = 0.5 * static_cast<double>(b1 - b0) *
-                               static_cast<double>((below - b0) +
-                                                   (below - b1 + 1));
-        auto h = std::find_if(hops.begin(), hops.end(), [&](const CrossHop& x) {
-          return x.src == sd && x.dst == td;
-        });
-        if (h != hops.end()) {
-          h->entries += entries;
-        } else {
-          hops.push_back({sd, td, entries});
-        }
+  const index_t w = symb.sn_width(s);
+  const index_t below = symb.sn_below(s);
+  const auto rows = symb.sn_rows(s);
+  const auto sd = static_cast<index_t>(ord(devof[s]));
+  index_t b0 = 0;
+  while (b0 < below) {
+    const index_t target = symb.col_to_sn(rows[w + b0]);
+    index_t b1 = b0;
+    while (b1 < below && symb.col_to_sn(rows[w + b1]) == target) ++b1;
+    if (ctx_->on_gpu(target) && devof[target] >= 0 &&
+        ord(devof[target]) != ord(devof[s])) {
+      const auto td = static_cast<index_t>(ord(devof[target]));
+      const double entries = 0.5 * static_cast<double>(b1 - b0) *
+                             static_cast<double>((below - b0) +
+                                                 (below - b1 + 1));
+      auto h = std::find_if(hops.begin(), hops.end(), [&](const CrossHop& x) {
+        return x.src == sd && x.dst == td;
+      });
+      if (h != hops.end()) {
+        h->entries += entries;
+      } else {
+        hops.push_back({sd, td, entries});
       }
-      b0 = b1;
     }
+    b0 = b1;
   }
   return hops;
 }

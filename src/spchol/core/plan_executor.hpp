@@ -3,8 +3,8 @@
 // public API.
 //
 // The three scheduled paths differ only in their node kernels
-// (COMPUTE/SCATTER/BATCH/AGGREGATE/APPLY for the factorizations, forward
-// and backward solve steps for the solve). Everything else lives here:
+// (COMPUTE/SCATTER/BATCH for the factorizations, forward and backward
+// solve steps for the solve). Everything else lives here:
 //   * the layout every plan is built from — ready-queue partitions,
 //     on_gpu marks and the separator-tree device assignment;
 //   * the device set a call reaches (DeviceSet) and the fold of plan
@@ -123,7 +123,8 @@ struct ExecutionResources {
 
 /// The devices one call reaches: the injected arena's registry, a bare
 /// injected device (pinned to one device), or a per-call registry of
-/// `gpu_devices` devices whose PerfModel prices p2p hops over `topology`.
+/// `gpu_devices` devices built from `cfg` (whose model.links prices the
+/// p2p hops).
 /// Plans may be built for more devices than a call reaches: ordinals fold
 /// mod size(), and negative (cooperative) ordinals fold to device 0, the
 /// owner of a cooperative supernode's buffers. Numerics never depend on
@@ -132,7 +133,7 @@ struct ExecutionResources {
 class DeviceSet {
  public:
   DeviceSet(const ExecutionResources* res, const gpu::DeviceConfig& cfg,
-            const gpu::LinkTable& topology, int gpu_devices);
+            int gpu_devices);
   DeviceSet(const DeviceSet&) = delete;
   DeviceSet& operator=(const DeviceSet&) = delete;
 
@@ -293,15 +294,13 @@ class PlanExecutor {
     });
   }
 
-  /// Cross-device separator assembly of the update slices of factor
-  /// supernodes [first, last] aimed at target `only_t` (every target when
-  /// only_t < 0): each segment whose GPU target lives on another device
-  /// than its GPU source pays one modeled hop, merged per (src, dst).
+  /// Cross-device separator assembly of factor supernode s's update
+  /// slices: each segment whose GPU target lives on another device than
+  /// s pays one modeled hop, merged per (src, dst).
   /// Deterministic from the plan, so drivers price hops at build time.
   /// Cooperative supernodes (ordinal -1) assemble on the host from their
   /// per-device slices, so neither side of a cooperative pair pays.
-  std::vector<CrossHop> cross_hops(index_t first, index_t last,
-                                   index_t only_t) const;
+  std::vector<CrossHop> cross_hops(index_t s) const;
   /// Charges build-time-priced hops to the factor context.
   void charge(std::span<const CrossHop> hops) const;
 

@@ -24,16 +24,6 @@
 // accumulation order, so results are bitwise identical to kCpuSerial for
 // every worker/stream/batch setting.
 //
-// Fan-both (FactorOptions::fan_both, PlanShape::kFanBoth): heavily
-// shared targets trade their scatter chain for per-group AGGREGATE
-// gathers into private (offset, value) slabs — executed concurrently —
-// plus a short chain of sequential APPLY replays whose concatenation IS
-// the serial accumulation order (bitwise identity preserved). BATCH
-// nodes decouple into compute + in-batch assembly here and separate
-// BATCHSCATTER nodes per out-of-batch target. Update buffers become
-// multi-consumer and are freed by reference count instead of the single
-// scatter's eager swap.
-//
 // In kGpuHybrid the above-threshold COMPUTE tasks run the §III device
 // pipeline on a slot drawn from a bounded pool: each in-flight GPU
 // supernode gets its OWN compute/copy stream pair and device panel+update
@@ -44,7 +34,6 @@
 // modeled host clock to a stream tail, so the post-drain fold of deferred
 // CPU-task time keeps makespan = max(host, stream tails), not their sum.
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -200,15 +189,8 @@ void rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev,
 /// transfer latency are paid once per batch instead of once per
 /// supernode (gpu::perf_model batched-kernel cost). Synchronization is
 /// device-side only, like rl_gpu_compute.
-///
-/// Fan-both (`ubuf_out` != nullptr): the batch is DECOUPLED — each
-/// member's update matrix is kept in (*ubuf_out)[member] for the separate
-/// BATCHSCATTER/AGGREGATE consumers, and only in-batch targets are
-/// assembled here (device-eligible batches are independent leaves, so
-/// that range is empty). Same kernels in the same order either way.
 void rl_gpu_batch(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
-                  index_t first, index_t last, RlGpuSlot& slot,
-                  std::vector<std::vector<double>>* ubuf_out = nullptr) {
+                  index_t first, index_t last, RlGpuSlot& slot) {
   const SymbolicFactor& symb = ctx.symb;
   std::vector<gpu::BatchedPanel> panels;
   panels.reserve(static_cast<std::size_t>(last - first + 1));
@@ -260,15 +242,8 @@ void rl_gpu_batch(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
   for (std::size_t i = 0; i < panels.size(); ++i) {
     const gpu::BatchedPanel& p = panels[i];
     if (p.r == p.w) continue;
-    const index_t m = first + static_cast<index_t>(i);
-    const double* u = ustage.data() + p.update_off;
-    if (ubuf_out != nullptr) {
-      const std::size_t below = static_cast<std::size_t>(p.r - p.w);
-      (*ubuf_out)[m].assign(u, u + below * below);
-      entries += rl_assemble_range(ctx, m, u, first, last);
-    } else {
-      entries += rl_assemble(ctx, m, u);
-    }
+    entries += rl_assemble(ctx, first + static_cast<index_t>(i),
+                           ustage.data() + p.update_off);
   }
   ctx.account_assembly(entries);  // one fused assembly region per batch
 }
@@ -426,76 +401,6 @@ void run_rl_scheduled(FactorContext& ctx) {
   // Batches carry their own transient scratch instead.
   std::vector<std::vector<double>> ubuf(static_cast<std::size_t>(ns));
 
-  // --- fan-both support --------------------------------------------------
-  const bool fan_both = plan.fan_both();
-  const std::span<const index_t> devof = ex.graph().device_of;
-
-  // Fan-both splits one supernode's assembly across several consumer
-  // tasks (per-target scatters, batch-scatters, aggregation groups), so
-  // ubuf release moves from the single scatter's eager swap to a
-  // reference count: one reference per consumer task per member, plus
-  // one held by a batch task itself for each of its members (covering
-  // members whose every target is in-batch). The last consumer frees.
-  std::vector<std::atomic<index_t>> uref(
-      fan_both ? static_cast<std::size_t>(ns) : 0);
-  if (fan_both) {
-    for (const PlanNode& n : nodes) {
-      if (n.kind == PlanNodeKind::kScatter && n.target >= 0) {
-        uref[n.sn].fetch_add(1, std::memory_order_relaxed);
-      } else if (n.kind == PlanNodeKind::kBatchScatter ||
-                 n.kind == PlanNodeKind::kBatch) {
-        for (index_t m = n.batch_first; m <= n.batch_last; ++m) {
-          uref[m].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    for (index_t g = 0; g < plan.num_aggs(); ++g) {
-      for (const index_t m : plan.agg_members(g)) {
-        uref[m].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  auto unref = [&uref, &ubuf](index_t s) {
-    if (uref[s].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::vector<double>().swap(ubuf[s]);
-    }
-  };
-
-  // Aggregation slabs: (offset, value) pair storage per group, allocated
-  // by AGGREGATE, replayed and freed by APPLY.
-  std::vector<std::vector<offset_t>> slab_offs(
-      fan_both ? static_cast<std::size_t>(plan.num_aggs()) : 0);
-  std::vector<std::vector<double>> slab_vals(
-      fan_both ? static_cast<std::size_t>(plan.num_aggs()) : 0);
-
-  // Device-fused aggregation: when EVERY member of a group runs on the
-  // same device, the gather is one fused batched device kernel over the
-  // members' update buffers (already resident there) followed by one
-  // D2H of the slab — modeled on a dedicated per-device aggregation
-  // stream so gathers overlap the compute pipeline. The numerics still
-  // run host-side (the device executes eagerly on host memory anyway),
-  // so the bits never depend on where the gather was priced.
-  std::vector<std::unique_ptr<gpu::Stream>> agg_streams(
-      fan_both && hybrid ? ndev : 0);
-  auto agg_fused_device = [&](index_t g) -> index_t {
-    if (!fan_both || !hybrid) return -1;
-    index_t d = -1;
-    for (const index_t m : plan.agg_members(g)) {
-      if (!ctx.on_gpu(m)) return -1;
-      index_t md = 0;
-      if (!devof.empty()) {
-        if (devof[m] < 0) return -1;
-        md = static_cast<index_t>(ex.ord(devof[m]));
-      }
-      if (d < 0) {
-        d = md;
-      } else if (d != md) {
-        return -1;
-      }
-    }
-    return d;
-  };
-
   // --- map plan nodes to scheduler tasks ---------------------------------
   ex.add_nodes([&](std::size_t i, const PlanNode& n) -> std::size_t {
     switch (n.kind) {
@@ -539,21 +444,11 @@ void run_rl_scheduled(FactorContext& ctx) {
         // modeled hop (priced here at build time). The assembly itself
         // still runs on the host in the plan's fixed per-target ascending
         // order — the hop changes the modeled timeline, never the bits.
-        // A fan-both per-target split assembles ONLY its target's segment
-        // and drops one ubuf reference; the plain scatter frees eagerly.
         const index_t s = n.sn;
-        const index_t t = fan_both ? n.target : -1;
-        return ex.add(n, [&ctx, &ex, &ubuf, unref, s, t,
-                          xhops = ex.cross_hops(s, s, t)] {
+        return ex.add(n, [&ctx, &ex, &ubuf, s, xhops = ex.cross_hops(s)] {
           ex.charge(xhops);
-          if (t >= 0) {
-            ctx.account_assembly(
-                rl_assemble_range(ctx, s, ubuf[s].data(), t, t));
-            unref(s);
-          } else {
-            ctx.account_assembly(rl_assemble(ctx, s, ubuf[s].data()));
-            std::vector<double>().swap(ubuf[s]);
-          }
+          ctx.account_assembly(rl_assemble(ctx, s, ubuf[s].data()));
+          std::vector<double>().swap(ubuf[s]);
         });
       }
       case PlanNodeKind::kBatch: {
@@ -564,15 +459,12 @@ void run_rl_scheduled(FactorContext& ctx) {
           const std::size_t dord = ex.ord(n.device);
           return ex.add(
               n,
-              [&ctx, &ex, &pools, &ubuf, unref, first, last, need_panel,
-               need_update, dord, fan_both] {
+              [&ctx, &ex, &pools, first, last, need_panel, need_update,
+               dord] {
                 auto lease = pools.acquire(dord, need_panel, need_update);
                 rl_gpu_batch(ctx, ex.device(dord),
                              static_cast<index_t>(dord), first, last,
-                             *lease, fan_both ? &ubuf : nullptr);
-                if (fan_both) {
-                  for (index_t m = first; m <= last; ++m) unref(m);
-                }
+                             *lease);
               },
               pools.res[dord]);
         }
@@ -581,202 +473,14 @@ void run_rl_scheduled(FactorContext& ctx) {
         // (shared scratch, zeroed per member), so the bits match it.
         // BatchScope gathers the members' modeled costs and charges the
         // batch as one fused call group + one fused assembly region.
-        // Fan-both decouples the batch: each member's update matrix goes
-        // to ubuf[member] (kept for the out-of-batch BATCHSCATTER and
-        // AGGREGATE consumers) and only in-batch targets are assembled
-        // here — the same entries in the same order the plain sweep
-        // would have applied them.
-        return ex.add(n, [&ctx, &ubuf, unref, first, last, fan_both] {
+        return ex.add(n, [&ctx, first, last] {
           FactorContext::BatchScope batch(ctx);
-          std::vector<double> scratch;
+          std::vector<double> u;
           for (index_t s = first; s <= last; ++s) {
-            std::vector<double>& u = fan_both ? ubuf[s] : scratch;
             rl_cpu_compute(ctx, s, u);
             if (ctx.symb.sn_below(s) == 0) continue;
-            ctx.account_assembly(
-                fan_both ? rl_assemble_range(ctx, s, u.data(), first, last)
-                         : rl_assemble(ctx, s, u.data()));
+            ctx.account_assembly(rl_assemble(ctx, s, u.data()));
           }
-          if (fan_both) {
-            for (index_t s = first; s <= last; ++s) unref(s);
-          }
-        });
-      }
-      case PlanNodeKind::kBatchScatter: {
-        // Fan-both decoupled batch assembly: every batch member's slice
-        // into ONE out-of-batch target, in ascending member order — the
-        // contiguous run of the target's contributor chain the batch
-        // replaced. Each member drops one ubuf reference. Members may
-        // live on different devices; their hops merge per (src,dst).
-        const index_t first = n.batch_first;
-        const index_t last = n.batch_last;
-        const index_t t = n.target;
-        return ex.add(n, [&ctx, &ex, &ubuf, unref, first, last, t,
-                          xhops = ex.cross_hops(first, last, t)] {
-          ex.charge(xhops);
-          double entries = 0.0;
-          for (index_t m = first; m <= last; ++m) {
-            if (!ubuf[m].empty()) {
-              entries += rl_assemble_range(ctx, m, ubuf[m].data(), t, t);
-            }
-            unref(m);
-          }
-          ctx.account_assembly(entries);
-        });
-      }
-      case PlanNodeKind::kAggregate: {
-        // Fan-both gather: every group member's update slice for the
-        // target streams into a private (offset, value) slab in the
-        // exact serial per-entry order. Groups of one target run
-        // CONCURRENTLY — this is the parallelizable half of the
-        // assembly the per-target chain used to serialize.
-        const index_t g = n.agg;
-        const index_t t = n.target;
-        const offset_t total = plan.agg_entries(g);
-        const index_t fd = agg_fused_device(g);
-        if (fd >= 0 && !agg_streams[static_cast<std::size_t>(fd)]) {
-          agg_streams[static_cast<std::size_t>(fd)] =
-              std::make_unique<gpu::Stream>(ctx.device(fd));
-        }
-        gpu::Stream* astream =
-            fd >= 0 ? agg_streams[static_cast<std::size_t>(fd)].get()
-                    : nullptr;
-        return ex.add(n, [&ctx, &plan, &ubuf, &slab_offs, &slab_vals, unref,
-                          g, t, total, fd, astream] {
-          const std::size_t bytes = static_cast<std::size_t>(total) *
-                                    (sizeof(offset_t) + sizeof(double));
-          slab_offs[g].resize(static_cast<std::size_t>(total));
-          slab_vals[g].resize(static_cast<std::size_t>(total));
-          ctx.note_agg_alloc(bytes);
-          offset_t k = 0;
-          for (const index_t m : plan.agg_members(g)) {
-            if (!ubuf[m].empty()) {
-              k += rl_gather_target(ctx, m, ubuf[m].data(), t,
-                                    slab_offs[g].data() + k,
-                                    slab_vals[g].data() + k);
-            }
-            unref(m);
-          }
-          SPCHOL_CHECK(k == total, "aggregation slab entry count mismatch");
-          if (astream == nullptr) {
-            ctx.account_aggregation(static_cast<double>(total));
-            return;
-          }
-          // Every member's update buffer already lives on device fd:
-          // model the gather as one fused batched kernel plus one slab
-          // D2H on the device's aggregation stream. The host-side gather
-          // above IS the numerics (the simulated device computes on host
-          // memory), so only the price moves to the device timeline.
-          gpu::Device& dv = ctx.device(fd);
-          const auto& pm = dv.model();
-          const double kt = pm.gpu_batched_kernel_seconds(
-              static_cast<double>(total), plan.agg_members(g).size());
-          dv.enqueue(*astream, kt);
-          dv.note_kernel(kt);
-          const double dt = pm.d2h_seconds(static_cast<double>(bytes));
-          dv.enqueue(*astream, dt);
-          dv.note_d2h(bytes, dt);
-          ctx.count_fused_launch();
-          ctx.account_aggregation(0.0);  // count the buffer only
-        });
-      }
-      case PlanNodeKind::kApply: {
-        // Fan-both replay: fold one slab into the target panel
-        // sequentially — `panel[offs[k]] += vals[k]` in slab order, so
-        // the APPLY chain concatenation reproduces the serial ascending
-        // accumulation bit for bit. Per-position fold order is all that
-        // determinism needs, so the modeled cost may still assume the
-        // standard parallel assembly region (partition by panel offset).
-        const index_t g = n.agg;
-        const index_t t = n.target;
-        const offset_t total = plan.agg_entries(g);
-        // One aggregated cross-device hop PER SOURCE DEVICE replaces the
-        // per-contributor hops: the pre-folded slab ships each distinct
-        // panel offset once per producing device, so every source
-        // ordinal's price is the UNION footprint of ITS cross-device
-        // members' slices — bounded above by the trapezoid of the union
-        // row set (computed below against the target's panel rows), by
-        // the per-member sum (disjoint members), and by the panel
-        // itself. Sibling subtree contributors into a shared separator
-        // overlap heavily, which is exactly where this beats the
-        // per-contributor pricing — and the per-source split lets each
-        // hop charge its actual src→dst link.
-        struct SrcUnion {
-          index_t src = 0;
-          double sum = 0.0;
-          std::vector<char> in_col, in_row;
-        };
-        std::vector<SrcUnion> unions;
-        for (const index_t m : plan.agg_members(g)) {
-          const std::vector<CrossHop> ch = ex.cross_hops(m, m, t);
-          if (ch.empty()) continue;  // only_t fixed: at most one hop
-          const auto trows = symb.sn_rows(t);
-          SrcUnion* su = nullptr;
-          for (SrcUnion& u : unions) {
-            if (u.src == ch[0].src) {
-              su = &u;
-              break;
-            }
-          }
-          if (su == nullptr) {
-            unions.push_back({ch[0].src,
-                              0.0,
-                              std::vector<char>(trows.size(), 0),
-                              std::vector<char>(trows.size(), 0)});
-            su = &unions.back();
-          }
-          su->sum += ch[0].entries;
-          const index_t wm = symb.sn_width(m);
-          const index_t below = symb.sn_below(m);
-          const auto mrows = symb.sn_rows(m);
-          index_t b0 = 0;
-          while (b0 < below && symb.col_to_sn(mrows[wm + b0]) != t) ++b0;
-          index_t b1 = b0;
-          while (b1 < below && symb.col_to_sn(mrows[wm + b1]) == t) ++b1;
-          // Map m's rows from the segment start onward into panel
-          // positions (both lists ascending): positions of the segment
-          // itself are slab columns, everything from the segment start
-          // is a slab row.
-          std::size_t p = 0;
-          for (index_t a = b0; a < below; ++a) {
-            while (p < trows.size() && trows[p] != mrows[wm + a]) ++p;
-            if (p >= trows.size()) break;
-            su->in_row[p] = 1;
-            if (a < b1) su->in_col[p] = 1;
-          }
-        }
-        std::vector<CrossHop> xhops;
-        const index_t tord =
-            devof.empty() || devof[t] < 0
-                ? 0
-                : static_cast<index_t>(ex.ord(devof[t]));
-        for (const SrcUnion& u : unions) {
-          const index_t wt = symb.sn_width(t);
-          double tail = 0.0, union_bound = 0.0;
-          for (std::size_t p = u.in_row.size(); p-- > 0;) {
-            tail += static_cast<double>(u.in_row[p]);
-            if (static_cast<index_t>(p) < wt && u.in_col[p] != 0) {
-              union_bound += tail;
-            }
-          }
-          const double xe =
-              std::min({u.sum, union_bound,
-                        static_cast<double>(symb.sn_entries(t))});
-          if (xe > 0.0) xhops.push_back({u.src, tord, xe});
-        }
-        return ex.add(n, [&ctx, &ex, &slab_offs, &slab_vals, g, t, total,
-                          xhops] {
-          ex.charge(xhops);
-          double* panel = ctx.sn_values(t);
-          const offset_t* offs = slab_offs[g].data();
-          const double* vals = slab_vals[g].data();
-          for (offset_t k = 0; k < total; ++k) panel[offs[k]] += vals[k];
-          ctx.account_assembly(static_cast<double>(total));
-          ctx.count_apply();
-          std::vector<offset_t>().swap(slab_offs[g]);
-          std::vector<double>().swap(slab_vals[g]);
-          ctx.note_agg_free(static_cast<std::size_t>(total) *
-                            (sizeof(offset_t) + sizeof(double)));
         });
       }
     }
@@ -785,39 +489,17 @@ void run_rl_scheduled(FactorContext& ctx) {
 
   // Memory throttle: at most ~K update buffers in flight. The edge
   // target's compute may not start until the K-back scatter has freed
-  // its buffer. Plain RL has one SCATTER per source in ascending order,
-  // so all edges go forward in supernode order and no cycle can form;
-  // fan-both has SEVERAL consumers per source (per-target scatters,
-  // batch-scatters), so an edge is added only when the window spans
-  // strictly increasing source supernodes — every ancestor of a
-  // consumer task involves supernodes <= its source, so a forward-only
-  // edge can never close a cycle. AGGREGATE/APPLY don't participate:
-  // their slabs are tracked by the aggregation-bytes counters and freed
-  // by the APPLY chain regardless.
-  struct ThrottleEntry {
-    std::size_t consumer_task;
-    std::size_t compute_task;
-    index_t src;
-  };
-  std::vector<ThrottleEntry> throttled;
+  // its buffer. RL has one SCATTER per source in ascending order, so all
+  // edges go forward in supernode order and no cycle can form.
+  std::vector<std::pair<std::size_t, std::size_t>> throttled;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    index_t src;
-    if (nodes[i].kind == PlanNodeKind::kScatter) {
-      src = nodes[i].sn;
-    } else if (nodes[i].kind == PlanNodeKind::kBatchScatter) {
-      src = nodes[i].batch_first;
-    } else {
-      continue;
-    }
-    throttled.push_back(
-        {ex.task_of(i), ex.task_of(plan.compute_node(src)), src});
+    if (nodes[i].kind != PlanNodeKind::kScatter) continue;
+    throttled.emplace_back(ex.task_of(i),
+                           ex.task_of(plan.compute_node(nodes[i].sn)));
   }
   const std::size_t kWindow = 2 * ctx.workers + 2 + pools.slots;
   for (std::size_t j = kWindow; j < throttled.size(); ++j) {
-    if (throttled[j - kWindow].src < throttled[j].src) {
-      ex.sched().add_edge(throttled[j - kWindow].consumer_task,
-                     throttled[j].compute_task);
-    }
+    ex.sched().add_edge(throttled[j - kWindow].first, throttled[j].second);
   }
   ex.drain();
 }

@@ -407,7 +407,7 @@ void run_rlb_scheduled(FactorContext& ctx) {
         return ex.add(
             n,
             [&ctx, &ex, &pools, s, batched, need_panel, need_update, dord,
-             xhops = ex.cross_hops(s, s, -1)] {
+             xhops = ex.cross_hops(s)] {
               auto lease = pools.acquire(dord, need_panel, need_update);
               ex.charge(xhops);
               rlb_gpu_supernode(ctx, ex.device(dord),
@@ -437,15 +437,8 @@ void run_rlb_scheduled(FactorContext& ctx) {
           }
         });
       }
-      case PlanNodeKind::kBatchScatter:
-      case PlanNodeKind::kAggregate:
-      case PlanNodeKind::kApply:
-        break;
     }
-    // Fan-both is an RL-only plan shape (build_planned_graph never
-    // requests it for RLB).
-    SPCHOL_CHECK(false, "fan-both plan node in an RLB plan");
-    return TaskScheduler::kNoResource;
+    return TaskScheduler::kNoResource;  // unreachable: every kind returns
   });
   ex.drain();
 }

@@ -189,15 +189,6 @@ double PerfModel::assembly_seconds(double entries, int threads) const {
          entries * assembly_seconds_per_entry / speedup;
 }
 
-double PerfModel::aggregation_seconds(double entries, int threads) const {
-  if (entries <= 0.0) return 0.0;
-  threads = std::max(threads, 1);
-  const double speedup =
-      std::pow(static_cast<double>(threads), assembly_parallel_exponent);
-  return assembly_fork_overhead +
-         entries * aggregation_seconds_per_entry / speedup;
-}
-
 PerfModel PerfModel::a100_nominal() {
   PerfModel m;
   m.cpu_max_useful_threads = 128.0;

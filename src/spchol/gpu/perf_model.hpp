@@ -146,8 +146,9 @@ struct PerfModel {
   double p2p_gbytes_per_s = 300.0;
   double p2p_latency = 1.5e-6;
   /// Per-pair link topology. Empty (default) = uniform mesh at the flat
-  /// rates above; set via FactorOptions/SolveOptions/RuntimeOptions::
-  /// topology. Consulted by the per-pair p2p_seconds overload below.
+  /// rates above; set through the `device` config of FactorOptions,
+  /// SolveOptions or RuntimeOptions. Consulted by the per-pair
+  /// p2p_seconds overload below.
   LinkTable links;
 
   // --- CPU assembly (scatter-add) ---
@@ -157,10 +158,6 @@ struct PerfModel {
   static constexpr int assembly_threads = 16;
   double assembly_parallel_exponent = 0.75;
   double assembly_fork_overhead = 0.5e-6;
-  /// Fan-both aggregation gather: streaming (offset, value) slab writes
-  /// run at roughly twice the scatter-add rate — sequential stores, no
-  /// read-modify-write of the target panel.
-  double aggregation_seconds_per_entry = 0.5e-9;
 
   /// Modeled time of a CPU BLAS call of `flops` on `threads` threads.
   double cpu_kernel_seconds(double flops, int threads) const;
@@ -202,11 +199,6 @@ struct PerfModel {
   /// CPU with `threads` OpenMP-style workers (paper parallelizes assembly).
   double assembly_seconds(double entries,
                           int threads = assembly_threads) const;
-  /// Modeled time of gathering `entries` update entries into a fan-both
-  /// aggregation slab (relative-index merge + streaming store) with
-  /// `threads` workers.
-  double aggregation_seconds(double entries,
-                             int threads = assembly_threads) const;
 
   /// Unscaled nameplate constants of the paper's hardware (A100 9.7 TF/s
   /// FP64, PCIe 4.0 ≈ 24 GB/s, uncapped EPYC scaling). Useful for

@@ -22,26 +22,13 @@ void validate(const RuntimeOptions& opts) {
     throw InvalidArgument("RuntimeOptions::gpu_devices must be >= 1; got " +
                           std::to_string(opts.gpu_devices));
   }
-  opts.topology.validate(opts.gpu_devices, "RuntimeOptions::topology");
+  opts.device.model.links.validate(opts.gpu_devices,
+                                   "RuntimeOptions::device.model.links");
 }
-
-namespace {
-
-/// The registry's device config: the shared config with the topology
-/// table installed into its PerfModel, so every device prices p2p hops
-/// over the per-pair links.
-gpu::DeviceConfig registry_config(const RuntimeOptions& opts) {
-  gpu::DeviceConfig cfg = opts.device;
-  cfg.model.links = opts.topology;
-  return cfg;
-}
-
-}  // namespace
 
 SolverRuntime::SolverRuntime(const RuntimeOptions& opts)
     : crew_((validate(opts), opts.workers)),
-      arena_(registry_config(opts),
-             static_cast<std::size_t>(opts.gpu_devices)),
+      arena_(opts.device, static_cast<std::size_t>(opts.gpu_devices)),
       max_concurrent_(static_cast<std::size_t>(opts.max_concurrent)) {}
 
 SolverRuntime::Admission::~Admission() {

@@ -49,20 +49,16 @@ struct RuntimeOptions {
   /// Values < 1 are rejected with InvalidArgument.
   int max_concurrent = 4;
   /// Configuration of the shared simulated device(s). Every device in
-  /// the registry is built from this one config.
+  /// the registry is built from this one config, so `device.model.links`
+  /// prices every session's cross-device hops over the per-pair links.
+  /// A non-empty table must be square, symmetric, positive-bandwidth and
+  /// cover at least gpu_devices devices (InvalidArgument otherwise).
   gpu::DeviceConfig device{};
   /// Simulated devices in the runtime's registry. Sessions shard GPU
   /// work across min(this, FactorOptions::gpu_devices) devices; the
   /// default 1 reproduces the single-device runtime exactly. Values < 1
   /// are rejected with InvalidArgument.
   int gpu_devices = 1;
-  /// Per-pair p2p link topology of the registry's devices — the
-  /// FactorOptions::topology mirror for the shared-runtime path. The
-  /// table is installed into every registry device's PerfModel, so
-  /// session factorizations and solves price their cross-device hops
-  /// over the real links. Same validation as the per-call mirrors
-  /// (square, symmetric, positive bandwidth, size >= gpu_devices).
-  gpu::LinkTable topology{};
 };
 
 /// Throws InvalidArgument on invalid RuntimeOptions (negative workers,

@@ -83,10 +83,7 @@ std::uint64_t plan_fingerprint(const FactorOptions& fo) {
   // or with the resident-factor reservation — must never alias.
   f.pod(fo.gpu_devices);
   f.pod(fo.device_resident_factor);
-  f.links(fo.topology);
-  // The fan-both shape changes the node set (AGGREGATE/APPLY/
-  // BATCHSCATTER) and the edge chains outright.
-  f.pod(fo.fan_both);
+  f.links(fo.device.model.links);
   return f.hash();
 }
 
@@ -103,7 +100,7 @@ std::uint64_t solve_plan_fingerprint(const SolveOptions& so) {
   f.pod(so.batch_entries);
   f.pod(so.batch_max_supernodes);
   f.pod(so.gpu_devices);  // device assignment lives on the plan nodes
-  f.links(so.topology);   // placement permutes those assignments
+  f.links(so.device.model.links);  // placement permutes assignments
   return f.hash();
 }
 

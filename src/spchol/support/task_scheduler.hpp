@@ -74,8 +74,8 @@ struct SchedulerStats {
   std::size_t edges = 0;            ///< dependency edges (after dedup)
   /// Tasks whose LAST unmet dependency was a chain edge (same-target
   /// serialization declared via add_edge(..., chain = true)): each one is
-  /// a task that sat fully ready but for the write-order chain — the
-  /// scatter-chain bottleneck the fan-both plan shape removes.
+  /// a task that sat fully ready but for the write-order chain (the
+  /// per-target scatter chains of the factorization plans).
   std::size_t chain_waits = 0;
 };
 

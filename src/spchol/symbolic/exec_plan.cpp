@@ -10,46 +10,24 @@ namespace {
 
 /// Per-target contributor lists of the update DAG: srcs[t] holds, in
 /// ascending order, every supernode whose row structure reaches t
-/// (inverse of sn_update_targets()), and entries[t][k] the exact number
-/// of update-matrix entries srcs[t][k] pushes into t — the trapezoid of
-/// columns landing in t's range times the rows at or below each column.
-/// That count sizes fan-both aggregation slabs and prices the traffic.
-struct Contributors {
-  std::vector<std::vector<index_t>> srcs;
-  std::vector<std::vector<offset_t>> entries;
-};
-
-Contributors update_contributors(const SymbolicFactor& symb) {
+/// (inverse of sn_update_targets()).
+std::vector<std::vector<index_t>> update_contributors(
+    const SymbolicFactor& symb) {
   const index_t ns = symb.num_supernodes();
-  Contributors c;
-  c.srcs.resize(static_cast<std::size_t>(ns));
-  c.entries.resize(static_cast<std::size_t>(ns));
+  std::vector<std::vector<index_t>> srcs(static_cast<std::size_t>(ns));
   for (index_t s = 0; s < ns; ++s) {
-    const auto rows = symb.sn_rows(s);
-    const index_t w = symb.sn_width(s);
-    const index_t below = symb.sn_below(s);
-    index_t b = 0;
-    while (b < below) {
-      const index_t t = symb.col_to_sn(rows[w + b]);
-      index_t b1 = b;
-      while (b1 < below && symb.col_to_sn(rows[w + b1]) == t) ++b1;
-      const offset_t seg = static_cast<offset_t>(b1 - b) *
-                           (static_cast<offset_t>(below - b) +
-                            static_cast<offset_t>(below - b1 + 1)) /
-                           2;
-      c.srcs[t].push_back(s);  // ascending: s is the outer loop
-      c.entries[t].push_back(seg);
-      b = b1;
+    for (const index_t t : symb.sn_update_targets(s)) {
+      srcs[t].push_back(s);  // ascending: s is the outer loop
     }
   }
-  return c;
+  return srcs;
 }
 
 /// Walks every cross-shard update segment of a device assignment:
 /// calls f(src_dev, dst_dev, entries) for each (supernode, target) pair
 /// where both ends are GPU-resident, non-cooperative, and on different
 /// devices — the exact set the executors charge as cross-device
-/// separator assembly (rl.cpp's cross_slice / rlb.cpp's cross_entries).
+/// separator assembly (PlanExecutor::cross_hops).
 template <class F>
 void for_each_cross_segment(const SymbolicFactor& symb,
                             std::span<const char> on_gpu,
@@ -481,22 +459,13 @@ std::vector<index_t> assign_devices(const SymbolicFactor& symb,
 }
 
 std::size_t ExecutionPlan::scatter_node(index_t sn, index_t target) const {
-  if (batch_of_[sn] != kNoNode) {
-    const std::size_t b = batch_of_[sn];
-    if (!fan_both_ || target < 0 ||
-        (target >= nodes_[b].batch_first &&
-         target <= nodes_[b].batch_last)) {
-      return b;  // in-batch assembly stays fused with the batch task
-    }
-    // Decoupled batch: the out-of-batch target's assembly is its own
-    // BATCHSCATTER node, registered under the batch's first member.
-    sn = nodes_[b].batch_first;
-  } else if (fuse_gpu_scatter_ && nodes_[compute_of_[sn]].on_gpu) {
+  if (batch_of_[sn] != kNoNode) return batch_of_[sn];
+  if (fuse_gpu_scatter_ && nodes_[compute_of_[sn]].on_gpu) {
     return compute_of_[sn];
   }
   const std::size_t lo = scatter_ptr_[sn];
   const std::size_t hi = scatter_ptr_[sn + 1];
-  if (!split_scatter_ && !fan_both_) {
+  if (!split_scatter_) {
     SPCHOL_CHECK(hi == lo + 1, "supernode missing its scatter node");
     return scatter_nodes_[lo];
   }
@@ -525,20 +494,13 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
                "device_of span size mismatch");
   SPCHOL_CHECK(opts.batch_max_supernodes >= 1,
                "batch_max_supernodes must be >= 1");
-  const bool fb = opts.shape == PlanShape::kFanBoth;
-  if (fb) {
-    SPCHOL_CHECK(!opts.split_scatter_per_target && !opts.fuse_gpu_scatter,
-                 "fan-both requires the RL scatter layout");
-  }
 
   ExecutionPlan plan;
   plan.split_scatter_ = opts.split_scatter_per_target;
   plan.fuse_gpu_scatter_ = opts.fuse_gpu_scatter;
-  plan.fan_both_ = fb;
   plan.compute_of_.assign(static_cast<std::size_t>(ns), kNoNode);
   plan.batch_of_.assign(static_cast<std::size_t>(ns), kNoNode);
   plan.scatter_ptr_.assign(static_cast<std::size_t>(ns) + 1, 0);
-  plan.agg_member_ptr_.push_back(0);
 
   const std::vector<SubtreeBatch> defs = pack_subtree_batches(
       symb, on_gpu, opts.batch_entries, opts.batch_max_supernodes);
@@ -564,38 +526,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
   const std::size_t prio_scatter_base = 0;  // drain scatters first
   const std::size_t prio_compute_base = static_cast<std::size_t>(ns);
 
-  const Contributors contrib = update_contributors(symb);
-  // The grouping unit: a batch is atomic (its members execute as one
-  // task), so grouping keys off the unit's ready-queue partition — the
-  // subtree partition — and batch members, contiguous in every target's
-  // ascending contributor list, can never straddle a group boundary.
-  auto unit_queue = [&](index_t c) {
-    return def_of[c] != kNoNode ? queue(defs[def_of[c]].first) : queue(c);
-  };
-
-  // --- aggregated-target selection (fan-both) -----------------------------
-  // A target is aggregated when it is not itself inside a batch (a
-  // batched target's contributors are all in-batch) and its contributors
-  // split into >= 2 groups (one group would serialize exactly like the
-  // chain it replaces, plus replay overhead). The walk is deterministic,
-  // so the shape is a pure function of the build inputs (the plan-cache
-  // contract).
-  std::vector<char> aggregated(static_cast<std::size_t>(ns), 0);
-  if (fb) {
-    for (index_t t = 0; t < ns; ++t) {
-      if (def_of[t] != kNoNode) continue;
-      const auto& cs = contrib.srcs[t];
-      if (cs.size() < 2) continue;
-      std::size_t runs = 1;
-      offset_t total = contrib.entries[t][0];
-      for (std::size_t k = 1; k < cs.size(); ++k) {
-        if (unit_queue(cs[k]) != unit_queue(cs[k - 1])) ++runs;
-        total += contrib.entries[t][k];
-      }
-      if (runs >= 2 && total > 0) aggregated[t] = 1;
-    }
-  }
-
   // --- node emission, ascending in supernode order ------------------------
   for (index_t s = 0; s < ns; ++s) {
     const std::size_t d = def_of[s];
@@ -615,40 +545,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
         plan.nodes_.push_back(b);
         for (index_t m = defs[d].first; m <= defs[d].last; ++m) {
           plan.batch_of_[m] = id;
-        }
-        if (fb) {
-          // Decoupled batch: the batch task computes its members and
-          // assembles ONLY in-batch targets; every out-of-batch
-          // non-aggregated target gets its own BATCHSCATTER node so
-          // batches sharing a separator stop serializing on its whole
-          // chain. Registered under the FIRST member's scatter slot
-          // (members' own slots stay empty), targets ascending for the
-          // scatter_node() binary search.
-          std::vector<index_t> outs;
-          for (index_t m = defs[d].first; m <= defs[d].last; ++m) {
-            for (const index_t t : symb.sn_update_targets(m)) {
-              if (t > defs[d].last && !aggregated[t]) outs.push_back(t);
-            }
-          }
-          std::sort(outs.begin(), outs.end());
-          outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
-          for (const index_t t : outs) {
-            PlanNode n;
-            n.kind = PlanNodeKind::kBatchScatter;
-            n.sn = defs[d].first;
-            n.target = t;
-            n.batch_first = defs[d].first;
-            n.batch_last = defs[d].last;
-            n.priority = prio_scatter_base +
-                         static_cast<std::size_t>(defs[d].last);
-            n.queue = queue(defs[d].first);
-            n.device = device(t);  // assembly lands on the target's shard
-            const std::size_t sid = plan.nodes_.size();
-            plan.nodes_.push_back(n);
-            plan.scatter_nodes_.push_back(sid);
-            plan.scatter_tgts_.push_back(t);
-            add_edge(id, sid);
-          }
         }
       }
       continue;
@@ -683,13 +579,7 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
       plan.scatter_tgts_.push_back(target);
       add_edge(plan.compute_of_[s], id);
     };
-    if (fb) {
-      // Aggregated targets take their slice through an AGGREGATE group
-      // (emitted below) instead of a scatter node.
-      for (const index_t target : symb.sn_update_targets(s)) {
-        if (!aggregated[target]) emit_scatter(target);
-      }
-    } else if (opts.split_scatter_per_target) {
+    if (opts.split_scatter_per_target) {
       for (const index_t target : symb.sn_update_targets(s)) {
         emit_scatter(target);
       }
@@ -699,77 +589,12 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
   }
   plan.scatter_ptr_[ns] = plan.scatter_nodes_.size();
 
-  // --- AGGREGATE / APPLY emission (fan-both) ------------------------------
-  // Contributor groups are maximal ascending runs of equal unit queue.
-  // AGGREGATE(t, g) gathers its members' slices concurrently with every
-  // other group; APPLY(t, g) replays slab g into t, chained in ascending
-  // group order so the concatenated replay is the serial accumulation.
-  if (fb) {
-    for (index_t t = 0; t < ns; ++t) {
-      if (!aggregated[t]) continue;
-      const auto& cs = contrib.srcs[t];
-      const auto& es = contrib.entries[t];
-      std::size_t prev_apply = kNoNode;
-      std::size_t k = 0;
-      while (k < cs.size()) {
-        const std::size_t uq = unit_queue(cs[k]);
-        std::size_t k1 = k;
-        offset_t entries = 0;
-        while (k1 < cs.size() && unit_queue(cs[k1]) == uq) {
-          entries += es[k1];
-          ++k1;
-        }
-        const index_t gid =
-            static_cast<index_t>(plan.agg_entries_.size());
-        plan.agg_entries_.push_back(entries);
-        for (std::size_t j = k; j < k1; ++j) {
-          plan.agg_members_.push_back(cs[j]);
-        }
-        plan.agg_member_ptr_.push_back(plan.agg_members_.size());
-
-        PlanNode a;
-        a.kind = PlanNodeKind::kAggregate;
-        a.target = t;
-        a.agg = gid;
-        a.priority =
-            prio_scatter_base + static_cast<std::size_t>(cs[k1 - 1]);
-        a.queue = uq;  // the gather runs where its contributors ran
-        // The slab lives with the group's shard: one folded transfer to
-        // the target's device beats per-contributor slice hops.
-        a.device = device(cs[k]);
-        const std::size_t aid = plan.nodes_.size();
-        plan.nodes_.push_back(a);
-        std::size_t prev_src = kNoNode;
-        for (std::size_t j = k; j < k1; ++j) {
-          const std::size_t p = plan.compute_node(cs[j]);
-          if (p != prev_src) add_edge(p, aid);
-          prev_src = p;
-        }
-
-        PlanNode ap;
-        ap.kind = PlanNodeKind::kApply;
-        ap.target = t;
-        ap.agg = gid;
-        ap.priority =
-            prio_scatter_base + static_cast<std::size_t>(cs[k1 - 1]);
-        ap.queue = queue(t);  // the replay writes t's panel
-        ap.device = device(t);
-        const std::size_t pid = plan.nodes_.size();
-        plan.nodes_.push_back(ap);
-        add_edge(aid, pid);
-        if (prev_apply != kNoNode) add_edge(prev_apply, pid, true);
-        prev_apply = pid;
-        k = k1;
-      }
-      add_edge(prev_apply, plan.compute_node(t), true);
-    }
-  }
-
   // --- per-target contributor chains + readiness edges --------------------
+  const std::vector<std::vector<index_t>> contrib =
+      update_contributors(symb);
   for (index_t t = 0; t < ns; ++t) {
-    const auto& cs = contrib.srcs[t];
+    const auto& cs = contrib[t];
     if (cs.empty()) continue;
-    if (fb && aggregated[t]) continue;  // APPLY chain emitted above
     std::size_t prev = kNoNode;
     for (const index_t c : cs) {
       const std::size_t w = plan.scatter_node(c, t);

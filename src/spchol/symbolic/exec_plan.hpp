@@ -25,36 +25,8 @@
 //     the serial drivers for every worker/stream/batch setting;
 //   * chain tail → the target's own COMPUTE (readiness).
 //
-// The FAN-BOTH shape (PlanOptions::shape = kFanBoth, RL only) breaks the
-// per-target scatter chains that bound parallelism on shared-separator
-// matrices. A target with two or more contributors has
-// its ascending contributor list cut into contiguous runs of equal
-// ready-queue partition (a per-subtree group; batch units are atomic, so
-// a run never splits a batch):
-//
-//   * AGGREGATE(t, g) — gathers every group member's update slice for t
-//                       into a private aggregation buffer: a slab of
-//                       (offset-into-target-panel, value) pairs written
-//                       in the exact serial per-entry order. This is the
-//                       parallelizable half of assembly — the relative-
-//                       index merge and gather — and groups of one target
-//                       run concurrently.
-//   * APPLY(t, g)     — replays the slab's `+=`s into t sequentially.
-//                       APPLY nodes of one target chain in ascending
-//                       group order, so the concatenated replay IS the
-//                       serial ascending accumulation: factors stay
-//                       bitwise identical while only the (short) replay
-//                       chain serializes.
-//
-// Non-aggregated targets fall back to per-(source, target) split
-// scatters. Fan-both also decouples BATCH nodes: the batch task computes
-// members and assembles ONLY in-batch targets, while each out-of-batch
-// non-aggregated target gets its own BATCHSCATTER(batch, t) node — so
-// batches sharing a separator no longer serialize on that separator's
-// whole chain (aggregated targets route batch members into AGGREGATE
-// groups instead). Chain edges (contributor chains, APPLY→APPLY, chain
-// tail → COMPUTE) are flagged so the scheduler can count
-// chain-serialized waits.
+// Chain edges (contributor chains, chain tail → COMPUTE) are flagged so
+// the scheduler can count chain-serialized waits.
 //
 // Batching is a plan transform, not an executor concern: sibling subtrees
 // whose every supernode falls below `batch_entries` dense entries are
@@ -89,24 +61,14 @@ enum class PlanNodeKind : std::uint8_t {
   kCompute,
   kScatter,
   kBatch,
-  /// Fan-both: assembly of a batch's member updates into ONE out-of-batch
-  /// target (the decoupled half of a BATCH's scatter work).
-  kBatchScatter,
-  /// Fan-both: gather one contributor group's update slices for a target
-  /// into a private (offset, value) slab, in serial per-entry order.
-  kAggregate,
-  /// Fan-both: sequentially replay one aggregation slab into its target.
-  kApply,
 };
 
 struct PlanNode {
   PlanNodeKind kind = PlanNodeKind::kCompute;
   index_t sn = -1;           ///< kCompute / kScatter: the supernode
-  index_t target = -1;       ///< kScatter (split) / kBatchScatter /
-                             ///< kAggregate / kApply: the target sn
-  index_t batch_first = -1;  ///< kBatch / kBatchScatter: first supernode
-  index_t batch_last = -1;   ///< kBatch / kBatchScatter: last (inclusive)
-  index_t agg = -1;          ///< kAggregate / kApply: aggregation group id
+  index_t target = -1;       ///< kScatter (split): the target sn
+  index_t batch_first = -1;  ///< kBatch: first supernode
+  index_t batch_last = -1;   ///< kBatch: last (inclusive)
   bool on_gpu = false;       ///< kCompute: runs the device pipeline
   /// kBatch: every member is an independent leaf (no member updates
   /// another member), so the batch may run as one fused device launch.
@@ -192,15 +154,6 @@ double modeled_cross_traffic_seconds(const SymbolicFactor& symb,
                                      std::span<const index_t> device_of,
                                      const gpu::PerfModel& model);
 
-/// Task-graph shape of the scheduled factorization.
-enum class PlanShape : std::uint8_t {
-  /// Right-looking push: per-target ascending scatter chains (RL / RLB).
-  kRightLooking,
-  /// Fan-both (RL only): per-group AGGREGATE buffers + chained APPLY
-  /// replays decouple contributor work from the per-target serialization.
-  kFanBoth,
-};
-
 struct PlanOptions {
   /// One SCATTER node per (source, target) pair — the RLB CPU shape —
   /// instead of one SCATTER per source (RL).
@@ -213,9 +166,6 @@ struct PlanOptions {
   offset_t batch_entries = 0;
   /// Greedy sibling packing stops a batch at this many supernodes.
   index_t batch_max_supernodes = 16;
-  /// Graph shape. kFanBoth requires the RL scatter layout (no
-  /// split_scatter_per_target, no fuse_gpu_scatter).
-  PlanShape shape = PlanShape::kRightLooking;
 };
 
 class ExecutionPlan {
@@ -247,8 +197,7 @@ class ExecutionPlan {
     return edges_;
   }
   /// Parallel to edges(): nonzero entries mark CHAIN edges — same-target
-  /// serialization (contributor chains, APPLY→APPLY, chain tail →
-  /// COMPUTE) as opposed to data-flow readiness. The executors forward
+  /// serialization (contributor chains, chain tail → COMPUTE) as opposed to data-flow readiness. The executors forward
   /// the flag to TaskScheduler so chain-serialized waits are countable.
   std::span<const char> edge_chain() const noexcept { return edge_chain_; }
 
@@ -260,29 +209,10 @@ class ExecutionPlan {
   /// Node performing s's scatter into target t: the batch node when s is
   /// batched, the fused compute node for GPU supernodes in
   /// fuse_gpu_scatter mode, the (s, t) scatter node in split mode, and
-  /// s's single SCATTER node otherwise. Fan-both: a batched s with an
-  /// out-of-batch target resolves to the batch's BATCHSCATTER node for
-  /// that target. Never valid for an aggregated (t, fan-both) pair —
-  /// those contributors feed AGGREGATE nodes, not scatters.
+  /// s's single SCATTER node otherwise.
   std::size_t scatter_node(index_t sn, index_t target) const;
   /// True when sn was coalesced into a BATCH node.
   bool batched(index_t sn) const { return batch_of_[sn] != kNoNode; }
-
-  /// True when the plan was built with PlanShape::kFanBoth.
-  bool fan_both() const noexcept { return fan_both_; }
-  /// Number of aggregation groups (== number of APPLY nodes).
-  index_t num_aggs() const noexcept {
-    return static_cast<index_t>(agg_entries_.size());
-  }
-  /// Contributors of aggregation group g, ascending.
-  std::span<const index_t> agg_members(index_t g) const {
-    return std::span<const index_t>(agg_members_)
-        .subspan(agg_member_ptr_[g],
-                 agg_member_ptr_[g + 1] - agg_member_ptr_[g]);
-  }
-  /// Slab size of group g in (offset, value) pair entries — the exact
-  /// number of update entries its members push into the target.
-  offset_t agg_entries(index_t g) const { return agg_entries_[g]; }
 
   index_t batches_formed() const noexcept { return batches_formed_; }
   index_t supernodes_batched() const noexcept {
@@ -296,20 +226,12 @@ class ExecutionPlan {
   std::vector<std::size_t> compute_of_;  // per sn; batch members → batch
   std::vector<std::size_t> batch_of_;    // per sn; kNoNode if unbatched
   // Scatter-node lookup: ids of s's scatter nodes (with their targets in
-  // split mode) live at [scatter_ptr_[s], scatter_ptr_[s + 1]). In
-  // fan-both, a batch's BATCHSCATTER nodes are registered under the slot
-  // of the batch's FIRST member.
+  // split mode) live at [scatter_ptr_[s], scatter_ptr_[s + 1]).
   std::vector<std::size_t> scatter_ptr_;
   std::vector<std::size_t> scatter_nodes_;
   std::vector<index_t> scatter_tgts_;
-  // Aggregation groups (fan-both): members of group g are
-  // agg_members_[agg_member_ptr_[g] .. agg_member_ptr_[g + 1]).
-  std::vector<std::size_t> agg_member_ptr_;
-  std::vector<index_t> agg_members_;
-  std::vector<offset_t> agg_entries_;
   bool split_scatter_ = false;
   bool fuse_gpu_scatter_ = false;
-  bool fan_both_ = false;
   index_t batches_formed_ = 0;
   index_t supernodes_batched_ = 0;
 };

@@ -139,12 +139,13 @@ TEST(ExecPlan, BatchedBitwiseIdenticalAcrossWorkersAndStreams) {
     for (const Method method : {Method::kRL, Method::kRLB}) {
       SCOPED_TRACE(to_string(method));
       auto values = [&](Execution exec, int workers, int streams,
-                        offset_t batch_entries) {
+                        offset_t batch_entries, int devices = 1) {
         SolverOptions opts;
         opts.factor.method = method;
         opts.factor.exec = exec;
         opts.factor.cpu_workers = workers;
         opts.factor.gpu_streams = streams;
+        opts.factor.gpu_devices = devices;
         opts.factor.gpu_threshold_rl = 600;  // force a mixed CPU/GPU split
         opts.factor.gpu_threshold_rlb = 600;
         opts.factor.batch_entries = batch_entries;
@@ -160,14 +161,18 @@ TEST(ExecPlan, BatchedBitwiseIdenticalAcrossWorkersAndStreams) {
             values(Execution::kCpuParallel, workers, 1, 400));
       }
       // Hybrid: batching must not change a single bit for any
-      // worker/stream combination either.
+      // worker/stream/device combination either.
       for (const int workers : {0, 1, 4, 8}) {
         for (const int streams : {1, 4}) {
-          SCOPED_TRACE("hybrid workers=" + std::to_string(workers) +
-                       " streams=" + std::to_string(streams));
-          expect_bitwise_equal(
-              values(Execution::kGpuHybrid, workers, streams, 0),
-              values(Execution::kGpuHybrid, workers, streams, 400));
+          for (const int devices : {1, 2}) {
+            SCOPED_TRACE("hybrid workers=" + std::to_string(workers) +
+                         " streams=" + std::to_string(streams) +
+                         " devices=" + std::to_string(devices));
+            expect_bitwise_equal(
+                values(Execution::kGpuHybrid, workers, streams, 0, devices),
+                values(Execution::kGpuHybrid, workers, streams, 400,
+                       devices));
+          }
         }
       }
     }

@@ -8,6 +8,7 @@
 // (this file runs under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <latch>
 #include <thread>
@@ -217,6 +218,58 @@ TEST(SolverService, MidDagFaultLeavesWarmSessionUsable) {
   std::vector<double> x_ref(b.size());
   ref.factor().solve(b, x_ref);
   expect_bitwise_equal(x_ref, s->solve(b));
+}
+
+TEST(SolverService, DeviceOutOfMemoryLeavesRuntimeUsable) {
+  // An RL kGpuHybrid request whose largest GPU supernode's panel and
+  // update buffer cannot fit on the runtime's device throws
+  // DeviceOutOfMemory while the executor builds its slot pool. The
+  // failure must release the admission slot and every device byte it
+  // took, so a smaller pattern's session on the same runtime then
+  // factorizes and solves bitwise equal to kCpuSerial.
+  // Room for the largest GPU slot of an 8^3 grid, not of a 12^3 one.
+  constexpr std::size_t kDeviceBytes = 128ull << 10;
+  ServiceOptions so;
+  so.runtime.workers = 3;
+  so.runtime.device.memory_bytes = kDeviceBytes;
+  SolverService service(so);
+  const SolverOptions ho = hybrid_options(Method::kRL, 4, 2);
+  auto slot_bytes = [](const SymbolicFactor& symb) {
+    std::size_t most = 0;
+    for (index_t t = 0; t < symb.num_supernodes(); ++t) {
+      if (symb.sn_entries(t) < 2'000) continue;
+      const auto below = static_cast<std::size_t>(symb.sn_below(t));
+      most = std::max(most, (static_cast<std::size_t>(symb.sn_entries(t)) +
+                             below * below) *
+                                sizeof(double));
+    }
+    return most;
+  };
+
+  const CscMatrix big = grid3d_7pt(12, 12, 12);
+  const auto s_big = service.session(big, ho);
+  ASSERT_GT(slot_bytes(s_big->symbolic()), kDeviceBytes);
+  const std::size_t used_before = service.runtime().device().mem_used();
+  EXPECT_THROW(s_big->factorize(big), gpu::DeviceOutOfMemory);
+  EXPECT_EQ(service.runtime().stats().in_flight, 0u);
+  EXPECT_EQ(service.runtime().device().mem_used(), used_before);
+
+  const CscMatrix small = grid3d_7pt(8, 8, 8);
+  const auto s_small = service.session(small, ho);
+  ASSERT_LE(slot_bytes(s_small->symbolic()), kDeviceBytes);
+  s_small->factorize(small);
+  EXPECT_GT(s_small->stats().last_factor.supernodes_on_gpu, 0);
+  SolverOptions serial;
+  serial.factor.exec = Execution::kCpuSerial;
+  expect_bitwise_equal(reference_values(small, serial),
+                       s_small->factor()->values());
+  const std::vector<double> b(static_cast<std::size_t>(small.cols()), 1.0);
+  CholeskySolver ref(serial);
+  ref.factorize(small);
+  std::vector<double> x_ref(b.size());
+  ref.factor().solve(b, x_ref);
+  expect_bitwise_equal(x_ref, s_small->solve(b));
+  EXPECT_EQ(service.runtime().stats().in_flight, 0u);
 }
 
 TEST(SolverService, WarmSessionsBitwiseMatchPerCallAcrossWorkersAndStreams) {

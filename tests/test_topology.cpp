@@ -1,6 +1,7 @@
 // Topology-aware placement coverage: the per-pair link table
-// (PerfModel::links, set via FactorOptions/SolveOptions/RuntimeOptions::
-// topology) and the two-phase device placement only reshape the MODELED
+// (PerfModel::links, set through the `device` config of FactorOptions,
+// SolveOptions or RuntimeOptions) and the two-phase device placement
+// only reshape the MODELED
 // timeline — factors and solves must stay bitwise identical to the
 // uniform-topology single-device run at every preset × device count ×
 // worker count × stream count; the placement pass must strictly reduce
@@ -32,7 +33,7 @@ std::vector<double> factor_values(const CscMatrix& a, Method m,
   opts.factor.gpu_devices = devices;
   opts.factor.gpu_threshold_rl = threshold;
   opts.factor.gpu_threshold_rlb = threshold;
-  opts.factor.topology = topology;
+  opts.factor.device.model.links = topology;
   CholeskySolver solver(opts);
   solver.factorize(a);
   if (stats != nullptr) *stats = solver.stats();
@@ -121,7 +122,7 @@ TEST(Topology, SolveBitwiseAcrossTopologies) {
           o.gpu_streams = streams;
           o.gpu_devices = devices;
           o.gpu_threshold = 500;
-          o.topology = p.table;
+          o.device.model.links = p.table;
           std::vector<double> x(b.size());
           f.solve_multi(b, x, nrhs, o);
           expect_bitwise_equal(
@@ -247,6 +248,38 @@ TEST(Topology, PerLinkStatsSumToAggregates) {
   EXPECT_TRUE(single.per_link.empty());
 }
 
+TEST(Topology, DeviceLinksDrivePlacementAndPricing) {
+  // The device config's link table alone must both place the shards
+  // over the islands and price every hop on its own link. Rows are the
+  // golden per-link breakdown of this run; order-of-partition placement
+  // priced on the flat mesh routes the heaviest traffic 3 -> 0 instead.
+  const CscMatrix a = grid3d_vector(14, 14, 14, 3);
+  SolverOptions opts;
+  opts.factor.method = Method::kRL;
+  opts.factor.exec = Execution::kGpuHybrid;
+  opts.factor.cpu_workers = 8;
+  opts.factor.gpu_streams = 4;
+  opts.factor.gpu_devices = 4;
+  opts.factor.gpu_threshold_rl = 1500;
+  opts.factor.device.model.links = gpu::LinkTable::nvlink_islands(4);
+  CholeskySolver solver(opts);
+  solver.factorize(a);
+  const std::vector<LinkTransfer> want = {{0, 2, 369432, 3.9393e-05, 8},
+                                          {1, 0, 3383400, 6.9778e-05, 39},
+                                          {2, 0, 1371864, 0.000111161, 18},
+                                          {3, 0, 1073784, 0.000113741, 23}};
+  const std::vector<LinkTransfer>& got = solver.stats().per_link;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].src, want[k].src) << k;
+    EXPECT_EQ(got[k].dst, want[k].dst) << k;
+    EXPECT_EQ(got[k].bytes, want[k].bytes) << k;
+    EXPECT_EQ(got[k].transfers, want[k].transfers) << k;
+    EXPECT_NEAR(got[k].seconds, want[k].seconds, 1e-9 * want[k].seconds)
+        << k;
+  }
+}
+
 TEST(Topology, ValidatedEverywhere) {
   const CscMatrix a = grid2d_5pt(6, 6);
   auto too_small = gpu::LinkTable::uniform(2);
@@ -262,7 +295,7 @@ TEST(Topology, ValidatedEverywhere) {
   auto expect_factor_throw = [&](const gpu::LinkTable& t, int devices) {
     SolverOptions opts;
     opts.factor.gpu_devices = devices;
-    opts.factor.topology = t;
+    opts.factor.device.model.links = t;
     CholeskySolver solver(opts);
     EXPECT_THROW(solver.factorize(a), InvalidArgument);
   };
@@ -276,19 +309,19 @@ TEST(Topology, ValidatedEverywhere) {
     solver.factorize(a);
     SolveOptions o;
     o.gpu_devices = 4;
-    o.topology = too_small;
+    o.device.model.links = too_small;
     std::vector<double> b(static_cast<std::size_t>(a.cols()), 1.0);
     std::vector<double> x(b.size());
     EXPECT_THROW(solver.factor().solve(b, x, o), InvalidArgument);
-    o.topology = asymmetric;
+    o.device.model.links = asymmetric;
     EXPECT_THROW(solver.factor().solve(b, x, o), InvalidArgument);
   }
   {
     RuntimeOptions ro;
     ro.gpu_devices = 4;
-    ro.topology = too_small;
+    ro.device.model.links = too_small;
     EXPECT_THROW(SolverRuntime{ro}, InvalidArgument);
-    ro.topology = dead_link;
+    ro.device.model.links = dead_link;
     EXPECT_THROW(SolverRuntime{ro}, InvalidArgument);
   }
   // A table bigger than gpu_devices is fine (spare ordinals idle), and
@@ -296,7 +329,7 @@ TEST(Topology, ValidatedEverywhere) {
   {
     SolverOptions opts;
     opts.factor.gpu_devices = 2;
-    opts.factor.topology = gpu::LinkTable::pcie_tree(4);
+    opts.factor.device.model.links = gpu::LinkTable::pcie_tree(4);
     CholeskySolver solver(opts);
     EXPECT_NO_THROW(solver.factorize(a));
   }
