@@ -107,9 +107,6 @@ void run_solve_amortized(JsonReport& report) {
     svc.solver.factor.exec = Execution::kCpuParallel;
     svc.solver.solve.workers = 4;
     svc.solver.solve.rhs_panel = 8;
-    // Sibling-leaf batching: coarsens the tiny-supernode solve DAG
-    // (PFlow_742_small regime) exactly like the factorization plans.
-    svc.solver.solve.batch_entries = 4096;
     svc.runtime.workers = 3;  // crew + the requesting thread = 4
     SolverService service(svc);
     const auto session = service.session(a);

@@ -27,27 +27,42 @@ int main() {
       kDatasetDeviceBytes >> 20);
   print_rule('=');
   std::printf(
-      "%-17s %10s %9s %8s %8s | %9s %8s %8s | %8s %8s | %9s %8s\n",
+      "%-17s %10s %9s %8s %8s | %9s %8s | %8s %8s | %9s %8s\n",
       "matrix", "n", "nnz(L)", "order", "analyze", "runtime", "speedup",
-      "batchSpd", "sn(GPU)", "sn(tot)", "paper(s)", "paperSpd");
+      "sn(GPU)", "sn(tot)", "paper(s)", "paperSpd");
   print_rule();
 
   // Kept for the scaling section below (Queen_4147 is the largest
   // generator matrix) so its analysis is not repeated.
   PreparedMatrix largest;
+  // Derived task grain per matrix: the CPU plan's tasks and batches.
+  struct Grain {
+    std::string name;
+    index_t supernodes;
+    std::size_t tasks;
+    index_t batches;
+    index_t batched;
+  };
+  std::vector<Grain> grains;
   for (const DatasetEntry* e : bench_set()) {
     PreparedMatrix m = prepare(*e);
+    {
+      const ExecutionPlan plan = ExecutionPlan::build(m.symb, {}, {}, {});
+      grains.push_back({e->name, m.symb.num_supernodes(),
+                        plan.nodes().size(), plan.batches_formed(),
+                        plan.supernodes_batched()});
+    }
     const double cpu_best = best_cpu_seconds(m);
     const RunResult gpu =
         run_factor(m, gpu_options(Method::kRL, RlbVariant::kStreamed));
     if (gpu.out_of_memory) {
       std::printf(
-          "%-17s %10d %9.2fM %8.4f %8.4f | %9s %8s %8s | %8s %8d | %9s "
+          "%-17s %10d %9.2fM %8.4f %8.4f | %9s %8s | %8s %8d | %9s "
           "%8s\n",
           e->name.c_str(), m.a.cols(),
           static_cast<double>(m.symb.factor_nnz()) / 1e6,
           m.ord.total_seconds, m.symb.stats().total_seconds,
-          "OOM", "-", "-", "-", m.symb.num_supernodes(),
+          "OOM", "-", "-", m.symb.num_supernodes(),
           e->paper_rl.out_of_memory ? "OOM" : "?",
           e->paper_rl.out_of_memory ? "-" : "?");
       // Instead of a bare-null modeled_seconds the row carries an
@@ -67,30 +82,19 @@ int main() {
                   {"topology", "uniform"}});
       continue;
     }
-    // Batch on/off: the same scheduled hybrid run with and without
-    // small-supernode batching, cpu_workers pinned > 1 for BOTH so the
-    // ratio isolates the batch transform (modeled time is real-core-
-    // count independent).
-    FactorOptions bopts = gpu_options(Method::kRL, RlbVariant::kStreamed);
-    bopts.cpu_workers = 8;
-    const RunResult gpu_off8 = run_factor(m, bopts);
-    bopts.batch_entries = 4096;
-    bopts.batch_max_supernodes = 16;
-    const RunResult gpu_on8 = run_factor(m, bopts);
     std::printf(
-        "%-17s %10d %9.2fM %8.4f %8.4f | %9.4f %7.2fx %7.2fx | %8d %8d | "
+        "%-17s %10d %9.2fM %8.4f %8.4f | %9.4f %7.2fx | %8d %8d | "
         "%9.3f %7.2fx\n",
         e->name.c_str(), m.a.cols(),
         static_cast<double>(m.symb.factor_nnz()) / 1e6,
         m.ord.total_seconds, m.symb.stats().total_seconds, gpu.seconds,
-        cpu_best / gpu.seconds, gpu_off8.seconds / gpu_on8.seconds,
-        gpu.stats.supernodes_on_gpu, m.symb.num_supernodes(),
+        cpu_best / gpu.seconds, gpu.stats.supernodes_on_gpu,
+        m.symb.num_supernodes(),
         e->paper_rl.time_s, e->paper_rl.speedup);
     report.row("table1", e->name,
                {{"modeled_seconds", gpu.seconds},
                 {"cpu_best_seconds", cpu_best},
                 {"speedup", cpu_best / gpu.seconds},
-                {"batch_speedup", gpu_off8.seconds / gpu_on8.seconds},
                 {"order_seconds", m.ord.total_seconds},
                 {"analyze_seconds", m.symb.stats().total_seconds}});
     if (e->name == "Queen_4147") largest = std::move(m);
@@ -98,12 +102,29 @@ int main() {
   print_rule();
   std::printf(
       "runtime/speedup: modeled on the simulated device (README, Simulated "
-      "device); "
-      "batchSpd: modeled hybrid time at 8\nworkers with batching OFF over "
-      "ON (batch_entries 4096 — the small-supernode batch transform "
-      "alone);\norder/analyze: REAL wall seconds of compute_ordering and "
+      "device);\norder/analyze: REAL wall seconds of compute_ordering and "
       "SymbolicFactor::analyze (default workers);\npaper columns: Table I "
       "as printed.\n");
+
+  // --- derived task grain: one line per matrix ---------------------------
+  // The plan picks its own grain from the pattern (exec_plan.cpp): whole
+  // subtrees of small supernodes run as one BATCH task. CPU plan shape
+  // (no GPU marks), identical at every worker count.
+  std::printf("\nExecutionPlan derived grain (RL, CPU plan)\n");
+  print_rule('=');
+  std::printf("%-17s %10s %10s %9s %9s\n", "matrix", "sn", "tasks",
+              "batches", "snBatch");
+  print_rule();
+  for (const Grain& g : grains) {
+    std::printf("%-17s %10d %10zu %9d %9d\n", g.name.c_str(), g.supernodes,
+                g.tasks, g.batches, g.batched);
+    report.row("grain", g.name,
+               {{"supernodes", static_cast<double>(g.supernodes)},
+                {"tasks", static_cast<double>(g.tasks)},
+                {"batches", static_cast<double>(g.batches)},
+                {"supernodes_batched", static_cast<double>(g.batched)}});
+  }
+  print_rule();
 
   // --- CPU parallel scaling: REAL wall clock, not the model -------------
   // kCpuSerial executes on one thread; kCpuParallel dispatches supernode
@@ -239,77 +260,6 @@ int main() {
                 last.gpu_overlap_seconds, last.gpu_stream_pairs);
   }
   print_rule();
-
-  // --- small-supernode batching: batch_entries sweep ---------------------
-  // The ExecutionPlan batch transform on the purpose-built PFlow_742
-  // analog (thousands of tiny sibling leaf supernodes under one small
-  // root). Per-task and per-call overheads dominate this regime;
-  // coalescing sibling subtrees into fused BATCH tasks amortizes them
-  // (one fused call group + one assembly fork per batch — and, in
-  // hybrid mode, one fused batched device launch pair per device
-  // batch). Modeled time, so the speedup is core-count independent;
-  // factors are bitwise identical across the whole sweep.
-  std::printf(
-      "\nExecutionPlan batch_entries sweep (RL, PFlow_742_small analog, 8 "
-      "workers)\n");
-  print_rule('=');
-  const PreparedMatrix pf = prepare(dataset_entry("PFlow_742_small"));
-  std::printf("%-14s %8s | %10s %8s %8s %7s | %10s %8s %7s\n",
-              "batch_entries", "maxSn", "cpu(s)", "speedup", "batches",
-              "snBatch", "hybrid(s)", "speedup", "fused");
-  double cpu_off = 0.0, hy_off = 0.0;
-  const index_t kSweepMaxSn = 16;
-  const offset_t sweep[] = {0, 512, 2048, 8192};
-  for (const offset_t be : sweep) {
-    FactorOptions copts;
-    copts.method = Method::kRL;
-    copts.exec = Execution::kCpuParallel;
-    copts.cpu_workers = 8;
-    copts.batch_entries = be;
-    copts.batch_max_supernodes = kSweepMaxSn;
-    const RunResult cpu = run_factor(pf, copts);
-    FactorOptions hopts = gpu_options(Method::kRL, RlbVariant::kStreamed);
-    hopts.cpu_workers = 8;
-    hopts.batch_entries = be;
-    hopts.batch_max_supernodes = kSweepMaxSn;
-    const RunResult hy = run_factor(pf, hopts);
-    if (be == 0) {
-      cpu_off = cpu.seconds;
-      hy_off = hy.seconds;
-    }
-    std::printf(
-        "%-14lld %8d | %10.5f %7.2fx %8d %7d | %10.5f %7.2fx %7zu\n",
-        static_cast<long long>(be), kSweepMaxSn, cpu.seconds,
-        cpu_off / cpu.seconds, cpu.stats.batches_formed,
-        cpu.stats.supernodes_batched, hy.seconds, hy_off / hy.seconds,
-        hy.stats.fused_device_launches);
-  }
-  // One more row with the GPU threshold lowered to the batch scale: the
-  // device-eligible batches now cross it as a UNIT and run as fused
-  // batched launch pairs (at dataset scale the modeled device loses to
-  // the batched CPU on fronts this small — the threshold normally keeps
-  // them host-side, exactly as it keeps individual small supernodes).
-  {
-    FactorOptions hopts = gpu_options(Method::kRL, RlbVariant::kStreamed,
-                                      Execution::kGpuHybrid,
-                                      /*thr_rl=*/2000, kThresholdRlb);
-    hopts.cpu_workers = 8;
-    hopts.batch_entries = 512;
-    hopts.batch_max_supernodes = kSweepMaxSn;
-    const RunResult hy = run_factor(pf, hopts);
-    std::printf(
-        "%-14s %8d | %10s %8s %8d %7d | %10.5f %7.2fx %7zu\n",
-        "512 (thr 2k)", kSweepMaxSn, "-", "-", hy.stats.batches_formed,
-        hy.stats.supernodes_batched, hy.seconds, hy_off / hy.seconds,
-        hy.stats.fused_device_launches);
-  }
-  print_rule();
-  std::printf(
-      "cpu(s)/hybrid(s): modeled kCpuParallel / kGpuHybrid factorization "
-      "seconds; speedup: vs batch_entries=0;\nfused: batched device "
-      "launches issued by device-eligible batches crossing the GPU "
-      "threshold (the last row\nlowers gpu_threshold_rl to 2000 so the "
-      "batches cross it as a unit).\n");
 
   // --- multi-device sharding: modeled time vs gpu_devices ----------------
   // The DeviceRegistry sweep: the planner's separator-tree partition

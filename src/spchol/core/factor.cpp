@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "spchol/core/internal.hpp"
 #include "spchol/core/solver.hpp"
@@ -55,17 +56,6 @@ void validate(const FactorOptions& o) {
   if (o.gpu_threshold_rl < 0 || o.gpu_threshold_rlb < 0) {
     throw InvalidArgument("FactorOptions GPU thresholds must be >= 0");
   }
-  if (o.batch_entries < 0) {
-    throw InvalidArgument(
-        "FactorOptions::batch_entries must be >= 0 (0 disables "
-        "batching); got " +
-        std::to_string(o.batch_entries));
-  }
-  if (o.batch_max_supernodes < 1) {
-    throw InvalidArgument(
-        "FactorOptions::batch_max_supernodes must be >= 1; got " +
-        std::to_string(o.batch_max_supernodes));
-  }
   o.device.model.links.validate(o.gpu_devices,
                                 "FactorOptions::device.model.links");
 }
@@ -91,17 +81,6 @@ void validate(const SolveOptions& o) {
   if (o.gpu_threshold < 0) {
     throw InvalidArgument("SolveOptions::gpu_threshold must be >= 0; got " +
                           std::to_string(o.gpu_threshold));
-  }
-  if (o.batch_entries < 0) {
-    throw InvalidArgument(
-        "SolveOptions::batch_entries must be >= 0 (0 disables batching); "
-        "got " +
-        std::to_string(o.batch_entries));
-  }
-  if (o.batch_max_supernodes < 1) {
-    throw InvalidArgument(
-        "SolveOptions::batch_max_supernodes must be >= 1; got " +
-        std::to_string(o.batch_max_supernodes));
   }
   o.device.model.links.validate(o.gpu_devices,
                                 "SolveOptions::device.model.links");
@@ -178,6 +157,78 @@ double rl_assemble(FactorContext& ctx, index_t s, const double* u) {
   return entries;
 }
 
+AssemblyMap build_assembly_map(const CscMatrix& a,
+                               const SymbolicFactor& symb) {
+  SPCHOL_CHECK(a.square() && a.cols() == symb.n(),
+               "matrix/symbolic dimension mismatch");
+  const index_t n = a.cols();
+  AssemblyMap m;
+  m.colptr = a.colptr();
+  m.rowind = a.rowind();
+  const std::size_t nnz = m.rowind.size();
+  m.dest.resize(nnz);
+  // Bucket A's entries by their column c of PAPᵀ's lower triangle,
+  // remembering each entry's row r there.
+  const Permutation& perm = symb.permutation();
+  std::vector<offset_t> head(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<index_t> prow(nnz);
+  for (index_t j = 0; j < n; ++j) {
+    const index_t nj = perm.old_to_new(j);
+    for (offset_t p = m.colptr[j]; p < m.colptr[j + 1]; ++p) {
+      const index_t ni = perm.old_to_new(m.rowind[p]);
+      prow[p] = std::max(ni, nj);
+      head[std::min(ni, nj) + 1]++;
+    }
+  }
+  for (index_t c = 0; c < n; ++c) head[c + 1] += head[c];
+  std::vector<offset_t> order(nnz);
+  {
+    std::vector<offset_t> next(head.begin(), head.end() - 1);
+    for (index_t j = 0; j < n; ++j) {
+      const index_t nj = perm.old_to_new(j);
+      for (offset_t p = m.colptr[j]; p < m.colptr[j + 1]; ++p) {
+        const index_t c = std::min(perm.old_to_new(m.rowind[p]), nj);
+        order[next[c]++] = p;
+      }
+    }
+  }
+  // Per supernode, a row → panel-position lookup resolves every entry of
+  // its columns.
+  std::vector<index_t> pos(static_cast<std::size_t>(n), -1);
+  for (index_t s = 0; s < symb.num_supernodes(); ++s) {
+    const auto rows = symb.sn_rows(s);
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+      pos[rows[t]] = static_cast<index_t>(t);
+    }
+    const offset_t ld = static_cast<offset_t>(rows.size());
+    for (index_t c = symb.sn_begin(s); c < symb.sn_end(s); ++c) {
+      const offset_t col = symb.sn_values_offset(s) +
+                           static_cast<offset_t>(c - symb.sn_begin(s)) * ld;
+      for (offset_t k = head[c]; k < head[c + 1]; ++k) {
+        const offset_t p = order[k];
+        const index_t t = pos[prow[p]];
+        SPCHOL_CHECK(t >= 0, "A entry outside the symbolic structure");
+        m.dest[static_cast<std::size_t>(p)] = col + t;
+      }
+    }
+    for (const index_t r : rows) pos[r] = -1;
+  }
+  // An entry above the diagonal whose mirror (j, i) is stored too lands
+  // where that mirror — earlier, in column i — already did.
+  for (index_t j = 0; j < n; ++j) {
+    for (offset_t p = m.colptr[j]; p < m.colptr[j + 1]; ++p) {
+      const index_t i = m.rowind[p];
+      if (i < j && std::binary_search(m.rowind.begin() + m.colptr[i],
+                                      m.rowind.begin() + m.colptr[i + 1],
+                                      j)) {
+        m.dest[static_cast<std::size_t>(p)] =
+            -1 - m.dest[static_cast<std::size_t>(p)];
+      }
+    }
+  }
+  return m;
+}
+
 }  // namespace detail
 
 CholeskyFactor CholeskyFactor::factorize(const CscMatrix& a_lower,
@@ -195,31 +246,25 @@ CholeskyFactor CholeskyFactor::factorize(
   SPCHOL_CHECK(res == nullptr || res->arena == nullptr ||
                    res->device == &res->arena->device(),
                "injected arena and device disagree");
+  SPCHOL_CHECK(res == nullptr || res->symbolic == nullptr ||
+                   res->symbolic.get() == &symb,
+               "injected symbolic owner and symb disagree");
   WallTimer timer;
   CholeskyFactor f;
-  f.symb_ = std::make_shared<SymbolicFactor>(symb);
+  f.symb_ = res != nullptr && res->symbolic != nullptr
+                ? res->symbolic
+                : std::make_shared<const SymbolicFactor>(symb);
   f.values_.assign(static_cast<std::size_t>(symb.factor_values()), 0.0);
 
-  // Scatter PAPᵀ into the supernode rectangles.
-  const CscMatrix ap = a_lower.permuted_sym_lower(symb.permutation());
-  for (index_t s = 0; s < symb.num_supernodes(); ++s) {
-    const auto rows = symb.sn_rows(s);
-    const index_t r = static_cast<index_t>(rows.size());
-    double* panel = f.values_.data() + symb.sn_values_offset(s);
-    for (index_t j = symb.sn_begin(s); j < symb.sn_end(s); ++j) {
-      const index_t jl = j - symb.sn_begin(s);
-      const auto arows = ap.col_rows(j);
-      const auto avals = ap.col_values(j);
-      std::size_t t = 0;
-      for (std::size_t k = 0; k < arows.size(); ++k) {
-        while (t < rows.size() && rows[t] < arows[k]) ++t;
-        SPCHOL_CHECK(t < rows.size() && rows[t] == arows[k],
-                     "A entry outside the symbolic structure");
-        panel[static_cast<offset_t>(jl) * r + static_cast<index_t>(t)] =
-            avals[k];
-      }
-    }
+  // Assemble PAPᵀ into the supernode panels through the A→L map: the
+  // injected one when it was built for this pattern, else a transient
+  // one from the same builder.
+  std::optional<detail::AssemblyMap> own_map;
+  const detail::AssemblyMap* map = res != nullptr ? res->assembly : nullptr;
+  if (map == nullptr || !map->matches(a_lower)) {
+    map = &own_map.emplace(detail::build_assembly_map(a_lower, symb));
   }
+  map->gather(a_lower.values(), f.values_);
 
   detail::FactorContext ctx(*f.symb_, f.values_, opts, res);
   try {

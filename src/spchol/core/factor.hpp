@@ -124,20 +124,6 @@ struct FactorOptions {
   /// rejected with InvalidArgument. Results are bitwise identical across
   /// stream counts.
   int gpu_streams = 4;
-  /// Small-supernode batching (an ExecutionPlan transform of the
-  /// scheduled drivers): sibling elimination-tree subtrees whose every
-  /// supernode has fewer dense entries than this coalesce into single
-  /// fused compute+scatter tasks, lifting the per-task and per-kernel
-  /// overhead floor on many-small-supernode matrices (the PFlow_742
-  /// class). In kGpuHybrid a batch of independent leaves whose COMBINED
-  /// entries cross gpu_threshold_* runs as one fused batched device
-  /// launch pair (RL only). 0 disables batching; negative values are
-  /// rejected with InvalidArgument. Factors are bitwise identical with
-  /// batching on or off, for every worker/stream count.
-  offset_t batch_entries = 0;
-  /// Greedy sibling packing stops a batch at this many supernodes
-  /// (>= 1; rejected with InvalidArgument otherwise).
-  index_t batch_max_supernodes = 16;
 };
 
 /// Options of one triangular-solve call (CholeskyFactor::solve /
@@ -167,10 +153,6 @@ struct SolveOptions {
   /// with InvalidArgument otherwise). Results are bitwise identical to
   /// the serial sweep at every device count.
   int gpu_devices = 1;
-  /// Small-supernode batching (same plan transform as the
-  /// factorization): 0 disables; negative rejected.
-  offset_t batch_entries = 0;
-  index_t batch_max_supernodes = 16;
   /// Simulated device configuration (used only when no shared device is
   /// injected and the exec mode touches the device). `device.model.links`
   /// drives the SolvePlan's shard placement exactly as in FactorOptions
@@ -180,8 +162,8 @@ struct SolveOptions {
 
 /// Rejects malformed SolveOptions with InvalidArgument (negative
 /// workers, rhs_panel < 1, gpu_streams < 1, gpu_devices < 1, negative
-/// gpu_threshold or batch_entries, batch_max_supernodes < 1). Every
-/// solve entry point calls this before touching the right-hand side.
+/// gpu_threshold). Every solve entry point calls this before touching
+/// the right-hand side.
 void validate(const SolveOptions& opts);
 
 /// Execution statistics of one solve / solve_multi call.
@@ -276,11 +258,11 @@ struct FactorStats {
   /// GPU tasks that were ready but parked waiting for a free slot.
   std::size_t scheduler_resource_waits = 0;
   /// Dependency edges of the executed task graph (after deduplication);
-  /// batching coarsens the graph, shrinking both tasks and edges.
+  /// the plan's coarsening shrinks both tasks and edges.
   std::size_t scheduler_edges = 0;
-  // --- small-supernode batching counters ---------------------------------
-  /// BATCH plan nodes the scheduled driver executed (0 when batching is
-  /// off or the driver ran sequentially).
+  // --- task-grain counters ------------------------------------------------
+  /// BATCH plan nodes the scheduled driver executed (0 when the plan
+  /// coarsened nothing or the driver ran sequentially).
   index_t batches_formed = 0;
   /// Supernodes coalesced into those batches.
   index_t supernodes_batched = 0;
@@ -334,11 +316,10 @@ struct FactorStats {
 };
 
 /// Rejects malformed FactorOptions with InvalidArgument (negative
-/// cpu_workers or thresholds or batch_entries; gpu_streams, gpu_devices,
-/// or batch_max_supernodes < 1). factorize() calls
-/// this itself; CholeskySolver and SolverService call it up front so a
-/// bad option set fails at analyze()/session creation, before any
-/// ordering or symbolic work runs.
+/// cpu_workers or thresholds; gpu_streams or gpu_devices < 1).
+/// factorize() calls this itself; CholeskySolver and SolverService call
+/// it up front so a bad option set fails at analyze()/session creation,
+/// before any ordering or symbolic work runs.
 void validate(const FactorOptions& opts);
 
 class CholeskyFactor {
@@ -346,10 +327,10 @@ class CholeskyFactor {
   /// Factorizes PAPᵀ = LLᵀ where P is symb.permutation() and A is given by
   /// its lower triangle in the ORIGINAL ordering. Throws InvalidArgument
   /// on malformed options (negative cpu_workers or thresholds,
-  /// gpu_streams or batch_max_supernodes < 1,
-  /// negative batch_entries), NotPositiveDefinite (column reported in
-  /// original indices), or gpu::DeviceOutOfMemory (RL on matrices whose
-  /// update matrix exceeds device capacity — the paper's nlpkkt120 row).
+  /// gpu_streams or gpu_devices < 1), NotPositiveDefinite (column
+  /// reported in original indices), or gpu::DeviceOutOfMemory (RL on
+  /// matrices whose update matrix exceeds device capacity — the paper's
+  /// nlpkkt120 row).
   static CholeskyFactor factorize(const CscMatrix& a_lower,
                                   const SymbolicFactor& symb,
                                   const FactorOptions& opts = {});

@@ -43,6 +43,46 @@ inline bool runs_scheduled(const SolveOptions& o) {
          resolve_worker_count(o.workers) > 1;
 }
 
+/// Where every stored entry of A lands in the supernodal factor storage
+/// for one (pattern, symbolic factor) pair: the symbolic half of
+/// assembling PAPᵀ into the supernode panels, so a factorization only
+/// gathers values. Immutable once built; SolverService caches one per
+/// pattern and shares it across concurrent factorizations.
+struct AssemblyMap {
+  /// A's pattern, exactly as the map was built from it.
+  std::vector<offset_t> colptr;
+  std::vector<index_t> rowind;
+  /// Per A entry, its offset into the factor values — or -1 - offset for
+  /// the second of a mirrored pair (A holds both (i,j) and (j,i)), which
+  /// the gather adds onto the first instead of assigning.
+  std::vector<offset_t> dest;
+
+  bool matches(const CscMatrix& a) const {
+    return a.colptr() == colptr && a.rowind() == rowind;
+  }
+  /// Writes A's values (in pattern order) into zero-filled factor
+  /// storage. The first entry at an offset is assigned and a mirrored
+  /// second one added, so explicit -0.0 entries survive and a mirrored
+  /// pair sums exactly as CooMatrix::to_csc merges it.
+  void gather(std::span<const double> a_values,
+              std::span<double> values) const {
+    for (std::size_t k = 0; k < dest.size(); ++k) {
+      const offset_t d = dest[k];
+      if (d >= 0) {
+        values[static_cast<std::size_t>(d)] = a_values[k];
+      } else {
+        values[static_cast<std::size_t>(-1 - d)] += a_values[k];
+      }
+    }
+  }
+};
+
+/// Builds the map of `a`'s pattern into `symb`'s factor storage
+/// (factor.cpp). Throws when an entry of A falls outside the symbolic
+/// structure.
+AssemblyMap build_assembly_map(const CscMatrix& a,
+                               const SymbolicFactor& symb);
+
 /// Plan-driven triangular solve executor (solve.cpp): permutes b in,
 /// runs the serial sweeps or the scheduled SolvePlan DAGs per
 /// `opts`/`res`, permutes x out. `b`/`x` are n × nrhs column-major in

@@ -56,8 +56,6 @@ PlannedGraph build_planned_graph(const SymbolicFactor& symb,
     popts.split_scatter_per_target = true;
     popts.fuse_gpu_scatter = true;
   }
-  popts.batch_entries = opts.batch_entries;
-  popts.batch_max_supernodes = opts.batch_max_supernodes;
   pg.plan = ExecutionPlan::build(symb, pg.on_gpu, pg.queue_of, popts,
                                  pg.device_of);
   return pg;
@@ -74,10 +72,7 @@ PlannedSolve build_planned_solve(const SymbolicFactor& symb,
       plan_layout(symb, workers, opts.exec, opts.gpu_threshold,
                   opts.gpu_devices, /*coop_spine=*/false,
                   opts.device.model.links);
-  SolvePlanOptions po;
-  po.batch_entries = opts.batch_entries;
-  po.batch_max_supernodes = opts.batch_max_supernodes;
-  ps.plan = SolvePlan::build(symb, ps.on_gpu, ps.queue_of, po, ps.device_of);
+  ps.plan = SolvePlan::build(symb, ps.on_gpu, ps.queue_of, ps.device_of);
   return ps;
 }
 

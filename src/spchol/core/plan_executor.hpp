@@ -37,6 +37,7 @@
 
 namespace spchol::detail {
 
+struct AssemblyMap;
 struct FactorContext;
 
 /// True when a supernode of `entries` dense entries runs on the device
@@ -92,11 +93,11 @@ PlannedSolve build_planned_solve(const SymbolicFactor& symb,
                                  std::size_t workers);
 
 /// Long-lived execution substrate injected by SolverRuntime/SolverService
-/// into one factorization or solve call. All pointers are optional and
-/// non-owning; a nullptr field falls back to the per-call construction it
-/// replaces, so a default ExecutionResources reproduces the standalone
-/// path exactly. Injection affects scheduling, resource reuse, and the
-/// modeled timeline ONLY — never the bits.
+/// into one factorization or solve call. Every field is optional and all
+/// raw pointers are non-owning; a null field falls back to the per-call
+/// construction it replaces, so a default ExecutionResources reproduces
+/// the standalone path exactly. Injection affects scheduling, resource
+/// reuse, and the modeled timeline ONLY — never the bits.
 struct ExecutionResources {
   /// Persistent worker complement: the scheduled drivers drain on it
   /// (TaskScheduler::run_on) instead of spawning threads per call.
@@ -116,6 +117,13 @@ struct ExecutionResources {
   const PlannedGraph* planned = nullptr;
   /// Cached SOLVE plan; must have been built via build_planned_solve.
   const PlannedSolve* planned_solve = nullptr;
+  /// Cached A→L assembly map; must have been built for this call's symb.
+  /// Used only when its pattern is the call's matrix pattern — any other
+  /// matrix is assembled through a transient map.
+  const AssemblyMap* assembly = nullptr;
+  /// The shared owner of this call's `symb`: the factor keeps it instead
+  /// of a private copy. Must point at the very object passed as `symb`.
+  std::shared_ptr<const SymbolicFactor> symbolic;
   /// Arena cache key fingerprinting the pattern + plan-relevant options;
   /// the executors mix in a per-method tag and the device ordinal.
   std::uint64_t pool_key = 0;

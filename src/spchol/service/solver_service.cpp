@@ -1,6 +1,7 @@
 #include "spchol/service/solver_service.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -25,6 +26,19 @@ class Fnv {
       h_ *= 1099511628211ull;
     }
   }
+  /// FNV-1a over 8-byte words instead of bytes: 8x fewer multiply
+  /// rounds for the pattern arrays. Trailing bytes fold one at a time.
+  void words(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    std::size_t i = 0;
+    for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
+      std::uint64_t w;
+      std::memcpy(&w, b + i, sizeof w);
+      h_ ^= w;
+      h_ *= 1099511628211ull;
+    }
+    bytes(b + i, n - i);
+  }
   template <class T>
   void pod(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -47,12 +61,14 @@ class Fnv {
 /// Fingerprint of the sparsity pattern plus every option that shapes
 /// the SYMBOLIC result (ordering + analysis). Worker counts and crew
 /// pointers are excluded: the symbolic result is identical for every
-/// parallelism level, so such requests must share one cache entry.
+/// parallelism level, so such requests must share one cache entry. A
+/// key match is only a candidate: find_locked confirms it against the
+/// exact pattern.
 std::uint64_t pattern_key(const CscMatrix& a, const SolverOptions& so) {
   Fnv f;
   f.pod(a.cols());
-  f.bytes(a.colptr().data(), a.colptr().size() * sizeof(offset_t));
-  f.bytes(a.rowind().data(), a.rowind().size() * sizeof(index_t));
+  f.words(a.colptr().data(), a.colptr().size() * sizeof(offset_t));
+  f.words(a.rowind().data(), a.rowind().size() * sizeof(index_t));
   f.pod(so.ordering_opts.method);
   f.pod(so.ordering_opts.nd.leaf_size);
   f.pod(so.ordering_opts.nd.min_balance);
@@ -65,9 +81,10 @@ std::uint64_t pattern_key(const CscMatrix& a, const SolverOptions& so) {
 
 /// Fingerprint of the FactorOptions that shape an ExecutionPlan and its
 /// arena slot pool: method and variant (RL and RLB pools are different
-/// slot types), execution mode + thresholds (the on_gpu marks), stream
-/// count (pool width), and batching (graph coarsening). Combined with
-/// the pattern key this uniquely identifies a plan/pool shape.
+/// slot types), execution mode + thresholds (the on_gpu marks, which
+/// also bound the plan's coarsening) and stream count (pool width).
+/// Combined with the pattern key this uniquely identifies a plan/pool
+/// shape.
 std::uint64_t plan_fingerprint(const FactorOptions& fo) {
   Fnv f;
   f.pod(fo.method);
@@ -76,8 +93,6 @@ std::uint64_t plan_fingerprint(const FactorOptions& fo) {
   f.pod(fo.gpu_threshold_rl);
   f.pod(fo.gpu_threshold_rlb);
   f.pod(fo.gpu_streams);
-  f.pod(fo.batch_entries);
-  f.pod(fo.batch_max_supernodes);
   // Device sharding shapes the plan (per-node device assignment) and
   // the per-device pools, so plans built for different device counts —
   // or with the resident-factor reservation — must never alias.
@@ -88,17 +103,15 @@ std::uint64_t plan_fingerprint(const FactorOptions& fo) {
 }
 
 /// Fingerprint of the SolveOptions that shape a SolvePlan and its arena
-/// slot pool: execution mode + GPU threshold (the on_gpu marks), stream
-/// count (pool width), and batching (graph coarsening). rhs_panel is
-/// EXCLUDED — the plan is per-panel and identical for every panel width
-/// (the executor replicates it across panels at solve time).
+/// slot pool: execution mode + GPU threshold (the on_gpu marks) and
+/// stream count (pool width). rhs_panel is EXCLUDED — the plan is
+/// per-panel and identical for every panel width (the executor
+/// replicates it across panels at solve time).
 std::uint64_t solve_plan_fingerprint(const SolveOptions& so) {
   Fnv f;
   f.pod(so.exec);
   f.pod(so.gpu_threshold);
   f.pod(so.gpu_streams);
-  f.pod(so.batch_entries);
-  f.pod(so.batch_max_supernodes);
   f.pod(so.gpu_devices);  // device assignment lives on the plan nodes
   f.links(so.device.model.links);  // placement permutes assignments
   return f.hash();
@@ -120,12 +133,14 @@ void validate(const ServiceOptions& opts) {
 SolverSession::SolverSession(
     SolverRuntime* runtime, SolverOptions opts,
     std::shared_ptr<const SymbolicFactor> symb,
+    std::shared_ptr<const detail::AssemblyMap> assembly,
     std::shared_ptr<const detail::PlannedGraph> planned,
     std::shared_ptr<const detail::PlannedSolve> planned_solve,
     std::uint64_t pool_key, bool cached, double analyze_seconds)
     : runtime_(runtime),
       opts_(std::move(opts)),
       symb_(std::move(symb)),
+      assembly_(std::move(assembly)),
       planned_(std::move(planned)),
       planned_solve_(std::move(planned_solve)),
       pool_key_(pool_key) {
@@ -145,6 +160,8 @@ void SolverSession::factorize(const CscMatrix& a_lower) {
   res.arena = &runtime_->arena();
   res.sched = &sched_;
   res.planned = planned_.get();
+  res.assembly = assembly_.get();
+  res.symbolic = symb_;
   res.pool_key = pool_key_;
   auto factor = std::make_shared<const CholeskyFactor>(
       CholeskyFactor::factorize(a_lower, *symb_, opts_.factor, &res));
@@ -208,14 +225,13 @@ SessionStats SolverSession::stats() const {
 
 // --- SolverService -------------------------------------------------------
 
-/// One cached pattern: the exact pattern (collision guard), the shared
-/// symbolic factor, and the plans built for it so far.
+/// One cached pattern: the shared symbolic factor, the A→L assembly map
+/// (whose pattern is the exact-match collision guard), and the plans
+/// built for it so far.
 struct SolverService::Entry {
   std::uint64_t key = 0;
-  index_t n = 0;
-  std::vector<offset_t> colptr;
-  std::vector<index_t> rowind;
   std::shared_ptr<const SymbolicFactor> symb;
+  std::shared_ptr<const detail::AssemblyMap> assembly;
   double analyze_seconds = 0.0;
   std::vector<std::pair<std::uint64_t,
                         std::shared_ptr<const detail::PlannedGraph>>>
@@ -244,8 +260,7 @@ std::shared_ptr<SolverSession> SolverService::session(
   // pattern before reuse, so hash collisions degrade to misses.
   const auto find_locked = [&](std::uint64_t k) -> std::shared_ptr<Entry> {
     for (auto& e : entries_) {
-      if (e->key == k && e->n == a_lower.cols() &&
-          e->colptr == a_lower.colptr() && e->rowind == a_lower.rowind()) {
+      if (e->key == k && e->assembly->matches(a_lower)) {
         e->stamp = ++stamp_;
         return e;
       }
@@ -281,9 +296,8 @@ std::shared_ptr<SolverSession> SolverService::session(
 
     auto fresh = std::make_shared<Entry>();
     fresh->key = key;
-    fresh->n = a_lower.cols();
-    fresh->colptr = a_lower.colptr();
-    fresh->rowind = a_lower.rowind();
+    fresh->assembly = std::make_shared<const detail::AssemblyMap>(
+        detail::build_assembly_map(a_lower, *symb));
     fresh->symb = std::move(symb);
     fresh->analyze_seconds = timer.seconds();
 
@@ -376,8 +390,8 @@ std::shared_ptr<SolverSession> SolverService::session(
   pk.pod(plan_fp);
 
   return std::shared_ptr<SolverSession>(new SolverSession(
-      &runtime_, solver_opts, entry->symb, std::move(planned),
-      std::move(planned_solve), pk.hash(), cached,
+      &runtime_, solver_opts, entry->symb, entry->assembly,
+      std::move(planned), std::move(planned_solve), pk.hash(), cached,
       cached ? 0.0 : entry->analyze_seconds));
 }
 

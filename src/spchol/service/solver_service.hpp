@@ -40,6 +40,7 @@
 namespace spchol {
 
 namespace detail {
+struct AssemblyMap;   // core/internal.hpp: cached A→L value map
 struct PlannedGraph;  // core/internal.hpp: reusable plan + partitioning
 struct PlannedSolve;  // core/internal.hpp: reusable SolvePlan + partitioning
 }
@@ -106,9 +107,12 @@ class SolverSession {
   SolverSession(const SolverSession&) = delete;
   SolverSession& operator=(const SolverSession&) = delete;
 
-  /// Numeric factorization of `a`, whose pattern must match the pattern
-  /// this session was created for (values may differ). Runs on the
-  /// shared runtime: admission gate → cached plan → crew + arena slots.
+  /// Numeric factorization of `a`, whose pattern should match the
+  /// pattern this session was created for (values may differ): its
+  /// values then gather through the cached A→L map. Any other pattern of
+  /// the same dimension assembles through a transient map, and an entry
+  /// outside the session's symbolic structure throws. Runs on the shared
+  /// runtime: admission gate → cached plan → crew + arena slots.
   void factorize(const CscMatrix& a);
 
   /// Solves A x = b against the last published factor. Requires a
@@ -138,6 +142,7 @@ class SolverSession {
   friend class SolverService;
   SolverSession(SolverRuntime* runtime, SolverOptions opts,
                 std::shared_ptr<const SymbolicFactor> symb,
+                std::shared_ptr<const detail::AssemblyMap> assembly,
                 std::shared_ptr<const detail::PlannedGraph> planned,
                 std::shared_ptr<const detail::PlannedSolve> planned_solve,
                 std::uint64_t pool_key, bool cached, double analyze_seconds);
@@ -145,6 +150,8 @@ class SolverSession {
   SolverRuntime* runtime_;
   SolverOptions opts_;
   std::shared_ptr<const SymbolicFactor> symb_;
+  /// Cached A→L map of the session's pattern (shared with the cache).
+  std::shared_ptr<const detail::AssemblyMap> assembly_;
   std::shared_ptr<const detail::PlannedGraph> planned_;  // null = unscheduled
   /// Cached solve-DAG blueprint; null when solves run the serial sweep.
   std::shared_ptr<const detail::PlannedSolve> planned_solve_;

@@ -8,6 +8,34 @@ namespace spchol {
 
 namespace {
 
+// Task grain: the plan coarsens by this one constant and nothing else,
+// so the grain is a function of the pattern alone. A BATCH task's work
+// is its members' dense entries, kept below kGrainEntries; a supernode
+// that large keeps its own tasks. Calibration (4-vCPU x86, Release,
+// 4 workers):
+//  * Per-task cost. Packing PFlow_742_small (2,365 supernodes, nearly
+//    all of 156 entries) into batches of 16 supernodes through
+//    SolverService took the factorization from 4,729 to 153 tasks and 21.0 to 15.4 ms, and the
+//    solve from 7,094 to 304 tasks and 17.8 to 2.3 ms: 1.2 µs per factor
+//    task and 2.3 µs per solve task, ~9 µs per supernode per
+//    refactorize + solve.
+//  * Per-supernode work. A kCpuSerial factorization of one dense
+//    supernode takes 22 µs at 1,024 entries (32×32), 67 µs at 4,096
+//    (64×64) and 207 µs at 16,384 (128×128).
+//  * Budget. A larger budget saves more per-task cost but serializes
+//    more work per task. Budgets of 4,096 / 8,192 / 16,384 entries plan
+//    PFlow_742_small to 95 / 49 / 26 factor tasks (factorize 7.0-7.1 /
+//    6.4-6.9 / 6.0-9.8 ms, solve 1.9-2.1 / 1.7-1.8 / 1.4-2.1 ms), while
+//    the RLB hybrid factorizations of the cold_files grids (12 patterns,
+//    per-call, summed medians) took 292-300 / 287-320 / 305-325 ms
+//    against 291-297 ms with one task per supernode, and their solves
+//    61 / 49-56 / 44-46 ms against 113-135 ms.
+//    4,096 is the largest budget that leaves those factorizations within
+//    run-to-run noise of the per-supernode plan. The KKT wide stencil's
+//    smallest supernode (19,008 entries, grid3d_wide(15,15,15,2)) is far
+//    above it.
+constexpr offset_t kGrainEntries = 4096;
+
 /// Per-target contributor lists of the update DAG: srcs[t] holds, in
 /// ascending order, every supernode whose row structure reaches t
 /// (inverse of sn_update_targets()).
@@ -229,25 +257,22 @@ double modeled_cross_traffic_seconds(const SymbolicFactor& symb,
 }
 
 std::vector<SubtreeBatch> pack_subtree_batches(const SymbolicFactor& symb,
-                                               std::span<const char> on_gpu,
-                                               offset_t batch_entries,
-                                               index_t batch_max_supernodes) {
+                                               std::span<const char> on_gpu) {
   std::vector<SubtreeBatch> defs;
-  if (batch_entries <= 0) return defs;
   const index_t ns = symb.num_supernodes();
 
-  // Subtree sizes and the "small throughout" flag, both bottom-up over
-  // the postorder (children precede parents).
+  // Subtree sizes and dense entries, bottom-up over the postorder
+  // (children precede parents). A GPU-marked supernode counts as a whole
+  // grain, so no subtree holding one is ever packed.
   std::vector<index_t> size(static_cast<std::size_t>(ns), 1);
-  std::vector<char> small_subtree(static_cast<std::size_t>(ns), 1);
+  std::vector<offset_t> work(static_cast<std::size_t>(ns), 0);
   for (index_t s = 0; s < ns; ++s) {
-    const bool small = (on_gpu.empty() || !on_gpu[s]) &&
-                       symb.sn_entries(s) < batch_entries;
-    if (!small) small_subtree[s] = 0;
+    const bool gpu = !on_gpu.empty() && on_gpu[s] != 0;
+    work[s] += gpu ? kGrainEntries : symb.sn_entries(s);
     const index_t p = symb.sn_parent(s);
     if (p >= 0) {
       size[p] += size[s];
-      if (!small_subtree[s]) small_subtree[p] = 0;
+      work[p] += work[s];
     }
   }
 
@@ -257,6 +282,7 @@ std::vector<SubtreeBatch> pack_subtree_batches(const SymbolicFactor& symb,
   // list first, then parents in descending postorder index.
   std::vector<char> claimed(static_cast<std::size_t>(ns), 0);
   index_t run_first = -1, run_last = -1, run_count = 0;
+  offset_t run_work = 0;
   bool run_leaves = true;
   auto flush = [&]() {
     // A batch of one supernode saves nothing over the plain task pair.
@@ -265,22 +291,24 @@ std::vector<SubtreeBatch> pack_subtree_batches(const SymbolicFactor& symb,
       for (index_t s = run_first; s <= run_last; ++s) claimed[s] = 1;
     }
     run_count = 0;
+    run_work = 0;
     run_leaves = true;
   };
   auto pack_children = [&](std::span<const index_t> children) {
     for (const index_t c : children) {
-      if (!small_subtree[c] || size[c] > batch_max_supernodes) {
+      if (work[c] >= kGrainEntries) {
         flush();
         continue;
       }
       const index_t begin = c - size[c] + 1;
       if (run_count > 0 && (begin != run_last + 1 ||
-                            run_count + size[c] > batch_max_supernodes)) {
+                            run_work + work[c] >= kGrainEntries)) {
         flush();
       }
       if (run_count == 0) run_first = begin;
       run_last = c;
       run_count += size[c];
+      run_work += work[c];
       run_leaves = run_leaves && size[c] == 1;
     }
     flush();
@@ -492,8 +520,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
   SPCHOL_CHECK(device_of.empty() ||
                    device_of.size() == static_cast<std::size_t>(ns),
                "device_of span size mismatch");
-  SPCHOL_CHECK(opts.batch_max_supernodes >= 1,
-               "batch_max_supernodes must be >= 1");
 
   ExecutionPlan plan;
   plan.split_scatter_ = opts.split_scatter_per_target;
@@ -502,8 +528,7 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
   plan.batch_of_.assign(static_cast<std::size_t>(ns), kNoNode);
   plan.scatter_ptr_.assign(static_cast<std::size_t>(ns) + 1, 0);
 
-  const std::vector<SubtreeBatch> defs = pack_subtree_batches(
-      symb, on_gpu, opts.batch_entries, opts.batch_max_supernodes);
+  const std::vector<SubtreeBatch> defs = pack_subtree_batches(symb, on_gpu);
   std::vector<std::size_t> def_of(static_cast<std::size_t>(ns), kNoNode);
   for (std::size_t d = 0; d < defs.size(); ++d) {
     for (index_t s = defs[d].first; s <= defs[d].last; ++s) def_of[s] = d;

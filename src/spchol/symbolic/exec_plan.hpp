@@ -28,10 +28,11 @@
 // Chain edges (contributor chains, chain tail → COMPUTE) are flagged so
 // the scheduler can count chain-serialized waits.
 //
-// Batching is a plan transform, not an executor concern: sibling subtrees
-// whose every supernode falls below `batch_entries` dense entries are
-// greedily packed (in ascending child order, up to `batch_max_supernodes`
-// supernodes) into BATCH nodes. Because a packed run of adjacent sibling
+// Task grain is a plan transform, not an executor concern, and the plan
+// picks it from the symbolic factor alone: adjacent sibling subtrees are
+// greedily packed (in ascending child order) into BATCH nodes while
+// their dense entries stay below a fixed work budget; see
+// pack_subtree_batches. Because a packed run of adjacent sibling
 // subtrees covers one CONTIGUOUS postorder index interval, the in-batch
 // contributors of any outside target form a contiguous run of that
 // target's ascending contributor chain — the batch node simply replaces
@@ -83,10 +84,10 @@ struct PlanNode {
   std::size_t queue = 0;     ///< ready-queue partition
 };
 
-/// A contiguous postorder run of small sibling subtrees — the unit of the
-/// batching transform. Shared by the factorization planner
-/// (ExecutionPlan) and the solve planner (SolvePlan) so both coarsen a
-/// given pattern identically under the same batching options.
+/// A contiguous postorder run of small sibling subtrees — the unit of
+/// task coarsening. Shared by the factorization planner (ExecutionPlan)
+/// and the solve planner (SolvePlan) so both coarsen a pattern
+/// identically.
 struct SubtreeBatch {
   index_t first;     ///< first supernode of the contiguous range
   index_t last;      ///< last supernode (inclusive; a packed subtree root)
@@ -94,17 +95,17 @@ struct SubtreeBatch {
 };
 
 /// Greedy sibling packing: walks each parent's child list (and the root
-/// list) in ascending order, accumulating ADJACENT subtrees whose every
-/// supernode has fewer than `batch_entries` dense entries (and is not
-/// marked on_gpu), flushing a batch whenever the next subtree does not
-/// fit. Adjacent sibling subtrees of a postordered supernodal etree tile
-/// a contiguous index interval — the property that keeps a batch from
-/// ever crossing a target's contributor chain. Returns disjoint ranges
-/// sorted ascending; empty when batch_entries <= 0.
+/// list) in ascending order, accumulating ADJACENT subtrees (none with a
+/// supernode marked on_gpu) while the batch's dense entries stay below
+/// the grain budget, and flushing a batch whenever the next subtree does
+/// not fit. The budget is a constant of exec_plan.cpp (calibration
+/// there), so the grain is a function of the pattern alone — identical
+/// for every worker, stream and device count. Adjacent sibling subtrees
+/// of a postordered supernodal etree tile a contiguous index interval —
+/// the property that keeps a batch from ever crossing a target's
+/// contributor chain. Returns disjoint ranges sorted ascending.
 std::vector<SubtreeBatch> pack_subtree_batches(const SymbolicFactor& symb,
-                                               std::span<const char> on_gpu,
-                                               offset_t batch_entries,
-                                               index_t batch_max_supernodes);
+                                               std::span<const char> on_gpu);
 
 /// Device-assignment pass shared by the factorization and solve
 /// planners: partitions the supernodal elimination tree into
@@ -161,11 +162,6 @@ struct PlanOptions {
   /// GPU COMPUTE nodes absorb their scatters (RLB's fused device tasks):
   /// the compute node stands in the chains for every one of its targets.
   bool fuse_gpu_scatter = false;
-  /// Supernodes with fewer dense entries than this are batching
-  /// candidates; 0 disables the batch transform entirely.
-  offset_t batch_entries = 0;
-  /// Greedy sibling packing stops a batch at this many supernodes.
-  index_t batch_max_supernodes = 16;
 };
 
 class ExecutionPlan {

@@ -9,7 +9,6 @@ namespace spchol {
 SolvePlan SolvePlan::build(const SymbolicFactor& symb,
                            std::span<const char> on_gpu,
                            std::span<const index_t> queue_of,
-                           const SolvePlanOptions& opts,
                            std::span<const index_t> device_of) {
   const index_t ns = symb.num_supernodes();
   SPCHOL_CHECK(on_gpu.empty() ||
@@ -21,15 +20,12 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
   SPCHOL_CHECK(device_of.empty() ||
                    device_of.size() == static_cast<std::size_t>(ns),
                "device_of span size mismatch");
-  SPCHOL_CHECK(opts.batch_max_supernodes >= 1,
-               "batch_max_supernodes must be >= 1");
 
   SolvePlan plan;
   plan.compute_of_.assign(static_cast<std::size_t>(ns), kNoNode);
   plan.batch_of_.assign(static_cast<std::size_t>(ns), kNoNode);
 
-  const std::vector<SubtreeBatch> defs = pack_subtree_batches(
-      symb, on_gpu, opts.batch_entries, opts.batch_max_supernodes);
+  const std::vector<SubtreeBatch> defs = pack_subtree_batches(symb, on_gpu);
   std::vector<std::size_t> def_of(static_cast<std::size_t>(ns), kNoNode);
   for (std::size_t d = 0; d < defs.size(); ++d) {
     for (index_t s = defs[d].first; s <= defs[d].last; ++s) def_of[s] = d;

@@ -35,7 +35,7 @@
 //     backward order). The executor adds the phase edge forward(s) →
 //     backward(s) per node.
 //
-// Batching reuses pack_subtree_batches (shared with ExecutionPlan): a
+// Coarsening reuses pack_subtree_batches (shared with ExecutionPlan): a
 // packed run of adjacent sibling subtrees covers one contiguous postorder
 // interval, so in-batch contributors of any outside target form a
 // contiguous run of that target's chain and the batch node simply
@@ -44,7 +44,7 @@
 // backward reads outside the batch are exactly the members' targets.
 //
 // A built plan is immutable and holds no numeric state: it is a function
-// of (pattern, on_gpu marks, queue partitioning, options) alone, shared
+// of (pattern, on_gpu marks, queue partitioning) alone, shared
 // by any number of concurrent solves, and cached by SolverService under
 // the pattern key (detail::PlannedSolve). RHS panel blocking is an
 // EXECUTOR concern: the executor instantiates one task per (node, RHS
@@ -82,14 +82,6 @@ struct SolveNode {
   std::size_t queue = 0;         ///< ready-queue partition
 };
 
-struct SolvePlanOptions {
-  /// Supernodes with fewer dense entries than this are batching
-  /// candidates; 0 disables the batch transform entirely.
-  offset_t batch_entries = 0;
-  /// Greedy sibling packing stops a batch at this many supernodes.
-  index_t batch_max_supernodes = 16;
-};
-
 class SolvePlan {
  public:
   static constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
@@ -103,7 +95,6 @@ class SolvePlan {
   static SolvePlan build(const SymbolicFactor& symb,
                          std::span<const char> on_gpu,
                          std::span<const index_t> queue_of,
-                         const SolvePlanOptions& opts,
                          std::span<const index_t> device_of = {});
 
   std::span<const SolveNode> nodes() const noexcept { return nodes_; }

@@ -1,15 +1,20 @@
-// ExecutionPlan coverage: batch-packing invariants of the planner,
-// batched-vs-unbatched bitwise identity across worker/stream counts on
-// the PFlow_742_small analog and the pathological graphs, FactorOptions
-// validation, the batching stats counters (including fused device
-// launches), and the >= 1.3x modeled batching speedup acceptance bar.
+// ExecutionPlan coverage: the derived task grain (batch-packing
+// invariants, PFlow_742_small task counts, worker-independence, the KKT
+// stencil left uncoarsened), coarsened-vs-serial bitwise identity across
+// worker/stream counts on the PFlow_742_small analog and the
+// pathological graphs, FactorOptions validation, the batch stats
+// counters (including fused device launches), and the >= 1.3x modeled
+// coarsening speedup acceptance bar.
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "spchol/core/plan_executor.hpp"
 #include "spchol/matrix/coo.hpp"
 #include "spchol/symbolic/exec_plan.hpp"
+#include "spchol/symbolic/solve_plan.hpp"
 #include "test_util.hpp"
 
 namespace spchol {
@@ -73,10 +78,7 @@ TEST(ExecPlan, BatchesAreContiguousSmallSiblingSubtrees) {
   const Permutation fill = compute_ordering(a, OrderingMethod::kNatural);
   const SymbolicFactor symb = SymbolicFactor::analyze(a, fill);
 
-  PlanOptions popts;
-  popts.batch_entries = 200;
-  popts.batch_max_supernodes = 8;
-  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {}, popts);
+  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {}, {});
   EXPECT_GT(plan.batches_formed(), 0);
   EXPECT_GT(plan.supernodes_batched(), 0);
 
@@ -87,11 +89,14 @@ TEST(ExecPlan, BatchesAreContiguousSmallSiblingSubtrees) {
     ASSERT_LE(n.batch_last, symb.num_supernodes() - 1);
     const index_t members = n.batch_last - n.batch_first + 1;
     EXPECT_GE(members, 2);
-    EXPECT_LE(members, popts.batch_max_supernodes);
     batched_seen += members;
+    offset_t work = 0;
+    for (index_t s = n.batch_first; s <= n.batch_last; ++s) {
+      work += symb.sn_entries(s);
+    }
+    EXPECT_LT(work, 4096);  // the grain rule's budget
     for (index_t s = n.batch_first; s <= n.batch_last; ++s) {
       EXPECT_TRUE(plan.batched(s));
-      EXPECT_LT(symb.sn_entries(s), popts.batch_entries);
       // Whole subtrees: every member's children are members too, so a
       // batch can never receive an update from outside itself.
       for (const index_t c : symb.sn_children(s)) {
@@ -116,14 +121,13 @@ TEST(ExecPlan, BatchesAreContiguousSmallSiblingSubtrees) {
 
 TEST(ExecPlan, LeafForestBatchesAreDeviceEligible) {
   // Every leaf clique of the analog is one singleton supernode, so all
-  // its batches must be device-eligible sibling-leaf packs.
-  const CscMatrix a = small_supernode_forest(30, 8, 12);
+  // its batches must be device-eligible sibling-leaf packs. 80 leaves of
+  // 72 entries put the whole tree above the grain budget, so the root
+  // stays out of every batch.
+  const CscMatrix a = small_supernode_forest(80, 8, 12);
   const Permutation fill = compute_ordering(a, OrderingMethod::kNatural);
   const SymbolicFactor symb = SymbolicFactor::analyze(a, fill);
-  PlanOptions popts;
-  popts.batch_entries = 300;
-  popts.batch_max_supernodes = 8;
-  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {}, popts);
+  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {}, {});
   index_t batches = 0;
   for (const PlanNode& n : plan.nodes()) {
     if (n.kind != PlanNodeKind::kBatch) continue;
@@ -139,7 +143,7 @@ TEST(ExecPlan, BatchedBitwiseIdenticalAcrossWorkersAndStreams) {
     for (const Method method : {Method::kRL, Method::kRLB}) {
       SCOPED_TRACE(to_string(method));
       auto values = [&](Execution exec, int workers, int streams,
-                        offset_t batch_entries, int devices = 1) {
+                        int devices = 1, FactorStats* st = nullptr) {
         SolverOptions opts;
         opts.factor.method = method;
         opts.factor.exec = exec;
@@ -148,20 +152,21 @@ TEST(ExecPlan, BatchedBitwiseIdenticalAcrossWorkersAndStreams) {
         opts.factor.gpu_devices = devices;
         opts.factor.gpu_threshold_rl = 600;  // force a mixed CPU/GPU split
         opts.factor.gpu_threshold_rlb = 600;
-        opts.factor.batch_entries = batch_entries;
-        opts.factor.batch_max_supernodes = 8;
-        return factor_values(a, opts);
+        return factor_values(a, opts, st);
       };
-      // Pure CPU scheduling: batching must not change a single bit at
-      // any worker count (0 = hardware concurrency).
+      // The plan coarsens every case; the serial driver runs no plan.
+      const std::vector<double> ref = values(Execution::kCpuSerial, 1, 1);
+      FactorStats st;
+      values(Execution::kCpuParallel, 4, 1, 1, &st);
+      EXPECT_GT(st.batches_formed, 0);
+      // Pure CPU scheduling: the coarsened plan must not change a single
+      // bit at any worker count (0 = hardware concurrency).
       for (const int workers : {0, 1, 4, 8}) {
         SCOPED_TRACE("cpu workers=" + std::to_string(workers));
-        expect_bitwise_equal(
-            values(Execution::kCpuParallel, workers, 1, 0),
-            values(Execution::kCpuParallel, workers, 1, 400));
+        expect_bitwise_equal(ref,
+                             values(Execution::kCpuParallel, workers, 1));
       }
-      // Hybrid: batching must not change a single bit for any
-      // worker/stream/device combination either.
+      // Hybrid: nor for any worker/stream/device combination.
       for (const int workers : {0, 1, 4, 8}) {
         for (const int streams : {1, 4}) {
           for (const int devices : {1, 2}) {
@@ -169,9 +174,8 @@ TEST(ExecPlan, BatchedBitwiseIdenticalAcrossWorkersAndStreams) {
                          " streams=" + std::to_string(streams) +
                          " devices=" + std::to_string(devices));
             expect_bitwise_equal(
-                values(Execution::kGpuHybrid, workers, streams, 0, devices),
-                values(Execution::kGpuHybrid, workers, streams, 400,
-                       devices));
+                ref, values(Execution::kGpuHybrid, workers, streams,
+                            devices));
           }
         }
       }
@@ -197,10 +201,8 @@ TEST(ExecPlan, FusedDeviceBatchesKeepRlSerialIdentity) {
   opts.factor.cpu_workers = 4;
   opts.factor.gpu_streams = 2;
   // Each leaf is 16 x 17 = 272 entries (CPU-bound alone); a batch of
-  // eight crosses the 2000-entry threshold as a unit.
+  // fifteen crosses the 2000-entry threshold as a unit.
   opts.factor.gpu_threshold_rl = 2000;
-  opts.factor.batch_entries = 600;
-  opts.factor.batch_max_supernodes = 8;
   FactorStats st;
   const auto batched = factor_values(a, opts, &st);
   EXPECT_GT(st.batches_formed, 0);
@@ -211,7 +213,9 @@ TEST(ExecPlan, FusedDeviceBatchesKeepRlSerialIdentity) {
 }
 
 TEST(ExecPlan, BatchCountersZeroWhenBatchingOff) {
-  const CscMatrix a = small_supernode_forest(30, 8, 12);
+  // A pattern the grain rule leaves uncoarsened: the KKT wide stencil's
+  // supernodes are all above the grain budget.
+  const CscMatrix a = grid3d_wide(7, 7, 7, 2);
   SolverOptions opts;
   opts.factor.exec = Execution::kCpuParallel;
   opts.factor.cpu_workers = 4;
@@ -225,20 +229,83 @@ TEST(ExecPlan, BatchCountersZeroWhenBatchingOff) {
 
 TEST(ExecPlan, BatchingCoarsensTheTaskGraph) {
   const CscMatrix a = small_supernode_forest(200, 8, 16);
-  auto stats_with = [&](offset_t batch_entries) {
-    SolverOptions opts;
-    opts.factor.exec = Execution::kCpuParallel;
-    opts.factor.cpu_workers = 4;
-    opts.factor.batch_entries = batch_entries;
-    FactorStats st;
-    factor_values(a, opts, &st);
-    return st;
+  SolverOptions opts;
+  opts.factor.exec = Execution::kCpuParallel;
+  opts.factor.cpu_workers = 4;
+  CholeskySolver solver(opts);
+  solver.factorize(a);
+  const FactorStats st = solver.stats();
+  const SymbolicFactor& symb = solver.factor().symbolic();
+  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {}, {});
+  // The RL graph with one task per supernode: a COMPUTE per supernode,
+  // a SCATTER per supernode with ancestors, and per target one chain
+  // edge per contributor (the last into the target's COMPUTE).
+  std::size_t per_sn_nodes = 0, per_sn_edges = 0;
+  for (index_t s = 0; s < symb.num_supernodes(); ++s) {
+    per_sn_nodes += symb.sn_below(s) > 0 ? 2 : 1;
+    per_sn_edges += symb.sn_below(s) > 0 ? 1 : 0;
+    per_sn_edges += symb.sn_update_targets(s).size();
+  }
+  EXPECT_GT(st.batches_formed, 0);
+  EXPECT_EQ(st.batches_formed, plan.batches_formed());
+  EXPECT_EQ(st.supernodes_batched, plan.supernodes_batched());
+  EXPECT_EQ(st.scheduler_tasks, plan.nodes().size());
+  EXPECT_LT(plan.nodes().size(), per_sn_nodes / 2);
+  EXPECT_LT(plan.edges().size(), per_sn_edges);
+}
+
+TEST(ExecPlan, GrainIsDerivedFromThePattern) {
+  // PFlow_742_small: 2,365 supernodes plan to at most 160 factor tasks
+  // and 320 solve tasks (forward + backward nodes of the SolvePlan).
+  const CscMatrix a = dataset_entry("PFlow_742_small").make();
+  const SymbolicFactor symb =
+      SymbolicFactor::analyze(a, compute_ordering(a, OrderingOptions{}));
+  ASSERT_EQ(symb.num_supernodes(), 2365);
+  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {}, {});
+  EXPECT_LE(plan.nodes().size(), 160u);
+  const SolvePlan splan = SolvePlan::build(symb, {}, {});
+  std::size_t fwd = splan.nodes().size(), bwd = 0;
+  for (const SolveNode& n : splan.nodes()) {
+    if (n.kind != SolveNodeKind::kScatter) bwd++;
+  }
+  EXPECT_LE(fwd + bwd, 320u);
+
+  // The plan is a function of the pattern alone: identical for every
+  // worker count (which only sets the ready-queue partitioning).
+  auto shape = [&](std::size_t workers) {
+    const detail::PlannedGraph pg =
+        detail::build_planned_graph(symb, FactorOptions{}, workers);
+    std::vector<std::tuple<int, index_t, index_t, index_t>> nodes;
+    for (const PlanNode& n : pg.plan.nodes()) {
+      nodes.emplace_back(static_cast<int>(n.kind), n.sn, n.batch_first,
+                         n.batch_last);
+    }
+    const auto e = pg.plan.edges();
+    return std::make_pair(
+        nodes, std::vector<std::pair<std::size_t, std::size_t>>(e.begin(),
+                                                                e.end()));
   };
-  const FactorStats off = stats_with(0);
-  const FactorStats on = stats_with(500);
-  EXPECT_GT(on.batches_formed, 0);
-  EXPECT_LT(on.scheduler_tasks, off.scheduler_tasks / 2);
-  EXPECT_LT(on.scheduler_edges, off.scheduler_edges);
+  const auto one = shape(1);
+  EXPECT_EQ(one, shape(4));
+  EXPECT_EQ(one, shape(8));
+}
+
+TEST(ExecPlan, KktStencilKeepsOneComputePerSupernode) {
+  // The warm_kkt pattern: every supernode is far above the grain budget,
+  // so the plan is the per-supernode graph.
+  const CscMatrix a = grid3d_wide(15, 15, 15, 2);
+  const SymbolicFactor symb =
+      SymbolicFactor::analyze(a, compute_ordering(a, OrderingOptions{}));
+  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {}, {});
+  EXPECT_EQ(plan.batches_formed(), 0);
+  std::size_t computes = 0;
+  for (const PlanNode& n : plan.nodes()) {
+    EXPECT_NE(n.kind, PlanNodeKind::kBatch);
+    if (n.kind == PlanNodeKind::kCompute) computes++;
+  }
+  EXPECT_EQ(computes, static_cast<std::size_t>(symb.num_supernodes()));
+  const SolvePlan splan = SolvePlan::build(symb, {}, {});
+  EXPECT_EQ(splan.batches_formed(), 0);
 }
 
 TEST(ExecPlan, OptionsValidation) {
@@ -259,36 +326,34 @@ TEST(ExecPlan, OptionsValidation) {
                InvalidArgument);
   EXPECT_THROW(try_opts([](FactorOptions& o) { o.gpu_threshold_rlb = -1; }),
                InvalidArgument);
-  EXPECT_THROW(try_opts([](FactorOptions& o) { o.batch_entries = -1; }),
+  EXPECT_THROW(try_opts([](FactorOptions& o) { o.gpu_devices = 0; }),
                InvalidArgument);
-  EXPECT_THROW(
-      try_opts([](FactorOptions& o) { o.batch_max_supernodes = 0; }),
-      InvalidArgument);
-  // The defaults (and batching enabled with sane knobs) pass.
-  try_opts([](FactorOptions& o) { o.batch_entries = 4096; });
+  // The defaults pass.
+  try_opts([](FactorOptions&) {});
 }
 
 TEST(ExecPlan, ModeledBatchingSpeedupOnPflowAnalog) {
   // The acceptance bar: on the PFlow_742_small analog at 8 workers the
-  // modeled factorization time improves by >= 1.3x with batching on vs
-  // off (one fused call group + one assembly fork per batch instead of
-  // per supernode). Modeled time is machine-independent, so this holds
-  // on any hardware.
+  // coarsened plan's modeled factorization time is >= 1.3x below the
+  // per-supernode charge (one fused call group + one assembly fork per
+  // batch instead of per supernode). The sequential driver (1 worker)
+  // runs no plan and charges every supernode on its own — exactly the
+  // modeled time of an uncoarsened 8-worker plan. Modeled time is
+  // machine-independent, so this holds on any hardware.
   const DatasetEntry& e = dataset_entry("PFlow_742_small");
   const CscMatrix a = e.make();
   const Permutation fill = compute_ordering(a, OrderingOptions{});
   const SymbolicFactor symb = SymbolicFactor::analyze(a, fill);
-  auto run = [&](offset_t batch_entries) {
+  auto run = [&](int workers) {
     FactorOptions opts;
     opts.method = Method::kRL;
     opts.exec = Execution::kCpuParallel;
-    opts.cpu_workers = 8;
-    opts.batch_entries = batch_entries;
-    opts.batch_max_supernodes = 16;
+    opts.cpu_workers = workers;
     return CholeskyFactor::factorize(a, symb, opts);
   };
-  const CholeskyFactor off = run(0);
-  const CholeskyFactor on = run(4096);
+  const CholeskyFactor off = run(1);
+  const CholeskyFactor on = run(8);
+  EXPECT_EQ(off.stats().batches_formed, 0);
   EXPECT_GT(on.stats().batches_formed, 0);
   EXPECT_GT(on.stats().supernodes_batched,
             on.stats().total_supernodes / 2);

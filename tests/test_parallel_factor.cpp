@@ -13,6 +13,7 @@
 
 #include "spchol/matrix/coo.hpp"
 #include "spchol/support/task_scheduler.hpp"
+#include "spchol/symbolic/exec_plan.hpp"
 #include "test_util.hpp"
 
 namespace spchol {
@@ -208,12 +209,17 @@ TEST(TaskScheduler, NestedPoolForksFromConcurrentTasks) {
 
 TEST(ParallelFactor, SchedulerCountersPopulated) {
   const CscMatrix a = grid3d_7pt(12, 12, 12);
-  FactorStats st;
-  factor_values(a, Method::kRL, Execution::kCpuParallel, 8, &st);
+  SolverOptions opts;
+  opts.factor.exec = Execution::kCpuParallel;
+  opts.factor.cpu_workers = 8;
+  CholeskySolver solver(opts);
+  solver.factorize(a);
+  const FactorStats st = solver.stats();
   EXPECT_EQ(st.scheduler_workers, 8u);
-  // Every supernode has a COMPUTE task; most also have a SCATTER task.
-  EXPECT_GE(st.scheduler_tasks,
-            static_cast<std::size_t>(st.total_supernodes));
+  // One task per node of the RL plan built for this pattern.
+  const ExecutionPlan plan =
+      ExecutionPlan::build(solver.factor().symbolic(), {}, {}, {});
+  EXPECT_EQ(st.scheduler_tasks, plan.nodes().size());
   EXPECT_GE(st.scheduler_max_ready, 1u);
   // ≥ 1 always; concurrent multi-worker execution is proven determin-
   // istically by TaskScheduler.FourWorkersExecuteTasksConcurrently

@@ -10,10 +10,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <latch>
 #include <thread>
 #include <vector>
 
+#include "spchol/core/internal.hpp"
+#include "spchol/matrix/coo.hpp"
 #include "test_util.hpp"
 
 namespace spchol {
@@ -457,6 +461,212 @@ TEST(SolverService, OneShotSolveMatchesCholeskySolver) {
   const std::vector<double> want = CholeskySolver::solve(a, b);
   ASSERT_EQ(x.size(), want.size());
   for (std::size_t i = 0; i < x.size(); ++i) ASSERT_EQ(x[i], want[i]);
+}
+
+// --- A→L assembly map --------------------------------------------------
+// Every case compares the library's map assembly bitwise (memcmp, so
+// -0.0 and 0.0 differ) with test_util's permuted_sym_lower reference,
+// and the session factor with a kCpuSerial per-call factorization.
+
+/// Factor storage of `a` assembled through the library's A→L map.
+std::vector<double> map_assembly(const CscMatrix& a,
+                                 const SymbolicFactor& symb) {
+  const detail::AssemblyMap map = detail::build_assembly_map(a, symb);
+  std::vector<double> v(static_cast<std::size_t>(symb.factor_values()), 0.0);
+  map.gather(a.values(), v);
+  return v;
+}
+
+void expect_same_bits(std::span<const double> a, std::span<const double> b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+}
+
+/// Checks a session's factor of `m` against the reference assembly and a
+/// kCpuSerial per-call factorization on the session's symbolic factor.
+void expect_session_factor_matches(const SolverSession& s,
+                                   const CscMatrix& m) {
+  const SymbolicFactor& symb = s.symbolic();
+  expect_same_bits(map_assembly(m, symb), testing::reference_assembly(m, symb));
+  FactorOptions serial = s.options().factor;
+  serial.exec = Execution::kCpuSerial;
+  const CholeskyFactor ref = CholeskyFactor::factorize(m, symb, serial);
+  expect_same_bits(ref.values(), s.factor()->values());
+}
+
+SolverOptions scheduled_options() {
+  SolverOptions so;
+  so.factor.exec = Execution::kCpuParallel;
+  so.factor.cpu_workers = 4;
+  return so;
+}
+
+/// `a` with the listed entries rewritten by `edit(row, col, value)`;
+/// entries for which it returns false are dropped.
+template <class Edit>
+CscMatrix edited(const CscMatrix& a, Edit edit) {
+  CooMatrix coo(a.rows(), a.cols());
+  for (index_t j = 0; j < a.cols(); ++j) {
+    const auto rows = a.col_rows(j);
+    const auto vals = a.col_values(j);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      double v = vals[k];
+      if (edit(rows[k], j, v)) coo.add(rows[k], j, v);
+    }
+  }
+  return coo.to_csc();
+}
+
+TEST(AssemblyMap, SubsetPatternFallsBackToTransientMap) {
+  const CscMatrix a = grid3d_7pt(6, 6, 6);
+  // Same n, a strict subset of the pattern: every third off-diagonal
+  // entry dropped (the matrix stays diagonally dominant).
+  offset_t seen = 0;
+  const CscMatrix sub = edited(a, [&](index_t i, index_t j, double&) {
+    return i == j || ++seen % 3 != 0;
+  });
+  ASSERT_LT(sub.nnz(), a.nnz());
+  ServiceOptions so;
+  so.runtime.workers = 3;
+  so.solver = scheduled_options();
+  SolverService service(so);
+  const auto s = service.session(a);
+  s->factorize(sub);
+  expect_session_factor_matches(*s, sub);
+  // The cached map still serves the cached pattern afterwards.
+  s->factorize(a);
+  expect_session_factor_matches(*s, a);
+}
+
+TEST(AssemblyMap, EntryOutsideTheStructureThrows) {
+  const CscMatrix a = grid2d_5pt(8, 8);
+  ServiceOptions so;
+  so.runtime.workers = 3;
+  so.solver = scheduled_options();
+  SolverService service(so);
+  const auto s = service.session(a);
+  const SymbolicFactor& symb = s->symbolic();
+  // The first (i, j) pair whose permuted position L does not store.
+  index_t oi = -1, oj = -1;
+  for (index_t j = 0; j < a.cols() && oi < 0; ++j) {
+    for (index_t i = j + 1; i < a.cols(); ++i) {
+      const index_t ni = symb.permutation().old_to_new(i);
+      const index_t nj = symb.permutation().old_to_new(j);
+      const index_t c = std::min(ni, nj);
+      if (symb.row_position(symb.col_to_sn(c), std::max(ni, nj)) < 0) {
+        oi = i;
+        oj = j;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(oi, 0);
+  CooMatrix coo(a.rows(), a.cols());
+  for (index_t j = 0; j < a.cols(); ++j) {
+    for (std::size_t k = 0; k < a.col_rows(j).size(); ++k) {
+      coo.add(a.col_rows(j)[k], j, a.col_values(j)[k]);
+    }
+  }
+  coo.add(oi, oj, -1e-3);
+  const CscMatrix out = coo.to_csc();
+  const auto message_of = [](auto&& f) {
+    try {
+      f();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  const std::string want = "A entry outside the symbolic structure";
+  EXPECT_NE(message_of([&] { s->factorize(out); }).find(want),
+            std::string::npos);
+  EXPECT_NE(message_of([&] { testing::reference_assembly(out, symb); })
+                .find(want),
+            std::string::npos);
+  EXPECT_FALSE(s->factorized());
+}
+
+TEST(AssemblyMap, ExplicitNegativeZeroSurvives) {
+  const CscMatrix a = grid3d_7pt(5, 5, 5);
+  bool done = false;
+  const CscMatrix z = edited(a, [&](index_t i, index_t j, double& v) {
+    if (!done && i != j) {
+      v = -0.0;
+      done = true;
+    }
+    return true;
+  });
+  ASSERT_EQ(z.nnz(), a.nnz());
+  ServiceOptions so;
+  so.runtime.workers = 3;
+  so.solver = scheduled_options();
+  SolverService service(so);
+  const auto s = service.session(z);
+  s->factorize(z);
+  expect_session_factor_matches(*s, z);
+  const std::vector<double> got = map_assembly(z, s->symbolic());
+  EXPECT_TRUE(std::any_of(got.begin(), got.end(), [](double x) {
+    return x == 0.0 && std::signbit(x);
+  }));
+}
+
+TEST(AssemblyMap, MirroredEntriesSumLikeTheMerge) {
+  // Full symmetric storage: both (i, j) and (j, i) carry part of the
+  // coupling (0.1 and 0.2 sum to 0.30000000000000004 either way round).
+  // Analysis takes a lower triangle, so the session is created from `a`
+  // and factorizes the full-storage matrix through a transient map.
+  const CscMatrix a = grid3d_7pt(5, 5, 5);
+  CooMatrix coo(a.rows(), a.cols());
+  for (index_t j = 0; j < a.cols(); ++j) {
+    for (std::size_t k = 0; k < a.col_rows(j).size(); ++k) {
+      const index_t i = a.col_rows(j)[k];
+      const double v = a.col_values(j)[k];
+      if (i == j) {
+        coo.add(i, j, v);
+      } else {
+        coo.add(i, j, -0.1);
+        coo.add(j, i, -0.2);
+      }
+    }
+  }
+  const CscMatrix full = coo.to_csc();
+  ServiceOptions so;
+  so.runtime.workers = 3;
+  so.solver = scheduled_options();
+  SolverService service(so);
+  const auto s = service.session(a);
+  s->factorize(full);
+  expect_session_factor_matches(*s, full);
+}
+
+TEST(AssemblyMap, ConcurrentSessionsShareOneCachedMap) {
+  const CscMatrix a = grid3d_7pt(7, 7, 7);
+  CscMatrix b = a;
+  for (double& v : b.mutable_values()) v *= 1.5;
+  ServiceOptions so;
+  so.runtime.workers = 3;
+  so.runtime.max_concurrent = 2;
+  so.solver = scheduled_options();
+  SolverService service(so);
+  const auto s1 = service.session(a);
+  const auto s2 = service.session(b);
+  ASSERT_EQ(&s1->symbolic(), &s2->symbolic());  // one cache entry
+  std::latch go(2);
+  std::thread t1([&] {
+    go.arrive_and_wait();
+    s1->factorize(a);
+  });
+  std::thread t2([&] {
+    go.arrive_and_wait();
+    s2->factorize(b);
+  });
+  t1.join();
+  t2.join();
+  expect_session_factor_matches(*s1, a);
+  expect_session_factor_matches(*s2, b);
+  // The factors share the session's symbolic factor instead of copying it.
+  EXPECT_EQ(&s1->factor()->symbolic(), &s1->symbolic());
+  EXPECT_EQ(&s2->factor()->symbolic(), &s2->symbolic());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // SolvePlan executor coverage: the scheduled plan-driven triangular
 // solve must be bitwise identical to the serial sweep for every
 // worker / stream / RHS-panel combination (CPU and hybrid GPU paths,
-// batching on and off), SolveOptions must be validated up front, the
+// coarsened and per-supernode plans), SolveOptions must be validated up
+// front, the
 // modeled solve_multi makespan on the nlpkkt80 analog must meet the
 // >= 1.5x speedup bar at 8 workers, and SolverSession::solve must stay
 // safe (and bitwise deterministic) while the session refactorizes on
@@ -64,6 +65,8 @@ TEST(SolveParallel, BitwiseIdentityAcrossConfigs) {
   const Case cases[] = {
       {"grid3d_7pt", grid3d_7pt(8, 8, 8)},
       {"small_supernode_forest", small_supernode_forest(200, 6, 12)},
+      // Every supernode above the grain budget: the per-supernode plan.
+      {"grid3d_wide", grid3d_wide(7, 7, 7, 2)},
   };
   const index_t nrhs = 12;
   for (const Case& c : cases) {
@@ -108,8 +111,8 @@ TEST(SolveParallel, BitwiseIdentityAcrossConfigs) {
 }
 
 TEST(SolveParallel, BatchedSolveBitwiseIdentity) {
-  // Small-supernode batching coarsens the solve DAG; results must not
-  // change, and the batch counters must show it actually engaged.
+  // The plan's grain coarsens the solve DAG; results must not change,
+  // and the batch counters must show it actually engaged.
   const CscMatrix a = small_supernode_forest(600, 8, 16);
   const CholeskyFactor f = factor_of(a);
   const index_t nrhs = 8;
@@ -118,8 +121,6 @@ TEST(SolveParallel, BatchedSolveBitwiseIdentity) {
 
   SolveOptions o;
   o.workers = 8;
-  o.batch_entries = 4096;
-  o.batch_max_supernodes = 16;
   SolveStats st;
   std::vector<double> x(b.size());
   f.solve_multi(b, x, nrhs, o, &st);
@@ -161,9 +162,7 @@ TEST(SolveParallel, SolveOptionsValidation) {
                InvalidArgument);
   EXPECT_THROW(try_opts([](SolveOptions& o) { o.gpu_threshold = -1; }),
                InvalidArgument);
-  EXPECT_THROW(try_opts([](SolveOptions& o) { o.batch_entries = -1; }),
-               InvalidArgument);
-  EXPECT_THROW(try_opts([](SolveOptions& o) { o.batch_max_supernodes = 0; }),
+  EXPECT_THROW(try_opts([](SolveOptions& o) { o.gpu_devices = 0; }),
                InvalidArgument);
   // The defaults pass.
   try_opts([](SolveOptions&) {});

@@ -16,6 +16,7 @@
 #include "spchol/matrix/generators.hpp"
 #include "spchol/support/task_scheduler.hpp"
 #include "spchol/symbolic/etree.hpp"
+#include "spchol/symbolic/exec_plan.hpp"
 #include "spchol/symbolic/symbolic_factor.hpp"
 
 namespace spchol {
@@ -163,14 +164,17 @@ TEST(SymbolicParallel, NumericFactorsBitwiseIdentical) {
 
 TEST(SymbolicParallel, RlbSplitScattersRunPerTarget) {
   // The RLB scheduled graph has one scatter task per (source, target):
-  // task count = computes + sum of per-supernode update-target counts.
+  // task count = batches + unbatched computes + the update-target counts
+  // of the unbatched supernodes (a batch absorbs its members' scatters).
   const CscMatrix a = grid3d_7pt(9, 9, 9);
   const Permutation fill =
       compute_ordering(a, OrderingMethod::kNestedDissection);
   const SymbolicFactor symb = SymbolicFactor::analyze(a, fill, {});
-  std::size_t expect = static_cast<std::size_t>(symb.num_supernodes());
+  const ExecutionPlan rl = ExecutionPlan::build(symb, {}, {}, {});
+  std::size_t expect = static_cast<std::size_t>(rl.batches_formed());
   for (index_t s = 0; s < symb.num_supernodes(); ++s) {
-    expect += symb.sn_update_targets(s).size();
+    if (rl.batched(s)) continue;
+    expect += 1 + symb.sn_update_targets(s).size();
   }
   FactorOptions par;
   par.method = Method::kRLB;
@@ -178,8 +182,8 @@ TEST(SymbolicParallel, RlbSplitScattersRunPerTarget) {
   par.cpu_workers = 4;
   const CholeskyFactor f = CholeskyFactor::factorize(a, symb, par);
   EXPECT_EQ(f.stats().scheduler_tasks, expect);
-  EXPECT_GT(f.stats().scheduler_tasks,
-            2 * static_cast<std::size_t>(symb.num_supernodes()) - 1);
+  // More tasks than the RL plan's one SCATTER per source.
+  EXPECT_GT(f.stats().scheduler_tasks, rl.nodes().size());
 }
 
 TEST(SymbolicParallel, OptionValidation) {

@@ -23,6 +23,35 @@ inline std::vector<double> dense_from_sym_lower(const CscMatrix& a) {
   return d;
 }
 
+/// Reference assembly of PAPᵀ into zero-filled supernodal factor storage,
+/// built the direct way: permuted_sym_lower (a COO round trip that sums
+/// a mirrored (i,j)/(j,i) pair) and then a two-pointer scatter of every
+/// permuted column into its supernode panel. Throws spchol::Error on an
+/// entry outside the symbolic structure.
+inline std::vector<double> reference_assembly(const CscMatrix& a_lower,
+                                              const SymbolicFactor& symb) {
+  std::vector<double> v(static_cast<std::size_t>(symb.factor_values()), 0.0);
+  const CscMatrix ap = a_lower.permuted_sym_lower(symb.permutation());
+  for (index_t s = 0; s < symb.num_supernodes(); ++s) {
+    const auto rows = symb.sn_rows(s);
+    const auto r = static_cast<offset_t>(rows.size());
+    double* panel = v.data() + symb.sn_values_offset(s);
+    for (index_t j = symb.sn_begin(s); j < symb.sn_end(s); ++j) {
+      const offset_t jl = j - symb.sn_begin(s);
+      const auto arows = ap.col_rows(j);
+      const auto avals = ap.col_values(j);
+      std::size_t t = 0;
+      for (std::size_t k = 0; k < arows.size(); ++k) {
+        while (t < rows.size() && rows[t] < arows[k]) ++t;
+        SPCHOL_CHECK(t < rows.size() && rows[t] == arows[k],
+                     "A entry outside the symbolic structure");
+        panel[jl * r + static_cast<offset_t>(t)] = avals[k];
+      }
+    }
+  }
+  return v;
+}
+
 /// max |A - L·Lᵀ| where L is the factor in PERMUTED space and A is in the
 /// ORIGINAL space (the factor's permutation is applied to A).
 inline double factorization_error(const CscMatrix& a_lower,
