@@ -103,7 +103,8 @@ void cpu_factor_panel(FactorContext& ctx, index_t s) {
   }
 }
 
-double rl_assemble(FactorContext& ctx, index_t s, const double* u) {
+double rl_assemble(FactorContext& ctx, index_t s, const double* u,
+                   index_t only) {
   const SymbolicFactor& symb = ctx.symb;
   const index_t w = symb.sn_width(s);
   const index_t below = symb.sn_below(s);
@@ -122,6 +123,10 @@ double rl_assemble(FactorContext& ctx, index_t s, const double* u) {
     const index_t target = symb.col_to_sn(rows[w + b0]);
     index_t b1 = b0;
     while (b1 < below && symb.col_to_sn(rows[w + b1]) == target) ++b1;
+    if (only >= 0 && target != only) {
+      b0 = b1;
+      continue;
+    }
     // Relative indices of rows[w+b0 .. end) within the target's row list.
     const auto trows = symb.sn_rows(target);
     std::size_t t = 0;
@@ -283,71 +288,28 @@ CholeskyFactor CholeskyFactor::factorize(
     // Report the column in ORIGINAL indices.
     throw NotPositiveDefinite(symb.permutation().new_to_old(e.column()));
   }
-  for (std::size_t d = 0; d < ctx.ndev; ++d) {
-    ctx.device(static_cast<index_t>(d)).synchronize();
-  }
 
-  // Device figures are DELTAS against the baselines snapshotted at
-  // FactorContext construction: on a per-call device the baselines are
-  // zero (numbers unchanged); on a shared long-lived device they carve
-  // this call's marginal contribution out of the combined timeline.
-  // device_peak_bytes stays an absolute watermark (it cannot be
-  // differenced meaningfully). With several factorizations in flight the
-  // shared modeled timeline interleaves their operations, so per-call
-  // modeled seconds are approximate under concurrency — the numeric
-  // values never are (the device executes eagerly).
-  //
-  // Multi-device runs report per_device deltas plus summed aggregates;
-  // the modeled makespan is the MAX over devices (they run concurrently;
-  // device 0 additionally carries the deferred host floor). With one
-  // device every aggregate reduces to the single-device number, so the
-  // stats are byte-compatible with prior releases.
+  // Every modeled number comes from one replay of this call's own DAG
+  // over the costs its nodes recorded — the sequential drivers' steps
+  // run as a chain — so it is exact per call even on a shared runtime.
+  // device_peak_bytes stays an absolute watermark.
   FactorStats& st = f.stats_;
+  if (ctx.graph.size() == 0) ctx.graph = TaskGraph::chain(ctx.records.size());
+  detail::replay(ctx.graph, ctx.records, {ctx.lanes, ctx.ndev, ctx.pairs},
+                 st);
   st.gpu_devices_used = static_cast<int>(ctx.ndev);
-  st.per_device.resize(ctx.ndev);
-  st.modeled_seconds = 0.0;
-  st.gpu_kernel_seconds = 0.0;
-  st.h2d_seconds = 0.0;
-  st.d2h_seconds = 0.0;
-  st.gpu_overlap_seconds = 0.0;
   st.device_peak_bytes = 0;
-  st.h2d_bytes = 0;
-  st.d2h_bytes = 0;
-  st.num_gpu_kernels = 0;
   for (std::size_t d = 0; d < ctx.ndev; ++d) {
-    gpu::Device& dd = ctx.device(static_cast<index_t>(d));
-    const gpu::DeviceStats ds = dd.stats();
-    const gpu::DeviceStats& b0 = ctx.dev_stats0_of[d];
     DeviceBreakdown& pd = st.per_device[d];
-    pd.kernel_seconds = ds.kernel_seconds - b0.kernel_seconds;
-    pd.h2d_seconds = ds.h2d_seconds - b0.h2d_seconds;
-    pd.d2h_seconds = ds.d2h_seconds - b0.d2h_seconds;
-    pd.overlap_seconds = ds.overlap_seconds - b0.overlap_seconds;
-    pd.modeled_seconds = dd.makespan() - ctx.makespan0_of[d];
-    pd.peak_bytes = dd.mem_peak();
-    pd.num_kernels = ds.num_kernels - b0.num_kernels;
+    pd.peak_bytes = ctx.device(static_cast<index_t>(d)).mem_peak();
     pd.supernodes = ctx.gpu_supernodes_of[d];
-    st.modeled_seconds = std::max(st.modeled_seconds, pd.modeled_seconds);
-    st.gpu_kernel_seconds += pd.kernel_seconds;
-    st.h2d_seconds += pd.h2d_seconds;
-    st.d2h_seconds += pd.d2h_seconds;
-    st.gpu_overlap_seconds += pd.overlap_seconds;
     st.device_peak_bytes += pd.peak_bytes;
-    st.h2d_bytes += ds.h2d_bytes - b0.h2d_bytes;
-    st.d2h_bytes += ds.d2h_bytes - b0.d2h_bytes;
-    st.num_gpu_kernels += ds.num_kernels - b0.num_kernels;
   }
-  st.cross_device_assembly_seconds = ctx.cross_device_assembly_seconds;
-  st.cross_device_transfer_bytes = ctx.cross_device_transfer_bytes;
-  st.num_cross_device_transfers = ctx.num_cross_device_transfers;
-  st.per_link = ctx.per_link_transfers();
   st.coop_supernodes = ctx.coop_supernodes;
   st.wall_seconds = timer.seconds();
   st.supernodes_on_gpu = ctx.supernodes_on_gpu;
   st.total_supernodes = symb.num_supernodes();
-  st.cpu_blas_seconds = ctx.cpu_blas_seconds;
-  st.assembly_seconds = ctx.assembly_seconds;
-  st.num_cpu_blas_calls = ctx.num_cpu_blas_calls;
+  st.num_cpu_blas_calls = ctx.num_cpu_blas_calls.load();
   st.flops = symb.flops();
   st.scheduler_tasks = ctx.sched_stats.tasks_run;
   st.scheduler_max_ready = ctx.sched_stats.max_ready_depth;

@@ -116,13 +116,13 @@ struct FactorOptions {
   /// sequential driver (still bitwise identical).
   int cpu_workers = 0;
   /// Stream/buffer slot pairs available to in-flight GPU supernodes in the
-  /// scheduled kGpuHybrid path. Each slot owns its own compute/copy stream
-  /// pair plus device panel+update buffers sized for the largest GPU
-  /// supernode, so independent subtree supernodes overlap on the device.
-  /// The pool degrades gracefully (down to a single pair — the old chained
-  /// pipeline) when device memory cannot hold every slot; values < 1 are
-  /// rejected with InvalidArgument. Results are bitwise identical across
-  /// stream counts.
+  /// scheduled kGpuHybrid path: the modeled compute/copy stream pairs per
+  /// device of the cost replay, and the device panel+update buffer slots
+  /// of the executor, so independent subtree supernodes overlap on the
+  /// device. The buffer pool degrades gracefully (down to a single slot)
+  /// when device memory cannot hold every slot; values < 1 are rejected
+  /// with InvalidArgument. Results are bitwise identical across stream
+  /// counts.
   int gpu_streams = 4;
 };
 
@@ -186,8 +186,8 @@ struct SolveStats {
   index_t supernodes_batched = 0;
 };
 
-/// Per-device slice of one factorization's modeled GPU activity (deltas
-/// of that device's timeline across the call; peak bytes absolute).
+/// Per-device slice of one factorization's modeled GPU activity (from
+/// the call's replay; peak bytes are the device's absolute watermark).
 /// Single-device runs have exactly one entry whose values equal the
 /// aggregate FactorStats fields — the aggregate stays byte-compatible
 /// with pre-sharding consumers.
@@ -196,8 +196,8 @@ struct DeviceBreakdown {
   double h2d_seconds = 0.0;
   double d2h_seconds = 0.0;
   double overlap_seconds = 0.0;
-  /// This device's modeled makespan contribution (max of its host floor
-  /// and stream tails, as a delta over the call).
+  /// When this device's last op ends in the replay (device 0 also
+  /// covers the host lanes).
   double modeled_seconds = 0.0;
   std::size_t peak_bytes = 0;
   std::size_t num_kernels = 0;
@@ -303,9 +303,8 @@ struct FactorStats {
   /// at 1 and at `scheduler_workers` workers — the modeled serial and
   /// parallel factorization task makespans (the machine-independent
   /// speedup convention; see TaskScheduler::modeled_makespan). Zero on
-  /// the sequential drivers. Unlike modeled_seconds (an
-  /// order-independent deferred sum), these see the dependency
-  /// structure: the scatter chains and batching show up here.
+  /// the sequential drivers. Unlike modeled_seconds (the replay of
+  /// the modeled costs), these replay MEASURED task times.
   double modeled_task_serial_seconds = 0.0;
   double modeled_task_parallel_seconds = 0.0;
   // --- solve-path accumulators (filled by CholeskySolver, which owns the
@@ -340,10 +339,8 @@ class CholeskyFactor {
   /// per-call constructions — the SolverRuntime/SolverService entry
   /// point. `res` may be nullptr (identical to the 3-arg overload) and
   /// any of its fields may individually be nullptr. Injection never
-  /// changes factor bits — only scheduling, resource reuse, and the
-  /// modeled-time attribution (on a shared device the modeled stats
-  /// describe this call's marginal contribution to the combined
-  /// timeline).
+  /// changes factor bits or modeled stats — only scheduling and
+  /// resource reuse.
   static CholeskyFactor factorize(const CscMatrix& a_lower,
                                   const SymbolicFactor& symb,
                                   const FactorOptions& opts,

@@ -11,6 +11,7 @@
 
 #include "spchol/core/factor.hpp"
 #include "spchol/core/plan_executor.hpp"
+#include "spchol/core/replay.hpp"
 #include "spchol/dense/kernels.hpp"
 #include "spchol/gpu/blas.hpp"
 #include "spchol/support/thread_pool.hpp"
@@ -94,9 +95,9 @@ void solve_with_resources(const SymbolicFactor& symb,
                           index_t nrhs, const SolveOptions& opts,
                           const ExecutionResources* res, SolveStats* stats);
 
-/// Everything the RL/RLB kernels need: symbolic data, factor values,
-/// the simulated device (whose host clock is the modeled CPU timeline),
-/// and accumulators for the stats breakdown.
+/// Everything the RL/RLB kernels need: symbolic data, factor values, the
+/// simulated devices, and the cost records the modeled stats are
+/// replayed from (core/replay.hpp).
 ///
 /// Threading model. In kCpuSerial every kernel runs on one thread. In the
 /// scheduled modes (kCpuParallel, and the CPU side of kGpuHybrid, with
@@ -108,6 +109,13 @@ void solve_with_resources(const SymbolicFactor& symb,
 /// OUTPUT with a fixed accumulation order, so the width never changes the
 /// bits — determinism only depends on the scatter ordering, which the
 /// task graph serializes per target supernode in ascending source order.
+///
+/// Modeled time. Every node — a scheduler task, or one step of a
+/// sequential driver — runs under a NodeScope that points this thread's
+/// account_* calls and device ops at the node's own record, so recording
+/// takes no lock. factorize() replays the records over `graph` (or over
+/// the chain of steps when no scheduler ran) with `lanes` CPU lanes and
+/// `pairs` stream pairs per device.
 struct FactorContext {
   const SymbolicFactor& symb;
   std::vector<double>& values;
@@ -115,31 +123,26 @@ struct FactorContext {
   const ExecutionResources* res;  ///< injected services; may be nullptr
   /// The devices GPU work shards across (injected or per call).
   DeviceSet devices;
-  /// Device 0 — the primary device. It carries the modeled host clock
-  /// (the deferred CPU/assembly floor folds here exactly once).
-  gpu::Device& dev;
+  gpu::Device& dev;            ///< device 0, the primary device
   ThreadPool& pool;            ///< backend for nested parallel kernels
   std::size_t blas_capacity;   ///< pool workers + calling thread
   std::size_t workers;         ///< resolved scheduler worker count
   bool scheduled;              ///< task scheduler drives this run
   std::size_t ndev;            ///< effective device count for this run
 
-  double cpu_blas_seconds = 0.0;
-  double assembly_seconds = 0.0;
-  std::size_t num_cpu_blas_calls = 0;
+  /// One cost record per node; `graph` is the DAG the scheduler ran them
+  /// in (empty: the sequential drivers' chain of steps).
+  std::vector<gpu::OpRecord> records;
+  TaskGraph graph;
+  std::size_t lanes = 1;  ///< modeled CPU lanes of the replay
+  std::size_t pairs = 1;  ///< modeled stream pairs per device
+
+  std::atomic<std::size_t> num_cpu_blas_calls{0};
   index_t supernodes_on_gpu = 0;
   index_t gpu_stream_pairs = 0;  ///< stream/buffer slots the driver used
   index_t batches_formed = 0;        ///< BATCH plan nodes executed
   index_t supernodes_batched = 0;    ///< supernodes coalesced into them
   std::size_t fused_device_launches = 0;
-  /// Cross-device separator assembly, modeled: when a contributor's
-  /// update matrix was produced on one device and its target panel lives
-  /// on another, the scatter pays an explicit D2H→H2D hop (the factor
-  /// panels themselves are assembled on the host in the fixed per-target
-  /// order, so the BITS never depend on the hop — only the timeline).
-  double cross_device_assembly_seconds = 0.0;
-  std::size_t cross_device_transfer_bytes = 0;
-  std::size_t num_cross_device_transfers = 0;
   /// Supernodes executed through the cooperative all-device pipeline.
   index_t coop_supernodes = 0;
   /// Modeled task-graph makespans at 1 worker and at ctx.workers
@@ -148,13 +151,6 @@ struct FactorContext {
   double modeled_task_serial_seconds = 0.0;
   double modeled_task_parallel_seconds = 0.0;
   SchedulerStats sched_stats{};
-  /// Per-effective-device stats/timeline at construction (index =
-  /// device ordinal < ndev). On a shared long-lived device the
-  /// accumulators reflect every run so far; factorize() subtracts these
-  /// baselines so one call's FactorStats report only its own contribution
-  /// (a per-call device makes them zero).
-  std::vector<gpu::DeviceStats> dev_stats0_of;
-  std::vector<double> makespan0_of;
   /// GPU supernodes routed to each device ordinal (stats breakdown).
   std::vector<index_t> gpu_supernodes_of;
 
@@ -172,15 +168,7 @@ struct FactorContext {
         workers(resolve_worker_count(o.cpu_workers)),
         scheduled(runs_scheduled(o)),
         ndev(devices.size()) {
-    dev_stats0_of.reserve(ndev);
-    makespan0_of.reserve(ndev);
-    for (std::size_t d = 0; d < ndev; ++d) {
-      gpu::Device& dd = device(static_cast<index_t>(d));
-      dev_stats0_of.push_back(dd.stats());
-      makespan0_of.push_back(dd.makespan());
-    }
     gpu_supernodes_of.assign(ndev, 0);
-    link_accum_.assign(ndev * ndev, LinkAccum{});
   }
 
   /// Device a plan-node ordinal resolves to (DeviceSet::device).
@@ -202,21 +190,46 @@ struct FactorContext {
     return std::max<std::size_t>(1, blas_capacity / act);
   }
 
-  /// RAII marker for a task in flight (feeds the dynamic kernel width).
-  class TaskScope {
+  /// RAII scope of one running node: this thread's costs go to
+  /// records[id], and the node counts toward the in-flight tasks the
+  /// dense kernels' fork width follows.
+  class NodeScope {
    public:
-    explicit TaskScope(FactorContext& ctx) : ctx_(ctx) {
+    NodeScope(FactorContext& ctx, std::size_t id)
+        : ctx_(ctx), prev_(tl_record_) {
+      tl_record_ = &ctx.records[id];
       ctx_.active_tasks_.fetch_add(1, std::memory_order_relaxed);
     }
-    ~TaskScope() {
+    ~NodeScope() {
+      tl_record_ = prev_;
       ctx_.active_tasks_.fetch_sub(1, std::memory_order_relaxed);
     }
-    TaskScope(const TaskScope&) = delete;
-    TaskScope& operator=(const TaskScope&) = delete;
+    NodeScope(const NodeScope&) = delete;
+    NodeScope& operator=(const NodeScope&) = delete;
 
    private:
     FactorContext& ctx_;
+    gpu::OpRecord* prev_;
   };
+
+  /// Opens the next step of a sequential driver: a fresh record, chained
+  /// after the previous step's in the replay.
+  NodeScope step() {
+    records.emplace_back();
+    return NodeScope(*this, records.size() - 1);
+  }
+
+  /// The running node's record.
+  gpu::OpRecord& record() {
+    SPCHOL_CHECK(tl_record_ != nullptr, "modeled cost outside a node");
+    return *tl_record_;
+  }
+  /// The running node's (compute, copy) stream handles on device `d`.
+  std::pair<gpu::Stream, gpu::Stream> streams(index_t d) {
+    gpu::OpRecord* rec = &record();
+    return {{rec, static_cast<int>(d), gpu::Role::kCompute},
+            {rec, static_cast<int>(d), gpu::Role::kCopy}};
+  }
 
   /// Accumulator of the modeled CPU work issued inside one BATCH task.
   struct BatchAccum {
@@ -252,39 +265,26 @@ struct FactorContext {
     BatchAccum* prev_;
   };
 
-  /// Charges `t` modeled host seconds (and `calls` BLAS calls) to
-  /// `bucket`: inline on the host clock in the sequential drivers,
-  /// deferred for flush_deferred() in scheduled runs.
-  void charge_host(double t, double& bucket, std::size_t calls = 0) {
-    std::lock_guard<std::mutex> lk(account_mu_);
-    if (scheduled) {
-      deferred_host_seconds_ += t;
-    } else {
-      dev.advance_host(t);
-    }
-    bucket += t;
-    num_cpu_blas_calls += calls;
+  /// Records `seconds` of host work of `kind` in the running node.
+  void charge(gpu::OpKind kind, double seconds) {
+    gpu::Op op;
+    op.kind = kind;
+    op.seconds = seconds;
+    record().push_back(op);
   }
 
-  // --- CPU BLAS: execute for real, advance the modeled host clock --------
-  //
-  // Sequential drivers advance the device host clock inline (exactly the
-  // pre-scheduler behaviour). Scheduled runs must not touch the device
-  // from concurrent tasks, so they accumulate under a mutex and
-  // flush_deferred() folds the total into the host clock once the graph
-  // has drained — the sum is order-independent, and in kGpuHybrid this is
-  // precisely the overlap win: CPU supernode work no longer delays the
-  // issue of device operations.
+  // --- CPU BLAS: execute for real, record the modeled seconds ------------
   void account_cpu(double flops) {
     if (tl_batch_ != nullptr) {  // gathered; charged fused by BatchScope
       tl_batch_->flops += flops;
       tl_batch_->calls++;
       return;
     }
-    charge_host(opts.exec == Execution::kCpuSerial
-                    ? dev.model().cpu_kernel_seconds(flops, 1)
-                    : dev.model().cpu_kernel_seconds_best(flops),
-                cpu_blas_seconds, /*calls=*/1);
+    charge(gpu::OpKind::kCpuBlas,
+           opts.exec == Execution::kCpuSerial
+               ? dev.model().cpu_kernel_seconds(flops, 1)
+               : dev.model().cpu_kernel_seconds_best(flops));
+    num_cpu_blas_calls.fetch_add(1, std::memory_order_relaxed);
   }
   void cpu_potrf(index_t n, double* a, index_t lda) {
     dense::potrf_lower_parallel(pool, kernel_threads(), n, a, lda);
@@ -315,7 +315,7 @@ struct FactorContext {
       tl_batch_->entries += entries;
       return;
     }
-    charge_host(dev.model().assembly_seconds(entries), assembly_seconds);
+    charge(gpu::OpKind::kAssembly, dev.model().assembly_seconds(entries));
   }
 
   void count_gpu_supernode(index_t device_ord = 0) {
@@ -333,57 +333,30 @@ struct FactorContext {
     coop_supernodes++;
   }
 
-  /// Models the hop of one cross-device scatter: `entries` update-matrix
+  /// Records the hop of one cross-device scatter: `entries` update-matrix
   /// entries produced on device ordinal `src`, assembled into a target
   /// panel owned by ordinal `dst`. Without a link topology this is the
-  /// legacy D2H→H2D price (ship to host, re-stage — byte-identical to
-  /// pre-topology runs); with PerfModel::links set the hop rides the
-  /// actual src→dst link instead, so cross-island hops cost their real
-  /// bandwidth. Order-independent deferred sum folded into the host
-  /// floor by flush_deferred() — the measured price of sharding the
-  /// separator tree. Only the scheduled drivers route across devices, so
-  /// the deferred fold owns the clock. Per-(src,dst) totals accumulate
-  /// for FactorStats::per_link.
+  /// D2H→H2D price (ship to host, re-stage); with PerfModel::links set
+  /// the hop rides the actual src→dst link instead, so cross-island hops
+  /// cost their real bandwidth. The replay runs it on the (src, dst) link
+  /// while the host waits — the measured price of sharding the separator
+  /// tree — and sums FactorStats::per_link from these ops.
   void account_cross_device(index_t src, index_t dst, double entries) {
     const double bytes = entries * static_cast<double>(sizeof(double));
     const auto& m = dev.model();
-    const double t =
-        m.links.empty()
-            ? m.d2h_seconds(bytes) + m.h2d_seconds(bytes)
-            : m.p2p_seconds(static_cast<int>(src), static_cast<int>(dst),
-                            bytes);
-    std::lock_guard<std::mutex> lk(account_mu_);
-    deferred_host_seconds_ += t;
-    cross_device_assembly_seconds += t;
-    cross_device_transfer_bytes += static_cast<std::size_t>(bytes);
-    num_cross_device_transfers++;
-    const std::size_t a = src < 0 ? 0 : static_cast<std::size_t>(src) % ndev;
-    const std::size_t b = dst < 0 ? 0 : static_cast<std::size_t>(dst) % ndev;
-    LinkAccum& acc = link_accum_[a * ndev + b];
-    acc.bytes += static_cast<std::size_t>(bytes);
-    acc.seconds += t;
-    acc.transfers++;
-  }
-
-  /// Snapshot of the per-(src,dst) cross-device traffic, one row per
-  /// pair that carried any, sorted by (src, dst) — FactorStats::per_link.
-  std::vector<LinkTransfer> per_link_transfers() {
-    std::lock_guard<std::mutex> lk(account_mu_);
-    std::vector<LinkTransfer> out;
-    for (std::size_t a = 0; a < ndev; ++a) {
-      for (std::size_t b = 0; b < ndev; ++b) {
-        const LinkAccum& acc = link_accum_[a * ndev + b];
-        if (acc.transfers == 0) continue;
-        LinkTransfer lt;
-        lt.src = static_cast<int>(a);
-        lt.dst = static_cast<int>(b);
-        lt.bytes = acc.bytes;
-        lt.seconds = acc.seconds;
-        lt.transfers = acc.transfers;
-        out.push_back(lt);
-      }
-    }
-    return out;
+    auto fold = [&](index_t d) {
+      return d < 0 ? 0 : static_cast<int>(static_cast<std::size_t>(d) % ndev);
+    };
+    gpu::Op op;
+    op.kind = gpu::OpKind::kLink;
+    op.device = fold(src);
+    op.dst = fold(dst);
+    op.seconds = m.links.empty()
+                     ? m.d2h_seconds(bytes) + m.h2d_seconds(bytes)
+                     : m.p2p_seconds(static_cast<int>(src),
+                                     static_cast<int>(dst), bytes);
+    op.bytes = static_cast<std::size_t>(bytes);
+    record().push_back(op);
   }
 
   void count_fused_launch() {
@@ -391,46 +364,24 @@ struct FactorContext {
     fused_device_launches++;
   }
 
-  /// Folds the modeled time of scheduler-executed CPU work into the
-  /// device host clock. Call after the task graph has drained.
-  void flush_deferred() {
-    dev.advance_host(deferred_host_seconds_);
-    deferred_host_seconds_ = 0.0;
-  }
-
  private:
   /// Charges one closed batch: the gathered member kernels as a single
   /// fused batched call group, the gathered scatter-adds as a single
-  /// fused assembly region. Both sums are order-independent, so the
-  /// modeled time never depends on worker interleaving. Only the
-  /// scheduled drivers run batches, so the deferred fold owns the clock.
+  /// fused assembly region.
   void charge_batched(const BatchAccum& acc) {
-    double blas = 0.0;
     if (acc.calls > 0) {
-      blas = dev.model().cpu_batched_kernel_seconds_best(acc.flops,
-                                                         acc.calls);
+      charge(gpu::OpKind::kCpuBlas,
+             dev.model().cpu_batched_kernel_seconds_best(acc.flops,
+                                                         acc.calls));
+      num_cpu_blas_calls.fetch_add(acc.calls, std::memory_order_relaxed);
     }
-    const double asm_t = dev.model().assembly_seconds(acc.entries);
-    std::lock_guard<std::mutex> lk(account_mu_);
-    deferred_host_seconds_ += blas + asm_t;
-    cpu_blas_seconds += blas;
-    assembly_seconds += asm_t;
-    num_cpu_blas_calls += acc.calls;
+    charge(gpu::OpKind::kAssembly, dev.model().assembly_seconds(acc.entries));
   }
 
   static inline thread_local BatchAccum* tl_batch_ = nullptr;
-
-  /// One (src,dst) pair's running cross-device traffic (ndev×ndev,
-  /// row-major; guarded by account_mu_).
-  struct LinkAccum {
-    std::size_t bytes = 0;
-    double seconds = 0.0;
-    std::size_t transfers = 0;
-  };
-  std::vector<LinkAccum> link_accum_;
+  static inline thread_local gpu::OpRecord* tl_record_ = nullptr;
 
   std::mutex account_mu_;
-  double deferred_host_seconds_ = 0.0;
   std::atomic<std::size_t> active_tasks_{0};
 };
 
@@ -439,8 +390,8 @@ std::size_t PlanExecutor::add(const PlanNode& n, Fn fn,
                               std::size_t resource) {
   return sched_->add_task(
       n.priority,
-      [ctx = ctx_, fn = std::move(fn)](std::size_t) {
-        FactorContext::TaskScope scope(*ctx);
+      [ctx = ctx_, id = sched_->num_tasks(), fn = std::move(fn)](std::size_t) {
+        FactorContext::NodeScope scope(*ctx, id);
         fn();
       },
       resource, n.queue);
@@ -452,9 +403,11 @@ std::size_t PlanExecutor::add(const PlanNode& n, Fn fn,
 void cpu_factor_panel(FactorContext& ctx, index_t s);
 
 /// RL assembly: adds the host update matrix `u` (below × below,
-/// ld = below, holding MINUS the outer product) into the ancestors of s.
-/// Returns the number of entries scattered (for the assembly model).
-double rl_assemble(FactorContext& ctx, index_t s, const double* u);
+/// ld = below, holding MINUS the outer product) into the ancestors of s
+/// — only into target supernode `only` when it is >= 0. Returns the
+/// number of entries scattered (for the assembly model).
+double rl_assemble(FactorContext& ctx, index_t s, const double* u,
+                   index_t only = -1);
 
 /// RL / RLB / left-looking drivers (rl.cpp, rlb.cpp, left_looking.cpp).
 /// Each dispatches to a sequential loop (kCpuSerial, kGpuOnly, or a

@@ -153,6 +153,7 @@ void run_ll_sequential(FactorContext& ctx) {
   std::vector<index_t> rel;
 
   for (index_t s = 0; s < ns; ++s) {
+    const auto step = ctx.step();
     const index_t sbegin = symb.sn_begin(s);
     const index_t send = symb.sn_end(s);
     const auto srows = symb.sn_rows(s);
@@ -208,7 +209,7 @@ void run_ll_scheduled(FactorContext& ctx) {
     task[s] = sched.add_task(
         static_cast<std::size_t>(s),
         [&ctx, &plan, &u, &rel, scratch, s](std::size_t worker) {
-          FactorContext::TaskScope scope(ctx);
+          FactorContext::NodeScope scope(ctx, static_cast<std::size_t>(s));
           if (!plan[s].empty() && u[worker].size() < scratch) {
             u[worker].resize(scratch);
           }
@@ -222,8 +223,10 @@ void run_ll_scheduled(FactorContext& ctx) {
     for (const Gather& g : plan[s]) sched.add_edge(task[g.d], task[s]);
   }
 
+  ctx.records.assign(static_cast<std::size_t>(ns), {});
   ctx.sched_stats = sched.run(ctx.workers);
-  ctx.flush_deferred();
+  ctx.graph = sched.graph();
+  ctx.lanes = ctx.workers;
 }
 
 }  // namespace

@@ -52,10 +52,7 @@ PlannedGraph build_planned_graph(const SymbolicFactor& symb,
       rl ? opts.gpu_threshold_rl : opts.gpu_threshold_rlb, opts.gpu_devices,
       /*coop_spine=*/rl, opts.device.model.links);
   PlanOptions popts;
-  if (opts.method == Method::kRLB) {
-    popts.split_scatter_per_target = true;
-    popts.fuse_gpu_scatter = true;
-  }
+  popts.fuse_gpu_scatter = !rl;
   pg.plan = ExecutionPlan::build(symb, pg.on_gpu, pg.queue_of, popts,
                                  pg.device_of);
   return pg;
@@ -199,6 +196,7 @@ void PlanExecutor::charge(std::span<const CrossHop> hops) const {
 }
 
 PlanExecutor::Drained PlanExecutor::drain() {
+  if (ctx_ != nullptr) ctx_->records.assign(sched_->num_tasks(), {});
   Drained d;
   d.stats = res_ != nullptr && res_->crew != nullptr
                 ? sched_->run_on(*res_->crew)
@@ -209,7 +207,9 @@ PlanExecutor::Drained PlanExecutor::drain() {
     ctx_->sched_stats = d.stats;
     ctx_->modeled_task_serial_seconds = d.serial_seconds;
     ctx_->modeled_task_parallel_seconds = d.parallel_seconds;
-    ctx_->flush_deferred();
+    ctx_->graph = sched_->graph();
+    ctx_->lanes = workers_;
+    ctx_->pairs = slot_budget_;
   }
   return d;
 }

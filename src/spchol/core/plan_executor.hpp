@@ -96,8 +96,9 @@ PlannedSolve build_planned_solve(const SymbolicFactor& symb,
 /// into one factorization or solve call. Every field is optional and all
 /// raw pointers are non-owning; a null field falls back to the per-call
 /// construction it replaces, so a default ExecutionResources reproduces
-/// the standalone path exactly. Injection affects scheduling, resource
-/// reuse, and the modeled timeline ONLY — never the bits.
+/// the standalone path exactly. Injection affects scheduling and resource
+/// reuse ONLY — never the bits, and never the modeled time, which each
+/// call replays from its own DAG.
 struct ExecutionResources {
   /// Persistent worker complement: the scheduled drivers drain on it
   /// (TaskScheduler::run_on) instead of spawning threads per call.
@@ -146,8 +147,8 @@ class DeviceSet {
   DeviceSet& operator=(const DeviceSet&) = delete;
 
   std::size_t size() const noexcept { return ndev_; }
-  /// Device 0. It carries the modeled host clock, so every
-  /// single-device code path and stat is unchanged by the registry.
+  /// Device 0, the owner of cooperative supernodes' buffers and the
+  /// one device of every single-device run.
   gpu::Device& primary() noexcept { return *dev_; }
   /// The effective ordinal a plan ordinal resolves to.
   index_t ordinal(index_t plan_ordinal) const noexcept {
@@ -313,8 +314,9 @@ class PlanExecutor {
   void charge(std::span<const CrossHop> hops) const;
 
   /// Adds factor plan node n's task (its priority and ready queue)
-  /// running fn() under a FactorContext::TaskScope, the in-flight count
-  /// the dense kernels' fork width follows. Defined in internal.hpp.
+  /// running fn() under a FactorContext::NodeScope: its costs go to the
+  /// record of its task id, and it counts toward the in-flight tasks the
+  /// dense kernels' fork width follows. Defined in internal.hpp.
   template <class Fn>
   std::size_t add(const PlanNode& n, Fn fn,
                   std::size_t resource = TaskScheduler::kNoResource);
@@ -353,9 +355,11 @@ class PlanExecutor {
   };
   /// Runs the graph on the injected crew (the caller joins as one more
   /// worker) or on per-call threads — execution order is bitwise-neutral
-  /// by construction — then replays the task-graph makespans from the
-  /// measured task durations. A factorization additionally records them
-  /// in its context and folds the deferred CPU time into the host clock.
+  /// by construction — then list-schedules the task-graph makespans from
+  /// the measured task durations. A factorization additionally sizes one
+  /// cost record per task before the run and hands its context the
+  /// executed graph, `workers` CPU lanes and `gpu_streams` stream pairs
+  /// for the cost replay.
   Drained drain();
 
  private:

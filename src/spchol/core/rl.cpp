@@ -14,7 +14,8 @@
 // ExecutionPlan (symbolic/exec_plan.*) and owns the scheduler, device
 // pools, hop pricing and drain. The plan's COMPUTE nodes
 // map to panel factorization + SYRK into a per-supernode update buffer,
-// SCATTER nodes to the ancestor assembly, and BATCH nodes to fused
+// SCATTER(s, t) nodes to the assembly of that buffer into ancestor t
+// (the last of s's scatters frees it), and BATCH nodes to fused
 // compute+scatter sweeps over a run of small sibling subtrees (one fused
 // batched device launch pair when the members are independent leaves
 // whose combined entries cross the GPU threshold). The plan's edges are
@@ -25,15 +26,14 @@
 // every worker/stream/batch setting.
 //
 // In kGpuHybrid the above-threshold COMPUTE tasks run the §III device
-// pipeline on a slot drawn from a bounded pool: each in-flight GPU
-// supernode gets its OWN compute/copy stream pair and device panel+update
-// buffers, so independent subtree supernodes overlap on the device (not
-// just against the CPU workers). A scheduler resource token caps in-flight
-// GPU tasks at the pool size, and slot-reuse hazards are resolved with
-// device-side stream waits — scheduled tasks never advance the shared
-// modeled host clock to a stream tail, so the post-drain fold of deferred
-// CPU-task time keeps makespan = max(host, stream tails), not their sum.
+// pipeline on device buffers drawn from a bounded slot pool; a scheduler
+// resource token caps in-flight GPU tasks at the pool size. The
+// sequential and scheduled drivers run the same node kernels; both only
+// record costs, and the replay (core/replay.hpp) turns them into modeled
+// time, with independent subtree supernodes overlapping on the modeled
+// stream pairs.
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -46,17 +46,14 @@ namespace spchol::detail {
 
 namespace {
 
-/// One in-flight GPU supernode's device resources: a compute/copy stream
-/// pair plus panel and update buffers sized for the largest GPU supernode.
+/// One in-flight GPU supernode's device buffers (panel and update),
+/// ranked by the pool.
 struct RlGpuSlot {
-  gpu::Stream compute;
-  gpu::Stream copy;
   gpu::DeviceBuffer panel;
   gpu::DeviceBuffer update;
 
   RlGpuSlot(gpu::Device& dev, std::size_t panel_entries,
-            std::size_t update_entries)
-      : compute(dev), copy(dev) {
+            std::size_t update_entries) {
     if (panel_entries > 0) panel = gpu::DeviceBuffer(dev, panel_entries);
     if (update_entries > 0) update = gpu::DeviceBuffer(dev, update_entries);
   }
@@ -79,57 +76,42 @@ void rl_cpu_compute(FactorContext& ctx, index_t s, std::vector<double>& u) {
 }
 
 /// The paper-§III device pipeline for one supernode, on `slot` of `dev`
-/// (the device the planner assigned s to; `dev_ord` its effective ordinal
-/// for the stats breakdown): H2D(panel) → POTRF → TRSM → async D2H of the
-/// factored panel overlapped with the SYRK → D2H of the update matrix
-/// into `u` (the caller assembles it). `deferred` selects the scheduled
-/// semantics: every synchronization is DEVICE-side (stream waits on
-/// events) — a scheduled task must never advance the shared modeled host
-/// clock to a stream tail, or the post-drain fold of deferred CPU-task
-/// time would count the overlapped transfer wait twice. The sequential
-/// loop's host genuinely waits instead.
+/// (the device the planner assigned s to; `dev_ord` its effective
+/// ordinal): H2D(panel) → POTRF → TRSM → async D2H of the factored panel
+/// on the copy stream, overlapped with the SYRK → D2H of the update
+/// matrix into `u`, which the host waits for (the caller assembles it).
 void rl_gpu_compute(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
-                    index_t s, RlGpuSlot& slot, std::vector<double>& u,
-                    bool deferred) {
+                    index_t s, RlGpuSlot& slot, std::vector<double>& u) {
   const SymbolicFactor& symb = ctx.symb;
   const index_t w = symb.sn_width(s);
   const index_t r = symb.sn_nrows(s);
   const index_t below = r - w;
   double* panel = ctx.sn_values(s);
+  const auto [compute, copy] = ctx.streams(dev_ord);
 
   ctx.count_gpu_supernode(dev_ord);
-  // Slot-reuse hazard: the previous occupant's async panel D2H is still
-  // draining the copy stream.
-  if (deferred) {
-    slot.compute.wait(slot.copy.record());
-  } else {
-    slot.copy.synchronize();
-  }
   const std::size_t entries = static_cast<std::size_t>(r) * w;
-  gpu::copy_h2d(dev, slot.compute, slot.panel, 0, panel, entries,
+  gpu::copy_h2d(dev, compute, slot.panel, 0, panel, entries,
                 /*async=*/true);
   try {
-    gpu::potrf_lower(dev, slot.compute, w, slot.panel, 0, r);
+    gpu::potrf_lower(dev, compute, w, slot.panel, 0, r);
   } catch (const NotPositiveDefinite& e) {
     throw NotPositiveDefinite(symb.sn_begin(s) + e.column());
   }
   if (below > 0) {
-    gpu::trsm_right_lower_trans(dev, slot.compute, below, w, slot.panel,
-                                0, r, w, r);
+    gpu::trsm_right_lower_trans(dev, compute, below, w, slot.panel, 0, r, w,
+                                r);
   }
   // Asynchronous D2H of the factored supernode: the CPU does not need it
   // yet, so it overlaps the update SYRK (paper §III).
-  slot.copy.wait(slot.compute.record());
-  gpu::copy_d2h(dev, slot.copy, panel, slot.panel, 0, entries,
-                /*async=*/true);
+  gpu::copy_d2h(dev, copy.waiting_for(compute.last()), panel, slot.panel, 0,
+                entries, /*async=*/true);
   if (below > 0) {
-    gpu::syrk_lower_nt_beta0(dev, slot.compute, below, w, slot.panel, w,
-                             r, slot.update, 0, below);
-    // The update-buffer reuse hazard is covered by FIFO order on the
-    // compute stream (the next occupant's SYRK queues behind this copy).
+    gpu::syrk_lower_nt_beta0(dev, compute, below, w, slot.panel, w, r,
+                             slot.update, 0, below);
     u.resize(static_cast<std::size_t>(below) * below);
-    gpu::copy_d2h(dev, slot.compute, u.data(), slot.update, 0, u.size(),
-                  /*async=*/deferred);
+    gpu::copy_d2h(dev, compute, u.data(), slot.update, 0, u.size(),
+                  /*async=*/false);
   }
 }
 
@@ -138,13 +120,12 @@ void rl_gpu_compute(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
 /// device shard can absorb without serializing the critical path. The
 /// numerics run once, on device 0 (the owner) — the identical §III call
 /// sequence, so factors stay bitwise independent of the device count —
-/// while the modeled timeline block-distributes the POTRF trailing
+/// while the recorded costs block-distribute the POTRF trailing
 /// updates, the TRSM, and the SYRK across ALL devices of the registry
 /// via gpu::coop_panel_factor / coop_syrk_update_d2h (p2p panel
 /// broadcast, phase barriers, per-device D2H update slices).
-void rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev,
-                         gpu::Stream& coop_s, index_t s, RlGpuSlot& slot,
-                         std::vector<double>& u,
+void rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev, index_t s,
+                         RlGpuSlot& slot, std::vector<double>& u,
                          std::span<const gpu::CoopPeer> peers) {
   const SymbolicFactor& symb = ctx.symb;
   const index_t w = symb.sn_width(s);
@@ -153,28 +134,22 @@ void rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev,
   double* panel = ctx.sn_values(s);
   const std::size_t ucount =
       static_cast<std::size_t>(below) * static_cast<std::size_t>(below);
+  const auto [compute, copy] = ctx.streams(0);
 
   ctx.count_gpu_supernode(0);
   ctx.count_coop_supernode();
-  // The owner's share of the cooperative timeline rides `coop_s`, a
-  // dedicated device-0 stream — NOT the slot's compute stream — so the
-  // all-to-all phase fences never capture an unrelated supernode that
-  // later reuses a pool slot. Only the slot's copy stream touches the
-  // mesh: the buffer-reuse hazard against the previous coop occupant's
-  // panel download, and this occupant's own async panel download.
-  coop_s.wait(slot.copy.record());
   const std::size_t entries = static_cast<std::size_t>(r) * w;
-  gpu::coop_copy_h2d(dev, coop_s, peers, slot.panel, 0, panel, entries);
+  gpu::coop_copy_h2d(dev, compute, peers, slot.panel, 0, panel, entries);
   try {
-    gpu::coop_panel_factor(dev, coop_s, peers, w, slot.panel, 0, r);
+    gpu::coop_panel_factor(dev, compute, peers, w, slot.panel, 0, r);
   } catch (const NotPositiveDefinite& e) {
     throw NotPositiveDefinite(symb.sn_begin(s) + e.column());
   }
-  slot.copy.wait(coop_s.record());
-  gpu::coop_copy_d2h(dev, slot.copy, peers, panel, slot.panel, 0, entries);
+  gpu::coop_copy_d2h(dev, copy.waiting_for(compute.last()), peers, panel,
+                     slot.panel, 0, entries);
   if (below > 0) {
     u.resize(ucount);
-    gpu::coop_syrk_update_d2h(dev, coop_s, peers, below, w, slot.panel, w,
+    gpu::coop_syrk_update_d2h(dev, compute, peers, below, w, slot.panel, w,
                               r, slot.update, u.data());
   }
 }
@@ -187,8 +162,7 @@ void rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev,
 /// order — the sequential per-target accumulation order, so results stay
 /// bitwise identical to the unbatched path. The launch latency and
 /// transfer latency are paid once per batch instead of once per
-/// supernode (gpu::perf_model batched-kernel cost). Synchronization is
-/// device-side only, like rl_gpu_compute.
+/// supernode (gpu::perf_model batched-kernel cost).
 void rl_gpu_batch(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
                   index_t first, index_t last, RlGpuSlot& slot) {
   const SymbolicFactor& symb = ctx.symb;
@@ -215,15 +189,13 @@ void rl_gpu_batch(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
                 ctx.sn_values(first + static_cast<index_t>(i)),
                 static_cast<std::size_t>(p.r) * p.w * sizeof(double));
   }
-  // Slot-reuse hazard: chain behind the previous occupant's async D2H.
-  slot.compute.wait(slot.copy.record());
-  gpu::copy_h2d(dev, slot.compute, slot.panel, 0, stage.data(),
-                panel_total, /*async=*/true);
-  gpu::batched_panel_factor(dev, slot.compute, panels, slot.panel);
+  const auto [compute, copy] = ctx.streams(dev_ord);
+  gpu::copy_h2d(dev, compute, slot.panel, 0, stage.data(), panel_total,
+                /*async=*/true);
+  gpu::batched_panel_factor(dev, compute, panels, slot.panel);
   ctx.count_fused_launch();
-  slot.copy.wait(slot.compute.record());
-  gpu::copy_d2h(dev, slot.copy, stage.data(), slot.panel, 0,
-                panel_total, /*async=*/true);
+  gpu::copy_d2h(dev, copy.waiting_for(compute.last()),
+                stage.data(), slot.panel, 0, panel_total, /*async=*/true);
   for (std::size_t i = 0; i < panels.size(); ++i) {
     const gpu::BatchedPanel& p = panels[i];
     std::memcpy(ctx.sn_values(first + static_cast<index_t>(i)),
@@ -232,12 +204,11 @@ void rl_gpu_batch(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
   }
   if (update_total == 0) return;
 
-  gpu::batched_syrk_update(dev, slot.compute, panels, slot.panel,
-                           slot.update);
+  gpu::batched_syrk_update(dev, compute, panels, slot.panel, slot.update);
   ctx.count_fused_launch();
   std::vector<double> ustage(update_total);
-  gpu::copy_d2h(dev, slot.compute, ustage.data(), slot.update, 0,
-                update_total, /*async=*/true);
+  gpu::copy_d2h(dev, compute, ustage.data(), slot.update, 0, update_total,
+                /*async=*/false);
   double entries = 0.0;
   for (std::size_t i = 0; i < panels.size(); ++i) {
     const gpu::BatchedPanel& p = panels[i];
@@ -273,8 +244,9 @@ void run_rl_sequential(FactorContext& ctx) {
   if (panel_max > 0) ctx.gpu_stream_pairs = 1;
 
   for (index_t s = 0; s < ns; ++s) {
+    const auto step = ctx.step();
     if (ctx.on_gpu(s)) {
-      rl_gpu_compute(ctx, ctx.dev, 0, s, slot, u, /*deferred=*/false);
+      rl_gpu_compute(ctx, ctx.dev, 0, s, slot, u);
     } else {
       rl_cpu_compute(ctx, s, u);
     }
@@ -344,18 +316,16 @@ void run_rl_scheduled(FactorContext& ctx) {
   }
 
   // Cooperative spine support: the spine supernodes' kernels are
-  // block-distributed across the whole registry. Device 0 (the owner,
-  // where the numerics run) gets one dedicated stream for its share of
-  // the cooperative timeline, every peer device one more; the coop
-  // chain's buffers live in a dedicated single-slot pool with its own
-  // scheduler resource — the spine is a chain, so one in-flight coop task
-  // is the natural cap. Allocated BEFORE the per-device pools: the coop
-  // slot is mandatory (no smaller fallback exists for the spine), so the
+  // block-distributed across the whole registry, with the numerics on
+  // device 0 (the owner); every other device is a peer. The coop chain's
+  // buffers live in a dedicated single-slot pool with its own scheduler
+  // resource — the spine is a chain, so one in-flight coop task is the
+  // natural cap. Allocated BEFORE the per-device pools: the coop slot is
+  // mandatory (no smaller fallback exists for the spine), so the
   // shrinkable pools must size themselves around it — otherwise a run
   // that fits on one device could OOM on four.
   constexpr std::uint64_t kRlPoolTag = 0x524c2d504f4f4cull;  // "RL-POOL"
   const bool has_coop = coop_run && coop_panel_max > 0;
-  std::vector<std::unique_ptr<gpu::Stream>> coop_streams;
   std::vector<gpu::CoopPeer> coop_peers;
   PlanExecutor::PoolPtr<RlGpuSlot> coop_pool;
   std::size_t coop_res = TaskScheduler::kNoResource;
@@ -363,15 +333,8 @@ void run_rl_scheduled(FactorContext& ctx) {
     return std::make_unique<RlGpuSlot>(dv, p, u);
   };
   if (has_coop) {
-    for (std::size_t d = 0; d < ndev; ++d) {
-      gpu::Device& dv = ex.device(d);
-      coop_streams.push_back(std::make_unique<gpu::Stream>(dv));
-      if (d > 0) {
-        gpu::Stream* mesh = coop_streams.back().get();
-        coop_streams.push_back(std::make_unique<gpu::Stream>(dv));
-        coop_peers.push_back(
-            {&dv, mesh, coop_streams.back().get(), static_cast<int>(d)});
-      }
+    for (std::size_t d = 1; d < ndev; ++d) {
+      coop_peers.push_back({&ex.device(d), static_cast<int>(d)});
     }
     constexpr std::uint64_t kCoopPoolTag = 0x434f4f502d534c54ull;  // "COOP"
     coop_pool = ex.pool<RlGpuSlot>(0, kCoopPoolTag, 1, [&](std::size_t) {
@@ -397,9 +360,14 @@ void run_rl_scheduled(FactorContext& ctx) {
       static_cast<index_t>(pools.slots) + (has_coop ? 1 : 0);
 
   // Per-supernode update buffers: allocated by COMPUTE (the device path
-  // fills them through its final D2H), consumed and released by SCATTER.
-  // Batches carry their own transient scratch instead.
+  // fills them through its final D2H), consumed by one SCATTER per
+  // target and released by the last. Batches carry their own transient
+  // scratch instead.
   std::vector<std::vector<double>> ubuf(static_cast<std::size_t>(ns));
+  std::vector<std::atomic<int>> scatters_left(static_cast<std::size_t>(ns));
+  for (const PlanNode& n : nodes) {
+    if (n.kind == PlanNodeKind::kScatter) scatters_left[n.sn]++;
+  }
 
   // --- map plan nodes to scheduler tasks ---------------------------------
   ex.add_nodes([&](std::size_t i, const PlanNode& n) -> std::size_t {
@@ -414,10 +382,10 @@ void run_rl_scheduled(FactorContext& ctx) {
         if (has_coop && n.device < 0) {
           return ex.add(
               n,
-              [&ctx, &coop_pool, &coop_streams, &coop_peers, &ubuf, s] {
+              [&ctx, &coop_pool, &coop_peers, &ubuf, s] {
                 auto lease = coop_pool->acquire();
-                rl_gpu_compute_coop(ctx, ctx.device(0), *coop_streams[0], s,
-                                    *lease, ubuf[s], coop_peers);
+                rl_gpu_compute_coop(ctx, ctx.device(0), s, *lease, ubuf[s],
+                                    coop_peers);
               },
               coop_res);
         }
@@ -430,25 +398,29 @@ void run_rl_scheduled(FactorContext& ctx) {
         const std::size_t dord = ex.ord(n.device);
         return ex.add(
             n,
-            [&ctx, &ex, &pools, &ubuf, s, need_panel, below, dord] {
+            [&ctx, &ex, &pools, &ubuf, s, need_panel, below, dord,
+             xhops = ex.cross_hops(s)] {
               auto lease = pools.acquire(dord, need_panel, below * below);
               rl_gpu_compute(ctx, ex.device(dord),
-                             static_cast<index_t>(dord), s, *lease, ubuf[s],
-                             /*deferred=*/true);
+                             static_cast<index_t>(dord), s, *lease, ubuf[s]);
+              // Cross-device separator assembly: the slices of s's update
+              // matrix aimed at GPU targets on OTHER devices each pay a
+              // hop (priced at build time). The assembly itself still
+              // runs on the host in the plan's per-target ascending
+              // order, so hops never change the bits.
+              ex.charge(xhops);
             },
             pools.res[dord]);
       }
       case PlanNodeKind::kScatter: {
-        // Cross-device separator assembly: the slice of s's update
-        // matrix aimed at GPU targets on OTHER devices pays an explicit
-        // modeled hop (priced here at build time). The assembly itself
-        // still runs on the host in the plan's fixed per-target ascending
-        // order — the hop changes the modeled timeline, never the bits.
+        // s's update into ONE target; the last of s's scatters frees it.
         const index_t s = n.sn;
-        return ex.add(n, [&ctx, &ex, &ubuf, s, xhops = ex.cross_hops(s)] {
-          ex.charge(xhops);
-          ctx.account_assembly(rl_assemble(ctx, s, ubuf[s].data()));
-          std::vector<double>().swap(ubuf[s]);
+        const index_t t = n.target;
+        return ex.add(n, [&ctx, &ubuf, &scatters_left, s, t] {
+          ctx.account_assembly(rl_assemble(ctx, s, ubuf[s].data(), t));
+          if (scatters_left[s].fetch_sub(1) == 1) {
+            std::vector<double>().swap(ubuf[s]);
+          }
         });
       }
       case PlanNodeKind::kBatch: {
@@ -487,19 +459,25 @@ void run_rl_scheduled(FactorContext& ctx) {
     return TaskScheduler::kNoResource;  // unreachable: every kind returns
   });
 
-  // Memory throttle: at most ~K update buffers in flight. The edge
-  // target's compute may not start until the K-back scatter has freed
-  // its buffer. RL has one SCATTER per source in ascending order, so all
-  // edges go forward in supernode order and no cycle can form.
-  std::vector<std::pair<std::size_t, std::size_t>> throttled;
+  // Memory throttle: at most ~K update buffers in flight. A source's
+  // compute may not start until every scatter of the source K back has
+  // run (the last one frees its buffer). Sources ascend and every edge
+  // points from a lower to a higher supernode, so no cycle can form.
+  std::vector<index_t> sources;  // sources with scatter nodes, ascending
+  std::vector<std::vector<std::size_t>> scatter_tasks(
+      static_cast<std::size_t>(ns));
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i].kind != PlanNodeKind::kScatter) continue;
-    throttled.emplace_back(ex.task_of(i),
-                           ex.task_of(plan.compute_node(nodes[i].sn)));
+    const index_t s = nodes[i].sn;
+    if (scatter_tasks[s].empty()) sources.push_back(s);
+    scatter_tasks[s].push_back(ex.task_of(i));
   }
   const std::size_t kWindow = 2 * ctx.workers + 2 + pools.slots;
-  for (std::size_t j = kWindow; j < throttled.size(); ++j) {
-    ex.sched().add_edge(throttled[j - kWindow].first, throttled[j].second);
+  for (std::size_t j = kWindow; j < sources.size(); ++j) {
+    const std::size_t compute = ex.task_of(plan.compute_node(sources[j]));
+    for (const std::size_t t : scatter_tasks[sources[j - kWindow]]) {
+      ex.sched().add_edge(t, compute);
+    }
   }
   ex.drain();
 }

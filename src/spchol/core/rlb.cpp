@@ -18,7 +18,7 @@
 //
 // Parallel path (ctx.scheduled): node kernels for the shared
 // PlanExecutor (core/plan_executor.*) over the ExecutionPlan
-// (symbolic/exec_plan.*), built in split-scatter mode:
+// (symbolic/exec_plan.*), with fused GPU nodes:
 // COMPUTE(s) = panel factorization, SCATTER(s, t) = the direct block
 // updates of s into ONE target supernode t — one node per (source,
 // target), so the updates of s into different ancestors run concurrently
@@ -29,17 +29,15 @@
 // order — the sequential accumulation order, so results stay bitwise
 // identical to kCpuSerial. GPU supernodes are fused plan nodes (device
 // pipeline + their own assembly, standing in the chains for every one of
-// their targets); each draws a stream-pair/buffer slot from a bounded
-// pool so independent GPU supernodes overlap on the device. BATCH nodes
+// their targets); each draws a buffer slot from a bounded pool so
+// independent GPU supernodes overlap on the device. BATCH nodes
 // run fused CPU sweeps over small sibling subtrees (compute + all direct
 // updates per member, ascending) — never on the device: the device
 // variants assemble block products through scratch, a different (though
 // combo-invariant) rounding than the CPU's direct in-place updates, and
-// batching must not change the bits. In the scheduled path all
-// synchronization is device-side (deferred_clock): a task must never
-// advance the shared modeled host clock to a stream tail, or the
-// post-drain fold of deferred CPU-task time would count the overlapped
-// transfer wait twice.
+// batching must not change the bits. The sequential and scheduled
+// drivers run the same node kernels; both only record costs for the
+// replay (core/replay.hpp).
 #include <algorithm>
 #include <cstring>
 #include <memory>
@@ -142,26 +140,17 @@ std::size_t rlb_update_entries(const SymbolicFactor& symb, index_t s,
 /// pool, or the single shared state of the sequential loop. Exclusivity is
 /// the caller's job (sequential loop, or one lease per in-flight task).
 struct RlbGpuState {
-  gpu::Stream compute;
-  gpu::Stream copy;
   gpu::DeviceBuffer panel_dev;
   gpu::DeviceBuffer update_dev;
   // The streamed variant double-buffers its host staging area so the
   // assembly of product p-1 can read while product p's copy lands.
   std::vector<double> u_host;
   std::size_t host_update_max = 0;
-  // Scheduled-path semantics: resolve buffer-reuse hazards with
-  // device-side stream waits and never advance the modeled host clock
-  // (the deferred CPU-time fold owns the host timeline).
-  bool deferred_clock = false;
 
   RlbGpuState(gpu::Device& dev, std::size_t panel_entries,
-              std::size_t update_entries, bool batched, bool deferred)
-      : compute(dev),
-        copy(dev),
-        u_host(update_entries * (batched ? 1 : 2)),
-        host_update_max(update_entries),
-        deferred_clock(deferred) {
+              std::size_t update_entries, bool batched)
+      : u_host(update_entries * (batched ? 1 : 2)),
+        host_update_max(update_entries) {
     if (panel_entries > 0) panel_dev = gpu::DeviceBuffer(dev, panel_entries);
     if (update_entries > 0) {
       update_dev = gpu::DeviceBuffer(dev, update_entries);
@@ -184,22 +173,13 @@ void rlb_gpu_supernode(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
   double* panel = ctx.sn_values(s);
   const auto blocks = symb.sn_blocks(s);
   const index_t m = static_cast<index_t>(blocks.size());
-  gpu::Stream& compute = st.compute;
-  gpu::Stream& copy = st.copy;
+  const auto [compute, copy] = ctx.streams(dev_ord);
   gpu::DeviceBuffer& panel_dev = st.panel_dev;
   gpu::DeviceBuffer& update_dev = st.update_dev;
   std::vector<double>& u_host = st.u_host;
 
   // --- factor the panel on the device ---
   ctx.count_gpu_supernode(dev_ord);
-  // Panel/update buffer reuse hazard against the previous occupant's
-  // transfers: a device-side wait in the scheduled path, a host wait in
-  // the genuinely sequential one.
-  if (st.deferred_clock) {
-    compute.wait(copy.record());
-  } else {
-    copy.synchronize();
-  }
   const std::size_t entries = static_cast<std::size_t>(r) * w;
   gpu::copy_h2d(dev, compute, panel_dev, 0, panel, entries,
                 /*async=*/true);
@@ -212,9 +192,8 @@ void rlb_gpu_supernode(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
     gpu::trsm_right_lower_trans(dev, compute, below, w, panel_dev, 0,
                                 r, w, r);
   }
-  copy.wait(compute.record());
-  gpu::copy_d2h(dev, copy, panel, panel_dev, 0, entries,
-                /*async=*/true);
+  gpu::copy_d2h(dev, copy.waiting_for(compute.last()), panel, panel_dev, 0,
+                entries, /*async=*/true);
   if (below == 0) return;
 
   if (batched) {
@@ -246,7 +225,7 @@ void rlb_gpu_supernode(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
       }
     }
     gpu::copy_d2h(dev, compute, u_host.data(), update_dev, 0, ucount,
-                  /*async=*/st.deferred_clock);
+                  /*async=*/false);
     ctx.account_assembly(rl_assemble(ctx, s, u_host.data()));
     return;
   }
@@ -254,28 +233,25 @@ void rlb_gpu_supernode(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
   // --- v2: one product at a time, transferred back as soon as it is
   // computed ("one transfer and assembly operation for each individual
   // DSYRK or DGEMM call"). The device pipeline is kept busy: the next
-  // product waits only for the previous copy-out of the scratch (stream
-  // event, no host block), and the host assembles product p-1 while the
-  // device computes product p. Device scratch stays a single block pair
-  // — the low-memory property that survives nlpkkt120.
+  // product waits only for the previous copy-out of the scratch (a
+  // stream wait, no host block), and the host assembles product p-1
+  // while the device computes product p — it blocks only on that
+  // product's copy. Device scratch stays a single block pair — the
+  // low-memory property that survives nlpkkt120.
   struct Pending {
     bool is_syrk;
     index_t rows, cols;  // product dimensions (rows x cols, ld = rows)
     double* tbase;
     index_t ldt;
     int staging;
-    gpu::Event copy_done;
+    int copy_op;  // the product's D2H, which the host waits for
   };
   Pending pending{};
   bool has_pending = false;
   int staging = 0;
   auto flush_pending = [&]() {
     if (!has_pending) return;
-    // Sequential path: the host genuinely waits for the product's copy.
-    // Scheduled path: the wait lives on the stream timeline only (the
-    // data itself moved eagerly), keeping the host clock free for the
-    // post-drain fold of deferred CPU time.
-    if (!st.deferred_clock) dev.wait_event(pending.copy_done);
+    gpu::host_wait(copy, pending.copy_op);
     const double* u = u_host.data() +
                       static_cast<std::size_t>(pending.staging) *
                           st.host_update_max;
@@ -290,27 +266,26 @@ void rlb_gpu_supernode(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
     ctx.account_assembly(entries_assembled);
     has_pending = false;
   };
-  gpu::Event scratch_free{};  // completion of the last copy out of scratch
+  int scratch_free = -1;  // the last copy out of the scratch
   auto stream_product = [&](bool is_syrk, index_t rows, index_t cols,
                             offset_t src_rows_off, offset_t src_cols_off,
                             double* tbase, index_t ldt) {
     const std::size_t cnt =
         static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-    compute.wait(scratch_free);  // scratch reuse hazard (device-side)
+    // Scratch reuse hazard: the product waits for the previous copy-out.
+    const gpu::Stream kernel = compute.waiting_for(scratch_free);
     if (is_syrk) {
-      gpu::syrk_lower_nt_beta0(dev, compute, rows, w, panel_dev,
-                               src_rows_off, r, update_dev, 0, rows);
+      gpu::syrk_lower_nt_beta0(dev, kernel, rows, w, panel_dev, src_rows_off,
+                               r, update_dev, 0, rows);
     } else {
-      gpu::gemm_nt_minus_beta0(dev, compute, rows, cols, w, panel_dev,
-                               src_rows_off, r, src_cols_off, r,
-                               update_dev, 0, rows);
+      gpu::gemm_nt_minus_beta0(dev, kernel, rows, cols, w, panel_dev,
+                               src_rows_off, r, src_cols_off, r, update_dev,
+                               0, rows);
     }
-    copy.wait(compute.record());
     double* stage = u_host.data() +
                     static_cast<std::size_t>(staging) * st.host_update_max;
-    gpu::copy_d2h(dev, copy, stage, update_dev, 0, cnt,
-                  /*async=*/true);
-    scratch_free = copy.record();
+    scratch_free = gpu::copy_d2h(dev, copy.waiting_for(compute.last()),
+                                 stage, update_dev, 0, cnt, /*async=*/true);
     // Assemble the previous product while this one is in flight.
     flush_pending();
     pending = {is_syrk, rows, cols, tbase, ldt, staging, scratch_free};
@@ -347,10 +322,10 @@ void run_rlb_sequential(FactorContext& ctx) {
                          static_cast<std::size_t>(symb.sn_entries(s)));
     update_max = std::max(update_max, rlb_update_entries(symb, s, batched));
   }
-  RlbGpuState st(ctx.dev, panel_max, update_max, batched,
-                 /*deferred=*/false);
+  RlbGpuState st(ctx.dev, panel_max, update_max, batched);
   if (panel_max > 0) ctx.gpu_stream_pairs = 1;
   for (index_t s = 0; s < ns; ++s) {
+    const auto step = ctx.step();
     if (!ctx.on_gpu(s)) {
       cpu_factor_panel(ctx, s);
       rlb_cpu_updates(ctx, s);
@@ -364,8 +339,8 @@ void run_rlb_scheduled(FactorContext& ctx) {
   const SymbolicFactor& symb = ctx.symb;
   const bool batched = ctx.opts.rlb_variant == RlbVariant::kBatched;
 
-  // The shared task-graph shape, in split-scatter mode with fused GPU
-  // nodes; small sibling subtrees coalesce into BATCH nodes.
+  // The shared task-graph shape, with fused GPU nodes; small sibling
+  // subtrees coalesce into BATCH nodes.
   PlanExecutor ex(ctx);
 
   for (const PlanNode& n : ex.graph().plan.nodes()) {
@@ -375,14 +350,13 @@ void run_rlb_scheduled(FactorContext& ctx) {
     }
   }
 
-  // One pipeline state (stream pair + device buffers + host staging) per
+  // One pipeline state (device buffers + host staging) per
   // in-flight GPU supernode, from bounded per-device pools.
   constexpr std::uint64_t kRlbPoolTag = 0x524c422d504f4full;  // "RLB-POO"
   const auto pools = ex.pools<RlbGpuState>(
       kRlbPoolTag,
       [batched](gpu::Device& dv, std::size_t p, std::size_t u) {
-        return std::make_unique<RlbGpuState>(dv, p, u, batched,
-                                             /*deferred=*/true);
+        return std::make_unique<RlbGpuState>(dv, p, u, batched);
       });
   ctx.gpu_stream_pairs = static_cast<index_t>(pools.slots);
 

@@ -153,15 +153,13 @@ void fwd_scatter_cpu(const SymbolicFactor& symb, const double* values,
 
 // --- scheduled task bodies (device) ---------------------------------------
 
-/// One in-flight device solve task's resources: a stream plus buffers for
-/// the supernode's L rectangle and the gathered RHS panel block.
+/// One in-flight device solve task's buffers: the supernode's L rectangle
+/// and the gathered RHS panel block.
 struct SolveGpuSlot {
-  gpu::Stream stream;
   gpu::DeviceBuffer lpanel;
   gpu::DeviceBuffer rhs;
   SolveGpuSlot(gpu::Device& dev, std::size_t l_entries,
-               std::size_t rhs_entries)
-      : stream(dev) {
+               std::size_t rhs_entries) {
     if (l_entries > 0) lpanel = gpu::DeviceBuffer(dev, l_entries);
     if (rhs_entries > 0) rhs = gpu::DeviceBuffer(dev, rhs_entries);
   }
@@ -178,8 +176,8 @@ struct SolveGpuSlot {
 ///   backward: transposed solve-GEMM → transposed TRSM → scatter back
 ///             ONLY s's own w rows (the below rows are other supernodes'
 ///             solution values — inputs, not outputs).
-/// All synchronization is device-side; the scheduled task never advances
-/// the shared host clock to a stream tail.
+/// No solve stat reads device time, so the ops record none: they only
+/// bump the device's byte and kernel counters.
 void gpu_solve_node(const SymbolicFactor& symb, const double* values,
                     double* y, index_t n, gpu::Device& dev,
                     SolveGpuSlot& slot, index_t s, index_t q0, index_t q1,
@@ -189,11 +187,10 @@ void gpu_solve_node(const SymbolicFactor& symb, const double* values,
   const index_t r = static_cast<index_t>(rows.size());
   const index_t pw = q1 - q0;
   double* yp = y + static_cast<std::size_t>(q0) * n;
-  gpu::Stream& st = slot.stream;
+  const gpu::Stream st{};
   gpu::copy_h2d(dev, st, slot.lpanel, 0, values + symb.sn_values_offset(s),
                 static_cast<std::size_t>(symb.sn_entries(s)), /*async=*/true);
-  gpu::gather_rows_h2d(dev, st, rows, yp, n, pw, slot.rhs, 0,
-                       /*async=*/true);
+  gpu::gather_rows_h2d(dev, st, rows, yp, n, pw, slot.rhs, 0);
   if (forward) {
     gpu::trsm_left_lower(dev, st, w, pw, slot.lpanel, 0, r, slot.rhs, 0, r);
     if (r > w) {
@@ -209,8 +206,7 @@ void gpu_solve_node(const SymbolicFactor& symb, const double* values,
                                0, r);
     rows = rows.first(static_cast<std::size_t>(w));
   }
-  gpu::scatter_rows_d2h(dev, st, rows, r, yp, n, pw, slot.rhs, 0,
-                        /*async=*/true);
+  gpu::scatter_rows_d2h(dev, st, rows, r, yp, n, pw, slot.rhs, 0);
 }
 
 // --- the scheduled executor ------------------------------------------------

@@ -10,23 +10,20 @@ namespace spchol::gpu {
 
 namespace {
 
-void account_kernel(Device& dev, Stream& s, double flops) {
-  const double dur = dev.model().gpu_kernel_seconds(flops);
-  dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
-  dev.note_kernel(dur);
+void account_kernel(Device& dev, Stream s, double flops) {
+  dev.record(s, OpKind::kKernel, dev.model().gpu_kernel_seconds(flops));
 }
 
 }  // namespace
 
-void potrf_lower(Device& dev, Stream& s, index_t n, DeviceBuffer& buf,
+void potrf_lower(Device& dev, Stream s, index_t n, DeviceBuffer& buf,
                  std::size_t off, index_t lda) {
   dense::potrf_lower_parallel(dev.compute_pool(), dev.compute_threads(), n,
                               buf.data() + off, lda);
   account_kernel(dev, s, dense::flops_potrf(n));
 }
 
-void trsm_right_lower_trans(Device& dev, Stream& s, index_t m, index_t n,
+void trsm_right_lower_trans(Device& dev, Stream s, index_t m, index_t n,
                             DeviceBuffer& buf, std::size_t l_off, index_t ldl,
                             std::size_t b_off, index_t ldb) {
   dense::trsm_right_lower_trans_parallel(
@@ -35,7 +32,7 @@ void trsm_right_lower_trans(Device& dev, Stream& s, index_t m, index_t n,
   account_kernel(dev, s, dense::flops_trsm(m, n));
 }
 
-void syrk_lower_nt(Device& dev, Stream& s, index_t n, index_t k,
+void syrk_lower_nt(Device& dev, Stream s, index_t n, index_t k,
                    const DeviceBuffer& abuf, std::size_t a_off, index_t lda,
                    DeviceBuffer& cbuf, std::size_t c_off, index_t ldc) {
   dense::syrk_lower_nt_parallel(dev.compute_pool(), dev.compute_threads(), n,
@@ -44,7 +41,7 @@ void syrk_lower_nt(Device& dev, Stream& s, index_t n, index_t k,
   account_kernel(dev, s, dense::flops_syrk(n, k));
 }
 
-void gemm_nt_minus(Device& dev, Stream& s, index_t m, index_t n, index_t k,
+void gemm_nt_minus(Device& dev, Stream s, index_t m, index_t n, index_t k,
                    const DeviceBuffer& abuf, std::size_t a_off, index_t lda,
                    std::size_t b_off, index_t ldb, DeviceBuffer& cbuf,
                    std::size_t c_off, index_t ldc) {
@@ -72,7 +69,7 @@ void zero_region(DeviceBuffer& buf, std::size_t off, index_t rows,
 
 }  // namespace
 
-void syrk_lower_nt_beta0(Device& dev, Stream& s, index_t n, index_t k,
+void syrk_lower_nt_beta0(Device& dev, Stream s, index_t n, index_t k,
                          const DeviceBuffer& abuf, std::size_t a_off,
                          index_t lda, DeviceBuffer& cbuf, std::size_t c_off,
                          index_t ldc) {
@@ -83,7 +80,7 @@ void syrk_lower_nt_beta0(Device& dev, Stream& s, index_t n, index_t k,
   account_kernel(dev, s, dense::flops_syrk(n, k));
 }
 
-void gemm_nt_minus_beta0(Device& dev, Stream& s, index_t m, index_t n,
+void gemm_nt_minus_beta0(Device& dev, Stream s, index_t m, index_t n,
                          index_t k, const DeviceBuffer& abuf,
                          std::size_t a_off, index_t lda, std::size_t b_off,
                          index_t ldb, DeviceBuffer& cbuf, std::size_t c_off,
@@ -96,7 +93,7 @@ void gemm_nt_minus_beta0(Device& dev, Stream& s, index_t m, index_t n,
   account_kernel(dev, s, dense::flops_gemm(m, n, k));
 }
 
-void batched_panel_factor(Device& dev, Stream& s,
+void batched_panel_factor(Device& dev, Stream s,
                           std::span<const BatchedPanel> panels,
                           DeviceBuffer& buf) {
   double flops = 0.0;
@@ -116,14 +113,11 @@ void batched_panel_factor(Device& dev, Stream& s,
       flops += dense::flops_trsm(p.r - p.w, p.w);
     }
   }
-  const double dur =
-      dev.model().gpu_batched_kernel_seconds(flops, panels.size());
-  dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
-  dev.note_kernel(dur);
+  dev.record(s, OpKind::kKernel,
+             dev.model().gpu_batched_kernel_seconds(flops, panels.size()));
 }
 
-void batched_syrk_update(Device& dev, Stream& s,
+void batched_syrk_update(Device& dev, Stream s,
                          std::span<const BatchedPanel> panels,
                          const DeviceBuffer& pbuf, DeviceBuffer& ubuf) {
   double flops = 0.0;
@@ -138,24 +132,19 @@ void batched_syrk_update(Device& dev, Stream& s,
     flops += dense::flops_syrk(below, p.w);
     members++;
   }
-  const double dur = dev.model().gpu_batched_kernel_seconds(flops, members);
-  dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
-  dev.note_kernel(dur);
+  dev.record(s, OpKind::kKernel,
+             dev.model().gpu_batched_kernel_seconds(flops, members));
 }
 
 namespace {
 
-void account_solve_kernel(Device& dev, Stream& s, double flops) {
-  const double dur = dev.model().gpu_solve_kernel_seconds(flops);
-  dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
-  dev.note_kernel(dur);
+void account_solve_kernel(Device& dev, Stream s, double flops) {
+  dev.record(s, OpKind::kKernel, dev.model().gpu_solve_kernel_seconds(flops));
 }
 
 }  // namespace
 
-void trsm_left_lower(Device& dev, Stream& s, index_t n, index_t nrhs,
+void trsm_left_lower(Device& dev, Stream s, index_t n, index_t nrhs,
                      const DeviceBuffer& lbuf, std::size_t l_off, index_t ldl,
                      DeviceBuffer& bbuf, std::size_t b_off, index_t ldb) {
   const double* l = lbuf.data() + l_off;
@@ -175,7 +164,7 @@ void trsm_left_lower(Device& dev, Stream& s, index_t n, index_t nrhs,
   account_solve_kernel(dev, s, dense::flops_trsm(nrhs, n));
 }
 
-void trsm_left_lower_trans(Device& dev, Stream& s, index_t n, index_t nrhs,
+void trsm_left_lower_trans(Device& dev, Stream s, index_t n, index_t nrhs,
                            const DeviceBuffer& lbuf, std::size_t l_off,
                            index_t ldl, DeviceBuffer& bbuf, std::size_t b_off,
                            index_t ldb) {
@@ -195,7 +184,7 @@ void trsm_left_lower_trans(Device& dev, Stream& s, index_t n, index_t nrhs,
   account_solve_kernel(dev, s, dense::flops_trsm(nrhs, n));
 }
 
-void gemm_solve_update(Device& dev, Stream& s, index_t m, index_t nrhs,
+void gemm_solve_update(Device& dev, Stream s, index_t m, index_t nrhs,
                        index_t k, const DeviceBuffer& lbuf, std::size_t l_off,
                        index_t ldl, DeviceBuffer& bbuf, std::size_t b1_off,
                        std::size_t b2_off, index_t ldb) {
@@ -214,7 +203,7 @@ void gemm_solve_update(Device& dev, Stream& s, index_t m, index_t nrhs,
   account_solve_kernel(dev, s, dense::flops_gemm(m, nrhs, k));
 }
 
-void gemm_solve_update_trans(Device& dev, Stream& s, index_t m, index_t nrhs,
+void gemm_solve_update_trans(Device& dev, Stream s, index_t m, index_t nrhs,
                              index_t k, const DeviceBuffer& lbuf,
                              std::size_t l_off, index_t ldl,
                              DeviceBuffer& bbuf, std::size_t b1_off,
@@ -233,9 +222,9 @@ void gemm_solve_update_trans(Device& dev, Stream& s, index_t m, index_t nrhs,
   account_solve_kernel(dev, s, dense::flops_gemm(m, nrhs, k));
 }
 
-void gather_rows_h2d(Device& dev, Stream& s, std::span<const index_t> rows,
+void gather_rows_h2d(Device& dev, Stream s, std::span<const index_t> rows,
                      const double* y, offset_t ld_y, index_t ncols,
-                     DeviceBuffer& dst, std::size_t off, bool async) {
+                     DeviceBuffer& dst, std::size_t off) {
   const std::size_t nr = rows.size();
   SPCHOL_CHECK(off + nr * static_cast<std::size_t>(ncols) <= dst.size(),
                "gather_rows_h2d out of range");
@@ -246,16 +235,13 @@ void gather_rows_h2d(Device& dev, Stream& s, std::span<const index_t> rows,
   }
   const std::size_t bytes =
       nr * static_cast<std::size_t>(ncols) * sizeof(double);
-  const double dur = dev.model().h2d_seconds(static_cast<double>(bytes));
-  dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
-  dev.note_h2d(bytes, dur);
-  if (!async) s.synchronize();
+  dev.record(s, OpKind::kH2D,
+             dev.model().h2d_seconds(static_cast<double>(bytes)), bytes);
 }
 
-void scatter_rows_d2h(Device& dev, Stream& s, std::span<const index_t> rows,
+void scatter_rows_d2h(Device& dev, Stream s, std::span<const index_t> rows,
                       index_t ld, double* y, offset_t ld_y, index_t ncols,
-                      const DeviceBuffer& src, std::size_t off, bool async) {
+                      const DeviceBuffer& src, std::size_t off) {
   const std::size_t nr = rows.size();
   SPCHOL_CHECK(nr <= static_cast<std::size_t>(ld), "scatter rows exceed ld");
   SPCHOL_CHECK(off + static_cast<std::size_t>(ld) * ncols <= src.size(),
@@ -267,46 +253,34 @@ void scatter_rows_d2h(Device& dev, Stream& s, std::span<const index_t> rows,
   }
   const std::size_t bytes =
       nr * static_cast<std::size_t>(ncols) * sizeof(double);
-  const double dur = dev.model().d2h_seconds(static_cast<double>(bytes));
-  dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
-  dev.note_d2h(bytes, dur);
-  if (!async) s.synchronize();
+  dev.record(s, OpKind::kD2H,
+             dev.model().d2h_seconds(static_cast<double>(bytes)), bytes);
 }
 
-void zero_fill(Device& dev, Stream& s, DeviceBuffer& buf, std::size_t off,
+void zero_fill(Device& dev, Stream s, DeviceBuffer& buf, std::size_t off,
                std::size_t count) {
   SPCHOL_CHECK(off + count <= buf.size(), "zero_fill out of range");
   std::memset(buf.data() + off, 0, count * sizeof(double));
   // Bandwidth-bound: model at ~1 TB/s device memory write bandwidth.
-  const double dur = dev.model().gpu_kernel_launch +
-                     static_cast<double>(count * sizeof(double)) / 1.0e12;
-  dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
-  dev.note_kernel(dur);
+  dev.record(s, OpKind::kKernel,
+             dev.model().gpu_kernel_launch +
+                 static_cast<double>(count * sizeof(double)) / 1.0e12);
 }
 
 // --- cooperative multi-device kernels -------------------------------------
 
 namespace {
 
-/// All-to-all fence between the owner stream and every peer stream:
-/// record every tail, then make every stream wait on every other's event
-/// — the cudaStreamWaitEvent mesh between cooperative phases. Events are
-/// plain timeline points, so the waits compose across devices exactly
-/// like the host-mediated synchronization they model.
-void coop_barrier(Stream& s, std::span<const CoopPeer> peers) {
-  const Event own = s.record();
-  std::vector<Event> evs;
-  evs.reserve(peers.size());
-  for (const CoopPeer& p : peers) evs.push_back(p.stream->record());
-  for (const Event& e : evs) s.wait(e);
-  for (std::size_t i = 0; i < peers.size(); ++i) {
-    peers[i].stream->wait(own);
-    for (std::size_t j = 0; j < peers.size(); ++j) {
-      if (j != i) peers[i].stream->wait(evs[j]);
-    }
-  }
+/// The `role` stream of peer `p` on the owner's record.
+Stream peer_stream(Stream s, const CoopPeer& p, Role role) {
+  return Stream{s.rec, p.ordinal, role};
+}
+
+/// All-to-all fence between the owner's and every peer's compute stream:
+/// one barrier entry (the cudaStreamWaitEvent mesh between cooperative
+/// phases).
+void coop_barrier(Stream s) {
+  if (s.rec != nullptr) s.rec->push_back({OpKind::kBarrier});
 }
 
 /// Max link latency across the cooperative mesh (owner = ordinal 0 plus
@@ -328,23 +302,38 @@ double coop_round_latency(const Device& dev, std::span<const CoopPeer> peers) {
 }
 
 /// One cooperative compute phase: the same modeled duration lands on the
-/// owner stream and every peer stream (the devices work in lockstep on
-/// their row-block shares). The owner pays the launch issue overhead —
-/// one host thread drives the whole cooperative launch.
-void coop_phase(Device& dev, Stream& s, std::span<const CoopPeer> peers,
+/// owner stream and every peer's compute stream (the devices work in
+/// lockstep on their row-block shares). Only the owner pays the launch
+/// issue overhead — one host thread drives the whole cooperative launch.
+void coop_phase(Device& dev, Stream s, std::span<const CoopPeer> peers,
                 double dur) {
-  dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
-  dev.note_kernel(dur);
+  dev.record(s, OpKind::kKernel, dur);
   for (const CoopPeer& p : peers) {
-    p.dev->enqueue(*p.stream, dur);
-    p.dev->note_kernel(dur);
+    p.dev->record(peer_stream(s, p, Role::kCompute), OpKind::kKernel, dur, 0,
+                  /*issue=*/false);
   }
+}
+
+/// Each peer downloads its `slice_bytes` on its copy stream once its
+/// compute share is done; returns the slices' op indices.
+std::vector<int> coop_peer_slices_d2h(Stream s,
+                                      std::span<const CoopPeer> peers,
+                                      std::size_t slice_bytes) {
+  std::vector<int> ops;
+  for (const CoopPeer& p : peers) {
+    const Stream compute = peer_stream(s, p, Role::kCompute);
+    ops.push_back(p.dev->record(
+        peer_stream(s, p, Role::kCopy).waiting_for(compute.last()),
+        OpKind::kD2H,
+        p.dev->model().d2h_seconds(static_cast<double>(slice_bytes)),
+        slice_bytes, /*issue=*/false));
+  }
+  return ops;
 }
 
 }  // namespace
 
-void coop_copy_h2d(Device& dev, Stream& s, std::span<const CoopPeer> peers,
+void coop_copy_h2d(Device& dev, Stream s, std::span<const CoopPeer> peers,
                    DeviceBuffer& dst, std::size_t off, const double* src,
                    std::size_t count) {
   SPCHOL_CHECK(off + count <= dst.size(), "coop_copy_h2d out of range");
@@ -353,16 +342,13 @@ void coop_copy_h2d(Device& dev, Stream& s, std::span<const CoopPeer> peers,
   const double num_devices = static_cast<double>(peers.size() + 1);
   const std::size_t slice_bytes = static_cast<std::size_t>(
       static_cast<double>(count) * sizeof(double) / num_devices);
-  const double own_up =
-      dev.model().h2d_seconds(static_cast<double>(slice_bytes));
-  dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, own_up);
-  dev.note_h2d(slice_bytes, own_up);
+  dev.record(s, OpKind::kH2D,
+             dev.model().h2d_seconds(static_cast<double>(slice_bytes)),
+             slice_bytes);
   for (const CoopPeer& p : peers) {
-    const double up =
-        p.dev->model().h2d_seconds(static_cast<double>(slice_bytes));
-    p.dev->enqueue(*p.stream, up);
-    p.dev->note_h2d(slice_bytes, up);
+    p.dev->record(peer_stream(s, p, Role::kCompute), OpKind::kH2D,
+                  p.dev->model().h2d_seconds(static_cast<double>(slice_bytes)),
+                  slice_bytes, /*issue=*/false);
   }
   // All-gather the (P-1)/P of the block each device is missing over the
   // p2p mesh, then fence: the factor's first round needs the full panel
@@ -370,44 +356,40 @@ void coop_copy_h2d(Device& dev, Stream& s, std::span<const CoopPeer> peers,
   const double gather_bytes = static_cast<double>(slice_bytes) *
                               static_cast<double>(peers.size());
   if (!peers.empty()) {
-    if (dev.model().links.empty()) {
-      dev.enqueue(s, dev.model().p2p_seconds(gather_bytes));
-      for (const CoopPeer& p : peers) {
-        p.dev->enqueue(*p.stream, p.dev->model().p2p_seconds(gather_bytes));
-      }
-    } else {
-      // Per-link all-gather: device i receives one 1/P slice from every
-      // other participant. The issue latencies pipeline (one, the
-      // slowest ingress link) while the slice payloads serialize on i's
-      // ingress path at each link's own bandwidth — so a uniform table
-      // prices exactly like the flat model, and an island-crossing hop
-      // paces the whole fence, which is what placement minimizes.
-      auto gather_for = [&](const PerfModel& m, int me) {
-        double lat = 0.0;
-        double xfer = 0.0;
-        auto add = [&](int from) {
-          const double hop_lat = m.p2p_seconds(from, me, 0.0);
-          lat = std::max(lat, hop_lat);
-          xfer += m.p2p_seconds(from, me,
-                                static_cast<double>(slice_bytes)) -
-                  hop_lat;
-        };
-        if (me != 0) add(0);
-        for (const CoopPeer& q : peers) {
-          if (q.ordinal != me) add(q.ordinal);
-        }
-        return lat + xfer;
+    // Per-link all-gather: device i receives one 1/P slice from every
+    // other participant. The issue latencies pipeline (one, the slowest
+    // ingress link) while the slice payloads serialize on i's ingress
+    // path at each link's own bandwidth — so a uniform table prices
+    // exactly like the flat model, and an island-crossing hop paces the
+    // whole fence, which is what placement minimizes.
+    auto gather_for = [&](const PerfModel& m, int me) {
+      if (m.links.empty()) return m.p2p_seconds(gather_bytes);
+      double lat = 0.0;
+      double xfer = 0.0;
+      auto add = [&](int from) {
+        const double hop_lat = m.p2p_seconds(from, me, 0.0);
+        lat = std::max(lat, hop_lat);
+        xfer += m.p2p_seconds(from, me, static_cast<double>(slice_bytes)) -
+                hop_lat;
       };
-      dev.enqueue(s, gather_for(dev.model(), 0));
-      for (const CoopPeer& p : peers) {
-        p.dev->enqueue(*p.stream, gather_for(p.dev->model(), p.ordinal));
+      if (me != 0) add(0);
+      for (const CoopPeer& q : peers) {
+        if (q.ordinal != me) add(q.ordinal);
       }
+      return lat + xfer;
+    };
+    dev.record(s, OpKind::kP2P, gather_for(dev.model(), 0), 0,
+               /*issue=*/false);
+    for (const CoopPeer& p : peers) {
+      p.dev->record(peer_stream(s, p, Role::kCompute), OpKind::kP2P,
+                    gather_for(p.dev->model(), p.ordinal), 0,
+                    /*issue=*/false);
     }
   }
-  coop_barrier(s, peers);
+  coop_barrier(s);
 }
 
-void coop_copy_d2h(Device& dev, Stream& s, std::span<const CoopPeer> peers,
+void coop_copy_d2h(Device& dev, Stream s, std::span<const CoopPeer> peers,
                    double* dst, const DeviceBuffer& src, std::size_t off,
                    std::size_t count) {
   SPCHOL_CHECK(off + count <= src.size(), "coop_copy_d2h out of range");
@@ -416,24 +398,15 @@ void coop_copy_d2h(Device& dev, Stream& s, std::span<const CoopPeer> peers,
   const double num_devices = static_cast<double>(peers.size() + 1);
   const std::size_t slice_bytes = static_cast<std::size_t>(
       static_cast<double>(count) * sizeof(double) / num_devices);
-  const double own_down =
-      dev.model().d2h_seconds(static_cast<double>(slice_bytes));
-  dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, own_down);
-  dev.note_d2h(slice_bytes, own_down);
-  for (const CoopPeer& p : peers) {
-    // The slice is ready once the peer's compute share is done; it then
-    // drains on the peer's copy stream, overlapping whatever the mesh
-    // does next.
-    p.copy->wait(p.stream->record());
-    const double down =
-        p.dev->model().d2h_seconds(static_cast<double>(slice_bytes));
-    p.dev->enqueue(*p.copy, down);
-    p.dev->note_d2h(slice_bytes, down);
-  }
+  dev.record(s, OpKind::kD2H,
+             dev.model().d2h_seconds(static_cast<double>(slice_bytes)),
+             slice_bytes);
+  // Each peer's slice drains on its copy stream, overlapping whatever the
+  // mesh does next.
+  coop_peer_slices_d2h(s, peers, slice_bytes);
 }
 
-void coop_panel_factor(Device& dev, Stream& s, std::span<const CoopPeer> peers,
+void coop_panel_factor(Device& dev, Stream s, std::span<const CoopPeer> peers,
                        index_t n, DeviceBuffer& buf, std::size_t off,
                        index_t lda, index_t block) {
   const double num_devices = static_cast<double>(peers.size() + 1);
@@ -450,7 +423,7 @@ void coop_panel_factor(Device& dev, Stream& s, std::span<const CoopPeer> peers,
         buf.data() + off, lda, buf.data() + off + n, lda);
   }
 
-  // Timeline: block-column rounds — each round's diagonal block factors
+  // Modeled: block-column rounds — each round's diagonal block factors
   // serially on the owner while the trailing update splits evenly across
   // the devices (the panel is already resident everywhere via
   // coop_copy_h2d's all-gather).
@@ -470,7 +443,7 @@ void coop_panel_factor(Device& dev, Stream& s, std::span<const CoopPeer> peers,
       dev.model().gpu_kernel_seconds(trail_flops / num_devices) +
       static_cast<double>(nb) * round_lat;
   coop_phase(dev, s, peers, potrf_dur);
-  coop_barrier(s, peers);
+  coop_barrier(s);
 
   if (below > 0) {
     const double trsm_dur =
@@ -478,11 +451,11 @@ void coop_panel_factor(Device& dev, Stream& s, std::span<const CoopPeer> peers,
                                        num_devices) +
         round_lat;
     coop_phase(dev, s, peers, trsm_dur);
-    coop_barrier(s, peers);
+    coop_barrier(s);
   }
 }
 
-void coop_syrk_update_d2h(Device& dev, Stream& s,
+void coop_syrk_update_d2h(Device& dev, Stream s,
                           std::span<const CoopPeer> peers, index_t n,
                           index_t k, const DeviceBuffer& abuf,
                           std::size_t a_off, index_t lda, DeviceBuffer& cbuf,
@@ -500,31 +473,22 @@ void coop_syrk_update_d2h(Device& dev, Stream& s,
   std::memcpy(host_out, cbuf.data(),
               static_cast<std::size_t>(n) * n * sizeof(double));
 
-  // Timeline: each device computes its row-block share of C (the panel is
+  // Modeled: each device computes its row-block share of C (the panel is
   // already resident everywhere from the cooperative factor's broadcast)
-  // and downloads ITS slice of the update matrix over its own link.
+  // and downloads ITS slice of the update matrix over its own link; the
+  // host assembles once every slice has landed.
   const double syrk_dur = dev.model().gpu_kernel_seconds(
       dense::flops_syrk(n, k) / num_devices);
   coop_phase(dev, s, peers, syrk_dur);
 
   const std::size_t slice_bytes = static_cast<std::size_t>(
       static_cast<double>(n) * n * sizeof(double) / num_devices);
-  const double own_xfer =
-      dev.model().d2h_seconds(static_cast<double>(slice_bytes));
-  dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, own_xfer);
-  dev.note_d2h(slice_bytes, own_xfer);
-  for (const CoopPeer& p : peers) {
-    p.copy->wait(p.stream->record());
-    const double xfer =
-        p.dev->model().d2h_seconds(static_cast<double>(slice_bytes));
-    p.dev->enqueue(*p.copy, xfer);
-    p.dev->note_d2h(slice_bytes, xfer);
-  }
-  // Like the single-device pipeline's async update download, the host
-  // assembly is sequenced by the task graph, not a device sync — the
-  // slice transfers just have to drain before the device goes idle
-  // (they are folded into the final per-device synchronize).
+  std::vector<int> slices = coop_peer_slices_d2h(s, peers, slice_bytes);
+  slices.push_back(dev.record(
+      s, OpKind::kD2H,
+      dev.model().d2h_seconds(static_cast<double>(slice_bytes)),
+      slice_bytes));
+  for (const int op : slices) host_wait(s, op);
 }
 
 }  // namespace spchol::gpu

@@ -1,6 +1,6 @@
 // Device BLAS: the MAGMA-equivalent calls the paper offloads. Each call
 // executes the numerics for real (on host threads, operating on device
-// buffers) and enqueues its modeled duration on a stream.
+// buffers) and records its modeled duration on a Stream handle.
 #pragma once
 
 #include <span>
@@ -10,23 +10,23 @@
 namespace spchol::gpu {
 
 /// Device DPOTRF on an n×n lower block at `off` within `buf` (ld = lda).
-void potrf_lower(Device& dev, Stream& s, index_t n, DeviceBuffer& buf,
+void potrf_lower(Device& dev, Stream s, index_t n, DeviceBuffer& buf,
                  std::size_t off, index_t lda);
 
 /// Device DTRSM: B := B·L⁻ᵀ; L at l_off in `buf` (n×n), B at b_off (m×n).
-void trsm_right_lower_trans(Device& dev, Stream& s, index_t m, index_t n,
+void trsm_right_lower_trans(Device& dev, Stream s, index_t m, index_t n,
                             DeviceBuffer& buf, std::size_t l_off, index_t ldl,
                             std::size_t b_off, index_t ldb);
 
 /// Device DSYRK: C := C − A·Aᵀ (lower); A at a_off in `abuf` (n×k), C at
 /// c_off in `cbuf` (n×n).
-void syrk_lower_nt(Device& dev, Stream& s, index_t n, index_t k,
+void syrk_lower_nt(Device& dev, Stream s, index_t n, index_t k,
                    const DeviceBuffer& abuf, std::size_t a_off, index_t lda,
                    DeviceBuffer& cbuf, std::size_t c_off, index_t ldc);
 
 /// Device DGEMM: C := C − A·Bᵀ; A (m×k) at a_off, B (n×k) at b_off — both
 /// in `abuf` — and C (m×n) at c_off in `cbuf`.
-void gemm_nt_minus(Device& dev, Stream& s, index_t m, index_t n, index_t k,
+void gemm_nt_minus(Device& dev, Stream s, index_t m, index_t n, index_t k,
                    const DeviceBuffer& abuf, std::size_t a_off, index_t lda,
                    std::size_t b_off, index_t ldb, DeviceBuffer& cbuf,
                    std::size_t c_off, index_t ldc);
@@ -34,13 +34,13 @@ void gemm_nt_minus(Device& dev, Stream& s, index_t m, index_t n, index_t k,
 /// Device DSYRK with beta = 0: C := −A·Aᵀ (lower), overwriting C — one
 /// kernel, no separate zeroing pass (MAGMA semantics). The strict upper
 /// triangle of the C region is zeroed as a side effect.
-void syrk_lower_nt_beta0(Device& dev, Stream& s, index_t n, index_t k,
+void syrk_lower_nt_beta0(Device& dev, Stream s, index_t n, index_t k,
                          const DeviceBuffer& abuf, std::size_t a_off,
                          index_t lda, DeviceBuffer& cbuf, std::size_t c_off,
                          index_t ldc);
 
 /// Device DGEMM with beta = 0: C := −A·Bᵀ, overwriting C.
-void gemm_nt_minus_beta0(Device& dev, Stream& s, index_t m, index_t n,
+void gemm_nt_minus_beta0(Device& dev, Stream s, index_t m, index_t n,
                          index_t k, const DeviceBuffer& abuf,
                          std::size_t a_off, index_t lda, std::size_t b_off,
                          index_t ldb, DeviceBuffer& cbuf, std::size_t c_off,
@@ -48,44 +48,41 @@ void gemm_nt_minus_beta0(Device& dev, Stream& s, index_t m, index_t n,
 
 /// Device memset-to-zero (cudaMemsetAsync equivalent), modeled as a
 /// bandwidth-bound kernel.
-void zero_fill(Device& dev, Stream& s, DeviceBuffer& buf, std::size_t off,
+void zero_fill(Device& dev, Stream s, DeviceBuffer& buf, std::size_t off,
                std::size_t count);
 
 // --- cooperative multi-device kernels -------------------------------------
 
 /// One peer device of a cooperative launch: a device of the run's
-/// registry other than the owner, plus the dedicated compute stream the
-/// owner charges its share of the distributed timeline on and a copy
-/// stream for its D2H slices (a separate DMA engine, so downloads drain
-/// alongside the next phase's compute — the same overlap the owner gets
-/// from the slot's copy stream).
+/// registry other than the owner. Its share of every phase is recorded
+/// on its compute stream and its D2H slices on its copy stream (a
+/// separate DMA engine, so downloads drain alongside the next phase's
+/// compute), both on the owner's record.
 struct CoopPeer {
   Device* dev = nullptr;
-  Stream* stream = nullptr;
-  Stream* copy = nullptr;
-  /// Registry ordinal of this peer — the row/column it occupies in the
-  /// PerfModel link table. The owner of a coop launch is always the
-  /// shard's primary device, ordinal 0.
+  /// Registry ordinal of this peer — its record ordinal and the
+  /// row/column it occupies in the PerfModel link table. The owner of a
+  /// coop launch is always the shard's primary device, ordinal 0.
   int ordinal = 0;
 };
 
 /// Cooperative H2D: uploads `count` doubles to `off` in the owner's
-/// `dst` (eager memcpy, once) while the modeled timeline splits the
+/// `dst` (eager memcpy, once) while the recorded costs split the
 /// transfer across every device's OWN PCIe link (bytes/P each, in
 /// parallel) followed by a p2p all-gather so every device holds the full
-/// block — the standard multi-GPU panel staging pattern. Ends with an
-/// all-to-all stream fence: on return every coop stream is aligned at
-/// the moment the block is resident everywhere.
-void coop_copy_h2d(Device& dev, Stream& s, std::span<const CoopPeer> peers,
+/// block — the standard multi-GPU panel staging pattern. Ends with one
+/// barrier entry: every coop stream is aligned at the moment the block
+/// is resident everywhere.
+void coop_copy_h2d(Device& dev, Stream s, std::span<const CoopPeer> peers,
                    DeviceBuffer& dst, std::size_t off, const double* src,
                    std::size_t count);
 
 /// Cooperative D2H: downloads `count` doubles from `off` in the owner's
 /// `src` into `dst` (eager memcpy, once), each device transferring ITS
-/// 1/P slice over its own link — the owner's share lands on stream `s`
-/// (pass the slot's copy stream to overlap it with compute, like the
-/// async panel download of the single-device pipeline).
-void coop_copy_d2h(Device& dev, Stream& s, std::span<const CoopPeer> peers,
+/// 1/P slice over its own link — the owner's share lands on `s` (pass a
+/// copy handle to overlap it with compute, like the async panel download
+/// of the single-device pipeline).
+void coop_copy_d2h(Device& dev, Stream s, std::span<const CoopPeer> peers,
                    double* dst, const DeviceBuffer& src, std::size_t off,
                    std::size_t count);
 
@@ -93,14 +90,14 @@ void coop_copy_d2h(Device& dev, Stream& s, std::span<const CoopPeer> peers,
 /// diagonal block at `off` (ld = lda) followed by the DTRSM of the
 /// below-diagonal rows (m = lda - n), numerically IDENTICAL to
 /// potrf_lower + trsm_right_lower_trans on the owner's buffer — the
-/// kernels execute once, on the owner — while the modeled timeline is
+/// kernels execute once, on the owner — while the recorded costs are
 /// block-distributed over the owner plus every peer: each `block`-column
 /// round factors its diagonal block serially, exchanges the panel block
 /// over the p2p links, and splits the trailing update evenly across the
 /// devices. The panel must already be resident on every device (upload
-/// it with coop_copy_h2d). Streams are phase-barriered with cross-device
-/// events. Throws NotPositiveDefinite exactly like potrf_lower.
-void coop_panel_factor(Device& dev, Stream& s, std::span<const CoopPeer> peers,
+/// it with coop_copy_h2d). Phases end in barrier entries. Throws
+/// NotPositiveDefinite exactly like potrf_lower.
+void coop_panel_factor(Device& dev, Stream s, std::span<const CoopPeer> peers,
                        index_t n, DeviceBuffer& buf, std::size_t off,
                        index_t lda, index_t block = 256);
 
@@ -110,8 +107,9 @@ void coop_panel_factor(Device& dev, Stream& s, std::span<const CoopPeer> peers,
 /// kernel split across the devices by target-row blocks (each device
 /// already holds the panel from the cooperative factor's broadcasts) and
 /// each device transferring ITS slice of the update matrix to the host,
-/// where `host_out` receives the full n×n block for the CPU assembly.
-void coop_syrk_update_d2h(Device& dev, Stream& s,
+/// where `host_out` receives the full n×n block for the CPU assembly; the
+/// host waits for every slice.
+void coop_syrk_update_d2h(Device& dev, Stream s,
                           std::span<const CoopPeer> peers, index_t n,
                           index_t k, const DeviceBuffer& abuf,
                           std::size_t a_off, index_t lda, DeviceBuffer& cbuf,
@@ -135,14 +133,14 @@ struct BatchedPanel {
 /// amortized over the batch (PerfModel::gpu_batched_kernel_seconds) —
 /// the cuBLAS/MAGMA batched-API shape for swarms of small dense blocks.
 /// Throws NotPositiveDefinite with first_col + local column.
-void batched_panel_factor(Device& dev, Stream& s,
+void batched_panel_factor(Device& dev, Stream s,
                           std::span<const BatchedPanel> panels,
                           DeviceBuffer& buf);
 
 /// ONE fused batched update launch: the beta = 0 DSYRK of every member
 /// with r > w, each overwriting its own tile of the packed update buffer.
 /// One modeled launch for the whole batch.
-void batched_syrk_update(Device& dev, Stream& s,
+void batched_syrk_update(Device& dev, Stream s,
                          std::span<const BatchedPanel> panels,
                          const DeviceBuffer& pbuf, DeviceBuffer& ubuf);
 
@@ -161,13 +159,13 @@ void batched_syrk_update(Device& dev, Stream& s,
 /// Device forward TRSM (left, lower, non-unit): B := L₁₁⁻¹·B where L₁₁ is
 /// the n×n lower block at l_off in `lbuf` (ld = ldl) and B is n×nrhs at
 /// b_off in `bbuf` (ld = ldb).
-void trsm_left_lower(Device& dev, Stream& s, index_t n, index_t nrhs,
+void trsm_left_lower(Device& dev, Stream s, index_t n, index_t nrhs,
                      const DeviceBuffer& lbuf, std::size_t l_off, index_t ldl,
                      DeviceBuffer& bbuf, std::size_t b_off, index_t ldb);
 
 /// Device backward TRSM (left, lower-transpose, non-unit):
 /// B := L₁₁⁻ᵀ·B, same layout as trsm_left_lower.
-void trsm_left_lower_trans(Device& dev, Stream& s, index_t n, index_t nrhs,
+void trsm_left_lower_trans(Device& dev, Stream s, index_t n, index_t nrhs,
                            const DeviceBuffer& lbuf, std::size_t l_off,
                            index_t ldl, DeviceBuffer& bbuf, std::size_t b_off,
                            index_t ldb);
@@ -176,7 +174,7 @@ void trsm_left_lower_trans(Device& dev, Stream& s, index_t n, index_t nrhs,
 /// block at l_off in `lbuf` (ld = ldl), B₁ is k×nrhs at b1_off and B₂ is
 /// m×nrhs at b2_off, both in `bbuf` (ld = ldb). Per-entry inner loop
 /// ascending in k.
-void gemm_solve_update(Device& dev, Stream& s, index_t m, index_t nrhs,
+void gemm_solve_update(Device& dev, Stream s, index_t m, index_t nrhs,
                        index_t k, const DeviceBuffer& lbuf, std::size_t l_off,
                        index_t ldl, DeviceBuffer& bbuf, std::size_t b1_off,
                        std::size_t b2_off, index_t ldb);
@@ -184,7 +182,7 @@ void gemm_solve_update(Device& dev, Stream& s, index_t m, index_t nrhs,
 /// Backward solve update: B₁ := B₁ − L₂₁ᵀ·B₂, same layout as
 /// gemm_solve_update. Per-entry inner loop ascending in m (the serial
 /// backward sweep's below-row order).
-void gemm_solve_update_trans(Device& dev, Stream& s, index_t m, index_t nrhs,
+void gemm_solve_update_trans(Device& dev, Stream s, index_t m, index_t nrhs,
                              index_t k, const DeviceBuffer& lbuf,
                              std::size_t l_off, index_t ldl,
                              DeviceBuffer& bbuf, std::size_t b1_off,
@@ -196,9 +194,9 @@ void gemm_solve_update_trans(Device& dev, Stream& s, index_t m, index_t nrhs,
 /// block at `off` in `dst` (ld = rows.size()) and uploads it: eager data
 /// movement plus ONE modeled H2D transfer of the packed bytes — the
 /// cudaMemcpy of a host-side gather staging buffer.
-void gather_rows_h2d(Device& dev, Stream& s, std::span<const index_t> rows,
+void gather_rows_h2d(Device& dev, Stream s, std::span<const index_t> rows,
                      const double* y, offset_t ld_y, index_t ncols,
-                     DeviceBuffer& dst, std::size_t off, bool async);
+                     DeviceBuffer& dst, std::size_t off);
 
 /// Downloads the leading rows.size() rows of the packed block at `off` in
 /// `src` (device leading dimension `ld` ≥ rows.size()) and scatters them
@@ -206,8 +204,8 @@ void gather_rows_h2d(Device& dev, Stream& s, std::span<const index_t> rows,
 /// Passing a prefix of the gathered row list writes back only those rows
 /// (the backward solve returns a supernode's own w rows, never the
 /// ancestor rows it only read).
-void scatter_rows_d2h(Device& dev, Stream& s, std::span<const index_t> rows,
+void scatter_rows_d2h(Device& dev, Stream s, std::span<const index_t> rows,
                       index_t ld, double* y, offset_t ld_y, index_t ncols,
-                      const DeviceBuffer& src, std::size_t off, bool async);
+                      const DeviceBuffer& src, std::size_t off);
 
 }  // namespace spchol::gpu

@@ -37,119 +37,54 @@ std::size_t Device::mem_peak() const noexcept {
   return mem_peak_;
 }
 
-void Device::track_stream(Stream* s) {
-  std::lock_guard<std::mutex> lk(mu_);
-  streams_.push_back(s);
-  stats_.num_streams_created++;
-}
-
-void Device::untrack_stream(Stream* s) {
-  std::lock_guard<std::mutex> lk(mu_);
-  retired_tail_ = std::max(retired_tail_, s->tail_);
-  streams_.erase(std::remove(streams_.begin(), streams_.end(), s),
-                 streams_.end());
-}
-
-double Device::device_tail_locked() const {
-  double tail = retired_tail_;
-  for (const Stream* s : streams_) tail = std::max(tail, s->tail_);
-  return tail;
-}
-
-double Device::enqueue(Stream& s, double dur) {
-  std::lock_guard<std::mutex> lk(mu_);
-  const double start = std::max(s.tail_, host_time_);
-  const double end = start + dur;
-  // Cross-stream overlap: the part of [start, end) during which some other
-  // stream still has enqueued work.
-  double others = retired_tail_;
-  for (const Stream* t : streams_) {
-    if (t != &s) others = std::max(others, t->tail_);
-  }
-  if (others > start) stats_.overlap_seconds += std::min(end, others) - start;
-  s.tail_ = end;
-  return start;
-}
-
-double Device::host_time() const noexcept {
-  std::lock_guard<std::mutex> lk(mu_);
-  return host_time_;
-}
-
-void Device::advance_host(double seconds) {
-  std::lock_guard<std::mutex> lk(mu_);
-  host_time_ += seconds;
-}
-
-void Device::wait_event(const Event& e) {
-  std::lock_guard<std::mutex> lk(mu_);
-  host_time_ = std::max(host_time_, e.time);
-}
-
-void Device::synchronize() {
-  std::lock_guard<std::mutex> lk(mu_);
-  host_time_ = std::max(host_time_, device_tail_locked());
-}
-
-double Device::makespan() const noexcept {
-  std::lock_guard<std::mutex> lk(mu_);
-  return std::max(host_time_, device_tail_locked());
-}
-
 DeviceStats Device::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return stats_;
-}
-
-std::size_t Device::num_live_streams() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return streams_.size();
-}
-
-void Device::note_h2d(std::size_t bytes, double seconds) {
-  std::lock_guard<std::mutex> lk(mu_);
-  stats_.h2d_seconds += seconds;
-  stats_.h2d_bytes += bytes;
-  stats_.num_h2d++;
-}
-
-void Device::note_d2h(std::size_t bytes, double seconds) {
-  std::lock_guard<std::mutex> lk(mu_);
-  stats_.d2h_seconds += seconds;
-  stats_.d2h_bytes += bytes;
-  stats_.num_d2h++;
-}
-
-void Device::note_kernel(double seconds) {
-  std::lock_guard<std::mutex> lk(mu_);
-  stats_.kernel_seconds += seconds;
-  stats_.num_kernels++;
+  DeviceStats st;
+  st.h2d_bytes = h2d_bytes_.load(std::memory_order_relaxed);
+  st.d2h_bytes = d2h_bytes_.load(std::memory_order_relaxed);
+  st.num_h2d = num_h2d_.load(std::memory_order_relaxed);
+  st.num_d2h = num_d2h_.load(std::memory_order_relaxed);
+  st.num_kernels = num_kernels_.load(std::memory_order_relaxed);
+  return st;
 }
 
 ThreadPool& Device::compute_pool() { return ThreadPool::global(); }
 
-Stream::Stream(Device& dev) : dev_(&dev) { dev.track_stream(this); }
-
-Stream::~Stream() { dev_->untrack_stream(this); }
-
-double Stream::tail() const noexcept {
-  std::lock_guard<std::mutex> lk(dev_->mu_);
-  return tail_;
+int Device::record(Stream s, OpKind kind, double seconds, std::size_t bytes,
+                   bool issue) {
+  constexpr auto relaxed = std::memory_order_relaxed;
+  if (kind == OpKind::kH2D) {
+    h2d_bytes_.fetch_add(bytes, relaxed);
+    num_h2d_.fetch_add(1, relaxed);
+  } else if (kind == OpKind::kD2H) {
+    d2h_bytes_.fetch_add(bytes, relaxed);
+    num_d2h_.fetch_add(1, relaxed);
+  } else if (kind == OpKind::kKernel) {
+    num_kernels_.fetch_add(1, relaxed);
+  }
+  if (s.rec == nullptr) return -1;
+  Op op;
+  op.kind = kind;
+  op.role = s.role;
+  op.device = s.device;
+  op.after = s.after;
+  op.issue = issue ? cfg_.model.issue_overhead : 0.0;
+  op.seconds = seconds;
+  op.bytes = bytes;
+  s.rec->push_back(op);
+  return static_cast<int>(s.rec->size()) - 1;
 }
 
-void Stream::synchronize() {
-  std::lock_guard<std::mutex> lk(dev_->mu_);
-  dev_->host_time_ = std::max(dev_->host_time_, tail_);
-}
-
-Event Stream::record() const noexcept {
-  std::lock_guard<std::mutex> lk(dev_->mu_);
-  return {tail_};
-}
-
-void Stream::wait(const Event& e) noexcept {
-  std::lock_guard<std::mutex> lk(dev_->mu_);
-  tail_ = std::max(tail_, e.time);
+int Stream::last() const {
+  if (rec == nullptr) return -1;
+  for (int k = static_cast<int>(rec->size()) - 1; k >= 0; --k) {
+    const Op& op = (*rec)[static_cast<std::size_t>(k)];
+    if (op.device == device && op.role == role &&
+        (op.kind == OpKind::kKernel || op.kind == OpKind::kH2D ||
+         op.kind == OpKind::kD2H || op.kind == OpKind::kP2P)) {
+      return k;
+    }
+  }
+  return -1;
 }
 
 DeviceBuffer::DeviceBuffer(Device& dev, std::size_t count)
@@ -190,29 +125,34 @@ DeviceBuffer& DeviceBuffer::operator=(DeviceBuffer&& o) noexcept {
   return *this;
 }
 
-void copy_h2d(Device& dev, Stream& s, DeviceBuffer& dst, std::size_t dst_off,
-              const double* src, std::size_t count, bool async) {
-  SPCHOL_CHECK(dst_off + count <= dst.size(), "h2d copy out of range");
-  const std::size_t bytes = count * sizeof(double);
-  // Eager data movement (the simulation executes in program order).
-  std::memcpy(dst.data() + dst_off, src, bytes);
-  const double dur = dev.model().h2d_seconds(static_cast<double>(bytes));
-  dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
-  dev.note_h2d(bytes, dur);
-  if (!async) s.synchronize();
+void host_wait(Stream s, int op) {
+  if (s.rec != nullptr) {
+    s.rec->push_back({OpKind::kWait, s.role, s.device, 0, op});
+  }
 }
 
-void copy_d2h(Device& dev, Stream& s, double* dst, const DeviceBuffer& src,
-              std::size_t src_off, std::size_t count, bool async) {
+int copy_h2d(Device& dev, Stream s, DeviceBuffer& dst, std::size_t dst_off,
+             const double* src, std::size_t count, bool async) {
+  SPCHOL_CHECK(dst_off + count <= dst.size(), "h2d copy out of range");
+  const std::size_t bytes = count * sizeof(double);
+  std::memcpy(dst.data() + dst_off, src, bytes);
+  const int op = dev.record(
+      s, OpKind::kH2D, dev.model().h2d_seconds(static_cast<double>(bytes)),
+      bytes);
+  if (!async) host_wait(s, op);
+  return op;
+}
+
+int copy_d2h(Device& dev, Stream s, double* dst, const DeviceBuffer& src,
+             std::size_t src_off, std::size_t count, bool async) {
   SPCHOL_CHECK(src_off + count <= src.size(), "d2h copy out of range");
   const std::size_t bytes = count * sizeof(double);
   std::memcpy(dst, src.data() + src_off, bytes);
-  const double dur = dev.model().d2h_seconds(static_cast<double>(bytes));
-  dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
-  dev.note_d2h(bytes, dur);
-  if (!async) s.synchronize();
+  const int op = dev.record(
+      s, OpKind::kD2H, dev.model().d2h_seconds(static_cast<double>(bytes)),
+      bytes);
+  if (!async) host_wait(s, op);
+  return op;
 }
 
 }  // namespace spchol::gpu

@@ -1,27 +1,31 @@
 // Simulated CUDA-like device runtime.
 //
 // The device executes numerics for real (kernels run on host threads, and
-// "device memory" is host memory behind an accounting layer), while a
-// discrete-event timeline models when each operation would complete on the
-// paper's A100: every stream is a FIFO whose operations start at
-// max(stream tail, host issue time); synchronization advances the host
-// clock to the stream tail. This reproduces exactly the behaviours the
+// "device memory" is host memory behind an accounting layer) and keeps
+// no clock. Every device op instead appends one modeled cost entry (an
+// Op) to the record of the plan node issuing it: device ordinal, stream
+// role, duration, bytes, and at most one dependency on an earlier op of
+// the same node. After the run, core/replay.* list-schedules the executed
+// task DAG over those records and produces every modeled number — so
+// modeled time is a function of the plan and the options alone, never of
+// how host threads interleaved. The entries carry exactly what the
 // paper's offloading algorithms depend on:
 //   * asynchronous D2H of the factored supernode overlapping the update
-//     kernel (§III),
+//     kernel (§III: a copy-role op waits only for the compute op it
+//     names),
 //   * per-transfer latency vs bandwidth trade-offs (RLB v1 vs v2, §IV.B),
-//   * the hard 40 GB memory capacity that fails RL on nlpkkt120 (Table I).
+//   * the hard 40 GB memory capacity that fails RL on nlpkkt120 (Table I),
+//     which the memory accounting below enforces for real.
 //
 // Concurrency. The scheduled hybrid drivers issue operations from several
-// worker threads at once (one stream pair per in-flight GPU supernode), so
-// the timeline, the memory accounting, and the stats are all guarded by one
-// device mutex. Streams register with their device on construction and
-// deregister on destruction (folding their tail into the retired-work
-// watermark), so short-lived per-task streams never leave dangling pointers
-// behind for synchronize()/makespan() to walk.
+// worker threads at once; the memory accounting is guarded by the device
+// mutex, the op counters are atomic, and each node's record is written
+// only by the thread running that node.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstddef>
 #include <memory>
 #include <mutex>
@@ -66,60 +70,68 @@ struct DeviceConfig {
   std::size_t compute_threads = 0;
 };
 
-class Device;
+/// The modeled stream a device op runs on. The replay gives every node
+/// one stream pair (a compute and a copy stream) per device it touches;
+/// ops on one stream run in issue order.
+enum class Role : std::uint8_t { kCompute, kCopy };
 
-/// A recorded point in a stream's timeline (cudaEvent equivalent).
-struct Event {
-  double time = 0.0;
+/// What one recorded cost entry models (core/replay.hpp schedules them).
+enum class OpKind : std::uint8_t {
+  kCpuBlas,   ///< host BLAS seconds
+  kAssembly,  ///< host scatter-assembly seconds
+  kWait,      ///< the host blocks until op `after` completes
+  kKernel,    ///< device kernel on (device, role)
+  kH2D,       ///< host→device transfer on (device, role)
+  kD2H,       ///< device→host transfer on (device, role)
+  kP2P,       ///< peer exchange time on (device, role) of a coop launch
+  kLink,      ///< cross-device hop device → dst; the host waits for it
+  kBarrier,   ///< aligns the compute streams of every device the node used
 };
 
-/// One device execution queue. Operations enqueued on the same stream are
-/// serialized; different streams may overlap. A Stream registers with its
-/// device for the duration of its lifetime (and deregisters on
-/// destruction), so streams may safely be shorter-lived than the device —
-/// e.g. pooled per-task stream pairs. Pinned in memory: neither copyable
-/// nor movable (the device holds its address while registered).
-class Stream {
- public:
-  explicit Stream(Device& dev);
-  ~Stream();
-  Stream(const Stream&) = delete;
-  Stream& operator=(const Stream&) = delete;
-
-  /// Completion time (device timeline) of the last enqueued operation.
-  double tail() const noexcept;
-
-  /// Blocks the host until every enqueued operation has completed.
-  void synchronize();
-
-  /// Records an event capturing all work enqueued so far.
-  Event record() const noexcept;
-
-  /// Makes subsequent operations on this stream wait for `e`
-  /// (cudaStreamWaitEvent equivalent; does not block the host).
-  void wait(const Event& e) noexcept;
-
- private:
-  friend class Device;
-  Device* dev_;
-  double tail_ = 0.0;  // guarded by the device mutex
+/// One modeled cost entry of an executed node.
+struct Op {
+  OpKind kind = OpKind::kCpuBlas;
+  Role role = Role::kCompute;
+  int device = 0;        ///< device ordinal (kLink: the source)
+  int dst = 0;           ///< kLink: the destination ordinal
+  int after = -1;        ///< earlier op of the same node this one waits for
+  double issue = 0.0;    ///< host seconds spent issuing a device op
+  double seconds = 0.0;  ///< modeled duration
+  std::size_t bytes = 0;
 };
 
-/// Modeled time breakdown, accumulated by the device.
+/// The costs one executed node recorded, in issue order. Only the thread
+/// running the node writes it, so recording takes no lock.
+using OpRecord = std::vector<Op>;
+
+/// Where a device op is issued: the `role` stream of device ordinal
+/// `device`, recorded into `rec`. A null `rec` records no time — the op
+/// only bumps the device counters (the triangular solve, whose stats read
+/// no device time).
+struct Stream {
+  OpRecord* rec = nullptr;
+  int device = 0;
+  Role role = Role::kCompute;
+  int after = -1;  ///< op of `rec` the next op issued here waits for
+
+  /// This handle with its op waiting for op `op` (cudaStreamWaitEvent).
+  Stream waiting_for(int op) const {
+    Stream s = *this;
+    s.after = op;
+    return s;
+  }
+  /// Index of the latest op recorded on this handle's stream, or -1 —
+  /// the event a cross-stream wait names.
+  int last() const;
+};
+
+/// Device op counters (atomic; a snapshot via Device::stats()).
 struct DeviceStats {
-  double h2d_seconds = 0.0;
-  double d2h_seconds = 0.0;
-  double kernel_seconds = 0.0;
-  /// Modeled seconds during which an operation ran while at least one
-  /// OTHER stream still had work in flight — the cross-stream concurrency
-  /// the multi-stream pipeline exists to create.
-  double overlap_seconds = 0.0;
   std::size_t h2d_bytes = 0;
   std::size_t d2h_bytes = 0;
   std::size_t num_h2d = 0;
   std::size_t num_d2h = 0;
   std::size_t num_kernels = 0;
-  std::size_t num_streams_created = 0;
 };
 
 class Device {
@@ -134,61 +146,33 @@ class Device {
   std::size_t mem_peak() const noexcept;
   std::size_t mem_capacity() const noexcept { return cfg_.memory_bytes; }
 
-  // --- host clock ----------------------------------------------------------
-  double host_time() const noexcept;
-  /// Advances the host clock by `seconds` of modeled CPU work.
-  void advance_host(double seconds);
-  /// Blocks the host until `e` has completed (cudaEventSynchronize).
-  void wait_event(const Event& e);
-  /// Waits for all live streams of this device (plus the retired work of
-  /// streams already destroyed).
-  void synchronize();
-  /// Makespan so far: host clock joined with every stream tail, live or
-  /// retired.
-  double makespan() const noexcept;
-
-  /// Snapshot of the accumulated stats (copied under the device mutex).
+  /// Snapshot of the op counters.
   DeviceStats stats() const;
-  /// Live registered streams — pool sizing / regression-test aid.
-  std::size_t num_live_streams() const;
 
   /// Pool used to actually execute device kernels.
   ThreadPool& compute_pool();
   std::size_t compute_threads() const noexcept { return compute_threads_; }
 
-  // --- operation enqueueing (used by copy_h2d/d2h and gpu::blas) ----------
-  /// Reserves a slot on `s` of duration `dur`; returns the op start time.
-  /// Also accumulates DeviceStats::overlap_seconds against the other
-  /// streams' tails.
-  double enqueue(Stream& s, double dur);
-  /// Stats recording for the transfer/kernel wrappers (locked internally).
-  void note_h2d(std::size_t bytes, double seconds);
-  void note_d2h(std::size_t bytes, double seconds);
-  void note_kernel(double seconds);
+  /// Counts one op of `kind` moving `bytes` and, when s.rec is set,
+  /// appends its modeled cost to the record; returns the op's index in
+  /// s.rec (-1 when unrecorded). `issue` is the host time spent issuing
+  /// it (a peer's share of a cooperative launch issues nothing).
+  int record(Stream s, OpKind kind, double seconds, std::size_t bytes = 0,
+             bool issue = true);
 
  private:
   friend class DeviceBuffer;
-  friend class Stream;
   void mem_acquire(std::size_t bytes);
   void mem_release(std::size_t bytes);
-  void track_stream(Stream* s);
-  /// Removes `s` from the registry and folds its tail into the retired
-  /// watermark, so destroying a stream never loses its modeled work and
-  /// never leaves a dangling pointer for synchronize()/makespan().
-  void untrack_stream(Stream* s);
-  /// max(retired watermark, every live stream tail); caller holds mu_.
-  double device_tail_locked() const;
 
   DeviceConfig cfg_;
   std::size_t compute_threads_;
 
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  // guards the memory accounting
   std::size_t mem_used_ = 0;
   std::size_t mem_peak_ = 0;
-  double host_time_ = 0.0;
-  double retired_tail_ = 0.0;      // max tail over destroyed streams
-  std::vector<Stream*> streams_;   // live registered streams
-  DeviceStats stats_;
+  std::atomic<std::size_t> h2d_bytes_{0}, d2h_bytes_{0};
+  std::atomic<std::size_t> num_h2d_{0}, num_d2h_{0}, num_kernels_{0};
 };
 
 /// A device-memory allocation (host-backed doubles). RAII: releases its
@@ -216,8 +200,8 @@ class DeviceBuffer {
   std::size_t count_ = 0;
 };
 
-/// Bounded pool of per-in-flight-supernode GPU resources (a stream pair
-/// plus device buffers, packaged by the numeric drivers as `Slot`).
+/// Bounded pool of per-in-flight-supernode device buffers (packaged by
+/// the numeric drivers as `Slot`).
 ///
 /// Construction allocates up to `want` slots and degrades gracefully: when
 /// the device cannot fit another slot the pool simply stops growing, so a
@@ -247,12 +231,7 @@ class SlotPool {
         break;
       }
     }
-    // Seed last-use stamps so the first acquires rotate across slots.
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      free_.push_back(true);
-      last_use_.push_back(i);
-    }
-    next_stamp_ = slots_.size();
+    free_.assign(slots_.size(), 1);
   }
 
   std::size_t size() const noexcept { return slots_.size(); }
@@ -283,33 +262,23 @@ class SlotPool {
     std::size_t idx_;
   };
 
-  /// Blocks until a free slot satisfies `fits` (slot 0 always must, so a
-  /// waiter can never starve: every holder runs to completion). Among the
-  /// fitting free slots the LEAST-RECENTLY-USED wins, which rotates
-  /// equally-sized slots — consecutive acquirers land on different stream
-  /// pairs even when the real threads happen to run one after another, so
-  /// the modeled overlap is a property of the task graph and the pool
-  /// size, not of wall-clock interleaving. The schedulers bound in-flight
-  /// acquirers to size() via a resource token, so waits are rare.
+  /// Blocks until a free slot satisfies `fits` and leases the first such
+  /// slot. Slot 0 always fits, so a waiter can never starve: every holder
+  /// runs to completion. The schedulers bound in-flight acquirers to
+  /// size() via a resource token, so waits are rare. Which slot a task
+  /// gets never shows in modeled time: the replay assigns stream pairs.
   template <class Fits>
   Lease acquire(Fits&& fits) {
     std::unique_lock<std::mutex> lk(mu_);
     SPCHOL_CHECK(!slots_.empty(), "acquire on an empty slot pool");
     std::size_t idx = 0;
     cv_.wait(lk, [&] {
-      bool found = false;
-      std::size_t best_stamp = 0;
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (!free_[i] || !fits(*slots_[i])) continue;
-        if (!found || last_use_[i] < best_stamp) {
-          found = true;
-          best_stamp = last_use_[i];
-          idx = i;
-        }
+      for (idx = 0; idx < slots_.size(); ++idx) {
+        if (free_[idx] && fits(*slots_[idx])) return true;
       }
-      return found;
+      return false;
     });
-    free_[idx] = false;
+    free_[idx] = 0;
     return Lease(*this, idx);
   }
   Lease acquire() {
@@ -320,8 +289,7 @@ class SlotPool {
   void release(std::size_t idx) {
     {
       std::lock_guard<std::mutex> lk(mu_);
-      free_[idx] = true;
-      last_use_[idx] = next_stamp_++;
+      free_[idx] = 1;
     }
     // Predicates differ between waiters; wake them all.
     cv_.notify_all();
@@ -329,20 +297,22 @@ class SlotPool {
 
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<char> free_;
-  std::vector<std::size_t> last_use_;
-  std::size_t next_stamp_ = 0;
   std::mutex mu_;
   std::condition_variable cv_;
 };
 
 // --- transfers (counts in doubles) ----------------------------------------
 
-/// Host→device copy of `count` doubles. Synchronous variants block the
-/// host until the transfer completes; asynchronous variants only enqueue
-/// (the data is staged eagerly — simulation detail).
-void copy_h2d(Device& dev, Stream& s, DeviceBuffer& dst, std::size_t dst_off,
-              const double* src, std::size_t count, bool async);
-void copy_d2h(Device& dev, Stream& s, double* dst, const DeviceBuffer& src,
-              std::size_t src_off, std::size_t count, bool async);
+/// Records that the host blocks until op `op` of s.rec completes (a
+/// no-op on an unrecorded handle).
+void host_wait(Stream s, int op);
+
+/// Host→device copy of `count` doubles (the data moves eagerly). A
+/// synchronous copy also records a host wait for its completion; an
+/// asynchronous one only occupies its stream. Returns the op index.
+int copy_h2d(Device& dev, Stream s, DeviceBuffer& dst, std::size_t dst_off,
+             const double* src, std::size_t count, bool async);
+int copy_d2h(Device& dev, Stream s, double* dst, const DeviceBuffer& src,
+             std::size_t src_off, std::size_t count, bool async);
 
 }  // namespace spchol::gpu

@@ -2,8 +2,8 @@
 // pools, decoupling GPU resource lifetime from a single factorize() call.
 //
 // The per-call drivers build a gpu::SlotPool on the stack: every
-// factorization pays the slot allocation (stream pairs + device buffers
-// sized to its largest supernodes) and releases it on return. A service
+// factorization pays the slot allocation (device buffers sized to its
+// largest supernodes) and releases it on return. A service
 // draining a stream of same-pattern requests repays that cost on every
 // request — and two concurrent factorizations would each try to carve
 // their full slot complement out of one 40 GB device with no reuse. The
@@ -21,10 +21,10 @@
 // plan-relevant FactorOptions, so distinct sessions only ever share a
 // pool when their slot requirements are provably identical.
 //
-// Sharing semantics. The device executes numerics EAGERLY at enqueue and
-// only models the timeline, so sharing slots (or the device) across
-// concurrent runs can never change factor bits — only the modeled
-// overlap/occupancy stats, which become a property of the combined load.
+// Sharing semantics. The device executes numerics EAGERLY and keeps no
+// clock, so sharing slots (or the device) across concurrent runs can
+// change neither factor bits nor modeled stats (each run replays its
+// own recorded costs).
 // Two schedulers that each hold a resource token count sized to the pool
 // jointly admit up to 2x size() acquirers; the excess simply blocks in
 // SlotPool::acquire(). That cannot deadlock: if every blocked worker is

@@ -1,12 +1,11 @@
 // DeviceRegistry: a fixed set of N simulated devices behind one handle.
 //
-// Each registered device owns its own discrete-event timeline, memory
-// accounting, stream registry, and stats — sharding a factorization
-// across devices means each shard's kernels and transfers land on their
-// assigned device's clocks, and the modeled makespan of the whole run is
-// the MAX over device makespans (the devices run concurrently; the host
-// clock that carries deferred CPU work lives on device 0 by convention,
-// see core/internal.hpp).
+// Each registered device owns its own memory accounting and op counters.
+// Sharding a factorization across devices means each shard's kernels and
+// transfers are recorded against their assigned device's ordinal; the
+// cost replay (core/replay.*) gives every device its own stream pairs,
+// and the modeled makespan of the whole run is the max over the devices
+// and the host lanes (they run concurrently).
 //
 // The registry is deliberately dumb: it neither routes nor balances.
 // Device assignment is a planner decision (symbolic/exec_plan.* assigns
@@ -39,49 +38,8 @@ class DeviceRegistry {
   Device& device(std::size_t i) noexcept { return devices_[i]; }
   const Device& device(std::size_t i) const noexcept { return devices_[i]; }
 
-  /// Joins the host with every stream of every device.
-  void synchronize() {
-    for (Device& d : devices_) d.synchronize();
-  }
-
-  /// Modeled completion time of all work issued so far: the devices run
-  /// concurrently, so the registry makespan is the max over devices.
-  double makespan() const noexcept {
-    double m = 0.0;
-    for (const Device& d : devices_) m = std::max(m, d.makespan());
-    return m;
-  }
-
-  /// Aggregate counters summed over every device (the single-device
-  /// DeviceStats shape; per-device snapshots come from device(i).stats()).
-  DeviceStats stats() const {
-    DeviceStats agg;
-    for (const Device& d : devices_) {
-      const DeviceStats s = d.stats();
-      agg.h2d_seconds += s.h2d_seconds;
-      agg.d2h_seconds += s.d2h_seconds;
-      agg.kernel_seconds += s.kernel_seconds;
-      agg.overlap_seconds += s.overlap_seconds;
-      agg.h2d_bytes += s.h2d_bytes;
-      agg.d2h_bytes += s.d2h_bytes;
-      agg.num_h2d += s.num_h2d;
-      agg.num_d2h += s.num_d2h;
-      agg.num_kernels += s.num_kernels;
-      agg.num_streams_created += s.num_streams_created;
-    }
-    return agg;
-  }
-
-  /// Sum of per-device memory peaks (capacity is per device, so the
-  /// interesting per-device peaks come from device(i).mem_peak()).
-  std::size_t mem_peak() const noexcept {
-    std::size_t p = 0;
-    for (const Device& d : devices_) p += d.mem_peak();
-    return p;
-  }
-
  private:
-  // Devices hold a mutex and streams hold their device's address: elements
+  // Devices hold a mutex and buffers hold their device's address: elements
   // must never relocate. A deque grows without moving existing elements.
   std::deque<Device> devices_;
 };

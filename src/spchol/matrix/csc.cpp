@@ -22,8 +22,12 @@ CscMatrix::CscMatrix(index_t rows, index_t cols, std::vector<offset_t> colptr,
   SPCHOL_CHECK(colptr_.back() == static_cast<offset_t>(rowind_.size()),
                "colptr[cols] must equal nnz");
   SPCHOL_CHECK(rowind_.size() == values_.size(), "rowind/values size mismatch");
+  // Every column range must lie inside [0, nnz] before any row index is
+  // read through it.
   for (index_t j = 0; j < cols_; ++j) {
     SPCHOL_CHECK(colptr_[j] <= colptr_[j + 1], "colptr not monotone");
+  }
+  for (index_t j = 0; j < cols_; ++j) {
     for (offset_t p = colptr_[j]; p < colptr_[j + 1]; ++p) {
       SPCHOL_CHECK(rowind_[p] >= 0 && rowind_[p] < rows_,
                    "row index out of range");

@@ -20,12 +20,11 @@
 //
 // Sharing never changes results: the crew only changes WHICH thread runs
 // a task (the scheduler's deterministic scatter chains fix the order
-// that matters), and the simulated device executes numerics eagerly at
-// enqueue, so factor bits are identical to the per-call path for every
-// crew size / stream count / concurrency level. What DOES become shared
-// is the modeled device timeline: concurrent sessions interleave on one
-// clock, so each call's modeled stats describe its marginal contribution
-// to the combined load rather than an isolated run.
+// that matters), and the simulated device executes numerics eagerly, so
+// factor bits are identical to the per-call path for every crew size /
+// stream count / concurrency level. Modeled stats are unaffected too:
+// each call replays its own DAG (core/replay.hpp), so concurrent
+// sessions report exactly what an isolated run does.
 #pragma once
 
 #include <condition_variable>

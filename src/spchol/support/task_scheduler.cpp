@@ -8,6 +8,7 @@
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "spchol/support/timer.hpp"
@@ -454,58 +455,84 @@ void TaskScheduler::reset() {
   completed_ = false;
 }
 
-double TaskScheduler::modeled_makespan(std::size_t workers) const {
-  workers = std::max<std::size_t>(1, workers);
-  const std::size_t n = tasks_.size();
-  SPCHOL_CHECK(durations_.size() == n,
-               "modeled_makespan requires a completed run()");
-  std::vector<std::size_t> pending(n, 0);
-  std::vector<std::vector<std::size_t>> spawn_children(n);
+TaskGraph TaskGraph::chain(std::size_t n) {
+  TaskGraph g;
+  g.priority.resize(n);
+  g.succ.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const Task& t = tasks_[i];
-    for (const std::size_t succ : t.out) pending[succ]++;
-    if (t.spawned_by != kNoResource) {
-      pending[i]++;
-      spawn_children[t.spawned_by].push_back(i);
-    }
+    g.priority[i] = i;
+    if (i + 1 < n) g.succ[i].push_back(i + 1);
   }
-  // Greedy list schedule: at each point in simulated time, free workers
-  // take the highest-priority released task. Completions release
-  // successors (explicit edges and spawned children); `ready` holds
-  // released-but-unstarted tasks.
+  return g;
+}
+
+double list_schedule(const TaskGraph& g, std::size_t lanes,
+                     const std::function<LaneSpan(std::size_t, double)>& run) {
+  lanes = std::max<std::size_t>(1, lanes);
+  const std::size_t n = g.size();
+  std::vector<std::size_t> pending(n, 0);
+  for (const auto& out : g.succ) {
+    for (const std::size_t succ : out) pending[succ]++;
+  }
+  // `ready` holds released-but-unstarted tasks; `events` the times at
+  // which a running task frees its lane (kind 0) or completes and
+  // releases its successors (kind 1).
   std::vector<HeapEntry> ready;
   for (std::size_t i = 0; i < n; ++i) {
-    if (pending[i] == 0) heap_push(ready, {tasks_[i].priority, i});
+    if (pending[i] == 0) heap_push(ready, {g.priority[i], i});
   }
-  using Event = std::pair<double, std::size_t>;  // (completion time, id)
+  using Event = std::tuple<double, std::size_t, int>;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-  std::size_t free_workers = workers;
+  std::size_t free_lanes = lanes;
   double now = 0.0, makespan = 0.0;
-  std::size_t scheduled = 0;
-  auto release = [&](std::size_t succ) {
-    if (--pending[succ] == 0) {
-      heap_push(ready, {tasks_[succ].priority, succ});
-    }
-  };
-  while (scheduled < n || !events.empty()) {
-    while (free_workers > 0 && !ready.empty()) {
+  std::size_t started = 0;
+  while (started < n || !events.empty()) {
+    while (free_lanes > 0 && !ready.empty()) {
       const std::size_t id = heap_pop(ready).second;
-      const double done = now + durations_[id];
-      events.emplace(done, id);
-      free_workers--;
-      scheduled++;
-      makespan = std::max(makespan, done);
+      const LaneSpan span = run(id, now);
+      events.emplace(span.lane_free, id, 0);
+      events.emplace(span.done, id, 1);
+      free_lanes--;
+      started++;
+      makespan = std::max(makespan, span.done);
     }
-    SPCHOL_CHECK(!events.empty(),
-                 "modeled_makespan stalled (dependency cycle?)");
-    const auto [t, id] = events.top();
+    SPCHOL_CHECK(!events.empty(), "list schedule stalled (dependency cycle?)");
+    const auto [t, id, kind] = events.top();
     events.pop();
     now = t;
-    free_workers++;
-    for (const std::size_t succ : tasks_[id].out) release(succ);
-    for (const std::size_t succ : spawn_children[id]) release(succ);
+    if (kind == 0) {
+      free_lanes++;
+      continue;
+    }
+    for (const std::size_t succ : g.succ[id]) {
+      if (--pending[succ] == 0) heap_push(ready, {g.priority[succ], succ});
+    }
   }
   return makespan;
+}
+
+TaskGraph TaskScheduler::graph() const {
+  TaskGraph g;
+  g.priority.reserve(tasks_.size());
+  g.succ.reserve(tasks_.size());
+  for (const Task& t : tasks_) {
+    g.priority.push_back(t.priority);
+    g.succ.push_back(t.out);
+  }
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    if (tasks_[i].spawned_by != kNoResource) {
+      g.succ[tasks_[i].spawned_by].push_back(i);
+    }
+  }
+  return g;
+}
+
+double TaskScheduler::modeled_makespan(std::size_t workers) const {
+  SPCHOL_CHECK(durations_.size() == tasks_.size(),
+               "modeled_makespan requires a completed run()");
+  return list_schedule(graph(), workers, [&](std::size_t id, double t) {
+    return LaneSpan{t + durations_[id], t + durations_[id]};
+  });
 }
 
 }  // namespace spchol

@@ -16,8 +16,8 @@
 // Graphs whose shape is only discovered while running (the ND recursion:
 // each bisection's sub-pieces exist only after the separator is cut) use
 // spawn(): a running task may add immediately-runnable tasks mid-run.
-// The spawner is recorded so modeled_makespan() replays the implicit
-// spawner→child dependency.
+// The spawner is recorded so graph() and modeled_makespan() keep the
+// implicit spawner→child dependency.
 //
 // Ready queues are PARTITIONED: add_task optionally assigns a task to one
 // of set_partitions() queues (the drivers partition by elimination-tree
@@ -79,6 +79,31 @@ struct SchedulerStats {
   std::size_t chain_waits = 0;
 };
 
+/// A task DAG as a list schedule sees it: per-task priority (lower runs
+/// first) and successor ids.
+struct TaskGraph {
+  std::vector<std::size_t> priority;
+  std::vector<std::vector<std::size_t>> succ;
+
+  std::size_t size() const noexcept { return priority.size(); }
+  /// `n` tasks in one chain, task i before task i + 1.
+  static TaskGraph chain(std::size_t n);
+};
+
+/// Greedy list schedule of `g` on `lanes` identical lanes, the one list
+/// scheduler of the library. Whenever a lane is free, the released task
+/// with the lowest (priority, id) starts on it at the current time t;
+/// `run(id, t)` returns its finish time (>= t), which frees the lane and
+/// releases the task's successors. Returns the latest finish. Tasks start
+/// in non-decreasing time order, so `run` may keep state that only moves
+/// forward in time (the factorization's cost replay does).
+struct LaneSpan {
+  double lane_free;  ///< when the task's lane may start another task
+  double done;       ///< when the task completes (>= lane_free)
+};
+double list_schedule(const TaskGraph& g, std::size_t lanes,
+                     const std::function<LaneSpan(std::size_t, double)>& run);
+
 class TaskScheduler {
  public:
   /// Task body; receives the index of the worker executing it.
@@ -125,7 +150,7 @@ class TaskScheduler {
   /// running task body; `worker` is the worker index that body received.
   /// The spawning task is recorded as the child's implicit predecessor:
   /// trivially satisfied live (the spawner is mid-execution), and
-  /// replayed as a dependency edge by modeled_makespan(). Spawned tasks
+  /// kept as a dependency edge by graph(). Spawned tasks
   /// carry no explicit edges and no resource tokens — the dynamic use
   /// case (the ND recursion tree) needs neither. Thread-safe; returns
   /// the new task id. After run() the spawned tasks appear in tasks()
@@ -163,15 +188,15 @@ class TaskScheduler {
     return durations_;
   }
 
-  /// Replays the executed graph through a greedy priority list schedule
-  /// with `workers` simultaneous workers, using the measured per-task
-  /// durations, and returns the makespan. This is the modeled parallel
-  /// time the symbolic/ordering scaling benches report: it depends only
-  /// on the task durations and the dependency structure (explicit edges
-  /// plus the implicit spawner→child edges), not on how many REAL cores
-  /// the measuring machine had (the same convention the GPU simulator
-  /// uses for device time). Resource tokens are ignored. Valid after
-  /// run().
+  /// The executed graph: task priorities plus the deduplicated explicit
+  /// edges and the implicit spawner→child edges. Valid after run().
+  TaskGraph graph() const;
+
+  /// list_schedule of graph() on `workers` lanes over the measured
+  /// per-task durations: the modeled parallel time the symbolic/ordering
+  /// scaling benches report. It depends only on the task durations and
+  /// the dependency structure, not on how many REAL cores the measuring
+  /// machine had. Resource tokens are ignored. Valid after run().
   double modeled_makespan(std::size_t workers) const;
 
  private:

@@ -493,10 +493,6 @@ std::size_t ExecutionPlan::scatter_node(index_t sn, index_t target) const {
   }
   const std::size_t lo = scatter_ptr_[sn];
   const std::size_t hi = scatter_ptr_[sn + 1];
-  if (!split_scatter_) {
-    SPCHOL_CHECK(hi == lo + 1, "supernode missing its scatter node");
-    return scatter_nodes_[lo];
-  }
   const auto first = scatter_tgts_.begin() + static_cast<offset_t>(lo);
   const auto last = scatter_tgts_.begin() + static_cast<offset_t>(hi);
   const auto it = std::lower_bound(first, last, target);
@@ -522,7 +518,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
                "device_of span size mismatch");
 
   ExecutionPlan plan;
-  plan.split_scatter_ = opts.split_scatter_per_target;
   plan.fuse_gpu_scatter_ = opts.fuse_gpu_scatter;
   plan.compute_of_.assign(static_cast<std::size_t>(ns), kNoNode);
   plan.batch_of_.assign(static_cast<std::size_t>(ns), kNoNode);
@@ -588,28 +583,19 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
     plan.compute_of_[s] = plan.nodes_.size();
     plan.nodes_.push_back(c);
     if ((gpu && opts.fuse_gpu_scatter) || symb.sn_below(s) == 0) continue;
-    auto emit_scatter = [&](index_t target) {
+    for (const index_t target : symb.sn_update_targets(s)) {
       PlanNode n;
       n.kind = PlanNodeKind::kScatter;
       n.sn = s;
       n.target = target;
       n.priority = prio_scatter_base + static_cast<std::size_t>(s);
       n.queue = queue(s);
-      // Assembly lands on the target's device; target -1 (unsplit) covers
-      // every ancestor, so it stays with the source's shard.
-      n.device = target >= 0 ? device(target) : device(s);
+      n.device = device(target);  // assembly lands on the target's device
       const std::size_t id = plan.nodes_.size();
       plan.nodes_.push_back(n);
       plan.scatter_nodes_.push_back(id);
       plan.scatter_tgts_.push_back(target);
       add_edge(plan.compute_of_[s], id);
-    };
-    if (opts.split_scatter_per_target) {
-      for (const index_t target : symb.sn_update_targets(s)) {
-        emit_scatter(target);
-      }
-    } else {
-      emit_scatter(-1);
     }
   }
   plan.scatter_ptr_[ns] = plan.scatter_nodes_.size();

@@ -8,10 +8,12 @@
 //                       the SYRK producing s's update matrix). `on_gpu`
 //                       marks nodes the hybrid executor runs through the
 //                       device pipeline.
-//   * SCATTER(s)      — assembly of s's updates into its ancestors; in
-//     SCATTER(s, t)     split mode (the RLB CPU shape) one node per
-//                       (source, target) pair so updates of one supernode
-//                       into different ancestors run concurrently.
+//   * SCATTER(s, t)   — assembly of s's updates into ONE ancestor t,
+//                       one node per (source, target) pair, so updates
+//                       of one supernode into different ancestors run
+//                       concurrently and independent subtrees never
+//                       queue behind each other on a shared ancestor's
+//                       chain.
 //   * BATCH(a..b)     — a fused task executing the compute AND scatter of
 //                       every supernode in the contiguous index range
 //                       [a, b] in ascending order.
@@ -67,7 +69,7 @@ enum class PlanNodeKind : std::uint8_t {
 struct PlanNode {
   PlanNodeKind kind = PlanNodeKind::kCompute;
   index_t sn = -1;           ///< kCompute / kScatter: the supernode
-  index_t target = -1;       ///< kScatter (split): the target sn
+  index_t target = -1;       ///< kScatter: the target sn
   index_t batch_first = -1;  ///< kBatch: first supernode
   index_t batch_last = -1;   ///< kBatch: last (inclusive)
   bool on_gpu = false;       ///< kCompute: runs the device pipeline
@@ -156,9 +158,6 @@ double modeled_cross_traffic_seconds(const SymbolicFactor& symb,
                                      const gpu::PerfModel& model);
 
 struct PlanOptions {
-  /// One SCATTER node per (source, target) pair — the RLB CPU shape —
-  /// instead of one SCATTER per source (RL).
-  bool split_scatter_per_target = false;
   /// GPU COMPUTE nodes absorb their scatters (RLB's fused device tasks):
   /// the compute node stands in the chains for every one of its targets.
   bool fuse_gpu_scatter = false;
@@ -204,8 +203,7 @@ class ExecutionPlan {
   }
   /// Node performing s's scatter into target t: the batch node when s is
   /// batched, the fused compute node for GPU supernodes in
-  /// fuse_gpu_scatter mode, the (s, t) scatter node in split mode, and
-  /// s's single SCATTER node otherwise.
+  /// fuse_gpu_scatter mode, and the (s, t) scatter node otherwise.
   std::size_t scatter_node(index_t sn, index_t target) const;
   /// True when sn was coalesced into a BATCH node.
   bool batched(index_t sn) const { return batch_of_[sn] != kNoNode; }
@@ -221,12 +219,11 @@ class ExecutionPlan {
   std::vector<char> edge_chain_;         // parallel to edges_
   std::vector<std::size_t> compute_of_;  // per sn; batch members → batch
   std::vector<std::size_t> batch_of_;    // per sn; kNoNode if unbatched
-  // Scatter-node lookup: ids of s's scatter nodes (with their targets in
-  // split mode) live at [scatter_ptr_[s], scatter_ptr_[s + 1]).
+  // Scatter-node lookup: ids of s's scatter nodes (with their targets)
+  // live at [scatter_ptr_[s], scatter_ptr_[s + 1]).
   std::vector<std::size_t> scatter_ptr_;
   std::vector<std::size_t> scatter_nodes_;
   std::vector<index_t> scatter_tgts_;
-  bool split_scatter_ = false;
   bool fuse_gpu_scatter_ = false;
   index_t batches_formed_ = 0;
   index_t supernodes_batched_ = 0;

@@ -44,6 +44,8 @@ TEST(Csc, ValidatingConstructorRejectsBadInput) {
   EXPECT_THROW(CscMatrix(2, 2, {0, 1, 2}, {0, 2}, {1.0, 1.0}), Error);
   // nnz mismatch
   EXPECT_THROW(CscMatrix(2, 2, {0, 1, 3}, {0, 1}, {1.0, 1.0}), Error);
+  // A colptr entry past nnz, caught before any row index is read.
+  EXPECT_THROW(CscMatrix(3, 2, {0, 5, 2}, {0, 1}, {1.0, 2.0}), Error);
 }
 
 TEST(Csc, Identity) {

@@ -340,6 +340,54 @@ TEST(SolverService, ConcurrentSessionsBitwiseMatchSerialRuns) {
   EXPECT_EQ(st.patterns_cached, 2u);
 }
 
+TEST(SolverService, ConcurrentSessionsReportExactPerCallModeledTime) {
+  // Modeled time is replayed from each call's own DAG, so two sessions
+  // factorizing at once on one shared runtime — with a solve in between
+  // — report exactly what a standalone per-call factorization does.
+  const CscMatrix pats[] = {grid3d_7pt(8, 8, 8), grid3d_vector(5, 5, 5, 3)};
+  const SolverOptions ho = hybrid_options(Method::kRL, 4, 2);
+  FactorStats want[2];
+  for (int p = 0; p < 2; ++p) {
+    CholeskySolver solver(ho);
+    solver.factorize(pats[p]);
+    want[p] = solver.factor().stats();
+    ASSERT_GT(want[p].supernodes_on_gpu, 0);
+  }
+  ServiceOptions so;
+  so.solver = ho;
+  so.runtime.workers = 3;
+  so.runtime.max_concurrent = 2;
+  SolverService service(so);
+
+  std::latch start(2);
+  std::shared_ptr<SolverSession> sessions[2];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      const CscMatrix& a = pats[t];
+      sessions[t] = service.session(a);
+      start.arrive_and_wait();
+      sessions[t]->factorize(a);
+      const std::vector<double> b(static_cast<std::size_t>(a.cols()), 1.0);
+      (void)sessions[t]->solve(b);
+      sessions[t]->factorize(a);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < 2; ++t) {
+    SCOPED_TRACE(t);
+    const FactorStats& got = sessions[t]->factor()->stats();
+    EXPECT_EQ(got.modeled_seconds, want[t].modeled_seconds);
+    EXPECT_EQ(got.gpu_overlap_seconds, want[t].gpu_overlap_seconds);
+    ASSERT_EQ(got.per_device.size(), want[t].per_device.size());
+    for (std::size_t d = 0; d < got.per_device.size(); ++d) {
+      EXPECT_EQ(got.per_device[d].modeled_seconds,
+                want[t].per_device[d].modeled_seconds)
+          << d;
+    }
+  }
+}
+
 TEST(SolverRuntime, AdmissionGateBlocksAtCapacity) {
   RuntimeOptions ro;
   ro.workers = 1;
