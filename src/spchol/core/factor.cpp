@@ -367,22 +367,26 @@ double CholeskyFactor::solve_refined(const CscMatrix& a_lower,
   SPCHOL_CHECK(a_lower.square() && a_lower.cols() == n,
                "solve_refined matrix mismatch");
   solve(b, x);
-  double best = relative_residual(a_lower, x, b);
-  // All scratch hoisted out of the loop: refinement iterations are
-  // allocation-free (candidate included — it is overwritten wholesale
-  // from x + dx each round).
+  // ‖A‖∞ once, and A·x carried over from the accepted candidate: every
+  // iteration costs one solve and one product.
+  const double anorm = detail::sym_lower_inf_norm(a_lower);
+  std::vector<double> ax(static_cast<std::size_t>(n));
+  a_lower.sym_lower_matvec(x, ax);
+  double best = detail::relative_residual(ax, x, b, anorm);
   std::vector<double> r(static_cast<std::size_t>(n));
   std::vector<double> dx(static_cast<std::size_t>(n));
-  std::vector<double> ax(static_cast<std::size_t>(n));
   std::vector<double> candidate(static_cast<std::size_t>(n));
+  std::vector<double> candidate_ax(static_cast<std::size_t>(n));
   for (int it = 0; it < max_iterations; ++it) {
-    a_lower.sym_lower_matvec(x, ax);
     for (index_t i = 0; i < n; ++i) r[i] = b[i] - ax[i];
     solve(r, dx);
     for (index_t i = 0; i < n; ++i) candidate[i] = x[i] + dx[i];
-    const double res = relative_residual(a_lower, candidate, b);
+    a_lower.sym_lower_matvec(candidate, candidate_ax);
+    const double res = detail::relative_residual(candidate_ax, candidate, b,
+                                                 anorm);
     if (res >= best) break;  // refinement stopped helping
     std::copy(candidate.begin(), candidate.end(), x.begin());
+    ax.swap(candidate_ax);
     best = res;
   }
   return best;

@@ -84,6 +84,14 @@ struct AssemblyMap {
 AssemblyMap build_assembly_map(const CscMatrix& a,
                                const SymbolicFactor& symb);
 
+/// ‖A‖∞ of a symmetric matrix given by its lower triangle.
+double sym_lower_inf_norm(const CscMatrix& a_lower);
+
+/// ‖b − ax‖∞ / (anorm·‖x‖∞ + ‖b‖∞), with ax = A·x already computed.
+double relative_residual(std::span<const double> ax,
+                         std::span<const double> x,
+                         std::span<const double> b, double anorm);
+
 /// Plan-driven triangular solve executor (solve.cpp): permutes b in,
 /// runs the serial sweeps or the scheduled SolvePlan DAGs per
 /// `opts`/`res`, permutes x out. `b`/`x` are n × nrhs column-major in
@@ -94,6 +102,23 @@ void solve_with_resources(const SymbolicFactor& symb,
                           std::span<const double> b, std::span<double> x,
                           index_t nrhs, const SolveOptions& opts,
                           const ExecutionResources* res, SolveStats* stats);
+
+/// One in-flight device node's buffers, ranked by a slot pool: the
+/// supernode's panel (its L rectangle) and a work buffer (the RL update
+/// matrix, or a solve node's gathered RHS block).
+struct GpuSlot {
+  gpu::DeviceBuffer panel;
+  gpu::DeviceBuffer work;
+
+  GpuSlot(gpu::Device& dev, std::size_t panel_entries,
+          std::size_t work_entries) {
+    if (panel_entries > 0) panel = gpu::DeviceBuffer(dev, panel_entries);
+    if (work_entries > 0) work = gpu::DeviceBuffer(dev, work_entries);
+  }
+  bool fits(std::size_t p, std::size_t w) const {
+    return panel.size() >= p && work.size() >= w;
+  }
+};
 
 /// Everything the RL/RLB kernels need: symbolic data, factor values, the
 /// simulated devices, and the cost records the modeled stats are

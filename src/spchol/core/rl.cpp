@@ -46,22 +46,6 @@ namespace spchol::detail {
 
 namespace {
 
-/// One in-flight GPU supernode's device buffers (panel and update),
-/// ranked by the pool.
-struct RlGpuSlot {
-  gpu::DeviceBuffer panel;
-  gpu::DeviceBuffer update;
-
-  RlGpuSlot(gpu::Device& dev, std::size_t panel_entries,
-            std::size_t update_entries) {
-    if (panel_entries > 0) panel = gpu::DeviceBuffer(dev, panel_entries);
-    if (update_entries > 0) update = gpu::DeviceBuffer(dev, update_entries);
-  }
-  bool fits(std::size_t p, std::size_t u) const {
-    return panel.size() >= p && update.size() >= u;
-  }
-};
-
 /// CPU panel factorization of s plus the SYRK of its update matrix into
 /// `u` (resized to below × below and zeroed first — the update holds
 /// MINUS the outer product).
@@ -81,7 +65,7 @@ void rl_cpu_compute(FactorContext& ctx, index_t s, std::vector<double>& u) {
 /// on the copy stream, overlapped with the SYRK → D2H of the update
 /// matrix into `u`, which the host waits for (the caller assembles it).
 void rl_gpu_compute(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
-                    index_t s, RlGpuSlot& slot, std::vector<double>& u) {
+                    index_t s, GpuSlot& slot, std::vector<double>& u) {
   const SymbolicFactor& symb = ctx.symb;
   const index_t w = symb.sn_width(s);
   const index_t r = symb.sn_nrows(s);
@@ -108,9 +92,9 @@ void rl_gpu_compute(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
                 entries, /*async=*/true);
   if (below > 0) {
     gpu::syrk_lower_nt_beta0(dev, compute, below, w, slot.panel, w, r,
-                             slot.update, 0, below);
+                             slot.work, 0, below);
     u.resize(static_cast<std::size_t>(below) * below);
-    gpu::copy_d2h(dev, compute, u.data(), slot.update, 0, u.size(),
+    gpu::copy_d2h(dev, compute, u.data(), slot.work, 0, u.size(),
                   /*async=*/false);
   }
 }
@@ -125,7 +109,7 @@ void rl_gpu_compute(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
 /// via gpu::coop_panel_factor / coop_syrk_update_d2h (p2p panel
 /// broadcast, phase barriers, per-device D2H update slices).
 void rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev, index_t s,
-                         RlGpuSlot& slot, std::vector<double>& u,
+                         GpuSlot& slot, std::vector<double>& u,
                          std::span<const gpu::CoopPeer> peers) {
   const SymbolicFactor& symb = ctx.symb;
   const index_t w = symb.sn_width(s);
@@ -150,7 +134,7 @@ void rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev, index_t s,
   if (below > 0) {
     u.resize(ucount);
     gpu::coop_syrk_update_d2h(dev, compute, peers, below, w, slot.panel, w,
-                              r, slot.update, u.data());
+                              r, slot.work, u.data());
   }
 }
 
@@ -164,7 +148,7 @@ void rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev, index_t s,
 /// transfer latency are paid once per batch instead of once per
 /// supernode (gpu::perf_model batched-kernel cost).
 void rl_gpu_batch(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
-                  index_t first, index_t last, RlGpuSlot& slot) {
+                  index_t first, index_t last, GpuSlot& slot) {
   const SymbolicFactor& symb = ctx.symb;
   std::vector<gpu::BatchedPanel> panels;
   panels.reserve(static_cast<std::size_t>(last - first + 1));
@@ -204,10 +188,10 @@ void rl_gpu_batch(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
   }
   if (update_total == 0) return;
 
-  gpu::batched_syrk_update(dev, compute, panels, slot.panel, slot.update);
+  gpu::batched_syrk_update(dev, compute, panels, slot.panel, slot.work);
   ctx.count_fused_launch();
   std::vector<double> ustage(update_total);
-  gpu::copy_d2h(dev, compute, ustage.data(), slot.update, 0, update_total,
+  gpu::copy_d2h(dev, compute, ustage.data(), slot.work, 0, update_total,
                 /*async=*/false);
   double entries = 0.0;
   for (std::size_t i = 0; i < panels.size(); ++i) {
@@ -240,7 +224,7 @@ void run_rl_sequential(FactorContext& ctx) {
   }
   std::vector<double> u;
   u.reserve(host_max);
-  RlGpuSlot slot(ctx.dev, panel_max, update_max);
+  GpuSlot slot(ctx.dev, panel_max, update_max);
   if (panel_max > 0) ctx.gpu_stream_pairs = 1;
 
   for (index_t s = 0; s < ns; ++s) {
@@ -327,17 +311,17 @@ void run_rl_scheduled(FactorContext& ctx) {
   constexpr std::uint64_t kRlPoolTag = 0x524c2d504f4f4cull;  // "RL-POOL"
   const bool has_coop = coop_run && coop_panel_max > 0;
   std::vector<gpu::CoopPeer> coop_peers;
-  PlanExecutor::PoolPtr<RlGpuSlot> coop_pool;
+  PlanExecutor::PoolPtr<GpuSlot> coop_pool;
   std::size_t coop_res = TaskScheduler::kNoResource;
   const auto make_slot = [](gpu::Device& dv, std::size_t p, std::size_t u) {
-    return std::make_unique<RlGpuSlot>(dv, p, u);
+    return std::make_unique<GpuSlot>(dv, p, u);
   };
   if (has_coop) {
     for (std::size_t d = 1; d < ndev; ++d) {
       coop_peers.push_back({&ex.device(d), static_cast<int>(d)});
     }
     constexpr std::uint64_t kCoopPoolTag = 0x434f4f502d534c54ull;  // "COOP"
-    coop_pool = ex.pool<RlGpuSlot>(0, kCoopPoolTag, 1, [&](std::size_t) {
+    coop_pool = ex.pool<GpuSlot>(0, kCoopPoolTag, 1, [&](std::size_t) {
       return make_slot(ex.device(0), coop_panel_max, coop_update_max);
     });
     coop_res = ex.tokens(coop_pool);
@@ -348,7 +332,7 @@ void run_rl_scheduled(FactorContext& ctx) {
   // covers device 0's largest regular need, regular tasks share it — they
   // and the spine serialize on the one slot, degrading throughput
   // instead of failing a run that fits on fewer devices.
-  const auto pools = ex.pools<RlGpuSlot>(
+  const auto pools = ex.pools<GpuSlot>(
       kRlPoolTag, make_slot,
       [&](std::size_t d, std::size_t panel0, std::size_t update0) {
         return d == 0 && has_coop && coop_panel_max >= panel0 &&

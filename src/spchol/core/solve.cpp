@@ -1,31 +1,28 @@
-// Plan-driven triangular solves (the SolvePlan executor) plus the serial
-// supernode sweeps they must match bitwise.
+// Plan-driven triangular solves (the SolvePlan executor) and the serial
+// supernode sweep they must match bitwise.
 //
 // The scheduled path instantiates one task per (plan node, RHS panel):
 // the right-hand side is blocked into SolveOptions::rhs_panel columns, so
 // a supernode's solve becomes a GEMM-shaped operation over the panel and
 // different panels of the same node run concurrently (they touch disjoint
 // RHS columns — no edges between panels). Within one panel the forward
-// DAG serializes every target's accumulations in ascending contributor
-// order and the backward DAG is the forward update relation reversed, so
-// every RHS entry sees exactly the serial sweep's operation sequence —
-// scheduled results are bitwise identical to solve()/solve_multi() for
-// every worker/stream/panel configuration (asserted across the grid in
-// tests/test_solve_parallel.cpp).
+// DAG serializes every target's updates in ascending contributor order and
+// the backward DAG is the forward update relation reversed. Every node
+// body — serial sweep, CPU COMPUTE/SCATTER/BATCH, device node — is
+// dense::trsm_left_lower[_trans] on the supernode's gathered rows, whose
+// per-entry operation sequence does not depend on the RHS columns or the
+// row range a task covers. So scheduled results are bitwise identical to
+// solve()/solve_multi() for every worker/stream/panel/device
+// configuration (asserted across the grid in tests/test_solve_parallel.cpp).
 //
 // Device routing (kGpuHybrid / kGpuOnly): supernodes at or above
 // SolveOptions::gpu_threshold run as fused device tasks — gather the
-// supernode's rows of the RHS panel, upload panel + L rectangle, TRSM +
-// solve-GEMM (forward) or transposed pair (backward), scatter back. The
-// backward task writes back ONLY the supernode's own w rows: the below
-// rows were read-only inputs, and writing them back would race with the
-// concurrent readers that own those values. GPU kernels accumulate each
-// entry in the serial order (gpu/blas.cpp solve kernels), so device
-// placement never changes bits either. Slots (stream + L-panel + RHS
-// buffers) come from a ranked SlotPool cached in the DeviceArena under
-// the pattern/options key.
-#include <cstring>
-
+// supernode's rows of the RHS panel, upload panel + L rectangle, run the
+// forward or transposed form, scatter back. The backward task writes back
+// ONLY the supernode's own w rows: the below rows were read-only inputs,
+// and writing them back would race with the concurrent readers that own
+// those values. Slots (stream + L-panel + RHS buffers) come from a ranked
+// SlotPool cached in the DeviceArena under the pattern/options key.
 #include "spchol/core/internal.hpp"
 #include "spchol/support/timer.hpp"
 
@@ -35,152 +32,82 @@ namespace detail {
 
 namespace {
 
-// --- the serial sweeps (the bitwise reference) ----------------------------
+// --- the supernode solve bodies -------------------------------------------
 //
-// y is n × nrhs column-major in the PERMUTED space. These are the exact
-// loops the pre-plan solve_multi ran; every scheduled task below executes
-// a sub-range of columns / supernodes / rows of these loops with each
-// entry's accumulation order unchanged.
+// y is n × nrhs column-major in the PERMUTED space. Every path runs a
+// supernode through dense::trsm_left_lower[_trans] with the same blocking
+// on the supernode's rows gathered into a panel; a task covers some of its
+// RHS columns or (SCATTER) some of its below rows, which the routine's
+// split invariance makes bitwise equal to the serial sweep's whole call.
 
-/// Forward step of ONE supernode over RHS columns [q0, q1): the full
-/// serial body (in-panel substitution AND below pushes, interleaved per
-/// pivot exactly as the serial sweep interleaves them).
-void fwd_supernode_full(const SymbolicFactor& symb, const double* values,
-                        double* y, index_t n, index_t s, index_t q0,
-                        index_t q1) {
+/// Supernode s on RHS columns [q0, q1), laid out as on a device node: the
+/// rows the form reads are gathered into a per-thread r-row panel, the
+/// rows it writes are scattered back. The forward form writes sn_rows(s)
+/// [lo, hi) — [0, r) the serial body, [0, w) the COMPUTE node, a range of
+/// the rows below w one SCATTER — and also reads [0, w); the transposed
+/// form reads all r rows and writes the first w.
+void cpu_solve(const SymbolicFactor& symb, const double* values, double* y,
+               index_t n, index_t s, index_t lo, index_t hi, index_t q0,
+               index_t q1, bool forward) {
+  thread_local std::vector<double> panel;
   const auto rows = symb.sn_rows(s);
   const index_t w = symb.sn_width(s);
   const index_t r = static_cast<index_t>(rows.size());
-  const index_t f = symb.sn_begin(s);
-  const double* panel = values + symb.sn_values_offset(s);
-  for (index_t jl = 0; jl < w; ++jl) {
-    const double* col = panel + static_cast<offset_t>(jl) * r;
-    for (index_t q = q0; q < q1; ++q) {
-      double* yq = y + static_cast<std::size_t>(q) * n;
-      const double v = yq[f + jl] / col[jl];
-      yq[f + jl] = v;
-      for (index_t t = jl + 1; t < w; ++t) yq[f + t] -= col[t] * v;
-      for (index_t t = w; t < r; ++t) yq[rows[t]] -= col[t] * v;
+  const index_t pw = q1 - q0;
+  panel.resize(std::max(panel.size(), static_cast<std::size_t>(r) * pw));
+  double* yp = y + static_cast<std::size_t>(q0) * n;
+  auto gather = [&](index_t t0, index_t t1) {
+    for (index_t q = 0; q < pw; ++q) {
+      double* pq = panel.data() + static_cast<std::size_t>(q) * r;
+      const double* yq = yp + static_cast<std::size_t>(q) * n;
+      for (index_t t = t0; t < t1; ++t) pq[t] = yq[rows[t]];
     }
-  }
-}
-
-/// Backward step of ONE supernode over RHS columns [q0, q1): the full
-/// serial backward body.
-void bwd_supernode_full(const SymbolicFactor& symb, const double* values,
-                        double* y, index_t n, index_t s, index_t q0,
-                        index_t q1) {
-  const auto rows = symb.sn_rows(s);
-  const index_t w = symb.sn_width(s);
-  const index_t r = static_cast<index_t>(rows.size());
-  const index_t f = symb.sn_begin(s);
-  const double* panel = values + symb.sn_values_offset(s);
-  for (index_t jl = w - 1; jl >= 0; --jl) {
-    const double* col = panel + static_cast<offset_t>(jl) * r;
-    for (index_t q = q0; q < q1; ++q) {
-      double* yq = y + static_cast<std::size_t>(q) * n;
-      double v = yq[f + jl];
-      for (index_t t = w; t < r; ++t) v -= col[t] * yq[rows[t]];
-      for (index_t t = jl + 1; t < w; ++t) v -= col[t] * yq[f + t];
-      yq[f + jl] = v / col[jl];
+  };
+  auto scatter = [&](index_t t0, index_t t1) {
+    for (index_t q = 0; q < pw; ++q) {
+      const double* pq = panel.data() + static_cast<std::size_t>(q) * r;
+      double* yq = yp + static_cast<std::size_t>(q) * n;
+      for (index_t t = t0; t < t1; ++t) yq[rows[t]] = pq[t];
     }
+  };
+  const double* l = values + symb.sn_values_offset(s);
+  if (forward) {
+    gather(0, w);
+    gather(std::max(lo, w), hi);
+    dense::trsm_left_lower(w, lo, hi, pw, l, r, panel.data(), r);
+    scatter(lo, hi);
+  } else {
+    gather(0, r);
+    dense::trsm_left_lower_trans(w, r, pw, l, r, panel.data(), r);
+    scatter(0, w);
   }
 }
 
-void serial_forward(const SymbolicFactor& symb, const double* values,
-                    double* y, index_t n, index_t nrhs) {
-  for (index_t s = 0; s < symb.num_supernodes(); ++s) {
-    fwd_supernode_full(symb, values, y, n, s, 0, nrhs);
-  }
-}
-
-void serial_backward(const SymbolicFactor& symb, const double* values,
-                     double* y, index_t n, index_t nrhs) {
-  for (index_t s = symb.num_supernodes() - 1; s >= 0; --s) {
-    bwd_supernode_full(symb, values, y, n, s, 0, nrhs);
-  }
-}
-
-// --- scheduled task bodies (CPU) ------------------------------------------
-
-/// Forward COMPUTE(s): the serial body restricted to the in-panel rows.
-/// The below pushes (t >= w) are the SCATTER tasks' job; per RHS entry
-/// the two together replay the serial accumulation sequence, because each
-/// below entry's chain of subtractions is independent of the in-panel
-/// interleaving (distinct accumulators).
-void fwd_compute_cpu(const SymbolicFactor& symb, const double* values,
-                     double* y, index_t n, index_t s, index_t q0,
-                     index_t q1) {
-  const index_t w = symb.sn_width(s);
-  const index_t r = symb.sn_nrows(s);
-  const index_t f = symb.sn_begin(s);
-  const double* panel = values + symb.sn_values_offset(s);
-  for (index_t jl = 0; jl < w; ++jl) {
-    const double* col = panel + static_cast<offset_t>(jl) * r;
-    for (index_t q = q0; q < q1; ++q) {
-      double* yq = y + static_cast<std::size_t>(q) * n;
-      const double v = yq[f + jl] / col[jl];
-      yq[f + jl] = v;
-      for (index_t t = jl + 1; t < w; ++t) yq[f + t] -= col[t] * v;
-    }
-  }
-}
-
-/// Forward SCATTER(s → target): the GEMV-shaped push of s's solved panel
-/// into the target's rows [lo, hi) of sn_rows(s). Per target entry the
-/// pivot loop runs ascending — the serial sweep's per-entry subtraction
-/// order (the serial jl-outer interleaving only merges independent
-/// per-entry chains).
-void fwd_scatter_cpu(const SymbolicFactor& symb, const double* values,
-                     double* y, index_t n, index_t s, index_t lo, index_t hi,
-                     index_t q0, index_t q1) {
-  const auto rows = symb.sn_rows(s);
-  const index_t w = symb.sn_width(s);
-  const index_t r = static_cast<index_t>(rows.size());
-  const index_t f = symb.sn_begin(s);
-  const double* panel = values + symb.sn_values_offset(s);
-  for (index_t q = q0; q < q1; ++q) {
-    double* yq = y + static_cast<std::size_t>(q) * n;
-    for (index_t k = lo; k < hi; ++k) {
-      double acc = yq[rows[k]];
-      for (index_t jl = 0; jl < w; ++jl) {
-        acc -= panel[static_cast<offset_t>(jl) * r + k] * yq[f + jl];
-      }
-      yq[rows[k]] = acc;
-    }
+/// Supernodes [first, last] in the serial order on RHS columns [q0, q1):
+/// ascending forward, descending backward.
+void sweep(const SymbolicFactor& symb, const double* values, double* y,
+           index_t n, index_t first, index_t last, index_t q0, index_t q1,
+           bool forward) {
+  for (index_t i = first; i <= last; ++i) {
+    const index_t s = forward ? i : last + first - i;
+    cpu_solve(symb, values, y, n, s, 0, symb.sn_nrows(s), q0, q1, forward);
   }
 }
 
 // --- scheduled task bodies (device) ---------------------------------------
 
-/// One in-flight device solve task's buffers: the supernode's L rectangle
-/// and the gathered RHS panel block.
-struct SolveGpuSlot {
-  gpu::DeviceBuffer lpanel;
-  gpu::DeviceBuffer rhs;
-  SolveGpuSlot(gpu::Device& dev, std::size_t l_entries,
-               std::size_t rhs_entries) {
-    if (l_entries > 0) lpanel = gpu::DeviceBuffer(dev, l_entries);
-    if (rhs_entries > 0) rhs = gpu::DeviceBuffer(dev, rhs_entries);
-  }
-  bool fits(std::size_t l, std::size_t r) const {
-    return lpanel.size() >= l && rhs.size() >= r;
-  }
-};
-
 /// Fused device solve of supernode s over RHS columns [q0, q1): gather
 /// all r rows, upload the L rectangle, then
-///   forward:  TRSM (in-panel) → solve-GEMM (below pushes) → scatter all
-///             r rows back; the node stands in the forward chains for
-///             every one of s's targets;
-///   backward: transposed solve-GEMM → transposed TRSM → scatter back
-///             ONLY s's own w rows (the below rows are other supernodes'
-///             solution values — inputs, not outputs).
+///   forward:  the forward form → scatter all r rows back; the node stands
+///             in the forward chains for every one of s's targets;
+///   backward: the transposed form → scatter back ONLY s's own w rows
+///             (the below rows are other supernodes' solution values —
+///             inputs, not outputs).
 /// No solve stat reads device time, so the ops record none: they only
 /// bump the device's byte and kernel counters.
 void gpu_solve_node(const SymbolicFactor& symb, const double* values,
                     double* y, index_t n, gpu::Device& dev,
-                    SolveGpuSlot& slot, index_t s, index_t q0, index_t q1,
+                    GpuSlot& slot, index_t s, index_t q0, index_t q1,
                     bool forward) {
   auto rows = symb.sn_rows(s);
   const index_t w = symb.sn_width(s);
@@ -188,25 +115,18 @@ void gpu_solve_node(const SymbolicFactor& symb, const double* values,
   const index_t pw = q1 - q0;
   double* yp = y + static_cast<std::size_t>(q0) * n;
   const gpu::Stream st{};
-  gpu::copy_h2d(dev, st, slot.lpanel, 0, values + symb.sn_values_offset(s),
+  gpu::copy_h2d(dev, st, slot.panel, 0, values + symb.sn_values_offset(s),
                 static_cast<std::size_t>(symb.sn_entries(s)), /*async=*/true);
-  gpu::gather_rows_h2d(dev, st, rows, yp, n, pw, slot.rhs, 0);
+  gpu::gather_rows_h2d(dev, st, rows, yp, n, pw, slot.work, 0);
   if (forward) {
-    gpu::trsm_left_lower(dev, st, w, pw, slot.lpanel, 0, r, slot.rhs, 0, r);
-    if (r > w) {
-      gpu::gemm_solve_update(dev, st, r - w, pw, w, slot.lpanel, w, r,
-                             slot.rhs, 0, w, r);
-    }
+    gpu::trsm_left_lower(dev, st, w, r, pw, slot.panel, 0, r, slot.work, 0,
+                         r);
   } else {
-    if (r > w) {
-      gpu::gemm_solve_update_trans(dev, st, r - w, pw, w, slot.lpanel, w, r,
-                                   slot.rhs, 0, w, r);
-    }
-    gpu::trsm_left_lower_trans(dev, st, w, pw, slot.lpanel, 0, r, slot.rhs,
-                               0, r);
+    gpu::trsm_left_lower_trans(dev, st, w, r, pw, slot.panel, 0, r,
+                               slot.work, 0, r);
     rows = rows.first(static_cast<std::size_t>(w));
   }
-  gpu::scatter_rows_d2h(dev, st, rows, r, yp, n, pw, slot.rhs, 0);
+  gpu::scatter_rows_d2h(dev, st, rows, r, yp, n, pw, slot.work, 0);
 }
 
 // --- the scheduled executor ------------------------------------------------
@@ -249,10 +169,10 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
         static_cast<std::uint64_t>(opts.exec)}) {
     tag = (tag ^ v) * 1099511628211ull;
   }
-  const auto pools = ex.pools<SolveGpuSlot>(
+  const auto pools = ex.pools<GpuSlot>(
       tag,
       [](gpu::Device& dv, std::size_t l, std::size_t r) {
-        return std::make_unique<SolveGpuSlot>(dv, l, r);
+        return std::make_unique<GpuSlot>(dv, l, r);
       });
 
   // --- map (plan node, RHS panel) to scheduler tasks ----------------------
@@ -298,13 +218,15 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
             fwd_task[at] = sched.add_task(
                 nd.fwd_priority,
                 [&symb, values, y, n, s, q0, q1](std::size_t) {
-                  fwd_compute_cpu(symb, values, y, n, s, q0, q1);
+                  cpu_solve(symb, values, y, n, s, 0, symb.sn_width(s), q0,
+                            q1, /*forward=*/true);
                 },
                 TaskScheduler::kNoResource, queue);
             bwd_task[at] = sched.add_task(
                 nd.bwd_priority,
                 [&symb, values, y, n, s, q0, q1](std::size_t) {
-                  bwd_supernode_full(symb, values, y, n, s, q0, q1);
+                  cpu_solve(symb, values, y, n, s, 0, symb.sn_nrows(s), q0,
+                            q1, /*forward=*/false);
                 },
                 TaskScheduler::kNoResource, queue);
           }
@@ -317,7 +239,8 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
           fwd_task[at] = sched.add_task(
               nd.fwd_priority,
               [&symb, values, y, n, s, lo, hi, q0, q1](std::size_t) {
-                fwd_scatter_cpu(symb, values, y, n, s, lo, hi, q0, q1);
+                cpu_solve(symb, values, y, n, s, lo, hi, q0, q1,
+                          /*forward=*/true);
               },
               TaskScheduler::kNoResource, queue);
           break;
@@ -325,24 +248,17 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
         case SolveNodeKind::kBatch: {
           const index_t first = nd.batch_first;
           const index_t last = nd.batch_last;
-          // Fused sweeps over the members: ascending forward, descending
-          // backward — the serial orders.
-          fwd_task[at] = sched.add_task(
-              nd.fwd_priority,
-              [&symb, values, y, n, first, last, q0, q1](std::size_t) {
-                for (index_t s = first; s <= last; ++s) {
-                  fwd_supernode_full(symb, values, y, n, s, q0, q1);
-                }
-              },
-              TaskScheduler::kNoResource, queue);
-          bwd_task[at] = sched.add_task(
-              nd.bwd_priority,
-              [&symb, values, y, n, first, last, q0, q1](std::size_t) {
-                for (index_t s = last; s >= first; --s) {
-                  bwd_supernode_full(symb, values, y, n, s, q0, q1);
-                }
-              },
-              TaskScheduler::kNoResource, queue);
+          auto batch_task = [&](std::size_t priority, bool forward) {
+            return sched.add_task(
+                priority,
+                [&symb, values, y, n, first, last, q0, q1,
+                 forward](std::size_t) {
+                  sweep(symb, values, y, n, first, last, q0, q1, forward);
+                },
+                TaskScheduler::kNoResource, queue);
+          };
+          fwd_task[at] = batch_task(nd.fwd_priority, /*forward=*/true);
+          bwd_task[at] = batch_task(nd.bwd_priority, /*forward=*/false);
           break;
         }
       }
@@ -415,9 +331,12 @@ void solve_with_resources(const SymbolicFactor& symb,
   if (scheduled) {
     scheduled_solve(symb, values.data(), y.data(), n, nrhs, opts, res,
                     workers, stats);
-  } else if (nrhs > 0 && symb.num_supernodes() > 0) {
-    serial_forward(symb, values.data(), y.data(), n, nrhs);
-    serial_backward(symb, values.data(), y.data(), n, nrhs);
+  } else {
+    // The serial sweep: the bitwise reference every scheduled run matches.
+    for (const bool forward : {true, false}) {
+      sweep(symb, values.data(), y.data(), n, 0, symb.num_supernodes() - 1,
+            0, nrhs, forward);
+    }
   }
 
   for (index_t q = 0; q < nrhs; ++q) {
@@ -437,11 +356,7 @@ void solve_with_resources(const SymbolicFactor& symb,
 
 void CholeskyFactor::solve(std::span<const double> b,
                            std::span<double> x) const {
-  SolveOptions o;
-  o.exec = Execution::kCpuSerial;
-  o.workers = 1;
-  detail::solve_with_resources(*symb_, values(), b, x, 1, o, nullptr,
-                               nullptr);
+  solve_multi(b, x, 1);
 }
 
 void CholeskyFactor::solve_multi(std::span<const double> b,
@@ -449,15 +364,13 @@ void CholeskyFactor::solve_multi(std::span<const double> b,
   SolveOptions o;
   o.exec = Execution::kCpuSerial;
   o.workers = 1;
-  detail::solve_with_resources(*symb_, values(), b, x, nrhs, o, nullptr,
-                               nullptr);
+  solve_multi(b, x, nrhs, o, nullptr);
 }
 
 void CholeskyFactor::solve(std::span<const double> b, std::span<double> x,
                            const SolveOptions& opts,
                            SolveStats* stats) const {
-  detail::solve_with_resources(*symb_, values(), b, x, 1, opts, nullptr,
-                               stats);
+  solve_multi(b, x, 1, opts, stats);
 }
 
 void CholeskyFactor::solve_multi(std::span<const double> b,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "spchol/core/internal.hpp"
 #include "spchol/support/timer.hpp"
 
 namespace spchol {
@@ -174,18 +175,10 @@ OrderingStats CholeskySolver::ordering_stats() const {
   return ordering_stats_;
 }
 
-double relative_residual(const CscMatrix& a_lower, std::span<const double> x,
-                         std::span<const double> b) {
+namespace detail {
+
+double sym_lower_inf_norm(const CscMatrix& a_lower) {
   const index_t n = a_lower.cols();
-  std::vector<double> ax(static_cast<std::size_t>(n));
-  a_lower.sym_lower_matvec(x, ax);
-  double rnorm = 0.0, bnorm = 0.0, xnorm = 0.0;
-  for (index_t i = 0; i < n; ++i) {
-    rnorm = std::max(rnorm, std::abs(b[i] - ax[i]));
-    bnorm = std::max(bnorm, std::abs(b[i]));
-    xnorm = std::max(xnorm, std::abs(x[i]));
-  }
-  // ∞-norm of A from the lower triangle.
   std::vector<double> rowsum(static_cast<std::size_t>(n), 0.0);
   for (index_t j = 0; j < n; ++j) {
     const auto rows = a_lower.col_rows(j);
@@ -195,9 +188,30 @@ double relative_residual(const CscMatrix& a_lower, std::span<const double> x,
       if (rows[k] != j) rowsum[j] += std::abs(vals[k]);
     }
   }
-  const double anorm = *std::max_element(rowsum.begin(), rowsum.end());
+  return n > 0 ? *std::max_element(rowsum.begin(), rowsum.end()) : 0.0;
+}
+
+double relative_residual(std::span<const double> ax,
+                         std::span<const double> x,
+                         std::span<const double> b, double anorm) {
+  double rnorm = 0.0, bnorm = 0.0, xnorm = 0.0;
+  for (std::size_t i = 0; i < ax.size(); ++i) {
+    rnorm = std::max(rnorm, std::abs(b[i] - ax[i]));
+    bnorm = std::max(bnorm, std::abs(b[i]));
+    xnorm = std::max(xnorm, std::abs(x[i]));
+  }
   const double denom = anorm * xnorm + bnorm;
   return denom > 0.0 ? rnorm / denom : rnorm;
+}
+
+}  // namespace detail
+
+double relative_residual(const CscMatrix& a_lower, std::span<const double> x,
+                         std::span<const double> b) {
+  std::vector<double> ax(static_cast<std::size_t>(a_lower.cols()));
+  a_lower.sym_lower_matvec(x, ax);
+  return detail::relative_residual(ax, x, b,
+                                   detail::sym_lower_inf_norm(a_lower));
 }
 
 }  // namespace spchol

@@ -8,7 +8,7 @@ namespace spchol::dense {
 void gemm_nt_minus(index_t m, index_t n, index_t k, const double* a,
                    index_t lda, const double* b, index_t ldb, double* c,
                    index_t ldc) {
-  detail::update_nt(m, n, k, a, lda, b, ldb, c, ldc, /*lower=*/false);
+  detail::update_nt(m, n, k, {a, lda}, {b, ldb}, c, ldc, /*lower=*/false);
 }
 
 void gemm_nt_minus_parallel(ThreadPool& pool, std::size_t threads, index_t m,
@@ -29,7 +29,7 @@ void gemm_nt_minus_parallel(ThreadPool& pool, std::size_t threads, index_t m,
 
 void syrk_lower_nt(index_t n, index_t k, const double* a, index_t lda,
                    double* c, index_t ldc) {
-  detail::update_nt(n, n, k, a, lda, a, lda, c, ldc, /*lower=*/true);
+  detail::update_nt(n, n, k, {a, lda}, {a, lda}, c, ldc, /*lower=*/true);
 }
 
 void syrk_lower_nt_parallel(ThreadPool& pool, std::size_t threads, index_t n,
@@ -61,7 +61,7 @@ void syrk_lower_nt_parallel(ThreadPool& pool, std::size_t threads, index_t n,
   pool.run(nchunks, [&](std::size_t cidx) {
     const index_t lo = bounds[cidx], hi = bounds[cidx + 1];
     // This chunk owns the trapezoid C(lo:n, lo:hi), lower part only.
-    detail::update_nt(n - lo, hi - lo, k, a + lo, lda, a + lo, lda,
+    detail::update_nt(n - lo, hi - lo, k, {a + lo, lda}, {a + lo, lda},
                       c + lo + static_cast<std::ptrdiff_t>(lo) * ldc, ldc,
                       /*lower=*/true);
   });

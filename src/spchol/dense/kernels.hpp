@@ -33,6 +33,27 @@ void gemm_nt_minus(index_t m, index_t n, index_t k, const double* a,
                    index_t lda, const double* b, index_t ldb, double* c,
                    index_t ldc);
 
+// ---- supernode solves -------------------------------------------------
+//
+// L is a supernode's r×w column block (ld ldl ≥ r): L₁₁ its leading w×w
+// lower triangle, L₂₁ the r − w rows below. Y is the right-hand-side
+// panel gathered to the supernode's rows: r×nrhs at y (ld ldy), Y₁ its
+// first w rows, Y₂ the rest. The RHS sits on the micro-kernel's broadcast
+// side, so every Y entry's operation sequence depends only on w, r and
+// the entry's row: RHS column splits and row-range splits of the forward
+// form are bitwise equal to the whole call.
+
+/// Forward form on rows [lo, hi), with lo = 0 or w ≤ lo ≤ hi ≤ r: lo = 0
+/// first solves Y₁ := L₁₁⁻¹·Y₁; then Y(t) −= L(t, 0:w)·Y₁ for each row
+/// t ≥ w in the range. Only Y₁ and rows [lo, hi) are accessed.
+void trsm_left_lower(index_t w, index_t lo, index_t hi, index_t nrhs,
+                     const double* l, index_t ldl, double* y, index_t ldy);
+
+/// Transposed form: Y₁ −= L₂₁ᵀ·Y₂, then Y₁ := L₁₁⁻ᵀ·Y₁. Y₂ is only read.
+void trsm_left_lower_trans(index_t w, index_t r, index_t nrhs,
+                           const double* l, index_t ldl, double* y,
+                           index_t ldy);
+
 // ---- parallel variants -------------------------------------------------
 
 void potrf_lower_parallel(ThreadPool& pool, std::size_t threads, index_t n,

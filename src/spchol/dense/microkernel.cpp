@@ -109,30 +109,40 @@ double* pack_scratch(std::size_t doubles) {
   return buf.get();
 }
 
+// ---- operands -------------------------------------------------------------
+
+/// Address of operand element (i, p).
+inline const double* element(const Operand& o, index_t i, index_t p) {
+  const index_t x = o.trans ? p : i;
+  const index_t y = o.trans ? i : p;
+  return o.data + x + static_cast<std::ptrdiff_t>(y) * o.ld;
+}
+
 // ---- packing --------------------------------------------------------------
 
-/// A(0:mr, 0:kb) → dst[p·kMR + r], rows mr..kMR zero-filled.
-void pack_a(index_t mr, index_t kb, const double* a, index_t lda,
-            double* dst) {
-  for (index_t p = 0; p < kb; ++p, dst += kMR) {
-    const double* src = a + static_cast<std::ptrdiff_t>(p) * lda;
-    std::copy(src, src + mr, dst);
-    std::fill(dst + mr, dst + kMR, 0.0);
+/// Operand rows [i0, i0+m) over k-block [k0, k0+kb) → dst[p·kW + r], rows
+/// m..kW zero-filled. A transposed operand is transposed while copying.
+template <index_t kW>
+void pack_strip(index_t m, index_t kb, const Operand& o, index_t i0,
+                index_t k0, double* dst) {
+  for (index_t p = 0; p < kb; ++p, dst += kW) {
+    if (o.trans) {
+      for (index_t r = 0; r < kW; ++r) {
+        dst[r] = r < m ? *element(o, i0 + r, k0 + p) : 0.0;
+      }
+      continue;
+    }
+    const double* src = element(o, i0, k0 + p);
+    std::copy(src, src + m, dst);
+    std::fill(dst + m, dst + kW, 0.0);
   }
 }
 
-/// B(0:nc, 0:kb) → strips of kNR columns, strip s at dst + s·kb·kNR laid
-/// out [p·kNR + c]; columns past nc zero-filled.
-void pack_b(index_t nc, index_t kb, const double* b, index_t ldb,
-            double* dst) {
-  for (index_t j0 = 0; j0 < nc; j0 += kNR, dst += kb * kNR) {
-    const index_t nr = std::min(kNR, nc - j0);
-    double* d = dst;
-    for (index_t p = 0; p < kb; ++p, d += kNR) {
-      const double* src = b + j0 + static_cast<std::ptrdiff_t>(p) * ldb;
-      std::copy(src, src + nr, d);
-      std::fill(d + nr, d + kNR, 0.0);
-    }
+/// B(j0:j0+nc, k0:k0+kb) → strips of kNR columns, strip s at dst + s·kb·kNR.
+void pack_b(index_t nc, index_t kb, const Operand& b, index_t j0,
+            index_t k0, double* dst) {
+  for (index_t js = 0; js < nc; js += kNR, dst += kb * kNR) {
+    pack_strip<kNR>(std::min(kNR, nc - js), kb, b, j0 + js, k0, dst);
   }
 }
 
@@ -183,9 +193,8 @@ void micro_tile(index_t kb, const double* ap, const double* bp, double* c,
 
 // ---- the two paths --------------------------------------------------------
 
-void packed_update(index_t m, index_t n, index_t k, const double* a,
-                   index_t lda, const double* b, index_t ldb, double* c,
-                   index_t ldc, bool lower) {
+void packed_update(index_t m, index_t n, index_t k, Operand a, Operand b,
+                   double* c, index_t ldc, bool lower) {
   const index_t kb_max = std::min(k, kKB);
   const index_t nc_max = (std::min(n, kNC) + kNR - 1) / kNR * kNR;
   double* apack = pack_scratch(static_cast<std::size_t>(kMR + nc_max) *
@@ -193,14 +202,13 @@ void packed_update(index_t m, index_t n, index_t k, const double* a,
   double* bpack = apack + static_cast<std::ptrdiff_t>(kMR) * kb_max;
   for (index_t k0 = 0; k0 < k; k0 += kKB) {
     const index_t kb = std::min(kKB, k - k0);
-    const std::ptrdiff_t koff = k0;
     for (index_t j0 = 0; j0 < n; j0 += kNC) {
       const index_t nc = std::min(kNC, n - j0);
-      pack_b(nc, kb, b + j0 + koff * ldb, ldb, bpack);
+      pack_b(nc, kb, b, j0, k0, bpack);
       // In lower mode rows above j0 have nothing to write in this chunk.
       for (index_t i0 = lower ? j0 : 0; i0 < m; i0 += kMR) {
         const index_t mr = std::min(kMR, m - i0);
-        pack_a(mr, kb, a + i0 + koff * lda, lda, apack);
+        pack_strip<kMR>(mr, kb, a, i0, k0, apack);
         for (index_t jr = 0; jr < nc; jr += kNR) {
           const index_t j = j0 + jr;
           if (lower && i0 + mr <= j) break;  // tile wholly above diagonal
@@ -215,20 +223,27 @@ void packed_update(index_t m, index_t n, index_t k, const double* a,
 
 /// Unpacked path for small shapes: no padding, the same per-element
 /// sequence as micro_tile.
-void small_update(index_t m, index_t n, index_t k, const double* a,
-                  index_t lda, const double* b, index_t ldb, double* c,
-                  index_t ldc, bool lower) {
+template <bool kTransA>
+void small_update(index_t m, index_t n, index_t k, Operand a, Operand b,
+                  double* c, index_t ldc, bool lower) {
+  // Strides of A between consecutive rows i and consecutive k indices p,
+  // and of B between consecutive k indices.
+  const std::ptrdiff_t ai = kTransA ? a.ld : 1;
+  const std::ptrdiff_t ak = kTransA ? 1 : a.ld;
+  const std::ptrdiff_t bs = b.trans ? 1 : b.ld;
   for (index_t k0 = 0; k0 < k; k0 += kKB) {
     const index_t kb = std::min(kKB, k - k0);
     for (index_t j = 0; j < n; ++j) {
+      const double* bp = element(b, j, k0);
       double* cj = c + static_cast<std::ptrdiff_t>(j) * ldc;
       for (index_t i0 = lower ? j : 0; i0 < m; i0 += kMR) {
         const index_t mr = std::min(kMR, m - i0);
         double acc[kMR] = {};
-        for (index_t p = k0; p < k0 + kb; ++p) {
-          const double bj = b[j + static_cast<std::ptrdiff_t>(p) * ldb];
-          const double* ap = a + i0 + static_cast<std::ptrdiff_t>(p) * lda;
-          for (index_t r = 0; r < mr; ++r) acc[r] = madd(ap[r], bj, acc[r]);
+        for (index_t p = 0; p < kb; ++p) {
+          const double* ap = a.data + i0 * ai + (k0 + p) * ak;
+          for (index_t r = 0; r < mr; ++r) {
+            acc[r] = madd(ap[r * ai], bp[p * bs], acc[r]);
+          }
         }
         for (index_t r = 0; r < mr; ++r) cj[i0 + r] -= acc[r];
       }
@@ -238,9 +253,8 @@ void small_update(index_t m, index_t n, index_t k, const double* a,
 
 }  // namespace
 
-void update_nt(index_t m, index_t n, index_t k, const double* a, index_t lda,
-               const double* b, index_t ldb, double* c, index_t ldc,
-               bool lower) {
+void update_nt(index_t m, index_t n, index_t k, Operand a, Operand b,
+               double* c, index_t ldc, bool lower) {
   if (m <= 0 || n <= 0 || k <= 0) return;
   // Packing pays unless padding to whole tiles would more than double the
   // computed area (shapes just past a tile edge, e.g. 20×10 on 16×8 tiles).
@@ -249,9 +263,11 @@ void update_nt(index_t m, index_t n, index_t k, const double* a, index_t lda,
       ((n + kNR - 1) / kNR * kNR);
   if (m >= kMR && n >= kNR &&
       padded <= 2 * static_cast<std::int64_t>(m) * n) {
-    packed_update(m, n, k, a, lda, b, ldb, c, ldc, lower);
+    packed_update(m, n, k, a, b, c, ldc, lower);
+  } else if (a.trans) {
+    small_update<true>(m, n, k, a, b, c, ldc, lower);
   } else {
-    small_update(m, n, k, a, lda, b, ldb, c, ldc, lower);
+    small_update<false>(m, n, k, a, b, c, ldc, lower);
   }
 }
 

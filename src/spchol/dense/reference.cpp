@@ -53,4 +53,34 @@ void gemm_nt_minus(index_t m, index_t n, index_t k, const double* a,
   }
 }
 
+void trsm_left_lower(index_t w, index_t r, index_t nrhs, const double* l,
+                     index_t ldl, double* y, index_t ldy) {
+  for (index_t q = 0; q < nrhs; ++q) {
+    double* yq = y + q * ldy;
+    for (index_t j = 0; j < w; ++j) {
+      double s = yq[j];
+      for (index_t t = 0; t < j; ++t) s -= l[j + t * ldl] * yq[t];
+      yq[j] = s / l[j + j * ldl];
+    }
+    for (index_t i = w; i < r; ++i) {
+      double s = 0.0;
+      for (index_t t = 0; t < w; ++t) s += l[i + t * ldl] * yq[t];
+      yq[i] -= s;
+    }
+  }
+}
+
+void trsm_left_lower_trans(index_t w, index_t r, index_t nrhs,
+                           const double* l, index_t ldl, double* y,
+                           index_t ldy) {
+  for (index_t q = 0; q < nrhs; ++q) {
+    double* yq = y + q * ldy;
+    for (index_t j = w - 1; j >= 0; --j) {
+      double s = yq[j];
+      for (index_t t = j + 1; t < r; ++t) s -= l[t + j * ldl] * yq[t];
+      yq[j] = s / l[j + j * ldl];
+    }
+  }
+}
+
 }  // namespace spchol::dense::ref

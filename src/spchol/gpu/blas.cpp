@@ -142,84 +142,31 @@ void account_solve_kernel(Device& dev, Stream s, double flops) {
   dev.record(s, OpKind::kKernel, dev.model().gpu_solve_kernel_seconds(flops));
 }
 
+/// One solve node's kernel flops: the in-panel TRSM plus the update of the
+/// r − w rows below.
+double solve_flops(index_t w, index_t r, index_t nrhs) {
+  return dense::flops_trsm(nrhs, w) + dense::flops_gemm(r - w, nrhs, w);
+}
+
 }  // namespace
 
-void trsm_left_lower(Device& dev, Stream s, index_t n, index_t nrhs,
-                     const DeviceBuffer& lbuf, std::size_t l_off, index_t ldl,
-                     DeviceBuffer& bbuf, std::size_t b_off, index_t ldb) {
-  const double* l = lbuf.data() + l_off;
-  double* b = bbuf.data() + b_off;
-  // Serial accumulation order per entry: identical to the serial forward
-  // sweep's in-panel loops (jl outer ascending, t inner ascending).
-  for (index_t q = 0; q < nrhs; ++q) {
-    double* bq = b + static_cast<std::size_t>(q) * ldb;
-    for (index_t jl = 0; jl < n; ++jl) {
-      const double* col = l + static_cast<std::size_t>(jl) * ldl;
-      double v = bq[jl];
-      v /= col[jl];
-      bq[jl] = v;
-      for (index_t t = jl + 1; t < n; ++t) bq[t] -= col[t] * v;
-    }
-  }
-  account_solve_kernel(dev, s, dense::flops_trsm(nrhs, n));
+void trsm_left_lower(Device& dev, Stream s, index_t w, index_t r,
+                     index_t nrhs, const DeviceBuffer& lbuf,
+                     std::size_t l_off, index_t ldl, DeviceBuffer& bbuf,
+                     std::size_t b_off, index_t ldb) {
+  dense::trsm_left_lower(w, 0, r, nrhs, lbuf.data() + l_off, ldl,
+                         bbuf.data() + b_off, ldb);
+  account_solve_kernel(dev, s, solve_flops(w, r, nrhs));
 }
 
-void trsm_left_lower_trans(Device& dev, Stream s, index_t n, index_t nrhs,
-                           const DeviceBuffer& lbuf, std::size_t l_off,
-                           index_t ldl, DeviceBuffer& bbuf, std::size_t b_off,
+void trsm_left_lower_trans(Device& dev, Stream s, index_t w, index_t r,
+                           index_t nrhs, const DeviceBuffer& lbuf,
+                           std::size_t l_off, index_t ldl,
+                           DeviceBuffer& bbuf, std::size_t b_off,
                            index_t ldb) {
-  const double* l = lbuf.data() + l_off;
-  double* b = bbuf.data() + b_off;
-  // Serial backward in-panel order: jl descending, in-panel subtractions
-  // ascending in t, then the division.
-  for (index_t q = 0; q < nrhs; ++q) {
-    double* bq = b + static_cast<std::size_t>(q) * ldb;
-    for (index_t jl = n - 1; jl >= 0; --jl) {
-      const double* col = l + static_cast<std::size_t>(jl) * ldl;
-      double v = bq[jl];
-      for (index_t t = jl + 1; t < n; ++t) v -= col[t] * bq[t];
-      bq[jl] = v / col[jl];
-    }
-  }
-  account_solve_kernel(dev, s, dense::flops_trsm(nrhs, n));
-}
-
-void gemm_solve_update(Device& dev, Stream s, index_t m, index_t nrhs,
-                       index_t k, const DeviceBuffer& lbuf, std::size_t l_off,
-                       index_t ldl, DeviceBuffer& bbuf, std::size_t b1_off,
-                       std::size_t b2_off, index_t ldb) {
-  const double* l = lbuf.data() + l_off;
-  for (index_t q = 0; q < nrhs; ++q) {
-    const double* b1 = bbuf.data() + b1_off + static_cast<std::size_t>(q) * ldb;
-    double* b2 = bbuf.data() + b2_off + static_cast<std::size_t>(q) * ldb;
-    for (index_t t = 0; t < m; ++t) {
-      double acc = b2[t];
-      for (index_t jl = 0; jl < k; ++jl) {
-        acc -= l[t + static_cast<std::size_t>(jl) * ldl] * b1[jl];
-      }
-      b2[t] = acc;
-    }
-  }
-  account_solve_kernel(dev, s, dense::flops_gemm(m, nrhs, k));
-}
-
-void gemm_solve_update_trans(Device& dev, Stream s, index_t m, index_t nrhs,
-                             index_t k, const DeviceBuffer& lbuf,
-                             std::size_t l_off, index_t ldl,
-                             DeviceBuffer& bbuf, std::size_t b1_off,
-                             std::size_t b2_off, index_t ldb) {
-  const double* l = lbuf.data() + l_off;
-  for (index_t q = 0; q < nrhs; ++q) {
-    double* b1 = bbuf.data() + b1_off + static_cast<std::size_t>(q) * ldb;
-    const double* b2 = bbuf.data() + b2_off + static_cast<std::size_t>(q) * ldb;
-    for (index_t jl = 0; jl < k; ++jl) {
-      const double* col = l + static_cast<std::size_t>(jl) * ldl;
-      double acc = b1[jl];
-      for (index_t t = 0; t < m; ++t) acc -= col[t] * b2[t];
-      b1[jl] = acc;
-    }
-  }
-  account_solve_kernel(dev, s, dense::flops_gemm(m, nrhs, k));
+  dense::trsm_left_lower_trans(w, r, nrhs, lbuf.data() + l_off, ldl,
+                               bbuf.data() + b_off, ldb);
+  account_solve_kernel(dev, s, solve_flops(w, r, nrhs));
 }
 
 void gather_rows_h2d(Device& dev, Stream s, std::span<const index_t> rows,

@@ -146,47 +146,26 @@ void batched_syrk_update(Device& dev, Stream s,
 
 // --- triangular solve kernels (the SolvePlan device path) ------------------
 //
-// Unlike the factorization kernels above, the solve kernels compute each
-// output entry with EXPLICITLY serial accumulation loops (inner index
-// ascending, matching core/solve.cpp's serial sweep per entry). The plan
-// layer guarantees one writer per right-hand-side entry at a time in the
-// serial order, and these kernels keep each entry's floating-point
-// reduction order identical to the serial sweep — the two halves of the
-// scheduled solve's bitwise-identity contract. Costs are modeled with the
-// solve-calibrated rates (PerfModel::gpu_solve_kernel_seconds): TRSM is
-// diagonal-serialized and far off the GEMM asymptote.
+// One supernode's solve on an RHS panel the node gathered into a device
+// buffer: the L rectangle is r×w (ld ldl) and the panel r×nrhs (ld ldb).
+// Both run dense::trsm_left_lower[_trans], the routine the CPU solve paths
+// call with the same blocking, so device placement never changes bits.
+// Each records one kernel at the solve-calibrated rate
+// (PerfModel::gpu_solve_kernel_seconds): TRSM is diagonal-serialized and
+// far off the GEMM asymptote.
 
-/// Device forward TRSM (left, lower, non-unit): B := L₁₁⁻¹·B where L₁₁ is
-/// the n×n lower block at l_off in `lbuf` (ld = ldl) and B is n×nrhs at
-/// b_off in `bbuf` (ld = ldb).
-void trsm_left_lower(Device& dev, Stream s, index_t n, index_t nrhs,
-                     const DeviceBuffer& lbuf, std::size_t l_off, index_t ldl,
-                     DeviceBuffer& bbuf, std::size_t b_off, index_t ldb);
+/// Forward: B₁ := L₁₁⁻¹·B₁, then B₂ −= L₂₁·B₁.
+void trsm_left_lower(Device& dev, Stream s, index_t w, index_t r,
+                     index_t nrhs, const DeviceBuffer& lbuf,
+                     std::size_t l_off, index_t ldl, DeviceBuffer& bbuf,
+                     std::size_t b_off, index_t ldb);
 
-/// Device backward TRSM (left, lower-transpose, non-unit):
-/// B := L₁₁⁻ᵀ·B, same layout as trsm_left_lower.
-void trsm_left_lower_trans(Device& dev, Stream s, index_t n, index_t nrhs,
-                           const DeviceBuffer& lbuf, std::size_t l_off,
-                           index_t ldl, DeviceBuffer& bbuf, std::size_t b_off,
+/// Backward: B₁ −= L₂₁ᵀ·B₂, then B₁ := L₁₁⁻ᵀ·B₁.
+void trsm_left_lower_trans(Device& dev, Stream s, index_t w, index_t r,
+                           index_t nrhs, const DeviceBuffer& lbuf,
+                           std::size_t l_off, index_t ldl,
+                           DeviceBuffer& bbuf, std::size_t b_off,
                            index_t ldb);
-
-/// Forward solve update: B₂ := B₂ − L₂₁·B₁ where L₂₁ is the m×k below
-/// block at l_off in `lbuf` (ld = ldl), B₁ is k×nrhs at b1_off and B₂ is
-/// m×nrhs at b2_off, both in `bbuf` (ld = ldb). Per-entry inner loop
-/// ascending in k.
-void gemm_solve_update(Device& dev, Stream s, index_t m, index_t nrhs,
-                       index_t k, const DeviceBuffer& lbuf, std::size_t l_off,
-                       index_t ldl, DeviceBuffer& bbuf, std::size_t b1_off,
-                       std::size_t b2_off, index_t ldb);
-
-/// Backward solve update: B₁ := B₁ − L₂₁ᵀ·B₂, same layout as
-/// gemm_solve_update. Per-entry inner loop ascending in m (the serial
-/// backward sweep's below-row order).
-void gemm_solve_update_trans(Device& dev, Stream s, index_t m, index_t nrhs,
-                             index_t k, const DeviceBuffer& lbuf,
-                             std::size_t l_off, index_t ldl,
-                             DeviceBuffer& bbuf, std::size_t b1_off,
-                             std::size_t b2_off, index_t ldb);
 
 // --- RHS panel gather / scatter --------------------------------------------
 

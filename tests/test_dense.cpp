@@ -3,6 +3,7 @@
 // determinism rests on).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <thread>
@@ -519,6 +520,131 @@ TEST(DenseTiles, ConcurrentCallersOnTheSharedPool) {
   }
 }
 
+// ---- supernode solves ----------------------------------------------------
+//
+// The left-side solve on a supernode's r×w column block against an
+// r×nrhs panel: both forms against the naive oracles, on the contiguous
+// panel and through a row map into a larger, permuted y (the CPU sweep's
+// layout), which must give the same bits.
+
+/// The first w columns of the Cholesky factor of an r×r diagonally
+/// dominant SPD matrix: a well-conditioned supernode block (ld r).
+std::vector<double> supernode_block(index_t w, index_t r,
+                                    std::uint64_t seed) {
+  auto a = random_spd_dense(r, r, seed);
+  ref::potrf_lower(r, a.data(), r);
+  a.resize(static_cast<std::size_t>(r) * w);
+  return a;
+}
+
+struct SolveShape {
+  index_t w, below, nrhs;
+};
+
+class SupernodeSolveTest : public ::testing::TestWithParam<SolveShape> {};
+
+TEST_P(SupernodeSolveTest, BothFormsMatchTheOracles) {
+  const auto [w, below, nrhs] = GetParam();
+  const index_t r = w + below;
+  const auto l = supernode_block(w, r, 61);
+  const auto y0 = random_matrix(r, nrhs, r, 62);
+  for (const bool forward : {true, false}) {
+    auto got = y0;
+    auto want = y0;
+    if (forward) {
+      trsm_left_lower(w, 0, r, nrhs, l.data(), r, got.data(), r);
+      ref::trsm_left_lower(w, r, nrhs, l.data(), r, want.data(), r);
+    } else {
+      trsm_left_lower_trans(w, r, nrhs, l.data(), r, got.data(), r);
+      ref::trsm_left_lower_trans(w, r, nrhs, l.data(), r, want.data(), r);
+    }
+    EXPECT_LT(max_diff(got, want), 1e-10) << (forward ? "forward" : "trans");
+  }
+}
+
+std::vector<SolveShape> solve_shapes() {
+  std::vector<SolveShape> v;
+  for (const index_t w : {1, 63, 64, 65, 300}) {
+    for (const index_t below : {0, 37}) {
+      for (const index_t nrhs : {1, 3, 8, 16, 17}) {
+        v.push_back({w, below, nrhs});
+      }
+    }
+  }
+  return v;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, SupernodeSolveTest,
+                         ::testing::ValuesIn(solve_shapes()),
+                         [](const auto& info) {
+                           return "w" + std::to_string(info.param.w) +
+                                  "_below" +
+                                  std::to_string(info.param.below) + "_nrhs" +
+                                  std::to_string(info.param.nrhs);
+                         });
+
+// A forward COMPUTE (the in-panel solve) followed by SCATTERs over row
+// bands of the rows below is bitwise equal to the whole forward call, for
+// a blocked width and a level-2 width.
+TEST(DenseTiles, SolveUpdateRowBandsAreBitwiseEqualToTheWholeCall) {
+  for (const index_t w : {150, 12}) {
+    const index_t r = w + 203, nrhs = 9;
+    const auto l = supernode_block(w, r, 63);
+    const auto y0 = random_matrix(r, nrhs, r, 64);
+    auto whole = y0;
+    trsm_left_lower(w, 0, r, nrhs, l.data(), r, whole.data(), r);
+    for (const std::vector<index_t>& cuts :
+         {std::vector<index_t>{3, 16, 45, 203}, std::vector<index_t>{13, 203},
+          std::vector<index_t>{29, 34, 187, 203}}) {
+      auto banded = y0;
+      trsm_left_lower(w, 0, w, nrhs, l.data(), r, banded.data(), r);
+      index_t lo = w;
+      for (const index_t cut : cuts) {
+        trsm_left_lower(w, lo, w + cut, nrhs, l.data(), r, banded.data(),
+                        r);
+        lo = w + cut;
+      }
+      EXPECT_TRUE(same_bits(whole, banded))
+          << "w " << w << " first cut " << cuts.front();
+    }
+  }
+}
+
+// Splitting the RHS panel into column groups (the scheduled solve's
+// panels) is bitwise equal to the whole call, in both forms.
+TEST(DenseTiles, SolveRhsColumnSplitsAreBitwiseEqualToTheWholeCall) {
+  for (const index_t w : {150, 12}) {
+    const index_t r = w + 41, nrhs = 17;
+    const auto l = supernode_block(w, r, 65);
+    const auto y0 = random_matrix(r, nrhs, r, 66);
+    for (const bool forward : {true, false}) {
+      auto run = [&](std::vector<double>& y, index_t q0, index_t q1) {
+        double* yq = y.data() + static_cast<std::size_t>(q0) * r;
+        if (forward) {
+          trsm_left_lower(w, 0, r, q1 - q0, l.data(), r, yq, r);
+        } else {
+          trsm_left_lower_trans(w, r, q1 - q0, l.data(), r, yq, r);
+        }
+      };
+      auto whole = y0;
+      run(whole, 0, nrhs);
+      for (const std::vector<index_t>& cuts :
+           {std::vector<index_t>{3, 11, 17}, std::vector<index_t>{1, 9, 17},
+            std::vector<index_t>{8, 16, 17}}) {
+        auto split = y0;
+        index_t q0 = 0;
+        for (const index_t q1 : cuts) {
+          run(split, q0, q1);
+          q0 = q1;
+        }
+        EXPECT_TRUE(same_bits(whole, split))
+            << "w " << w << (forward ? " forward" : " trans") << " first cut "
+            << cuts.front();
+      }
+    }
+  }
+}
+
 TEST(Kernels, FlopCounts) {
   EXPECT_DOUBLE_EQ(flops_gemm(2, 3, 4), 48.0);
   EXPECT_DOUBLE_EQ(flops_trsm(5, 4), 80.0);
@@ -531,6 +657,9 @@ TEST(Kernels, DegenerateDimensionsAreNoOps) {
   gemm_nt_minus(0, 1, 1, &x, 1, &x, 1, &x, 1);
   syrk_lower_nt(0, 1, &x, 1, &x, 1);
   trsm_right_lower_trans(0, 0, &x, 1, &x, 1);
+  trsm_left_lower(0, 0, 0, 1, &x, 1, &x, 1);
+  trsm_left_lower(1, 1, 1, 1, &x, 1, &x, 1);
+  trsm_left_lower_trans(1, 1, 0, &x, 1, &x, 1);
   potrf_lower(0, &x, 1);
   EXPECT_EQ(x, 42.0);
 }

@@ -276,6 +276,97 @@ TEST(SolverService, DeviceOutOfMemoryLeavesRuntimeUsable) {
   EXPECT_EQ(service.runtime().stats().in_flight, 0u);
 }
 
+/// Options that factor on the CPU and solve in kGpuHybrid through one
+/// device slot, so a device's capacity bounds the largest solve node.
+SolverOptions cpu_factor_gpu_solve_options() {
+  SolverOptions so;
+  so.factor.exec = Execution::kCpuParallel;
+  so.factor.cpu_workers = 4;
+  so.solve.exec = Execution::kGpuHybrid;
+  so.solve.workers = 4;
+  so.solve.rhs_panel = 8;
+  so.solve.gpu_streams = 1;
+  so.solve.gpu_threshold = 2'000;
+  return so;
+}
+
+/// Bytes of the one device slot a scheduled solve with `so` needs on
+/// `symb`: the largest device node's L rectangle plus rows × panel.
+std::size_t solve_slot_bytes(const SymbolicFactor& symb,
+                             const SolveOptions& so) {
+  std::size_t l = 0;
+  std::size_t rhs = 0;
+  for (index_t t = 0; t < symb.num_supernodes(); ++t) {
+    if (symb.sn_entries(t) < so.gpu_threshold) continue;
+    l = std::max(l, static_cast<std::size_t>(symb.sn_entries(t)));
+    rhs = std::max(rhs, static_cast<std::size_t>(symb.sn_nrows(t)) *
+                            static_cast<std::size_t>(so.rhs_panel));
+  }
+  return (l + rhs) * sizeof(double);
+}
+
+TEST(SolverService, SolveDeviceOutOfMemoryLeavesRuntimeUsable) {
+  // A session that factors on the CPU and solves in kGpuHybrid on a
+  // device too small for its largest solve slot throws DeviceOutOfMemory
+  // while the scheduled solve builds its slot pool. The failure must
+  // release every device byte it took and leave no request in flight, so
+  // a smaller pattern's session on the same runtime then solves bitwise
+  // equal to the serial sweep.
+  constexpr std::size_t kDeviceBytes = 128ull << 10;
+  ServiceOptions so;
+  so.runtime.workers = 3;
+  so.runtime.device.memory_bytes = kDeviceBytes;
+  SolverService service(so);
+  const SolverOptions ho = cpu_factor_gpu_solve_options();
+  const index_t nrhs = 8;
+
+  const CscMatrix big = grid3d_7pt(12, 12, 12);
+  const auto s_big = service.session(big, ho);
+  ASSERT_GT(solve_slot_bytes(s_big->symbolic(), ho.solve), kDeviceBytes);
+  s_big->factorize(big);
+  const std::vector<double> b_big(
+      static_cast<std::size_t>(big.cols()) * nrhs, 1.0);
+  const std::size_t used_before = service.runtime().device().mem_used();
+  EXPECT_THROW((void)s_big->solve_multi(b_big, nrhs), gpu::DeviceOutOfMemory);
+  EXPECT_EQ(service.runtime().stats().in_flight, 0u);
+  EXPECT_EQ(service.runtime().device().mem_used(), used_before);
+
+  const CscMatrix small = grid3d_7pt(8, 8, 8);
+  const auto s_small = service.session(small, ho);
+  ASSERT_LE(solve_slot_bytes(s_small->symbolic(), ho.solve), kDeviceBytes);
+  s_small->factorize(small);
+  std::vector<double> b(static_cast<std::size_t>(small.cols()) * nrhs);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = 1.0 + 0.25 * static_cast<double>(i % 7);
+  }
+  std::vector<double> x_ref(b.size());
+  s_small->factor()->solve_multi(b, x_ref, nrhs);
+  expect_bitwise_equal(x_ref, s_small->solve_multi(b, nrhs));
+  EXPECT_GT(s_small->stats().last_solve.supernodes_on_gpu, 0);
+  EXPECT_EQ(service.runtime().stats().in_flight, 0u);
+}
+
+TEST(SolverService, FailedSolveLeavesAliasedRhsUnmodified) {
+  // The per-call form: b aliases x, and the scheduled solve throws
+  // DeviceOutOfMemory before any result is written back.
+  const CscMatrix a = grid3d_7pt(12, 12, 12);
+  SolverOptions so = cpu_factor_gpu_solve_options();
+  so.solve.device.memory_bytes = 128ull << 10;
+  CholeskySolver solver(so);
+  solver.factorize(a);
+  ASSERT_GT(solve_slot_bytes(solver.factor().symbolic(), so.solve),
+            so.solve.device.memory_bytes);
+  const index_t nrhs = 8;
+  std::vector<double> x(static_cast<std::size_t>(a.cols()) * nrhs);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = 0.5 - 0.125 * static_cast<double>(i % 5);
+  }
+  const std::vector<double> before = x;
+  EXPECT_THROW(solver.factor().solve_multi(x, x, nrhs, so.solve),
+               gpu::DeviceOutOfMemory);
+  expect_bitwise_equal(before, x);
+}
+
 TEST(SolverService, WarmSessionsBitwiseMatchPerCallAcrossWorkersAndStreams) {
   const CscMatrix a = grid3d_7pt(6, 6, 6);
   ServiceOptions so;

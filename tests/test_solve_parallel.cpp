@@ -67,6 +67,8 @@ TEST(SolveParallel, BitwiseIdentityAcrossConfigs) {
       {"small_supernode_forest", small_supernode_forest(200, 6, 12)},
       // Every supernode above the grain budget: the per-supernode plan.
       {"grid3d_wide", grid3d_wide(7, 7, 7, 2)},
+      // A 484-wide root: eight column blocks of the blocked solve.
+      {"grid3d_wide_10", grid3d_wide(10, 10, 10, 2)},
   };
   const index_t nrhs = 12;
   for (const Case& c : cases) {
@@ -77,7 +79,8 @@ TEST(SolveParallel, BitwiseIdentityAcrossConfigs) {
          {Execution::kCpuParallel, Execution::kGpuHybrid}) {
       for (const int workers : {0, 1, 4, 8}) {
         for (const int streams : {1, 4}) {
-          for (const index_t panel : {1, 8, 32}) {
+          // 3 is ragged against every micro-tile width.
+          for (const index_t panel : {1, 3, 8, 32}) {
             SolveOptions o;
             o.exec = exec;
             o.workers = workers;
@@ -107,6 +110,18 @@ TEST(SolveParallel, BitwiseIdentityAcrossConfigs) {
         }
       }
     }
+    // Device solve nodes sharded across two devices.
+    SolveOptions o;
+    o.exec = Execution::kGpuHybrid;
+    o.workers = 4;
+    o.rhs_panel = 3;
+    o.gpu_threshold = 500;
+    o.gpu_devices = 2;
+    SolveStats st;
+    std::vector<double> x(b.size());
+    f.solve_multi(b, x, nrhs, o, &st);
+    expect_bitwise_equal(ref, x, std::string(c.name) + " gpu_devices=2");
+    EXPECT_GT(st.supernodes_on_gpu, 0) << c.name;
   }
 }
 
