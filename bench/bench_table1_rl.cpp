@@ -103,7 +103,7 @@ int main() {
   std::printf(
       "runtime/speedup: modeled on the simulated device (README, Simulated "
       "device);\norder/analyze: REAL wall seconds of compute_ordering and "
-      "SymbolicFactor::analyze (default workers);\npaper columns: Table I "
+      "SymbolicFactor::analyze (serial);\npaper columns: Table I "
       "as printed.\n");
 
   // --- derived task grain: one line per matrix ---------------------------
@@ -159,49 +159,19 @@ int main() {
   }
   print_rule();
 
-  // --- symbolic analyze scaling: the staged pipeline ---------------------
-  // Worker scaling of SymbolicFactor::analyze on the nlpkkt80 analog (the
-  // paper-set matrix with the heaviest analysis). "modeled" replays the
-  // measured task durations through a greedy list schedule at the given
-  // worker count (TaskScheduler::modeled_makespan) — like the device
-  // model, it is independent of how many REAL cores this machine has;
-  // "speedup" = task seconds / modeled seconds. "wall" is the real wall
-  // time, which only scales on real multicore hardware. Output is
-  // identical across all rows (asserted in test_symbolic_parallel).
-  std::printf("\nSymbolic analyze scaling (staged pipeline, nlpkkt80 "
-              "analog)\n");
-  print_rule('=');
-  std::printf("%-17s %10s %10s %10s %10s %9s %7s %7s\n", "matrix",
-              "workers", "wall(s)", "task(s)", "modeled", "speedup",
-              "tasks", "steals");
-  const DatasetEntry& nlp = dataset_entry("nlpkkt80");
-  const CscMatrix na = nlp.make();
-  const Permutation nfill =
-      compute_ordering(na, OrderingMethod::kNestedDissection);
-  for (const int workers : {1, 2, 4, 8}) {
-    AnalyzeOptions ao;
-    ao.workers = workers;
-    const SymbolicFactor symb = SymbolicFactor::analyze(na, nfill, ao);
-    const SymbolicStats& st = symb.stats();
-    std::printf("%-17s %10d %10.4f %10.4f %10.4f %8.2fx %7zu %7zu\n",
-                nlp.name.c_str(), workers, st.total_seconds,
-                st.task_seconds, st.modeled_parallel_seconds,
-                st.task_seconds / st.modeled_parallel_seconds,
-                st.tasks_run, st.steals);
-  }
-  print_rule();
-
   // --- ordering scaling: the ND task DAG ---------------------------------
-  // Worker scaling of compute_ordering on the same matrix. The nested-
+  // Worker scaling of compute_ordering on the nlpkkt80 analog. The nested-
   // dissection recursion runs as dynamically-spawned piece tasks on the
   // task scheduler (each bisection's A/B sides and each connected
   // component recurse independently; leaf pieces RCM-order in parallel).
   // "modeled" replays the measured piece-task durations through the
   // scheduler's greedy list schedule (spawn edges included) behind the
-  // serial GraphStage prefix — core-count-independent like the symbolic
-  // and device models; "speedup" = task seconds / modeled seconds. The
+  // serial GraphStage prefix — core-count-independent like the device
+  // model; "speedup" = task seconds / modeled seconds. The
   // permutation is identical across all rows (asserted in
   // test_ordering_parallel).
+  const DatasetEntry& nlp = dataset_entry("nlpkkt80");
+  const CscMatrix na = nlp.make();
   std::printf("\nOrdering scaling (ND task DAG, nlpkkt80 analog)\n");
   print_rule('=');
   std::printf("%-17s %10s %10s %10s %10s %9s %7s %7s %7s\n", "matrix",

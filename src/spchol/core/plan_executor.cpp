@@ -1,6 +1,8 @@
 #include "spchol/core/plan_executor.hpp"
 
 #include <algorithm>
+#include <map>
+#include <numeric>
 
 #include "spchol/core/internal.hpp"
 
@@ -90,6 +92,7 @@ DeviceSet::DeviceSet(const ExecutionResources* res,
 
 PlanExecutor::PlanExecutor(FactorContext& ctx)
     : ctx_(&ctx),
+      symb_(&ctx.symb),
       res_(ctx.res),
       workers_(ctx.workers),
       slot_budget_(static_cast<std::size_t>(ctx.opts.gpu_streams)),
@@ -136,7 +139,8 @@ PlanExecutor::PlanExecutor(const SymbolicFactor& symb,
                            const SolveOptions& opts,
                            const ExecutionResources* res,
                            std::size_t workers)
-    : res_(res),
+    : symb_(&symb),
+      res_(res),
       workers_(workers),
       slot_budget_(static_cast<std::size_t>(opts.gpu_streams)) {
   solve_ = (res != nullptr && res->planned_solve != nullptr)
@@ -151,6 +155,107 @@ PlanExecutor::PlanExecutor(const SymbolicFactor& symb,
     ndev_ = devices_->size();
   }
   needs_.resize(ndev_);
+}
+
+namespace {
+
+/// Counts over supernode indices (a Fenwick tree).
+class IndexCounts {
+ public:
+  explicit IndexCounts(index_t n) : t_(static_cast<std::size_t>(n) + 1, 0) {}
+  void add(index_t i, int v) {
+    for (auto k = static_cast<std::size_t>(i) + 1; k < t_.size();
+         k += k & (~k + 1)) {
+      t_[k] += v;
+    }
+  }
+  /// The count over [lo, hi].
+  int sum(index_t lo, index_t hi) const {
+    return prefix(static_cast<std::size_t>(hi) + 1) -
+           prefix(static_cast<std::size_t>(lo));
+  }
+
+ private:
+  int prefix(std::size_t k) const {
+    int r = 0;
+    for (; k > 0; k -= k & (~k + 1)) r += t_[k];
+    return r;
+  }
+  std::vector<int> t_;
+};
+
+}  // namespace
+
+std::vector<std::pair<std::size_t, std::size_t>> concurrent_slot_caps(
+    const SymbolicFactor& symb, std::span<const SlotNeed> needs,
+    std::size_t slots) {
+  // Supernodes are postordered, so s's subtree is [low[s], s]. A task
+  // spans [low[first], last]; two tasks' spans nest exactly when one's
+  // supernodes lie in the other's subtree, and are disjoint otherwise.
+  const index_t ns = symb.num_supernodes();
+  std::vector<index_t> low(static_cast<std::size_t>(ns));
+  std::iota(low.begin(), low.end(), index_t{0});
+  for (index_t s = 0; s < ns; ++s) {
+    const index_t p = symb.sn_parent(s);
+    if (p >= 0) low[p] = std::min(low[p], low[s]);
+  }
+  std::vector<std::size_t> order(needs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return needs[x].a + needs[x].b > needs[y].a + needs[y].b;
+                   });
+
+  // The most pairwise-concurrent tasks among those ranked so far are the
+  // minimal ones, whose spans hold no other span (a forest order's
+  // largest antichain). Their spans are disjoint: `open` maps each one's
+  // left end to its right end, `minimal` counts them by right end.
+  IndexCounts ranked(ns), minimal(ns);
+  std::map<index_t, index_t> open;
+  int num_minimal = 0;
+  std::vector<std::pair<std::size_t, std::size_t>> caps(slots);
+  for (const std::size_t i : order) {
+    const SlotNeed& n = needs[i];
+    const index_t lo = low[n.first];
+    const index_t hi = n.last;
+    // Minimal tasks that are not concurrent with n: inside its span, or
+    // the one whose span holds it.
+    auto outer = open.upper_bound(lo);
+    const bool held = outer != open.begin() && (--outer)->second >= hi;
+    const int beside = num_minimal - minimal.sum(lo, hi) - (held ? 1 : 0);
+    const std::size_t top =
+        std::min(static_cast<std::size_t>(beside), slots - 1);
+    for (std::size_t k = 0; k <= top; ++k) {
+      caps[k].first = std::max(caps[k].first, n.a);
+      caps[k].second = std::max(caps[k].second, n.b);
+    }
+    if (ranked.sum(lo, hi) == 0) {  // n is minimal
+      if (held) {
+        minimal.add(outer->second, -1);
+        open.erase(outer);
+        --num_minimal;
+      }
+      minimal.add(hi, 1);
+      open.emplace(lo, hi);
+      ++num_minimal;
+    }
+    ranked.add(hi, 1);
+  }
+  return caps;
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> PlanExecutor::ranked_slot_caps(
+    std::span<const SlotNeed> needs, std::size_t slots) {
+  std::vector<std::size_t> as, bs;
+  for (const SlotNeed& n : needs) {
+    as.push_back(n.a);
+    bs.push_back(n.b);
+  }
+  std::sort(as.rbegin(), as.rend());
+  std::sort(bs.rbegin(), bs.rend());
+  std::vector<std::pair<std::size_t, std::size_t>> caps(slots);
+  for (std::size_t k = 0; k < slots; ++k) caps[k] = {as[k], bs[k]};
+  return caps;
 }
 
 std::vector<CrossHop> PlanExecutor::cross_hops(index_t s) const {

@@ -11,7 +11,8 @@
 //     device ordinals onto it;
 //   * scheduler and plan acquisition (injected by the service, or built
 //     per call through the same builder);
-//   * per-device slot pools sized from ranked buffer needs, cached in the
+//   * per-device slot pools sized from ranked buffer needs (factor tasks:
+//     from the needs that can be in flight together), cached in the
 //     arena per device, with one scheduler resource per device;
 //   * the device-resident reservation and cross-device hop pricing;
 //   * plan-edge wiring and the drain.
@@ -176,6 +177,30 @@ struct CrossHop {
   double entries = 0.0;
 };
 
+/// One device task's buffer needs (entries). A factor task also names the
+/// supernodes it factors, [first, last] (one COMPUTE, or a BATCH's
+/// postorder run); other tasks leave first = last = -1.
+struct SlotNeed {
+  std::size_t a = 0;
+  std::size_t b = 0;
+  index_t first = -1;
+  index_t last = -1;
+};
+
+/// Capacities (a, b) of `slots` pool slots for factor tasks on one device,
+/// non-increasing in the slot rank. Two factor tasks can only be in flight
+/// together when neither's supernodes lie in the other's subtree (a
+/// supernode is factored after its whole subtree). Ranking the tasks by
+/// a + b descending, slot k >= 1 holds every task that comes after k
+/// earlier tasks it can run beside, themselves pairwise concurrent; slot 0
+/// holds every task. So any set of up to `slots` tasks that can be in
+/// flight together fits one slot each (the i-th largest in slot i), while
+/// a task that can never run beside a larger one, such as a parent panel
+/// on the critical chain, sizes only slot 0.
+std::vector<std::pair<std::size_t, std::size_t>> concurrent_slot_caps(
+    const SymbolicFactor& symb, std::span<const SlotNeed> needs,
+    std::size_t slots);
+
 /// Scheduler, device pools and drain of one scheduled run. A driver
 /// constructs one, records its device tasks' buffer needs, builds its
 /// pools, adds one task per plan node (add_nodes for factor plans, which
@@ -217,9 +242,16 @@ class PlanExecutor {
   /// Records one device task's buffer needs (entries) on the device
   /// `plan_ordinal` routes to.
   void need(index_t plan_ordinal, std::size_t a, std::size_t b) {
-    auto& [as, bs] = needs_[ord(plan_ordinal)];
-    as.push_back(a);
-    bs.push_back(b);
+    needs_[ord(plan_ordinal)].push_back({a, b});
+  }
+  /// Same, for a factor task over supernodes [first, last]. A device whose
+  /// tasks are all recorded this way gets a pool sized by
+  /// concurrent_slot_caps, whose tasks lease the smallest free slot that
+  /// fits: a slot then only ever holds tasks it was sized for, so its
+  /// resident buffers do not depend on the order tasks happened to run in.
+  void need(index_t plan_ordinal, std::size_t a, std::size_t b,
+            index_t first, index_t last) {
+    needs_[ord(plan_ordinal)].push_back({a, b, first, last});
   }
 
   template <class Slot>
@@ -251,19 +283,22 @@ class PlanExecutor {
   struct Pools {
     std::vector<PoolPtr<Slot>> of;   ///< null where no device task runs
     std::vector<std::size_t> res;    ///< scheduler resource per device
+    std::vector<char> smallest;      ///< per device: lease smallest fit
     std::size_t slots = 0;           ///< slots built for this run's needs
     /// Leases a slot of device d holding at least (a, b) entries. The
     /// resource token caps in-flight tasks at the pool size, so the wait
     /// for a FITTING slot is rare and bounded (slot 0 fits everything).
     typename gpu::SlotPool<Slot>::Lease acquire(std::size_t d, std::size_t a,
                                                 std::size_t b) const {
-      return of[d]->acquire([&](const Slot& s) { return s.fits(a, b); });
+      return of[d]->acquire([&](const Slot& s) { return s.fits(a, b); },
+                            smallest[d] != 0);
     }
   };
 
   /// One pool per device with recorded needs, at most gpu_streams slots,
   /// slot k made by make(device, a_k, b_k) from the needs ranked
-  /// descending: slot k only hosts the k-th largest concurrent task, so N
+  /// descending (per dimension, or by concurrent_slot_caps for factor
+  /// tasks): slot k only hosts the k-th largest concurrent task, so N
   /// slots cost far less than N copies of the largest — that is what lets
   /// several fit under a tight memory cap. A pool shrinks (down to one
   /// slot) when its device cannot fit every slot; when not even one
@@ -276,20 +311,25 @@ class PlanExecutor {
     Pools<Slot> p;
     p.of.resize(ndev_);
     p.res.assign(ndev_, TaskScheduler::kNoResource);
+    p.smallest.assign(ndev_, 0);
     for (std::size_t d = 0; d < ndev_; ++d) {
-      auto& [as, bs] = needs_[d];
-      if (as.empty()) continue;
-      std::sort(as.rbegin(), as.rend());
-      std::sort(bs.rbegin(), bs.rend());
+      const std::vector<SlotNeed>& needs = needs_[d];
+      if (needs.empty()) continue;
+      p.smallest[d] = std::all_of(
+          needs.begin(), needs.end(),
+          [](const SlotNeed& n) { return n.first >= 0; });
+      const std::size_t count = std::min(slot_budget_, needs.size());
+      const auto caps = p.smallest[d] != 0
+                            ? concurrent_slot_caps(*symb_, needs, count)
+                            : ranked_slot_caps(needs, count);
       gpu::Device& dv = device(d);
       try {
-        p.of[d] = pool<Slot>(d, tag, std::min(slot_budget_, as.size()),
-                             [&](std::size_t k) {
-                               return make(dv, as[k], bs[k]);
-                             });
+        p.of[d] = pool<Slot>(d, tag, count, [&](std::size_t k) {
+          return make(dv, caps[k].first, caps[k].second);
+        });
         p.slots += p.of[d]->size();
       } catch (const gpu::DeviceOutOfMemory&) {
-        p.of[d] = on_oom(d, as[0], bs[0]);
+        p.of[d] = on_oom(d, caps[0].first, caps[0].second);
         if (p.of[d] == nullptr) throw;
       }
       p.res[d] = tokens(p.of[d]);
@@ -365,7 +405,12 @@ class PlanExecutor {
  private:
   static constexpr std::uint64_t kDevKeyMix = 0x9e3779b97f4a7c15ull;
 
+  /// Slot k's capacities: the k-th largest need in each dimension.
+  static std::vector<std::pair<std::size_t, std::size_t>> ranked_slot_caps(
+      std::span<const SlotNeed> needs, std::size_t slots);
+
   FactorContext* ctx_ = nullptr;
+  const SymbolicFactor* symb_ = nullptr;
   const ExecutionResources* res_ = nullptr;
   std::size_t workers_ = 1;
   std::size_t slot_budget_ = 1;  ///< gpu_streams: slots per device pool
@@ -378,8 +423,7 @@ class PlanExecutor {
   TaskScheduler own_sched_;
   TaskScheduler* sched_ = &own_sched_;
   std::size_t ndev_ = 1;
-  std::vector<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>>
-      needs_;
+  std::vector<std::vector<SlotNeed>> needs_;
   std::vector<gpu::DeviceBuffer> resident_;
   std::vector<std::size_t> task_of_;
 };

@@ -289,13 +289,13 @@ void run_rl_scheduled(FactorContext& ctx) {
         coop_panel_max = std::max(coop_panel_max, entries);
         coop_update_max = std::max(coop_update_max, below * below);
       } else {
-        ex.need(n.device, entries, below * below);
+        ex.need(n.device, entries, below * below, n.sn, n.sn);
       }
     } else if (n.kind == PlanNodeKind::kBatch && n.device_eligible) {
       const auto [p, u] = batch_needs(n);
       if (static_cast<offset_t>(p) < ctx.opts.gpu_threshold_rl) continue;
       batch_on_dev[i] = 1;
-      ex.need(n.device, p, u);
+      ex.need(n.device, p, u, n.batch_first, n.batch_last);
     }
   }
 

@@ -25,7 +25,7 @@ namespace spchol {
 struct SolverOptions {
   /// Fill-reducing ordering stage: method, ND options, and the worker
   /// count of the ordering task DAG (the ordering analog of
-  /// AnalyzeOptions::workers / FactorOptions::cpu_workers).
+  /// FactorOptions::cpu_workers). Symbolic analysis is serial.
   OrderingOptions ordering_opts{};
   AnalyzeOptions analyze{};
   FactorOptions factor{};

@@ -263,17 +263,21 @@ class SlotPool {
   };
 
   /// Blocks until a free slot satisfies `fits` and leases the first such
-  /// slot. Slot 0 always fits, so a waiter can never starve: every holder
-  /// runs to completion. The schedulers bound in-flight acquirers to
-  /// size() via a resource token, so waits are rare. Which slot a task
-  /// gets never shows in modeled time: the replay assigns stream pairs.
+  /// slot, or with `smallest` the last one (the smallest, as capacities
+  /// are non-increasing in rank). Slot 0 always fits, so a waiter can
+  /// never starve: every holder runs to completion. The schedulers bound
+  /// in-flight acquirers to size() via a resource token, so waits are
+  /// rare. Which slot a task gets never shows in modeled time: the replay
+  /// assigns stream pairs.
   template <class Fits>
-  Lease acquire(Fits&& fits) {
+  Lease acquire(Fits&& fits, bool smallest = false) {
     std::unique_lock<std::mutex> lk(mu_);
     SPCHOL_CHECK(!slots_.empty(), "acquire on an empty slot pool");
+    const std::size_t n = slots_.size();
     std::size_t idx = 0;
     cv_.wait(lk, [&] {
-      for (idx = 0; idx < slots_.size(); ++idx) {
+      for (std::size_t k = 0; k < n; ++k) {
+        idx = smallest ? n - 1 - k : k;
         if (free_[idx] && fits(*slots_[idx])) return true;
       }
       return false;

@@ -26,7 +26,7 @@ enum class OrderingMethod {
 
 const char* to_string(OrderingMethod m);
 
-/// Options of the staged ordering pipeline (mirrors AnalyzeOptions).
+/// Options of the staged ordering pipeline.
 struct OrderingOptions {
   OrderingMethod method = OrderingMethod::kNestedDissection;
   NdOptions nd{};
@@ -49,9 +49,9 @@ struct OrderingOptions {
 /// or NdOptions violations (see validate(const NdOptions&)).
 void validate(const OrderingOptions& opts);
 
-/// Execution statistics of one compute_ordering() call (the ordering
-/// analog of SymbolicStats). Stage seconds are wall time on the serial
-/// path and summed task time on the scheduled path.
+/// Execution statistics of one compute_ordering() call. Stage seconds
+/// are wall time on the serial path and summed task time on the
+/// scheduled path.
 struct OrderingStats {
   double total_seconds = 0.0;    ///< wall time of the whole ordering
   double graph_seconds = 0.0;    ///< adjacency construction (GraphStage)

@@ -285,11 +285,10 @@ std::shared_ptr<SolverSession> SolverService::session(
   if (entry == nullptr) {
     // Miss: ordering + symbolic analysis, OUTSIDE the cache lock (two
     // racing misses for one pattern both analyze; the insert re-check
-    // keeps the first result). Task DAGs run on the runtime crew.
+    // keeps the first result). The ordering DAG runs on the runtime crew.
     const WallTimer timer;
     SolverOptions po = solver_opts;
     po.ordering_opts.crew = &runtime_.crew();
-    po.analyze.crew = &runtime_.crew();
     const Permutation fill = compute_ordering(a_lower, po.ordering_opts);
     auto symb = std::make_shared<const SymbolicFactor>(
         SymbolicFactor::analyze(a_lower, fill, po.analyze));

@@ -177,7 +177,7 @@ class SolverService {
   /// Opens a session for `a`'s sparsity pattern with the service-default
   /// SolverOptions. Cache hit: returns immediately with the shared
   /// symbolic factor (zero ordering/analysis work). Miss: runs ordering
-  /// + symbolic analysis on the runtime crew and caches the result.
+  /// (on the runtime crew) + symbolic analysis and caches the result.
   /// Thread-safe; sessions are independent of each other.
   std::shared_ptr<SolverSession> session(const CscMatrix& a_lower);
 

@@ -1,6 +1,6 @@
 // Dependency-driven task scheduler shared by the numeric factorization
-// drivers, the staged symbolic-analysis pipeline, and the ordering
-// pipeline's nested-dissection recursion.
+// and solve drivers and the ordering pipeline's nested-dissection
+// recursion.
 //
 // A TaskScheduler holds a DAG of tasks (build phase, single-threaded),
 // then executes it on a crew of worker threads: every task carries an
@@ -61,7 +61,7 @@ namespace spchol {
 
 class WorkerCrew;
 
-/// Execution counters surfaced through FactorStats / SymbolicStats.
+/// Execution counters surfaced through FactorStats / OrderingStats.
 struct SchedulerStats {
   std::size_t tasks_run = 0;        ///< tasks executed
   std::size_t max_ready_depth = 0;  ///< peak total size of the ready queues

@@ -65,7 +65,7 @@ void parallel_for(ThreadPool& pool, index_t begin, index_t end,
                   index_t grain = 1);
 
 /// Resolves a user-facing worker-count option shared by FactorOptions::
-/// cpu_workers and AnalyzeOptions::workers: values > 0 pass through,
+/// cpu_workers and OrderingOptions::workers: values > 0 pass through,
 /// everything else means hardware_concurrency() (minimum 1).
 std::size_t resolve_worker_count(int requested);
 

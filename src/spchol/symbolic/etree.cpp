@@ -112,20 +112,17 @@ bool is_postordered(const std::vector<index_t>& parent) {
 
 std::vector<index_t> column_counts(const CscMatrix& lower,
                                    const std::vector<index_t>& parent) {
-  const index_t n = lower.cols();
-  std::vector<index_t> cc(static_cast<std::size_t>(n), 1);  // diagonal
-  std::vector<index_t> mark(static_cast<std::size_t>(n), -1);
   const CscMatrix upper = lower.transpose();  // row i of lower, by column i
-  column_count_rows(upper.colptr(), upper.rowind(), parent, 0, n, cc, mark);
-  return cc;
+  return column_counts_upper(upper.colptr(), upper.rowind(), parent);
 }
 
-void column_count_rows(std::span<const offset_t> uptr,
-                       std::span<const index_t> uind,
-                       const std::vector<index_t>& parent, index_t row_begin,
-                       index_t row_end, std::vector<index_t>& cc,
-                       std::vector<index_t>& mark) {
-  for (index_t i = row_begin; i < row_end; ++i) {
+std::vector<index_t> column_counts_upper(std::span<const offset_t> uptr,
+                                         std::span<const index_t> uind,
+                                         const std::vector<index_t>& parent) {
+  const index_t n = static_cast<index_t>(parent.size());
+  std::vector<index_t> cc(static_cast<std::size_t>(n), 1);  // diagonal
+  std::vector<index_t> mark(static_cast<std::size_t>(n), -1);
+  for (index_t i = 0; i < n; ++i) {
     mark[i] = i;
     for (offset_t p = uptr[i]; p < uptr[i + 1]; ++p) {
       // Row subtree: L(i, j) != 0 for all j on the path j0 → i.
@@ -137,6 +134,7 @@ void column_count_rows(std::span<const offset_t> uptr,
       }
     }
   }
+  return cc;
 }
 
 std::vector<index_t> child_counts(const std::vector<index_t>& parent) {
@@ -148,11 +146,9 @@ std::vector<index_t> child_counts(const std::vector<index_t>& parent) {
 }
 
 std::vector<index_t> subtree_partition(const std::vector<index_t>& parent,
-                                       index_t nparts,
-                                       std::vector<char>* above_cut) {
+                                       index_t nparts) {
   const index_t n = static_cast<index_t>(parent.size());
   std::vector<index_t> part(static_cast<std::size_t>(n), 0);
-  if (above_cut != nullptr) above_cut->assign(static_cast<std::size_t>(n), 0);
   if (n == 0 || nparts <= 1) return part;
   SPCHOL_CHECK(is_postordered(parent), "subtree_partition needs a postorder");
 
@@ -175,7 +171,6 @@ std::vector<index_t> subtree_partition(const std::vector<index_t>& parent,
       // partition of the last one so the parent task's queue matches the
       // queue that just produced its children.
       part[j] = part[j - 1];
-      if (above_cut != nullptr) (*above_cut)[j] = 1;
       continue;
     }
     if (assigned[j]) continue;

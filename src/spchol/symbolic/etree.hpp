@@ -2,8 +2,8 @@
 // partitioner behind the scheduler's partitioned ready queues. All
 // CscMatrix-taking functions operate on the lower triangle of a
 // symmetric matrix; the *_upper variants take the transposed (row-wise)
-// pattern directly so pipelines that already hold both triangles skip
-// the internal transpose.
+// pattern directly so symbolic analysis, which already holds both
+// triangles, skips the internal transpose.
 #pragma once
 
 #include <span>
@@ -43,19 +43,11 @@ bool is_postordered(const std::vector<index_t>& parent);
 std::vector<index_t> column_counts(const CscMatrix& lower,
                                    const std::vector<index_t>& parent);
 
-/// Accumulates the BELOW-diagonal column-count contributions of rows
-/// [row_begin, row_end) into `cc` (the diagonal's +1 is the caller's):
-/// one row-subtree traversal per row over the upper-triangle pattern.
-/// `mark` is caller-owned scratch of size n initialized to -1. Row
-/// contributions are independent, so disjoint row ranges may run
-/// concurrently as long as each caller owns its own cc/mark pair and the
-/// partial cc vectors are summed afterwards (integer sums are
-/// order-independent, so the result is identical for every partitioning).
-void column_count_rows(std::span<const offset_t> uptr,
-                       std::span<const index_t> uind,
-                       const std::vector<index_t>& parent, index_t row_begin,
-                       index_t row_end, std::vector<index_t>& cc,
-                       std::vector<index_t>& mark);
+/// column_counts taking the UPPER triangle by column (row i of the lower
+/// triangle = column i here), as (colptr, rowind) pattern arrays.
+std::vector<index_t> column_counts_upper(std::span<const offset_t> uptr,
+                                         std::span<const index_t> uind,
+                                         const std::vector<index_t>& parent);
 
 /// Number of etree children per vertex.
 std::vector<index_t> child_counts(const std::vector<index_t>& parent);
@@ -67,11 +59,8 @@ std::vector<index_t> child_counts(const std::vector<index_t>& parent);
 /// too big) joins the partition of its last descendant. Used to assign
 /// scheduler ready-queue partitions: vertices of one group form whole
 /// subtrees, so their tasks depend only on tasks of the same group (plus
-/// the spine). Deterministic; returns all zeros for nparts <= 1. When
-/// `above_cut` is non-null it is resized to n and flags the spine
-/// vertices (those whose own subtree exceeded the target size).
+/// the spine). Deterministic; returns all zeros for nparts <= 1.
 std::vector<index_t> subtree_partition(const std::vector<index_t>& parent,
-                                       index_t nparts,
-                                       std::vector<char>* above_cut = nullptr);
+                                       index_t nparts);
 
 }  // namespace spchol

@@ -43,10 +43,10 @@ std::vector<index_t> map_columns_to_supernodes(
 /// (the partition requires parent[j-1] == j), so the first below-diagonal
 /// row of supernode s is parent[last column of s], and the supernodal
 /// parent is that row's supernode. A supernode whose leading column count
-/// equals its width has no below rows (parent -1). This is what lets the
-/// staged analysis partition the structure-union work by supernodal
-/// subtree BEFORE any row structure exists; the union pass cross-checks
-/// it against the structures it builds.
+/// equals its width has no below rows (parent -1). This tree feeds the
+/// supernode merge, which runs on the column counts BEFORE any row
+/// structure exists; the row-structure pass cross-checks the merged tree
+/// against the structures it builds.
 std::vector<index_t> supernode_parents(const std::vector<index_t>& sn_first,
                                        const std::vector<index_t>& col2sn,
                                        const std::vector<index_t>& parent,

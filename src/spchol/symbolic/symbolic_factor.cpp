@@ -1,43 +1,30 @@
-// Staged symbolic analysis. The monolithic analyze() of the early
-// revisions is split into four stages that run either inline (serial
-// path) or as a task DAG on the shared TaskScheduler (workers > 1):
+// Symbolic analysis in one serial pass:
 //
-//   EtreeStage     permuted pattern of A (fill order), elimination tree,
-//                  postorder. The pattern permutation fans out over
-//                  column chunks; the tree traversals are one serial task.
-//   CountStage     postordered pattern + factor column counts. Counts fan
-//                  out over etree subtrees with per-task accumulators
-//                  (integer sums are order-independent).
-//   SupernodeStage supernode partition, per-supernode row structures
-//                  (bottom-up over the supernodal etree; fans out over
-//                  subtrees after the postorder cut, because the
-//                  supernodal parents are derivable from the column etree
-//                  alone — see supernode_parents), greedy merging (one
-//                  serial task: a global min-heap).
-//   PatternStage   partition refinement per target supernode, the global
-//                  within-supernode permutation, row-structure relabeling,
-//                  and finalization (pointers, blocks, children lists).
+//   1. permuted pattern of A (fill order), elimination tree, postorder;
+//   2. postordered pattern + factor column counts;
+//   3. supernode partition and supernodal etree from the counts alone,
+//      then greedy supernode merging (§IV.A) on those counts: a supernode
+//      whose last column is l has width + cc[l] - 1 rows whether or not it
+//      absorbed children, so the merge needs no row structure;
+//   4. row structures of the FINAL supernodes only, bottom-up (own
+//      columns ∪ A's columns ∪ the children's below-diagonal rows),
+//      cross-checked against the counts and the supernodal parents;
+//   5. partition refinement (within-supernode column reordering, [11]),
+//      row relabeling, pointers, blocks and children lists.
 //
-// Every fan-out writes per-unit outputs that a later serial task combines
-// in a fixed order, so the result is bit-identical for every worker and
-// partition count; the serial path runs the very same stage functions
-// with one partition. Patterns are built as BOTH triangles in one pass
-// and never sorted: the etree, count, and union consumers are provably
-// order-independent within a column, and the only sorted structures the
-// factorization needs (supernodal row lists) are sorted where they are
-// built.
+// Patterns are built as BOTH triangles in one pass and never sorted: the
+// etree, count and union consumers are order-independent within a
+// column, and the supernodal row lists are sorted where they are built.
 #include "spchol/symbolic/symbolic_factor.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <limits>
 #include <queue>
 #include <string>
 #include <utility>
 
 #include "spchol/dense/kernels.hpp"
-#include "spchol/support/task_scheduler.hpp"
-#include "spchol/support/thread_pool.hpp"
 #include "spchol/support/timer.hpp"
 #include "spchol/symbolic/etree.hpp"
 #include "spchol/symbolic/partition_refinement.hpp"
@@ -53,797 +40,167 @@ offset_t trapezoid(offset_t w, offset_t r) {
   return w * r - w * (w - 1) / 2;
 }
 
-/// Matrices below this order always take the serial path: task and
-/// per-partition scratch overhead would dominate the traversals.
-constexpr index_t kMinParallelOrder = 512;
-
-/// Contiguous index runs of each partition id (subtree partitions are
-/// unions of postorder-contiguous ranges, so the run lists are short).
-/// Computed once so the per-partition stage tasks iterate only their own
-/// items instead of re-scanning the whole partition array.
-std::vector<std::vector<std::pair<index_t, index_t>>> partition_runs(
-    const std::vector<index_t>& part, std::size_t nparts) {
-  std::vector<std::vector<std::pair<index_t, index_t>>> runs(nparts);
-  const index_t n = static_cast<index_t>(part.size());
-  for (index_t i = 0; i < n;) {
-    const index_t p = part[i];
-    index_t e = i + 1;
-    while (e < n && part[e] == p) ++e;
-    runs[p].emplace_back(i, e);
-    i = e;
-  }
-  return runs;
-}
-
-/// Mutable per-supernode state used by the union and merge passes.
-struct MergeState {
-  std::vector<index_t> first;                 // first column
-  std::vector<index_t> width;                 // number of columns
-  std::vector<std::vector<index_t>> rows;     // full sorted row structure
-  std::vector<index_t> parent;                // supernodal etree parent
-  std::vector<index_t> prev, next;            // alive list in column order
-  std::vector<char> alive;
-  std::vector<index_t> version;               // bumped on every change
-};
-
-/// Added storage (trapezoid metric) of merging c = prev(s) into s.
-offset_t merge_cost(const MergeState& st, index_t c, index_t s) {
-  const offset_t wc = st.width[c], ws = st.width[s];
-  const offset_t rc = static_cast<offset_t>(st.rows[c].size());
-  const offset_t rs = static_cast<offset_t>(st.rows[s].size());
-  return trapezoid(wc + ws, wc + rs) - trapezoid(wc, rc) - trapezoid(ws, rs);
-}
-
 /// Pattern-only symmetric permutation B = PAPᵀ of a lower-triangle
-/// pattern, produced as BOTH triangles in one pass (lower by column for
-/// the structure union, upper by column — i.e. lower by row — for the
-/// etree and column-count traversals). The three passes are exposed
-/// separately so the staged pipeline can fan count/fill out over source
-/// column chunks: per-(chunk, column) cursors make every write location
-/// deterministic, and all consumers are order-independent within a
-/// column, so the chunk count never changes any result. Columns are NOT
-/// sorted — no consumer needs them sorted.
-class PatternPermute {
- public:
-  PatternPermute(index_t n, std::span<const offset_t> sptr,
-                 std::span<const index_t> sind, const Permutation* perm,
-                 std::size_t nchunks)
-      : n_(n),
-        sptr_(sptr),
-        sind_(sind),
-        perm_(perm),
-        nchunks_(std::max<std::size_t>(1, nchunks)),
-        lcur_(nchunks_),
-        ucur_(nchunks_) {
-    lptr.assign(static_cast<std::size_t>(n) + 1, 0);
-    uptr.assign(static_cast<std::size_t>(n) + 1, 0);
-  }
-
-  std::size_t num_chunks() const noexcept { return nchunks_; }
-
-  /// Pass 1 (parallel over chunks): per-chunk entry counts per new column.
-  void count(std::size_t c) {
-    auto& lc = lcur_[c];
-    auto& uc = ucur_[c];
-    lc.assign(static_cast<std::size_t>(n_), 0);
-    uc.assign(static_cast<std::size_t>(n_), 0);
-    const auto [jb, je] = chunk(c);
-    for (index_t j = jb; j < je; ++j) {
-      const index_t nj = perm_->old_to_new(j);
-      for (offset_t p = sptr_[j]; p < sptr_[j + 1]; ++p) {
-        const index_t ni = perm_->old_to_new(sind_[p]);
-        lc[std::min(ni, nj)]++;
-        uc[std::max(ni, nj)]++;
-      }
-    }
-  }
-
-  /// Pass 2 (serial): column pointers + per-(chunk, column) cursors.
-  void layout() {
-    offset_t lpos = 0, upos = 0;
-    for (index_t j = 0; j < n_; ++j) {
-      for (std::size_t c = 0; c < nchunks_; ++c) {
-        const offset_t lrun = lcur_[c][j], urun = ucur_[c][j];
-        lcur_[c][j] = lpos;
-        ucur_[c][j] = upos;
-        lpos += lrun;
-        upos += urun;
-      }
-      lptr[j + 1] = lpos;
-      uptr[j + 1] = upos;
-    }
-    lind.resize(static_cast<std::size_t>(lpos));
-    uind.resize(static_cast<std::size_t>(upos));
-  }
-
-  /// Pass 3 (parallel over chunks): scatter the entries.
-  void fill(std::size_t c) {
-    auto& lc = lcur_[c];
-    auto& uc = ucur_[c];
-    const auto [jb, je] = chunk(c);
-    for (index_t j = jb; j < je; ++j) {
-      const index_t nj = perm_->old_to_new(j);
-      for (offset_t p = sptr_[j]; p < sptr_[j + 1]; ++p) {
-        const index_t ni = perm_->old_to_new(sind_[p]);
-        lind[lc[std::min(ni, nj)]++] = std::max(ni, nj);
-        uind[uc[std::max(ni, nj)]++] = std::min(ni, nj);
-      }
-    }
-  }
-
-  /// Frees the cursor scratch (after every fill) and triangles once their
-  /// consumers have run; the source spans may dangle afterwards.
-  void release_cursors() {
-    lcur_.clear();
-    lcur_.shrink_to_fit();
-    ucur_.clear();
-    ucur_.shrink_to_fit();
-  }
-  void release_upper() {
-    uind.clear();
-    uind.shrink_to_fit();
-  }
-
+/// pattern, as BOTH triangles: lower by column (for the structure
+/// unions) and upper by column, i.e. lower by row (for the etree and
+/// column-count traversals). Columns are not sorted.
+struct PermutedPattern {
   std::vector<offset_t> lptr, uptr;
   std::vector<index_t> lind, uind;
-
- private:
-  std::pair<index_t, index_t> chunk(std::size_t c) const {
-    const index_t step =
-        (n_ + static_cast<index_t>(nchunks_) - 1) /
-        static_cast<index_t>(nchunks_);
-    const index_t jb = std::min<index_t>(static_cast<index_t>(c) * step, n_);
-    return {jb, std::min<index_t>(jb + step, n_)};
-  }
-
-  index_t n_;
-  std::span<const offset_t> sptr_;
-  std::span<const index_t> sind_;
-  const Permutation* perm_;
-  std::size_t nchunks_;
-  std::vector<std::vector<offset_t>> lcur_, ucur_;  // counts, then cursors
 };
 
-}  // namespace anonymous
-
-/// Owns all intermediates of one analyze() call and exposes the stage
-/// bodies; run_serial() calls them inline, run_staged() wires them into a
-/// TaskScheduler DAG over subtree-partitioned ready queues. Both paths
-/// execute identical per-unit code, so their outputs are identical.
-class AnalyzePipeline {
- public:
-  AnalyzePipeline(const CscMatrix& a, const Permutation& fill,
-                  const AnalyzeOptions& opts, SymbolicFactor& sf,
-                  std::size_t workers, std::size_t nparts)
-      : a_(a),
-        fill_(fill),
-        opts_(opts),
-        sf_(sf),
-        n_(a.cols()),
-        workers_(workers),
-        nparts_(nparts) {
-    perm1_.emplace(n_, a_.colptr(), a_.rowind(), &fill_, nparts_);
-  }
-
-  void run_serial();
-  void run_staged();
-
- private:
-  enum Stage { kEtree = 0, kCount, kSupernode, kPattern, kNumStages };
-
-  // --- EtreeStage ---------------------------------------------------------
-  void etree_stage() {
-    perm1_->release_cursors();
-    const std::vector<index_t> parent1 =
-        elimination_tree_upper(n_, perm1_->uptr, perm1_->uind);
-    perm1_->release_upper();
-    post_ = tree_postorder(parent1);
-    parent_ = relabel_tree(parent1, post_);
-    SPCHOL_CHECK(is_postordered(parent_), "postorder relabeling failed");
-    perm_ = Permutation::compose(fill_, post_);
-    row_runs_ = partition_runs(
-        subtree_partition(parent_, static_cast<index_t>(nparts_)), nparts_);
-    perm2_.emplace(n_, perm1_->lptr, perm1_->lind, &post_, nparts_);
-  }
-
-  // --- CountStage ---------------------------------------------------------
-  void count_stage(std::size_t p) {
-    std::vector<index_t> mark(static_cast<std::size_t>(n_), -1);
-    auto& cc = cc_parts_[p];
-    cc.assign(static_cast<std::size_t>(n_), 0);
-    for (const auto& [b, e] : row_runs_[p]) {
-      column_count_rows(perm2_->uptr, perm2_->uind, parent_, b, e, cc, mark);
+PermutedPattern permute_pattern(index_t n, std::span<const offset_t> sptr,
+                                std::span<const index_t> sind,
+                                const Permutation& perm) {
+  PermutedPattern b;
+  b.lptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  b.uptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (index_t j = 0; j < n; ++j) {
+    const index_t nj = perm.old_to_new(j);
+    for (offset_t p = sptr[j]; p < sptr[j + 1]; ++p) {
+      const index_t ni = perm.old_to_new(sind[p]);
+      b.lptr[std::min(ni, nj) + 1]++;
+      b.uptr[std::max(ni, nj) + 1]++;
     }
   }
-
-  void count_reduce() {
-    perm2_->release_cursors();
-    perm1_.reset();  // the fill-ordered pattern has no consumers left
-    cc_.assign(static_cast<std::size_t>(n_), 1);  // the diagonal
-    for (auto& part : cc_parts_) {
-      for (index_t j = 0; j < n_; ++j) cc_[j] += part[j];
-    }
-    cc_parts_.clear();
-    cc_parts_.shrink_to_fit();
-    row_runs_.clear();
-    row_runs_.shrink_to_fit();
-
-    sn_first0_ = supernode_partition(parent_, cc_, opts_.supernode_mode);
-    col2sn0_ = map_columns_to_supernodes(sn_first0_);
-    const index_t ns0 = static_cast<index_t>(sn_first0_.size()) - 1;
-    st_.parent = supernode_parents(sn_first0_, col2sn0_, parent_, cc_);
-    children_.assign(static_cast<std::size_t>(ns0), {});
-    for (index_t s = 0; s < ns0; ++s) {
-      if (st_.parent[s] >= 0) children_[st_.parent[s]].push_back(s);
-    }
-    std::vector<char> above;
-    const std::vector<index_t> part = subtree_partition(
-        st_.parent, static_cast<index_t>(nparts_), &above);
-    union_lists_.assign(nparts_, {});
-    spine_list_.clear();
-    for (index_t s = 0; s < ns0; ++s) {
-      if (above[s]) {
-        spine_list_.push_back(s);
-      } else {
-        union_lists_[part[s]].push_back(s);
-      }
-    }
-    st_.first.resize(static_cast<std::size_t>(ns0));
-    st_.width.resize(static_cast<std::size_t>(ns0));
-    st_.rows.resize(static_cast<std::size_t>(ns0));
+  for (index_t j = 0; j < n; ++j) {
+    b.lptr[j + 1] += b.lptr[j];
+    b.uptr[j + 1] += b.uptr[j];
   }
-
-  // --- SupernodeStage -----------------------------------------------------
-  // Row structure of supernode s: union of the A-columns of the supernode
-  // and the below-diagonal structures of its supernodal-etree children.
-  void union_supernode(index_t s, std::vector<index_t>& mark) {
-    const index_t f = sn_first0_[s], l = sn_first0_[s + 1];
-    st_.first[s] = f;
-    st_.width[s] = l - f;
-    auto& R = st_.rows[s];
-    for (index_t j = f; j < l; ++j) {
-      R.push_back(j);
-      mark[j] = s;
-    }
-    for (index_t j = f; j < l; ++j) {
-      for (offset_t p = perm2_->lptr[j]; p < perm2_->lptr[j + 1]; ++p) {
-        const index_t i = perm2_->lind[p];
-        if (mark[i] != s) {
-          mark[i] = s;
-          R.push_back(i);
-        }
-      }
-    }
-    for (const index_t c : children_[s]) {
-      const auto& Rc = st_.rows[c];
-      for (std::size_t k = st_.width[c]; k < Rc.size(); ++k) {
-        const index_t i = Rc[k];
-        if (mark[i] != s) {
-          mark[i] = s;
-          R.push_back(i);
-        }
-      }
-    }
-    std::sort(R.begin() + st_.width[s], R.end());
-    SPCHOL_CHECK(static_cast<index_t>(R.size()) == cc_[f],
-                 "supernode structure height disagrees with column count");
-    if (static_cast<index_t>(R.size()) > st_.width[s]) {
-      SPCHOL_CHECK(col2sn0_[R[st_.width[s]]] == st_.parent[s],
-                   "supernodal etree parent disagrees with structure");
-    } else {
-      SPCHOL_CHECK(st_.parent[s] == -1,
-                   "root supernode has a supernodal parent");
+  b.lind.resize(static_cast<std::size_t>(b.lptr[n]));
+  b.uind.resize(static_cast<std::size_t>(b.uptr[n]));
+  std::vector<offset_t> lcur(b.lptr.begin(), b.lptr.end() - 1);
+  std::vector<offset_t> ucur(b.uptr.begin(), b.uptr.end() - 1);
+  for (index_t j = 0; j < n; ++j) {
+    const index_t nj = perm.old_to_new(j);
+    for (offset_t p = sptr[j]; p < sptr[j + 1]; ++p) {
+      const index_t ni = perm.old_to_new(sind[p]);
+      b.lind[lcur[std::min(ni, nj)]++] = std::max(ni, nj);
+      b.uind[ucur[std::max(ni, nj)]++] = std::min(ni, nj);
     }
   }
+  return b;
+}
 
-  void union_stage(std::size_t p) {
-    std::vector<index_t> mark(static_cast<std::size_t>(n_), -1);
-    // Below the postorder cut a supernode's children live in its own
-    // partition, so ascending order within the partition is bottom-up.
-    for (const index_t s : union_lists_[p]) union_supernode(s, mark);
-  }
-
-  void union_spine() {
-    std::vector<index_t> mark(static_cast<std::size_t>(n_), -1);
-    // Above the cut, children may come from every partition — all of them
-    // are complete once the subtree tasks have drained.
-    for (const index_t s : spine_list_) union_supernode(s, mark);
-  }
-
-  void merge_stage();
-
-  // --- PatternStage -------------------------------------------------------
-  void refine_stage(std::size_t p);
-  void refine_compose();
-  void relabel_stage(std::size_t p);
-  void finalize_stage();
-
-  struct RSet {
-    index_t target;
-    std::vector<index_t> cols;  // target-local column ids
-  };
-
-  const CscMatrix& a_;
-  const Permutation& fill_;
-  const AnalyzeOptions& opts_;
-  SymbolicFactor& sf_;
-  index_t n_;
-  std::size_t workers_, nparts_;
-
-  std::optional<PatternPermute> perm1_, perm2_;
-  Permutation post_;
-  Permutation perm_;  // running composition: fill ∘ postorder [∘ PR]
-  std::vector<index_t> parent_;
-  std::vector<std::vector<std::pair<index_t, index_t>>> row_runs_;
-  std::vector<std::vector<index_t>> cc_parts_;
-  std::vector<index_t> cc_;
-  // Pre-merge supernodes.
-  std::vector<index_t> sn_first0_, col2sn0_;
-  std::vector<std::vector<index_t>> union_lists_;  // below-cut, per part
-  std::vector<index_t> spine_list_;                // above-cut, ascending
-  std::vector<std::vector<index_t>> children_;
-  MergeState st_;
-  index_t num_merges_ = 0;
-  // Post-merge supernodes.
-  std::vector<index_t> sn_first_, col2sn_;
-  std::vector<std::vector<index_t>> pattern_lists_;  // per part, ascending
-  // Refinement.
-  bool refine_enabled_ = false;
-  std::vector<RSet> rsets_;
-  std::vector<std::vector<const RSet*>> by_target_;
-  std::vector<std::vector<index_t>> chosen_order_;
-  Permutation pr_;
+/// A supernode partition and its supernodal etree.
+struct Partition {
+  std::vector<index_t> first;   // size ns + 1
+  std::vector<index_t> parent;  // -1 for roots
+  index_t merges = 0;
 };
 
-void AnalyzePipeline::merge_stage() {
-  index_t ns0 = static_cast<index_t>(sn_first0_.size()) - 1;
-  std::vector<index_t> sn_first = sn_first0_;
+/// Greedy supernode merging (paper §IV.A): repeatedly merge the (child,
+/// parent) pair that adds the least storage, where the child is the
+/// supernode immediately preceding its parent in column order, until the
+/// cumulative growth exceeds `cap` times the unmerged storage. Merging c
+/// into s keeps s's last column, so s has width + cc[last] - 1 rows before
+/// and after; merged-away parents resolve through a union-find.
+Partition merge_supernodes(Partition p0, const std::vector<index_t>& cc,
+                           double cap) {
+  const index_t ns0 = static_cast<index_t>(p0.first.size()) - 1;
+  if (cap <= 0.0 || ns0 <= 1) return p0;
 
-  // Greedy supernode merging (paper §IV.A): repeatedly merge the
-  // (child, parent) pair that adds the least storage, where the child is
-  // the supernode immediately preceding its parent in column order, until
-  // the cumulative growth exceeds the cap.
-  if (opts_.merge_growth_cap > 0.0 && ns0 > 1) {
-    MergeState& st = st_;
-    st.prev.resize(ns0);
-    st.next.resize(ns0);
-    st.alive.assign(ns0, 1);
-    st.version.assign(ns0, 0);
-    for (index_t s = 0; s < ns0; ++s) {
-      st.prev[s] = s - 1;
-      st.next[s] = s + 1 < ns0 ? s + 1 : -1;
-    }
-    offset_t base_storage = 0;
-    for (index_t s = 0; s < ns0; ++s) {
-      base_storage += trapezoid(st.width[s],
-                                static_cast<offset_t>(st.rows[s].size()));
-    }
-    const offset_t budget = static_cast<offset_t>(
-        opts_.merge_growth_cap * static_cast<double>(base_storage));
-
-    struct Cand {
-      offset_t cost;
-      index_t s;        // parent node; child is prev(s)
-      index_t ver_s, ver_c;
-      bool operator>(const Cand& o) const { return cost > o.cost; }
-    };
-    std::priority_queue<Cand, std::vector<Cand>, std::greater<Cand>> heap;
-    auto push_candidate = [&](index_t s) {
-      if (s < 0 || !st.alive[s]) return;
-      const index_t c = st.prev[s];
-      if (c < 0 || !st.alive[c] || st.parent[c] != s) return;
-      heap.push({merge_cost(st, c, s), s, st.version[s], st.version[c]});
-    };
-    for (index_t s = 0; s < ns0; ++s) push_candidate(s);
-
-    offset_t spent = 0;
-    while (!heap.empty()) {
-      const Cand cand = heap.top();
-      heap.pop();
-      const index_t s = cand.s;
-      if (!st.alive[s]) continue;
-      const index_t c = st.prev[s];
-      if (c < 0 || !st.alive[c] || st.parent[c] != s) continue;
-      if (cand.ver_s != st.version[s] || cand.ver_c != st.version[c]) {
-        continue;  // stale: a fresher entry exists
-      }
-      if (spent + cand.cost > budget) break;
-      spent += cand.cost;
-      // Merge c into s: columns become [first[c], end of s).
-      std::vector<index_t> merged;
-      merged.reserve(st.width[c] + st.rows[s].size());
-      for (index_t j = st.first[c]; j < st.first[c] + st.width[c]; ++j) {
-        merged.push_back(j);
-      }
-      merged.insert(merged.end(), st.rows[s].begin(), st.rows[s].end());
-      st.rows[s] = std::move(merged);
-      st.first[s] = st.first[c];
-      st.width[s] += st.width[c];
-      st.alive[c] = 0;
-      st.rows[c].clear();
-      st.rows[c].shrink_to_fit();
-      // Relink the alive list.
-      const index_t pc = st.prev[c];
-      st.prev[s] = pc;
-      if (pc >= 0) st.next[pc] = s;
-      // Children of c become children of s.
-      for (const index_t x : children_[c]) {
-        if (st.alive[x]) st.parent[x] = s;
-      }
-      children_[s].insert(children_[s].end(), children_[c].begin(),
-                          children_[c].end());
-      children_[c].clear();
-      st.version[s]++;
-      ++num_merges_;
-      // Refresh affected candidates: (prev(s), s) and (s, parent[s]).
-      push_candidate(s);
-      if (st.parent[s] >= 0 && st.alive[st.parent[s]] &&
-          st.prev[st.parent[s]] == s) {
-        push_candidate(st.parent[s]);
-      }
-    }
-
-    // Compact the partition: surviving supernodes in column order.
-    std::vector<index_t> new_id(static_cast<std::size_t>(ns0), -1);
-    std::vector<index_t> survivors;
-    for (index_t s = 0; s < ns0; ++s) {
-      if (st.alive[s]) {
-        new_id[s] = static_cast<index_t>(survivors.size());
-        survivors.push_back(s);
-      }
-    }
-    std::vector<index_t> nf;
-    std::vector<std::vector<index_t>> nrows(survivors.size());
-    std::vector<index_t> nparent(survivors.size(), -1);
-    for (std::size_t k = 0; k < survivors.size(); ++k) {
-      const index_t s = survivors[k];
-      nf.push_back(st.first[s]);
-      nrows[k] = std::move(st.rows[s]);
-      nparent[k] = st.parent[s] >= 0 ? new_id[st.parent[s]] : -1;
-    }
-    nf.push_back(n_);
-    sn_first = std::move(nf);
-    st.rows = std::move(nrows);
-    st.parent = std::move(nparent);
+  std::vector<index_t> first(p0.first.begin(), p0.first.end() - 1);
+  std::vector<index_t> width(static_cast<std::size_t>(ns0));
+  std::vector<offset_t> below(static_cast<std::size_t>(ns0));
+  std::vector<index_t> prev(static_cast<std::size_t>(ns0));
+  std::vector<index_t> absorbed_by(static_cast<std::size_t>(ns0));
+  std::vector<char> alive(static_cast<std::size_t>(ns0), 1);
+  std::vector<index_t> version(static_cast<std::size_t>(ns0), 0);
+  offset_t base_storage = 0;
+  for (index_t s = 0; s < ns0; ++s) {
+    width[s] = p0.first[s + 1] - p0.first[s];
+    below[s] = cc[p0.first[s + 1] - 1] - 1;
+    prev[s] = s - 1;
+    absorbed_by[s] = s;
+    base_storage += trapezoid(width[s], width[s] + below[s]);
   }
-  children_.clear();
-  children_.shrink_to_fit();
-  perm2_.reset();  // the structure unions were its last consumer
+  // Saturate: a cap large enough to overflow means "merge everything".
+  const double want = cap * static_cast<double>(base_storage);
+  const offset_t budget =
+      want >= static_cast<double>(std::numeric_limits<offset_t>::max())
+          ? std::numeric_limits<offset_t>::max()
+          : static_cast<offset_t>(want);
 
-  sn_first_ = std::move(sn_first);
-  const index_t ns = static_cast<index_t>(sn_first_.size()) - 1;
-  col2sn_ = map_columns_to_supernodes(sn_first_);
-  {
-    const std::vector<index_t> part =
-        subtree_partition(st_.parent, static_cast<index_t>(nparts_));
-    pattern_lists_.assign(nparts_, {});
-    for (index_t s = 0; s < ns; ++s) pattern_lists_[part[s]].push_back(s);
-  }
-
-  // Collect the refinement restriction sets (one per descendant segment
-  // per target), grouped by target in globally DESCENDING size order: the
-  // large sets — whose contiguity saves the most BLAS calls — are split
-  // least by the later, smaller ones. Per-target refinement only ever
-  // sees the target's own sets, so the targets are independent and the
-  // pattern stage fans them out over the post-merge subtree partition.
-  refine_enabled_ = opts_.partition_refinement && ns > 0;
-  if (!refine_enabled_) return;
-  for (index_t s = 0; s < ns; ++s) {
-    const auto& R = st_.rows[s];
-    const index_t w = sn_first_[s + 1] - sn_first_[s];
-    std::size_t k = static_cast<std::size_t>(w);
-    while (k < R.size()) {
-      const index_t target = col2sn_[R[k]];
-      RSet rs;
-      rs.target = target;
-      while (k < R.size() && col2sn_[R[k]] == target) {
-        rs.cols.push_back(R[k] - sn_first_[target]);
-        ++k;
-      }
-      const index_t tw = sn_first_[target + 1] - sn_first_[target];
-      if (static_cast<index_t>(rs.cols.size()) < tw) {
-        rsets_.push_back(std::move(rs));
-      }
+  auto find = [&](index_t s) {
+    while (absorbed_by[s] != s) {
+      absorbed_by[s] = absorbed_by[absorbed_by[s]];
+      s = absorbed_by[s];
     }
-  }
-  std::stable_sort(rsets_.begin(), rsets_.end(),
-                   [](const RSet& a, const RSet& b) {
-                     return a.cols.size() > b.cols.size();
-                   });
-  by_target_.assign(static_cast<std::size_t>(ns), {});
-  for (const RSet& rs : rsets_) by_target_[rs.target].push_back(&rs);
-  chosen_order_.assign(static_cast<std::size_t>(ns), {});
-}
-
-void AnalyzePipeline::refine_stage(std::size_t p) {
-  if (!refine_enabled_) return;
-  // Keep the refined order only where it actually reduces the number of
-  // row runs (refinement is a heuristic; on some problems — e.g. 2D
-  // separators whose natural order is already consecutive — the identity
-  // order is better).
-  auto count_runs = [](const std::vector<index_t>& pos,
-                       const std::vector<const RSet*>& sets) {
-    offset_t runs = 0;
-    for (const RSet* rs : sets) {
-      std::vector<index_t> q;
-      q.reserve(rs->cols.size());
-      for (const index_t c : rs->cols) q.push_back(pos[c]);
-      std::sort(q.begin(), q.end());
-      for (std::size_t i = 0; i < q.size(); ++i) {
-        runs += i == 0 || q[i] != q[i - 1] + 1;
-      }
-    }
-    return runs;
+    return s;
   };
-  for (const index_t s : pattern_lists_[p]) {
-    const index_t w = sn_first_[s + 1] - sn_first_[s];
-    std::vector<index_t> identity(static_cast<std::size_t>(w));
-    for (index_t k = 0; k < w; ++k) identity[k] = k;
-    if (by_target_[s].empty()) {
-      chosen_order_[s] = std::move(identity);
-      continue;
-    }
-    PartitionRefiner refiner(w);
-    for (const RSet* rs : by_target_[s]) refiner.refine(rs->cols);
-    const auto& refined = refiner.order();
-    std::vector<index_t> pos_refined(static_cast<std::size_t>(w));
-    for (index_t k = 0; k < w; ++k) pos_refined[refined[k]] = k;
-    if (count_runs(pos_refined, by_target_[s]) <
-        count_runs(identity, by_target_[s])) {
-      chosen_order_[s] = refined;
-    } else {
-      chosen_order_[s] = std::move(identity);
-    }
-  }
-}
-
-void AnalyzePipeline::refine_compose() {
-  if (!refine_enabled_) return;
-  const index_t ns = static_cast<index_t>(sn_first_.size()) - 1;
-  // Global within-supernode permutation (new_to_old).
-  std::vector<index_t> pr_n2o(static_cast<std::size_t>(n_));
-  for (index_t s = 0; s < ns; ++s) {
-    const auto& ord = chosen_order_[s];
-    for (std::size_t k = 0; k < ord.size(); ++k) {
-      pr_n2o[sn_first_[s] + static_cast<index_t>(k)] = sn_first_[s] + ord[k];
-    }
-  }
-  pr_ = Permutation(std::move(pr_n2o));
-  perm_ = Permutation::compose(perm_, pr_);
-  rsets_.clear();
-  rsets_.shrink_to_fit();
-  by_target_.clear();
-  by_target_.shrink_to_fit();
-  chosen_order_.clear();
-  chosen_order_.shrink_to_fit();
-}
-
-void AnalyzePipeline::relabel_stage(std::size_t p) {
-  if (!refine_enabled_) return;
-  // Relabel the row structures; diag rows stay {first..end-1}; the below
-  // segment is re-sorted.
-  for (const index_t s : pattern_lists_[p]) {
-    auto& R = st_.rows[s];
-    const index_t w = sn_first_[s + 1] - sn_first_[s];
-    for (index_t k = 0; k < w; ++k) R[k] = sn_first_[s] + k;
-    for (std::size_t k = static_cast<std::size_t>(w); k < R.size(); ++k) {
-      R[k] = pr_.old_to_new(R[k]);
-    }
-    std::sort(R.begin() + w, R.end());
-  }
-}
-
-void AnalyzePipeline::finalize_stage() {
-  SymbolicFactor& sf = sf_;
-  const index_t ns = static_cast<index_t>(sn_first_.size()) - 1;
-  sf.num_merges_ = num_merges_;
-  sf.perm_ = std::move(perm_);
-  sf.sn_first_ = std::move(sn_first_);
-  sf.col_to_sn_ = std::move(col2sn_);
-  sf.etree_ = std::move(parent_);
-  sf.cc_ = std::move(cc_);
-  sf.sn_parent_.assign(static_cast<std::size_t>(ns), -1);
-  sf.row_ptr_.assign(static_cast<std::size_t>(ns) + 1, 0);
-  sf.data_ptr_.assign(static_cast<std::size_t>(ns) + 1, 0);
-  sf.block_ptr_.assign(static_cast<std::size_t>(ns) + 1, 0);
-  for (index_t s = 0; s < ns; ++s) {
-    const auto& R = st_.rows[s];
-    const offset_t w = sf.sn_first_[s + 1] - sf.sn_first_[s];
-    const offset_t r = static_cast<offset_t>(R.size());
-    sf.row_ptr_[s + 1] = sf.row_ptr_[s] + r;
-    sf.data_ptr_[s + 1] = sf.data_ptr_[s] + r * w;
-    sf.factor_nnz_ += trapezoid(w, r);
-    const offset_t below = r - w;
-    sf.max_update_entries_ =
-        std::max(sf.max_update_entries_, below * below);
-    sf.max_sn_entries_ = std::max(sf.max_sn_entries_, r * w);
-    sf.flops_ += dense::flops_potrf(static_cast<index_t>(w)) +
-                 dense::flops_trsm(static_cast<index_t>(below),
-                                   static_cast<index_t>(w)) +
-                 dense::flops_syrk(static_cast<index_t>(below),
-                                   static_cast<index_t>(w));
-    if (below > 0) {
-      sf.sn_parent_[s] = sf.col_to_sn_[R[w]];
-    }
-  }
-  sf.factor_values_ = sf.data_ptr_[ns];
-  sf.row_idx_.reserve(static_cast<std::size_t>(sf.row_ptr_[ns]));
-  for (index_t s = 0; s < ns; ++s) {
-    sf.row_idx_.insert(sf.row_idx_.end(), st_.rows[s].begin(),
-                       st_.rows[s].end());
-  }
-  // Blocks: maximal consecutive runs in the below-diagonal rows, split at
-  // target supernode boundaries.
-  for (index_t s = 0; s < ns; ++s) {
-    const auto R = sf.sn_rows(s);
-    const index_t w = sf.sn_width(s);
-    for (std::size_t k = static_cast<std::size_t>(w); k < R.size();) {
-      const index_t target = sf.col_to_sn_[R[k]];
-      const std::size_t start = k;
-      index_t prev_row = R[k];
-      ++k;
-      while (k < R.size() && R[k] == prev_row + 1 &&
-             sf.col_to_sn_[R[k]] == target) {
-        prev_row = R[k];
-        ++k;
-      }
-      sf.blocks_.push_back({R[start], static_cast<index_t>(k - start),
-                            target, static_cast<index_t>(start)});
-    }
-    sf.block_ptr_[s + 1] = static_cast<offset_t>(sf.blocks_.size());
-  }
-  // Children lists of the supernodal etree (CSR over ascending child
-  // index) — the dependency structure the numeric task scheduler walks.
-  sf.sn_child_ptr_.assign(static_cast<std::size_t>(ns) + 1, 0);
-  for (index_t s = 0; s < ns; ++s) {
-    if (sf.sn_parent_[s] >= 0) sf.sn_child_ptr_[sf.sn_parent_[s] + 1]++;
-  }
-  for (index_t s = 0; s < ns; ++s) {
-    sf.sn_child_ptr_[s + 1] += sf.sn_child_ptr_[s];
-  }
-  sf.sn_child_idx_.resize(static_cast<std::size_t>(sf.sn_child_ptr_[ns]));
-  {
-    std::vector<index_t> cursor(sf.sn_child_ptr_.begin(),
-                                sf.sn_child_ptr_.end() - 1);
-    for (index_t s = 0; s < ns; ++s) {
-      if (sf.sn_parent_[s] >= 0) {
-        sf.sn_child_idx_[cursor[sf.sn_parent_[s]]++] = s;
-      }
-    }
-  }
-}
-
-void AnalyzePipeline::run_serial() {
-  SymbolicStats& stats = sf_.stats_;
-  WallTimer t;
-  for (std::size_t c = 0; c < perm1_->num_chunks(); ++c) perm1_->count(c);
-  perm1_->layout();
-  for (std::size_t c = 0; c < perm1_->num_chunks(); ++c) perm1_->fill(c);
-  etree_stage();
-  stats.etree_seconds = t.seconds();
-
-  t.reset();
-  for (std::size_t c = 0; c < perm2_->num_chunks(); ++c) perm2_->count(c);
-  perm2_->layout();
-  for (std::size_t c = 0; c < perm2_->num_chunks(); ++c) perm2_->fill(c);
-  cc_parts_.resize(nparts_);
-  for (std::size_t p = 0; p < nparts_; ++p) count_stage(p);
-  count_reduce();
-  stats.count_seconds = t.seconds();
-
-  t.reset();
-  for (std::size_t p = 0; p < nparts_; ++p) union_stage(p);
-  union_spine();
-  merge_stage();
-  stats.supernode_seconds = t.seconds();
-
-  t.reset();
-  for (std::size_t p = 0; p < nparts_; ++p) refine_stage(p);
-  refine_compose();
-  for (std::size_t p = 0; p < nparts_; ++p) relabel_stage(p);
-  finalize_stage();
-  stats.pattern_seconds = t.seconds();
-
-  stats.task_seconds = stats.etree_seconds + stats.count_seconds +
-                       stats.supernode_seconds + stats.pattern_seconds;
-  stats.modeled_parallel_seconds = stats.task_seconds;
-  stats.partitions = 1;
-}
-
-void AnalyzePipeline::run_staged() {
-  TaskScheduler sched;
-  sched.set_partitions(nparts_);
-  cc_parts_.resize(nparts_);
-
-  std::vector<std::size_t> stage_of;
-  std::size_t prio = 0;
-  auto add = [&](Stage stage, std::size_t partition,
-                 std::function<void()> fn) {
-    const std::size_t id = sched.add_task(
-        prio++, [fn = std::move(fn)](std::size_t) { fn(); },
-        TaskScheduler::kNoResource, partition);
-    stage_of.push_back(stage);
-    return id;
+  auto parent_of = [&](index_t s) {
+    return p0.parent[s] < 0 ? index_t{-1} : find(p0.parent[s]);
   };
-  auto fan = [&](Stage stage, std::function<void(std::size_t)> fn) {
-    std::vector<std::size_t> ids;
-    ids.reserve(nparts_);
-    for (std::size_t p = 0; p < nparts_; ++p) {
-      ids.push_back(add(stage, p, [fn, p] { fn(p); }));
-    }
-    return ids;
-  };
-  auto join = [&](const std::vector<std::size_t>& from, std::size_t to) {
-    for (const std::size_t f : from) sched.add_edge(f, to);
-  };
-  auto fork = [&](std::size_t from, const std::vector<std::size_t>& to) {
-    for (const std::size_t t : to) sched.add_edge(from, t);
+  // Added storage (trapezoid metric) of merging c = prev(s) into s.
+  auto merge_cost = [&](index_t c, index_t s) {
+    const offset_t wc = width[c], ws = width[s];
+    return trapezoid(wc + ws, wc + ws + below[s]) -
+           trapezoid(wc, wc + below[c]) - trapezoid(ws, ws + below[s]);
   };
 
-  // EtreeStage: fill-order pattern (count → layout → fill) + tree task.
-  const auto e_cnt = fan(kEtree, [this](std::size_t p) { perm1_->count(p); });
-  const auto e_lay = add(kEtree, 0, [this] { perm1_->layout(); });
-  join(e_cnt, e_lay);
-  const auto e_fill = fan(kEtree, [this](std::size_t p) { perm1_->fill(p); });
-  fork(e_lay, e_fill);
-  const auto e_tree = add(kEtree, 0, [this] { etree_stage(); });
-  join(e_fill, e_tree);
+  struct Cand {
+    offset_t cost;
+    index_t s;  // parent node; child is prev(s)
+    index_t ver_s, ver_c;
+    bool operator>(const Cand& o) const { return cost > o.cost; }
+  };
+  std::priority_queue<Cand, std::vector<Cand>, std::greater<Cand>> heap;
+  auto push_candidate = [&](index_t s) {
+    if (s < 0 || !alive[s]) return;
+    const index_t c = prev[s];
+    if (c < 0 || !alive[c] || parent_of(c) != s) return;
+    heap.push({merge_cost(c, s), s, version[s], version[c]});
+  };
+  for (index_t s = 0; s < ns0; ++s) push_candidate(s);
 
-  // CountStage: postorder pattern + per-subtree column counts + reduce.
-  const auto c_cnt = fan(kCount, [this](std::size_t p) { perm2_->count(p); });
-  fork(e_tree, c_cnt);
-  const auto c_lay = add(kCount, 0, [this] { perm2_->layout(); });
-  join(c_cnt, c_lay);
-  const auto c_fill = fan(kCount, [this](std::size_t p) { perm2_->fill(p); });
-  fork(c_lay, c_fill);
-  const auto c_count =
-      fan(kCount, [this](std::size_t p) { count_stage(p); });
-  for (const std::size_t f : c_fill) fork(f, c_count);
-  const auto c_red = add(kCount, 0, [this] { count_reduce(); });
-  join(c_count, c_red);
-
-  // SupernodeStage: per-subtree structure unions, spine, serial merge.
-  const auto u_sub =
-      fan(kSupernode, [this](std::size_t p) { union_stage(p); });
-  fork(c_red, u_sub);
-  const auto u_spine = add(kSupernode, 0, [this] { union_spine(); });
-  join(u_sub, u_spine);
-  const auto m_merge = add(kSupernode, 0, [this] { merge_stage(); });
-  sched.add_edge(u_spine, m_merge);
-
-  // PatternStage: per-subtree refinement, permutation composition,
-  // per-subtree relabeling, serial finalization.
-  const auto r_ref =
-      fan(kPattern, [this](std::size_t p) { refine_stage(p); });
-  fork(m_merge, r_ref);
-  const auto r_comp = add(kPattern, 0, [this] { refine_compose(); });
-  join(r_ref, r_comp);
-  const auto l_rel =
-      fan(kPattern, [this](std::size_t p) { relabel_stage(p); });
-  fork(r_comp, l_rel);
-  const auto f_fin = add(kPattern, 0, [this] { finalize_stage(); });
-  join(l_rel, f_fin);
-
-  const SchedulerStats ss = opts_.crew != nullptr
-                                ? sched.run_on(*opts_.crew)
-                                : sched.run(workers_);
-
-  SymbolicStats& stats = sf_.stats_;
-  const std::vector<double>& dur = sched.task_seconds();
-  double per_stage[kNumStages] = {};
-  for (std::size_t id = 0; id < dur.size(); ++id) {
-    per_stage[stage_of[id]] += dur[id];
-    stats.task_seconds += dur[id];
+  index_t merges = 0;
+  offset_t spent = 0;
+  while (!heap.empty()) {
+    const Cand cand = heap.top();
+    heap.pop();
+    const index_t s = cand.s;
+    if (!alive[s]) continue;
+    const index_t c = prev[s];
+    if (c < 0 || !alive[c] || parent_of(c) != s) continue;
+    if (cand.ver_s != version[s] || cand.ver_c != version[c]) {
+      continue;  // stale: a fresher entry exists
+    }
+    if (cand.cost > budget - spent) break;
+    spent += cand.cost;
+    // Merge c into s: columns become [first[c], end of s).
+    first[s] = first[c];
+    width[s] += width[c];
+    alive[c] = 0;
+    absorbed_by[c] = s;
+    prev[s] = prev[c];
+    version[s]++;
+    ++merges;
+    // Refresh affected candidates: (prev(s), s) and (s, parent(s)).
+    push_candidate(s);
+    const index_t ps = parent_of(s);
+    if (ps >= 0 && alive[ps] && prev[ps] == s) push_candidate(ps);
   }
-  stats.etree_seconds = per_stage[kEtree];
-  stats.count_seconds = per_stage[kCount];
-  stats.supernode_seconds = per_stage[kSupernode];
-  stats.pattern_seconds = per_stage[kPattern];
-  stats.modeled_parallel_seconds = sched.modeled_makespan(workers_);
-  stats.tasks_run = ss.tasks_run;
-  stats.partitions = ss.partitions;
-  stats.steals = ss.steals;
+
+  // Compact: surviving supernodes in column order.
+  std::vector<index_t> new_id(static_cast<std::size_t>(ns0), -1);
+  Partition out;
+  out.merges = merges;
+  for (index_t s = 0; s < ns0; ++s) {
+    if (!alive[s]) continue;
+    new_id[s] = static_cast<index_t>(out.first.size());
+    out.first.push_back(first[s]);
+  }
+  out.first.push_back(p0.first.back());
+  for (index_t s = 0; s < ns0; ++s) {
+    if (!alive[s]) continue;
+    const index_t ps = parent_of(s);
+    out.parent.push_back(ps >= 0 ? new_id[ps] : -1);
+  }
+  return out;
 }
+
+}  // namespace
 
 void validate(const AnalyzeOptions& opts) {
   if (!std::isfinite(opts.merge_growth_cap) || opts.merge_growth_cap < 0.0) {
@@ -879,25 +236,233 @@ SymbolicFactor SymbolicFactor::analyze(const CscMatrix& a_lower,
     sf.block_ptr_ = {0};
     return sf;
   }
+  SymbolicStats& stats = sf.stats_;
+  const WallTimer total;
 
-  WallTimer total;
-  const std::size_t workers = resolve_worker_count(opts.workers);
-  const bool staged = workers > 1 && n >= kMinParallelOrder;
-  // Twice as many partitions as workers: finer tasks balance the
-  // subtree fan-outs (separator-heavy subtrees are far from uniform) and
-  // shrink the serial spine, at O(n) scratch per partition.
-  const std::size_t nparts =
-      staged ? std::min({2 * workers, TaskScheduler::kMaxPartitions,
-                         static_cast<std::size_t>(n / 64)})
-             : 1;
-  AnalyzePipeline pipeline(a_lower, fill_perm, opts, sf, workers, nparts);
-  if (staged) {
-    pipeline.run_staged();
-  } else {
-    pipeline.run_serial();
+  // --- 1. etree + postorder -------------------------------------------------
+  WallTimer t;
+  Permutation post;
+  PermutedPattern b2;  // the pattern in final (pre-refinement) labels
+  {
+    const PermutedPattern b1 =
+        permute_pattern(n, a_lower.colptr(), a_lower.rowind(), fill_perm);
+    const std::vector<index_t> parent1 =
+        elimination_tree_upper(n, b1.uptr, b1.uind);
+    post = tree_postorder(parent1);
+    sf.etree_ = relabel_tree(parent1, post);
+    SPCHOL_CHECK(is_postordered(sf.etree_), "postorder relabeling failed");
+    stats.etree_seconds = t.seconds();
+
+    // --- 2. column counts ---------------------------------------------------
+    t.reset();
+    b2 = permute_pattern(n, b1.lptr, b1.lind, post);
   }
-  sf.stats_.workers = workers;
-  sf.stats_.total_seconds = total.seconds();
+  Permutation perm = Permutation::compose(fill_perm, post);
+  sf.cc_ = column_counts_upper(b2.uptr, b2.uind, sf.etree_);
+  b2.uptr = {};
+  b2.uind = {};
+  const std::vector<index_t>& cc = sf.cc_;
+  stats.count_seconds = t.seconds();
+
+  // --- 3. partition + merge on counts --------------------------------------
+  t.reset();
+  Partition part;
+  part.first = supernode_partition(sf.etree_, cc, opts.supernode_mode);
+  part.parent = supernode_parents(
+      part.first, map_columns_to_supernodes(part.first), sf.etree_, cc);
+  part = merge_supernodes(std::move(part), cc, opts.merge_growth_cap);
+  const index_t ns = static_cast<index_t>(part.first.size()) - 1;
+  sf.num_merges_ = part.merges;
+  sf.sn_first_ = std::move(part.first);
+  sf.sn_parent_ = std::move(part.parent);
+  sf.col_to_sn_ = map_columns_to_supernodes(sf.sn_first_);
+
+  // Children lists of the supernodal etree (CSR over ascending child
+  // index): the bottom-up union below and the numeric task graph walk it.
+  sf.sn_child_ptr_.assign(static_cast<std::size_t>(ns) + 1, 0);
+  for (index_t s = 0; s < ns; ++s) {
+    if (sf.sn_parent_[s] >= 0) sf.sn_child_ptr_[sf.sn_parent_[s] + 1]++;
+  }
+  for (index_t s = 0; s < ns; ++s) {
+    sf.sn_child_ptr_[s + 1] += sf.sn_child_ptr_[s];
+  }
+  sf.sn_child_idx_.resize(static_cast<std::size_t>(sf.sn_child_ptr_[ns]));
+  {
+    std::vector<index_t> cursor(sf.sn_child_ptr_.begin(),
+                                sf.sn_child_ptr_.end() - 1);
+    for (index_t s = 0; s < ns; ++s) {
+      if (sf.sn_parent_[s] >= 0) {
+        sf.sn_child_idx_[cursor[sf.sn_parent_[s]]++] = s;
+      }
+    }
+  }
+
+  // --- 4. row structures of the final supernodes, bottom-up ----------------
+  // Heights come from the counts, so the flat row array is laid out
+  // before any row is known. Rows of s: its own columns ∪ the A-entries
+  // of its columns ∪ the below-diagonal rows of its children (postorder
+  // makes every child precede its parent).
+  sf.row_ptr_.assign(static_cast<std::size_t>(ns) + 1, 0);
+  for (index_t s = 0; s < ns; ++s) {
+    sf.row_ptr_[s + 1] =
+        sf.row_ptr_[s] + sf.sn_width(s) + cc[sf.sn_end(s) - 1] - 1;
+  }
+  sf.row_idx_.resize(static_cast<std::size_t>(sf.row_ptr_[ns]));
+  {
+    std::vector<index_t> mark(static_cast<std::size_t>(n), -1);
+    for (index_t s = 0; s < ns; ++s) {
+      const index_t f = sf.sn_begin(s), l = sf.sn_end(s);
+      index_t* const R = sf.row_idx_.data() + sf.row_ptr_[s];
+      const offset_t height = sf.row_ptr_[s + 1] - sf.row_ptr_[s];
+      offset_t k = 0;
+      auto add = [&](index_t i) {
+        if (mark[i] == s) return;
+        mark[i] = s;
+        SPCHOL_CHECK(k < height,
+                     "supernode structure height disagrees with column count");
+        R[k++] = i;
+      };
+      for (index_t j = f; j < l; ++j) add(j);
+      for (index_t j = f; j < l; ++j) {
+        for (offset_t p = b2.lptr[j]; p < b2.lptr[j + 1]; ++p) add(b2.lind[p]);
+      }
+      for (const index_t c : sf.sn_children(s)) {
+        const auto Rc = sf.sn_rows(c);
+        for (std::size_t q = sf.sn_width(c); q < Rc.size(); ++q) add(Rc[q]);
+      }
+      SPCHOL_CHECK(k == height,
+                   "supernode structure height disagrees with column count");
+      std::sort(R + (l - f), R + height);
+      SPCHOL_CHECK(height > l - f ? sf.col_to_sn_[R[l - f]] == sf.sn_parent_[s]
+                                  : sf.sn_parent_[s] == -1,
+                   "supernodal etree parent disagrees with structure");
+    }
+  }
+  b2 = {};
+  stats.supernode_seconds = t.seconds();
+
+  // --- 5. partition refinement + finalization ------------------------------
+  t.reset();
+  if (opts.partition_refinement) {
+    // Restriction sets (one per descendant segment per target), in
+    // globally DESCENDING size order: the large sets — whose contiguity
+    // saves the most BLAS calls — are split least by the smaller ones.
+    struct RSet {
+      index_t target;
+      std::vector<index_t> cols;  // target-local column ids
+    };
+    std::vector<RSet> rsets;
+    for (index_t s = 0; s < ns; ++s) {
+      const auto R = sf.sn_rows(s);
+      std::size_t k = static_cast<std::size_t>(sf.sn_width(s));
+      while (k < R.size()) {
+        RSet rs;
+        rs.target = sf.col_to_sn_[R[k]];
+        while (k < R.size() && sf.col_to_sn_[R[k]] == rs.target) {
+          rs.cols.push_back(R[k] - sf.sn_begin(rs.target));
+          ++k;
+        }
+        if (static_cast<index_t>(rs.cols.size()) < sf.sn_width(rs.target)) {
+          rsets.push_back(std::move(rs));
+        }
+      }
+    }
+    std::stable_sort(rsets.begin(), rsets.end(),
+                     [](const RSet& a, const RSet& b) {
+                       return a.cols.size() > b.cols.size();
+                     });
+    std::vector<std::vector<const RSet*>> by_target(
+        static_cast<std::size_t>(ns));
+    for (const RSet& rs : rsets) by_target[rs.target].push_back(&rs);
+
+    // Keep the refined order only where it actually reduces the number of
+    // row runs (refinement is a heuristic; on some problems — e.g. 2D
+    // separators whose natural order is already consecutive — the
+    // identity order is better).
+    auto count_runs = [](const std::vector<index_t>& pos,
+                         const std::vector<const RSet*>& sets) {
+      offset_t runs = 0;
+      for (const RSet* rs : sets) {
+        std::vector<index_t> q;
+        q.reserve(rs->cols.size());
+        for (const index_t c : rs->cols) q.push_back(pos[c]);
+        std::sort(q.begin(), q.end());
+        for (std::size_t i = 0; i < q.size(); ++i) {
+          runs += i == 0 || q[i] != q[i - 1] + 1;
+        }
+      }
+      return runs;
+    };
+    std::vector<index_t> pr_n2o(static_cast<std::size_t>(n));
+    for (index_t j = 0; j < n; ++j) pr_n2o[j] = j;
+    for (index_t s = 0; s < ns; ++s) {
+      if (by_target[s].empty()) continue;
+      const index_t w = sf.sn_width(s);
+      PartitionRefiner refiner(w);
+      for (const RSet* rs : by_target[s]) refiner.refine(rs->cols);
+      const auto& refined = refiner.order();
+      std::vector<index_t> identity(static_cast<std::size_t>(w));
+      std::vector<index_t> pos_refined(static_cast<std::size_t>(w));
+      for (index_t k = 0; k < w; ++k) {
+        identity[k] = k;
+        pos_refined[refined[k]] = k;
+      }
+      if (count_runs(pos_refined, by_target[s]) <
+          count_runs(identity, by_target[s])) {
+        for (index_t k = 0; k < w; ++k) {
+          pr_n2o[sf.sn_begin(s) + k] = sf.sn_begin(s) + refined[k];
+        }
+      }
+    }
+    const Permutation pr(std::move(pr_n2o));
+    perm = Permutation::compose(perm, pr);
+    // Relabel the below-diagonal rows and re-sort them; the diagonal rows
+    // stay {first..end-1} because refinement permutes within supernodes.
+    for (index_t s = 0; s < ns; ++s) {
+      index_t* const R = sf.row_idx_.data() + sf.row_ptr_[s];
+      const offset_t r = sf.row_ptr_[s + 1] - sf.row_ptr_[s];
+      for (offset_t k = sf.sn_width(s); k < r; ++k) R[k] = pr.old_to_new(R[k]);
+      std::sort(R + sf.sn_width(s), R + r);
+    }
+  }
+  sf.perm_ = std::move(perm);
+
+  sf.data_ptr_.assign(static_cast<std::size_t>(ns) + 1, 0);
+  sf.block_ptr_.assign(static_cast<std::size_t>(ns) + 1, 0);
+  for (index_t s = 0; s < ns; ++s) {
+    const offset_t w = sf.sn_width(s);
+    const offset_t r = sf.sn_nrows(s);
+    sf.data_ptr_[s + 1] = sf.data_ptr_[s] + r * w;
+    sf.factor_nnz_ += trapezoid(w, r);
+    const offset_t below = r - w;
+    sf.max_update_entries_ = std::max(sf.max_update_entries_, below * below);
+    sf.max_sn_entries_ = std::max(sf.max_sn_entries_, r * w);
+    sf.flops_ += dense::flops_potrf(static_cast<index_t>(w)) +
+                 dense::flops_trsm(static_cast<index_t>(below),
+                                   static_cast<index_t>(w)) +
+                 dense::flops_syrk(static_cast<index_t>(below),
+                                   static_cast<index_t>(w));
+    // Blocks: maximal consecutive runs in the below-diagonal rows, split
+    // at target supernode boundaries.
+    const auto R = sf.sn_rows(s);
+    for (std::size_t k = static_cast<std::size_t>(w); k < R.size();) {
+      const index_t target = sf.col_to_sn_[R[k]];
+      const std::size_t start = k;
+      index_t prev_row = R[k];
+      ++k;
+      while (k < R.size() && R[k] == prev_row + 1 &&
+             sf.col_to_sn_[R[k]] == target) {
+        prev_row = R[k];
+        ++k;
+      }
+      sf.blocks_.push_back({R[start], static_cast<index_t>(k - start),
+                            target, static_cast<index_t>(start)});
+    }
+    sf.block_ptr_[s + 1] = static_cast<offset_t>(sf.blocks_.size());
+  }
+  sf.factor_values_ = sf.data_ptr_[ns];
+  stats.pattern_seconds = t.seconds();
+  stats.total_seconds = total.seconds();
   return sf;
 }
 

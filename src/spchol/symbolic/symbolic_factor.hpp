@@ -1,21 +1,11 @@
-// Supernodal symbolic analysis, organized as a staged pipeline
-// (EtreeStage → CountStage → SupernodeStage → PatternStage):
-// permuted pattern + elimination tree + postorder → column counts →
-// fundamental supernodes + supernodal row structures + Ashcraft–Grimes
-// supernode merging (greedy min-fill with a cumulative storage-growth
-// cap, §IV.A of the paper) → partition refinement (within-supernode
-// column reordering, [11]) + per-supernode block lists (the units RLB
-// issues DSYRK/DGEMM calls on).
-//
-// With AnalyzeOptions::workers > 1 the stages run as tasks on the shared
-// TaskScheduler: the permuted-pattern builds, column counts, structure
-// unions, and pattern refinement fan out over elimination-tree subtrees
-// (independent after the postorder cut) onto subtree-partitioned ready
-// queues, while the inherently sequential pieces (etree traversal,
-// greedy merging, finalization) run as single tasks between them. Every
-// cross-task combination is order-independent (integer sums, per-unit
-// outputs merged in fixed serial order), so the result is IDENTICAL to
-// the serial path for every worker count.
+// Supernodal symbolic analysis, one serial pass: permuted pattern +
+// elimination tree + postorder → column counts → supernode partition
+// (fundamental or maximal) and Ashcraft–Grimes supernode merging (greedy
+// min-fill with a cumulative storage-growth cap, §IV.A of the paper), both
+// on the column counts alone → row structures of the final supernodes →
+// partition refinement (within-supernode column reordering, [11]) +
+// per-supernode block lists (the units RLB issues DSYRK/DGEMM calls on).
+// Analysis starts no thread.
 #pragma once
 
 #include <span>
@@ -26,8 +16,6 @@
 #include "spchol/symbolic/supernodes.hpp"
 
 namespace spchol {
-
-class WorkerCrew;  // support/worker_crew.hpp: persistent worker threads
 
 struct AnalyzeOptions {
   /// Supernode merging stops when the cumulative growth of factor storage
@@ -40,17 +28,10 @@ struct AnalyzeOptions {
   /// Initial partition: maximal (paper's same-structure definition) or
   /// fundamental (Liu–Ng–Peyton).
   SupernodeMode supernode_mode = SupernodeMode::kMaximal;
-  /// Worker threads for the staged analysis pipeline. 0 = hardware
-  /// concurrency, 1 = serial; negative values are rejected with
-  /// InvalidArgument. The result is identical for every value (matrices
-  /// below an internal size floor always take the serial path).
+  /// Validated (negative values are rejected with InvalidArgument) but
+  /// without effect: analysis is serial. Kept because existing callers
+  /// set it.
   int workers = 0;
-  /// Optional persistent worker crew (injected by SolverRuntime). When
-  /// non-null the staged pipeline's task DAG runs on these long-lived
-  /// threads plus the calling thread (TaskScheduler::run_on) instead of
-  /// spawning `workers` dedicated threads per call; the analysis result
-  /// is identical either way. Non-owning; must outlive the call.
-  WorkerCrew* crew = nullptr;
 };
 
 /// Throws InvalidArgument on invalid AnalyzeOptions: negative or
@@ -59,26 +40,13 @@ struct AnalyzeOptions {
 /// option set fails before any ordering work runs.
 void validate(const AnalyzeOptions& opts);
 
-/// Execution statistics of one analyze() call. Stage seconds are wall
-/// time on the serial path and summed task time on the scheduled path
-/// (tasks of one stage overlap, so stage sums can exceed total wall).
+/// Wall time of one analyze() call, per stage.
 struct SymbolicStats {
   double total_seconds = 0.0;      ///< wall time of the whole analysis
   double etree_seconds = 0.0;      ///< permuted pattern + etree + postorder
   double count_seconds = 0.0;      ///< postorder pattern + column counts
-  double supernode_seconds = 0.0;  ///< partition + structure union + merge
+  double supernode_seconds = 0.0;  ///< partition + merge + row structures
   double pattern_seconds = 0.0;    ///< refinement + relabel + finalization
-  /// Sum of measured scheduler task durations (serial path: the stage
-  /// sum), and that work replayed through a greedy list schedule at
-  /// `workers` workers — the modeled analyze time, independent of how
-  /// many real cores the measuring machine had (the repo's modeled-time
-  /// convention; see TaskScheduler::modeled_makespan).
-  double task_seconds = 0.0;
-  double modeled_parallel_seconds = 0.0;
-  std::size_t workers = 1;      ///< resolved worker count
-  std::size_t tasks_run = 0;    ///< scheduler tasks executed (0 = serial)
-  std::size_t partitions = 0;   ///< subtree ready-queue partitions
-  std::size_t steals = 0;       ///< tasks run outside their home queue
 };
 
 /// A maximal run of consecutive below-diagonal rows of a supernode, split
@@ -174,7 +142,7 @@ class SymbolicFactor {
   /// Factor column counts of the postordered matrix (pre-merge, pre-PR).
   const std::vector<index_t>& col_counts() const noexcept { return cc_; }
 
-  /// Timing / scheduling counters of the analyze() call that built this.
+  /// Stage timers of the analyze() call that built this.
   const SymbolicStats& stats() const noexcept { return stats_; }
 
   /// Relative indices of src's rows inside target's row list: for every
@@ -205,8 +173,6 @@ class SymbolicFactor {
   std::vector<index_t> etree_;
   std::vector<index_t> cc_;
   SymbolicStats stats_;
-
-  friend class AnalyzePipeline;
 };
 
 }  // namespace spchol

@@ -3,10 +3,15 @@
 // stencil left uncoarsened), coarsened-vs-serial bitwise identity across
 // worker/stream counts on the PFlow_742_small analog and the
 // pathological graphs, FactorOptions validation, the batch stats
-// counters (including fused device launches), and the >= 1.3x modeled
-// coarsening speedup acceptance bar.
+// counters (including fused device launches), the >= 1.3x modeled
+// coarsening speedup acceptance bar, RLB's one SCATTER task per
+// (source, target) pair, and the RL slot capacities sized from the tasks
+// that can be in flight together.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -367,6 +372,138 @@ TEST(ExecPlan, ModeledBatchingSpeedupOnPflowAnalog) {
   const auto von = on.values();
   expect_bitwise_equal({voff.begin(), voff.end()},
                        {von.begin(), von.end()});
+}
+
+TEST(ExecPlan, RlbSplitScattersRunPerTarget) {
+  // The RLB scheduled graph has one scatter task per (source, target):
+  // task count = batches + unbatched computes + the update-target counts
+  // of the unbatched supernodes (a batch absorbs its members' scatters).
+  const CscMatrix a = grid3d_7pt(9, 9, 9);
+  const Permutation fill =
+      compute_ordering(a, OrderingMethod::kNestedDissection);
+  const SymbolicFactor symb = SymbolicFactor::analyze(a, fill, {});
+  const ExecutionPlan rl = ExecutionPlan::build(symb, {}, {}, {});
+  std::size_t expect = static_cast<std::size_t>(rl.batches_formed());
+  // The same graph with one SCATTER per source instead of per target.
+  std::size_t per_source = expect;
+  for (index_t s = 0; s < symb.num_supernodes(); ++s) {
+    if (rl.batched(s)) continue;
+    expect += 1 + symb.sn_update_targets(s).size();
+    per_source += symb.sn_below(s) > 0 ? 2 : 1;
+  }
+  FactorOptions par;
+  par.method = Method::kRLB;
+  par.exec = Execution::kCpuParallel;
+  par.cpu_workers = 4;
+  const CholeskyFactor f = CholeskyFactor::factorize(a, symb, par);
+  EXPECT_EQ(f.stats().scheduler_tasks, expect);
+  // More tasks than one SCATTER per source would give.
+  EXPECT_GT(f.stats().scheduler_tasks, per_source);
+}
+
+/// Whether supernode x lies in the subtree of y (y itself included).
+bool in_subtree(const SymbolicFactor& symb, index_t x, index_t y) {
+  for (; x >= 0; x = symb.sn_parent(x)) {
+    if (x == y) return true;
+  }
+  return false;
+}
+
+TEST(ExecPlan, ConcurrentSlotCapsMatchBruteForce) {
+  // Brute-force oracle for detail::concurrent_slot_caps on up to 12 plan
+  // tasks (COMPUTE nodes and BATCH runs) with pseudo-random needs: rank
+  // the tasks by a + b descending (ties keep their order); a task raises
+  // slot k's capacity iff k earlier tasks, pairwise concurrent with each
+  // other and with it, exist (largest such set found by enumeration).
+  // Two tasks are concurrent iff no supernode of one lies in the subtree
+  // of a supernode of the other.
+  std::vector<std::pair<const char*, CscMatrix>> cases;
+  cases.emplace_back("grid2d", grid2d_5pt(14, 14));
+  cases.emplace_back("grid3d", grid3d_7pt(8, 8, 8));
+  cases.emplace_back("forest", small_supernode_forest(60, 8, 12));
+  std::ptrdiff_t batch_runs = 0;
+  for (const auto& [name, a] : cases) {
+    SCOPED_TRACE(name);
+    const SymbolicFactor symb =
+        SymbolicFactor::analyze(a, compute_ordering(a, OrderingOptions{}));
+    // Every third supernode on the device: those stay COMPUTE nodes, the
+    // others may pack into BATCH runs between them.
+    std::vector<char> on_gpu(static_cast<std::size_t>(symb.num_supernodes()));
+    for (std::size_t s = 0; s < on_gpu.size(); ++s) on_gpu[s] = s % 3 == 0;
+    const ExecutionPlan plan = ExecutionPlan::build(symb, on_gpu, {}, {});
+    std::vector<detail::SlotNeed> all;
+    for (const PlanNode& n : plan.nodes()) {
+      if (n.kind == PlanNodeKind::kCompute) all.push_back({0, 0, n.sn, n.sn});
+      if (n.kind == PlanNodeKind::kBatch) {
+        all.push_back({0, 0, n.batch_first, n.batch_last});
+      }
+    }
+    const std::size_t stride = std::max<std::size_t>(1, all.size() / 12);
+    std::vector<detail::SlotNeed> needs;
+    std::uint64_t x = 12345;
+    for (std::size_t i = 0; i < all.size() && needs.size() < 12;
+         i += stride) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      detail::SlotNeed n = all[i];
+      n.a = (x >> 33) % 50;
+      n.b = (x >> 13) % 50;
+      needs.push_back(n);
+    }
+    const std::size_t t = needs.size();
+    ASSERT_GE(t, 8u);
+    batch_runs += std::count_if(needs.begin(), needs.end(),
+                                [](const detail::SlotNeed& n) {
+                                  return n.first < n.last;
+                                });
+    auto concurrent = [&](std::size_t i, std::size_t j) {
+      for (index_t u = needs[i].first; u <= needs[i].last; ++u) {
+        for (index_t v = needs[j].first; v <= needs[j].last; ++v) {
+          if (in_subtree(symb, u, v) || in_subtree(symb, v, u)) return false;
+        }
+      }
+      return true;
+    };
+    std::vector<std::size_t> order(t);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t i, std::size_t j) {
+                       return needs[i].a + needs[i].b >
+                              needs[j].a + needs[j].b;
+                     });
+    std::vector<std::size_t> beside(t, 0);  // by rank position
+    for (std::size_t p = 0; p < t; ++p) {
+      std::vector<std::size_t> cand;
+      for (std::size_t q = 0; q < p; ++q) {
+        if (concurrent(order[p], order[q])) cand.push_back(order[q]);
+      }
+      for (std::uint32_t m = 0; m < (1u << cand.size()); ++m) {
+        std::vector<std::size_t> set;
+        for (std::size_t c = 0; c < cand.size(); ++c) {
+          if (m >> c & 1u) set.push_back(cand[c]);
+        }
+        bool antichain = true;
+        for (std::size_t i = 0; antichain && i < set.size(); ++i) {
+          for (std::size_t j = i + 1; antichain && j < set.size(); ++j) {
+            antichain = concurrent(set[i], set[j]);
+          }
+        }
+        if (antichain) beside[p] = std::max(beside[p], set.size());
+      }
+    }
+    for (const std::size_t slots : {1u, 2u, 3u, 4u}) {
+      std::vector<std::pair<std::size_t, std::size_t>> want(slots);
+      for (std::size_t p = 0; p < t; ++p) {
+        const detail::SlotNeed& n = needs[order[p]];
+        for (std::size_t k = 0; k <= std::min(beside[p], slots - 1); ++k) {
+          want[k].first = std::max(want[k].first, n.a);
+          want[k].second = std::max(want[k].second, n.b);
+        }
+      }
+      EXPECT_EQ(detail::concurrent_slot_caps(symb, needs, slots), want)
+          << slots << " slots";
+    }
+  }
+  EXPECT_GT(batch_runs, 0);  // multi-supernode spans were covered
 }
 
 }  // namespace

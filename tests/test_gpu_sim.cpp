@@ -247,5 +247,22 @@ TEST(SlotPool, RankedSlotsHonourTheFitPredicate) {
   EXPECT_EQ(big->buf.size(), 8u);
 }
 
+TEST(SlotPool, SmallestFitLeasesTheSmallestFreeSlotThatFits) {
+  Device dev;
+  const std::size_t caps[3] = {8, 4, 2};
+  SlotPool<TestSlot> pool(3, [&](std::size_t k) {
+    return std::make_unique<TestSlot>(dev, caps[k]);
+  });
+  auto fits = [](std::size_t need) {
+    return [need](const TestSlot& s) { return s.buf.size() >= need; };
+  };
+  auto a = pool.acquire(fits(3), true);
+  EXPECT_EQ(a->buf.size(), 4u);
+  auto b = pool.acquire(fits(1), true);
+  EXPECT_EQ(b->buf.size(), 2u);
+  auto c = pool.acquire(fits(1), true);  // the smaller slots are leased
+  EXPECT_EQ(c->buf.size(), 8u);
+}
+
 }  // namespace
 }  // namespace spchol::gpu

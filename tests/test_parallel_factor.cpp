@@ -1,11 +1,15 @@
 // Etree task-scheduler coverage: kCpuParallel with real worker threads
 // must produce bitwise-identical factors to kCpuSerial across methods,
 // matrices, and worker counts; the hybrid overlap path must keep the
-// GPU pipeline's determinism; scheduler counters must be populated.
+// GPU pipeline's determinism; scheduler counters must be populated; the
+// subtree partitioner must produce subtree-closed groups, and the
+// scheduler's partitioned ready queues must complete under forced work
+// stealing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <latch>
 #include <mutex>
 #include <set>
@@ -13,6 +17,7 @@
 
 #include "spchol/matrix/coo.hpp"
 #include "spchol/support/task_scheduler.hpp"
+#include "spchol/symbolic/etree.hpp"
 #include "spchol/symbolic/exec_plan.hpp"
 #include "test_util.hpp"
 
@@ -518,6 +523,198 @@ TEST(ParallelFactor, EtreeChildrenListsAreConsistent) {
   }
   EXPECT_EQ(children_seen + roots, sf.num_supernodes());
   EXPECT_GE(roots, 1);
+}
+
+TEST(ParallelFactor, WideStencilRlRlbBitwiseIdenticalToSerial) {
+  // A KKT-class wide stencil with a wide root: RL, and RLB with its
+  // scatters split per target supernode, must match the serial bits.
+  const CscMatrix a = grid3d_wide(12, 12, 12, 2);
+  const Permutation fill =
+      compute_ordering(a, OrderingMethod::kNestedDissection);
+  const SymbolicFactor symb = SymbolicFactor::analyze(a, fill, {});
+  for (const Method method : {Method::kRL, Method::kRLB}) {
+    FactorOptions serial;
+    serial.method = method;
+    serial.exec = Execution::kCpuSerial;
+    const CholeskyFactor ref = CholeskyFactor::factorize(a, symb, serial);
+    for (const int cw : {2, 4, 8}) {
+      FactorOptions par = serial;
+      par.exec = Execution::kCpuParallel;
+      par.cpu_workers = cw;
+      const CholeskyFactor f = CholeskyFactor::factorize(a, symb, par);
+      ASSERT_EQ(ref.values().size(), f.values().size());
+      EXPECT_EQ(std::memcmp(ref.values().data(), f.values().data(),
+                            ref.values().size() * sizeof(double)),
+                0)
+          << to_string(method) << " with " << cw << " workers";
+    }
+  }
+}
+
+// --- subtree partitions + partitioned ready queues + work stealing -----
+
+TEST(SubtreePartition, GroupsAreSubtreeClosedAndCoverEverything) {
+  const CscMatrix a = grid3d_7pt(8, 8, 8);
+  const Permutation fill =
+      compute_ordering(a, OrderingMethod::kNestedDissection);
+  const SymbolicFactor sf = SymbolicFactor::analyze(a, fill, {});
+  const std::vector<index_t>& parent = sf.etree();
+  const index_t n = static_cast<index_t>(parent.size());
+  std::vector<index_t> size(parent.size(), 1);
+  for (index_t j = 0; j < n; ++j) {
+    if (parent[j] >= 0) size[parent[j]] += size[j];
+  }
+  for (const index_t nparts : {2, 4, 8}) {
+    const std::vector<index_t> part = subtree_partition(parent, nparts);
+    ASSERT_EQ(part.size(), parent.size());
+    // The spine: vertices whose subtree exceeds the per-part target.
+    const index_t target = (n + nparts - 1) / nparts;
+    for (index_t j = 0; j < n; ++j) {
+      EXPECT_GE(part[j], 0);
+      EXPECT_LT(part[j], nparts);
+      const index_t p = parent[j];
+      if (p < 0) continue;
+      // Subtree-closed: a below-cut vertex shares its parent's partition
+      // unless the parent is on the spine; the spine is upward-closed.
+      if (size[p] <= target) {
+        EXPECT_EQ(part[j], part[p]) << "vertex " << j;
+      }
+      if (size[j] > target) {
+        EXPECT_GT(size[p], target) << "vertex " << j;
+      }
+    }
+  }
+  // nparts <= 1: everything in partition 0.
+  const std::vector<index_t> one = subtree_partition(parent, 1);
+  for (const index_t p : one) EXPECT_EQ(p, 0);
+}
+
+TEST(PartitionedScheduler, StealingDrainsAnUnbalancedQueue) {
+  // Every task sits in partition 0 of a 4-partition scheduler: workers
+  // whose home queue stays empty must steal to finish the graph.
+  TaskScheduler sched;
+  sched.set_partitions(4);
+  std::atomic<int> runs{0};
+  constexpr int kTasks = 64;
+  std::vector<std::size_t> ids;
+  for (int i = 0; i < kTasks; ++i) {
+    ids.push_back(sched.add_task(
+        static_cast<std::size_t>(i), [&](std::size_t) { runs++; },
+        TaskScheduler::kNoResource, /*partition=*/0));
+  }
+  for (int i = 1; i < kTasks; ++i) sched.add_edge(ids[i - 1], ids[i]);
+  const SchedulerStats st = sched.run(4);
+  EXPECT_EQ(runs.load(), kTasks);
+  EXPECT_EQ(st.tasks_run, static_cast<std::size_t>(kTasks));
+  EXPECT_EQ(st.partitions, 4u);
+}
+
+TEST(PartitionedScheduler, StealIsForcedAndCounted) {
+  // Two tasks in partition 1 that can only finish if they run
+  // CONCURRENTLY on different workers (they spin on each other's flag):
+  // with 2 workers, the home-0 worker MUST steal one of them.
+  TaskScheduler sched;
+  sched.set_partitions(2);
+  std::atomic<bool> flag_a{false}, flag_b{false};
+  sched.add_task(
+      0,
+      [&](std::size_t) {
+        flag_a.store(true);
+        while (!flag_b.load()) std::this_thread::yield();
+      },
+      TaskScheduler::kNoResource, /*partition=*/1);
+  sched.add_task(
+      1,
+      [&](std::size_t) {
+        flag_b.store(true);
+        while (!flag_a.load()) std::this_thread::yield();
+      },
+      TaskScheduler::kNoResource, /*partition=*/1);
+  const SchedulerStats st = sched.run(2);
+  EXPECT_EQ(st.tasks_run, 2u);
+  EXPECT_GE(st.steals, 1u);
+  EXPECT_EQ(st.threads_used, 2u);
+}
+
+TEST(PartitionedScheduler, CrossPartitionDagStress) {
+  // A layered DAG spread over 8 partitions with cross-partition edges:
+  // every task must observe all its predecessors complete (acq/rel via
+  // the scheduler), and the whole graph must drain under stealing.
+  constexpr int kLayers = 20, kWidth = 16;
+  TaskScheduler sched;
+  sched.set_partitions(8);
+  std::vector<std::atomic<int>> done(kLayers * kWidth);
+  for (auto& d : done) d.store(0);
+  std::vector<std::size_t> ids(kLayers * kWidth);
+  std::atomic<int> violations{0};
+  for (int l = 0; l < kLayers; ++l) {
+    for (int w = 0; w < kWidth; ++w) {
+      const int me = l * kWidth + w;
+      ids[me] = sched.add_task(
+          static_cast<std::size_t>(me),
+          [&, l, w, me](std::size_t) {
+            if (l > 0) {
+              // Predecessors: same column and the two neighbours.
+              for (int dw = -1; dw <= 1; ++dw) {
+                const int pw = w + dw;
+                if (pw < 0 || pw >= kWidth) continue;
+                if (done[(l - 1) * kWidth + pw].load() != 1) violations++;
+              }
+            }
+            done[me].store(1);
+          },
+          TaskScheduler::kNoResource,
+          /*partition=*/static_cast<std::size_t>(w % 8));
+      if (l > 0) {
+        for (int dw = -1; dw <= 1; ++dw) {
+          const int pw = w + dw;
+          if (pw < 0 || pw >= kWidth) continue;
+          sched.add_edge(ids[(l - 1) * kWidth + pw], ids[me]);
+        }
+      }
+    }
+  }
+  const SchedulerStats st = sched.run(8);
+  EXPECT_EQ(st.tasks_run, static_cast<std::size_t>(kLayers * kWidth));
+  EXPECT_EQ(violations.load(), 0);
+}
+
+TEST(PartitionedScheduler, ModeledMakespanBoundsHold) {
+  // A chain replays to the duration sum at any width; a wide independent
+  // layer replays to at most the sum and at least the longest task.
+  TaskScheduler chain;
+  std::vector<std::size_t> ids;
+  std::atomic<int> sink{0};
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(chain.add_task(static_cast<std::size_t>(i),
+                                 [&](std::size_t) { sink++; }));
+    if (i > 0) chain.add_edge(ids[i - 1], ids[i]);
+  }
+  chain.run(4);
+  double sum = 0.0, longest = 0.0;
+  for (const double d : chain.task_seconds()) {
+    sum += d;
+    longest = std::max(longest, d);
+  }
+  const double replay1 = chain.modeled_makespan(1);
+  const double replay8 = chain.modeled_makespan(8);
+  EXPECT_NEAR(replay1, sum, 1e-12);
+  EXPECT_NEAR(replay8, sum, 1e-12);  // a chain cannot go faster
+  EXPECT_GE(replay8, longest);
+
+  TaskScheduler wide;
+  for (int i = 0; i < 8; ++i) {
+    wide.add_task(static_cast<std::size_t>(i), [&](std::size_t) { sink++; });
+  }
+  wide.run(4);
+  double wsum = 0.0, wmax = 0.0;
+  for (const double d : wide.task_seconds()) {
+    wsum += d;
+    wmax = std::max(wmax, d);
+  }
+  EXPECT_NEAR(wide.modeled_makespan(1), wsum, 1e-12);
+  EXPECT_LE(wide.modeled_makespan(8), wsum + 1e-12);
+  EXPECT_GE(wide.modeled_makespan(8), wmax - 1e-12);
 }
 
 }  // namespace

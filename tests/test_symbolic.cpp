@@ -1,9 +1,11 @@
-// SymbolicFactor pipeline properties: partition validity, structure
-// containment, block coverage, merge cap, relative-index consistency —
-// property-tested across matrix families and option combinations.
+// SymbolicFactor properties: partition validity, exact row structures
+// (against a brute-force elimination oracle), block coverage, merge cap,
+// relative-index consistency — property-tested across matrix families and
+// option combinations — plus option validation.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <cmath>
+#include <cstring>
 
 #include "spchol/graph/ordering.hpp"
 #include "spchol/matrix/generators.hpp"
@@ -44,7 +46,32 @@ std::vector<SymCase> make_cases() {
       OrderingMethod::kNatural);
   add("vector_grid", grid3d_vector(3, 3, 3, 2), 0.25, true,
       SupernodeMode::kMaximal, OrderingMethod::kNestedDissection);
+  add("grid2d_heavy_merge", grid2d_5pt(12, 12), 1.0, true,
+      SupernodeMode::kMaximal, OrderingMethod::kNestedDissection);
   return cases;
+}
+
+/// Brute-force structure of L for the lower-triangle pattern `ap`:
+/// l[i][j] != 0 iff L(i, j) is structurally nonzero (i >= j), by boolean
+/// right-looking elimination.
+std::vector<std::vector<char>> factor_pattern(const CscMatrix& ap) {
+  const index_t n = ap.cols();
+  std::vector<std::vector<char>> l(static_cast<std::size_t>(n),
+                                   std::vector<char>(n, 0));
+  for (index_t j = 0; j < n; ++j) {
+    l[j][j] = 1;
+    for (const index_t i : ap.col_rows(j)) l[i][j] = 1;
+  }
+  for (index_t k = 0; k < n; ++k) {
+    std::vector<index_t> below;
+    for (index_t i = k + 1; i < n; ++i) {
+      if (l[i][k]) below.push_back(i);
+    }
+    for (std::size_t a = 0; a < below.size(); ++a) {
+      for (std::size_t b = 0; b <= a; ++b) l[below[a]][below[b]] = 1;
+    }
+  }
+  return l;
 }
 
 class SymbolicProperties : public ::testing::TestWithParam<int> {};
@@ -101,6 +128,23 @@ TEST_P(SymbolicProperties, AllInvariants) {
       EXPECT_GE(sf.row_position(s, i), 0)
           << "A(" << i << "," << j << ") outside structure";
     }
+  }
+
+  // --- exact structure: rows of s = its own columns ∪ the columns of L
+  //     over s, restricted to rows >= its first column ---
+  const auto l = factor_pattern(ap);
+  for (index_t s = 0; s < ns; ++s) {
+    std::vector<index_t> expect;
+    for (index_t i = sf.sn_begin(s); i < n; ++i) {
+      bool hit = i < sf.sn_end(s);
+      for (index_t j = sf.sn_begin(s); !hit && j < sf.sn_end(s); ++j) {
+        hit = j <= i && l[i][j];
+      }
+      if (hit) expect.push_back(i);
+    }
+    const auto rows = sf.sn_rows(s);
+    EXPECT_EQ(std::vector<index_t>(rows.begin(), rows.end()), expect)
+        << "supernode " << s;
   }
 
   // --- containment: below-rows of s within any ancestor's columns appear
@@ -166,7 +210,7 @@ TEST_P(SymbolicProperties, AllInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, SymbolicProperties,
-                         ::testing::Range(0, 7), [](const auto& info) {
+                         ::testing::Range(0, 8), [](const auto& info) {
                            return cases()[info.param].name;
                          });
 
@@ -188,6 +232,25 @@ TEST(SymbolicMerge, RespectsGrowthCap) {
         << "cap " << cap;
     EXPECT_LE(merged.num_supernodes(), base.num_supernodes());
     EXPECT_GE(merged.factor_nnz(), base.factor_nnz());
+  }
+}
+
+TEST(SymbolicMerge, HugeCapMergesAtLeastAsMuchAsLargeCap) {
+  // A cap whose budget overflows offset_t saturates instead of wrapping
+  // into a negative budget (which merged nothing).
+  const CscMatrix a = grid2d_5pt(30, 30);
+  const Permutation fill =
+      compute_ordering(a, OrderingMethod::kNestedDissection);
+  AnalyzeOptions large;
+  large.merge_growth_cap = 1e6;
+  const SymbolicFactor ref = SymbolicFactor::analyze(a, fill, large);
+  EXPECT_GT(ref.num_merges(), 0);
+  for (const double cap : {1e17, 1e30, 1e300}) {
+    AnalyzeOptions huge = large;
+    huge.merge_growth_cap = cap;
+    const SymbolicFactor sf = SymbolicFactor::analyze(a, fill, huge);
+    EXPECT_GE(sf.num_merges(), ref.num_merges()) << "cap " << cap;
+    EXPECT_LE(sf.num_supernodes(), ref.num_supernodes()) << "cap " << cap;
   }
 }
 
@@ -233,6 +296,33 @@ TEST(Symbolic, ColumnCountHeightMatchesStructure) {
   const SymbolicFactor sf = SymbolicFactor::analyze(a, fill, o);
   for (index_t s = 0; s < sf.num_supernodes(); ++s) {
     EXPECT_EQ(sf.sn_nrows(s), sf.col_counts()[sf.sn_begin(s)]);
+  }
+}
+
+TEST(Symbolic, OptionValidation) {
+  const CscMatrix a = grid2d_5pt(4, 4);
+  const Permutation fill = compute_ordering(a, OrderingMethod::kNatural);
+  AnalyzeOptions neg_cap;
+  neg_cap.merge_growth_cap = -0.25;
+  EXPECT_THROW(SymbolicFactor::analyze(a, fill, neg_cap), InvalidArgument);
+  AnalyzeOptions nan_cap;
+  nan_cap.merge_growth_cap = std::nan("");
+  EXPECT_THROW(SymbolicFactor::analyze(a, fill, nan_cap), InvalidArgument);
+  AnalyzeOptions neg_workers;
+  neg_workers.workers = -2;
+  EXPECT_THROW(SymbolicFactor::analyze(a, fill, neg_workers),
+               InvalidArgument);
+}
+
+TEST(Symbolic, NonSquareErrorReportsDimensions) {
+  // 3x2 lower-triangle-ish matrix: diagonal of each column only.
+  const CscMatrix a(3, 2, {0, 1, 2}, {0, 1}, {1.0, 1.0});
+  try {
+    SymbolicFactor::analyze(a, Permutation::identity(2), {});
+    FAIL() << "expected analyze to reject a non-square matrix";
+  } catch (const Error& e) {
+    EXPECT_NE(std::strstr(e.what(), "3x2"), nullptr)
+        << "message should name the offending dimensions: " << e.what();
   }
 }
 
