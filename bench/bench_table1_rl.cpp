@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "spchol/core/internal.hpp"
 
 using namespace spchol;
 using namespace spchol::bench;
@@ -75,11 +74,7 @@ int main() {
                  {{"skipped",
                    "device out of memory: RL update matrix exceeds the "
                    "135 MiB analog device (paper Table I reports "
-                   "nlpkkt120 unrunnable under RL)"},
-                  // Skipped rows carry the same topology marker as run
-                  // rows, so per-topology tooling never sees a sweep
-                  // point silently drop the field.
-                  {"topology", "uniform"}});
+                   "nlpkkt120 unrunnable under RL)"}});
       continue;
     }
     std::printf(
@@ -230,166 +225,6 @@ int main() {
                 last.gpu_overlap_seconds, last.gpu_stream_pairs);
   }
   print_rule();
-
-  // --- multi-device sharding: modeled time vs gpu_devices ----------------
-  // The DeviceRegistry sweep: the planner's separator-tree partition
-  // shards the GPU supernodes across 1/2/4 devices and the separators
-  // above the cut run cooperatively (sliced transfers + distributed
-  // trailing updates), so the modeled makespan drops while the factors
-  // stay bitwise identical to the single-device run (asserted in
-  // test_multi_device). cpu_workers pinned for the same reason as above.
-  std::printf(
-      "\nMulti-device sharding sweep (RL, modeled time vs gpu_devices)\n");
-  print_rule('=');
-  std::printf("%-17s %10s %10s %10s %9s %7s %8s\n", "matrix", "dev=1",
-              "dev=2", "dev=4", "speedup", "coop", "xfers");
-  // Threshold lowered to 20000 entries: enough supernodes cross to the
-  // devices that the partition has real work to spread (at the Table I
-  // threshold the GPU holds only the top few separators and the sweep
-  // is flat).
-  for (const char* name : {"nlpkkt80", "Bump_2911", "Queen_4147"}) {
-    const PreparedMatrix m = prepare(dataset_entry(name));
-    double seconds[3] = {0.0, 0.0, 0.0};
-    FactorStats last{};
-    const int device_counts[3] = {1, 2, 4};
-    for (int i = 0; i < 3; ++i) {
-      FactorOptions opts =
-          gpu_options(Method::kRL, RlbVariant::kStreamed,
-                      Execution::kGpuHybrid, /*thr_rl=*/20000,
-                      kThresholdRlb);
-      opts.cpu_workers = 8;
-      opts.gpu_streams = 4;
-      opts.gpu_devices = device_counts[i];
-      const RunResult r = run_factor(m, opts);
-      seconds[i] = r.seconds;
-      last = r.stats;
-      report.row("multi_device", name,
-                 {{"devices", static_cast<double>(device_counts[i])},
-                  {"modeled_seconds", r.seconds},
-                  {"speedup", seconds[0] / r.seconds},
-                  {"coop_supernodes",
-                   static_cast<double>(r.stats.coop_supernodes)},
-                  {"cross_device_transfers",
-                   static_cast<double>(r.stats.num_cross_device_transfers)}},
-                 {{"topology", "uniform"}});
-    }
-    std::printf("%-17s %10.4f %10.4f %10.4f %8.2fx %7d %8zu\n", name,
-                seconds[0], seconds[1], seconds[2], seconds[0] / seconds[2],
-                static_cast<int>(last.coop_supernodes),
-                last.num_cross_device_transfers);
-  }
-  print_rule();
-  std::printf(
-      "dev=N: modeled hybrid factorization seconds with gpu_devices = N "
-      "(8 workers, 4 stream pairs per\ndevice, gpu_threshold_rl 20000); "
-      "speedup: dev=1 over dev=4; coop/xfers: cooperative separators\n"
-      "and cross-device assembly hops of the 4-device run. Bits are "
-      "identical across the row.\n");
-
-  // --- topology sweep: per-pair links + placement-optimized shards -------
-  // FactorOptions::device.model.links is a per-pair link table every
-  // device's PerfModel prices hops over; it turns device assignment
-  // into two phases:
-  // the size-balanced partition produces shards, then a placement pass
-  // permutes shard -> ordinal to minimize the modeled cross-shard
-  // traffic seconds over the table (heavy parent/child shard pairs land
-  // inside the same NVLink island instead of wherever the partition
-  // order dropped them). naive/placed price the SAME shards over the
-  // preset table with the PR 8 order-of-partition placement vs the
-  // placement pass (symbolic-level, modeled_cross_traffic_seconds);
-  // xferSec is the executed run's cross-device assembly total. Factors
-  // are bitwise identical across every row (asserted in test_topology).
-  std::printf(
-      "\nTopology sweep (RL, vector mesh 14x14x14x3, gpu_devices = 4)\n");
-  print_rule('=');
-  {
-    PreparedMatrix tm;
-    tm.a = grid3d_vector(14, 14, 14, 3);
-    const Permutation tfill =
-        compute_ordering(tm.a, OrderingMethod::kNestedDissection);
-    tm.symb = SymbolicFactor::analyze(tm.a, tfill, AnalyzeOptions{});
-    const int devices = 4;
-    struct Preset {
-      const char* name;
-      gpu::LinkTable table;
-    };
-    const Preset presets[] = {
-        {"uniform", gpu::LinkTable::uniform(devices)},
-        {"nvlink2", gpu::LinkTable::nvlink_islands(devices, 2)},
-        {"nvlink4", gpu::LinkTable::nvlink_islands(devices, 4)},
-        {"pcie", gpu::LinkTable::pcie_tree(devices)},
-    };
-    std::printf("%-9s %10s %10s | %10s %10s %7s | per-link bytes/seconds\n",
-                "topology", "modeled", "xferSec", "naive(s)", "placed(s)",
-                "gain");
-    for (const Preset& p : presets) {
-      FactorOptions opts =
-          gpu_options(Method::kRL, RlbVariant::kStreamed,
-                      Execution::kGpuHybrid, /*thr_rl=*/1500, kThresholdRlb);
-      opts.cpu_workers = 8;
-      opts.gpu_streams = 4;
-      opts.gpu_devices = devices;
-      opts.device.model.links = p.table;
-      const RunResult r = run_factor(tm, opts);
-      if (r.out_of_memory) {
-        std::printf("%-9s %10s\n", p.name, "OOM");
-        report.row("topology", "vector_14x14x14x3",
-                   std::vector<std::pair<std::string, double>>{
-                       {"devices", static_cast<double>(devices)}},
-                   {{"skipped", "device out of memory"},
-                    {"topology", p.name}});
-        continue;
-      }
-      // Planner-level placement gain under this table: same shards,
-      // order-of-partition ordinals vs the placement permutation.
-      const index_t ns = tm.symb.num_supernodes();
-      std::vector<char> on_gpu(static_cast<std::size_t>(ns), 0);
-      for (index_t s = 0; s < ns; ++s) {
-        on_gpu[s] = detail::supernode_on_gpu(tm.symb, opts, s) ? 1 : 0;
-      }
-      const gpu::PerfModel& model = opts.device.model;
-      const std::vector<index_t> naive_dev = assign_devices(
-          tm.symb, on_gpu, devices, /*coop_spine=*/true, nullptr);
-      const std::vector<index_t> placed_dev = assign_devices(
-          tm.symb, on_gpu, devices, /*coop_spine=*/true, &p.table);
-      const double naive_s =
-          modeled_cross_traffic_seconds(tm.symb, on_gpu, naive_dev, model);
-      const double placed_s =
-          modeled_cross_traffic_seconds(tm.symb, on_gpu, placed_dev, model);
-      std::printf("%-9s %10.4f %10.6f | %10.6f %10.6f %6.2fx |", p.name,
-                  r.seconds, r.stats.cross_device_assembly_seconds, naive_s,
-                  placed_s, placed_s > 0.0 ? naive_s / placed_s : 1.0);
-      std::vector<std::pair<std::string, double>> fields = {
-          {"devices", static_cast<double>(devices)},
-          {"modeled_seconds", r.seconds},
-          {"cross_device_seconds", r.stats.cross_device_assembly_seconds},
-          {"cross_device_transfer_bytes",
-           static_cast<double>(r.stats.cross_device_transfer_bytes)},
-          {"placement_naive_traffic_seconds", naive_s},
-          {"placement_traffic_seconds", placed_s},
-          {"placement_gain", placed_s > 0.0 ? naive_s / placed_s : 1.0}};
-      for (const LinkTransfer& lt : r.stats.per_link) {
-        const std::string key = "link_" + std::to_string(lt.src) + "_" +
-                                std::to_string(lt.dst);
-        fields.emplace_back(key + "_bytes",
-                            static_cast<double>(lt.bytes));
-        fields.emplace_back(key + "_seconds", lt.seconds);
-        std::printf(" %d->%d %zuB/%.2es", lt.src, lt.dst, lt.bytes,
-                    lt.seconds);
-      }
-      std::printf("\n");
-      report.row("topology", "vector_14x14x14x3", fields,
-                 {{"topology", p.name}});
-    }
-  }
-  print_rule();
-  std::printf(
-      "modeled: hybrid factorization seconds under the preset link table "
-      "(8 workers, 4 stream pairs,\ngpu_threshold_rl 1500); "
-      "naive/placed: modeled cross-shard traffic seconds of the partition "
-      "with\norder-of-partition vs placement-optimized ordinals; per-link: "
-      "the executed run's (src->dst)\ntransfer breakdown "
-      "(FactorStats::per_link). Bits are identical across all rows.\n");
 
   report.write("BENCH_table1.json");
   return 0;

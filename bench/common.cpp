@@ -116,17 +116,6 @@ void JsonReport::row(
     const std::string& section, const std::string& matrix,
     std::initializer_list<std::pair<const char*, double>> fields,
     std::initializer_list<std::pair<const char*, const char*>> text) {
-  row(section, matrix,
-      std::vector<std::pair<std::string, double>>(fields.begin(),
-                                                  fields.end()),
-      std::vector<std::pair<std::string, std::string>>(text.begin(),
-                                                       text.end()));
-}
-
-void JsonReport::row(
-    const std::string& section, const std::string& matrix,
-    const std::vector<std::pair<std::string, double>>& fields,
-    const std::vector<std::pair<std::string, std::string>>& text) {
   std::string r = "{\"section\": " + json_string(section) +
                   ", \"matrix\": " + json_string(matrix);
   for (const auto& [key, value] : fields) {

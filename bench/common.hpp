@@ -82,13 +82,6 @@ class JsonReport {
            std::initializer_list<std::pair<const char*, const char*>> text =
                {});
 
-  /// Vector overload for rows whose field set is built at runtime (the
-  /// per-link transfer breakdown of the topology sweep, whose keys
-  /// depend on which device pairs actually exchanged data).
-  void row(const std::string& section, const std::string& matrix,
-           const std::vector<std::pair<std::string, double>>& fields,
-           const std::vector<std::pair<std::string, std::string>>& text = {});
-
   /// Writes the document to `path` (overwriting).
   void write(const std::string& path) const;
 

@@ -49,15 +49,10 @@ void validate(const FactorOptions& o) {
     throw InvalidArgument("FactorOptions::gpu_streams must be >= 1; got " +
                           std::to_string(o.gpu_streams));
   }
-  if (o.gpu_devices < 1) {
-    throw InvalidArgument("FactorOptions::gpu_devices must be >= 1; got " +
-                          std::to_string(o.gpu_devices));
-  }
   if (o.gpu_threshold_rl < 0 || o.gpu_threshold_rlb < 0) {
     throw InvalidArgument("FactorOptions GPU thresholds must be >= 0");
   }
-  o.device.model.links.validate(o.gpu_devices,
-                                "FactorOptions::device.model.links");
+  gpu::validate(o.device, "FactorOptions::device");
 }
 
 void validate(const SolveOptions& o) {
@@ -74,16 +69,11 @@ void validate(const SolveOptions& o) {
     throw InvalidArgument("SolveOptions::gpu_streams must be >= 1; got " +
                           std::to_string(o.gpu_streams));
   }
-  if (o.gpu_devices < 1) {
-    throw InvalidArgument("SolveOptions::gpu_devices must be >= 1; got " +
-                          std::to_string(o.gpu_devices));
-  }
   if (o.gpu_threshold < 0) {
     throw InvalidArgument("SolveOptions::gpu_threshold must be >= 0; got " +
                           std::to_string(o.gpu_threshold));
   }
-  o.device.model.links.validate(o.gpu_devices,
-                                "SolveOptions::device.model.links");
+  gpu::validate(o.device, "SolveOptions::device");
 }
 
 namespace detail {
@@ -295,17 +285,8 @@ CholeskyFactor CholeskyFactor::factorize(
   // device_peak_bytes stays an absolute watermark.
   FactorStats& st = f.stats_;
   if (ctx.graph.size() == 0) ctx.graph = TaskGraph::chain(ctx.records.size());
-  detail::replay(ctx.graph, ctx.records, {ctx.lanes, ctx.ndev, ctx.pairs},
-                 st);
-  st.gpu_devices_used = static_cast<int>(ctx.ndev);
-  st.device_peak_bytes = 0;
-  for (std::size_t d = 0; d < ctx.ndev; ++d) {
-    DeviceBreakdown& pd = st.per_device[d];
-    pd.peak_bytes = ctx.device(static_cast<index_t>(d)).mem_peak();
-    pd.supernodes = ctx.gpu_supernodes_of[d];
-    st.device_peak_bytes += pd.peak_bytes;
-  }
-  st.coop_supernodes = ctx.coop_supernodes;
+  detail::replay(ctx.graph, ctx.records, {ctx.lanes, ctx.pairs}, st);
+  st.device_peak_bytes = ctx.dev.mem_peak();
   st.wall_seconds = timer.seconds();
   st.supernodes_on_gpu = ctx.supernodes_on_gpu;
   st.total_supernodes = symb.num_supernodes();

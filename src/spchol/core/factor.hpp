@@ -76,39 +76,18 @@ struct FactorOptions {
   /// paper's RL:RLB ratio at dataset scale.
   offset_t gpu_threshold_rl = 60'000;
   offset_t gpu_threshold_rlb = 75'000;
-  /// Simulated device configuration (memory capacity, performance model).
-  /// `device.model.links` is the per-pair p2p link topology of a
-  /// multi-device run (gpu::LinkTable presets: NVLink islands, PCIe
-  /// trees). Empty (default) keeps the flat uniform mesh and the
-  /// order-of-partition shard placement. A non-empty table must be
-  /// square, symmetric, positive-bandwidth, non-negative-latency and
-  /// cover at least gpu_devices devices (InvalidArgument otherwise); it
-  /// turns on the planner's topology-aware shard placement and prices
-  /// every modeled cross-device hop (separator assembly, coop
-  /// all-gathers and panel exchanges) over its src→dst link. On an
-  /// injected runtime, hops are priced by the runtime's own device
-  /// config; this table still drives placement. Links never change
-  /// numerics.
+  /// Simulated device configuration (memory capacity, performance model)
+  /// of a per-call run; an injected runtime brings its own device. Every
+  /// rate and peak of `device.model` must be positive and finite, every
+  /// latency and overhead non-negative and finite (InvalidArgument
+  /// otherwise, gpu::validate). The model never changes numerics.
   gpu::DeviceConfig device{};
-  /// Number of simulated devices the scheduled GPU paths shard across
-  /// (each a copy of `device`). The planner assigns top-level
-  /// separator-tree subtrees to devices (symbolic/exec_plan.hpp
-  /// assign_devices) and the executors route each GPU supernode to its
-  /// assigned device's stream/slot resources; cross-device separator
-  /// assembly is modeled as explicit D2H→H2D transfers
-  /// (FactorStats::cross_device_assembly_seconds). Factors are bitwise
-  /// identical to serial at EVERY device count. Default 1 preserves
-  /// single-device behaviour exactly; values < 1 are rejected with
-  /// InvalidArgument. When factorizing on an injected runtime the
-  /// effective count is capped by the runtime's device registry size.
-  int gpu_devices = 1;
   /// Models the paper's device-resident factor storage: each GPU
-  /// supernode's factored panel stays allocated on its assigned device
-  /// until the factorization completes (scheduled kGpuHybrid paths
-  /// only). This is the 40 GB bound that fails nlpkkt120 in Table I —
-  /// and the capacity pressure multi-device sharding relieves, since
-  /// each device holds only its shard's panels. Default off: transient
-  /// buffers only, the pre-sharding accounting.
+  /// supernode's factored panel stays allocated on the device until the
+  /// factorization completes (scheduled kGpuHybrid paths only), so the
+  /// device must hold the SUM of the GPU panels on top of its slot
+  /// buffers — the 40 GB bound that fails nlpkkt120 in Table I. Default
+  /// off: transient buffers only.
   bool device_resident_factor = false;
   /// Real worker threads for the etree task scheduler (kCpuParallel, and
   /// the CPU side of kGpuHybrid). 0 = hardware concurrency; negative
@@ -116,12 +95,12 @@ struct FactorOptions {
   /// sequential driver (still bitwise identical).
   int cpu_workers = 0;
   /// Stream/buffer slot pairs available to in-flight GPU supernodes in the
-  /// scheduled kGpuHybrid path: the modeled compute/copy stream pairs per
-  /// device of the cost replay, and the device panel+update buffer slots
-  /// of the executor, so independent subtree supernodes overlap on the
-  /// device. The buffer pool degrades gracefully (down to a single slot)
-  /// when device memory cannot hold every slot; values < 1 are rejected
-  /// with InvalidArgument. Results are bitwise identical across stream
+  /// scheduled kGpuHybrid path: the modeled compute/copy stream pairs of
+  /// the cost replay, and the device panel+update buffer slots of the
+  /// executor, so independent subtree supernodes overlap on the device.
+  /// The buffer pool degrades gracefully (down to a single slot) when
+  /// device memory cannot hold every slot; values < 1 are rejected with
+  /// InvalidArgument. Results are bitwise identical across stream
   /// counts.
   int gpu_streams = 4;
 };
@@ -148,22 +127,16 @@ struct SolveOptions {
   offset_t gpu_threshold = 60'000;
   /// Stream/buffer slot pairs for in-flight device solve nodes (>= 1).
   int gpu_streams = 4;
-  /// Devices the scheduled GPU solve shards across, sharing the
-  /// factorization's separator-tree assignment contract (>= 1; rejected
-  /// with InvalidArgument otherwise). Results are bitwise identical to
-  /// the serial sweep at every device count.
-  int gpu_devices = 1;
   /// Simulated device configuration (used only when no shared device is
-  /// injected and the exec mode touches the device). `device.model.links`
-  /// drives the SolvePlan's shard placement exactly as in FactorOptions
-  /// (same validation, same bitwise-identity contract).
+  /// injected and the exec mode touches the device); validated as in
+  /// FactorOptions.
   gpu::DeviceConfig device{};
 };
 
 /// Rejects malformed SolveOptions with InvalidArgument (negative
-/// workers, rhs_panel < 1, gpu_streams < 1, gpu_devices < 1, negative
-/// gpu_threshold). Every solve entry point calls this before touching
-/// the right-hand side.
+/// workers, rhs_panel < 1, gpu_streams < 1, negative gpu_threshold, an
+/// invalid device model). Every solve entry point calls this before
+/// touching the right-hand side.
 void validate(const SolveOptions& opts);
 
 /// Execution statistics of one solve / solve_multi call.
@@ -184,34 +157,6 @@ struct SolveStats {
   index_t gpu_stream_pairs = 0;   ///< solve slot pairs actually allocated
   index_t batches_formed = 0;
   index_t supernodes_batched = 0;
-};
-
-/// Per-device slice of one factorization's modeled GPU activity (from
-/// the call's replay; peak bytes are the device's absolute watermark).
-/// Single-device runs have exactly one entry whose values equal the
-/// aggregate FactorStats fields — the aggregate stays byte-compatible
-/// with pre-sharding consumers.
-struct DeviceBreakdown {
-  double kernel_seconds = 0.0;
-  double h2d_seconds = 0.0;
-  double d2h_seconds = 0.0;
-  double overlap_seconds = 0.0;
-  /// When this device's last op ends in the replay (device 0 also
-  /// covers the host lanes).
-  double modeled_seconds = 0.0;
-  std::size_t peak_bytes = 0;
-  std::size_t num_kernels = 0;
-  index_t supernodes = 0;  ///< GPU supernodes routed to this device
-};
-
-/// One (src,dst) device pair's share of the modeled cross-device
-/// assembly traffic (FactorStats::per_link).
-struct LinkTransfer {
-  int src = 0;  ///< source device ordinal (where the update was computed)
-  int dst = 0;  ///< destination ordinal (where the target panel lives)
-  std::size_t bytes = 0;
-  double seconds = 0.0;
-  std::size_t transfers = 0;
 };
 
 /// Modeled + measured execution statistics of one factorization.
@@ -269,32 +214,6 @@ struct FactorStats {
   /// Fused batched device launches issued (kGpuHybrid RL: one panel-factor
   /// plus one update launch per device-executed batch).
   std::size_t fused_device_launches = 0;
-  // --- multi-device sharding counters -------------------------------------
-  /// Devices the run actually sharded across (1 on every single-device
-  /// path; aggregate fields above sum over all of them).
-  int gpu_devices_used = 1;
-  /// Per-device activity slices, size gpu_devices_used.
-  std::vector<DeviceBreakdown> per_device;
-  /// Modeled seconds of cross-device separator assembly: contributor
-  /// update matrices computed on one device and assembled into a target
-  /// owned by another pay an explicit D2H→H2D transfer. Zero when
-  /// single-device. Part of the modeled host floor — the measured price
-  /// of sharding.
-  double cross_device_assembly_seconds = 0.0;
-  std::size_t cross_device_transfer_bytes = 0;
-  std::size_t num_cross_device_transfers = 0;
-  /// Per-(src,dst) breakdown of the cross-device hops above, one entry
-  /// per link that actually carried traffic, sorted by (src, dst). The
-  /// aggregate fields are the exact sums of these rows; with
-  /// device.model.links set the seconds price each hop over its actual
-  /// link, so slow cross-island links surface directly here.
-  std::vector<LinkTransfer> per_link;
-  /// Supernodes executed through the cooperative all-device pipeline
-  /// (top separators the planner marked device -1: their kernels are
-  /// block-distributed across every engaged device with p2p panel
-  /// broadcasts, because no single shard can absorb them without capping
-  /// the run's scaling). Zero on single-device runs; RL hybrid only.
-  index_t coop_supernodes = 0;
   /// Tasks whose LAST unmet dependency was a same-target chain edge
   /// (SchedulerStats::chain_waits): how often the per-target scatter
   /// chains, rather than data readiness, held a task back.
@@ -315,7 +234,7 @@ struct FactorStats {
 };
 
 /// Rejects malformed FactorOptions with InvalidArgument (negative
-/// cpu_workers or thresholds; gpu_streams or gpu_devices < 1).
+/// cpu_workers or thresholds; gpu_streams < 1; an invalid device model).
 /// factorize() calls this itself; CholeskySolver and SolverService call
 /// it up front so a bad option set fails at analyze()/session creation,
 /// before any ordering or symbolic work runs.
@@ -326,8 +245,8 @@ class CholeskyFactor {
   /// Factorizes PAPᵀ = LLᵀ where P is symb.permutation() and A is given by
   /// its lower triangle in the ORIGINAL ordering. Throws InvalidArgument
   /// on malformed options (negative cpu_workers or thresholds,
-  /// gpu_streams or gpu_devices < 1), NotPositiveDefinite (column
-  /// reported in original indices), or gpu::DeviceOutOfMemory (RL on
+  /// gpu_streams < 1, an invalid device model), NotPositiveDefinite
+  /// (column reported in original indices), or gpu::DeviceOutOfMemory (RL on
   /// matrices whose update matrix exceeds device capacity — the paper's
   /// nlpkkt120 row).
   static CholeskyFactor factorize(const CscMatrix& a_lower,

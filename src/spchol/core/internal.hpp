@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -121,7 +122,7 @@ struct GpuSlot {
 };
 
 /// Everything the RL/RLB kernels need: symbolic data, factor values, the
-/// simulated devices, and the cost records the modeled stats are
+/// simulated device, and the cost records the modeled stats are
 /// replayed from (core/replay.hpp).
 ///
 /// Threading model. In kCpuSerial every kernel runs on one thread. In the
@@ -140,27 +141,25 @@ struct GpuSlot {
 /// account_* calls and device ops at the node's own record, so recording
 /// takes no lock. factorize() replays the records over `graph` (or over
 /// the chain of steps when no scheduler ran) with `lanes` CPU lanes and
-/// `pairs` stream pairs per device.
+/// `pairs` device stream pairs.
 struct FactorContext {
   const SymbolicFactor& symb;
   std::vector<double>& values;
   const FactorOptions& opts;
   const ExecutionResources* res;  ///< injected services; may be nullptr
-  /// The devices GPU work shards across (injected or per call).
-  DeviceSet devices;
-  gpu::Device& dev;            ///< device 0, the primary device
+  std::optional<gpu::Device> own_dev;  ///< the per-call device, if any
+  gpu::Device& dev;            ///< the injected device, else own_dev
   ThreadPool& pool;            ///< backend for nested parallel kernels
   std::size_t blas_capacity;   ///< pool workers + calling thread
   std::size_t workers;         ///< resolved scheduler worker count
   bool scheduled;              ///< task scheduler drives this run
-  std::size_t ndev;            ///< effective device count for this run
 
   /// One cost record per node; `graph` is the DAG the scheduler ran them
   /// in (empty: the sequential drivers' chain of steps).
   std::vector<gpu::OpRecord> records;
   TaskGraph graph;
   std::size_t lanes = 1;  ///< modeled CPU lanes of the replay
-  std::size_t pairs = 1;  ///< modeled stream pairs per device
+  std::size_t pairs = 1;  ///< modeled device stream pairs
 
   std::atomic<std::size_t> num_cpu_blas_calls{0};
   index_t supernodes_on_gpu = 0;
@@ -168,16 +167,12 @@ struct FactorContext {
   index_t batches_formed = 0;        ///< BATCH plan nodes executed
   index_t supernodes_batched = 0;    ///< supernodes coalesced into them
   std::size_t fused_device_launches = 0;
-  /// Supernodes executed through the cooperative all-device pipeline.
-  index_t coop_supernodes = 0;
   /// Modeled task-graph makespans at 1 worker and at ctx.workers
   /// (TaskScheduler::modeled_makespan after the drain); zero on the
   /// sequential drivers.
   double modeled_task_serial_seconds = 0.0;
   double modeled_task_parallel_seconds = 0.0;
   SchedulerStats sched_stats{};
-  /// GPU supernodes routed to each device ordinal (stats breakdown).
-  std::vector<index_t> gpu_supernodes_of;
 
   FactorContext(const SymbolicFactor& s, std::vector<double>& v,
                 const FactorOptions& o,
@@ -186,18 +181,12 @@ struct FactorContext {
         values(v),
         opts(o),
         res(r),
-        devices(r, o.device, o.gpu_devices),
-        dev(devices.primary()),
+        dev(r != nullptr && r->device != nullptr ? *r->device
+                                                 : own_dev.emplace(o.device)),
         pool(ThreadPool::global()),
         blas_capacity(ThreadPool::global().concurrency()),
         workers(resolve_worker_count(o.cpu_workers)),
-        scheduled(runs_scheduled(o)),
-        ndev(devices.size()) {
-    gpu_supernodes_of.assign(ndev, 0);
-  }
-
-  /// Device a plan-node ordinal resolves to (DeviceSet::device).
-  gpu::Device& device(index_t ordinal) { return devices.device(ordinal); }
+        scheduled(runs_scheduled(o)) {}
 
   double* sn_values(index_t s) {
     return values.data() + symb.sn_values_offset(s);
@@ -249,11 +238,10 @@ struct FactorContext {
     SPCHOL_CHECK(tl_record_ != nullptr, "modeled cost outside a node");
     return *tl_record_;
   }
-  /// The running node's (compute, copy) stream handles on device `d`.
-  std::pair<gpu::Stream, gpu::Stream> streams(index_t d) {
+  /// The running node's (compute, copy) stream handles.
+  std::pair<gpu::Stream, gpu::Stream> streams() {
     gpu::OpRecord* rec = &record();
-    return {{rec, static_cast<int>(d), gpu::Role::kCompute},
-            {rec, static_cast<int>(d), gpu::Role::kCopy}};
+    return {{rec, gpu::Role::kCompute}, {rec, gpu::Role::kCopy}};
   }
 
   /// Accumulator of the modeled CPU work issued inside one BATCH task.
@@ -343,45 +331,9 @@ struct FactorContext {
     charge(gpu::OpKind::kAssembly, dev.model().assembly_seconds(entries));
   }
 
-  void count_gpu_supernode(index_t device_ord = 0) {
+  void count_gpu_supernode() {
     std::lock_guard<std::mutex> lk(account_mu_);
     supernodes_on_gpu++;
-    const std::size_t d = device_ord < 0
-                              ? 0
-                              : static_cast<std::size_t>(device_ord) % ndev;
-    if (d < gpu_supernodes_of.size()) gpu_supernodes_of[d]++;
-  }
-
-  /// One supernode executed through the cooperative (all-device) pipeline.
-  void count_coop_supernode() {
-    std::lock_guard<std::mutex> lk(account_mu_);
-    coop_supernodes++;
-  }
-
-  /// Records the hop of one cross-device scatter: `entries` update-matrix
-  /// entries produced on device ordinal `src`, assembled into a target
-  /// panel owned by ordinal `dst`. Without a link topology this is the
-  /// D2H→H2D price (ship to host, re-stage); with PerfModel::links set
-  /// the hop rides the actual src→dst link instead, so cross-island hops
-  /// cost their real bandwidth. The replay runs it on the (src, dst) link
-  /// while the host waits — the measured price of sharding the separator
-  /// tree — and sums FactorStats::per_link from these ops.
-  void account_cross_device(index_t src, index_t dst, double entries) {
-    const double bytes = entries * static_cast<double>(sizeof(double));
-    const auto& m = dev.model();
-    auto fold = [&](index_t d) {
-      return d < 0 ? 0 : static_cast<int>(static_cast<std::size_t>(d) % ndev);
-    };
-    gpu::Op op;
-    op.kind = gpu::OpKind::kLink;
-    op.device = fold(src);
-    op.dst = fold(dst);
-    op.seconds = m.links.empty()
-                     ? m.d2h_seconds(bytes) + m.h2d_seconds(bytes)
-                     : m.p2p_seconds(static_cast<int>(src),
-                                     static_cast<int>(dst), bytes);
-    op.bytes = static_cast<std::size_t>(bytes);
-    record().push_back(op);
   }
 
   void count_fused_launch() {

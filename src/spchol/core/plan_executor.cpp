@@ -13,11 +13,9 @@ namespace {
 /// The layout half shared by build_planned_graph and build_planned_solve:
 /// subtree-partitioned ready queues (whole etree subtrees map to one
 /// queue, so a supernode's tasks usually land on the worker that just ran
-/// its children), the on_gpu marks, and — for multi-device GPU runs —
-/// the separator-tree device assignment of each top-level ND subtree.
+/// its children) and the on_gpu marks.
 PlanLayout plan_layout(const SymbolicFactor& symb, std::size_t workers,
-                       Execution exec, offset_t threshold, int gpu_devices,
-                       bool coop_spine, const gpu::LinkTable& links) {
+                       Execution exec, offset_t threshold) {
   PlanLayout l;
   l.partitions = std::min(std::max<std::size_t>(1, workers),
                           TaskScheduler::kMaxPartitions);
@@ -29,12 +27,6 @@ PlanLayout plan_layout(const SymbolicFactor& symb, std::size_t workers,
   for (index_t s = 0; s < ns; ++s) {
     l.on_gpu[s] = gpu_marked(exec, threshold, symb.sn_entries(s)) ? 1 : 0;
   }
-  l.devices = static_cast<index_t>(std::max(1, gpu_devices));
-  if (l.devices > 1 &&
-      (exec == Execution::kGpuHybrid || exec == Execution::kGpuOnly)) {
-    l.device_of =
-        assign_devices(symb, l.on_gpu, l.devices, coop_spine, &links);
-  }
   return l;
 }
 
@@ -45,18 +37,12 @@ PlannedGraph build_planned_graph(const SymbolicFactor& symb,
                                  std::size_t workers) {
   const bool rl = opts.method == Method::kRL;
   PlannedGraph pg;
-  // RL additionally runs spine supernodes cooperatively (device -1): its
-  // per-supernode kernels decompose cleanly into block rounds. RLB keeps
-  // whole-supernode placement, so spine supernodes follow their heaviest
-  // child there.
   static_cast<PlanLayout&>(pg) = plan_layout(
       symb, workers, opts.exec,
-      rl ? opts.gpu_threshold_rl : opts.gpu_threshold_rlb, opts.gpu_devices,
-      /*coop_spine=*/rl, opts.device.model.links);
+      rl ? opts.gpu_threshold_rl : opts.gpu_threshold_rlb);
   PlanOptions popts;
   popts.fuse_gpu_scatter = !rl;
-  pg.plan = ExecutionPlan::build(symb, pg.on_gpu, pg.queue_of, popts,
-                                 pg.device_of);
+  pg.plan = ExecutionPlan::build(symb, pg.on_gpu, pg.queue_of, popts);
   return pg;
 }
 
@@ -64,30 +50,10 @@ PlannedSolve build_planned_solve(const SymbolicFactor& symb,
                                  const SolveOptions& opts,
                                  std::size_t workers) {
   PlannedSolve ps;
-  // The solve shares the factorization's separator-tree assignment over
-  // its own on_gpu marks: each top-level ND subtree solves on the device
-  // that holds its factor shard.
   static_cast<PlanLayout&>(ps) =
-      plan_layout(symb, workers, opts.exec, opts.gpu_threshold,
-                  opts.gpu_devices, /*coop_spine=*/false,
-                  opts.device.model.links);
-  ps.plan = SolvePlan::build(symb, ps.on_gpu, ps.queue_of, ps.device_of);
+      plan_layout(symb, workers, opts.exec, opts.gpu_threshold);
+  ps.plan = SolvePlan::build(symb, ps.on_gpu, ps.queue_of);
   return ps;
-}
-
-DeviceSet::DeviceSet(const ExecutionResources* res,
-                     const gpu::DeviceConfig& cfg, int gpu_devices) {
-  const auto want = static_cast<std::size_t>(std::max(1, gpu_devices));
-  if (res != nullptr && res->arena != nullptr) {
-    reg_ = &res->arena->registry();
-  } else if (res != nullptr && res->device != nullptr) {
-    dev_ = res->device;
-    return;
-  } else {
-    reg_ = &own_reg_.emplace(cfg, want);
-  }
-  dev_ = &reg_->device(0);
-  ndev_ = std::min(reg_->size(), want);
 }
 
 PlanExecutor::PlanExecutor(FactorContext& ctx)
@@ -96,7 +62,7 @@ PlanExecutor::PlanExecutor(FactorContext& ctx)
       res_(ctx.res),
       workers_(ctx.workers),
       slot_budget_(static_cast<std::size_t>(ctx.opts.gpu_streams)),
-      devices_(&ctx.devices) {
+      dev_(&ctx.dev) {
   const ExecutionResources* res = ctx.res;
   if (res != nullptr && res->sched != nullptr) {
     sched_ = res->sched;
@@ -109,30 +75,20 @@ PlanExecutor::PlanExecutor(FactorContext& ctx)
   sched_->set_partitions(graph_->partitions);
   ctx.batches_formed = graph_->plan.batches_formed();
   ctx.supernodes_batched = graph_->plan.supernodes_batched();
-  if (ctx.opts.exec == Execution::kGpuHybrid) ndev_ = ctx.devices.size();
-  needs_.resize(ndev_);
 
-  // Device-resident factor storage: the paper's multi-GPU runs keep each
-  // shard's factor panels on its device for the whole factorization, so
-  // one device must hold the SUM of its GPU panels — the 40 GB bound a
-  // nlpkkt120-class factor breaks on one device and fits on two. One held
-  // reservation per engaged device; DeviceOutOfMemory propagates exactly
-  // where the real allocation would fail. Cooperative spine supernodes
-  // (ordinal -1) have no single home: they are charged block-cyclically.
+  // Device-resident factor storage: the factor panels of every GPU
+  // supernode stay on the device for the whole factorization, so the
+  // device must hold their SUM — the 40 GB bound a nlpkkt120-class factor
+  // breaks. One held reservation; DeviceOutOfMemory propagates exactly
+  // where the real allocation would fail.
   if (!ctx.opts.device_resident_factor) return;
-  const std::span<const index_t> devof = graph_->device_of;
-  std::vector<std::size_t> entries(ndev_, 0);
+  std::size_t entries = 0;
   for (index_t s = 0; s < ctx.symb.num_supernodes(); ++s) {
-    if (!ctx.on_gpu(s)) continue;
-    const std::size_t d = devof.empty() ? 0
-                          : devof[s] < 0
-                              ? static_cast<std::size_t>(s) % ndev_
-                              : ord(devof[s]);
-    entries[d] += static_cast<std::size_t>(ctx.symb.sn_entries(s));
+    if (ctx.on_gpu(s)) {
+      entries += static_cast<std::size_t>(ctx.symb.sn_entries(s));
+    }
   }
-  for (std::size_t d = 0; d < ndev_; ++d) {
-    if (entries[d] > 0) resident_.emplace_back(device(d), entries[d]);
-  }
+  if (entries > 0) resident_ = gpu::DeviceBuffer(ctx.dev, entries);
 }
 
 PlanExecutor::PlanExecutor(const SymbolicFactor& symb,
@@ -151,10 +107,10 @@ PlanExecutor::PlanExecutor(const SymbolicFactor& symb,
   if (std::any_of(nodes.begin(), nodes.end(), [](const SolveNode& nd) {
         return nd.kind == SolveNodeKind::kCompute && nd.on_gpu;
       })) {
-    devices_ = &own_devices_.emplace(res, opts.device, opts.gpu_devices);
-    ndev_ = devices_->size();
+    dev_ = res != nullptr && res->device != nullptr
+               ? res->device
+               : &own_dev_.emplace(opts.device);
   }
-  needs_.resize(ndev_);
 }
 
 namespace {
@@ -256,48 +212,6 @@ std::vector<std::pair<std::size_t, std::size_t>> PlanExecutor::ranked_slot_caps(
   std::vector<std::pair<std::size_t, std::size_t>> caps(slots);
   for (std::size_t k = 0; k < slots; ++k) caps[k] = {as[k], bs[k]};
   return caps;
-}
-
-std::vector<CrossHop> PlanExecutor::cross_hops(index_t s) const {
-  std::vector<CrossHop> hops;
-  const std::span<const index_t> devof = graph_->device_of;
-  if (ndev_ <= 1 || devof.empty() || !ctx_->on_gpu(s) || devof[s] < 0) {
-    return hops;
-  }
-  const SymbolicFactor& symb = ctx_->symb;
-  const index_t w = symb.sn_width(s);
-  const index_t below = symb.sn_below(s);
-  const auto rows = symb.sn_rows(s);
-  const auto sd = static_cast<index_t>(ord(devof[s]));
-  index_t b0 = 0;
-  while (b0 < below) {
-    const index_t target = symb.col_to_sn(rows[w + b0]);
-    index_t b1 = b0;
-    while (b1 < below && symb.col_to_sn(rows[w + b1]) == target) ++b1;
-    if (ctx_->on_gpu(target) && devof[target] >= 0 &&
-        ord(devof[target]) != ord(devof[s])) {
-      const auto td = static_cast<index_t>(ord(devof[target]));
-      const double entries = 0.5 * static_cast<double>(b1 - b0) *
-                             static_cast<double>((below - b0) +
-                                                 (below - b1 + 1));
-      auto h = std::find_if(hops.begin(), hops.end(), [&](const CrossHop& x) {
-        return x.src == sd && x.dst == td;
-      });
-      if (h != hops.end()) {
-        h->entries += entries;
-      } else {
-        hops.push_back({sd, td, entries});
-      }
-    }
-    b0 = b1;
-  }
-  return hops;
-}
-
-void PlanExecutor::charge(std::span<const CrossHop> hops) const {
-  for (const CrossHop& h : hops) {
-    ctx_->account_cross_device(h.src, h.dst, h.entries);
-  }
 }
 
 PlanExecutor::Drained PlanExecutor::drain() {

@@ -5,16 +5,15 @@
 // The three scheduled paths differ only in their node kernels
 // (COMPUTE/SCATTER/BATCH for the factorizations, forward and backward
 // solve steps for the solve). Everything else lives here:
-//   * the layout every plan is built from — ready-queue partitions,
-//     on_gpu marks and the separator-tree device assignment;
-//   * the device set a call reaches (DeviceSet) and the fold of plan
-//     device ordinals onto it;
+//   * the layout every plan is built from — ready-queue partitions and
+//     on_gpu marks;
 //   * scheduler and plan acquisition (injected by the service, or built
 //     per call through the same builder);
-//   * per-device slot pools sized from ranked buffer needs (factor tasks:
-//     from the needs that can be in flight together), cached in the
-//     arena per device, with one scheduler resource per device;
-//   * the device-resident reservation and cross-device hop pricing;
+//   * the device's slot pool sized from ranked buffer needs (factor
+//     tasks: from the needs that can be in flight together), cached in
+//     the arena, with one scheduler resource capping in-flight device
+//     tasks at the pool size;
+//   * the device-resident reservation;
 //   * plan-edge wiring and the drain.
 // Nothing here touches numerics: the plan and the kernels fix every
 // accumulation order, so results stay bitwise identical to the
@@ -59,11 +58,6 @@ struct PlanLayout {
   std::vector<index_t> queue_of;  ///< ready-queue partition per supernode
   std::size_t partitions = 1;  ///< partition count queue_of was built for
   std::vector<char> on_gpu;    ///< gpu_marked() per supernode
-  /// Per-supernode device assignment (assign_devices); empty when the
-  /// plan was built for one device. Plan nodes carry their own copy of
-  /// the ordinal; the executor reads this to price cross-device hops.
-  std::vector<index_t> device_of;
-  index_t devices = 1;  ///< device count the plan was built for
 };
 
 /// The read-only, reusable half of a scheduled factorization: the
@@ -104,12 +98,11 @@ struct ExecutionResources {
   /// Persistent worker complement: the scheduled drivers drain on it
   /// (TaskScheduler::run_on) instead of spawning threads per call.
   WorkerCrew* crew = nullptr;
-  /// Shared long-lived device; must be &arena->device() (the arena
-  /// registry's device 0) when arena is also set (checked in factorize).
-  /// A bare injected device caps the run at one device.
+  /// Shared long-lived device; must be &arena->device() when arena is
+  /// also set (checked in factorize).
   gpu::Device* device = nullptr;
   /// Keyed slot-pool cache decoupling GPU buffer/stream lifetime from
-  /// one call; its registry is the device set multi-device runs reach.
+  /// one call.
   gpu::DeviceArena* arena = nullptr;
   /// Reusable per-session scheduler (reset() and rebuilt each run).
   /// Solves never borrow it: concurrent solves drain their own.
@@ -127,54 +120,8 @@ struct ExecutionResources {
   /// of a private copy. Must point at the very object passed as `symb`.
   std::shared_ptr<const SymbolicFactor> symbolic;
   /// Arena cache key fingerprinting the pattern + plan-relevant options;
-  /// the executors mix in a per-method tag and the device ordinal.
+  /// the executors mix in a per-method tag.
   std::uint64_t pool_key = 0;
-};
-
-/// The devices one call reaches: the injected arena's registry, a bare
-/// injected device (pinned to one device), or a per-call registry of
-/// `gpu_devices` devices built from `cfg` (whose model.links prices the
-/// p2p hops).
-/// Plans may be built for more devices than a call reaches: ordinals fold
-/// mod size(), and negative (cooperative) ordinals fold to device 0, the
-/// owner of a cooperative supernode's buffers. Numerics never depend on
-/// the fold — the plan fixes assembly order — so a degraded run stays
-/// bitwise identical.
-class DeviceSet {
- public:
-  DeviceSet(const ExecutionResources* res, const gpu::DeviceConfig& cfg,
-            int gpu_devices);
-  DeviceSet(const DeviceSet&) = delete;
-  DeviceSet& operator=(const DeviceSet&) = delete;
-
-  std::size_t size() const noexcept { return ndev_; }
-  /// Device 0, the owner of cooperative supernodes' buffers and the
-  /// one device of every single-device run.
-  gpu::Device& primary() noexcept { return *dev_; }
-  /// The effective ordinal a plan ordinal resolves to.
-  index_t ordinal(index_t plan_ordinal) const noexcept {
-    if (reg_ == nullptr || ndev_ <= 1 || plan_ordinal < 0) return 0;
-    return static_cast<index_t>(static_cast<std::size_t>(plan_ordinal) %
-                                ndev_);
-  }
-  gpu::Device& device(index_t plan_ordinal) noexcept {
-    const index_t d = ordinal(plan_ordinal);
-    return d == 0 ? *dev_ : reg_->device(static_cast<std::size_t>(d));
-  }
-
- private:
-  std::optional<gpu::DeviceRegistry> own_reg_;
-  gpu::DeviceRegistry* reg_ = nullptr;
-  gpu::Device* dev_ = nullptr;
-  std::size_t ndev_ = 1;
-};
-
-/// One modeled cross-device assembly hop: `entries` update entries
-/// produced on effective ordinal `src`, assembled into a panel on `dst`.
-struct CrossHop {
-  index_t src = 0;
-  index_t dst = 0;
-  double entries = 0.0;
 };
 
 /// One device task's buffer needs (entries). A factor task also names the
@@ -187,8 +134,8 @@ struct SlotNeed {
   index_t last = -1;
 };
 
-/// Capacities (a, b) of `slots` pool slots for factor tasks on one device,
-/// non-increasing in the slot rank. Two factor tasks can only be in flight
+/// Capacities (a, b) of `slots` pool slots for factor tasks, non-increasing
+/// in the slot rank. Two factor tasks can only be in flight
 /// together when neither's supernodes lie in the other's subtree (a
 /// supernode is factored after its whole subtree). Ranking the tasks by
 /// a + b descending, slot k >= 1 holds every task that comes after k
@@ -201,24 +148,24 @@ std::vector<std::pair<std::size_t, std::size_t>> concurrent_slot_caps(
     const SymbolicFactor& symb, std::span<const SlotNeed> needs,
     std::size_t slots);
 
-/// Scheduler, device pools and drain of one scheduled run. A driver
+/// Scheduler, device pool and drain of one scheduled run. A driver
 /// constructs one, records its device tasks' buffer needs, builds its
-/// pools, adds one task per plan node (add_nodes for factor plans, which
+/// pool, adds one task per plan node (add_nodes for factor plans, which
 /// also wires the edges) and drains; its only own code is the node
 /// kernels.
 class PlanExecutor {
  public:
-  /// Scheduled factorization on ctx's device set. The plan is
-  /// res->planned or a per-call build_planned_graph; the scheduler is
-  /// res->sched (reset here) or a per-call one. Devices engage in
-  /// kGpuHybrid only. Makes the device-resident reservation
-  /// (FactorOptions::device_resident_factor) before any pool exists.
+  /// Scheduled factorization on ctx's device. The plan is res->planned
+  /// or a per-call build_planned_graph; the scheduler is res->sched
+  /// (reset here) or a per-call one. Makes the device-resident
+  /// reservation (FactorOptions::device_resident_factor, kGpuHybrid
+  /// only) before any pool exists.
   explicit PlanExecutor(FactorContext& ctx);
   /// Scheduled solve. The plan is res->planned_solve or a per-call
   /// build_planned_solve; the scheduler is always this call's own, so
   /// concurrent solves never share mutable state (the crew is still
-  /// shared). A device set is resolved only when the plan has device
-  /// nodes.
+  /// shared). The device (res->device, else a per-call one) is resolved
+  /// only when the plan has device nodes.
   PlanExecutor(const SymbolicFactor& symb, const SolveOptions& opts,
                const ExecutionResources* res, std::size_t workers);
   PlanExecutor(const PlanExecutor&) = delete;
@@ -227,131 +174,71 @@ class PlanExecutor {
   const PlannedGraph& graph() const noexcept { return *graph_; }
   const PlannedSolve& solve_plan() const noexcept { return *solve_; }
   TaskScheduler& sched() noexcept { return *sched_; }
-  /// Devices this run engages (1 without device work).
-  std::size_t ndev() const noexcept { return ndev_; }
-  /// The effective device a plan ordinal routes to on this run.
-  std::size_t ord(index_t plan_ordinal) const noexcept {
-    return ndev_ <= 1 ? 0
-                      : static_cast<std::size_t>(
-                            devices_->ordinal(plan_ordinal));
-  }
-  gpu::Device& device(std::size_t d) noexcept {
-    return devices_->device(static_cast<index_t>(d));
-  }
+  /// The device this run's device tasks run on.
+  gpu::Device& device() noexcept { return *dev_; }
 
-  /// Records one device task's buffer needs (entries) on the device
-  /// `plan_ordinal` routes to.
-  void need(index_t plan_ordinal, std::size_t a, std::size_t b) {
-    needs_[ord(plan_ordinal)].push_back({a, b});
-  }
-  /// Same, for a factor task over supernodes [first, last]. A device whose
-  /// tasks are all recorded this way gets a pool sized by
-  /// concurrent_slot_caps, whose tasks lease the smallest free slot that
-  /// fits: a slot then only ever holds tasks it was sized for, so its
-  /// resident buffers do not depend on the order tasks happened to run in.
-  void need(index_t plan_ordinal, std::size_t a, std::size_t b,
-            index_t first, index_t last) {
-    needs_[ord(plan_ordinal)].push_back({a, b, first, last});
+  /// Records one device task's buffer needs (entries).
+  void need(std::size_t a, std::size_t b) { needs_.push_back({a, b}); }
+  /// Same, for a factor task over supernodes [first, last]. When every
+  /// task is recorded this way the pool is sized by concurrent_slot_caps
+  /// and tasks lease the smallest free slot that fits: a slot then only
+  /// ever holds tasks it was sized for, so its resident buffers do not
+  /// depend on the order tasks happened to run in.
+  void need(std::size_t a, std::size_t b, index_t first, index_t last) {
+    needs_.push_back({a, b, first, last});
   }
 
   template <class Slot>
   using PoolPtr = std::shared_ptr<gpu::SlotPool<Slot>>;
 
-  /// `count` slots made by make(k), cached in the injected arena under
-  /// pool_key ^ tag ^ kDevKeyMix * d (so cached slots never migrate
-  /// across devices; device 0 keeps pool_key ^ tag), or built per call.
-  template <class Slot, class Make>
-  PoolPtr<Slot> pool(std::size_t d, std::uint64_t tag, std::size_t count,
-                     Make&& make) {
-    auto build = [&] {
-      return std::make_shared<gpu::SlotPool<Slot>>(count, make);
-    };
-    if (res_ == nullptr || res_->arena == nullptr) return build();
-    return res_->arena->pool<gpu::SlotPool<Slot>>(
-        res_->pool_key ^ tag ^ (kDevKeyMix * d), build);
-  }
-
-  /// A scheduler resource with one token per slot of `pool`, so the
-  /// tasks holding a token never outnumber its slots.
+  /// The device slot pool of one run and its scheduler resource.
   template <class Slot>
-  std::size_t tokens(const PoolPtr<Slot>& pool) {
-    return sched_->add_resource(pool->size());
-  }
-
-  /// The per-device slot pools of one run and their scheduler resources.
-  template <class Slot>
-  struct Pools {
-    std::vector<PoolPtr<Slot>> of;   ///< null where no device task runs
-    std::vector<std::size_t> res;    ///< scheduler resource per device
-    std::vector<char> smallest;      ///< per device: lease smallest fit
-    std::size_t slots = 0;           ///< slots built for this run's needs
-    /// Leases a slot of device d holding at least (a, b) entries. The
-    /// resource token caps in-flight tasks at the pool size, so the wait
-    /// for a FITTING slot is rare and bounded (slot 0 fits everything).
-    typename gpu::SlotPool<Slot>::Lease acquire(std::size_t d, std::size_t a,
+  struct Pool {
+    PoolPtr<Slot> slot_pool;  ///< null when no device task runs
+    std::size_t res = TaskScheduler::kNoResource;
+    bool smallest = false;  ///< lease the smallest fitting slot
+    std::size_t slots = 0;  ///< slots built for this run's needs
+    /// Leases a slot holding at least (a, b) entries. The resource token
+    /// caps in-flight tasks at the pool size, so the wait for a FITTING
+    /// slot is rare and bounded (slot 0 fits everything).
+    typename gpu::SlotPool<Slot>::Lease acquire(std::size_t a,
                                                 std::size_t b) const {
-      return of[d]->acquire([&](const Slot& s) { return s.fits(a, b); },
-                            smallest[d] != 0);
+      return slot_pool->acquire([&](const Slot& s) { return s.fits(a, b); },
+                                smallest);
     }
   };
 
-  /// One pool per device with recorded needs, at most gpu_streams slots,
-  /// slot k made by make(device, a_k, b_k) from the needs ranked
-  /// descending (per dimension, or by concurrent_slot_caps for factor
-  /// tasks): slot k only hosts the k-th largest concurrent task, so N
-  /// slots cost far less than N copies of the largest — that is what lets
-  /// several fit under a tight memory cap. A pool shrinks (down to one
-  /// slot) when its device cannot fit every slot; when not even one
-  /// fits, on_oom(d, a_0, b_0) may hand back a pool to share (not counted
-  /// in `slots`), else the DeviceOutOfMemory propagates. Each pool gets
-  /// its own scheduler resource, so one saturated device never blocks
-  /// another's issue.
-  template <class Slot, class Make, class OnOom>
-  Pools<Slot> pools(std::uint64_t tag, Make&& make, OnOom&& on_oom) {
-    Pools<Slot> p;
-    p.of.resize(ndev_);
-    p.res.assign(ndev_, TaskScheduler::kNoResource);
-    p.smallest.assign(ndev_, 0);
-    for (std::size_t d = 0; d < ndev_; ++d) {
-      const std::vector<SlotNeed>& needs = needs_[d];
-      if (needs.empty()) continue;
-      p.smallest[d] = std::all_of(
-          needs.begin(), needs.end(),
-          [](const SlotNeed& n) { return n.first >= 0; });
-      const std::size_t count = std::min(slot_budget_, needs.size());
-      const auto caps = p.smallest[d] != 0
-                            ? concurrent_slot_caps(*symb_, needs, count)
-                            : ranked_slot_caps(needs, count);
-      gpu::Device& dv = device(d);
-      try {
-        p.of[d] = pool<Slot>(d, tag, count, [&](std::size_t k) {
-          return make(dv, caps[k].first, caps[k].second);
-        });
-        p.slots += p.of[d]->size();
-      } catch (const gpu::DeviceOutOfMemory&) {
-        p.of[d] = on_oom(d, caps[0].first, caps[0].second);
-        if (p.of[d] == nullptr) throw;
-      }
-      p.res[d] = tokens(p.of[d]);
-    }
+  /// The pool for the recorded needs, at most gpu_streams slots, slot k
+  /// made by make(device, a_k, b_k) from the needs ranked descending (per
+  /// dimension, or by concurrent_slot_caps for factor tasks): slot k only
+  /// hosts the k-th largest concurrent task, so N slots cost far less
+  /// than N copies of the largest — that is what lets several fit under
+  /// a tight memory cap. The pool shrinks (down to one slot) when the
+  /// device cannot fit every slot; when not even one fits, the
+  /// DeviceOutOfMemory propagates. Cached in the injected arena under
+  /// pool_key ^ tag, or built per call.
+  template <class Slot, class Make>
+  Pool<Slot> pool(std::uint64_t tag, Make&& make) {
+    Pool<Slot> p;
+    if (needs_.empty()) return p;
+    p.smallest = std::all_of(needs_.begin(), needs_.end(),
+                             [](const SlotNeed& n) { return n.first >= 0; });
+    const std::size_t count = std::min(slot_budget_, needs_.size());
+    const auto caps = p.smallest ? concurrent_slot_caps(*symb_, needs_, count)
+                                 : ranked_slot_caps(needs_, count);
+    auto build = [&] {
+      return std::make_shared<gpu::SlotPool<Slot>>(count, [&](std::size_t k) {
+        return make(*dev_, caps[k].first, caps[k].second);
+      });
+    };
+    p.slot_pool = res_ == nullptr || res_->arena == nullptr
+                      ? build()
+                      : res_->arena->pool<gpu::SlotPool<Slot>>(
+                            res_->pool_key ^ tag, build);
+    p.slots = p.slot_pool->size();
+    p.res = sched_->add_resource(p.slots);
     return p;
   }
-  template <class Slot, class Make>
-  Pools<Slot> pools(std::uint64_t tag, Make&& make) {
-    return pools<Slot>(tag, make, [](std::size_t, std::size_t, std::size_t) {
-      return PoolPtr<Slot>();
-    });
-  }
-
-  /// Cross-device separator assembly of factor supernode s's update
-  /// slices: each segment whose GPU target lives on another device than
-  /// s pays one modeled hop, merged per (src, dst).
-  /// Deterministic from the plan, so drivers price hops at build time.
-  /// Cooperative supernodes (ordinal -1) assemble on the host from their
-  /// per-device slices, so neither side of a cooperative pair pays.
-  std::vector<CrossHop> cross_hops(index_t s) const;
-  /// Charges build-time-priced hops to the factor context.
-  void charge(std::span<const CrossHop> hops) const;
 
   /// Adds factor plan node n's task (its priority and ready queue)
   /// running fn() under a FactorContext::NodeScope: its costs go to the
@@ -403,8 +290,6 @@ class PlanExecutor {
   Drained drain();
 
  private:
-  static constexpr std::uint64_t kDevKeyMix = 0x9e3779b97f4a7c15ull;
-
   /// Slot k's capacities: the k-th largest need in each dimension.
   static std::vector<std::pair<std::size_t, std::size_t>> ranked_slot_caps(
       std::span<const SlotNeed> needs, std::size_t slots);
@@ -413,18 +298,17 @@ class PlanExecutor {
   const SymbolicFactor* symb_ = nullptr;
   const ExecutionResources* res_ = nullptr;
   std::size_t workers_ = 1;
-  std::size_t slot_budget_ = 1;  ///< gpu_streams: slots per device pool
+  std::size_t slot_budget_ = 1;  ///< gpu_streams: slots of the pool
   std::optional<PlannedGraph> own_graph_;
   const PlannedGraph* graph_ = nullptr;
   std::optional<PlannedSolve> own_solve_;
   const PlannedSolve* solve_ = nullptr;
-  std::optional<DeviceSet> own_devices_;
-  DeviceSet* devices_ = nullptr;
+  std::optional<gpu::Device> own_dev_;
+  gpu::Device* dev_ = nullptr;
   TaskScheduler own_sched_;
   TaskScheduler* sched_ = &own_sched_;
-  std::size_t ndev_ = 1;
-  std::vector<std::vector<SlotNeed>> needs_;
-  std::vector<gpu::DeviceBuffer> resident_;
+  std::vector<SlotNeed> needs_;
+  gpu::DeviceBuffer resident_;
   std::vector<std::size_t> task_of_;
 };
 

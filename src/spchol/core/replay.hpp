@@ -3,23 +3,21 @@
 // the public API.
 //
 // Executors never advance a clock. Each plan node (or one step of a
-// sequential driver) records its CPU seconds, device ops and link hops
+// sequential driver) records its CPU seconds and device ops
 // (gpu::OpRecord); after the drain this replay list-schedules the DAG in
 // task priority order, ties to the lower node index, over explicit
 // modeled resources:
 //   * `cpu_lanes` host lanes (the resolved cpu_workers; 1 for the
 //     sequential drivers). A node holds a lane from its start to its last
-//     host activity — CPU seconds, device-op issue time, link hops; a
-//     trailing wait for its device work does not keep the lane busy;
-//   * `pairs` stream pairs per device. A node takes, per device it
-//     touches, the pair that frees earliest (lowest index first); its ops
-//     on that device start no earlier than the pair was free (the
-//     slot-reuse hazard), ops on one stream run in issue order, and an op
-//     waits for the op it names in Op::after;
-//   * one host link per device and direction: H2D and D2H transfers
-//     share it whichever stream issues them, in issue order;
-//   * one FIFO link per (src, dst) device pair for cross-device hops
-//     (DeviceConfig::model.links prices them).
+//     host activity — CPU seconds and device-op issue time; a trailing
+//     wait for its device work does not keep the lane busy;
+//   * `pairs` stream pairs on the device. A node that touches the device
+//     takes the pair that frees earliest (lowest index first); its ops
+//     start no earlier than the pair was free (the slot-reuse hazard),
+//     ops on one stream run in issue order, and an op waits for the op
+//     it names in Op::after;
+//   * one host link per direction: H2D and D2H transfers share it
+//     whichever stream issues them, in issue order.
 // A node's successors start once its host part has ended, waits
 // included; device work it left in flight (an asynchronous panel
 // download) only delays later users of its streams and the makespan.
@@ -39,15 +37,13 @@ namespace spchol::detail {
 /// The modeled resources one replay schedules over.
 struct ReplayResources {
   std::size_t cpu_lanes = 1;
-  std::size_t devices = 1;
-  std::size_t pairs = 1;  ///< stream pairs per device
+  std::size_t pairs = 1;  ///< device stream pairs
 };
 
 /// Replays `g` (node i's costs in records[i]) and fills st's modeled
 /// fields: modeled_seconds, cpu_blas_seconds, assembly_seconds,
-/// gpu_kernel_seconds, h2d/d2h seconds and bytes, num_gpu_kernels,
-/// gpu_overlap_seconds, the cross-device aggregates, per_link, and every
-/// per_device entry's timing fields (resized to r.devices).
+/// gpu_kernel_seconds, h2d/d2h seconds and bytes, num_gpu_kernels and
+/// gpu_overlap_seconds.
 void replay(const TaskGraph& g, std::span<const gpu::OpRecord> records,
             const ReplayResources& r, FactorStats& st);
 

@@ -11,8 +11,8 @@
 //
 // Parallel path (ctx.scheduled): the driver supplies node kernels to the
 // shared PlanExecutor (core/plan_executor.*), which runs the
-// ExecutionPlan (symbolic/exec_plan.*) and owns the scheduler, device
-// pools, hop pricing and drain. The plan's COMPUTE nodes
+// ExecutionPlan (symbolic/exec_plan.*) and owns the scheduler, the
+// device slot pool and the drain. The plan's COMPUTE nodes
 // map to panel factorization + SYRK into a per-supernode update buffer,
 // SCATTER(s, t) nodes to the assembly of that buffer into ancestor t
 // (the last of s's scatters frees it), and BATCH nodes to fused
@@ -59,21 +59,21 @@ void rl_cpu_compute(FactorContext& ctx, index_t s, std::vector<double>& u) {
   ctx.cpu_syrk(below, w, ctx.sn_values(s) + w, r, u.data(), below);
 }
 
-/// The paper-§III device pipeline for one supernode, on `slot` of `dev`
-/// (the device the planner assigned s to; `dev_ord` its effective
-/// ordinal): H2D(panel) → POTRF → TRSM → async D2H of the factored panel
-/// on the copy stream, overlapped with the SYRK → D2H of the update
-/// matrix into `u`, which the host waits for (the caller assembles it).
-void rl_gpu_compute(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
-                    index_t s, GpuSlot& slot, std::vector<double>& u) {
+/// The paper-§III device pipeline for one supernode, on `slot`:
+/// H2D(panel) → POTRF → TRSM → async D2H of the factored panel on the
+/// copy stream, overlapped with the SYRK → D2H of the update matrix into
+/// `u`, which the host waits for (the caller assembles it).
+void rl_gpu_compute(FactorContext& ctx, index_t s, GpuSlot& slot,
+                    std::vector<double>& u) {
   const SymbolicFactor& symb = ctx.symb;
+  gpu::Device& dev = ctx.dev;
   const index_t w = symb.sn_width(s);
   const index_t r = symb.sn_nrows(s);
   const index_t below = r - w;
   double* panel = ctx.sn_values(s);
-  const auto [compute, copy] = ctx.streams(dev_ord);
+  const auto [compute, copy] = ctx.streams();
 
-  ctx.count_gpu_supernode(dev_ord);
+  ctx.count_gpu_supernode();
   const std::size_t entries = static_cast<std::size_t>(r) * w;
   gpu::copy_h2d(dev, compute, slot.panel, 0, panel, entries,
                 /*async=*/true);
@@ -99,45 +99,6 @@ void rl_gpu_compute(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
   }
 }
 
-/// Cooperative device pipeline for one SPINE supernode (plan device
-/// ordinal -1): the wide separator panels near the root that no single
-/// device shard can absorb without serializing the critical path. The
-/// numerics run once, on device 0 (the owner) — the identical §III call
-/// sequence, so factors stay bitwise independent of the device count —
-/// while the recorded costs block-distribute the POTRF trailing
-/// updates, the TRSM, and the SYRK across ALL devices of the registry
-/// via gpu::coop_panel_factor / coop_syrk_update_d2h (p2p panel
-/// broadcast, phase barriers, per-device D2H update slices).
-void rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev, index_t s,
-                         GpuSlot& slot, std::vector<double>& u,
-                         std::span<const gpu::CoopPeer> peers) {
-  const SymbolicFactor& symb = ctx.symb;
-  const index_t w = symb.sn_width(s);
-  const index_t r = symb.sn_nrows(s);
-  const index_t below = r - w;
-  double* panel = ctx.sn_values(s);
-  const std::size_t ucount =
-      static_cast<std::size_t>(below) * static_cast<std::size_t>(below);
-  const auto [compute, copy] = ctx.streams(0);
-
-  ctx.count_gpu_supernode(0);
-  ctx.count_coop_supernode();
-  const std::size_t entries = static_cast<std::size_t>(r) * w;
-  gpu::coop_copy_h2d(dev, compute, peers, slot.panel, 0, panel, entries);
-  try {
-    gpu::coop_panel_factor(dev, compute, peers, w, slot.panel, 0, r);
-  } catch (const NotPositiveDefinite& e) {
-    throw NotPositiveDefinite(symb.sn_begin(s) + e.column());
-  }
-  gpu::coop_copy_d2h(dev, copy.waiting_for(compute.last()), peers, panel,
-                     slot.panel, 0, entries);
-  if (below > 0) {
-    u.resize(ucount);
-    gpu::coop_syrk_update_d2h(dev, compute, peers, below, w, slot.panel, w,
-                              r, slot.work, u.data());
-  }
-}
-
 /// Fused batched device pipeline for a BATCH of small, mutually
 /// independent leaf supernodes [first, last]: ONE packed H2D of every
 /// member panel, one fused batched POTRF+TRSM launch, one packed D2H of
@@ -147,9 +108,10 @@ void rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev, index_t s,
 /// bitwise identical to the unbatched path. The launch latency and
 /// transfer latency are paid once per batch instead of once per
 /// supernode (gpu::perf_model batched-kernel cost).
-void rl_gpu_batch(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
-                  index_t first, index_t last, GpuSlot& slot) {
+void rl_gpu_batch(FactorContext& ctx, index_t first, index_t last,
+                  GpuSlot& slot) {
   const SymbolicFactor& symb = ctx.symb;
+  gpu::Device& dev = ctx.dev;
   std::vector<gpu::BatchedPanel> panels;
   panels.reserve(static_cast<std::size_t>(last - first + 1));
   std::size_t panel_total = 0, update_total = 0;
@@ -160,7 +122,7 @@ void rl_gpu_batch(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
     panels.push_back({w, r, panel_total, update_total, symb.sn_begin(s)});
     panel_total += static_cast<std::size_t>(r) * w;
     update_total += below * below;
-    ctx.count_gpu_supernode(dev_ord);
+    ctx.count_gpu_supernode();
   }
 
   // Pack the member panels into one staging area: one transfer for the
@@ -173,7 +135,7 @@ void rl_gpu_batch(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
                 ctx.sn_values(first + static_cast<index_t>(i)),
                 static_cast<std::size_t>(p.r) * p.w * sizeof(double));
   }
-  const auto [compute, copy] = ctx.streams(dev_ord);
+  const auto [compute, copy] = ctx.streams();
   gpu::copy_h2d(dev, compute, slot.panel, 0, stage.data(), panel_total,
                 /*async=*/true);
   gpu::batched_panel_factor(dev, compute, panels, slot.panel);
@@ -230,7 +192,7 @@ void run_rl_sequential(FactorContext& ctx) {
   for (index_t s = 0; s < ns; ++s) {
     const auto step = ctx.step();
     if (ctx.on_gpu(s)) {
-      rl_gpu_compute(ctx, ctx.dev, 0, s, slot, u);
+      rl_gpu_compute(ctx, s, slot, u);
     } else {
       rl_cpu_compute(ctx, s, u);
     }
@@ -251,7 +213,6 @@ void run_rl_scheduled(FactorContext& ctx) {
   PlanExecutor ex(ctx);
   const ExecutionPlan& plan = ex.graph().plan;
   const auto nodes = plan.nodes();
-  const std::size_t ndev = ex.ndev();
 
   // Packed buffer needs of one batch (panel entries, update entries).
   auto batch_needs = [&](const PlanNode& n) {
@@ -271,77 +232,28 @@ void run_rl_scheduled(FactorContext& ctx) {
   // device runs the same deterministic kernels in the same order.)
   std::vector<char> batch_on_dev(nodes.size(), 0);
 
-  // Per-device buffer needs of every GPU task (supernodes AND device
-  // batches). Cooperative spine supernodes (plan ordinal -1, with more
-  // than one device engaged) bypass the pools: they get ONE dedicated
-  // slot sized for the largest coop panel/update, so the all-to-all
-  // fences of the cooperative mesh never couple into pool-slot reuse by
-  // unrelated supernodes. With one device the -1 folds to ordinal 0 and
-  // they run the plain pipeline from the ordinary pool.
-  const bool coop_run = ndev > 1;
-  std::size_t coop_panel_max = 0, coop_update_max = 0;
+  // Buffer needs of every GPU task (supernodes AND device batches).
   for (std::size_t i = 0; hybrid && i < nodes.size(); ++i) {
     const PlanNode& n = nodes[i];
     if (n.kind == PlanNodeKind::kCompute && n.on_gpu) {
       const std::size_t below = static_cast<std::size_t>(symb.sn_below(n.sn));
-      const auto entries = static_cast<std::size_t>(symb.sn_entries(n.sn));
-      if (coop_run && n.device < 0) {
-        coop_panel_max = std::max(coop_panel_max, entries);
-        coop_update_max = std::max(coop_update_max, below * below);
-      } else {
-        ex.need(n.device, entries, below * below, n.sn, n.sn);
-      }
+      ex.need(static_cast<std::size_t>(symb.sn_entries(n.sn)), below * below,
+              n.sn, n.sn);
     } else if (n.kind == PlanNodeKind::kBatch && n.device_eligible) {
       const auto [p, u] = batch_needs(n);
       if (static_cast<offset_t>(p) < ctx.opts.gpu_threshold_rl) continue;
       batch_on_dev[i] = 1;
-      ex.need(n.device, p, u, n.batch_first, n.batch_last);
+      ex.need(p, u, n.batch_first, n.batch_last);
     }
   }
 
-  // Cooperative spine support: the spine supernodes' kernels are
-  // block-distributed across the whole registry, with the numerics on
-  // device 0 (the owner); every other device is a peer. The coop chain's
-  // buffers live in a dedicated single-slot pool with its own scheduler
-  // resource — the spine is a chain, so one in-flight coop task is the
-  // natural cap. Allocated BEFORE the per-device pools: the coop slot is
-  // mandatory (no smaller fallback exists for the spine), so the
-  // shrinkable pools must size themselves around it — otherwise a run
-  // that fits on one device could OOM on four.
+  // Bounded slot pool.
   constexpr std::uint64_t kRlPoolTag = 0x524c2d504f4f4cull;  // "RL-POOL"
-  const bool has_coop = coop_run && coop_panel_max > 0;
-  std::vector<gpu::CoopPeer> coop_peers;
-  PlanExecutor::PoolPtr<GpuSlot> coop_pool;
-  std::size_t coop_res = TaskScheduler::kNoResource;
-  const auto make_slot = [](gpu::Device& dv, std::size_t p, std::size_t u) {
-    return std::make_unique<GpuSlot>(dv, p, u);
-  };
-  if (has_coop) {
-    for (std::size_t d = 1; d < ndev; ++d) {
-      coop_peers.push_back({&ex.device(d), static_cast<int>(d)});
-    }
-    constexpr std::uint64_t kCoopPoolTag = 0x434f4f502d534c54ull;  // "COOP"
-    coop_pool = ex.pool<GpuSlot>(0, kCoopPoolTag, 1, [&](std::size_t) {
-      return make_slot(ex.device(0), coop_panel_max, coop_update_max);
-    });
-    coop_res = ex.tokens(coop_pool);
-  }
-
-  // Bounded per-device slot pools. Device 0 under extreme pressure: when
-  // the mandatory coop slot left no room for even one regular slot but
-  // covers device 0's largest regular need, regular tasks share it — they
-  // and the spine serialize on the one slot, degrading throughput
-  // instead of failing a run that fits on fewer devices.
-  const auto pools = ex.pools<GpuSlot>(
-      kRlPoolTag, make_slot,
-      [&](std::size_t d, std::size_t panel0, std::size_t update0) {
-        return d == 0 && has_coop && coop_panel_max >= panel0 &&
-                       coop_update_max >= update0
-                   ? coop_pool
-                   : nullptr;
+  const auto pool = ex.pool<GpuSlot>(
+      kRlPoolTag, [](gpu::Device& dv, std::size_t p, std::size_t u) {
+        return std::make_unique<GpuSlot>(dv, p, u);
       });
-  ctx.gpu_stream_pairs =
-      static_cast<index_t>(pools.slots) + (has_coop ? 1 : 0);
+  ctx.gpu_stream_pairs = static_cast<index_t>(pool.slots);
 
   // Per-supernode update buffers: allocated by COMPUTE (the device path
   // fills them through its final D2H), consumed by one SCATTER per
@@ -363,38 +275,18 @@ void run_rl_scheduled(FactorContext& ctx) {
             rl_cpu_compute(ctx, s, ubuf[s]);
           });
         }
-        if (has_coop && n.device < 0) {
-          return ex.add(
-              n,
-              [&ctx, &coop_pool, &coop_peers, &ubuf, s] {
-                auto lease = coop_pool->acquire();
-                rl_gpu_compute_coop(ctx, ctx.device(0), s, *lease, ubuf[s],
-                                    coop_peers);
-              },
-              coop_res);
-        }
-        // Device COMPUTE: a slot big enough for s from ITS OWN device's
-        // pool runs the §III pipeline there; the update matrix lands in
-        // ubuf[s] for the SCATTER.
+        // Device COMPUTE: a pooled slot big enough for s runs the §III
+        // pipeline; the update matrix lands in ubuf[s] for the SCATTER.
         const std::size_t below = static_cast<std::size_t>(symb.sn_below(s));
         const std::size_t need_panel =
             static_cast<std::size_t>(symb.sn_entries(s));
-        const std::size_t dord = ex.ord(n.device);
         return ex.add(
             n,
-            [&ctx, &ex, &pools, &ubuf, s, need_panel, below, dord,
-             xhops = ex.cross_hops(s)] {
-              auto lease = pools.acquire(dord, need_panel, below * below);
-              rl_gpu_compute(ctx, ex.device(dord),
-                             static_cast<index_t>(dord), s, *lease, ubuf[s]);
-              // Cross-device separator assembly: the slices of s's update
-              // matrix aimed at GPU targets on OTHER devices each pay a
-              // hop (priced at build time). The assembly itself still
-              // runs on the host in the plan's per-target ascending
-              // order, so hops never change the bits.
-              ex.charge(xhops);
+            [&ctx, &pool, &ubuf, s, need_panel, below] {
+              auto lease = pool.acquire(need_panel, below * below);
+              rl_gpu_compute(ctx, s, *lease, ubuf[s]);
             },
-            pools.res[dord]);
+            pool.res);
       }
       case PlanNodeKind::kScatter: {
         // s's update into ONE target; the last of s's scatters frees it.
@@ -412,17 +304,13 @@ void run_rl_scheduled(FactorContext& ctx) {
         const index_t last = n.batch_last;
         if (batch_on_dev[i]) {
           const auto [need_panel, need_update] = batch_needs(n);
-          const std::size_t dord = ex.ord(n.device);
           return ex.add(
               n,
-              [&ctx, &ex, &pools, first, last, need_panel, need_update,
-               dord] {
-                auto lease = pools.acquire(dord, need_panel, need_update);
-                rl_gpu_batch(ctx, ex.device(dord),
-                             static_cast<index_t>(dord), first, last,
-                             *lease);
+              [&ctx, &pool, first, last, need_panel, need_update] {
+                auto lease = pool.acquire(need_panel, need_update);
+                rl_gpu_batch(ctx, first, last, *lease);
               },
-              pools.res[dord]);
+              pool.res);
         }
         // Fused CPU sweep: compute then assemble each member in
         // ascending order — exactly the sequential driver's pattern
@@ -456,7 +344,7 @@ void run_rl_scheduled(FactorContext& ctx) {
     if (scatter_tasks[s].empty()) sources.push_back(s);
     scatter_tasks[s].push_back(ex.task_of(i));
   }
-  const std::size_t kWindow = 2 * ctx.workers + 2 + pools.slots;
+  const std::size_t kWindow = 2 * ctx.workers + 2 + pool.slots;
   for (std::size_t j = kWindow; j < sources.size(); ++j) {
     const std::size_t compute = ex.task_of(plan.compute_node(sources[j]));
     for (const std::size_t t : scatter_tasks[sources[j - kWindow]]) {

@@ -161,25 +161,23 @@ struct RlbGpuState {
   }
 };
 
-/// `dev` is the device the planner assigned s to (the owner of st's
-/// streams/buffers); `dev_ord` its effective ordinal for the stats
-/// breakdown. Single-device paths pass ctx.dev / 0.
-void rlb_gpu_supernode(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
-                       index_t s, RlbGpuState& st, bool batched) {
+void rlb_gpu_supernode(FactorContext& ctx, index_t s, RlbGpuState& st,
+                       bool batched) {
   const SymbolicFactor& symb = ctx.symb;
+  gpu::Device& dev = ctx.dev;
   const index_t w = symb.sn_width(s);
   const index_t r = symb.sn_nrows(s);
   const index_t below = r - w;
   double* panel = ctx.sn_values(s);
   const auto blocks = symb.sn_blocks(s);
   const index_t m = static_cast<index_t>(blocks.size());
-  const auto [compute, copy] = ctx.streams(dev_ord);
+  const auto [compute, copy] = ctx.streams();
   gpu::DeviceBuffer& panel_dev = st.panel_dev;
   gpu::DeviceBuffer& update_dev = st.update_dev;
   std::vector<double>& u_host = st.u_host;
 
   // --- factor the panel on the device ---
-  ctx.count_gpu_supernode(dev_ord);
+  ctx.count_gpu_supernode();
   const std::size_t entries = static_cast<std::size_t>(r) * w;
   gpu::copy_h2d(dev, compute, panel_dev, 0, panel, entries,
                 /*async=*/true);
@@ -330,7 +328,7 @@ void run_rlb_sequential(FactorContext& ctx) {
       cpu_factor_panel(ctx, s);
       rlb_cpu_updates(ctx, s);
     } else {
-      rlb_gpu_supernode(ctx, ctx.dev, 0, s, st, batched);
+      rlb_gpu_supernode(ctx, s, st, batched);
     }
   }
 }
@@ -345,20 +343,20 @@ void run_rlb_scheduled(FactorContext& ctx) {
 
   for (const PlanNode& n : ex.graph().plan.nodes()) {
     if (n.kind == PlanNodeKind::kCompute && n.on_gpu) {
-      ex.need(n.device, static_cast<std::size_t>(symb.sn_entries(n.sn)),
+      ex.need(static_cast<std::size_t>(symb.sn_entries(n.sn)),
               rlb_update_entries(symb, n.sn, batched));
     }
   }
 
   // One pipeline state (device buffers + host staging) per
-  // in-flight GPU supernode, from bounded per-device pools.
+  // in-flight GPU supernode, from a bounded pool.
   constexpr std::uint64_t kRlbPoolTag = 0x524c422d504f4full;  // "RLB-POO"
-  const auto pools = ex.pools<RlbGpuState>(
+  const auto pool = ex.pool<RlbGpuState>(
       kRlbPoolTag,
       [batched](gpu::Device& dv, std::size_t p, std::size_t u) {
         return std::make_unique<RlbGpuState>(dv, p, u, batched);
       });
-  ctx.gpu_stream_pairs = static_cast<index_t>(pools.slots);
+  ctx.gpu_stream_pairs = static_cast<index_t>(pool.slots);
 
   // --- map plan nodes to scheduler tasks ---------------------------------
   ex.add_nodes([&](std::size_t, const PlanNode& n) -> std::size_t {
@@ -368,8 +366,7 @@ void run_rlb_scheduled(FactorContext& ctx) {
         if (!n.on_gpu) {
           return ex.add(n, [&ctx, s] { cpu_factor_panel(ctx, s); });
         }
-        // Fused device task (pipeline + its own assembly, so the
-        // cross-device hops of s's updates are charged here) on a pooled
+        // Fused device task (pipeline + its own assembly) on a pooled
         // slot big enough for s. No ascending GPU chain: the plan's
         // per-target contributor chains are the only ordering assembly
         // needs, so GPU supernodes in independent subtrees overlap on the
@@ -377,18 +374,13 @@ void run_rlb_scheduled(FactorContext& ctx) {
         const std::size_t need_panel =
             static_cast<std::size_t>(symb.sn_entries(s));
         const std::size_t need_update = rlb_update_entries(symb, s, batched);
-        const std::size_t dord = ex.ord(n.device);
         return ex.add(
             n,
-            [&ctx, &ex, &pools, s, batched, need_panel, need_update, dord,
-             xhops = ex.cross_hops(s)] {
-              auto lease = pools.acquire(dord, need_panel, need_update);
-              ex.charge(xhops);
-              rlb_gpu_supernode(ctx, ex.device(dord),
-                                static_cast<index_t>(dord), s, *lease,
-                                batched);
+            [&ctx, &pool, s, batched, need_panel, need_update] {
+              auto lease = pool.acquire(need_panel, need_update);
+              rlb_gpu_supernode(ctx, s, *lease, batched);
             },
-            pools.res[dord]);
+            pool.res);
       }
       case PlanNodeKind::kScatter: {
         const index_t target = n.target;

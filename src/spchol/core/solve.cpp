@@ -12,7 +12,7 @@
 // dense::trsm_left_lower[_trans] on the supernode's gathered rows, whose
 // per-entry operation sequence does not depend on the RHS columns or the
 // row range a task covers. So scheduled results are bitwise identical to
-// solve()/solve_multi() for every worker/stream/panel/device
+// solve()/solve_multi() for every worker/stream/panel
 // configuration (asserted across the grid in tests/test_solve_parallel.cpp).
 //
 // Device routing (kGpuHybrid / kGpuOnly): supernodes at or above
@@ -146,7 +146,7 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
   const index_t npanels = (nrhs + pw - 1) / pw;
 
   // Device slots: the (L entries, RHS entries) needs of every (GPU node,
-  // panel) task, per device.
+  // panel) task.
   std::size_t num_gpu_nodes = 0;
   for (const SolveNode& nd : nodes) {
     if (nd.kind != SolveNodeKind::kCompute || !nd.on_gpu) continue;
@@ -154,12 +154,12 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
     const std::size_t r = static_cast<std::size_t>(symb.sn_nrows(nd.sn));
     for (index_t p = 0; p < npanels; ++p) {
       const index_t width = std::min(pw, nrhs - p * pw);
-      ex.need(nd.device, static_cast<std::size_t>(symb.sn_entries(nd.sn)),
+      ex.need(static_cast<std::size_t>(symb.sn_entries(nd.sn)),
               r * static_cast<std::size_t>(width));
     }
   }
   // The solve pool's shape also depends on the RHS blocking and the
-  // device routing, so those fold into its arena tag.
+  // on_gpu marks, so those fold into its arena tag.
   std::uint64_t tag = 0x534c56504f4f4cull;  // "SLVPOOL"
   for (const std::uint64_t v :
        {static_cast<std::uint64_t>(opts.rhs_panel),
@@ -169,7 +169,7 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
         static_cast<std::uint64_t>(opts.exec)}) {
     tag = (tag ^ v) * 1099511628211ull;
   }
-  const auto pools = ex.pools<GpuSlot>(
+  const auto pool = ex.pool<GpuSlot>(
       tag,
       [](gpu::Device& dv, std::size_t l, std::size_t r) {
         return std::make_unique<GpuSlot>(dv, l, r);
@@ -200,17 +200,16 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
             const std::size_t rn =
                 static_cast<std::size_t>(symb.sn_nrows(s)) *
                 static_cast<std::size_t>(q1 - q0);
-            const std::size_t dord = ex.ord(nd.device);
             auto gpu_task = [&](std::size_t priority, bool forward) {
               return sched.add_task(
                   priority,
-                  [&symb, values, y, n, &ex, &pools, s, q0, q1, ln, rn, dord,
+                  [&symb, values, y, n, &ex, &pool, s, q0, q1, ln, rn,
                    forward](std::size_t) {
-                    auto lease = pools.acquire(dord, ln, rn);
-                    gpu_solve_node(symb, values, y, n, ex.device(dord),
-                                   *lease, s, q0, q1, forward);
+                    auto lease = pool.acquire(ln, rn);
+                    gpu_solve_node(symb, values, y, n, ex.device(), *lease,
+                                   s, q0, q1, forward);
                   },
-                  pools.res[dord], queue);
+                  pool.res, queue);
             };
             fwd_task[at] = gpu_task(nd.fwd_priority, /*forward=*/true);
             bwd_task[at] = gpu_task(nd.bwd_priority, /*forward=*/false);
@@ -287,7 +286,7 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
     stats->edges = dr.stats.edges;
     stats->steals = dr.stats.steals;
     stats->rhs_panels = npanels;
-    stats->gpu_stream_pairs = static_cast<index_t>(pools.slots);
+    stats->gpu_stream_pairs = static_cast<index_t>(pool.slots);
     stats->supernodes_on_gpu = static_cast<index_t>(num_gpu_nodes);
     stats->batches_formed = plan.batches_formed();
     stats->supernodes_batched = plan.supernodes_batched();

@@ -51,70 +51,6 @@ void gemm_nt_minus_beta0(Device& dev, Stream s, index_t m, index_t n,
 void zero_fill(Device& dev, Stream s, DeviceBuffer& buf, std::size_t off,
                std::size_t count);
 
-// --- cooperative multi-device kernels -------------------------------------
-
-/// One peer device of a cooperative launch: a device of the run's
-/// registry other than the owner. Its share of every phase is recorded
-/// on its compute stream and its D2H slices on its copy stream (a
-/// separate DMA engine, so downloads drain alongside the next phase's
-/// compute), both on the owner's record.
-struct CoopPeer {
-  Device* dev = nullptr;
-  /// Registry ordinal of this peer — its record ordinal and the
-  /// row/column it occupies in the PerfModel link table. The owner of a
-  /// coop launch is always the shard's primary device, ordinal 0.
-  int ordinal = 0;
-};
-
-/// Cooperative H2D: uploads `count` doubles to `off` in the owner's
-/// `dst` (eager memcpy, once) while the recorded costs split the
-/// transfer across every device's OWN PCIe link (bytes/P each, in
-/// parallel) followed by a p2p all-gather so every device holds the full
-/// block — the standard multi-GPU panel staging pattern. Ends with one
-/// barrier entry: every coop stream is aligned at the moment the block
-/// is resident everywhere.
-void coop_copy_h2d(Device& dev, Stream s, std::span<const CoopPeer> peers,
-                   DeviceBuffer& dst, std::size_t off, const double* src,
-                   std::size_t count);
-
-/// Cooperative D2H: downloads `count` doubles from `off` in the owner's
-/// `src` into `dst` (eager memcpy, once), each device transferring ITS
-/// 1/P slice over its own link — the owner's share lands on `s` (pass a
-/// copy handle to overlap it with compute, like the async panel download
-/// of the single-device pipeline).
-void coop_copy_d2h(Device& dev, Stream s, std::span<const CoopPeer> peers,
-                   double* dst, const DeviceBuffer& src, std::size_t off,
-                   std::size_t count);
-
-/// Cooperative multi-device panel factorization: DPOTRF on the n×n
-/// diagonal block at `off` (ld = lda) followed by the DTRSM of the
-/// below-diagonal rows (m = lda - n), numerically IDENTICAL to
-/// potrf_lower + trsm_right_lower_trans on the owner's buffer — the
-/// kernels execute once, on the owner — while the recorded costs are
-/// block-distributed over the owner plus every peer: each `block`-column
-/// round factors its diagonal block serially, exchanges the panel block
-/// over the p2p links, and splits the trailing update evenly across the
-/// devices. The panel must already be resident on every device (upload
-/// it with coop_copy_h2d). Phases end in barrier entries. Throws
-/// NotPositiveDefinite exactly like potrf_lower.
-void coop_panel_factor(Device& dev, Stream s, std::span<const CoopPeer> peers,
-                       index_t n, DeviceBuffer& buf, std::size_t off,
-                       index_t lda, index_t block = 256);
-
-/// Cooperative multi-device DSYRK with beta = 0 plus the update-matrix
-/// D2H: C := −A·Aᵀ (lower, n×n at c_off, ld n) computed once on the
-/// owner — bitwise identical to syrk_lower_nt_beta0 — with the modeled
-/// kernel split across the devices by target-row blocks (each device
-/// already holds the panel from the cooperative factor's broadcasts) and
-/// each device transferring ITS slice of the update matrix to the host,
-/// where `host_out` receives the full n×n block for the CPU assembly; the
-/// host waits for every slice.
-void coop_syrk_update_d2h(Device& dev, Stream s,
-                          std::span<const CoopPeer> peers, index_t n,
-                          index_t k, const DeviceBuffer& abuf,
-                          std::size_t a_off, index_t lda, DeviceBuffer& cbuf,
-                          double* host_out);
-
 // --- fused batched launches (small-supernode batching) --------------------
 
 /// One member panel of a fused batched launch, packed column-major at

@@ -1,7 +1,10 @@
 #include "spchol/gpu/device.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 
 namespace spchol::gpu {
 
@@ -47,10 +50,46 @@ DeviceStats Device::stats() const {
   return st;
 }
 
+void validate(const DeviceConfig& cfg, const char* what) {
+  const PerfModel& m = cfg.model;
+  const std::pair<const char*, double> rates[] = {
+      {"cpu_core_gflops", m.cpu_core_gflops},
+      {"gpu_peak_gflops", m.gpu_peak_gflops},
+      {"gpu_solve_peak_gflops", m.gpu_solve_peak_gflops},
+      {"h2d_gbytes_per_s", m.h2d_gbytes_per_s},
+      {"d2h_gbytes_per_s", m.d2h_gbytes_per_s},
+  };
+  const std::pair<const char*, double> costs[] = {
+      {"cpu_call_overhead", m.cpu_call_overhead},
+      {"cpu_per_thread_overhead", m.cpu_per_thread_overhead},
+      {"gpu_kernel_launch", m.gpu_kernel_launch},
+      {"issue_overhead", m.issue_overhead},
+      {"gpu_batch_member_overhead", m.gpu_batch_member_overhead},
+      {"cpu_batch_member_overhead", m.cpu_batch_member_overhead},
+      {"transfer_latency", m.transfer_latency},
+      {"assembly_seconds_per_entry", m.assembly_seconds_per_entry},
+      {"assembly_fork_overhead", m.assembly_fork_overhead},
+  };
+  auto reject = [&](const char* field, double v, const char* rule) {
+    throw InvalidArgument(std::string(what) + ".model." + field + " must be " +
+                          rule + "; got " + std::to_string(v));
+  };
+  for (const auto& [field, v] : rates) {
+    if (!std::isfinite(v) || !(v > 0.0)) {
+      reject(field, v, "positive and finite");
+    }
+  }
+  for (const auto& [field, v] : costs) {
+    if (!std::isfinite(v) || !(v >= 0.0)) {
+      reject(field, v, "non-negative and finite");
+    }
+  }
+}
+
 ThreadPool& Device::compute_pool() { return ThreadPool::global(); }
 
-int Device::record(Stream s, OpKind kind, double seconds, std::size_t bytes,
-                   bool issue) {
+int Device::record(Stream s, OpKind kind, double seconds,
+                   std::size_t bytes) {
   constexpr auto relaxed = std::memory_order_relaxed;
   if (kind == OpKind::kH2D) {
     h2d_bytes_.fetch_add(bytes, relaxed);
@@ -65,9 +104,8 @@ int Device::record(Stream s, OpKind kind, double seconds, std::size_t bytes,
   Op op;
   op.kind = kind;
   op.role = s.role;
-  op.device = s.device;
   op.after = s.after;
-  op.issue = issue ? cfg_.model.issue_overhead : 0.0;
+  op.issue = cfg_.model.issue_overhead;
   op.seconds = seconds;
   op.bytes = bytes;
   s.rec->push_back(op);
@@ -78,9 +116,9 @@ int Stream::last() const {
   if (rec == nullptr) return -1;
   for (int k = static_cast<int>(rec->size()) - 1; k >= 0; --k) {
     const Op& op = (*rec)[static_cast<std::size_t>(k)];
-    if (op.device == device && op.role == role &&
+    if (op.role == role &&
         (op.kind == OpKind::kKernel || op.kind == OpKind::kH2D ||
-         op.kind == OpKind::kD2H || op.kind == OpKind::kP2P)) {
+         op.kind == OpKind::kD2H)) {
       return k;
     }
   }
@@ -127,7 +165,7 @@ DeviceBuffer& DeviceBuffer::operator=(DeviceBuffer&& o) noexcept {
 
 void host_wait(Stream s, int op) {
   if (s.rec != nullptr) {
-    s.rec->push_back({OpKind::kWait, s.role, s.device, 0, op});
+    s.rec->push_back({OpKind::kWait, s.role, op});
   }
 }
 

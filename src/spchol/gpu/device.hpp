@@ -3,13 +3,13 @@
 // The device executes numerics for real (kernels run on host threads, and
 // "device memory" is host memory behind an accounting layer) and keeps
 // no clock. Every device op instead appends one modeled cost entry (an
-// Op) to the record of the plan node issuing it: device ordinal, stream
-// role, duration, bytes, and at most one dependency on an earlier op of
-// the same node. After the run, core/replay.* list-schedules the executed
-// task DAG over those records and produces every modeled number — so
-// modeled time is a function of the plan and the options alone, never of
-// how host threads interleaved. The entries carry exactly what the
-// paper's offloading algorithms depend on:
+// Op) to the record of the plan node issuing it: stream role, duration,
+// bytes, and at most one dependency on an earlier op of the same node.
+// After the run, core/replay.* list-schedules the executed task DAG over
+// those records and produces every modeled number — so modeled time is a
+// function of the plan and the options alone, never of how host threads
+// interleaved. The entries carry exactly what the paper's offloading
+// algorithms depend on:
 //   * asynchronous D2H of the factored supernode overlapping the update
 //     kernel (§III: a copy-role op waits only for the compute op it
 //     names),
@@ -70,9 +70,15 @@ struct DeviceConfig {
   std::size_t compute_threads = 0;
 };
 
+/// Throws InvalidArgument unless every rate and peak of cfg.model is
+/// positive and finite and every latency, overhead and per-entry cost is
+/// non-negative and finite. `what` names the option being validated in
+/// the message.
+void validate(const DeviceConfig& cfg, const char* what);
+
 /// The modeled stream a device op runs on. The replay gives every node
-/// one stream pair (a compute and a copy stream) per device it touches;
-/// ops on one stream run in issue order.
+/// that touches the device one stream pair (a compute and a copy
+/// stream); ops on one stream run in issue order.
 enum class Role : std::uint8_t { kCompute, kCopy };
 
 /// What one recorded cost entry models (core/replay.hpp schedules them).
@@ -80,20 +86,15 @@ enum class OpKind : std::uint8_t {
   kCpuBlas,   ///< host BLAS seconds
   kAssembly,  ///< host scatter-assembly seconds
   kWait,      ///< the host blocks until op `after` completes
-  kKernel,    ///< device kernel on (device, role)
-  kH2D,       ///< host→device transfer on (device, role)
-  kD2H,       ///< device→host transfer on (device, role)
-  kP2P,       ///< peer exchange time on (device, role) of a coop launch
-  kLink,      ///< cross-device hop device → dst; the host waits for it
-  kBarrier,   ///< aligns the compute streams of every device the node used
+  kKernel,    ///< device kernel on stream `role`
+  kH2D,       ///< host→device transfer on stream `role`
+  kD2H,       ///< device→host transfer on stream `role`
 };
 
 /// One modeled cost entry of an executed node.
 struct Op {
   OpKind kind = OpKind::kCpuBlas;
   Role role = Role::kCompute;
-  int device = 0;        ///< device ordinal (kLink: the source)
-  int dst = 0;           ///< kLink: the destination ordinal
   int after = -1;        ///< earlier op of the same node this one waits for
   double issue = 0.0;    ///< host seconds spent issuing a device op
   double seconds = 0.0;  ///< modeled duration
@@ -104,13 +105,11 @@ struct Op {
 /// running the node writes it, so recording takes no lock.
 using OpRecord = std::vector<Op>;
 
-/// Where a device op is issued: the `role` stream of device ordinal
-/// `device`, recorded into `rec`. A null `rec` records no time — the op
-/// only bumps the device counters (the triangular solve, whose stats read
-/// no device time).
+/// Where a device op is issued: the `role` stream, recorded into `rec`.
+/// A null `rec` records no time — the op only bumps the device counters
+/// (the triangular solve, whose stats read no device time).
 struct Stream {
   OpRecord* rec = nullptr;
-  int device = 0;
   Role role = Role::kCompute;
   int after = -1;  ///< op of `rec` the next op issued here waits for
 
@@ -155,10 +154,8 @@ class Device {
 
   /// Counts one op of `kind` moving `bytes` and, when s.rec is set,
   /// appends its modeled cost to the record; returns the op's index in
-  /// s.rec (-1 when unrecorded). `issue` is the host time spent issuing
-  /// it (a peer's share of a cooperative launch issues nothing).
-  int record(Stream s, OpKind kind, double seconds, std::size_t bytes = 0,
-             bool issue = true);
+  /// s.rec (-1 when unrecorded).
+  int record(Stream s, OpKind kind, double seconds, std::size_t bytes = 0);
 
  private:
   friend class DeviceBuffer;

@@ -1,4 +1,4 @@
-// DeviceArena: a long-lived DeviceRegistry plus a keyed cache of slot
+// DeviceArena: a long-lived simulated Device plus a keyed cache of slot
 // pools, decoupling GPU resource lifetime from a single factorize() call.
 //
 // The per-call drivers build a gpu::SlotPool on the stack: every
@@ -13,9 +13,7 @@
 //
 // Keying. The key must fingerprint everything that shapes the pool —
 // sparsity pattern, factorization method (RL slots and RLB slots are
-// different types!), variant, stream count, batching options, and the
-// DEVICE INDEX the pool allocates from (the executors mix the device
-// ordinal into the key, so pools never mix devices) — because the cache
+// different types!), variant and stream count — because the cache
 // returns the stored pool for a key hit without inspecting it.
 // SolverService derives the key from its pattern fingerprint plus the
 // plan-relevant FactorOptions, so distinct sessions only ever share a
@@ -46,27 +44,18 @@
 #include <vector>
 
 #include "spchol/gpu/device.hpp"
-#include "spchol/gpu/device_registry.hpp"
 
 namespace spchol::gpu {
 
 class DeviceArena {
  public:
-  explicit DeviceArena(DeviceConfig cfg = {}, std::size_t device_count = 1)
-      : reg_(cfg, device_count) {}
+  explicit DeviceArena(DeviceConfig cfg = {}) : dev_(cfg) {}
   DeviceArena(const DeviceArena&) = delete;
   DeviceArena& operator=(const DeviceArena&) = delete;
 
-  /// The shared registry the arena-managed pools allocate from.
-  DeviceRegistry& registry() noexcept { return reg_; }
-  const DeviceRegistry& registry() const noexcept { return reg_; }
-  std::size_t num_devices() const noexcept { return reg_.size(); }
-
-  /// Device 0 — the primary device single-device callers see (existing
-  /// single-device behaviour routes everything here).
-  Device& device() noexcept { return reg_.device(0); }
-  const Device& device() const noexcept { return reg_.device(0); }
-  Device& device(std::size_t i) noexcept { return reg_.device(i); }
+  /// The shared device the arena-managed pools allocate from.
+  Device& device() noexcept { return dev_; }
+  const Device& device() const noexcept { return dev_; }
 
   /// Cache-usage counters (snapshot under the arena lock).
   struct Stats {
@@ -128,7 +117,7 @@ class DeviceArena {
   /// is empty). Caller holds mu_.
   bool evict_idle_locked();
 
-  DeviceRegistry reg_;
+  Device dev_;
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
   std::uint64_t stamp_ = 0;

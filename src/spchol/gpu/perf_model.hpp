@@ -41,60 +41,6 @@
 
 namespace spchol::gpu {
 
-/// Per-pair peer-to-peer link model of a multi-GPU node: an N×N table of
-/// bandwidths and latencies. Real boxes are not uniform meshes — NVLink
-/// islands run an order of magnitude faster than hops that fall back to
-/// the PCIe switch fabric — and the planner's shard placement optimizes
-/// against exactly this table. An empty table (devices == 0, the default)
-/// means "uniform mesh at PerfModel::p2p_gbytes_per_s", preserving the
-/// flat model byte-for-byte.
-///
-/// The table only shapes the MODELED timeline (transfer durations and
-/// which ordinal a shard lands on); numerics never read it, so factors
-/// and solves are bitwise identical across every topology.
-struct LinkTable {
-  int devices = 0;  ///< 0 = unset (flat p2p model)
-  /// Row-major devices×devices link bandwidths in GB/s; the diagonal is
-  /// ignored (no self-transfers). Must be symmetric and positive.
-  std::vector<double> gbytes_per_s;
-  /// Row-major devices×devices link latencies in seconds; diagonal
-  /// ignored. Must be symmetric and non-negative.
-  std::vector<double> latency_s;
-
-  bool empty() const noexcept { return devices == 0; }
-  double bandwidth(int src, int dst) const {
-    return gbytes_per_s[static_cast<std::size_t>(src) *
-                            static_cast<std::size_t>(devices) +
-                        static_cast<std::size_t>(dst)];
-  }
-  double latency(int src, int dst) const {
-    return latency_s[static_cast<std::size_t>(src) *
-                         static_cast<std::size_t>(devices) +
-                     static_cast<std::size_t>(dst)];
-  }
-
-  /// Throws InvalidArgument unless the table is well formed (square,
-  /// symmetric, positive bandwidth, non-negative latency) and covers at
-  /// least `gpu_devices` devices. `what` names the option being
-  /// validated in the message. An empty table always passes.
-  void validate(int gpu_devices, const char* what) const;
-
-  /// Uniform all-to-all mesh: every pair at `gbps` / `latency` (defaults
-  /// match the flat model's scaled NVLink numbers, so modeled p2p hops
-  /// cost the same as with no table at all).
-  static LinkTable uniform(int n, double gbps = 300.0,
-                           double latency = 1.5e-6);
-  /// NVLink islands of `island_size` (2 or 4) consecutive ordinals:
-  /// intra-island pairs at full NVLink rate, cross-island pairs dropping
-  /// to the PCIe switch fabric (24 GB/s scaled, 3 µs) — the >10x per-hop
-  /// contrast of real mixed-fabric boxes.
-  static LinkTable nvlink_islands(int n, int island_size = 2);
-  /// PCIe switch tree: pairs under one switch (consecutive pairs of
-  /// ordinals) at PCIe 4.0 rate, pairs crossing the root complex at half
-  /// that with doubled latency. No NVLink anywhere — the all-PCIe box.
-  static LinkTable pcie_tree(int n);
-};
-
 struct PerfModel {
   // --- CPU BLAS ---
   double cpu_core_gflops = 20.0;
@@ -137,20 +83,6 @@ struct PerfModel {
   double d2h_gbytes_per_s = 80.0;
   double transfer_latency = 0.8e-6;
 
-  // --- peer-to-peer (device-to-device) link ---
-  /// NVLink-class direct device-to-device bandwidth, scaled by the same
-  /// ~3.75× factor as the PCIe numbers above (A100 NVLink ≈ 600 GB/s
-  /// against PCIe 4.0 ≈ 24 GB/s on the paper's node). Used by the
-  /// cooperative wide-supernode pipeline to broadcast panel blocks
-  /// between the devices of a multi-device run.
-  double p2p_gbytes_per_s = 300.0;
-  double p2p_latency = 1.5e-6;
-  /// Per-pair link topology. Empty (default) = uniform mesh at the flat
-  /// rates above; set through the `device` config of FactorOptions,
-  /// SolveOptions or RuntimeOptions. Consulted by the per-pair
-  /// p2p_seconds overload below.
-  LinkTable links;
-
   // --- CPU assembly (scatter-add) ---
   double assembly_seconds_per_entry = 1.0e-9;
   /// Modeled CPU threads of the OpenMP-style parallel assembly loops —
@@ -186,15 +118,6 @@ struct PerfModel {
                                          std::size_t count) const;
   double h2d_seconds(double bytes) const;
   double d2h_seconds(double bytes) const;
-  /// Modeled time of one direct device-to-device transfer of `bytes`
-  /// over the flat (topology-blind) link.
-  double p2p_seconds(double bytes) const;
-  /// Modeled time of one device-to-device transfer of `bytes` over the
-  /// src→dst link of `links`. Falls back to the flat rate when the table
-  /// is empty or either ordinal is negative (cooperative supernodes use
-  /// ordinal -1); ordinals beyond the table fold modulo its size, the
-  /// registry-shrink convention of the executors.
-  double p2p_seconds(int src, int dst, double bytes) const;
   /// Modeled time of scatter-assembling `entries` factor entries on the
   /// CPU with `threads` OpenMP-style workers (paper parallelizes assembly).
   double assembly_seconds(double entries,

@@ -18,17 +18,12 @@ void validate(const RuntimeOptions& opts) {
     throw InvalidArgument("RuntimeOptions::max_concurrent must be >= 1; got " +
                           std::to_string(opts.max_concurrent));
   }
-  if (opts.gpu_devices < 1) {
-    throw InvalidArgument("RuntimeOptions::gpu_devices must be >= 1; got " +
-                          std::to_string(opts.gpu_devices));
-  }
-  opts.device.model.links.validate(opts.gpu_devices,
-                                   "RuntimeOptions::device.model.links");
+  gpu::validate(opts.device, "RuntimeOptions::device");
 }
 
 SolverRuntime::SolverRuntime(const RuntimeOptions& opts)
     : crew_((validate(opts), opts.workers)),
-      arena_(opts.device, static_cast<std::size_t>(opts.gpu_devices)),
+      arena_(opts.device),
       max_concurrent_(static_cast<std::size_t>(opts.max_concurrent)) {}
 
 SolverRuntime::Admission::~Admission() {

@@ -47,21 +47,14 @@ struct RuntimeOptions {
   /// this runtime; further admit() calls block until one finishes.
   /// Values < 1 are rejected with InvalidArgument.
   int max_concurrent = 4;
-  /// Configuration of the shared simulated device(s). Every device in
-  /// the registry is built from this one config, so `device.model.links`
-  /// prices every session's cross-device hops over the per-pair links.
-  /// A non-empty table must be square, symmetric, positive-bandwidth and
-  /// cover at least gpu_devices devices (InvalidArgument otherwise).
+  /// Configuration of the shared simulated device; every session runs
+  /// its device work on it. Validated as in FactorOptions.
   gpu::DeviceConfig device{};
-  /// Simulated devices in the runtime's registry. Sessions shard GPU
-  /// work across min(this, FactorOptions::gpu_devices) devices; the
-  /// default 1 reproduces the single-device runtime exactly. Values < 1
-  /// are rejected with InvalidArgument.
-  int gpu_devices = 1;
 };
 
 /// Throws InvalidArgument on invalid RuntimeOptions (negative workers,
-/// max_concurrent < 1). SolverRuntime's constructor calls this.
+/// max_concurrent < 1, an invalid device model). SolverRuntime's
+/// constructor calls this.
 void validate(const RuntimeOptions& opts);
 
 /// Service-wide counters (snapshot; arena stats merged in).
@@ -108,9 +101,6 @@ class SolverRuntime {
   WorkerCrew& crew() noexcept { return crew_; }
   gpu::DeviceArena& arena() noexcept { return arena_; }
   gpu::Device& device() noexcept { return arena_.device(); }
-  /// Registry of the runtime's simulated devices (device() is entry 0).
-  gpu::DeviceRegistry& registry() noexcept { return arena_.registry(); }
-  std::size_t num_devices() const noexcept { return arena_.num_devices(); }
   /// Persistent crew threads (effective DAG parallelism is this + 1).
   std::size_t workers() const noexcept { return crew_.size(); }
   std::size_t max_concurrent() const noexcept { return max_concurrent_; }

@@ -44,14 +44,6 @@ class Fnv {
     static_assert(std::is_trivially_copyable_v<T>);
     bytes(&v, sizeof v);
   }
-  /// Folds a link-topology table into the hash: plans built for
-  /// different topologies carry different device placements, so they
-  /// must never alias in the cache.
-  void links(const gpu::LinkTable& t) {
-    pod(t.devices);
-    bytes(t.gbytes_per_s.data(), t.gbytes_per_s.size() * sizeof(double));
-    bytes(t.latency_s.data(), t.latency_s.size() * sizeof(double));
-  }
   std::uint64_t hash() const noexcept { return h_; }
 
  private:
@@ -93,12 +85,7 @@ std::uint64_t plan_fingerprint(const FactorOptions& fo) {
   f.pod(fo.gpu_threshold_rl);
   f.pod(fo.gpu_threshold_rlb);
   f.pod(fo.gpu_streams);
-  // Device sharding shapes the plan (per-node device assignment) and
-  // the per-device pools, so plans built for different device counts —
-  // or with the resident-factor reservation — must never alias.
-  f.pod(fo.gpu_devices);
   f.pod(fo.device_resident_factor);
-  f.links(fo.device.model.links);
   return f.hash();
 }
 
@@ -112,8 +99,6 @@ std::uint64_t solve_plan_fingerprint(const SolveOptions& so) {
   f.pod(so.exec);
   f.pod(so.gpu_threshold);
   f.pod(so.gpu_streams);
-  f.pod(so.gpu_devices);  // device assignment lives on the plan nodes
-  f.links(so.device.model.links);  // placement permutes assignments
   return f.hash();
 }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "spchol/gpu/perf_model.hpp"
-
 namespace spchol {
 
 namespace {
@@ -51,210 +49,7 @@ std::vector<std::vector<index_t>> update_contributors(
   return srcs;
 }
 
-/// Walks every cross-shard update segment of a device assignment:
-/// calls f(src_dev, dst_dev, entries) for each (supernode, target) pair
-/// where both ends are GPU-resident, non-cooperative, and on different
-/// devices — the exact set the executors charge as cross-device
-/// separator assembly (PlanExecutor::cross_hops).
-template <class F>
-void for_each_cross_segment(const SymbolicFactor& symb,
-                            std::span<const char> on_gpu,
-                            std::span<const index_t> dev, F&& f) {
-  const index_t ns = symb.num_supernodes();
-  for (index_t s = 0; s < ns; ++s) {
-    if (on_gpu.empty() || on_gpu[s] == 0 || dev[s] < 0) continue;
-    const auto rows = symb.sn_rows(s);
-    const index_t w = symb.sn_width(s);
-    const index_t below = symb.sn_below(s);
-    index_t b = 0;
-    while (b < below) {
-      const index_t t = symb.col_to_sn(rows[w + b]);
-      index_t b1 = b;
-      while (b1 < below && symb.col_to_sn(rows[w + b1]) == t) ++b1;
-      if (on_gpu[t] != 0 && dev[t] >= 0 && dev[t] != dev[s]) {
-        const offset_t seg = static_cast<offset_t>(b1 - b) *
-                             (static_cast<offset_t>(below - b) +
-                              static_cast<offset_t>(below - b1 + 1)) /
-                             2;
-        f(dev[s], dev[t], seg);
-      }
-      b = b1;
-    }
-  }
-}
-
-/// Shard → physical-ordinal placement over a link table: greedy
-/// heaviest-edge-first seeding plus a local-swap refinement loop, both
-/// deterministic (stable sorts, strict-improvement comparisons, ties
-/// keep the identity mapping) so uniform tables place every shard on
-/// its own ordinal and repeated runs agree. `bytes`/`count` are the
-/// symmetrized num_devices×num_devices shard-pair traffic aggregates.
-std::vector<index_t> place_shards(index_t num_devices,
-                                  const std::vector<double>& bytes,
-                                  const std::vector<double>& count,
-                                  const gpu::LinkTable& links) {
-  const auto n = static_cast<std::size_t>(num_devices);
-  const auto at = [n](std::size_t a, std::size_t b) { return a * n + b; };
-  // Seconds of shipping shard-pair (a,b)'s traffic over ordinal link
-  // (p,q): the affine per-link transfer model.
-  const auto cost = [&](std::size_t a, std::size_t b, index_t p,
-                        index_t q) {
-    const int src = static_cast<int>(p) % links.devices;
-    const int dst = static_cast<int>(q) % links.devices;
-    if (src == dst) return 0.0;
-    return count[at(a, b)] * links.latency(src, dst) +
-           bytes[at(a, b)] / (links.bandwidth(src, dst) * 1e9);
-  };
-
-  // Edges sorted heaviest-first by a link-independent proxy (bytes,
-  // then count) — the pairs that matter most claim the best links.
-  struct Edge {
-    std::size_t a, b;
-  };
-  std::vector<Edge> edges;
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) {
-      if (bytes[at(a, b)] > 0.0 || count[at(a, b)] > 0.0) {
-        edges.push_back({a, b});
-      }
-    }
-  }
-  std::stable_sort(edges.begin(), edges.end(),
-                   [&](const Edge& x, const Edge& y) {
-                     const double bx = bytes[at(x.a, x.b)];
-                     const double by = bytes[at(y.a, y.b)];
-                     if (bx != by) return bx > by;
-                     return count[at(x.a, x.b)] > count[at(y.a, y.b)];
-                   });
-
-  std::vector<index_t> perm(n, -1);       // shard -> ordinal
-  std::vector<char> taken(n, 0);          // ordinal claimed
-  const auto place = [&](std::size_t shard, index_t ordinal) {
-    perm[shard] = ordinal;
-    taken[static_cast<std::size_t>(ordinal)] = 1;
-  };
-  // Cost of placing `shard` at `ordinal` against its already-placed
-  // neighbours.
-  const auto attach_cost = [&](std::size_t shard, index_t ordinal) {
-    double c = 0.0;
-    for (std::size_t o = 0; o < n; ++o) {
-      if (o == shard || perm[o] < 0) continue;
-      c += cost(shard, o, ordinal, perm[o]) +
-           cost(o, shard, perm[o], ordinal);
-    }
-    return c;
-  };
-  for (const Edge& e : edges) {
-    if (perm[e.a] < 0 && perm[e.b] < 0) {
-      // Seed: drop the pair on the cheapest free ordinal pair,
-      // identity-preferred on ties.
-      index_t bp = -1, bq = -1;
-      double best = 0.0;
-      const auto consider = [&](index_t p, index_t q) {
-        if (p == q || taken[static_cast<std::size_t>(p)] ||
-            taken[static_cast<std::size_t>(q)]) {
-          return;
-        }
-        const double c = cost(e.a, e.b, p, q) + cost(e.b, e.a, q, p);
-        if (bp < 0 || c < best) {
-          best = c;
-          bp = p;
-          bq = q;
-        }
-      };
-      consider(static_cast<index_t>(e.a), static_cast<index_t>(e.b));
-      for (index_t p = 0; p < num_devices; ++p) {
-        for (index_t q = 0; q < num_devices; ++q) consider(p, q);
-      }
-      place(e.a, bp);
-      place(e.b, bq);
-    } else if (perm[e.a] < 0 || perm[e.b] < 0) {
-      const std::size_t shard = perm[e.a] < 0 ? e.a : e.b;
-      index_t bo = -1;
-      double best = 0.0;
-      const auto consider = [&](index_t o) {
-        if (taken[static_cast<std::size_t>(o)]) return;
-        const double c = attach_cost(shard, o);
-        if (bo < 0 || c < best) {
-          best = c;
-          bo = o;
-        }
-      };
-      consider(static_cast<index_t>(shard));
-      for (index_t o = 0; o < num_devices; ++o) consider(o);
-      place(shard, bo);
-    }
-  }
-  // Traffic-free shards keep their own ordinal when free, else the
-  // lowest free one.
-  for (std::size_t a = 0; a < n; ++a) {
-    if (perm[a] >= 0) continue;
-    if (!taken[a]) {
-      place(a, static_cast<index_t>(a));
-      continue;
-    }
-    for (index_t o = 0; o < num_devices; ++o) {
-      if (!taken[static_cast<std::size_t>(o)]) {
-        place(a, o);
-        break;
-      }
-    }
-  }
-
-  // Local-swap refinement: apply the best strictly-improving ordinal
-  // swap until none remains (bounded — each pass lowers the objective).
-  const auto objective = [&] {
-    double c = 0.0;
-    for (std::size_t a = 0; a < n; ++a) {
-      for (std::size_t b = 0; b < n; ++b) {
-        if (a != b) c += cost(a, b, perm[a], perm[b]);
-      }
-    }
-    return c;
-  };
-  double cur = objective();
-  for (std::size_t pass = 0; pass < n * n; ++pass) {
-    std::size_t ba = n, bb = n;
-    double best = cur;
-    for (std::size_t a = 0; a < n; ++a) {
-      for (std::size_t b = a + 1; b < n; ++b) {
-        std::swap(perm[a], perm[b]);
-        const double c = objective();
-        std::swap(perm[a], perm[b]);
-        if (c < best * (1.0 - 1e-12)) {
-          best = c;
-          ba = a;
-          bb = b;
-        }
-      }
-    }
-    if (ba == n) break;
-    std::swap(perm[ba], perm[bb]);
-    cur = best;
-  }
-  return perm;
-}
-
 }  // namespace
-
-double modeled_cross_traffic_seconds(const SymbolicFactor& symb,
-                                     std::span<const char> on_gpu,
-                                     std::span<const index_t> device_of,
-                                     const gpu::PerfModel& model) {
-  double total = 0.0;
-  for_each_cross_segment(
-      symb, on_gpu, device_of,
-      [&](index_t src, index_t dst, offset_t entries) {
-        const double bytes = static_cast<double>(entries) * 8.0;
-        if (model.links.empty()) {
-          total += model.d2h_seconds(bytes) + model.h2d_seconds(bytes);
-        } else {
-          total += model.p2p_seconds(static_cast<int>(src),
-                                     static_cast<int>(dst), bytes);
-        }
-      });
-  return total;
-}
 
 std::vector<SubtreeBatch> pack_subtree_batches(const SymbolicFactor& symb,
                                                std::span<const char> on_gpu) {
@@ -332,160 +127,6 @@ std::vector<SubtreeBatch> pack_subtree_batches(const SymbolicFactor& symb,
   return defs;
 }
 
-std::vector<index_t> assign_devices(const SymbolicFactor& symb,
-                                    std::span<const char> on_gpu,
-                                    index_t num_devices,
-                                    bool coop_spine,
-                                    const gpu::LinkTable* links) {
-  const index_t ns = symb.num_supernodes();
-  std::vector<index_t> dev(static_cast<std::size_t>(ns), 0);
-  if (ns == 0 || num_devices <= 1) return dev;
-
-  // GPU-work proxy per supernode: MODELED device seconds (nominal
-  // PerfModel), not raw flops — a shard of many small supernodes pays a
-  // per-kernel launch latency and runs far off the peak rate, so a
-  // flop-balanced cut is badly seconds-imbalanced. The proxy sums the
-  // pipeline's kernel curve (POTRF + TRSM + SYRK) plus the panel
-  // up/down and update-download transfers; CPU-resident supernodes never
-  // touch a device and weigh nothing, so the shards balance DEVICE time.
-  const gpu::PerfModel pm;
-  std::vector<double> weight(static_cast<std::size_t>(ns), 0.0);
-  double total = 0.0;
-  for (index_t s = 0; s < ns; ++s) {
-    if (!on_gpu.empty() && on_gpu[s] != 0) {
-      const double w = static_cast<double>(symb.sn_width(s));
-      const double below = static_cast<double>(symb.sn_below(s));
-      const double entries = static_cast<double>(symb.sn_entries(s));
-      double sec = pm.gpu_kernel_seconds(w * w * w / 3.0) +
-                   pm.h2d_seconds(entries * 8.0) +
-                   pm.d2h_seconds(entries * 8.0);
-      if (below > 0.0) {
-        sec += pm.gpu_kernel_seconds(below * w * w) +
-               pm.gpu_kernel_seconds(below * below * w) +
-               pm.d2h_seconds(below * below * 8.0);
-      }
-      weight[s] = sec;
-      total += sec;
-    }
-  }
-  if (total <= 0.0) return dev;
-
-  // Cooperative set: a supernode whose OWN modeled cost is a sizable
-  // fraction of one device's fair share serializes whichever shard it
-  // lands on — the top separators of a 3D mesh are 50%+ of the whole
-  // factorization by themselves. When the executor supports cooperative
-  // launches, such supernodes are marked -1 (block-distributed across
-  // every device) and their weight leaves the partition problem: coop
-  // work is spread evenly by construction, so only the remaining
-  // subtree work needs balancing.
-  std::vector<char> coop(static_cast<std::size_t>(ns), 0);
-  if (coop_spine) {
-    const double coop_cut =
-        0.25 * total / static_cast<double>(num_devices);
-    for (index_t s = 0; s < ns; ++s) {
-      if (weight[s] > coop_cut) {
-        coop[s] = 1;
-        total -= weight[s];
-        weight[s] = 0.0;
-      }
-    }
-    if (total <= 0.0) {
-      for (index_t s = 0; s < ns; ++s) {
-        if (coop[s]) dev[s] = -1;
-      }
-      return dev;
-    }
-  }
-
-  // Subtree weights and sizes, bottom-up over the postorder (a subtree
-  // is the contiguous supernode range [s - size[s] + 1, s]).
-  std::vector<double> subtree(weight);
-  std::vector<index_t> size(static_cast<std::size_t>(ns), 1);
-  std::vector<index_t> heavy_child(static_cast<std::size_t>(ns), -1);
-  for (index_t s = 0; s < ns; ++s) {
-    const index_t p = symb.sn_parent(s);
-    if (p >= 0) {
-      if (heavy_child[p] < 0 || subtree[s] > subtree[heavy_child[p]]) {
-        heavy_child[p] = s;
-      }
-      subtree[p] += subtree[s];
-      size[p] += size[s];
-    }
-  }
-  const double target = total / static_cast<double>(num_devices);
-
-  // Maximal-subtree cut (the subtree_partition idiom, weighted): a
-  // supernode whose whole subtree fits under the per-device share AND
-  // whose parent's does not is a cut root; it claims its contiguous
-  // postorder range for the currently least-loaded device. Spine
-  // (separator) supernodes — subtrees too heavy to place whole — ride
-  // with their heaviest child's device, so independent heavy branches
-  // land on different devices and each separator stays co-resident with
-  // the shard that feeds it most; the contributions arriving from other
-  // shards are the explicit cross-device separator assembly.
-  std::vector<double> bin_load(static_cast<std::size_t>(num_devices), 0.0);
-  const auto lightest = [&] {
-    index_t best = 0;
-    for (index_t b = 1; b < num_devices; ++b) {
-      if (bin_load[b] < bin_load[best]) best = b;
-    }
-    return best;
-  };
-  for (index_t s = 0; s < ns; ++s) {
-    if (subtree[s] > target) {
-      // Spine vertex: children precede it in postorder with devices
-      // already fixed — ride with the heaviest contributor so the
-      // separator stays co-resident with the shard that feeds it most;
-      // contributions arriving from other shards are the explicit
-      // cross-device separator assembly.
-      const index_t hc = heavy_child[s];
-      dev[s] = hc >= 0 && dev[hc] >= 0 ? dev[hc] : lightest();
-      bin_load[dev[s]] += weight[s];
-      continue;
-    }
-    const index_t p = symb.sn_parent(s);
-    if (p >= 0 && subtree[p] <= target) continue;  // an ancestor will cut
-    const index_t bin = lightest();
-    const index_t begin = s - size[s] + 1;
-    for (index_t k = begin; k <= s; ++k) dev[k] = bin;
-    bin_load[bin] += subtree[s];
-  }
-  // The cooperative override happens LAST: a coop supernode inside a
-  // claimed cut range (a wide branch separator) still leaves its range
-  // contiguous for its siblings, and a coop spine vertex is invisible to
-  // the heavy-child walk above (its weight is already zero).
-  for (index_t s = 0; s < ns; ++s) {
-    if (coop[s]) dev[s] = -1;
-  }
-
-  // Phase two — topology-aware placement. The partition above produced
-  // ABSTRACT shards (bin ids in partition order); with a link table the
-  // shard-pair traffic aggregates pick which physical ordinal runs each
-  // shard, so the heavy separator-assembly pairs ride the fast links.
-  // Pure permutation: bits and plan edges cannot change.
-  if (links != nullptr && !links->empty()) {
-    const auto n = static_cast<std::size_t>(num_devices);
-    std::vector<double> bytes(n * n, 0.0);
-    std::vector<double> count(n * n, 0.0);
-    for_each_cross_segment(
-        symb, on_gpu, dev,
-        [&](index_t src, index_t dst, offset_t entries) {
-          // Symmetrized: the link table is symmetric, so only the pair's
-          // combined volume matters to placement.
-          const std::size_t a = static_cast<std::size_t>(std::min(src, dst));
-          const std::size_t b = static_cast<std::size_t>(std::max(src, dst));
-          bytes[a * n + b] += static_cast<double>(entries) * 8.0;
-          count[a * n + b] += 1.0;
-        });
-    const std::vector<index_t> perm =
-        place_shards(num_devices, bytes, count, *links);
-    for (index_t s = 0; s < ns; ++s) {
-      if (dev[s] >= 0) dev[s] = perm[static_cast<std::size_t>(dev[s])];
-    }
-  }
-  return dev;
-}
-
 std::size_t ExecutionPlan::scatter_node(index_t sn, index_t target) const {
   if (batch_of_[sn] != kNoNode) return batch_of_[sn];
   if (fuse_gpu_scatter_ && nodes_[compute_of_[sn]].on_gpu) {
@@ -504,8 +145,7 @@ std::size_t ExecutionPlan::scatter_node(index_t sn, index_t target) const {
 ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
                                    std::span<const char> on_gpu,
                                    std::span<const index_t> queue_of,
-                                   const PlanOptions& opts,
-                                   std::span<const index_t> device_of) {
+                                   const PlanOptions& opts) {
   const index_t ns = symb.num_supernodes();
   SPCHOL_CHECK(on_gpu.empty() ||
                    on_gpu.size() == static_cast<std::size_t>(ns),
@@ -513,9 +153,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
   SPCHOL_CHECK(queue_of.empty() ||
                    queue_of.size() == static_cast<std::size_t>(ns),
                "queue_of span size mismatch");
-  SPCHOL_CHECK(device_of.empty() ||
-                   device_of.size() == static_cast<std::size_t>(ns),
-               "device_of span size mismatch");
 
   ExecutionPlan plan;
   plan.fuse_gpu_scatter_ = opts.fuse_gpu_scatter;
@@ -534,9 +171,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
   auto queue = [&](index_t s) {
     return queue_of.empty() ? std::size_t{0}
                             : static_cast<std::size_t>(queue_of[s]);
-  };
-  auto device = [&](index_t s) {
-    return device_of.empty() ? index_t{0} : device_of[s];
   };
   auto add_edge = [&plan](std::size_t from, std::size_t to,
                           bool chain = false) {
@@ -560,7 +194,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
         b.priority = prio_scatter_base +
                      static_cast<std::size_t>(defs[d].last);
         b.queue = queue(defs[d].first);
-        b.device = device(defs[d].first);
         const std::size_t id = plan.nodes_.size();
         plan.nodes_.push_back(b);
         for (index_t m = defs[d].first; m <= defs[d].last; ++m) {
@@ -579,7 +212,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
     c.priority = (gpu ? prio_scatter_base : prio_compute_base) +
                  static_cast<std::size_t>(s);
     c.queue = queue(s);
-    c.device = device(s);
     plan.compute_of_[s] = plan.nodes_.size();
     plan.nodes_.push_back(c);
     if ((gpu && opts.fuse_gpu_scatter) || symb.sn_below(s) == 0) continue;
@@ -590,7 +222,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
       n.target = target;
       n.priority = prio_scatter_base + static_cast<std::size_t>(s);
       n.queue = queue(s);
-      n.device = device(target);  // assembly lands on the target's device
       const std::size_t id = plan.nodes_.size();
       plan.nodes_.push_back(n);
       plan.scatter_nodes_.push_back(id);

@@ -53,11 +53,6 @@
 
 #include "spchol/symbolic/symbolic_factor.hpp"
 
-namespace spchol::gpu {
-struct LinkTable;
-struct PerfModel;
-}  // namespace spchol::gpu
-
 namespace spchol {
 
 enum class PlanNodeKind : std::uint8_t {
@@ -76,12 +71,6 @@ struct PlanNode {
   /// kBatch: every member is an independent leaf (no member updates
   /// another member), so the batch may run as one fused device launch.
   bool device_eligible = false;
-  /// Device ordinal the node's GPU work is routed to (0 when single
-  /// device). COMPUTE/BATCH nodes carry their supernode's assignment;
-  /// SCATTER nodes carry the TARGET's device — assembly lands where the
-  /// target will be factored, so a contributor computed elsewhere pays a
-  /// cross-device D2H→H2D transfer (modeled by the executors).
-  index_t device = 0;
   std::size_t priority = 0;  ///< scheduler priority (lower runs first)
   std::size_t queue = 0;     ///< ready-queue partition
 };
@@ -102,60 +91,12 @@ struct SubtreeBatch {
 /// the grain budget, and flushing a batch whenever the next subtree does
 /// not fit. The budget is a constant of exec_plan.cpp (calibration
 /// there), so the grain is a function of the pattern alone — identical
-/// for every worker, stream and device count. Adjacent sibling subtrees
+/// for every worker and stream count. Adjacent sibling subtrees
 /// of a postordered supernodal etree tile a contiguous index interval —
 /// the property that keeps a batch from ever crossing a target's
 /// contributor chain. Returns disjoint ranges sorted ascending.
 std::vector<SubtreeBatch> pack_subtree_batches(const SymbolicFactor& symb,
                                                std::span<const char> on_gpu);
-
-/// Device-assignment pass shared by the factorization and solve
-/// planners: partitions the supernodal elimination tree into
-/// `num_devices` work-balanced shards and returns the per-supernode
-/// device ordinal. Weights are a GPU-work proxy (dense panel entries ×
-/// supernode width for supernodes marked `on_gpu`, zero otherwise), so
-/// the balance is over DEVICE load, not supernode count. Maximal
-/// subtrees packing under the per-device share stay whole — the ND
-/// separator tree guarantees disjoint writes below each separator, so a
-/// subtree is the natural sharding unit — and separator (spine)
-/// supernodes ride with the device of their heaviest child, making the
-/// cross-device traffic exactly the separator assembly the plan's
-/// SCATTER chains already serialize. With `coop_spine` set, spine
-/// supernodes that carry GPU weight are instead marked COOPERATIVE
-/// (ordinal -1): a top separator is too heavy for any single shard — it
-/// bounds the whole factorization's scaling — so the executor runs its
-/// kernels block-distributed across every engaged device (numerics
-/// unchanged; see rl.cpp's cooperative pipeline). Returns all zeros
-/// when num_devices <= 1 or nothing is marked on_gpu.
-///
-/// With a non-empty `links` table the assignment becomes TWO-PHASE:
-/// the partition above produces abstract shards, then a placement pass
-/// maps shards to physical device ordinals minimizing the modeled
-/// cross-shard traffic seconds over the per-pair link table (greedy
-/// heaviest-edge-first, then local-swap refinement) — heavy
-/// parent/child shard pairs land on well-connected devices (same
-/// NVLink island) instead of wherever the partition order dropped
-/// them. Placement only PERMUTES which ordinal runs a shard; the
-/// shard contents, the plan's edges, and every in-node order are
-/// untouched, so factors stay bitwise identical at every topology.
-std::vector<index_t> assign_devices(const SymbolicFactor& symb,
-                                    std::span<const char> on_gpu,
-                                    index_t num_devices,
-                                    bool coop_spine = false,
-                                    const gpu::LinkTable* links = nullptr);
-
-/// Modeled seconds of the cross-device separator-assembly traffic a
-/// device assignment implies: every update segment a GPU supernode
-/// pushes into a GPU target on a DIFFERENT device prices one hop over
-/// the src→dst link of `model` (the flat d2h+h2d fallback when
-/// `model.links` is empty — the executors' legacy pricing). Cooperative
-/// supernodes (ordinal -1) on either end pay nothing, exactly like the
-/// executors. This is the placement pass's objective, exposed so tests
-/// and benches can compare placements.
-double modeled_cross_traffic_seconds(const SymbolicFactor& symb,
-                                     std::span<const char> on_gpu,
-                                     std::span<const index_t> device_of,
-                                     const gpu::PerfModel& model);
 
 struct PlanOptions {
   /// GPU COMPUTE nodes absorb their scatters (RLB's fused device tasks):
@@ -169,10 +110,8 @@ class ExecutionPlan {
 
   /// Builds the plan. `on_gpu[s]` marks supernodes the executor will run
   /// on the device (never batched); `queue_of[s]` assigns ready-queue
-  /// partitions (empty span → all 0); `device_of[s]` assigns device
-  /// ordinals (empty span → all device 0; see assign_devices). All
-  /// spans are indexed by supernode and must be empty or of length
-  /// num_supernodes().
+  /// partitions (empty span → all 0). Both spans are indexed by
+  /// supernode and must be empty or of length num_supernodes().
   ///
   /// Reuse contract: a built plan is an immutable function of
   /// (symbolic pattern, on_gpu marks, queue partitioning, PlanOptions) —
@@ -183,8 +122,7 @@ class ExecutionPlan {
   static ExecutionPlan build(const SymbolicFactor& symb,
                              std::span<const char> on_gpu,
                              std::span<const index_t> queue_of,
-                             const PlanOptions& opts,
-                             std::span<const index_t> device_of = {});
+                             const PlanOptions& opts);
 
   std::span<const PlanNode> nodes() const noexcept { return nodes_; }
   std::span<const std::pair<std::size_t, std::size_t>> edges()

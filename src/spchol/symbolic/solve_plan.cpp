@@ -8,8 +8,7 @@ namespace spchol {
 
 SolvePlan SolvePlan::build(const SymbolicFactor& symb,
                            std::span<const char> on_gpu,
-                           std::span<const index_t> queue_of,
-                           std::span<const index_t> device_of) {
+                           std::span<const index_t> queue_of) {
   const index_t ns = symb.num_supernodes();
   SPCHOL_CHECK(on_gpu.empty() ||
                    on_gpu.size() == static_cast<std::size_t>(ns),
@@ -17,9 +16,6 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
   SPCHOL_CHECK(queue_of.empty() ||
                    queue_of.size() == static_cast<std::size_t>(ns),
                "queue_of span size mismatch");
-  SPCHOL_CHECK(device_of.empty() ||
-                   device_of.size() == static_cast<std::size_t>(ns),
-               "device_of span size mismatch");
 
   SolvePlan plan;
   plan.compute_of_.assign(static_cast<std::size_t>(ns), kNoNode);
@@ -36,9 +32,6 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
   auto queue = [&](index_t s) {
     return queue_of.empty() ? std::size_t{0}
                             : static_cast<std::size_t>(queue_of[s]);
-  };
-  auto device = [&](index_t s) {
-    return device_of.empty() ? index_t{0} : device_of[s];
   };
   // Forward: scatters (and GPU pipeline feeders) drain before CPU
   // computes, exactly as in the factorization plan. Backward: the solve
@@ -71,7 +64,6 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
                          static_cast<std::size_t>(defs[d].last);
         b.bwd_priority = bwd_prio(defs[d].last);
         b.queue = queue(defs[d].first);
-        b.device = device(defs[d].first);
         const std::size_t id = plan.nodes_.size();
         plan.nodes_.push_back(b);
         for (index_t m = defs[d].first; m <= defs[d].last; ++m) {
@@ -89,7 +81,6 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
                      static_cast<std::size_t>(s);
     c.bwd_priority = bwd_prio(s);
     c.queue = queue(s);
-    c.device = device(s);
     plan.compute_of_[s] = plan.nodes_.size();
     plan.nodes_.push_back(c);
     // GPU computes absorb their scatters (fused device solve); CPU
@@ -112,7 +103,6 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
       n.rows_hi = k2;
       n.fwd_priority = prio_scatter_base + static_cast<std::size_t>(s);
       n.queue = queue(s);
-      n.device = device(target);
       const std::size_t id = plan.nodes_.size();
       plan.nodes_.push_back(n);
       scatter_nodes.push_back(id);

@@ -73,10 +73,6 @@ struct SolveNode {
   index_t batch_first = -1;  ///< kBatch: first supernode of the range
   index_t batch_last = -1;   ///< kBatch: last supernode (inclusive)
   bool on_gpu = false;       ///< kCompute: fused device solve
-  /// Device ordinal the node's GPU work is routed to (0 when single
-  /// device; see assign_devices in exec_plan.hpp — the solve shares the
-  /// factorization's separator-tree device assignment).
-  index_t device = 0;
   std::size_t fwd_priority = 0;  ///< forward-phase scheduler priority
   std::size_t bwd_priority = 0;  ///< backward-phase priority (root first)
   std::size_t queue = 0;         ///< ready-queue partition
@@ -88,14 +84,11 @@ class SolvePlan {
 
   /// Builds the plan. `on_gpu[s]` marks supernodes the executor routes
   /// through the device (never batched); `queue_of[s]` assigns
-  /// ready-queue partitions (empty span → all 0); `device_of[s]` assigns
-  /// device ordinals (empty span → all device 0; see assign_devices in
-  /// exec_plan.hpp). All spans are indexed by supernode and must be
-  /// empty or of length num_supernodes().
+  /// ready-queue partitions (empty span → all 0). Both spans are indexed
+  /// by supernode and must be empty or of length num_supernodes().
   static SolvePlan build(const SymbolicFactor& symb,
                          std::span<const char> on_gpu,
-                         std::span<const index_t> queue_of,
-                         std::span<const index_t> device_of = {});
+                         std::span<const index_t> queue_of);
 
   std::span<const SolveNode> nodes() const noexcept { return nodes_; }
   /// Forward-phase dependency edges over node ids.

@@ -148,13 +148,12 @@ TEST(ExecPlan, BatchedBitwiseIdenticalAcrossWorkersAndStreams) {
     for (const Method method : {Method::kRL, Method::kRLB}) {
       SCOPED_TRACE(to_string(method));
       auto values = [&](Execution exec, int workers, int streams,
-                        int devices = 1, FactorStats* st = nullptr) {
+                        FactorStats* st = nullptr) {
         SolverOptions opts;
         opts.factor.method = method;
         opts.factor.exec = exec;
         opts.factor.cpu_workers = workers;
         opts.factor.gpu_streams = streams;
-        opts.factor.gpu_devices = devices;
         opts.factor.gpu_threshold_rl = 600;  // force a mixed CPU/GPU split
         opts.factor.gpu_threshold_rlb = 600;
         return factor_values(a, opts, st);
@@ -162,7 +161,7 @@ TEST(ExecPlan, BatchedBitwiseIdenticalAcrossWorkersAndStreams) {
       // The plan coarsens every case; the serial driver runs no plan.
       const std::vector<double> ref = values(Execution::kCpuSerial, 1, 1);
       FactorStats st;
-      values(Execution::kCpuParallel, 4, 1, 1, &st);
+      values(Execution::kCpuParallel, 4, 1, &st);
       EXPECT_GT(st.batches_formed, 0);
       // Pure CPU scheduling: the coarsened plan must not change a single
       // bit at any worker count (0 = hardware concurrency).
@@ -171,17 +170,13 @@ TEST(ExecPlan, BatchedBitwiseIdenticalAcrossWorkersAndStreams) {
         expect_bitwise_equal(ref,
                              values(Execution::kCpuParallel, workers, 1));
       }
-      // Hybrid: nor for any worker/stream/device combination.
+      // Hybrid: nor for any worker/stream combination.
       for (const int workers : {0, 1, 4, 8}) {
         for (const int streams : {1, 4}) {
-          for (const int devices : {1, 2}) {
-            SCOPED_TRACE("hybrid workers=" + std::to_string(workers) +
-                         " streams=" + std::to_string(streams) +
-                         " devices=" + std::to_string(devices));
-            expect_bitwise_equal(
-                ref, values(Execution::kGpuHybrid, workers, streams,
-                            devices));
-          }
+          SCOPED_TRACE("hybrid workers=" + std::to_string(workers) +
+                       " streams=" + std::to_string(streams));
+          expect_bitwise_equal(ref,
+                               values(Execution::kGpuHybrid, workers, streams));
         }
       }
     }
@@ -330,8 +325,6 @@ TEST(ExecPlan, OptionsValidation) {
   EXPECT_THROW(try_opts([](FactorOptions& o) { o.gpu_threshold_rl = -1; }),
                InvalidArgument);
   EXPECT_THROW(try_opts([](FactorOptions& o) { o.gpu_threshold_rlb = -1; }),
-               InvalidArgument);
-  EXPECT_THROW(try_opts([](FactorOptions& o) { o.gpu_devices = 0; }),
                InvalidArgument);
   // The defaults pass.
   try_opts([](FactorOptions&) {});

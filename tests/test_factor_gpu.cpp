@@ -3,6 +3,10 @@
 // §III/§IV reproduced at unit-test scale.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "test_util.hpp"
 
 namespace spchol {
@@ -152,6 +156,72 @@ TEST(GpuFactor, DevicePeakScalesWithThreshold) {
                         RlbVariant::kStreamed, 500'000);
   EXPECT_GE(low.supernodes_on_gpu, high.supernodes_on_gpu);
   EXPECT_GE(low.device_peak_bytes, high.device_peak_bytes);
+}
+
+TEST(GpuFactor, ResidentFactorNeedsDeviceRoomForEveryGpuPanel) {
+  // device_resident_factor keeps every GPU supernode's factored panel on
+  // the device for the whole factorization: the 20^3 wide-grid factor
+  // (~66 MB of GPU panels on top of the slot buffers) overflows an 85 MB
+  // device that the transient-buffer run fits in, and fits on 170 MB.
+  // Residency only changes the accounting, never the bits.
+  const CscMatrix a = grid3d_wide(20, 20, 20, 2);
+  auto run = [&](bool resident, std::size_t mib) {
+    SolverOptions opts;
+    opts.factor.method = Method::kRLB;
+    opts.factor.exec = Execution::kGpuHybrid;
+    opts.factor.cpu_workers = 4;
+    opts.factor.gpu_streams = 4;
+    opts.factor.gpu_threshold_rlb = 8000;
+    opts.factor.device_resident_factor = resident;
+    opts.factor.device.memory_bytes = mib << 20;
+    CholeskySolver solver(opts);
+    solver.factorize(a);
+    const auto v = solver.factor().values();
+    return std::vector<double>{v.begin(), v.end()};
+  };
+  EXPECT_THROW(run(true, 85), gpu::DeviceOutOfMemory);
+  const std::vector<double> transient = run(false, 85);
+  const std::vector<double> resident = run(true, 170);
+  ASSERT_EQ(resident.size(), transient.size());
+  for (std::size_t i = 0; i < resident.size(); ++i) {
+    ASSERT_EQ(resident[i], transient[i]) << "value index " << i;
+  }
+}
+
+TEST(GpuFactor, DeviceModelValidated) {
+  // A zero or negative transfer rate would price transfers at infinite
+  // or negative time; factorize rejects the model up front instead.
+  const CscMatrix a = grid3d_vector(10, 10, 10, 3);
+  auto factorize = [&](auto mutate) {
+    SolverOptions opts;
+    opts.factor.method = Method::kRL;
+    opts.factor.exec = Execution::kGpuHybrid;
+    opts.factor.gpu_threshold_rl = 2000;
+    mutate(opts.factor.device.model);
+    CholeskySolver solver(opts);
+    solver.factorize(a);
+    return solver.stats();
+  };
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(factorize([](gpu::PerfModel& m) { m.h2d_gbytes_per_s = 0; }),
+               InvalidArgument);
+  EXPECT_THROW(factorize([](gpu::PerfModel& m) { m.h2d_gbytes_per_s = -90; }),
+               InvalidArgument);
+  EXPECT_THROW(factorize([](gpu::PerfModel& m) { m.gpu_peak_gflops = inf; }),
+               InvalidArgument);
+  EXPECT_THROW(
+      factorize([](gpu::PerfModel& m) { m.transfer_latency = -1e-6; }),
+      InvalidArgument);
+  EXPECT_THROW(factorize([](gpu::PerfModel& m) {
+                 m.issue_overhead = std::numeric_limits<double>::quiet_NaN();
+               }),
+               InvalidArgument);
+  // Zero latencies and the defaults are valid.
+  const FactorStats st =
+      factorize([](gpu::PerfModel& m) { m.transfer_latency = 0.0; });
+  EXPECT_TRUE(std::isfinite(st.modeled_seconds));
+  EXPECT_GT(st.supernodes_on_gpu, 0);
+  factorize([](gpu::PerfModel&) {});
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <string>
 #include <latch>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -470,12 +471,10 @@ TEST(SolverService, ConcurrentSessionsReportExactPerCallModeledTime) {
     const FactorStats& got = sessions[t]->factor()->stats();
     EXPECT_EQ(got.modeled_seconds, want[t].modeled_seconds);
     EXPECT_EQ(got.gpu_overlap_seconds, want[t].gpu_overlap_seconds);
-    ASSERT_EQ(got.per_device.size(), want[t].per_device.size());
-    for (std::size_t d = 0; d < got.per_device.size(); ++d) {
-      EXPECT_EQ(got.per_device[d].modeled_seconds,
-                want[t].per_device[d].modeled_seconds)
-          << d;
-    }
+    EXPECT_EQ(got.gpu_kernel_seconds, want[t].gpu_kernel_seconds);
+    EXPECT_EQ(got.h2d_seconds, want[t].h2d_seconds);
+    EXPECT_EQ(got.d2h_seconds, want[t].d2h_seconds);
+    EXPECT_EQ(got.num_gpu_kernels, want[t].num_gpu_kernels);
   }
 }
 
@@ -520,6 +519,36 @@ TEST(ServiceValidation, BadOptionsRejectedAtConstruction) {
   {
     ServiceOptions so;
     so.solver.factor.cpu_workers = -2;
+    EXPECT_THROW(SolverService s(so), InvalidArgument);
+  }
+}
+
+TEST(ServiceValidation, RuntimeDeviceModelValidated) {
+  // The shared device's cost model must price every op at a finite,
+  // non-negative time.
+  auto construct = [](auto mutate) {
+    RuntimeOptions ro;
+    ro.workers = 1;
+    mutate(ro.device.model);
+    SolverRuntime rt(ro);
+  };
+  EXPECT_THROW(construct([](gpu::PerfModel& m) { m.d2h_gbytes_per_s = 0; }),
+               InvalidArgument);
+  EXPECT_THROW(
+      construct([](gpu::PerfModel& m) { m.gpu_solve_peak_gflops = -1; }),
+      InvalidArgument);
+  EXPECT_THROW(
+      construct([](gpu::PerfModel& m) { m.gpu_kernel_launch = -1e-6; }),
+      InvalidArgument);
+  EXPECT_THROW(
+      construct([](gpu::PerfModel& m) {
+        m.cpu_core_gflops = std::numeric_limits<double>::infinity();
+      }),
+      InvalidArgument);
+  construct([](gpu::PerfModel&) {});
+  {
+    ServiceOptions so;
+    so.runtime.device.model.transfer_latency = -1.0;
     EXPECT_THROW(SolverService s(so), InvalidArgument);
   }
 }

@@ -110,18 +110,6 @@ TEST(SolveParallel, BitwiseIdentityAcrossConfigs) {
         }
       }
     }
-    // Device solve nodes sharded across two devices.
-    SolveOptions o;
-    o.exec = Execution::kGpuHybrid;
-    o.workers = 4;
-    o.rhs_panel = 3;
-    o.gpu_threshold = 500;
-    o.gpu_devices = 2;
-    SolveStats st;
-    std::vector<double> x(b.size());
-    f.solve_multi(b, x, nrhs, o, &st);
-    expect_bitwise_equal(ref, x, std::string(c.name) + " gpu_devices=2");
-    EXPECT_GT(st.supernodes_on_gpu, 0) << c.name;
   }
 }
 
@@ -177,10 +165,31 @@ TEST(SolveParallel, SolveOptionsValidation) {
                InvalidArgument);
   EXPECT_THROW(try_opts([](SolveOptions& o) { o.gpu_threshold = -1; }),
                InvalidArgument);
-  EXPECT_THROW(try_opts([](SolveOptions& o) { o.gpu_devices = 0; }),
-               InvalidArgument);
   // The defaults pass.
   try_opts([](SolveOptions&) {});
+}
+
+TEST(SolveParallel, DeviceModelValidated) {
+  // Checked on every solve, even one that never reaches the device.
+  const CscMatrix a = grid2d_5pt(6, 6);
+  const CholeskyFactor f = factor_of(a);
+  const std::vector<double> b = make_rhs(a.cols(), 1);
+  std::vector<double> x(b.size());
+  const auto try_model = [&](auto mutate) {
+    SolveOptions o;
+    o.exec = Execution::kGpuHybrid;
+    o.workers = 2;
+    mutate(o.device.model);
+    f.solve(b, x, o);
+  };
+  EXPECT_THROW(try_model([](gpu::PerfModel& m) { m.h2d_gbytes_per_s = 0; }),
+               InvalidArgument);
+  EXPECT_THROW(try_model([](gpu::PerfModel& m) { m.d2h_gbytes_per_s = -80; }),
+               InvalidArgument);
+  EXPECT_THROW(
+      try_model([](gpu::PerfModel& m) { m.transfer_latency = -1.0e-6; }),
+      InvalidArgument);
+  try_model([](gpu::PerfModel& m) { m.transfer_latency = 0.0; });
 }
 
 TEST(SolveParallel, SolverFacadeAccumulatesSolveStats) {
