@@ -185,47 +185,6 @@ int main() {
   }
   print_rule();
 
-  // --- multi-stream GPU pipelining: MODELED time vs stream pairs --------
-  // Each in-flight GPU supernode draws its own compute/copy stream pair
-  // and a ranked device buffer slot from a bounded pool, so independent
-  // subtree supernodes overlap on the device. Device-dominated matrices
-  // with bushy separator trees (nlpkkt80, dielFilter class) gain the
-  // most; matrices whose hybrid makespan is bound by the folded CPU-task
-  // time (PFlow_742 class) cannot improve regardless of streams.
-  // cpu_workers is pinned: the scheduled multi-stream driver needs > 1
-  // worker, and modeled time is independent of REAL core count.
-  // "overlap" = modeled time during which >= 2 device streams had work
-  // in flight; "pairsN" = slots that actually fit the 135 MiB device.
-  std::printf(
-      "\nHybrid multi-stream pipelining (RL, modeled time vs stream "
-      "pairs)\n");
-  print_rule('=');
-  std::printf("%-17s %10s %10s %10s %9s %10s %7s\n", "matrix", "pairs=1",
-              "pairs=2", "pairs=4", "speedup", "overlap", "pairs4");
-  for (const char* name :
-       {"nlpkkt80", "dielFilterV2real", "dielFilterV3real", "bone010",
-        "audikw_1", "Fault_639", "PFlow_742", "StocF-1465", "Queen_4147"}) {
-    const PreparedMatrix m =
-        (big.entry != nullptr && big.entry->name == name)
-            ? std::move(largest)
-            : prepare(dataset_entry(name));
-    double seconds[3] = {0.0, 0.0, 0.0};
-    FactorStats last{};
-    const int pair_counts[3] = {1, 2, 4};
-    for (int i = 0; i < 3; ++i) {
-      FactorOptions opts = gpu_options(Method::kRL, RlbVariant::kStreamed);
-      opts.cpu_workers = 8;
-      opts.gpu_streams = pair_counts[i];
-      const RunResult r = run_factor(m, opts);
-      seconds[i] = r.seconds;
-      last = r.stats;
-    }
-    std::printf("%-17s %10.4f %10.4f %10.4f %8.2fx %9.4fs %7d\n", name,
-                seconds[0], seconds[1], seconds[2], seconds[0] / seconds[2],
-                last.gpu_overlap_seconds, last.gpu_stream_pairs);
-  }
-  print_rule();
-
   report.write("BENCH_table1.json");
   return 0;
 }

@@ -45,10 +45,6 @@ void validate(const FactorOptions& o) {
                           "hardware concurrency); got " +
                           std::to_string(o.cpu_workers));
   }
-  if (o.gpu_streams < 1) {
-    throw InvalidArgument("FactorOptions::gpu_streams must be >= 1; got " +
-                          std::to_string(o.gpu_streams));
-  }
   if (o.gpu_threshold_rl < 0 || o.gpu_threshold_rlb < 0) {
     throw InvalidArgument("FactorOptions GPU thresholds must be >= 0");
   }
@@ -64,10 +60,6 @@ void validate(const SolveOptions& o) {
   if (o.rhs_panel < 1) {
     throw InvalidArgument("SolveOptions::rhs_panel must be >= 1; got " +
                           std::to_string(o.rhs_panel));
-  }
-  if (o.gpu_streams < 1) {
-    throw InvalidArgument("SolveOptions::gpu_streams must be >= 1; got " +
-                          std::to_string(o.gpu_streams));
   }
   if (o.gpu_threshold < 0) {
     throw InvalidArgument("SolveOptions::gpu_threshold must be >= 0; got " +
@@ -285,7 +277,9 @@ CholeskyFactor CholeskyFactor::factorize(
   // device_peak_bytes stays an absolute watermark.
   FactorStats& st = f.stats_;
   if (ctx.graph.size() == 0) ctx.graph = TaskGraph::chain(ctx.records.size());
-  detail::replay(ctx.graph, ctx.records, {ctx.lanes, ctx.pairs}, st);
+  detail::replay(ctx.graph, ctx.records,
+                 {ctx.lanes, static_cast<std::size_t>(ctx.gpu_stream_pairs)},
+                 st);
   st.device_peak_bytes = ctx.dev.mem_peak();
   st.wall_seconds = timer.seconds();
   st.supernodes_on_gpu = ctx.supernodes_on_gpu;

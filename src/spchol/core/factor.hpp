@@ -94,15 +94,6 @@ struct FactorOptions {
   /// values are rejected with InvalidArgument. A value of 1 keeps the
   /// sequential driver (still bitwise identical).
   int cpu_workers = 0;
-  /// Stream/buffer slot pairs available to in-flight GPU supernodes in the
-  /// scheduled kGpuHybrid path: the modeled compute/copy stream pairs of
-  /// the cost replay, and the device panel+update buffer slots of the
-  /// executor, so independent subtree supernodes overlap on the device.
-  /// The buffer pool degrades gracefully (down to a single slot) when
-  /// device memory cannot hold every slot; values < 1 are rejected with
-  /// InvalidArgument. Results are bitwise identical across stream
-  /// counts.
-  int gpu_streams = 4;
 };
 
 /// Options of one triangular-solve call (CholeskyFactor::solve /
@@ -125,8 +116,6 @@ struct SolveOptions {
   /// runs on the device in kGpuHybrid (fused gather + TRSM + GEMM +
   /// scatter). Negative values are rejected with InvalidArgument.
   offset_t gpu_threshold = 60'000;
-  /// Stream/buffer slot pairs for in-flight device solve nodes (>= 1).
-  int gpu_streams = 4;
   /// Simulated device configuration (used only when no shared device is
   /// injected and the exec mode touches the device); validated as in
   /// FactorOptions.
@@ -134,9 +123,9 @@ struct SolveOptions {
 };
 
 /// Rejects malformed SolveOptions with InvalidArgument (negative
-/// workers, rhs_panel < 1, gpu_streams < 1, negative gpu_threshold, an
-/// invalid device model). Every solve entry point calls this before
-/// touching the right-hand side.
+/// workers, rhs_panel < 1, negative gpu_threshold, an invalid device
+/// model). Every solve entry point calls this before touching the
+/// right-hand side.
 void validate(const SolveOptions& opts);
 
 /// Execution statistics of one solve / solve_multi call.
@@ -192,13 +181,15 @@ struct FactorStats {
   OrderingStats ordering{};
   // --- multi-stream GPU pipelining counters ------------------------------
   /// Stream-pair/buffer slots actually allocated for GPU supernode tasks
-  /// (≤ FactorOptions::gpu_streams; shrinks under device memory pressure;
-  /// 1 on the sequential GPU drivers; 0 when nothing ran on the device).
+  /// (at most 4 and at most one per device task; fewer under device
+  /// memory pressure; 1 on the sequential GPU drivers; 0 when nothing ran
+  /// on the device). The replay models exactly this many stream pairs.
   index_t gpu_stream_pairs = 0;
   /// Modeled seconds during which ≥ 2 device streams had work in flight.
-  /// Counts ALL cross-stream overlap — a single pair's async panel copy
-  /// against its own compute stream too — so compare values ACROSS
-  /// stream-pair counts to see the slot pool's contribution.
+  /// Kernels never overlap each other (the device has one compute
+  /// engine), so this is copy time hidden behind kernels or other copies:
+  /// a single pair's async panel copy against its own compute stream,
+  /// and one slot's transfers against another slot's kernels.
   double gpu_overlap_seconds = 0.0;
   /// GPU tasks that were ready but parked waiting for a free slot.
   std::size_t scheduler_resource_waits = 0;
@@ -234,7 +225,7 @@ struct FactorStats {
 };
 
 /// Rejects malformed FactorOptions with InvalidArgument (negative
-/// cpu_workers or thresholds; gpu_streams < 1; an invalid device model).
+/// cpu_workers or thresholds; an invalid device model).
 /// factorize() calls this itself; CholeskySolver and SolverService call
 /// it up front so a bad option set fails at analyze()/session creation,
 /// before any ordering or symbolic work runs.
@@ -244,9 +235,9 @@ class CholeskyFactor {
  public:
   /// Factorizes PAPᵀ = LLᵀ where P is symb.permutation() and A is given by
   /// its lower triangle in the ORIGINAL ordering. Throws InvalidArgument
-  /// on malformed options (negative cpu_workers or thresholds,
-  /// gpu_streams < 1, an invalid device model), NotPositiveDefinite
-  /// (column reported in original indices), or gpu::DeviceOutOfMemory (RL on
+  /// on malformed options (negative cpu_workers or thresholds, an
+  /// invalid device model), NotPositiveDefinite (column reported in
+  /// original indices), or gpu::DeviceOutOfMemory (RL on
   /// matrices whose update matrix exceeds device capacity — the paper's
   /// nlpkkt120 row).
   static CholeskyFactor factorize(const CscMatrix& a_lower,

@@ -141,7 +141,7 @@ struct GpuSlot {
 /// account_* calls and device ops at the node's own record, so recording
 /// takes no lock. factorize() replays the records over `graph` (or over
 /// the chain of steps when no scheduler ran) with `lanes` CPU lanes and
-/// `pairs` device stream pairs.
+/// one device stream pair per slot the driver built (gpu_stream_pairs).
 struct FactorContext {
   const SymbolicFactor& symb;
   std::vector<double>& values;
@@ -159,7 +159,6 @@ struct FactorContext {
   std::vector<gpu::OpRecord> records;
   TaskGraph graph;
   std::size_t lanes = 1;  ///< modeled CPU lanes of the replay
-  std::size_t pairs = 1;  ///< modeled device stream pairs
 
   std::atomic<std::size_t> num_cpu_blas_calls{0};
   index_t supernodes_on_gpu = 0;

@@ -61,7 +61,6 @@ PlanExecutor::PlanExecutor(FactorContext& ctx)
       symb_(&ctx.symb),
       res_(ctx.res),
       workers_(ctx.workers),
-      slot_budget_(static_cast<std::size_t>(ctx.opts.gpu_streams)),
       dev_(&ctx.dev) {
   const ExecutionResources* res = ctx.res;
   if (res != nullptr && res->sched != nullptr) {
@@ -97,8 +96,7 @@ PlanExecutor::PlanExecutor(const SymbolicFactor& symb,
                            std::size_t workers)
     : symb_(&symb),
       res_(res),
-      workers_(workers),
-      slot_budget_(static_cast<std::size_t>(opts.gpu_streams)) {
+      workers_(workers) {
   solve_ = (res != nullptr && res->planned_solve != nullptr)
                ? res->planned_solve
                : &own_solve_.emplace(build_planned_solve(symb, opts, workers));
@@ -228,7 +226,6 @@ PlanExecutor::Drained PlanExecutor::drain() {
     ctx_->modeled_task_parallel_seconds = d.parallel_seconds;
     ctx_->graph = sched_->graph();
     ctx_->lanes = workers_;
-    ctx_->pairs = slot_budget_;
   }
   return d;
 }

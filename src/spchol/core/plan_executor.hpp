@@ -148,6 +148,12 @@ std::vector<std::pair<std::size_t, std::size_t>> concurrent_slot_caps(
     const SymbolicFactor& symb, std::span<const SlotNeed> needs,
     std::size_t slots);
 
+/// Slots of a scheduled run's device pool: at most this many device
+/// tasks are in flight, each on its own buffers and stream pair. Fewer
+/// are built when the run has fewer device tasks or the device cannot
+/// hold them all.
+inline constexpr std::size_t kDeviceSlots = 4;
+
 /// Scheduler, device pool and drain of one scheduled run. A driver
 /// constructs one, records its device tasks' buffer needs, builds its
 /// pool, adds one task per plan node (add_nodes for factor plans, which
@@ -208,8 +214,9 @@ class PlanExecutor {
     }
   };
 
-  /// The pool for the recorded needs, at most gpu_streams slots, slot k
-  /// made by make(device, a_k, b_k) from the needs ranked descending (per
+  /// The pool for the recorded needs, at most kDeviceSlots slots and no
+  /// more than can ever be in flight together, slot k made by
+  /// make(device, a_k, b_k) from the needs ranked descending (per
   /// dimension, or by concurrent_slot_caps for factor tasks): slot k only
   /// hosts the k-th largest concurrent task, so N slots cost far less
   /// than N copies of the largest — that is what lets several fit under
@@ -223,13 +230,17 @@ class PlanExecutor {
     if (needs_.empty()) return p;
     p.smallest = std::all_of(needs_.begin(), needs_.end(),
                              [](const SlotNeed& n) { return n.first >= 0; });
-    const std::size_t count = std::min(slot_budget_, needs_.size());
-    const auto caps = p.smallest ? concurrent_slot_caps(*symb_, needs_, count)
-                                 : ranked_slot_caps(needs_, count);
+    const std::size_t count = std::min(kDeviceSlots, needs_.size());
+    auto caps = p.smallest ? concurrent_slot_caps(*symb_, needs_, count)
+                           : ranked_slot_caps(needs_, count);
+    // A slot no task is sized for (no more tasks can ever be in flight
+    // together) would never be leased: build none.
+    std::erase(caps, std::pair<std::size_t, std::size_t>{});
     auto build = [&] {
-      return std::make_shared<gpu::SlotPool<Slot>>(count, [&](std::size_t k) {
-        return make(*dev_, caps[k].first, caps[k].second);
-      });
+      return std::make_shared<gpu::SlotPool<Slot>>(
+          caps.size(), [&](std::size_t k) {
+            return make(*dev_, caps[k].first, caps[k].second);
+          });
     };
     p.slot_pool = res_ == nullptr || res_->arena == nullptr
                       ? build()
@@ -285,8 +296,7 @@ class PlanExecutor {
   /// by construction — then list-schedules the task-graph makespans from
   /// the measured task durations. A factorization additionally sizes one
   /// cost record per task before the run and hands its context the
-  /// executed graph, `workers` CPU lanes and `gpu_streams` stream pairs
-  /// for the cost replay.
+  /// executed graph and `workers` CPU lanes for the cost replay.
   Drained drain();
 
  private:
@@ -298,7 +308,6 @@ class PlanExecutor {
   const SymbolicFactor* symb_ = nullptr;
   const ExecutionResources* res_ = nullptr;
   std::size_t workers_ = 1;
-  std::size_t slot_budget_ = 1;  ///< gpu_streams: slots of the pool
   std::optional<PlannedGraph> own_graph_;
   const PlannedGraph* graph_ = nullptr;
   std::optional<PlannedSolve> own_solve_;

@@ -10,13 +10,15 @@ void replay(const TaskGraph& g, std::span<const gpu::OpRecord> records,
   using gpu::Role;
   SPCHOL_CHECK(records.size() == g.size(), "one cost record per task");
   const std::size_t np = std::max<std::size_t>(1, r.pairs);
-  // Stream tails [pair][role] and host-link tails [direction]: each
-  // resource serves its ops in issue order, one at a time.
+  // Stream tails [pair][role], host-link tails [direction] and the
+  // compute engine's tail: each resource serves its ops in issue order,
+  // one at a time.
   std::vector<double> tail(np * 2, 0.0);
   auto stream = [&](std::size_t p, Role role) -> double& {
     return tail[p * 2 + static_cast<std::size_t>(role)];
   };
   double host_link[2] = {0.0, 0.0};
+  double engine = 0.0;
   double dev_end = 0.0;
 
   st.cpu_blas_seconds = st.assembly_seconds = 0.0;
@@ -69,14 +71,15 @@ void replay(const TaskGraph& g, std::span<const gpu::OpRecord> records,
           }
           double& s_tail = stream(pair, op.role);
           double start = std::max({s_tail, h, dep, pair_free});
-          // Host↔device transfers share the device's one link per
-          // direction, whichever stream issues them.
-          double* link = op.kind == OpKind::kH2D   ? &host_link[0]
-                         : op.kind == OpKind::kD2H ? &host_link[1]
-                                                   : nullptr;
-          if (link != nullptr) start = std::max(start, *link);
+          // Kernels share the device's one compute engine, host↔device
+          // transfers its one link per direction, whichever stream
+          // issues them.
+          double& shared = op.kind == OpKind::kKernel ? engine
+                           : op.kind == OpKind::kH2D  ? host_link[0]
+                                                      : host_link[1];
+          start = std::max(start, shared);
           const double stop = start + op.seconds;
-          if (link != nullptr) *link = stop;
+          shared = stop;
           // Cross-stream overlap: the part of [start, stop) during which
           // another stream still has work.
           double others = 0.0;

@@ -11,11 +11,15 @@
 //     sequential drivers). A node holds a lane from its start to its last
 //     host activity — CPU seconds and device-op issue time; a trailing
 //     wait for its device work does not keep the lane busy;
-//   * `pairs` stream pairs on the device. A node that touches the device
-//     takes the pair that frees earliest (lowest index first); its ops
-//     start no earlier than the pair was free (the slot-reuse hazard),
-//     ops on one stream run in issue order, and an op waits for the op
-//     it names in Op::after;
+//   * `pairs` stream pairs on the device, one per slot the executor
+//     built. A node that touches the device takes the pair that frees
+//     earliest (lowest index first); its ops start no earlier than the
+//     pair was free (the slot-reuse hazard), ops on one stream run in
+//     issue order, and an op waits for the op it names in Op::after;
+//   * one compute engine: every kernel, whichever stream issues it, runs
+//     alone on the device, in replay order. Streams overlap copies with
+//     kernels, never kernels with kernels, so a small supernode's launch
+//     latency is never hidden behind another kernel;
 //   * one host link per direction: H2D and D2H transfers share it
 //     whichever stream issues them, in issue order.
 // A node's successors start once its host part has ended, waits
@@ -37,7 +41,7 @@ namespace spchol::detail {
 /// The modeled resources one replay schedules over.
 struct ReplayResources {
   std::size_t cpu_lanes = 1;
-  std::size_t pairs = 1;  ///< device stream pairs
+  std::size_t pairs = 1;  ///< device stream pairs: the slots built
 };
 
 /// Replays `g` (node i's costs in records[i]) and fills st's modeled

@@ -30,8 +30,8 @@
 // resource token caps in-flight GPU tasks at the pool size. The
 // sequential and scheduled drivers run the same node kernels; both only
 // record costs, and the replay (core/replay.hpp) turns them into modeled
-// time, with independent subtree supernodes overlapping on the modeled
-// stream pairs.
+// time: independent subtree supernodes take one modeled stream pair per
+// slot, so one's transfers overlap another's kernels.
 #include <algorithm>
 #include <atomic>
 #include <cstring>

@@ -164,7 +164,6 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
   for (const std::uint64_t v :
        {static_cast<std::uint64_t>(opts.rhs_panel),
         static_cast<std::uint64_t>(nrhs),
-        static_cast<std::uint64_t>(opts.gpu_streams),
         static_cast<std::uint64_t>(opts.gpu_threshold),
         static_cast<std::uint64_t>(opts.exec)}) {
     tag = (tag ^ v) * 1099511628211ull;

@@ -3,10 +3,18 @@
 #include <cstring>
 
 #include "spchol/dense/kernels.hpp"
+#include "spchol/support/thread_pool.hpp"
 
 namespace spchol::gpu {
 
 namespace {
+
+/// Device kernels execute on the process-wide pool at hardware width.
+ThreadPool& pool() { return ThreadPool::global(); }
+std::size_t width() {
+  static const std::size_t w = resolve_worker_count(0);
+  return w;
+}
 
 void account_kernel(Device& dev, Stream s, double flops) {
   dev.record(s, OpKind::kKernel, dev.model().gpu_kernel_seconds(flops));
@@ -16,26 +24,24 @@ void account_kernel(Device& dev, Stream s, double flops) {
 
 void potrf_lower(Device& dev, Stream s, index_t n, DeviceBuffer& buf,
                  std::size_t off, index_t lda) {
-  dense::potrf_lower_parallel(dev.compute_pool(), dev.compute_threads(), n,
-                              buf.data() + off, lda);
+  dense::potrf_lower_parallel(pool(), width(), n, buf.data() + off, lda);
   account_kernel(dev, s, dense::flops_potrf(n));
 }
 
 void trsm_right_lower_trans(Device& dev, Stream s, index_t m, index_t n,
                             DeviceBuffer& buf, std::size_t l_off, index_t ldl,
                             std::size_t b_off, index_t ldb) {
-  dense::trsm_right_lower_trans_parallel(
-      dev.compute_pool(), dev.compute_threads(), m, n, buf.data() + l_off,
-      ldl, buf.data() + b_off, ldb);
+  dense::trsm_right_lower_trans_parallel(pool(), width(), m, n,
+                                         buf.data() + l_off, ldl,
+                                         buf.data() + b_off, ldb);
   account_kernel(dev, s, dense::flops_trsm(m, n));
 }
 
 void syrk_lower_nt(Device& dev, Stream s, index_t n, index_t k,
                    const DeviceBuffer& abuf, std::size_t a_off, index_t lda,
                    DeviceBuffer& cbuf, std::size_t c_off, index_t ldc) {
-  dense::syrk_lower_nt_parallel(dev.compute_pool(), dev.compute_threads(), n,
-                                k, abuf.data() + a_off, lda,
-                                cbuf.data() + c_off, ldc);
+  dense::syrk_lower_nt_parallel(pool(), width(), n, k, abuf.data() + a_off,
+                                lda, cbuf.data() + c_off, ldc);
   account_kernel(dev, s, dense::flops_syrk(n, k));
 }
 
@@ -43,9 +49,8 @@ void gemm_nt_minus(Device& dev, Stream s, index_t m, index_t n, index_t k,
                    const DeviceBuffer& abuf, std::size_t a_off, index_t lda,
                    std::size_t b_off, index_t ldb, DeviceBuffer& cbuf,
                    std::size_t c_off, index_t ldc) {
-  dense::gemm_nt_minus_parallel(dev.compute_pool(), dev.compute_threads(), m,
-                                n, k, abuf.data() + a_off, lda,
-                                abuf.data() + b_off, ldb,
+  dense::gemm_nt_minus_parallel(pool(), width(), m, n, k, abuf.data() + a_off,
+                                lda, abuf.data() + b_off, ldb,
                                 cbuf.data() + c_off, ldc);
   account_kernel(dev, s, dense::flops_gemm(m, n, k));
 }
@@ -72,9 +77,8 @@ void syrk_lower_nt_beta0(Device& dev, Stream s, index_t n, index_t k,
                          index_t lda, DeviceBuffer& cbuf, std::size_t c_off,
                          index_t ldc) {
   zero_region(cbuf, c_off, n, n, ldc);
-  dense::syrk_lower_nt_parallel(dev.compute_pool(), dev.compute_threads(), n,
-                                k, abuf.data() + a_off, lda,
-                                cbuf.data() + c_off, ldc);
+  dense::syrk_lower_nt_parallel(pool(), width(), n, k, abuf.data() + a_off,
+                                lda, cbuf.data() + c_off, ldc);
   account_kernel(dev, s, dense::flops_syrk(n, k));
 }
 
@@ -84,9 +88,8 @@ void gemm_nt_minus_beta0(Device& dev, Stream s, index_t m, index_t n,
                          index_t ldb, DeviceBuffer& cbuf, std::size_t c_off,
                          index_t ldc) {
   zero_region(cbuf, c_off, m, n, ldc);
-  dense::gemm_nt_minus_parallel(dev.compute_pool(), dev.compute_threads(), m,
-                                n, k, abuf.data() + a_off, lda,
-                                abuf.data() + b_off, ldb,
+  dense::gemm_nt_minus_parallel(pool(), width(), m, n, k, abuf.data() + a_off,
+                                lda, abuf.data() + b_off, ldb,
                                 cbuf.data() + c_off, ldc);
   account_kernel(dev, s, dense::flops_gemm(m, n, k));
 }
@@ -97,16 +100,15 @@ void batched_panel_factor(Device& dev, Stream s,
   double flops = 0.0;
   for (const BatchedPanel& p : panels) {
     try {
-      dense::potrf_lower_parallel(dev.compute_pool(), dev.compute_threads(),
-                                  p.w, buf.data() + p.panel_off, p.r);
+      dense::potrf_lower_parallel(pool(), width(), p.w,
+                                  buf.data() + p.panel_off, p.r);
     } catch (const NotPositiveDefinite& e) {
       throw NotPositiveDefinite(p.first_col + e.column());
     }
     flops += dense::flops_potrf(p.w);
     if (p.r > p.w) {
       dense::trsm_right_lower_trans_parallel(
-          dev.compute_pool(), dev.compute_threads(), p.r - p.w, p.w,
-          buf.data() + p.panel_off, p.r,
+          pool(), width(), p.r - p.w, p.w, buf.data() + p.panel_off, p.r,
           buf.data() + p.panel_off + p.w, p.r);
       flops += dense::flops_trsm(p.r - p.w, p.w);
     }
@@ -124,9 +126,9 @@ void batched_syrk_update(Device& dev, Stream s,
     const index_t below = p.r - p.w;
     if (below == 0) continue;
     zero_region(ubuf, p.update_off, below, below, below);
-    dense::syrk_lower_nt_parallel(dev.compute_pool(), dev.compute_threads(),
-                                  below, p.w, pbuf.data() + p.panel_off + p.w,
-                                  p.r, ubuf.data() + p.update_off, below);
+    dense::syrk_lower_nt_parallel(pool(), width(), below, p.w,
+                                  pbuf.data() + p.panel_off + p.w, p.r,
+                                  ubuf.data() + p.update_off, below);
     flops += dense::flops_syrk(below, p.w);
     members++;
   }

@@ -8,13 +8,6 @@
 
 namespace spchol::gpu {
 
-Device::Device(DeviceConfig cfg) : cfg_(cfg) {
-  compute_threads_ = cfg_.compute_threads == 0
-                         ? std::max<std::size_t>(
-                               1, std::thread::hardware_concurrency())
-                         : cfg_.compute_threads;
-}
-
 void Device::mem_acquire(std::size_t bytes) {
   std::lock_guard<std::mutex> lk(mu_);
   if (mem_used_ + bytes > cfg_.memory_bytes) {
@@ -85,8 +78,6 @@ void validate(const DeviceConfig& cfg, const char* what) {
     }
   }
 }
-
-ThreadPool& Device::compute_pool() { return ThreadPool::global(); }
 
 int Device::record(Stream s, OpKind kind, double seconds,
                    std::size_t bytes) {

@@ -34,7 +34,6 @@
 
 #include "spchol/gpu/perf_model.hpp"
 #include "spchol/support/common.hpp"
-#include "spchol/support/thread_pool.hpp"
 
 namespace spchol::gpu {
 
@@ -65,9 +64,6 @@ struct DeviceConfig {
   /// Device memory capacity in bytes (A100: 40 GB).
   std::size_t memory_bytes = 40ull << 30;
   PerfModel model{};
-  /// Real host threads used to execute device kernels (simulation detail,
-  /// does not affect modeled times; 0 = all hardware threads).
-  std::size_t compute_threads = 0;
 };
 
 /// Throws InvalidArgument unless every rate and peak of cfg.model is
@@ -77,8 +73,11 @@ struct DeviceConfig {
 void validate(const DeviceConfig& cfg, const char* what);
 
 /// The modeled stream a device op runs on. The replay gives every node
-/// that touches the device one stream pair (a compute and a copy
-/// stream); ops on one stream run in issue order.
+/// that touches the device the stream pair (a compute and a copy stream)
+/// of one of the slots its executor built; ops on one stream run in
+/// issue order. The role orders ops, it does not add hardware: kernels
+/// of every stream share the device's one compute engine, so a pair
+/// overlaps copies with kernels, never two kernels.
 enum class Role : std::uint8_t { kCompute, kCopy };
 
 /// What one recorded cost entry models (core/replay.hpp schedules them).
@@ -135,7 +134,7 @@ struct DeviceStats {
 
 class Device {
  public:
-  explicit Device(DeviceConfig cfg = {});
+  explicit Device(DeviceConfig cfg = {}) : cfg_(cfg) {}
 
   const DeviceConfig& config() const noexcept { return cfg_; }
   const PerfModel& model() const noexcept { return cfg_.model; }
@@ -148,10 +147,6 @@ class Device {
   /// Snapshot of the op counters.
   DeviceStats stats() const;
 
-  /// Pool used to actually execute device kernels.
-  ThreadPool& compute_pool();
-  std::size_t compute_threads() const noexcept { return compute_threads_; }
-
   /// Counts one op of `kind` moving `bytes` and, when s.rec is set,
   /// appends its modeled cost to the record; returns the op's index in
   /// s.rec (-1 when unrecorded).
@@ -163,7 +158,6 @@ class Device {
   void mem_release(std::size_t bytes);
 
   DeviceConfig cfg_;
-  std::size_t compute_threads_;
 
   mutable std::mutex mu_;  // guards the memory accounting
   std::size_t mem_used_ = 0;

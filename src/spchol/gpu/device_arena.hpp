@@ -13,7 +13,7 @@
 //
 // Keying. The key must fingerprint everything that shapes the pool —
 // sparsity pattern, factorization method (RL slots and RLB slots are
-// different types!), variant and stream count — because the cache
+// different types!), variant and the GPU split — because the cache
 // returns the stored pool for a key hit without inspecting it.
 // SolverService derives the key from its pattern fingerprint plus the
 // plan-relevant FactorOptions, so distinct sessions only ever share a

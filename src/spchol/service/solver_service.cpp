@@ -74,7 +74,7 @@ std::uint64_t pattern_key(const CscMatrix& a, const SolverOptions& so) {
 /// Fingerprint of the FactorOptions that shape an ExecutionPlan and its
 /// arena slot pool: method and variant (RL and RLB pools are different
 /// slot types), execution mode + thresholds (the on_gpu marks, which
-/// also bound the plan's coarsening) and stream count (pool width).
+/// also bound the plan's coarsening) and the resident reservation.
 /// Combined with the pattern key this uniquely identifies a plan/pool
 /// shape.
 std::uint64_t plan_fingerprint(const FactorOptions& fo) {
@@ -84,21 +84,18 @@ std::uint64_t plan_fingerprint(const FactorOptions& fo) {
   f.pod(fo.rlb_variant);
   f.pod(fo.gpu_threshold_rl);
   f.pod(fo.gpu_threshold_rlb);
-  f.pod(fo.gpu_streams);
   f.pod(fo.device_resident_factor);
   return f.hash();
 }
 
 /// Fingerprint of the SolveOptions that shape a SolvePlan and its arena
-/// slot pool: execution mode + GPU threshold (the on_gpu marks) and
-/// stream count (pool width). rhs_panel is EXCLUDED — the plan is
-/// per-panel and identical for every panel width (the executor
-/// replicates it across panels at solve time).
+/// slot pool: execution mode + GPU threshold (the on_gpu marks).
+/// rhs_panel is EXCLUDED — the plan is per-panel and identical for every
+/// panel width (the executor replicates it across panels at solve time).
 std::uint64_t solve_plan_fingerprint(const SolveOptions& so) {
   Fnv f;
   f.pod(so.exec);
   f.pod(so.gpu_threshold);
-  f.pod(so.gpu_streams);
   return f.hash();
 }
 

@@ -142,41 +142,51 @@ TEST(ExecPlan, LeafForestBatchesAreDeviceEligible) {
   EXPECT_GT(batches, 0);
 }
 
-TEST(ExecPlan, BatchedBitwiseIdenticalAcrossWorkersAndStreams) {
+TEST(ExecPlan, BatchedBitwiseIdenticalAcrossWorkersAndDeviceSizes) {
+  const std::size_t full = gpu::DeviceConfig{}.memory_bytes;
   for (const auto& [name, a] : batching_cases()) {
     SCOPED_TRACE(name);
     for (const Method method : {Method::kRL, Method::kRLB}) {
       SCOPED_TRACE(to_string(method));
-      auto values = [&](Execution exec, int workers, int streams,
+      auto values = [&](Execution exec, int workers, std::size_t bytes,
                         FactorStats* st = nullptr) {
         SolverOptions opts;
         opts.factor.method = method;
         opts.factor.exec = exec;
         opts.factor.cpu_workers = workers;
-        opts.factor.gpu_streams = streams;
+        opts.factor.device.memory_bytes = bytes;
         opts.factor.gpu_threshold_rl = 600;  // force a mixed CPU/GPU split
         opts.factor.gpu_threshold_rlb = 600;
         return factor_values(a, opts, st);
       };
       // The plan coarsens every case; the serial driver runs no plan.
-      const std::vector<double> ref = values(Execution::kCpuSerial, 1, 1);
+      const std::vector<double> ref = values(Execution::kCpuSerial, 1, full);
       FactorStats st;
-      values(Execution::kCpuParallel, 4, 1, &st);
+      values(Execution::kCpuParallel, 4, full, &st);
       EXPECT_GT(st.batches_formed, 0);
       // Pure CPU scheduling: the coarsened plan must not change a single
       // bit at any worker count (0 = hardware concurrency).
       for (const int workers : {0, 1, 4, 8}) {
         SCOPED_TRACE("cpu workers=" + std::to_string(workers));
         expect_bitwise_equal(ref,
-                             values(Execution::kCpuParallel, workers, 1));
+                             values(Execution::kCpuParallel, workers, full));
       }
-      // Hybrid: nor for any worker/stream combination.
+      // Hybrid: nor for any worker count, on the default device or on
+      // one that fits exactly one slot.
       for (const int workers : {0, 1, 4, 8}) {
-        for (const int streams : {1, 4}) {
+        const std::size_t one_slot =
+            testing::one_slot_capacity([&](std::size_t bytes) {
+              values(Execution::kGpuHybrid, workers, bytes, &st);
+              return st;
+            });
+        for (const std::size_t bytes : {full, one_slot}) {
           SCOPED_TRACE("hybrid workers=" + std::to_string(workers) +
-                       " streams=" + std::to_string(streams));
-          expect_bitwise_equal(ref,
-                               values(Execution::kGpuHybrid, workers, streams));
+                       " device bytes=" + std::to_string(bytes));
+          expect_bitwise_equal(
+              ref, values(Execution::kGpuHybrid, workers, bytes, &st));
+          if (bytes == one_slot) {
+            EXPECT_LE(st.gpu_stream_pairs, 1);
+          }
         }
       }
     }
@@ -199,7 +209,6 @@ TEST(ExecPlan, FusedDeviceBatchesKeepRlSerialIdentity) {
   opts.factor.method = Method::kRL;
   opts.factor.exec = Execution::kGpuHybrid;
   opts.factor.cpu_workers = 4;
-  opts.factor.gpu_streams = 2;
   // Each leaf is 16 x 17 = 272 entries (CPU-bound alone); a batch of
   // fifteen crosses the 2000-entry threshold as a unit.
   opts.factor.gpu_threshold_rl = 2000;
@@ -317,10 +326,6 @@ TEST(ExecPlan, OptionsValidation) {
     solver.factorize(a);
   };
   EXPECT_THROW(try_opts([](FactorOptions& o) { o.cpu_workers = -1; }),
-               InvalidArgument);
-  EXPECT_THROW(try_opts([](FactorOptions& o) { o.gpu_streams = 0; }),
-               InvalidArgument);
-  EXPECT_THROW(try_opts([](FactorOptions& o) { o.gpu_streams = -3; }),
                InvalidArgument);
   EXPECT_THROW(try_opts([](FactorOptions& o) { o.gpu_threshold_rl = -1; }),
                InvalidArgument);

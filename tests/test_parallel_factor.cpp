@@ -17,6 +17,7 @@
 
 #include "spchol/matrix/coo.hpp"
 #include "spchol/support/task_scheduler.hpp"
+#include "spchol/support/thread_pool.hpp"
 #include "spchol/symbolic/etree.hpp"
 #include "spchol/symbolic/exec_plan.hpp"
 #include "test_util.hpp"
@@ -269,47 +270,58 @@ TEST(ParallelFactor, HybridOverlapKeepsRlDeterminism) {
   expect_bitwise_equal({v1.begin(), v1.end()}, {v2.begin(), v2.end()});
 }
 
-TEST(ParallelFactor, HybridBitwiseIdenticalAcrossStreamPairsAndWorkers) {
+TEST(ParallelFactor, HybridBitwiseIdenticalAcrossDeviceSizesAndWorkers) {
   // The multi-stream pipeline draws per-task stream/buffer slots from a
   // bounded pool; numeric results must not depend on how many slots exist
-  // or how many workers drain the graph: every {stream pairs} x {workers}
-  // combo must be bitwise identical to the single-pair/single-worker
-  // hybrid. For RL the hybrid is additionally bitwise identical to the
-  // serial CPU factorization (RLB's device path assembles block products
-  // through scratch, a different — but combo-invariant — rounding than
-  // the CPU's direct in-place updates).
+  // or how many workers drain the graph: every {device size} x {workers}
+  // combo — the default device (one slot per device task, up to four)
+  // and one that fits exactly one slot — must be bitwise identical to
+  // the single-worker hybrid. For RL the hybrid is additionally bitwise
+  // identical to the serial CPU factorization (RLB's device path
+  // assembles block products through scratch, a different — but
+  // combo-invariant — rounding than the CPU's direct in-place updates).
   const CscMatrix a = grid3d_7pt(6, 5, 7);
   for (const Method method : {Method::kRL, Method::kRLB}) {
     SCOPED_TRACE(to_string(method));
-    auto hybrid_values = [&](int pairs, int workers) {
+    auto hybrid = [&](int workers, std::size_t device_bytes,
+                      std::vector<double>* values = nullptr) {
       SolverOptions opts;
       opts.factor.method = method;
       opts.factor.exec = Execution::kGpuHybrid;
       opts.factor.gpu_threshold_rl = 200;  // force a mixed CPU/GPU split
       opts.factor.gpu_threshold_rlb = 200;
       opts.factor.cpu_workers = workers;
-      opts.factor.gpu_streams = pairs;
+      opts.factor.device.memory_bytes = device_bytes;
       CholeskySolver solver(opts);
       solver.factorize(a);
       EXPECT_GT(solver.stats().supernodes_on_gpu, 0);
-      if (workers > 1) {
-        EXPECT_EQ(
-            solver.stats().gpu_stream_pairs,
-            std::min<index_t>(pairs, solver.stats().supernodes_on_gpu));
+      if (values != nullptr) {
+        const auto v = solver.factor().values();
+        values->assign(v.begin(), v.end());
       }
-      const auto v = solver.factor().values();
-      return std::vector<double>{v.begin(), v.end()};
+      return solver.stats();
     };
-    const auto reference = hybrid_values(1, 1);
+    std::vector<double> reference;
+    hybrid(1, gpu::DeviceConfig{}.memory_bytes, &reference);
     if (method == Method::kRL) {
       expect_bitwise_equal(
           factor_values(a, method, Execution::kCpuSerial, 1), reference);
     }
-    for (const int pairs : {1, 2, 4}) {
-      for (const int workers : {1, 4, 8}) {
-        SCOPED_TRACE("pairs=" + std::to_string(pairs) +
-                     " workers=" + std::to_string(workers));
-        expect_bitwise_equal(reference, hybrid_values(pairs, workers));
+    for (const int workers : {1, 4, 8}) {
+      const std::size_t one_slot = testing::one_slot_capacity(
+          [&](std::size_t bytes) { return hybrid(workers, bytes); });
+      for (const bool capped : {false, true}) {
+        SCOPED_TRACE(std::string(capped ? "one-slot" : "default") +
+                     " device, workers=" + std::to_string(workers));
+        std::vector<double> values;
+        const FactorStats st = hybrid(
+            workers, capped ? one_slot : gpu::DeviceConfig{}.memory_bytes,
+            &values);
+        if (workers > 1) {
+          EXPECT_EQ(st.gpu_stream_pairs,
+                    capped ? 1 : std::min<index_t>(4, st.supernodes_on_gpu));
+        }
+        expect_bitwise_equal(reference, values);
       }
     }
   }
@@ -317,9 +329,11 @@ TEST(ParallelFactor, HybridBitwiseIdenticalAcrossStreamPairsAndWorkers) {
 
 TEST(ParallelFactor, MultiStreamOverlapsIndependentGpuSupernodes) {
   // A forest of identical dense blocks: every block is one GPU supernode
-  // with no update targets, so all device pipelines are independent. With
-  // four stream-pair slots they must overlap on the modeled device
-  // timeline and beat the single-pair chain.
+  // with no update targets, so all device pipelines are independent. The
+  // kernels share the device's one compute engine, but with four slots
+  // one block's transfers overlap another's kernel on the modeled device
+  // timeline, which must beat the one-slot chain on a device that fits
+  // only one slot.
   const index_t blocks = 6, bs = 48;
   CooMatrix coo(blocks * bs, blocks * bs);
   for (index_t b = 0; b < blocks; ++b) {
@@ -329,19 +343,19 @@ TEST(ParallelFactor, MultiStreamOverlapsIndependentGpuSupernodes) {
     }
   }
   const CscMatrix a = coo.to_csc();
-  auto run_pairs = [&](int pairs) {
+  auto run = [&](std::size_t device_bytes) {
     SolverOptions opts;
     opts.factor.method = Method::kRL;
     opts.factor.exec = Execution::kGpuHybrid;
     opts.factor.gpu_threshold_rl = 100;  // every block lands on the GPU
     opts.factor.cpu_workers = 8;
-    opts.factor.gpu_streams = pairs;
+    opts.factor.device.memory_bytes = device_bytes;
     CholeskySolver solver(opts);
     solver.factorize(a);
     return solver.stats();
   };
-  const FactorStats one = run_pairs(1);
-  const FactorStats four = run_pairs(4);
+  const FactorStats four = run(gpu::DeviceConfig{}.memory_bytes);
+  const FactorStats one = run(testing::one_slot_capacity(run));
   ASSERT_EQ(one.supernodes_on_gpu, blocks);
   EXPECT_EQ(one.gpu_stream_pairs, 1);
   EXPECT_EQ(four.gpu_stream_pairs, 4);
@@ -361,7 +375,6 @@ TEST(ParallelFactor, HybridTinyDeviceReportsOutOfMemoryNotHang) {
   opts.factor.exec = Execution::kGpuHybrid;
   opts.factor.gpu_threshold_rl = 200;
   opts.factor.cpu_workers = 4;
-  opts.factor.gpu_streams = 4;
   opts.factor.device.memory_bytes = 1 << 10;  // fits nothing
   CholeskySolver solver(opts);
   try {
@@ -375,24 +388,26 @@ TEST(ParallelFactor, HybridTinyDeviceReportsOutOfMemoryNotHang) {
 }
 
 TEST(ParallelFactor, HybridSlotPoolDegradesUnderMemoryPressure) {
-  // Ask for four stream pairs on a device that can hold only ~1.5 copies
-  // of the largest slot: the ranked pool must shrink below four pairs
-  // (keeping at least the single-pair pipeline), stay within the cap, and
-  // still produce bitwise-identical factors.
+  // A device that can hold only ~1.5 copies of the largest slot: the
+  // ranked pool must shrink below four slots (keeping at least the
+  // single-slot pipeline), stay within the cap, and still produce
+  // bitwise-identical factors.
   const CscMatrix a = grid3d_7pt(6, 5, 7);
   SolverOptions opts;
   opts.factor.method = Method::kRL;
   opts.factor.exec = Execution::kGpuHybrid;
   opts.factor.gpu_threshold_rl = 200;
   opts.factor.cpu_workers = 4;
-  opts.factor.gpu_streams = 1;
-  CholeskySolver probe(opts);
-  probe.factorize(a);
-  const std::size_t slot_bytes = probe.stats().device_peak_bytes;
+  auto run = [&](std::size_t device_bytes) {
+    opts.factor.device.memory_bytes = device_bytes;
+    CholeskySolver probe(opts);
+    probe.factorize(a);
+    return probe.stats();
+  };
+  ASSERT_EQ(run(gpu::DeviceConfig{}.memory_bytes).gpu_stream_pairs, 4);
+  const std::size_t slot_bytes = testing::one_slot_capacity(run);
   ASSERT_GT(slot_bytes, 0u);
-  ASSERT_GT(probe.stats().supernodes_on_gpu, 3);
 
-  opts.factor.gpu_streams = 4;
   opts.factor.device.memory_bytes = slot_bytes + slot_bytes / 2;
   CholeskySolver capped(opts);
   capped.factorize(a);

@@ -1,5 +1,6 @@
 // The cost replay (core/replay.*): the unit cases of its stream, pair,
-// dependency, makespan and overlap rules over hand-built records, and
+// compute-engine, dependency, makespan and overlap rules over hand-built
+// records, and
 // the determinism of every modeled number of a real factorization across
 // worker counts and repeated runs.
 #include <gtest/gtest.h>
@@ -65,25 +66,32 @@ TEST(Replay, FifoOnOneStream) {
 }
 
 TEST(Replay, IndependentPairsOverlap) {
-  // Kernels of independent nodes on two pairs run at once; on one pair
-  // they queue. Uploads share the device's host link either way.
+  // Kernels of independent nodes share the device's one compute engine:
+  // on two pairs as on one they run one after the other. A kernel on one
+  // pair overlaps an upload on the other; on one pair the upload waits
+  // for the kernel. Uploads share the device's host link either way.
   Device dev;
   const std::size_t count = 1 << 16;
   DeviceBuffer buf(dev, count);
   std::vector<double> host(count, 2.0);
   const double issue = dev.model().issue_overhead;
+  const double dur = dev.model().h2d_seconds(count * 8.0);
   std::vector<OpRecord> rec(2);
   zero_fill(dev, Stream{&rec[0]}, buf, 0, count);
   zero_fill(dev, Stream{&rec[1]}, buf, 0, count);
   const double kernel = rec[0][0].seconds;
-  EXPECT_DOUBLE_EQ(replay_nodes(rec, 2, 2).modeled_seconds, issue + kernel);
+  EXPECT_DOUBLE_EQ(replay_nodes(rec, 2, 2).modeled_seconds,
+                   issue + 2 * kernel);
   EXPECT_DOUBLE_EQ(replay_nodes(rec, 2, 1).modeled_seconds,
                    issue + 2 * kernel);
-  const double dur = dev.model().h2d_seconds(count * 8.0);
-  for (OpRecord& r : rec) {
-    r.clear();
-    copy_h2d(dev, Stream{&r}, buf, 0, host.data(), count, true);
-  }
+  rec[1].clear();
+  copy_h2d(dev, Stream{&rec[1]}, buf, 0, host.data(), count, true);
+  EXPECT_DOUBLE_EQ(replay_nodes(rec, 2, 2).modeled_seconds,
+                   issue + std::max(kernel, dur));
+  EXPECT_DOUBLE_EQ(replay_nodes(rec, 2, 1).modeled_seconds,
+                   issue + kernel + dur);
+  rec[0].clear();
+  copy_h2d(dev, Stream{&rec[0]}, buf, 0, host.data(), count, true);
   EXPECT_DOUBLE_EQ(replay_nodes(rec, 2, 2).modeled_seconds, issue + 2 * dur);
 }
 
@@ -132,18 +140,27 @@ TEST(Replay, MakespanIsMaxNotSum) {
 }
 
 TEST(Replay, OverlapAccumulates) {
+  // Overlap is time one stream works while another still has work: none
+  // for a lone kernel, none for two kernels (they never share the compute
+  // engine), and all of the shorter of a kernel on one pair and an upload
+  // on the other. On one pair the upload waits for the kernel instead.
   Device dev;
   const std::size_t count = 1 << 15;
   DeviceBuffer buf(dev, count);
+  std::vector<double> host(count, 1.0);
+  const double dur = dev.model().h2d_seconds(count * 8.0);
   std::vector<OpRecord> rec(1);
   zero_fill(dev, Stream{&rec[0]}, buf, 0, count);
+  const double kernel = rec[0][0].seconds;
   EXPECT_DOUBLE_EQ(replay_nodes(rec, 1, 2).gpu_overlap_seconds, 0.0);
   rec.emplace_back();
   zero_fill(dev, Stream{&rec[1]}, buf, 0, count);
-  const FactorStats st = replay_nodes(rec, 2, 2);
-  // The second kernel ran while the first pair still had work.
-  EXPECT_GT(st.gpu_overlap_seconds, 0.0);
-  EXPECT_LE(st.gpu_overlap_seconds, st.gpu_kernel_seconds);
+  EXPECT_DOUBLE_EQ(replay_nodes(rec, 2, 2).gpu_overlap_seconds, 0.0);
+  rec[1].clear();
+  copy_h2d(dev, Stream{&rec[1]}, buf, 0, host.data(), count, true);
+  EXPECT_DOUBLE_EQ(replay_nodes(rec, 2, 2).gpu_overlap_seconds,
+                   std::min(kernel, dur));
+  EXPECT_DOUBLE_EQ(replay_nodes(rec, 2, 1).gpu_overlap_seconds, 0.0);
 }
 
 TEST(Replay, TrailingWaitsFreeTheLane) {

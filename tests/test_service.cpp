@@ -43,12 +43,11 @@ void expect_bitwise_equal(const std::vector<double>& a,
 
 /// Hybrid options with thresholds low enough that the small test
 /// matrices actually split across CPU and GPU.
-SolverOptions hybrid_options(Method m, int workers, int streams) {
+SolverOptions hybrid_options(Method m, int workers) {
   SolverOptions so;
   so.factor.method = m;
   so.factor.exec = Execution::kGpuHybrid;
   so.factor.cpu_workers = workers;
-  so.factor.gpu_streams = streams;
   so.factor.gpu_threshold_rl = 2'000;
   so.factor.gpu_threshold_rlb = 2'000;
   return so;
@@ -137,7 +136,7 @@ TEST(SolverService, CachedPlanAndPoolsAreReused) {
   ServiceOptions so;
   so.runtime.workers = 2;
   SolverService service(so);
-  const SolverOptions ho = hybrid_options(Method::kRL, 4, 2);
+  const SolverOptions ho = hybrid_options(Method::kRL, 4);
 
   const auto s1 = service.session(a, ho);
   s1->factorize(a);
@@ -164,7 +163,7 @@ TEST(SolverService, MidDagFaultLeavesWarmSessionUsable) {
   ServiceOptions so;
   so.runtime.workers = 3;  // crew of 3 + the caller = 4 workers
   SolverService service(so);
-  const SolverOptions ho = hybrid_options(Method::kRL, 4, 2);
+  const SolverOptions ho = hybrid_options(Method::kRL, 4);
   const auto s = service.session(a, ho);
   s->factorize(a);
   const auto warm_factor = s->factor();
@@ -238,7 +237,7 @@ TEST(SolverService, DeviceOutOfMemoryLeavesRuntimeUsable) {
   so.runtime.workers = 3;
   so.runtime.device.memory_bytes = kDeviceBytes;
   SolverService service(so);
-  const SolverOptions ho = hybrid_options(Method::kRL, 4, 2);
+  const SolverOptions ho = hybrid_options(Method::kRL, 4);
   auto slot_bytes = [](const SymbolicFactor& symb) {
     std::size_t most = 0;
     for (index_t t = 0; t < symb.num_supernodes(); ++t) {
@@ -277,8 +276,8 @@ TEST(SolverService, DeviceOutOfMemoryLeavesRuntimeUsable) {
   EXPECT_EQ(service.runtime().stats().in_flight, 0u);
 }
 
-/// Options that factor on the CPU and solve in kGpuHybrid through one
-/// device slot, so a device's capacity bounds the largest solve node.
+/// Options that factor on the CPU and solve in kGpuHybrid, so a device's
+/// capacity bounds the largest solve node (the pool's first slot).
 SolverOptions cpu_factor_gpu_solve_options() {
   SolverOptions so;
   so.factor.exec = Execution::kCpuParallel;
@@ -286,24 +285,8 @@ SolverOptions cpu_factor_gpu_solve_options() {
   so.solve.exec = Execution::kGpuHybrid;
   so.solve.workers = 4;
   so.solve.rhs_panel = 8;
-  so.solve.gpu_streams = 1;
   so.solve.gpu_threshold = 2'000;
   return so;
-}
-
-/// Bytes of the one device slot a scheduled solve with `so` needs on
-/// `symb`: the largest device node's L rectangle plus rows × panel.
-std::size_t solve_slot_bytes(const SymbolicFactor& symb,
-                             const SolveOptions& so) {
-  std::size_t l = 0;
-  std::size_t rhs = 0;
-  for (index_t t = 0; t < symb.num_supernodes(); ++t) {
-    if (symb.sn_entries(t) < so.gpu_threshold) continue;
-    l = std::max(l, static_cast<std::size_t>(symb.sn_entries(t)));
-    rhs = std::max(rhs, static_cast<std::size_t>(symb.sn_nrows(t)) *
-                            static_cast<std::size_t>(so.rhs_panel));
-  }
-  return (l + rhs) * sizeof(double);
 }
 
 TEST(SolverService, SolveDeviceOutOfMemoryLeavesRuntimeUsable) {
@@ -323,7 +306,11 @@ TEST(SolverService, SolveDeviceOutOfMemoryLeavesRuntimeUsable) {
 
   const CscMatrix big = grid3d_7pt(12, 12, 12);
   const auto s_big = service.session(big, ho);
-  ASSERT_GT(solve_slot_bytes(s_big->symbolic(), ho.solve), kDeviceBytes);
+  const auto slot_bytes = [&](const SymbolicFactor& symb) {
+    return testing::solve_slot_bytes(symb, ho.solve.gpu_threshold,
+                                     ho.solve.rhs_panel);
+  };
+  ASSERT_GT(slot_bytes(s_big->symbolic()), kDeviceBytes);
   s_big->factorize(big);
   const std::vector<double> b_big(
       static_cast<std::size_t>(big.cols()) * nrhs, 1.0);
@@ -334,7 +321,7 @@ TEST(SolverService, SolveDeviceOutOfMemoryLeavesRuntimeUsable) {
 
   const CscMatrix small = grid3d_7pt(8, 8, 8);
   const auto s_small = service.session(small, ho);
-  ASSERT_LE(solve_slot_bytes(s_small->symbolic(), ho.solve), kDeviceBytes);
+  ASSERT_LE(slot_bytes(s_small->symbolic()), kDeviceBytes);
   s_small->factorize(small);
   std::vector<double> b(static_cast<std::size_t>(small.cols()) * nrhs);
   for (std::size_t i = 0; i < b.size(); ++i) {
@@ -355,7 +342,9 @@ TEST(SolverService, FailedSolveLeavesAliasedRhsUnmodified) {
   so.solve.device.memory_bytes = 128ull << 10;
   CholeskySolver solver(so);
   solver.factorize(a);
-  ASSERT_GT(solve_slot_bytes(solver.factor().symbolic(), so.solve),
+  ASSERT_GT(testing::solve_slot_bytes(solver.factor().symbolic(),
+                                      so.solve.gpu_threshold,
+                                      so.solve.rhs_panel),
             so.solve.device.memory_bytes);
   const index_t nrhs = 8;
   std::vector<double> x(static_cast<std::size_t>(a.cols()) * nrhs);
@@ -368,22 +357,37 @@ TEST(SolverService, FailedSolveLeavesAliasedRhsUnmodified) {
   expect_bitwise_equal(before, x);
 }
 
-TEST(SolverService, WarmSessionsBitwiseMatchPerCallAcrossWorkersAndStreams) {
+TEST(SolverService, WarmSessionsMatchPerCallAcrossWorkersAndDeviceSizes) {
+  // Every worker count, on a runtime with the default device and on one
+  // whose device fits exactly one slot of the call's pool.
   const CscMatrix a = grid3d_7pt(6, 6, 6);
   ServiceOptions so;
   so.runtime.workers = 3;
   SolverService service(so);
   for (const Method m : {Method::kRL, Method::kRLB}) {
     for (const int workers : {1, 4, 8}) {
-      for (const int streams : {1, 4}) {
-        SCOPED_TRACE(std::string(to_string(m)) + " workers=" +
-                     std::to_string(workers) + " streams=" +
-                     std::to_string(streams));
-        const SolverOptions ho = hybrid_options(m, workers, streams);
-        const auto s = service.session(a, ho);
-        s->factorize(a);
-        expect_bitwise_equal(reference_values(a, ho), s->factor()->values());
-      }
+      SCOPED_TRACE(std::string(to_string(m)) +
+                   " workers=" + std::to_string(workers));
+      const SolverOptions ho = hybrid_options(m, workers);
+      const std::vector<double> ref = reference_values(a, ho);
+      const auto s = service.session(a, ho);
+      s->factorize(a);
+      expect_bitwise_equal(ref, s->factor()->values());
+
+      ServiceOptions capped = so;
+      capped.runtime.device.memory_bytes =
+          testing::one_slot_capacity([&](std::size_t bytes) {
+            SolverOptions o = ho;
+            o.factor.device.memory_bytes = bytes;
+            CholeskySolver solver(o);
+            solver.factorize(a);
+            return solver.stats();
+          });
+      SolverService one_slot(capped);
+      const auto c = one_slot.session(a, ho);
+      c->factorize(a);
+      expect_bitwise_equal(ref, c->factor()->values());
+      EXPECT_EQ(c->factor()->stats().gpu_stream_pairs, 1);
     }
   }
 }
@@ -393,7 +397,7 @@ TEST(SolverService, ConcurrentSessionsBitwiseMatchSerialRuns) {
   // concurrently on one shared runtime — every factor must match an
   // independent serial per-call run bitwise.
   const CscMatrix pats[] = {grid3d_7pt(6, 6, 6), grid2d_5pt(25, 25)};
-  const SolverOptions ho = hybrid_options(Method::kRL, 4, 2);
+  const SolverOptions ho = hybrid_options(Method::kRL, 4);
   const std::vector<double> refs[] = {reference_values(pats[0], ho),
                                       reference_values(pats[1], ho)};
   ServiceOptions so;
@@ -437,7 +441,7 @@ TEST(SolverService, ConcurrentSessionsReportExactPerCallModeledTime) {
   // factorizing at once on one shared runtime — with a solve in between
   // — report exactly what a standalone per-call factorization does.
   const CscMatrix pats[] = {grid3d_7pt(8, 8, 8), grid3d_vector(5, 5, 5, 3)};
-  const SolverOptions ho = hybrid_options(Method::kRL, 4, 2);
+  const SolverOptions ho = hybrid_options(Method::kRL, 4);
   FactorStats want[2];
   for (int p = 0; p < 2; ++p) {
     CholeskySolver solver(ho);
@@ -557,9 +561,6 @@ TEST(ServiceValidation, BadSessionOptionsRejectedBeforeAnyWork) {
   const CscMatrix a = grid2d_5pt(5, 5);
   SolverService service;
   SolverOptions bad;
-  bad.factor.gpu_streams = 0;
-  EXPECT_THROW((void)service.session(a, bad), InvalidArgument);
-  bad = SolverOptions{};
   bad.analyze.merge_growth_cap = -1.0;
   EXPECT_THROW((void)service.session(a, bad), InvalidArgument);
   bad = SolverOptions{};

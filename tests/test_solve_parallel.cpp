@@ -1,6 +1,6 @@
 // SolvePlan executor coverage: the scheduled plan-driven triangular
 // solve must be bitwise identical to the serial sweep for every
-// worker / stream / RHS-panel combination (CPU and hybrid GPU paths,
+// worker / device-size / RHS-panel combination (CPU and hybrid GPU paths,
 // coarsened and per-supernode plans), SolveOptions must be validated up
 // front, the
 // modeled solve_multi makespan on the nlpkkt80 analog must meet the
@@ -71,6 +71,9 @@ TEST(SolveParallel, BitwiseIdentityAcrossConfigs) {
       {"grid3d_wide_10", grid3d_wide(10, 10, 10, 2)},
   };
   const index_t nrhs = 12;
+  // Low enough that the test matrices actually route their big
+  // supernodes to the device on the hybrid path.
+  const offset_t threshold = 500;
   for (const Case& c : cases) {
     const CholeskyFactor f = factor_of(c.a);
     const std::vector<double> b = make_rhs(c.a.cols(), nrhs);
@@ -78,17 +81,20 @@ TEST(SolveParallel, BitwiseIdentityAcrossConfigs) {
     for (const Execution exec :
          {Execution::kCpuParallel, Execution::kGpuHybrid}) {
       for (const int workers : {0, 1, 4, 8}) {
-        for (const int streams : {1, 4}) {
-          // 3 is ragged against every micro-tile width.
-          for (const index_t panel : {1, 3, 8, 32}) {
+        // 3 is ragged against every micro-tile width.
+        for (const index_t panel : {1, 3, 8, 32}) {
+          // The default device, and one that fits exactly one slot.
+          for (const bool capped : {false, true}) {
             SolveOptions o;
             o.exec = exec;
             o.workers = workers;
-            o.gpu_streams = streams;
             o.rhs_panel = panel;
-            // Low enough that the test matrices actually route their
-            // big supernodes to the device on the hybrid path.
-            o.gpu_threshold = 500;
+            o.gpu_threshold = threshold;
+            if (capped) {
+              o.device.memory_bytes =
+                  testing::solve_slot_bytes(f.symbolic(), threshold,
+                                            std::min(panel, nrhs));
+            }
             SolveStats st;
             std::vector<double> x(b.size());
             f.solve_multi(b, x, nrhs, o, &st);
@@ -96,12 +102,15 @@ TEST(SolveParallel, BitwiseIdentityAcrossConfigs) {
                 std::string(c.name) + " exec=" +
                 (exec == Execution::kGpuHybrid ? "hybrid" : "cpu") +
                 " workers=" + std::to_string(workers) +
-                " streams=" + std::to_string(streams) +
+                (capped ? " one-slot device" : " default device") +
                 " panel=" + std::to_string(panel);
             expect_bitwise_equal(ref, x, what);
             if (workers == 4 || workers == 8) {
               EXPECT_GT(st.tasks, 0u) << what;
               EXPECT_EQ(st.rhs_panels, (nrhs + panel - 1) / panel) << what;
+              if (capped && st.supernodes_on_gpu > 0) {
+                EXPECT_EQ(st.gpu_stream_pairs, 1) << what;
+              }
             }
             if (workers == 1) {
               EXPECT_EQ(st.tasks, 0u) << what;  // serial fallback
@@ -160,8 +169,6 @@ TEST(SolveParallel, SolveOptionsValidation) {
   EXPECT_THROW(try_opts([](SolveOptions& o) { o.workers = -1; }),
                InvalidArgument);
   EXPECT_THROW(try_opts([](SolveOptions& o) { o.rhs_panel = 0; }),
-               InvalidArgument);
-  EXPECT_THROW(try_opts([](SolveOptions& o) { o.gpu_streams = 0; }),
                InvalidArgument);
   EXPECT_THROW(try_opts([](SolveOptions& o) { o.gpu_threshold = -1; }),
                InvalidArgument);
