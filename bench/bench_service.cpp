@@ -8,7 +8,7 @@
 // CholeskySolver each time: what a stateless server would pay). The warm
 // column opens a SolverService session per request: after the first
 // request the pattern cache serves the symbolic factor and execution
-// plan, the device arena serves the slot pool, and only the numeric
+// plan and the plan's slot pool, and only the numeric
 // factorization and solve run.
 //
 // Matrices: the nlpkkt80 analog (few huge supernodes — symbolic cost is
@@ -194,7 +194,7 @@ void run(JsonReport& report) {
                 {"warm_first_seconds", warm.first},
                 {"warm_amortized_seconds", warm.amortized},
                 {"speedup", cold.amortized / warm.amortized}});
-    std::printf("%-18s cache %zu hit / %zu miss; arena pool %zu hit / "
+    std::printf("%-18s cache %zu hit / %zu miss; slot pool %zu hit / "
                 "%zu miss\n",
                 "", stats.cache_hits, stats.cache_misses,
                 stats.runtime.pool_hits, stats.runtime.pool_misses);

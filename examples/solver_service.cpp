@@ -1,10 +1,10 @@
 // SolverService request loop: a long-lived runtime (shared worker crew,
-// shared simulated device + slot-pool arena, admission gate) serving a
-// stream of refactorize+solve requests whose values change every step
-// while the sparsity pattern stays fixed — the timestep-update workload.
-// The first request pays ordering + symbolic analysis; every later
-// request is a pattern-cache hit and runs only the numeric
-// factorization and solve.
+// shared simulated device, admission gate) serving a stream of
+// refactorize+solve requests whose values change every step while the
+// sparsity pattern stays fixed — the timestep-update workload. The
+// first request pays ordering + symbolic analysis and builds the slot
+// pools; every later request is a pattern-cache hit, reuses the cached
+// plans' slot pools and runs only the numeric factorization and solve.
 #include <cstdio>
 #include <vector>
 
@@ -46,7 +46,7 @@ int main() {
   std::printf("\nservice: %zu requests, %zu warm (cache hits), %zu cold "
               "(analyzed)\n",
               st.requests, st.cache_hits, st.cache_misses);
-  std::printf("runtime: %zu factorizations, peak %zu in flight, arena "
+  std::printf("runtime: %zu factorizations, peak %zu in flight, slot "
               "pools %zu built / %zu reused\n",
               st.runtime.factorizations, st.runtime.concurrent_peak,
               st.runtime.pool_misses, st.runtime.pool_hits);

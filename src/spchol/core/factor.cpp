@@ -230,9 +230,6 @@ CholeskyFactor CholeskyFactor::factorize(
   SPCHOL_CHECK(a_lower.square() && a_lower.cols() == symb.n(),
                "matrix/symbolic dimension mismatch");
   validate(opts);
-  SPCHOL_CHECK(res == nullptr || res->arena == nullptr ||
-                   res->device == &res->arena->device(),
-               "injected arena and device disagree");
   SPCHOL_CHECK(res == nullptr || res->symbolic == nullptr ||
                    res->symbolic.get() == &symb,
                "injected symbolic owner and symb disagree");

@@ -245,12 +245,12 @@ class CholeskyFactor {
                                   const FactorOptions& opts = {});
 
   /// Factorizes on injected long-lived runtime services (shared worker
-  /// crew, device arena, per-session scheduler, cached plan) instead of
-  /// per-call constructions — the SolverRuntime/SolverService entry
-  /// point. `res` may be nullptr (identical to the 3-arg overload) and
-  /// any of its fields may individually be nullptr. Injection never
-  /// changes factor bits or modeled stats — only scheduling and
-  /// resource reuse.
+  /// crew and device, per-session scheduler, cached plan and its slot
+  /// pool) instead of per-call constructions — the
+  /// SolverRuntime/SolverService entry point. `res` may be nullptr
+  /// (identical to the 3-arg overload) and any of its fields may
+  /// individually be nullptr. Injection never changes factor bits or
+  /// modeled stats — only scheduling and resource reuse.
   static CholeskyFactor factorize(const CscMatrix& a_lower,
                                   const SymbolicFactor& symb,
                                   const FactorOptions& opts,

@@ -10,9 +10,9 @@
 //   * scheduler and plan acquisition (injected by the service, or built
 //     per call through the same builder);
 //   * the device's slot pool sized from ranked buffer needs (factor
-//     tasks: from the needs that can be in flight together), cached in
-//     the arena, with one scheduler resource capping in-flight device
-//     tasks at the pool size;
+//     tasks: from the needs that can be in flight together), kept in the
+//     cached plan's pool cell or built per call, with one scheduler
+//     resource capping in-flight device tasks at the pool size;
 //   * the device-resident reservation;
 //   * plan-edge wiring and the drain.
 // Nothing here touches numerics: the plan and the kernels fix every
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -29,7 +28,7 @@
 #include <vector>
 
 #include "spchol/core/factor.hpp"
-#include "spchol/gpu/device_arena.hpp"
+#include "spchol/gpu/device.hpp"
 #include "spchol/support/task_scheduler.hpp"
 #include "spchol/support/worker_crew.hpp"
 #include "spchol/symbolic/exec_plan.hpp"
@@ -98,12 +97,11 @@ struct ExecutionResources {
   /// Persistent worker complement: the scheduled drivers drain on it
   /// (TaskScheduler::run_on) instead of spawning threads per call.
   WorkerCrew* crew = nullptr;
-  /// Shared long-lived device; must be &arena->device() when arena is
-  /// also set (checked in factorize).
+  /// Shared long-lived device.
   gpu::Device* device = nullptr;
-  /// Keyed slot-pool cache decoupling GPU buffer/stream lifetime from
-  /// one call.
-  gpu::DeviceArena* arena = nullptr;
+  /// The cached plan's slot pool cell (on `device`): runs of the plan
+  /// lease its pool instead of building one per call.
+  gpu::PoolCell* pool = nullptr;
   /// Reusable per-session scheduler (reset() and rebuilt each run).
   /// Solves never borrow it: concurrent solves drain their own.
   TaskScheduler* sched = nullptr;
@@ -119,9 +117,6 @@ struct ExecutionResources {
   /// The shared owner of this call's `symb`: the factor keeps it instead
   /// of a private copy. Must point at the very object passed as `symb`.
   std::shared_ptr<const SymbolicFactor> symbolic;
-  /// Arena cache key fingerprinting the pattern + plan-relevant options;
-  /// the executors mix in a per-method tag.
-  std::uint64_t pool_key = 0;
 };
 
 /// One device task's buffer needs (entries). A factor task also names the
@@ -222,10 +217,10 @@ class PlanExecutor {
   /// than N copies of the largest — that is what lets several fit under
   /// a tight memory cap. The pool shrinks (down to one slot) when the
   /// device cannot fit every slot; when not even one fits, the
-  /// DeviceOutOfMemory propagates. Cached in the injected arena under
-  /// pool_key ^ tag, or built per call.
+  /// DeviceOutOfMemory propagates. Taken from the injected pool cell
+  /// (res->pool), or built per call.
   template <class Slot, class Make>
-  Pool<Slot> pool(std::uint64_t tag, Make&& make) {
+  Pool<Slot> pool(Make&& make) {
     Pool<Slot> p;
     if (needs_.empty()) return p;
     p.smallest = std::all_of(needs_.begin(), needs_.end(),
@@ -242,10 +237,9 @@ class PlanExecutor {
             return make(*dev_, caps[k].first, caps[k].second);
           });
     };
-    p.slot_pool = res_ == nullptr || res_->arena == nullptr
+    p.slot_pool = res_ == nullptr || res_->pool == nullptr
                       ? build()
-                      : res_->arena->pool<gpu::SlotPool<Slot>>(
-                            res_->pool_key ^ tag, build);
+                      : res_->pool->get<Slot>(caps, build);
     p.slots = p.slot_pool->size();
     p.res = sched_->add_resource(p.slots);
     return p;

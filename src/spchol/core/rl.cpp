@@ -248,9 +248,8 @@ void run_rl_scheduled(FactorContext& ctx) {
   }
 
   // Bounded slot pool.
-  constexpr std::uint64_t kRlPoolTag = 0x524c2d504f4f4cull;  // "RL-POOL"
-  const auto pool = ex.pool<GpuSlot>(
-      kRlPoolTag, [](gpu::Device& dv, std::size_t p, std::size_t u) {
+  const auto pool =
+      ex.pool<GpuSlot>([](gpu::Device& dv, std::size_t p, std::size_t u) {
         return std::make_unique<GpuSlot>(dv, p, u);
       });
   ctx.gpu_stream_pairs = static_cast<index_t>(pool.slots);

@@ -350,9 +350,7 @@ void run_rlb_scheduled(FactorContext& ctx) {
 
   // One pipeline state (device buffers + host staging) per
   // in-flight GPU supernode, from a bounded pool.
-  constexpr std::uint64_t kRlbPoolTag = 0x524c422d504f4full;  // "RLB-POO"
   const auto pool = ex.pool<RlbGpuState>(
-      kRlbPoolTag,
       [batched](gpu::Device& dv, std::size_t p, std::size_t u) {
         return std::make_unique<RlbGpuState>(dv, p, u, batched);
       });

@@ -22,7 +22,8 @@
 // ONLY the supernode's own w rows: the below rows were read-only inputs,
 // and writing them back would race with the concurrent readers that own
 // those values. Slots (stream + L-panel + RHS buffers) come from a ranked
-// SlotPool cached in the DeviceArena under the pattern/options key.
+// SlotPool: the cached solve plan's pool under the service, else one
+// built for the call.
 #include "spchol/core/internal.hpp"
 #include "spchol/support/timer.hpp"
 
@@ -158,19 +159,10 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
               r * static_cast<std::size_t>(width));
     }
   }
-  // The solve pool's shape also depends on the RHS blocking and the
-  // on_gpu marks, so those fold into its arena tag.
-  std::uint64_t tag = 0x534c56504f4f4cull;  // "SLVPOOL"
-  for (const std::uint64_t v :
-       {static_cast<std::uint64_t>(opts.rhs_panel),
-        static_cast<std::uint64_t>(nrhs),
-        static_cast<std::uint64_t>(opts.gpu_threshold),
-        static_cast<std::uint64_t>(opts.exec)}) {
-    tag = (tag ^ v) * 1099511628211ull;
-  }
-  const auto pool = ex.pool<GpuSlot>(
-      tag,
-      [](gpu::Device& dv, std::size_t l, std::size_t r) {
+  // The needs grow with the RHS width: a solve reuses its cached plan's
+  // pool when that was built for a solve at least as wide.
+  const auto pool =
+      ex.pool<GpuSlot>([](gpu::Device& dv, std::size_t l, std::size_t r) {
         return std::make_unique<GpuSlot>(dv, l, r);
       });
 

@@ -184,4 +184,25 @@ int copy_d2h(Device& dev, Stream s, double* dst, const DeviceBuffer& src,
   return op;
 }
 
+bool PoolCell::drop_idle() {
+  std::lock_guard<std::mutex> lk(mu_);
+  // use_count() == 1: only the cell holds the pool, so dropping it
+  // cannot pull slots out from under a live run.
+  if (pool_ == nullptr || pool_.use_count() != 1) return false;
+  pool_.reset();  // slot destructors release device memory here
+  ledger_->cached--;
+  ledger_->evictions++;
+  return true;
+}
+
+bool PoolCell::covers_locked(const Caps& caps) const {
+  if (pool_ == nullptr || caps.size() > caps_.size()) return false;
+  for (std::size_t k = 0; k < caps.size(); ++k) {
+    if (caps[k].first > caps_[k].first || caps[k].second > caps_[k].second) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace spchol::gpu

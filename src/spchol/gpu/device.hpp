@@ -27,9 +27,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "spchol/gpu/perf_model.hpp"
@@ -294,6 +296,95 @@ class SlotPool {
   std::vector<char> free_;
   std::mutex mu_;
   std::condition_variable cv_;
+};
+
+/// The pool counters one SolverRuntime reports and the hook that frees
+/// idle pools under memory pressure, shared by the PoolCells of its
+/// service.
+struct PoolLedger {
+  std::atomic<std::size_t> cached{0};     ///< cells holding a pool
+  std::atomic<std::size_t> hits{0};       ///< get() calls served the held pool
+  std::atomic<std::size_t> misses{0};     ///< get() calls that built a pool
+  std::atomic<std::size_t> evictions{0};  ///< idle pools dropped by reclaim
+  /// Drops the idle pools of every cell (PoolCell::drop_idle) and returns
+  /// whether it dropped any. Set before any cell is consulted; empty when
+  /// nothing can be reclaimed.
+  std::function<bool()> reclaim;
+};
+
+/// The slot pool of one cached plan, kept with the slot capacities (caps)
+/// it was built for, so repeated runs of the plan lease the SAME device
+/// buffers instead of allocating their own. The pool dies with the cell.
+///
+/// Reuse. A run gets the held pool when its caps cover the run's caps
+/// slot by slot. Otherwise it builds a pool for its own caps, outside the
+/// cell lock, and that pool replaces the held one; a run still leasing
+/// the old pool keeps it alive until it ends. When the build throws
+/// DeviceOutOfMemory (not even one slot fits), the ledger's reclaim frees
+/// every idle pool and the build is retried once, with no cell lock held.
+///
+/// Sharing. The device executes numerics eagerly and keeps no clock, so
+/// runs sharing a pool change neither factor bits nor modeled stats (each
+/// run replays its own recorded costs). Two schedulers that each hold a
+/// resource token count sized to the pool jointly admit up to 2x size()
+/// acquirers; the excess blocks in SlotPool::acquire(). That cannot
+/// deadlock: if every blocked worker is in acquire(), no lease is held,
+/// so a slot is free — and each run's calling thread takes part in its
+/// own drain, so progress never depends on the crew.
+class PoolCell {
+ public:
+  /// Slot k's capacities (a, b), non-increasing in k.
+  using Caps = std::vector<std::pair<std::size_t, std::size_t>>;
+
+  explicit PoolCell(PoolLedger& ledger) : ledger_(&ledger) {}
+  PoolCell(const PoolCell&) = delete;
+  PoolCell& operator=(const PoolCell&) = delete;
+  ~PoolCell() {
+    if (pool_ != nullptr) ledger_->cached--;
+  }
+
+  /// The held pool when it covers `caps`, else the pool `build()` returns
+  /// (a std::shared_ptr<SlotPool<Slot>> built for `caps`), which the cell
+  /// then holds. Every pool of one cell has the same Slot type.
+  template <class Slot, class Build>
+  std::shared_ptr<SlotPool<Slot>> get(const Caps& caps, Build&& build) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (covers_locked(caps)) {
+        ledger_->hits++;
+        return std::static_pointer_cast<SlotPool<Slot>>(pool_);
+      }
+    }
+    ledger_->misses++;
+    std::shared_ptr<SlotPool<Slot>> built;
+    try {
+      built = build();
+    } catch (const DeviceOutOfMemory&) {
+      if (!ledger_->reclaim || !ledger_->reclaim()) throw;
+      built = build();
+    }
+    std::lock_guard<std::mutex> lk(mu_);
+    if (covers_locked(caps)) {
+      // A racing run built a covering pool first: keep it, drop ours.
+      return std::static_pointer_cast<SlotPool<Slot>>(pool_);
+    }
+    if (pool_ == nullptr) ledger_->cached++;
+    pool_ = built;
+    caps_ = caps;
+    return built;
+  }
+
+  /// Drops the held pool when no run holds it; returns whether it did.
+  bool drop_idle();
+
+ private:
+  /// Whether the held pool's caps cover `caps` slot by slot.
+  bool covers_locked(const Caps& caps) const;
+
+  PoolLedger* ledger_;
+  std::mutex mu_;
+  std::shared_ptr<void> pool_;
+  Caps caps_;
 };
 
 // --- transfers (counts in doubles) ----------------------------------------

@@ -23,7 +23,7 @@ void validate(const RuntimeOptions& opts) {
 
 SolverRuntime::SolverRuntime(const RuntimeOptions& opts)
     : crew_((validate(opts), opts.workers)),
-      arena_(opts.device),
+      device_(opts.device),
       max_concurrent_(static_cast<std::size_t>(opts.max_concurrent)) {}
 
 SolverRuntime::Admission::~Admission() {
@@ -59,11 +59,10 @@ RuntimeStats SolverRuntime::stats() const {
     st.concurrent_peak = concurrent_peak_;
     st.in_flight = in_flight_;
   }
-  const gpu::DeviceArena::Stats as = arena_.stats();
-  st.pools_cached = as.pools_cached;
-  st.pool_hits = as.pool_hits;
-  st.pool_misses = as.pool_misses;
-  st.pool_evictions = as.pool_evictions;
+  st.pools_cached = pools_.cached;
+  st.pool_hits = pools_.hits;
+  st.pool_misses = pools_.misses;
+  st.pool_evictions = pools_.evictions;
   return st;
 }
 

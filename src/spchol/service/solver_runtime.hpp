@@ -1,8 +1,8 @@
 // SolverRuntime: the long-lived execution substrate shared by every
-// factorization a process runs — one persistent WorkerCrew, one
-// gpu::DeviceArena (shared simulated device + keyed slot-pool cache),
-// and admission control bounding how many factorizations are in flight
-// at once.
+// factorization a process runs — one persistent WorkerCrew, one shared
+// simulated gpu::Device, the pool ledger (the slot-pool counters and the
+// hook that frees idle pools under memory pressure), and admission
+// control bounding how many factorizations are in flight at once.
 //
 // The per-call drivers construct all of this locally: factorize() spawns
 // `cpu_workers` threads, creates a Device, carves a slot pool out of it,
@@ -10,28 +10,28 @@
 // use and stays the default — but a server draining a request stream
 // pays thread spawn/join and pool construction per request, and N
 // uncoordinated concurrent calls each spawn their own full thread
-// complement (N× oversubscription) and each carve private device buffers
-// out of one device. SolverRuntime hoists those resources out of the
-// call: sessions run their task DAGs on the shared crew
-// (TaskScheduler::run_on — the caller participates, so a session is
-// never starved even when the crew is busy), draw device slots from the
-// arena, and pass through an admission gate that caps concurrent
-// in-flight factorizations at RuntimeOptions::max_concurrent.
+// complement (N× oversubscription). SolverRuntime hoists the threads and
+// the device out of the call: sessions run their task DAGs on the shared
+// crew (TaskScheduler::run_on — the caller participates, so a session is
+// never starved even when the crew is busy), lease device slots from the
+// pool their cached plan keeps on the shared device (SolverService), and
+// pass through an admission gate that caps concurrent in-flight
+// factorizations at RuntimeOptions::max_concurrent.
 //
 // Sharing never changes results: the crew only changes WHICH thread runs
 // a task (the scheduler's deterministic scatter chains fix the order
 // that matters), and the simulated device executes numerics eagerly, so
-// factor bits are identical to the per-call path for every crew size /
-// stream count / concurrency level. Modeled stats are unaffected too:
-// each call replays its own DAG (core/replay.hpp), so concurrent
-// sessions report exactly what an isolated run does.
+// factor bits are identical to the per-call path for every crew size and
+// concurrency level. Modeled stats are unaffected too: each call replays
+// its own DAG (core/replay.hpp), so concurrent sessions report exactly
+// what an isolated run does.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
 
-#include "spchol/gpu/device_arena.hpp"
+#include "spchol/gpu/device.hpp"
 #include "spchol/support/worker_crew.hpp"
 
 namespace spchol {
@@ -57,16 +57,16 @@ struct RuntimeOptions {
 /// constructor calls this.
 void validate(const RuntimeOptions& opts);
 
-/// Service-wide counters (snapshot; arena stats merged in).
+/// Service-wide counters (snapshot; the pool ledger's counters merged in).
 struct RuntimeStats {
   std::size_t factorizations = 0;   ///< admissions granted so far
   std::size_t admission_waits = 0;  ///< admissions that had to block
   std::size_t concurrent_peak = 0;  ///< max factorizations ever in flight
   std::size_t in_flight = 0;        ///< factorizations running right now
-  std::size_t pools_cached = 0;     ///< arena: slot pools currently held
-  std::size_t pool_hits = 0;        ///< arena: pool() calls served cached
-  std::size_t pool_misses = 0;      ///< arena: pool() calls that built
-  std::size_t pool_evictions = 0;   ///< arena: pools dropped under pressure
+  std::size_t pools_cached = 0;     ///< slot pools cached plans hold now
+  std::size_t pool_hits = 0;        ///< runs served a cached plan's pool
+  std::size_t pool_misses = 0;      ///< cached-plan runs that built a pool
+  std::size_t pool_evictions = 0;   ///< idle pools dropped under pressure
 };
 
 class SolverRuntime {
@@ -99,8 +99,10 @@ class SolverRuntime {
   Admission admit();
 
   WorkerCrew& crew() noexcept { return crew_; }
-  gpu::DeviceArena& arena() noexcept { return arena_; }
-  gpu::Device& device() noexcept { return arena_.device(); }
+  gpu::Device& device() noexcept { return device_; }
+  /// The counters and reclaim hook of the slot pools cached plans keep
+  /// on device().
+  gpu::PoolLedger& pools() noexcept { return pools_; }
   /// Persistent crew threads (effective DAG parallelism is this + 1).
   std::size_t workers() const noexcept { return crew_.size(); }
   std::size_t max_concurrent() const noexcept { return max_concurrent_; }
@@ -110,12 +112,9 @@ class SolverRuntime {
  private:
   void release();
 
-  // Crew before arena: arena-cached slots retain stream bindings to the
-  // arena device, and no crew thread may outlive a scheduler run anyway
-  // (run_on detaches its source before returning), but keeping the
-  // destruction order explicit costs nothing.
   WorkerCrew crew_;
-  gpu::DeviceArena arena_;
+  gpu::Device device_;
+  gpu::PoolLedger pools_;
   std::size_t max_concurrent_;
 
   mutable std::mutex mu_;

@@ -12,6 +12,20 @@
 
 namespace spchol {
 
+namespace detail {
+
+/// A plan the service caches, with the slot pool its runs lease: the
+/// pool lives exactly as long as the plan.
+template <class Planned>
+struct CachedPlan {
+  CachedPlan(Planned p, gpu::PoolLedger& ledger)
+      : planned(std::move(p)), pool(ledger) {}
+  const Planned planned;
+  gpu::PoolCell pool;
+};
+
+}  // namespace detail
+
 namespace {
 
 /// FNV-1a 64-bit accumulator. Doubles are hashed by bit pattern, so two
@@ -72,11 +86,10 @@ std::uint64_t pattern_key(const CscMatrix& a, const SolverOptions& so) {
 }
 
 /// Fingerprint of the FactorOptions that shape an ExecutionPlan and its
-/// arena slot pool: method and variant (RL and RLB pools are different
-/// slot types), execution mode + thresholds (the on_gpu marks, which
-/// also bound the plan's coarsening) and the resident reservation.
-/// Combined with the pattern key this uniquely identifies a plan/pool
-/// shape.
+/// slot pool: method and variant (RL and RLB pools are different slot
+/// types), execution mode + thresholds (the on_gpu marks, which also
+/// bound the plan's coarsening) and the resident reservation. Within a
+/// pattern's cache entry this identifies a plan/pool shape.
 std::uint64_t plan_fingerprint(const FactorOptions& fo) {
   Fnv f;
   f.pod(fo.method);
@@ -88,15 +101,46 @@ std::uint64_t plan_fingerprint(const FactorOptions& fo) {
   return f.hash();
 }
 
-/// Fingerprint of the SolveOptions that shape a SolvePlan and its arena
-/// slot pool: execution mode + GPU threshold (the on_gpu marks).
-/// rhs_panel is EXCLUDED — the plan is per-panel and identical for every
-/// panel width (the executor replicates it across panels at solve time).
+/// Fingerprint of the SolveOptions that shape a SolvePlan: execution
+/// mode + GPU threshold (the on_gpu marks). rhs_panel is EXCLUDED — the
+/// plan is per-panel and identical for every panel width (the executor
+/// replicates it across panels at solve time); the plan's pool follows
+/// the widest RHS blocking asked of it.
 std::uint64_t solve_plan_fingerprint(const SolveOptions& so) {
   Fnv f;
   f.pod(so.exec);
   f.pod(so.gpu_threshold);
   return f.hash();
+}
+
+/// A pattern's cached plans of one kind, by fingerprint.
+template <class Planned>
+using PlanList = std::vector<
+    std::pair<std::uint64_t, std::shared_ptr<detail::CachedPlan<Planned>>>>;
+
+/// The plan of fingerprint `fp` in `plans` (guarded by `mu`), built by
+/// `build()` outside the lock on a miss; two racing builders keep the
+/// first inserted plan.
+template <class Planned, class Build>
+std::shared_ptr<detail::CachedPlan<Planned>> cached_plan(
+    std::mutex& mu, PlanList<Planned>& plans, std::uint64_t fp,
+    gpu::PoolLedger& ledger, Build&& build) {
+  const auto find_locked = [&] {
+    std::shared_ptr<detail::CachedPlan<Planned>> hit;
+    for (const auto& [f, plan] : plans) {
+      if (f == fp) hit = plan;
+    }
+    return hit;
+  };
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    if (auto hit = find_locked()) return hit;
+  }
+  auto built = std::make_shared<detail::CachedPlan<Planned>>(build(), ledger);
+  std::lock_guard<std::mutex> lk(mu);
+  if (auto hit = find_locked()) return hit;
+  plans.emplace_back(fp, built);
+  return built;
 }
 
 }  // namespace
@@ -116,16 +160,15 @@ SolverSession::SolverSession(
     SolverRuntime* runtime, SolverOptions opts,
     std::shared_ptr<const SymbolicFactor> symb,
     std::shared_ptr<const detail::AssemblyMap> assembly,
-    std::shared_ptr<const detail::PlannedGraph> planned,
-    std::shared_ptr<const detail::PlannedSolve> planned_solve,
-    std::uint64_t pool_key, bool cached, double analyze_seconds)
+    std::shared_ptr<detail::CachedPlan<detail::PlannedGraph>> plan,
+    std::shared_ptr<detail::CachedPlan<detail::PlannedSolve>> solve_plan,
+    bool cached, double analyze_seconds)
     : runtime_(runtime),
       opts_(std::move(opts)),
       symb_(std::move(symb)),
       assembly_(std::move(assembly)),
-      planned_(std::move(planned)),
-      planned_solve_(std::move(planned_solve)),
-      pool_key_(pool_key) {
+      plan_(std::move(plan)),
+      solve_plan_(std::move(solve_plan)) {
   stats_.symbolic_cached = cached;
   stats_.analyze_seconds = analyze_seconds;
 }
@@ -139,12 +182,13 @@ void SolverSession::factorize(const CscMatrix& a_lower) {
   detail::ExecutionResources res;
   res.crew = &runtime_->crew();
   res.device = &runtime_->device();
-  res.arena = &runtime_->arena();
   res.sched = &sched_;
-  res.planned = planned_.get();
+  if (plan_ != nullptr) {
+    res.planned = &plan_->planned;
+    res.pool = &plan_->pool;
+  }
   res.assembly = assembly_.get();
   res.symbolic = symb_;
-  res.pool_key = pool_key_;
   auto factor = std::make_shared<const CholeskyFactor>(
       CholeskyFactor::factorize(a_lower, *symb_, opts_.factor, &res));
 
@@ -167,17 +211,18 @@ std::vector<double> SolverSession::solve_multi(std::span<const double> b,
     factor = factor_;
   }
   SPCHOL_CHECK(factor != nullptr, "solve requires factorize()");
-  // Scheduled solves draw on the shared runtime: crew, device, arena,
-  // and the session's cached SolvePlan. No scheduler is injected — each
-  // solve drains its own, so concurrent solves (and a concurrent
-  // refactorize on this session's scheduler) never share mutable
-  // scheduler state.
+  // Scheduled solves draw on the shared runtime: crew, device, and the
+  // session's cached SolvePlan with its slot pool. No scheduler is
+  // injected — each solve drains its own, so concurrent solves (and a
+  // concurrent refactorize on this session's scheduler) never share
+  // mutable scheduler state.
   detail::ExecutionResources res;
   res.crew = &runtime_->crew();
   res.device = &runtime_->device();
-  res.arena = &runtime_->arena();
-  res.planned_solve = planned_solve_.get();
-  res.pool_key = pool_key_;
+  if (solve_plan_ != nullptr) {
+    res.planned_solve = &solve_plan_->planned;
+    res.pool = &solve_plan_->pool;
+  }
   std::vector<double> x(b.size());
   SolveStats sstats;
   detail::solve_with_resources(factor->symbolic(), factor->values(), b, x,
@@ -209,23 +254,31 @@ SessionStats SolverSession::stats() const {
 
 /// One cached pattern: the shared symbolic factor, the A→L assembly map
 /// (whose pattern is the exact-match collision guard), and the plans
-/// built for it so far.
+/// built for it so far, each with its slot pool.
 struct SolverService::Entry {
   std::uint64_t key = 0;
   std::shared_ptr<const SymbolicFactor> symb;
   std::shared_ptr<const detail::AssemblyMap> assembly;
   double analyze_seconds = 0.0;
-  std::vector<std::pair<std::uint64_t,
-                        std::shared_ptr<const detail::PlannedGraph>>>
-      plans;
-  std::vector<std::pair<std::uint64_t,
-                        std::shared_ptr<const detail::PlannedSolve>>>
-      solve_plans;
+  PlanList<detail::PlannedGraph> plans;
+  PlanList<detail::PlannedSolve> solve_plans;
   std::uint64_t stamp = 0;  // bumped on every hit: LRU eviction order
 };
 
 SolverService::SolverService(const ServiceOptions& opts)
-    : opts_((validate(opts), opts)), runtime_(opts.runtime) {}
+    : opts_((validate(opts), opts)), runtime_(opts.runtime) {
+  runtime_.pools().reclaim = [this] { return drop_idle_pools(); };
+}
+
+bool SolverService::drop_idle_pools() {
+  std::lock_guard<std::mutex> lk(mu_);
+  bool dropped = false;
+  for (const auto& e : entries_) {
+    for (const auto& [fp, c] : e->plans) dropped |= c->pool.drop_idle();
+    for (const auto& [fp, c] : e->solve_plans) dropped |= c->pool.drop_idle();
+  }
+  return dropped;
+}
 
 std::shared_ptr<SolverSession> SolverService::session(
     const CscMatrix& a_lower) {
@@ -300,80 +353,34 @@ std::shared_ptr<SolverSession> SolverService::session(
     }
   }
 
-  // Plan resolution for the scheduled drivers: reuse a cached
-  // ExecutionPlan of matching shape, building (outside the lock) on a
-  // miss. Unscheduled sessions carry no plan.
-  std::shared_ptr<const detail::PlannedGraph> planned;
-  const std::uint64_t plan_fp = plan_fingerprint(solver_opts.factor);
+  // Plan resolution: reuse the entry's cached ExecutionPlan and
+  // SolvePlan of matching fingerprint, building outside the lock on a
+  // miss. Plan partitioning follows the crew width (crew + calling
+  // thread), the parallelism every session of this runtime runs at.
+  // Unscheduled sessions carry no plan, serial-solve sessions no solve
+  // plan.
+  const std::size_t workers = runtime_.workers() + 1;
+  std::shared_ptr<detail::CachedPlan<detail::PlannedGraph>> plan;
   if (detail::runs_scheduled(solver_opts.factor)) {
-    const auto find_plan_locked =
-        [&]() -> std::shared_ptr<const detail::PlannedGraph> {
-      for (const auto& [fp, plan] : entry->plans) {
-        if (fp == plan_fp) return plan;
-      }
-      return nullptr;
-    };
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      planned = find_plan_locked();
-    }
-    if (planned == nullptr) {
-      // Plan partitioning follows the crew width (crew + calling
-      // thread), the parallelism every session of this runtime runs at.
-      auto built = std::make_shared<const detail::PlannedGraph>(
-          detail::build_planned_graph(*entry->symb, solver_opts.factor,
-                                      runtime_.workers() + 1));
-      std::lock_guard<std::mutex> lk(mu_);
-      planned = find_plan_locked();
-      if (planned == nullptr) {
-        entry->plans.emplace_back(plan_fp, built);
-        planned = std::move(built);
-      }
-    }
+    plan = cached_plan(mu_, entry->plans, plan_fingerprint(solver_opts.factor),
+                       runtime_.pools(), [&] {
+                         return detail::build_planned_graph(
+                             *entry->symb, solver_opts.factor, workers);
+                       });
   }
-
-  // Solve-plan resolution, same shape as the factor plans: reuse a
-  // cached SolvePlan of matching fingerprint, building outside the lock
-  // on a miss. Serial-solve sessions carry no solve plan.
-  std::shared_ptr<const detail::PlannedSolve> planned_solve;
-  const std::uint64_t solve_fp = solve_plan_fingerprint(solver_opts.solve);
+  std::shared_ptr<detail::CachedPlan<detail::PlannedSolve>> solve_plan;
   if (detail::runs_scheduled(solver_opts.solve)) {
-    const auto find_solve_plan_locked =
-        [&]() -> std::shared_ptr<const detail::PlannedSolve> {
-      for (const auto& [fp, plan] : entry->solve_plans) {
-        if (fp == solve_fp) return plan;
-      }
-      return nullptr;
-    };
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      planned_solve = find_solve_plan_locked();
-    }
-    if (planned_solve == nullptr) {
-      auto built = std::make_shared<const detail::PlannedSolve>(
-          detail::build_planned_solve(*entry->symb, solver_opts.solve,
-                                      runtime_.workers() + 1));
-      std::lock_guard<std::mutex> lk(mu_);
-      planned_solve = find_solve_plan_locked();
-      if (planned_solve == nullptr) {
-        entry->solve_plans.emplace_back(solve_fp, built);
-        planned_solve = std::move(built);
-      }
-    }
+    solve_plan = cached_plan(
+        mu_, entry->solve_plans, solve_plan_fingerprint(solver_opts.solve),
+        runtime_.pools(), [&] {
+          return detail::build_planned_solve(*entry->symb, solver_opts.solve,
+                                             workers);
+        });
   }
-
-  // Arena pools are keyed by pattern AND plan shape (an RL pool must
-  // never serve an RLB request, nor a different stream count). The solve
-  // executor mixes its own solve-shape fingerprint in on top, so factor
-  // and solve pools of one session never alias.
-  Fnv pk;
-  pk.pod(key);
-  pk.pod(plan_fp);
 
   return std::shared_ptr<SolverSession>(new SolverSession(
-      &runtime_, solver_opts, entry->symb, entry->assembly,
-      std::move(planned), std::move(planned_solve), pk.hash(), cached,
-      cached ? 0.0 : entry->analyze_seconds));
+      &runtime_, solver_opts, entry->symb, entry->assembly, std::move(plan),
+      std::move(solve_plan), cached, cached ? 0.0 : entry->analyze_seconds));
 }
 
 std::vector<double> SolverService::solve(const CscMatrix& a_lower,

@@ -1,5 +1,5 @@
 // SolverService: solver-as-a-service on top of SolverRuntime — sessions
-// share the runtime's worker crew, device arena, and admission gate, and
+// share the runtime's worker crew, device, and admission gate, and
 // a pattern-keyed cache makes the symbolic phase (ordering + analysis +
 // execution plan) a one-time cost per sparsity pattern.
 //
@@ -18,14 +18,16 @@
 //
 // Per cached pattern the service also caches ExecutionPlans (the
 // scheduled drivers' task-graph blueprint), keyed by the plan-shaping
-// FactorOptions (method, execution mode, GPU thresholds, stream count,
-// batching), and SolvePlans keyed by the plan-shaping SolveOptions
-// (execution mode, GPU threshold, stream count, batching). A warm
-// session therefore runs ZERO symbolic work: it admits, reuses the
-// cached plans, runs the numeric factorization — and every subsequent
-// solve()/solve_multi() — on the shared crew drawing device slots from
-// the arena, with results bitwise identical to a cold, per-call
-// CholeskySolver run.
+// FactorOptions (method, RLB variant, execution mode, GPU thresholds,
+// device-resident reservation), and SolvePlans keyed by the plan-shaping
+// SolveOptions (execution mode, GPU threshold). Each cached plan keeps
+// the device slot pool its runs lease (gpu::PoolCell), so the pool lives
+// and dies with the plan: evicting a pattern or clear_cache() frees its
+// pools once no session holds them. A warm session therefore runs ZERO
+// symbolic work: it admits, reuses the cached plans, runs the numeric
+// factorization — and every subsequent solve()/solve_multi() — on the
+// shared crew leasing the plans' device slots, with results bitwise
+// identical to a cold, per-call CholeskySolver run.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +45,8 @@ namespace detail {
 struct AssemblyMap;   // core/internal.hpp: cached A→L value map
 struct PlannedGraph;  // core/internal.hpp: reusable plan + partitioning
 struct PlannedSolve;  // core/internal.hpp: reusable SolvePlan + partitioning
+template <class Planned>
+struct CachedPlan;  // solver_service.cpp: a plan + its slot pool cell
 }
 
 struct ServiceOptions {
@@ -112,7 +116,7 @@ class SolverSession {
   /// values then gather through the cached A→L map. Any other pattern of
   /// the same dimension assembles through a transient map, and an entry
   /// outside the session's symbolic structure throws. Runs on the shared
-  /// runtime: admission gate → cached plan → crew + arena slots.
+  /// runtime: admission gate → cached plan → crew + the plan's slots.
   void factorize(const CscMatrix& a);
 
   /// Solves A x = b against the last published factor. Requires a
@@ -143,19 +147,21 @@ class SolverSession {
   SolverSession(SolverRuntime* runtime, SolverOptions opts,
                 std::shared_ptr<const SymbolicFactor> symb,
                 std::shared_ptr<const detail::AssemblyMap> assembly,
-                std::shared_ptr<const detail::PlannedGraph> planned,
-                std::shared_ptr<const detail::PlannedSolve> planned_solve,
-                std::uint64_t pool_key, bool cached, double analyze_seconds);
+                std::shared_ptr<detail::CachedPlan<detail::PlannedGraph>> plan,
+                std::shared_ptr<detail::CachedPlan<detail::PlannedSolve>>
+                    solve_plan,
+                bool cached, double analyze_seconds);
 
   SolverRuntime* runtime_;
   SolverOptions opts_;
   std::shared_ptr<const SymbolicFactor> symb_;
   /// Cached A→L map of the session's pattern (shared with the cache).
   std::shared_ptr<const detail::AssemblyMap> assembly_;
-  std::shared_ptr<const detail::PlannedGraph> planned_;  // null = unscheduled
-  /// Cached solve-DAG blueprint; null when solves run the serial sweep.
-  std::shared_ptr<const detail::PlannedSolve> planned_solve_;
-  std::uint64_t pool_key_;
+  /// Cached factor plan and its pool; null when unscheduled.
+  std::shared_ptr<detail::CachedPlan<detail::PlannedGraph>> plan_;
+  /// Cached solve plan and its pool; null when solves run the serial
+  /// sweep.
+  std::shared_ptr<detail::CachedPlan<detail::PlannedSolve>> solve_plan_;
 
   /// Serializes this session's factorize() calls (the session-owned
   /// scheduler is reused across them); distinct sessions don't contend.
@@ -192,12 +198,17 @@ class SolverService {
 
   SolverRuntime& runtime() noexcept { return runtime_; }
   ServiceStats stats() const;
-  /// Drops every cached pattern (sessions already holding the shared
-  /// symbolic factors are unaffected).
+  /// Drops every cached pattern with its plans, freeing their slot pools
+  /// (sessions already holding a shared symbolic factor or plan are
+  /// unaffected; a plan's pool is freed when its last session drops it).
   void clear_cache();
 
  private:
   struct Entry;
+
+  /// Drops every idle slot pool of the cached plans (the runtime pool
+  /// ledger's reclaim hook); returns whether it dropped any.
+  bool drop_idle_pools();
 
   ServiceOptions opts_;
   SolverRuntime runtime_;

@@ -153,6 +153,171 @@ TEST(SolverService, CachedPlanAndPoolsAreReused) {
   expect_bitwise_equal(reference_values(a, ho), s2->factor()->values());
 }
 
+/// RL kGpuHybrid factor and solve options with device solve nodes on the
+/// small test matrices.
+SolverOptions gpu_solve_options() {
+  SolverOptions so = hybrid_options(Method::kRL, 4);
+  so.solve.exec = Execution::kGpuHybrid;
+  so.solve.workers = 4;
+  so.solve.gpu_threshold = 2'000;
+  return so;
+}
+
+std::vector<double> ones(const CscMatrix& a, index_t nrhs) {
+  return std::vector<double>(static_cast<std::size_t>(a.cols()) * nrhs, 1.0);
+}
+
+TEST(SolverService, SolveWidthsShareOneSolvePool) {
+  // Solves of widths 1 to 12 keep one solve pool: a solve wider than the
+  // cached pool was built for replaces it, a narrower one reuses it. The
+  // device then holds exactly what a fresh service holds after one
+  // factorization and one width-12 solve.
+  const CscMatrix a = grid3d_7pt(8, 8, 8);
+  const SolverOptions so = gpu_solve_options();
+  ServiceOptions svc;
+  svc.runtime.workers = 3;
+
+  SolverService fresh(svc);
+  const auto f = fresh.session(a, so);
+  f->factorize(a);
+  (void)f->solve_multi(ones(a, 12), 12);
+
+  SolverService service(svc);
+  const auto s = service.session(a, so);
+  s->factorize(a);
+  for (index_t w = 1; w <= 12; ++w) (void)s->solve_multi(ones(a, w), w);
+  const RuntimeStats before = service.runtime().stats();
+  std::vector<double> b(static_cast<std::size_t>(a.cols()));
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = 1.0 + 0.25 * static_cast<double>(i % 7);
+  }
+  const std::vector<double> x = s->solve(b);
+  const RuntimeStats after = service.runtime().stats();
+  ASSERT_GT(s->stats().last_solve.supernodes_on_gpu, 0);
+  EXPECT_EQ(after.pools_cached, 2u);
+  EXPECT_EQ(after.pool_misses, before.pool_misses);
+  EXPECT_EQ(after.pool_hits, before.pool_hits + 1);
+  EXPECT_EQ(service.runtime().device().mem_used(),
+            fresh.runtime().device().mem_used());
+  std::vector<double> x_ref(b.size());
+  s->factor()->solve(b, x_ref);
+  expect_bitwise_equal(x_ref, x);
+}
+
+TEST(SolverService, ConcurrentSolveWidthsShareOneSolvePool) {
+  // Four threads solve widths 1 to 8 on one session, two in ascending
+  // and two in descending order, so builds, replacements and hits of the
+  // one solve pool race (this file runs under TSan in CI). Every solve
+  // stays bitwise equal to the serial sweep, and once all have ended the
+  // device holds what a fresh service holds after one factorization and
+  // one width-8 solve.
+  const CscMatrix a = grid3d_7pt(8, 8, 8);
+  const SolverOptions so = gpu_solve_options();
+  ServiceOptions svc;
+  svc.runtime.workers = 3;
+
+  SolverService fresh(svc);
+  const auto f = fresh.session(a, so);
+  f->factorize(a);
+  (void)f->solve_multi(ones(a, 8), 8);
+
+  SolverService service(svc);
+  const auto s = service.session(a, so);
+  s->factorize(a);
+  std::vector<std::vector<double>> want(9);
+  for (index_t w = 1; w <= 8; ++w) {
+    want[w].resize(static_cast<std::size_t>(a.cols()) * w);
+    s->factor()->solve_multi(ones(a, w), want[w], w);
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (index_t k = 0; k < 8; ++k) {
+        const index_t w = t % 2 == 0 ? 1 + k : 8 - k;
+        expect_bitwise_equal(want[w], s->solve_multi(ones(a, w), w));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(service.runtime().stats().pools_cached, 2u);
+  EXPECT_EQ(service.runtime().device().mem_used(),
+            fresh.runtime().device().mem_used());
+}
+
+TEST(SolverService, EvictedPatternsReleaseTheirPools) {
+  // With room for one pattern, each new pattern evicts the last, and the
+  // evicted plans free their slot pools once no session holds them: the
+  // device keeps only the cached pattern's factor and solve pools, and
+  // clear_cache() frees those too.
+  ServiceOptions svc;
+  svc.runtime.workers = 3;
+  svc.cache_capacity = 1;
+  const SolverOptions so = gpu_solve_options();
+  const auto run = [&](SolverService& service, index_t k) {
+    const CscMatrix a = grid3d_7pt(k, k, k);
+    const auto s = service.session(a, so);
+    s->factorize(a);
+    (void)s->solve_multi(ones(a, 4), 4);
+  };
+  SolverService last(svc);
+  run(last, 10);
+  ASSERT_EQ(last.runtime().stats().pools_cached, 2u);
+
+  SolverService service(svc);
+  for (const index_t k : {8, 9, 10}) run(service, k);
+  EXPECT_EQ(service.stats().cache_evictions, 2u);
+  EXPECT_EQ(service.runtime().stats().pools_cached, 2u);
+  EXPECT_EQ(service.runtime().device().mem_used(),
+            last.runtime().device().mem_used());
+  service.clear_cache();
+  EXPECT_EQ(service.runtime().stats().pools_cached, 0u);
+  EXPECT_EQ(service.runtime().device().mem_used(), 0u);
+}
+
+TEST(SolverService, PoolBuildReclaimsIdlePoolsUnderPressure) {
+  // A device that holds either pattern's factor pool but not both:
+  // pattern B's pool build runs out of memory beside A's idle cached
+  // pool (not even B's largest slot, a quarter of its pool or more,
+  // fits), so the service drops A's pool and builds B's. A's next
+  // factorization builds its pool again, bitwise equal to kCpuSerial.
+  const CscMatrix a = grid3d_7pt(10, 10, 10);
+  const CscMatrix b = grid3d_7pt(10, 10, 11);
+  const SolverOptions ho = hybrid_options(Method::kRL, 4);
+  ServiceOptions so;
+  so.runtime.workers = 3;
+  // The device peak of a fresh service's factorization, and what its
+  // pool keeps on the device after it.
+  const auto footprint = [&](const CscMatrix& m) {
+    SolverService probe(so);
+    probe.session(m, ho)->factorize(m);
+    const gpu::Device& dev = probe.runtime().device();
+    return std::pair{dev.mem_peak(), dev.mem_used()};
+  };
+  const auto [peak_a, pool_a] = footprint(a);
+  const auto [peak_b, pool_b] = footprint(b);
+  so.runtime.device.memory_bytes = std::max(peak_a, peak_b);
+  ASSERT_LT(so.runtime.device.memory_bytes - pool_a, pool_b / 4);
+  ASSERT_LT(so.runtime.device.memory_bytes - pool_b, pool_a / 4);
+
+  SolverService service(so);
+  SolverOptions serial;
+  serial.factor.exec = Execution::kCpuSerial;
+  const auto sa = service.session(a, ho);
+  sa->factorize(a);
+  EXPECT_EQ(service.runtime().stats().pool_evictions, 0u);
+  const auto sb = service.session(b, ho);
+  sb->factorize(b);
+  EXPECT_GE(service.runtime().stats().pool_evictions, 1u);
+  EXPECT_GT(sb->stats().last_factor.supernodes_on_gpu, 0);
+  expect_bitwise_equal(reference_values(b, serial), sb->factor()->values());
+
+  sa->factorize(a);
+  const RuntimeStats st = service.runtime().stats();
+  EXPECT_EQ(st.pool_misses, 3u);
+  EXPECT_EQ(st.in_flight, 0u);
+  expect_bitwise_equal(reference_values(a, serial), sa->factor()->values());
+}
+
 TEST(SolverService, MidDagFaultLeavesWarmSessionUsable) {
   // A NotPositiveDefinite thrown by a deep (leaf) supernode in the middle
   // of a warm session's scheduled kGpuHybrid DAG on the shared crew must
