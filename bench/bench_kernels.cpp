@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the dense kernel substrate (the
 // real-execution speed of the simulation, not the modeled device times):
 // the four offloaded operations across supernodal panel shapes, serial vs
-// thread-pool parallel. The 866×466 and 1050 shapes are the largest
+// forked on a WorkerCrew of hardware − 1 threads plus the calling thread
+// (one thread per core, as a per-call run at the default worker count). The 866×466 and 1050 shapes are the largest
 // supernode of the request benchmark's warm_kkt workload (width 466 with
 // 866 rows below it; a 1050-wide diagonal block).
 #include <benchmark/benchmark.h>
@@ -10,6 +11,7 @@
 
 #include "spchol/dense/kernels.hpp"
 #include "spchol/support/rng.hpp"
+#include "spchol/support/worker_crew.hpp"
 
 namespace {
 
@@ -22,6 +24,13 @@ std::vector<double> make_matrix(index_t rows, index_t cols,
   for (auto& v : m) v = rng.uniform(-1.0, 1.0);
   return m;
 }
+
+/// The crew the *Parallel cases fork on, and its width (threads + caller).
+WorkerCrew& crew() {
+  static WorkerCrew c(resolve_worker_count(0) - 1);
+  return c;
+}
+std::size_t width() { return crew().size() + 1; }
 
 std::vector<double> make_spd(index_t n, std::uint64_t seed) {
   auto m = make_matrix(n, n, seed);
@@ -54,9 +63,8 @@ void BM_GemmParallel(benchmark::State& state) {
   const auto a = make_matrix(m, k, 1);
   const auto b = make_matrix(n, k, 2);
   auto c = make_matrix(m, n, 3);
-  auto& pool = ThreadPool::global();
   for (auto _ : state) {
-    dense::gemm_nt_minus_parallel(pool, pool.size() + 1, m, n, k, a.data(),
+    dense::gemm_nt_minus_parallel(crew(), width(), m, n, k, a.data(),
                                   m, b.data(), n, c.data(), m);
     benchmark::DoNotOptimize(c.data());
   }
@@ -89,9 +97,8 @@ void BM_SyrkParallel(benchmark::State& state) {
   const index_t n = state.range(0), k = state.range(1);
   const auto a = make_matrix(n, k, 4);
   auto c = make_matrix(n, n, 5);
-  auto& pool = ThreadPool::global();
   for (auto _ : state) {
-    dense::syrk_lower_nt_parallel(pool, pool.size() + 1, n, k, a.data(), n,
+    dense::syrk_lower_nt_parallel(crew(), width(), n, k, a.data(), n,
                                   c.data(), n);
     benchmark::DoNotOptimize(c.data());
   }
@@ -130,12 +137,11 @@ void BM_TrsmParallel(benchmark::State& state) {
   dense::potrf_lower(n, l.data(), n);
   const auto b0 = make_matrix(m, n, 7);
   auto b = b0;
-  auto& pool = ThreadPool::global();
   for (auto _ : state) {
     state.PauseTiming();
     b = b0;
     state.ResumeTiming();
-    dense::trsm_right_lower_trans_parallel(pool, pool.size() + 1, m, n,
+    dense::trsm_right_lower_trans_parallel(crew(), width(), m, n,
                                            l.data(), n, b.data(), m);
     benchmark::DoNotOptimize(b.data());
   }
@@ -167,12 +173,11 @@ void BM_PotrfParallel(benchmark::State& state) {
   const index_t n = state.range(0);
   const auto a0 = make_spd(n, 8);
   auto a = a0;
-  auto& pool = ThreadPool::global();
   for (auto _ : state) {
     state.PauseTiming();
     a = a0;
     state.ResumeTiming();
-    dense::potrf_lower_parallel(pool, pool.size() + 1, n, a.data(), n);
+    dense::potrf_lower_parallel(crew(), width(), n, a.data(), n);
     benchmark::DoNotOptimize(a.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(

@@ -75,7 +75,7 @@ void cpu_factor_panel(FactorContext& ctx, index_t s) {
   const index_t r = ctx.symb.sn_nrows(s);
   double* panel = ctx.sn_values(s);
   try {
-    dense::potrf_lower_parallel(ctx.pool, ctx.kernel_threads(), w, panel, r);
+    dense::potrf_lower_parallel(ctx.crew, ctx.kernel_threads(), w, panel, r);
   } catch (const NotPositiveDefinite& e) {
     throw NotPositiveDefinite(ctx.symb.sn_begin(s) + e.column());
   }
@@ -125,7 +125,7 @@ double rl_assemble(FactorContext& ctx, index_t s, const double* u,
     // Columns b in [b0, b1) of the update matrix target supernode `target`;
     // each column is written by exactly one task (safe to parallelize).
     parallel_for(
-        ctx.pool, b0, b1, ctx.kernel_threads(),
+        ctx.crew, b0, b1, ctx.kernel_threads(),
         [&](index_t lo, index_t hi) {
           for (index_t b = lo; b < hi; ++b) {
             const index_t tcol = rows[w + b] - tfirst;

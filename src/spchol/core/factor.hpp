@@ -45,7 +45,7 @@ enum class Execution {
   /// Single-threaded CPU execution (and the 1-thread BLAS time model).
   kCpuSerial,
   /// Real multithreaded CPU execution: an elimination-tree task scheduler
-  /// dispatches supernode compute/scatter tasks onto `cpu_workers` worker
+  /// dispatches supernode compute/scatter tasks onto `cpu_workers`
   /// threads (results bitwise identical to kCpuSerial); modeled time uses
   /// the paper's best-of-{8..128}-thread MKL sweep.
   kCpuParallel,
@@ -89,10 +89,15 @@ struct FactorOptions {
   /// buffers — the 40 GB bound that fails nlpkkt120 in Table I. Default
   /// off: transient buffers only.
   bool device_resident_factor = false;
-  /// Real worker threads for the etree task scheduler (kCpuParallel, and
-  /// the CPU side of kGpuHybrid). 0 = hardware concurrency; negative
+  /// Threads a per-call factorization uses in total, the calling thread
+  /// included: one crew of cpu_workers − 1 threads runs the etree task
+  /// DAG (kCpuParallel, and the CPU side of kGpuHybrid), the dense kernel
+  /// bands and the device kernels. 0 = hardware concurrency; negative
   /// values are rejected with InvalidArgument. A value of 1 keeps the
-  /// sequential driver (still bitwise identical).
+  /// sequential driver with every kernel on the calling thread (still
+  /// bitwise identical). Under a SolverRuntime the runtime's crew runs
+  /// instead, and this count only picks the driver and the modeled CPU
+  /// lanes.
   int cpu_workers = 0;
 };
 
@@ -105,8 +110,12 @@ struct FactorOptions {
 /// Results are bitwise identical to the serial sweep for EVERY setting.
 struct SolveOptions {
   Execution exec = Execution::kCpuParallel;
-  /// Scheduler workers. 0 = hardware concurrency; 1 keeps the serial
-  /// sweep; negative values are rejected with InvalidArgument.
+  /// Threads a per-call scheduled solve uses in total, the calling
+  /// thread included (a crew of workers − 1 threads runs its DAG and
+  /// device nodes). 0 = hardware concurrency; 1 keeps the serial sweep
+  /// on the calling thread; negative values are rejected with
+  /// InvalidArgument. Under a SolverRuntime the runtime's crew runs
+  /// instead.
   int workers = 0;
   /// Right-hand-side columns per panel: each plan node becomes one task
   /// per panel, so panels are the unit of RHS parallelism and the

@@ -15,7 +15,7 @@
 #include "spchol/core/replay.hpp"
 #include "spchol/dense/kernels.hpp"
 #include "spchol/gpu/blas.hpp"
-#include "spchol/support/thread_pool.hpp"
+#include "spchol/support/worker_crew.hpp"
 #include "spchol/symbolic/etree.hpp"
 
 namespace spchol::detail {
@@ -125,16 +125,22 @@ struct GpuSlot {
 /// simulated device, and the cost records the modeled stats are
 /// replayed from (core/replay.hpp).
 ///
-/// Threading model. In kCpuSerial every kernel runs on one thread. In the
-/// scheduled modes (kCpuParallel, and the CPU side of kGpuHybrid, with
-/// cpu_workers > 1) supernode tasks execute concurrently on dedicated
-/// scheduler workers; each task's dense kernels additionally fork onto
-/// ThreadPool::global(), with a width that shrinks as more tasks are in
-/// flight (near the etree root one big panel gets the whole machine; deep
-/// in the tree each task stays serial). The dense kernels partition their
-/// OUTPUT with a fixed accumulation order, so the width never changes the
-/// bits — determinism only depends on the scatter ordering, which the
-/// task graph serializes per target supernode in ascending source order.
+/// Threading model. A run has one set of threads: its crew (the
+/// injected SolverRuntime crew, else a per-call one of cpu_workers − 1
+/// threads) plus the calling thread. In kCpuSerial every kernel runs on
+/// the calling thread. In the scheduled modes (kCpuParallel, and the CPU
+/// side of kGpuHybrid, with cpu_workers > 1) supernode tasks drain on the
+/// crew, and each task's dense kernels fork on the same crew with a width
+/// of the crew width divided by the tasks in flight (near the etree root
+/// one big panel gets every thread, including the caller, which helps
+/// with forked kernels while it waits for ready tasks; deep in the tree
+/// each task stays serial). The sequential drivers of the other modes
+/// fork every kernel at the full crew width, and the device's kernels
+/// fork on the crew the device was given (gpu::Device::crew). The dense
+/// kernels partition their OUTPUT with a fixed accumulation order, so
+/// the width never changes the bits — determinism only depends on the
+/// scatter ordering, which the task graph serializes per target
+/// supernode in ascending source order.
 ///
 /// Modeled time. Every node — a scheduler task, or one step of a
 /// sequential driver — runs under a NodeScope that points this thread's
@@ -147,12 +153,12 @@ struct FactorContext {
   std::vector<double>& values;
   const FactorOptions& opts;
   const ExecutionResources* res;  ///< injected services; may be nullptr
+  std::size_t workers;         ///< resolved cpu_workers (replay lanes)
+  bool scheduled;              ///< task scheduler drives this run
+  std::optional<WorkerCrew> own_crew;  ///< the per-call crew, if any
+  WorkerCrew& crew;            ///< the injected crew, else own_crew
   std::optional<gpu::Device> own_dev;  ///< the per-call device, if any
   gpu::Device& dev;            ///< the injected device, else own_dev
-  ThreadPool& pool;            ///< backend for nested parallel kernels
-  std::size_t blas_capacity;   ///< pool workers + calling thread
-  std::size_t workers;         ///< resolved scheduler worker count
-  bool scheduled;              ///< task scheduler drives this run
 
   /// One cost record per node; `graph` is the DAG the scheduler ran them
   /// in (empty: the sequential drivers' chain of steps).
@@ -180,12 +186,17 @@ struct FactorContext {
         values(v),
         opts(o),
         res(r),
-        dev(r != nullptr && r->device != nullptr ? *r->device
-                                                 : own_dev.emplace(o.device)),
-        pool(ThreadPool::global()),
-        blas_capacity(ThreadPool::global().concurrency()),
         workers(resolve_worker_count(o.cpu_workers)),
-        scheduled(runs_scheduled(o)) {}
+        scheduled(runs_scheduled(o)),
+        crew(r != nullptr && r->crew != nullptr
+                 ? *r->crew
+                 : own_crew.emplace(o.exec == Execution::kCpuSerial
+                                        ? 0
+                                        : workers - 1)),
+        dev(r != nullptr && r->device != nullptr ? *r->device
+                                                 : own_dev.emplace(o.device)) {
+    if (own_dev) own_dev->set_crew(&crew);
+  }
 
   double* sn_values(index_t s) {
     return values.data() + symb.sn_values_offset(s);
@@ -194,13 +205,15 @@ struct FactorContext {
   /// True when supernode s runs its BLAS on the device.
   bool on_gpu(index_t s) const { return supernode_on_gpu(symb, opts, s); }
 
-  /// Real fork width for one dense kernel / assembly loop.
+  /// Real fork width for one dense kernel / assembly loop: the crew
+  /// width (its threads + the caller), shared by the tasks in flight.
   std::size_t kernel_threads() const {
     if (opts.exec == Execution::kCpuSerial) return 1;
-    if (!scheduled) return blas_capacity;
+    const std::size_t width = crew.size() + 1;
+    if (!scheduled) return width;
     const std::size_t act =
         std::max<std::size_t>(1, active_tasks_.load(std::memory_order_relaxed));
-    return std::max<std::size_t>(1, blas_capacity / act);
+    return std::max<std::size_t>(1, width / act);
   }
 
   /// RAII scope of one running node: this thread's costs go to
@@ -299,24 +312,24 @@ struct FactorContext {
     num_cpu_blas_calls.fetch_add(1, std::memory_order_relaxed);
   }
   void cpu_potrf(index_t n, double* a, index_t lda) {
-    dense::potrf_lower_parallel(pool, kernel_threads(), n, a, lda);
+    dense::potrf_lower_parallel(crew, kernel_threads(), n, a, lda);
     account_cpu(dense::flops_potrf(n));
   }
   void cpu_trsm(index_t m, index_t n, const double* l, index_t ldl, double* b,
                 index_t ldb) {
-    dense::trsm_right_lower_trans_parallel(pool, kernel_threads(), m, n, l,
+    dense::trsm_right_lower_trans_parallel(crew, kernel_threads(), m, n, l,
                                            ldl, b, ldb);
     account_cpu(dense::flops_trsm(m, n));
   }
   void cpu_syrk(index_t n, index_t k, const double* a, index_t lda, double* c,
                 index_t ldc) {
-    dense::syrk_lower_nt_parallel(pool, kernel_threads(), n, k, a, lda, c,
+    dense::syrk_lower_nt_parallel(crew, kernel_threads(), n, k, a, lda, c,
                                   ldc);
     account_cpu(dense::flops_syrk(n, k));
   }
   void cpu_gemm(index_t m, index_t n, index_t k, const double* a, index_t lda,
                 const double* b, index_t ldb, double* c, index_t ldc) {
-    dense::gemm_nt_minus_parallel(pool, kernel_threads(), m, n, k, a, lda, b,
+    dense::gemm_nt_minus_parallel(crew, kernel_threads(), m, n, k, a, lda, b,
                                   ldb, c, ldc);
     account_cpu(dense::flops_gemm(m, n, k));
   }

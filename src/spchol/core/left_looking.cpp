@@ -96,7 +96,7 @@ void apply_gather(FactorContext& ctx, index_t s, const Gather& g,
 
   // U = -L_d[k0:, :] · L_d[k0:k1, :]ᵀ  (m × nseg).
   std::fill(u.begin(), u.begin() + static_cast<std::size_t>(m) * nseg, 0.0);
-  dense::gemm_nt_minus_parallel(ctx.pool, ctx.kernel_threads(), m, nseg, wd,
+  dense::gemm_nt_minus_parallel(ctx.crew, ctx.kernel_threads(), m, nseg, wd,
                                 dvals + k0, ldd, dvals + k0, ldd,
                                 u.data(), m);
   ctx.account_cpu(dense::flops_gemm(m, nseg, wd));
@@ -114,7 +114,7 @@ void apply_gather(FactorContext& ctx, index_t s, const Gather& g,
     }
   }
   parallel_for(
-      ctx.pool, 0, nseg, ctx.kernel_threads(),
+      ctx.crew, 0, nseg, ctx.kernel_threads(),
       [&](index_t lo, index_t hi) {
         for (index_t c = lo; c < hi; ++c) {
           const index_t tcol = drows[k0 + c] - sbegin;
@@ -200,8 +200,8 @@ void run_ll_scheduled(FactorContext& ctx) {
   const std::size_t scratch = ll_scratch_entries(symb);
 
   // Per-worker gather scratch, allocated lazily on first use.
-  std::vector<std::vector<double>> u(ctx.workers);
-  std::vector<std::vector<index_t>> rel(ctx.workers);
+  std::vector<std::vector<double>> u(ctx.crew.size() + 1);
+  std::vector<std::vector<index_t>> rel(ctx.crew.size() + 1);
 
   TaskScheduler sched;
   std::vector<std::size_t> task(static_cast<std::size_t>(ns));
@@ -224,7 +224,7 @@ void run_ll_scheduled(FactorContext& ctx) {
   }
 
   ctx.records.assign(static_cast<std::size_t>(ns), {});
-  ctx.sched_stats = sched.run(ctx.workers);
+  ctx.sched_stats = sched.run_on(ctx.crew);
   ctx.graph = sched.graph();
   ctx.lanes = ctx.workers;
 }

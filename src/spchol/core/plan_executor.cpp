@@ -61,6 +61,7 @@ PlanExecutor::PlanExecutor(FactorContext& ctx)
       symb_(&ctx.symb),
       res_(ctx.res),
       workers_(ctx.workers),
+      crew_(&ctx.crew),
       dev_(&ctx.dev) {
   const ExecutionResources* res = ctx.res;
   if (res != nullptr && res->sched != nullptr) {
@@ -96,7 +97,10 @@ PlanExecutor::PlanExecutor(const SymbolicFactor& symb,
                            std::size_t workers)
     : symb_(&symb),
       res_(res),
-      workers_(workers) {
+      workers_(workers),
+      crew_(res != nullptr && res->crew != nullptr
+                ? res->crew
+                : &own_crew_.emplace(workers - 1)) {
   solve_ = (res != nullptr && res->planned_solve != nullptr)
                ? res->planned_solve
                : &own_solve_.emplace(build_planned_solve(symb, opts, workers));
@@ -215,9 +219,7 @@ std::vector<std::pair<std::size_t, std::size_t>> PlanExecutor::ranked_slot_caps(
 PlanExecutor::Drained PlanExecutor::drain() {
   if (ctx_ != nullptr) ctx_->records.assign(sched_->num_tasks(), {});
   Drained d;
-  d.stats = res_ != nullptr && res_->crew != nullptr
-                ? sched_->run_on(*res_->crew)
-                : sched_->run(workers_);
+  d.stats = sched_->run_on(*crew_);
   d.serial_seconds = sched_->modeled_makespan(1);
   d.parallel_seconds = sched_->modeled_makespan(workers_);
   if (ctx_ != nullptr) {

@@ -94,8 +94,8 @@ PlannedSolve build_planned_solve(const SymbolicFactor& symb,
 /// reuse ONLY — never the bits, and never the modeled time, which each
 /// call replays from its own DAG.
 struct ExecutionResources {
-  /// Persistent worker complement: the scheduled drivers drain on it
-  /// (TaskScheduler::run_on) instead of spawning threads per call.
+  /// Persistent worker complement: the run's DAG, its dense kernel bands
+  /// and its device kernels all run on it instead of on a per-call crew.
   WorkerCrew* crew = nullptr;
   /// Shared long-lived device.
   gpu::Device* device = nullptr;
@@ -165,8 +165,9 @@ class PlanExecutor {
   /// Scheduled solve. The plan is res->planned_solve or a per-call
   /// build_planned_solve; the scheduler is always this call's own, so
   /// concurrent solves never share mutable state (the crew is still
-  /// shared). The device (res->device, else a per-call one) is resolved
-  /// only when the plan has device nodes.
+  /// shared: res->crew, else a per-call one of `workers` − 1 threads).
+  /// The device (res->device, else a per-call one) is resolved only
+  /// when the plan has device nodes.
   PlanExecutor(const SymbolicFactor& symb, const SolveOptions& opts,
                const ExecutionResources* res, std::size_t workers);
   PlanExecutor(const PlanExecutor&) = delete;
@@ -285,9 +286,9 @@ class PlanExecutor {
     double serial_seconds = 0.0;    ///< modeled_makespan(1)
     double parallel_seconds = 0.0;  ///< modeled_makespan(workers)
   };
-  /// Runs the graph on the injected crew (the caller joins as one more
-  /// worker) or on per-call threads — execution order is bitwise-neutral
-  /// by construction — then list-schedules the task-graph makespans from
+  /// Runs the graph on the run's crew (the caller joins as one more
+  /// worker) — execution order is bitwise-neutral by construction —
+  /// then list-schedules the task-graph makespans from
   /// the measured task durations. A factorization additionally sizes one
   /// cost record per task before the run and hands its context the
   /// executed graph and `workers` CPU lanes for the cost replay.
@@ -302,6 +303,8 @@ class PlanExecutor {
   const SymbolicFactor* symb_ = nullptr;
   const ExecutionResources* res_ = nullptr;
   std::size_t workers_ = 1;
+  std::optional<WorkerCrew> own_crew_;
+  WorkerCrew* crew_ = nullptr;
   std::optional<PlannedGraph> own_graph_;
   const PlannedGraph* graph_ = nullptr;
   std::optional<PlannedSolve> own_solve_;

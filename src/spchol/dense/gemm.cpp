@@ -11,7 +11,7 @@ void gemm_nt_minus(index_t m, index_t n, index_t k, const double* a,
   detail::update_nt(m, n, k, {a, lda}, {b, ldb}, c, ldc, /*lower=*/false);
 }
 
-void gemm_nt_minus_parallel(ThreadPool& pool, std::size_t threads, index_t m,
+void gemm_nt_minus_parallel(WorkerCrew& crew, std::size_t threads, index_t m,
                             index_t n, index_t k, const double* a,
                             index_t lda, const double* b, index_t ldb,
                             double* c, index_t ldc) {
@@ -22,7 +22,7 @@ void gemm_nt_minus_parallel(ThreadPool& pool, std::size_t threads, index_t m,
   }
   // Each thread owns a row band of C, so every output element has one
   // writer; the core's per-element order makes the split invisible.
-  detail::parallel_row_bands(pool, threads, m, [&](index_t lo, index_t hi) {
+  detail::parallel_row_bands(crew, threads, m, [&](index_t lo, index_t hi) {
     gemm_nt_minus(hi - lo, n, k, a + lo, lda, b, ldb, c + lo, ldc);
   });
 }
@@ -32,7 +32,7 @@ void syrk_lower_nt(index_t n, index_t k, const double* a, index_t lda,
   detail::update_nt(n, n, k, {a, lda}, {a, lda}, c, ldc, /*lower=*/true);
 }
 
-void syrk_lower_nt_parallel(ThreadPool& pool, std::size_t threads, index_t n,
+void syrk_lower_nt_parallel(WorkerCrew& crew, std::size_t threads, index_t n,
                             index_t k, const double* a, index_t lda,
                             double* c, index_t ldc) {
   if (n <= 0 || k <= 0) return;
@@ -58,7 +58,7 @@ void syrk_lower_nt_parallel(ThreadPool& pool, std::size_t threads, index_t n,
     }
     bounds[cidx] = j;
   }
-  pool.run(nchunks, [&](std::size_t cidx) {
+  crew.run(nchunks, [&](std::size_t cidx) {
     const index_t lo = bounds[cidx], hi = bounds[cidx + 1];
     // This chunk owns the trapezoid C(lo:n, lo:hi), lower part only.
     detail::update_nt(n - lo, hi - lo, k, {a + lo, lda}, {a + lo, lda},

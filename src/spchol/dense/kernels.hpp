@@ -2,7 +2,8 @@
 // column-major with explicit leading dimensions. These are the four
 // operations the paper offloads: DPOTRF, DTRSM, DSYRK, DGEMM.
 //
-// The *_parallel variants partition the OUTPUT across threads so every
+// The *_parallel variants fork on a WorkerCrew, at most `threads` wide
+// (the calling thread included), and partition the OUTPUT so every
 // element is written by exactly one thread with a fixed accumulation
 // order — results are bitwise identical to the serial kernels.
 #pragma once
@@ -10,7 +11,7 @@
 #include <cstddef>
 
 #include "spchol/support/common.hpp"
-#include "spchol/support/thread_pool.hpp"
+#include "spchol/support/worker_crew.hpp"
 
 namespace spchol::dense {
 
@@ -56,15 +57,15 @@ void trsm_left_lower_trans(index_t w, index_t r, index_t nrhs,
 
 // ---- parallel variants -------------------------------------------------
 
-void potrf_lower_parallel(ThreadPool& pool, std::size_t threads, index_t n,
+void potrf_lower_parallel(WorkerCrew& crew, std::size_t threads, index_t n,
                           double* a, index_t lda);
-void trsm_right_lower_trans_parallel(ThreadPool& pool, std::size_t threads,
+void trsm_right_lower_trans_parallel(WorkerCrew& crew, std::size_t threads,
                                      index_t m, index_t n, const double* l,
                                      index_t ldl, double* b, index_t ldb);
-void syrk_lower_nt_parallel(ThreadPool& pool, std::size_t threads, index_t n,
+void syrk_lower_nt_parallel(WorkerCrew& crew, std::size_t threads, index_t n,
                             index_t k, const double* a, index_t lda,
                             double* c, index_t ldc);
-void gemm_nt_minus_parallel(ThreadPool& pool, std::size_t threads, index_t m,
+void gemm_nt_minus_parallel(WorkerCrew& crew, std::size_t threads, index_t m,
                             index_t n, index_t k, const double* a,
                             index_t lda, const double* b, index_t ldb,
                             double* c, index_t ldc);

@@ -271,11 +271,11 @@ void update_nt(index_t m, index_t n, index_t k, Operand a, Operand b,
   }
 }
 
-void parallel_row_bands(ThreadPool& pool, std::size_t threads, index_t m,
+void parallel_row_bands(WorkerCrew& crew, std::size_t threads, index_t m,
                         const std::function<void(index_t, index_t)>& body) {
   const index_t strips = (m + kMR - 1) / kMR;
   parallel_for(
-      pool, 0, strips, threads,
+      crew, 0, strips, threads,
       [&](index_t lo, index_t hi) {
         body(lo * kMR, std::min(hi * kMR, m));
       },

@@ -16,7 +16,7 @@
 #include <functional>
 
 #include "spchol/support/common.hpp"
-#include "spchol/support/thread_pool.hpp"
+#include "spchol/support/worker_crew.hpp"
 
 namespace spchol::dense::detail {
 
@@ -34,10 +34,10 @@ struct Operand {
 void update_nt(index_t m, index_t n, index_t k, Operand a, Operand b,
                double* c, index_t ldc, bool lower);
 
-/// Runs body(lo, hi) over row bands of [0, m) on up to `threads` pool
+/// Runs body(lo, hi) over row bands of [0, m) on up to `threads` crew
 /// threads, with band edges on micro-tile boundaries so no band pads a
 /// partial tile except the last.
-void parallel_row_bands(ThreadPool& pool, std::size_t threads, index_t m,
+void parallel_row_bands(WorkerCrew& crew, std::size_t threads, index_t m,
                         const std::function<void(index_t, index_t)>& body);
 
 }  // namespace spchol::dense::detail

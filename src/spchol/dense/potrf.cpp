@@ -32,10 +32,10 @@ void potrf_unblocked(index_t nb, double* a, index_t lda, index_t col_offset) {
 }
 
 /// Right-looking blocked Cholesky: factor each kNB diagonal block, solve
-/// the panel below it, update the trailing matrix. With a pool the panel
+/// the panel below it, update the trailing matrix. With a crew the panel
 /// solve and update run in parallel; they are bitwise equal to the serial
 /// kernels, so both variants produce identical factors.
-void potrf_blocked(ThreadPool* pool, std::size_t threads, index_t n,
+void potrf_blocked(WorkerCrew* crew, std::size_t threads, index_t n,
                    double* a, index_t lda) {
   for (index_t k0 = 0; k0 < n; k0 += kNB) {
     const index_t kw = std::min(kNB, n - k0);
@@ -45,13 +45,13 @@ void potrf_blocked(ThreadPool* pool, std::size_t threads, index_t n,
     if (k1 == n) break;
     double* panel = a + k1 + static_cast<std::ptrdiff_t>(k0) * lda;
     double* trail = a + k1 + static_cast<std::ptrdiff_t>(k1) * lda;
-    if (pool == nullptr) {
+    if (crew == nullptr) {
       trsm_right_lower_trans(n - k1, kw, akk, lda, panel, lda);
       syrk_lower_nt(n - k1, kw, panel, lda, trail, lda);
     } else {
-      trsm_right_lower_trans_parallel(*pool, threads, n - k1, kw, akk, lda,
+      trsm_right_lower_trans_parallel(*crew, threads, n - k1, kw, akk, lda,
                                       panel, lda);
-      syrk_lower_nt_parallel(*pool, threads, n - k1, kw, panel, lda, trail,
+      syrk_lower_nt_parallel(*crew, threads, n - k1, kw, panel, lda, trail,
                              lda);
     }
   }
@@ -63,9 +63,9 @@ void potrf_lower(index_t n, double* a, index_t lda) {
   potrf_blocked(nullptr, 1, n, a, lda);
 }
 
-void potrf_lower_parallel(ThreadPool& pool, std::size_t threads, index_t n,
+void potrf_lower_parallel(WorkerCrew& crew, std::size_t threads, index_t n,
                           double* a, index_t lda) {
-  potrf_blocked(threads <= 1 || n < 2 * kNB ? nullptr : &pool, threads, n, a,
+  potrf_blocked(threads <= 1 || n < 2 * kNB ? nullptr : &crew, threads, n, a,
                 lda);
 }
 

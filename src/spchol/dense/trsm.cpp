@@ -193,7 +193,7 @@ void trsm_right_lower_trans(index_t m, index_t n, const double* l,
   }
 }
 
-void trsm_right_lower_trans_parallel(ThreadPool& pool, std::size_t threads,
+void trsm_right_lower_trans_parallel(WorkerCrew& crew, std::size_t threads,
                                      index_t m, index_t n, const double* l,
                                      index_t ldl, double* b, index_t ldb) {
   if (m <= 0 || n <= 0) return;
@@ -202,7 +202,7 @@ void trsm_right_lower_trans_parallel(ThreadPool& pool, std::size_t threads,
     return;
   }
   // Rows of B are independent in a right-side solve.
-  detail::parallel_row_bands(pool, threads, m, [&](index_t lo, index_t hi) {
+  detail::parallel_row_bands(crew, threads, m, [&](index_t lo, index_t hi) {
     trsm_right_lower_trans(hi - lo, n, l, ldl, b + lo, ldb);
   });
 }

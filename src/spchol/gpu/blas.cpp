@@ -3,17 +3,23 @@
 #include <cstring>
 
 #include "spchol/dense/kernels.hpp"
-#include "spchol/support/thread_pool.hpp"
+#include "spchol/support/worker_crew.hpp"
 
 namespace spchol::gpu {
 
 namespace {
 
-/// Device kernels execute on the process-wide pool at hardware width.
-ThreadPool& pool() { return ThreadPool::global(); }
-std::size_t width() {
-  static const std::size_t w = resolve_worker_count(0);
-  return w;
+/// Device kernels fork on the crew of the run that issued them, at its
+/// full width: idle workers pick up the bands, the issuer runs the rest.
+/// Without a crew they run on the issuing thread.
+struct Fork {
+  WorkerCrew& crew;
+  std::size_t width;
+};
+Fork fork_of(Device& dev) {
+  static WorkerCrew none(0);
+  WorkerCrew* crew = dev.crew();
+  return crew != nullptr ? Fork{*crew, crew->size() + 1} : Fork{none, 1};
 }
 
 void account_kernel(Device& dev, Stream s, double flops) {
@@ -24,14 +30,16 @@ void account_kernel(Device& dev, Stream s, double flops) {
 
 void potrf_lower(Device& dev, Stream s, index_t n, DeviceBuffer& buf,
                  std::size_t off, index_t lda) {
-  dense::potrf_lower_parallel(pool(), width(), n, buf.data() + off, lda);
+  const Fork f = fork_of(dev);
+  dense::potrf_lower_parallel(f.crew, f.width, n, buf.data() + off, lda);
   account_kernel(dev, s, dense::flops_potrf(n));
 }
 
 void trsm_right_lower_trans(Device& dev, Stream s, index_t m, index_t n,
                             DeviceBuffer& buf, std::size_t l_off, index_t ldl,
                             std::size_t b_off, index_t ldb) {
-  dense::trsm_right_lower_trans_parallel(pool(), width(), m, n,
+  const Fork f = fork_of(dev);
+  dense::trsm_right_lower_trans_parallel(f.crew, f.width, m, n,
                                          buf.data() + l_off, ldl,
                                          buf.data() + b_off, ldb);
   account_kernel(dev, s, dense::flops_trsm(m, n));
@@ -40,7 +48,8 @@ void trsm_right_lower_trans(Device& dev, Stream s, index_t m, index_t n,
 void syrk_lower_nt(Device& dev, Stream s, index_t n, index_t k,
                    const DeviceBuffer& abuf, std::size_t a_off, index_t lda,
                    DeviceBuffer& cbuf, std::size_t c_off, index_t ldc) {
-  dense::syrk_lower_nt_parallel(pool(), width(), n, k, abuf.data() + a_off,
+  const Fork f = fork_of(dev);
+  dense::syrk_lower_nt_parallel(f.crew, f.width, n, k, abuf.data() + a_off,
                                 lda, cbuf.data() + c_off, ldc);
   account_kernel(dev, s, dense::flops_syrk(n, k));
 }
@@ -49,7 +58,8 @@ void gemm_nt_minus(Device& dev, Stream s, index_t m, index_t n, index_t k,
                    const DeviceBuffer& abuf, std::size_t a_off, index_t lda,
                    std::size_t b_off, index_t ldb, DeviceBuffer& cbuf,
                    std::size_t c_off, index_t ldc) {
-  dense::gemm_nt_minus_parallel(pool(), width(), m, n, k, abuf.data() + a_off,
+  const Fork f = fork_of(dev);
+  dense::gemm_nt_minus_parallel(f.crew, f.width, m, n, k, abuf.data() + a_off,
                                 lda, abuf.data() + b_off, ldb,
                                 cbuf.data() + c_off, ldc);
   account_kernel(dev, s, dense::flops_gemm(m, n, k));
@@ -76,8 +86,9 @@ void syrk_lower_nt_beta0(Device& dev, Stream s, index_t n, index_t k,
                          const DeviceBuffer& abuf, std::size_t a_off,
                          index_t lda, DeviceBuffer& cbuf, std::size_t c_off,
                          index_t ldc) {
+  const Fork f = fork_of(dev);
   zero_region(cbuf, c_off, n, n, ldc);
-  dense::syrk_lower_nt_parallel(pool(), width(), n, k, abuf.data() + a_off,
+  dense::syrk_lower_nt_parallel(f.crew, f.width, n, k, abuf.data() + a_off,
                                 lda, cbuf.data() + c_off, ldc);
   account_kernel(dev, s, dense::flops_syrk(n, k));
 }
@@ -87,8 +98,9 @@ void gemm_nt_minus_beta0(Device& dev, Stream s, index_t m, index_t n,
                          std::size_t a_off, index_t lda, std::size_t b_off,
                          index_t ldb, DeviceBuffer& cbuf, std::size_t c_off,
                          index_t ldc) {
+  const Fork f = fork_of(dev);
   zero_region(cbuf, c_off, m, n, ldc);
-  dense::gemm_nt_minus_parallel(pool(), width(), m, n, k, abuf.data() + a_off,
+  dense::gemm_nt_minus_parallel(f.crew, f.width, m, n, k, abuf.data() + a_off,
                                 lda, abuf.data() + b_off, ldb,
                                 cbuf.data() + c_off, ldc);
   account_kernel(dev, s, dense::flops_gemm(m, n, k));
@@ -97,10 +109,11 @@ void gemm_nt_minus_beta0(Device& dev, Stream s, index_t m, index_t n,
 void batched_panel_factor(Device& dev, Stream s,
                           std::span<const BatchedPanel> panels,
                           DeviceBuffer& buf) {
+  const Fork f = fork_of(dev);
   double flops = 0.0;
   for (const BatchedPanel& p : panels) {
     try {
-      dense::potrf_lower_parallel(pool(), width(), p.w,
+      dense::potrf_lower_parallel(f.crew, f.width, p.w,
                                   buf.data() + p.panel_off, p.r);
     } catch (const NotPositiveDefinite& e) {
       throw NotPositiveDefinite(p.first_col + e.column());
@@ -108,7 +121,7 @@ void batched_panel_factor(Device& dev, Stream s,
     flops += dense::flops_potrf(p.w);
     if (p.r > p.w) {
       dense::trsm_right_lower_trans_parallel(
-          pool(), width(), p.r - p.w, p.w, buf.data() + p.panel_off, p.r,
+          f.crew, f.width, p.r - p.w, p.w, buf.data() + p.panel_off, p.r,
           buf.data() + p.panel_off + p.w, p.r);
       flops += dense::flops_trsm(p.r - p.w, p.w);
     }
@@ -120,13 +133,14 @@ void batched_panel_factor(Device& dev, Stream s,
 void batched_syrk_update(Device& dev, Stream s,
                          std::span<const BatchedPanel> panels,
                          const DeviceBuffer& pbuf, DeviceBuffer& ubuf) {
+  const Fork f = fork_of(dev);
   double flops = 0.0;
   std::size_t members = 0;
   for (const BatchedPanel& p : panels) {
     const index_t below = p.r - p.w;
     if (below == 0) continue;
     zero_region(ubuf, p.update_off, below, below, below);
-    dense::syrk_lower_nt_parallel(pool(), width(), below, p.w,
+    dense::syrk_lower_nt_parallel(f.crew, f.width, below, p.w,
                                   pbuf.data() + p.panel_off + p.w, p.r,
                                   ubuf.data() + p.update_off, below);
     flops += dense::flops_syrk(below, p.w);

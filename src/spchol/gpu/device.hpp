@@ -37,6 +37,10 @@
 #include "spchol/gpu/perf_model.hpp"
 #include "spchol/support/common.hpp"
 
+namespace spchol {
+class WorkerCrew;
+}
+
 namespace spchol::gpu {
 
 /// Thrown when a device allocation exceeds the configured capacity —
@@ -154,12 +158,20 @@ class Device {
   /// s.rec (-1 when unrecorded).
   int record(Stream s, OpKind kind, double seconds, std::size_t bytes = 0);
 
+  /// The crew the device's kernels fork on (non-owning; null runs them
+  /// on the issuing thread alone). Set once by the device's owner — a
+  /// SolverRuntime, or the per-call run that built the device — before
+  /// any kernel is issued.
+  void set_crew(WorkerCrew* crew) noexcept { crew_ = crew; }
+  WorkerCrew* crew() const noexcept { return crew_; }
+
  private:
   friend class DeviceBuffer;
   void mem_acquire(std::size_t bytes);
   void mem_release(std::size_t bytes);
 
   DeviceConfig cfg_;
+  WorkerCrew* crew_ = nullptr;
 
   mutable std::mutex mu_;  // guards the memory accounting
   std::size_t mem_used_ = 0;

@@ -14,14 +14,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "spchol/graph/min_degree.hpp"
 #include "spchol/graph/rcm.hpp"
 #include "spchol/support/task_scheduler.hpp"
-#include "spchol/support/thread_pool.hpp"
 #include "spchol/support/timer.hpp"
+#include "spchol/support/worker_crew.hpp"
 
 namespace spchol {
 
@@ -114,9 +115,9 @@ class OrderingPipeline {
     };
     sched.add_task(priority_of(root), make_body(std::move(root)),
                    TaskScheduler::kNoResource, 0);
-    const SchedulerStats ss = opts_.crew != nullptr
-                                  ? sched.run_on(*opts_.crew)
-                                  : sched.run(workers_);
+    std::optional<WorkerCrew> own_crew;
+    const SchedulerStats ss = sched.run_on(
+        opts_.crew != nullptr ? *opts_.crew : own_crew.emplace(workers_ - 1));
 
     for (const double d : sched.task_seconds()) st.task_seconds += d;
     st.modeled_parallel_seconds = sched.modeled_makespan(workers_);

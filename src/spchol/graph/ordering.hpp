@@ -30,17 +30,17 @@ const char* to_string(OrderingMethod m);
 struct OrderingOptions {
   OrderingMethod method = OrderingMethod::kNestedDissection;
   NdOptions nd{};
-  /// Worker threads for the nested-dissection task DAG. 0 = hardware
-  /// concurrency, 1 = serial; negative values are rejected with
-  /// InvalidArgument. The permutation is identical for every value
-  /// (matrices below an internal size floor, and the inherently
-  /// sequential whole-graph RCM/MD methods, always take the serial
-  /// path).
+  /// Threads the nested-dissection task DAG runs on, the calling thread
+  /// included. 0 = hardware concurrency, 1 = serial (no thread started);
+  /// negative values are rejected with InvalidArgument. The permutation
+  /// is identical for every value (matrices below an internal size
+  /// floor, and the inherently sequential whole-graph RCM/MD methods,
+  /// always take the serial path).
   int workers = 0;
   /// Optional persistent worker crew (injected by SolverRuntime). When
   /// non-null the nested-dissection task DAG runs on these long-lived
   /// threads plus the calling thread (TaskScheduler::run_on) instead of
-  /// spawning `workers` dedicated threads per call; the permutation is
+  /// on a per-call crew of `workers` − 1 threads; the permutation is
   /// identical either way. Non-owning; must outlive the call.
   WorkerCrew* crew = nullptr;
 };

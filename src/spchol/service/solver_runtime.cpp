@@ -22,9 +22,11 @@ void validate(const RuntimeOptions& opts) {
 }
 
 SolverRuntime::SolverRuntime(const RuntimeOptions& opts)
-    : crew_((validate(opts), opts.workers)),
+    : crew_((validate(opts), resolve_worker_count(opts.workers))),
       device_(opts.device),
-      max_concurrent_(static_cast<std::size_t>(opts.max_concurrent)) {}
+      max_concurrent_(static_cast<std::size_t>(opts.max_concurrent)) {
+  device_.set_crew(&crew_);
+}
 
 SolverRuntime::Admission::~Admission() {
   if (rt_ != nullptr) rt_->release();

@@ -4,19 +4,23 @@
 // hook that frees idle pools under memory pressure), and admission
 // control bounding how many factorizations are in flight at once.
 //
-// The per-call drivers construct all of this locally: factorize() spawns
-// `cpu_workers` threads, creates a Device, carves a slot pool out of it,
-// runs, and tears everything down. That is the right shape for one-shot
-// use and stays the default — but a server draining a request stream
-// pays thread spawn/join and pool construction per request, and N
-// uncoordinated concurrent calls each spawn their own full thread
-// complement (N× oversubscription). SolverRuntime hoists the threads and
-// the device out of the call: sessions run their task DAGs on the shared
-// crew (TaskScheduler::run_on — the caller participates, so a session is
-// never starved even when the crew is busy), lease device slots from the
-// pool their cached plan keeps on the shared device (SolverService), and
-// pass through an admission gate that caps concurrent in-flight
-// factorizations at RuntimeOptions::max_concurrent.
+// The per-call drivers construct all of this locally: factorize() builds
+// a crew of `cpu_workers` − 1 threads, creates a Device, carves a slot
+// pool out of it, runs, and tears everything down. That is the right
+// shape for one-shot use and stays the default — but a server draining a
+// request stream pays thread spawn/join and pool construction per
+// request, and N uncoordinated concurrent calls each spawn their own full
+// thread complement (N× oversubscription). SolverRuntime hoists the
+// threads and the device out of the call: the crew is the only set of
+// worker threads its sessions use — their task DAGs drain on it
+// (TaskScheduler::run_on — the caller participates, so a session is
+// never starved even when the crew is busy), and the dense kernel bands
+// and device kernels those tasks fork run on it too, so a runtime of
+// `workers` threads plus its callers never runs more threads than that.
+// Sessions lease device slots from the pool their cached plan keeps on
+// the shared device (SolverService), and pass through an admission gate
+// that caps concurrent in-flight factorizations at
+// RuntimeOptions::max_concurrent.
 //
 // Sharing never changes results: the crew only changes WHICH thread runs
 // a task (the scheduler's deterministic scatter chains fix the order
@@ -39,9 +43,10 @@ namespace spchol {
 struct RuntimeOptions {
   /// Persistent worker threads in the shared crew. 0 = hardware
   /// concurrency; negative values are rejected with InvalidArgument.
-  /// Note the crew REPLACES per-call scheduler threads: a session's
-  /// effective parallelism is crew size + 1 (the calling thread), not
-  /// its FactorOptions::cpu_workers.
+  /// The crew REPLACES every per-call thread: task DAGs, dense kernel
+  /// bands and device kernels all run on it, so a session's effective
+  /// parallelism is crew size + 1 (the calling thread), not its
+  /// FactorOptions::cpu_workers.
   int workers = 0;
   /// Maximum factorizations in flight at once across every session of
   /// this runtime; further admit() calls block until one finishes.

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "spchol/core/internal.hpp"
-#include "spchol/support/thread_pool.hpp"
+#include "spchol/support/worker_crew.hpp"
 #include "spchol/support/timer.hpp"
 
 namespace spchol {

@@ -7,7 +7,6 @@
 #include <exception>
 #include <mutex>
 #include <queue>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -36,11 +35,9 @@ HeapEntry heap_pop(std::vector<HeapEntry>& h) {
 
 }  // namespace
 
-/// All coordination state of one run, on the caller's stack. Hoisted out
-/// of the old run() locals so spawn() — a member called from inside task
-/// bodies — can reach the queues and counters through run_, and so the
-/// same machinery serves both dedicated threads (run) and a shared
-/// WorkerCrew (run_on).
+/// All coordination state of one run, on run_on()'s stack. spawn() — a
+/// member called from inside task bodies — reaches the queues and
+/// counters through run_.
 ///
 /// Spawned tasks live in geometrically-growing chunks behind a fixed
 /// spine (chunk c holds kSpawnChunk << c tasks): pointers to constructed
@@ -79,7 +76,7 @@ struct TaskScheduler::RunState {
   std::vector<std::size_t> steals_by;  // off-partition pops, per worker
 
   // --- ready queues + crew coordination ----------------------------------
-  WorkerCrew* crew = nullptr;  // run_on() only: nudged on every push_ready
+  WorkerCrew* crew = nullptr;  // nudged whenever the run's state moves
   std::vector<Partition> parts;
   std::vector<std::size_t> current;  // running task id per worker
   std::atomic<std::size_t> num_ready{0};
@@ -89,8 +86,7 @@ struct TaskScheduler::RunState {
   std::atomic<std::size_t> resource_waits{0};
   std::atomic<std::size_t> chain_waits{0};
   std::atomic<bool> cancelled{false};
-  std::mutex sleep_mu;  // guards `error` and pairs with cv waits
-  std::condition_variable cv;
+  std::mutex error_mu;  // guards `error`
   std::exception_ptr error;
   std::mutex res_mu;  // guards tokens + parked (GPU tasks only: cold path)
   std::vector<std::size_t> tokens;
@@ -169,10 +165,7 @@ TaskScheduler::Task& TaskScheduler::task(std::size_t id) {
 }
 
 // Makes a runnable task visible: push to its partition queue, then nudge
-// a sleeper. The empty lock/unlock of sleep_mu orders the push against a
-// waiter's predicate check, so the notify cannot be lost. Under run_on
-// the crew is nudged too: its idle workers sleep on the crew cv, not on
-// this RunState's.
+// the crew, whose version protocol makes the wakeup impossible to lose.
 void TaskScheduler::push_ready(RunState& rs, std::size_t id) {
   const Task& t = task(id);
   const std::size_t q = t.partition % rs.parts.size();
@@ -185,9 +178,7 @@ void TaskScheduler::push_ready(RunState& rs, std::size_t id) {
   while (nr > seen && !rs.max_ready.compare_exchange_weak(
                           seen, nr, std::memory_order_relaxed)) {
   }
-  { std::lock_guard<std::mutex> lk(rs.sleep_mu); }
-  rs.cv.notify_one();
-  if (rs.crew != nullptr) rs.crew->notify();
+  rs.crew->notify();
 }
 
 // Moves a dependency-free task toward execution: straight into its ready
@@ -213,7 +204,7 @@ void TaskScheduler::stage(RunState& rs, std::size_t id) {
 std::size_t TaskScheduler::spawn(std::size_t worker, std::size_t priority,
                                  TaskFn fn, std::size_t partition) {
   RunState* rs = run_;
-  SPCHOL_CHECK(rs != nullptr, "spawn() may only be called during run()");
+  SPCHOL_CHECK(rs != nullptr, "spawn() may only be called during run_on()");
   SPCHOL_CHECK(worker < rs->current.size(), "spawn() worker out of range");
   std::size_t id;
   {
@@ -301,15 +292,7 @@ bool TaskScheduler::step(RunState& rs, std::size_t worker) {
   try {
     task(id).fn(worker);
   } catch (...) {
-    {
-      std::lock_guard<std::mutex> lk(rs.sleep_mu);
-      if (!rs.cancelled.load()) {
-        rs.cancelled.store(true);
-        rs.error = std::current_exception();
-      }
-    }
-    rs.cv.notify_all();
-    if (rs.crew != nullptr) rs.crew->notify();
+    cancel(rs, std::current_exception());
     return true;
   }
   task(id).seconds = timer.seconds();
@@ -345,38 +328,33 @@ bool TaskScheduler::step(RunState& rs, std::size_t worker) {
   }
   const std::size_t rem = rs.remaining.fetch_sub(1) - 1;
   const std::size_t lv = rs.live.fetch_sub(1) - 1;
-  if (rem == 0 || lv == 0) {
-    { std::lock_guard<std::mutex> lk(rs.sleep_mu); }
-    rs.cv.notify_all();
-    if (rs.crew != nullptr) rs.crew->notify();
-  }
+  if (rem == 0 || lv == 0) rs.crew->notify();
   return true;
 }
 
-void TaskScheduler::drain(RunState& rs, std::size_t worker) {
-  for (;;) {
-    if (rs.cancelled.load() || rs.remaining.load() == 0) return;
-    if (step(rs, worker)) continue;
-    std::unique_lock<std::mutex> lk(rs.sleep_mu);
-    rs.cv.wait(lk, [&] {
-      return rs.cancelled.load() || rs.remaining.load() == 0 ||
-             rs.num_ready.load() > 0 || rs.live.load() == 0;
-    });
-    if (rs.cancelled.load() || rs.remaining.load() == 0) return;
-    if (rs.live.load() == 0 && rs.remaining.load() > 0) {
-      // Nothing staged, nothing running, tasks remain: the graph can
-      // never complete. Fail loudly instead of deadlocking the crew.
+void TaskScheduler::cancel(RunState& rs, std::exception_ptr error) {
+  {
+    std::lock_guard<std::mutex> lk(rs.error_mu);
+    if (!rs.cancelled.load()) {
       rs.cancelled.store(true);
-      rs.error = std::make_exception_ptr(
-          Error("task graph stalled with " +
-                std::to_string(rs.remaining.load()) +
-                " tasks remaining (dependency cycle?)"));
-      rs.cv.notify_all();
-      if (rs.crew != nullptr) rs.crew->notify();
-      return;
+      rs.error = std::move(error);
     }
-    // Something became ready (or a spurious wake): rescan.
   }
+  rs.crew->notify();
+}
+
+bool TaskScheduler::settled(RunState& rs) {
+  if (rs.cancelled.load() || rs.remaining.load() == 0) return true;
+  // live is read before remaining: a finishing task decrements remaining
+  // first, so live == 0 with tasks remaining is never a step in flight.
+  if (rs.live.load() != 0 || rs.remaining.load() == 0) return false;
+  // Nothing staged, nothing running, tasks remain: the graph can never
+  // complete. Fail loudly instead of deadlocking the crew.
+  cancel(rs, std::make_exception_ptr(
+                 Error("task graph stalled with " +
+                       std::to_string(rs.remaining.load()) +
+                       " tasks remaining (dependency cycle?)")));
+  return true;
 }
 
 SchedulerStats TaskScheduler::finish(RunState& rs, std::size_t workers) {
@@ -414,21 +392,6 @@ SchedulerStats TaskScheduler::finish(RunState& rs, std::size_t workers) {
   return stats;
 }
 
-SchedulerStats TaskScheduler::run(std::size_t workers) {
-  workers = std::max<std::size_t>(1, workers);
-  RunState rs(partitions_);
-  rs.current.assign(workers, kNoResource);
-  prepare(rs);
-
-  std::vector<std::thread> crew;
-  crew.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    crew.emplace_back([this, &rs, w] { drain(rs, w); });
-  }
-  for (auto& t : crew) t.join();
-  return finish(rs, workers);
-}
-
 SchedulerStats TaskScheduler::run_on(WorkerCrew& crew) {
   const std::size_t nworkers = crew.size() + 1;
   RunState rs(partitions_);
@@ -439,9 +402,11 @@ SchedulerStats TaskScheduler::run_on(WorkerCrew& crew) {
   auto src = std::make_shared<CrewSource>();
   src->ts = this;
   src->rs = &rs;
-  crew.attach(src);           // crew workers take indices [0, size())
-  drain(rs, crew.size());     // the caller drains as the extra worker
-  src->close();               // no crew step may touch rs past this point
+  crew.attach(src);  // crew workers take indices [0, size())
+  // The caller drains as worker size(), helping with the kernels its
+  // own tasks fork while it waits for ready tasks.
+  crew.help(*src, [&] { return settled(rs); });
+  src->close();  // no crew step may touch rs past this point
   crew.detach(src.get());
   return finish(rs, nworkers);
 }
@@ -529,7 +494,7 @@ TaskGraph TaskScheduler::graph() const {
 
 double TaskScheduler::modeled_makespan(std::size_t workers) const {
   SPCHOL_CHECK(durations_.size() == tasks_.size(),
-               "modeled_makespan requires a completed run()");
+               "modeled_makespan requires a completed run_on()");
   return list_schedule(graph(), workers, [&](std::size_t id, double t) {
     return LaneSpan{t + durations_[id], t + durations_[id]};
   });

@@ -28,22 +28,19 @@
 // (warm caches). Correctness never depends on the partitioning: it is a
 // locality/contention hint, and stealing guarantees progress.
 //
-// Execution comes in two shapes:
-//   * run(workers) — dedicated std::threads for this one graph, joined
-//     before it returns (the per-call path). The threads are
-//     deliberately NOT taken from ThreadPool::global(): the pool stays
-//     free to serve the nested parallel dense kernels that tasks issue
-//     (see FactorContext), so a lone ready task near the etree root can
-//     still use every core.
-//   * run_on(crew) — the graph drains on a long-lived WorkerCrew (the
-//     SolverRuntime's persistent complement) with the CALLING thread
-//     participating as one extra worker. Several schedulers may drain
-//     on one crew concurrently; task selection order may differ from
-//     run(), but every execution-order freedom the graph permits is
-//     bitwise-neutral by construction (see above), so results are
-//     identical.
+// A graph executes on a WorkerCrew (run_on): the crew's idle workers
+// and the CALLING thread drain it together. The crew is the one set of
+// threads a run has — a per-call factorization builds one of
+// workers − 1 threads, a SolverRuntime keeps one for its whole life —
+// and the dense kernels the tasks fork run on it too (see FactorContext),
+// picked up by whichever crew workers are idle and by the caller while
+// it waits for ready tasks, so a lone ready task near the etree root
+// still uses every idle thread. Several schedulers may drain on one crew
+// concurrently; task selection order varies with timing, but every
+// execution-order freedom the graph permits is bitwise-neutral by
+// construction (see above), so results are identical.
 //
-// A scheduler is single-shot per graph: after run()/run_on() returns,
+// A scheduler is single-shot per graph: after run_on() returns,
 // reset() clears it back to an empty build phase so a long-lived
 // per-session scheduler can be reused for the next factorization
 // (partitions are re-bound by the next set_partitions call).
@@ -51,6 +48,7 @@
 
 #include <array>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -66,7 +64,7 @@ struct SchedulerStats {
   std::size_t tasks_run = 0;        ///< tasks executed
   std::size_t max_ready_depth = 0;  ///< peak total size of the ready queues
   std::size_t threads_used = 0;     ///< workers that ran at least one task
-  std::size_t workers = 0;          ///< workers launched
+  std::size_t workers = 0;          ///< crew threads + the caller
   std::size_t resource_waits = 0;   ///< ready tasks parked for a token
   std::size_t partitions = 0;       ///< ready-queue partitions used
   std::size_t steals = 0;           ///< tasks run outside their partition
@@ -138,7 +136,7 @@ class TaskScheduler {
                        std::size_t partition = 0);
 
   /// Declares that `from` must complete before `to` may start.
-  /// Duplicate edges are deduplicated at run(); the graph must be acyclic
+  /// Duplicate edges are deduplicated at run_on(); the graph must be acyclic
   /// (the factorization drivers only ever add ascending-index edges).
   /// `chain` marks a same-target serialization edge (the drivers' write
   /// chains) rather than a data-flow dependency: when such an edge is the
@@ -146,35 +144,31 @@ class TaskScheduler {
   /// (SchedulerStats::chain_waits).
   void add_edge(std::size_t from, std::size_t to, bool chain = false);
 
-  /// Adds an immediately-runnable task DURING run(), from inside a
+  /// Adds an immediately-runnable task DURING run_on(), from inside a
   /// running task body; `worker` is the worker index that body received.
   /// The spawning task is recorded as the child's implicit predecessor:
   /// trivially satisfied live (the spawner is mid-execution), and
   /// kept as a dependency edge by graph(). Spawned tasks
   /// carry no explicit edges and no resource tokens — the dynamic use
   /// case (the ND recursion tree) needs neither. Thread-safe; returns
-  /// the new task id. After run() the spawned tasks appear in tasks()
+  /// the new task id. After run_on() the spawned tasks appear in tasks()
   /// order behind the pre-run graph, so task_seconds() covers them.
   std::size_t spawn(std::size_t worker, std::size_t priority, TaskFn fn,
                     std::size_t partition = 0);
 
-  /// Tasks registered so far (including, after run(), spawned ones).
+  /// Tasks registered so far (including, after run_on(), spawned ones).
   std::size_t num_tasks() const noexcept { return tasks_.size(); }
 
-  /// Executes the whole graph on `workers` dedicated threads and blocks
-  /// until every task has finished. Rethrows the first task exception
-  /// (remaining tasks are abandoned). One graph per scheduler: call
-  /// reset() before building the next one.
-  SchedulerStats run(std::size_t workers);
-
-  /// Executes the whole graph on a long-lived WorkerCrew instead of
-  /// dedicated threads: the scheduler attaches itself as a crew work
-  /// source, the CALLING thread drains alongside the crew as one extra
-  /// worker (so progress never depends on the crew being idle), and the
-  /// source is detached — with a handshake that waits out in-flight crew
-  /// steps — before this returns. Several schedulers may run_on one crew
-  /// at the same time. Semantics otherwise match run(); the effective
-  /// worker count is crew.size() + 1.
+  /// Executes the whole graph on `crew` and blocks until every task has
+  /// finished: the scheduler attaches itself as a crew work source, the
+  /// CALLING thread drains alongside the crew as worker crew.size() (so
+  /// progress never depends on the crew being idle, and a crew of zero
+  /// threads runs the graph on the caller alone), and the source is
+  /// detached — with a handshake that waits out in-flight crew steps —
+  /// before this returns. Several schedulers may run_on one crew at the
+  /// same time. Rethrows the first task exception (remaining tasks are
+  /// abandoned). One graph per scheduler: call reset() before building
+  /// the next one. The worker count is crew.size() + 1.
   SchedulerStats run_on(WorkerCrew& crew);
 
   /// Clears the scheduler back to its post-construction state (no tasks,
@@ -183,20 +177,20 @@ class TaskScheduler {
   void reset();
 
   /// Measured wall seconds of each executed task (indexed by task id;
-  /// 0 for tasks abandoned after an error). Valid after run().
+  /// 0 for tasks abandoned after an error). Valid after run_on().
   const std::vector<double>& task_seconds() const noexcept {
     return durations_;
   }
 
   /// The executed graph: task priorities plus the deduplicated explicit
-  /// edges and the implicit spawner→child edges. Valid after run().
+  /// edges and the implicit spawner→child edges. Valid after run_on().
   TaskGraph graph() const;
 
   /// list_schedule of graph() on `workers` lanes over the measured
   /// per-task durations: the modeled parallel time the symbolic/ordering
   /// scaling benches report. It depends only on the task durations and
   /// the dependency structure, not on how many REAL cores the measuring
-  /// machine had. Resource tokens are ignored. Valid after run().
+  /// machine had. Resource tokens are ignored. Valid after run_on().
   double modeled_makespan(std::size_t workers) const;
 
  private:
@@ -206,7 +200,7 @@ class TaskScheduler {
     std::size_t resource = kNoResource;
     std::size_t partition = 0;
     std::size_t spawned_by = kNoResource;  // spawning task id, if any
-    double seconds = 0.0;                  // measured by run()
+    double seconds = 0.0;                  // measured by run_on()
     std::vector<std::size_t> out;          // successor task ids
     std::vector<std::size_t> chain_out;    // chain-edge successors (sorted)
   };
@@ -224,9 +218,11 @@ class TaskScheduler {
   /// if a task ran (even one that failed — cancellation is recorded in
   /// the RunState, not signalled through the return value).
   bool step(RunState& rs, std::size_t worker);
-  /// Worker loop: step until the graph completes or cancels, sleeping on
-  /// the RunState's cv between ready tasks (with stall detection).
-  void drain(RunState& rs, std::size_t worker);
+  /// Cancels the run with `error` (the first one wins) and wakes the crew.
+  void cancel(RunState& rs, std::exception_ptr error);
+  /// True once the run completed or cancelled; cancels it with a stall
+  /// error when tasks remain but none is staged or running.
+  bool settled(RunState& rs);
   /// Folds spawned tasks and durations back into the scheduler, builds
   /// the stats, clears run_, and rethrows any task error.
   SchedulerStats finish(RunState& rs, std::size_t workers);

@@ -16,6 +16,13 @@
 namespace spchol::dense {
 namespace {
 
+/// The crew the parallel kernels fork on: 7 threads + the caller, as wide
+/// as the widest fork below.
+WorkerCrew& shared_crew() {
+  static WorkerCrew crew(7);
+  return crew;
+}
+
 std::vector<double> random_matrix([[maybe_unused]] index_t rows,
                                   index_t cols, index_t ld,
                                   std::uint64_t seed) {
@@ -75,7 +82,7 @@ TEST_P(GemmTest, ParallelBitwiseEqualsSerial) {
   auto c1 = random_matrix(m, n, ldc, 6);
   auto c2 = c1;
   gemm_nt_minus(m, n, k, a.data(), lda, b.data(), ldb, c1.data(), ldc);
-  gemm_nt_minus_parallel(ThreadPool::global(), 8, m, n, k, a.data(), lda,
+  gemm_nt_minus_parallel(shared_crew(), 8, m, n, k, a.data(), lda,
                          b.data(), ldb, c2.data(), ldc);
   EXPECT_EQ(max_diff(c1, c2), 0.0);
 }
@@ -128,7 +135,7 @@ TEST_P(SyrkTest, ParallelBitwiseEqualsSerial) {
   auto c1 = random_matrix(n, n, n, 10);
   auto c2 = c1;
   syrk_lower_nt(n, k, a.data(), n, c1.data(), n);
-  syrk_lower_nt_parallel(ThreadPool::global(), 7, n, k, a.data(), n,
+  syrk_lower_nt_parallel(shared_crew(), 7, n, k, a.data(), n,
                          c2.data(), n);
   EXPECT_EQ(max_diff(c1, c2), 0.0);
 }
@@ -190,7 +197,7 @@ TEST_P(TrsmTest, ParallelBitwiseEqualsSerial) {
   auto b1 = random_matrix(m, n, m, 16);
   auto b2 = b1;
   trsm_right_lower_trans(m, n, l.data(), n, b1.data(), m);
-  trsm_right_lower_trans_parallel(ThreadPool::global(), 6, m, n, l.data(), n,
+  trsm_right_lower_trans_parallel(shared_crew(), 6, m, n, l.data(), n,
                                   b2.data(), m);
   EXPECT_EQ(max_diff(b1, b2), 0.0);
 }
@@ -253,7 +260,7 @@ TEST_P(PotrfTest, ParallelBitwiseEqualsSerial) {
   auto a1 = random_spd_dense(n, n, 19);
   auto a2 = a1;
   potrf_lower(n, a1.data(), n);
-  potrf_lower_parallel(ThreadPool::global(), 8, n, a2.data(), n);
+  potrf_lower_parallel(shared_crew(), 8, n, a2.data(), n);
   EXPECT_EQ(max_diff(a1, a2), 0.0);
 }
 
@@ -379,7 +386,7 @@ TEST(DenseTiles, TrsmAndPotrfNeverWriteOutsideTheirTriangle) {
     auto l = a;
     potrf_lower(n, l.data(), lda);
     auto lp = a;
-    potrf_lower_parallel(ThreadPool::global(), 4, n, lp.data(), lda);
+    potrf_lower_parallel(shared_crew(), 4, n, lp.data(), lda);
     EXPECT_TRUE(same_bits(l, lp)) << "n" << n;
     for (index_t j = 0; j < n; ++j) {
       for (index_t i = 0; i < lda; ++i) {
@@ -449,7 +456,7 @@ TEST(DenseTiles, SyrkColumnSplitsAreBitwiseEqualToTheWholeCall) {
 // Supernode-sized shapes through the parallel kernels, with row counts
 // that leave a partial last tile in the last band.
 TEST(DenseTiles, ParallelKernelsSplitLargeShapesBitwise) {
-  auto& pool = ThreadPool::global();
+  WorkerCrew& crew = shared_crew();
   {
     const index_t m = 1013, n = 100, k = 200;
     const auto a = random_matrix(m, k, m, 46);
@@ -457,7 +464,7 @@ TEST(DenseTiles, ParallelKernelsSplitLargeShapesBitwise) {
     auto c1 = random_matrix(m, n, m, 48);
     auto c2 = c1;
     gemm_nt_minus(m, n, k, a.data(), m, b.data(), n, c1.data(), m);
-    gemm_nt_minus_parallel(pool, 8, m, n, k, a.data(), m, b.data(), n,
+    gemm_nt_minus_parallel(crew, 8, m, n, k, a.data(), m, b.data(), n,
                            c2.data(), m);
     EXPECT_TRUE(same_bits(c1, c2)) << "gemm";
   }
@@ -467,7 +474,7 @@ TEST(DenseTiles, ParallelKernelsSplitLargeShapesBitwise) {
     auto c1 = random_matrix(n, n, n, 50);
     auto c2 = c1;
     syrk_lower_nt(n, k, a.data(), n, c1.data(), n);
-    syrk_lower_nt_parallel(pool, 8, n, k, a.data(), n, c2.data(), n);
+    syrk_lower_nt_parallel(crew, 8, n, k, a.data(), n, c2.data(), n);
     EXPECT_TRUE(same_bits(c1, c2)) << "syrk";
   }
   {
@@ -477,7 +484,7 @@ TEST(DenseTiles, ParallelKernelsSplitLargeShapesBitwise) {
     auto b1 = random_matrix(m, n, m, 52);
     auto b2 = b1;
     trsm_right_lower_trans(m, n, l.data(), n, b1.data(), m);
-    trsm_right_lower_trans_parallel(pool, 8, m, n, l.data(), n, b2.data(), m);
+    trsm_right_lower_trans_parallel(crew, 8, m, n, l.data(), n, b2.data(), m);
     EXPECT_TRUE(same_bits(b1, b2)) << "trsm";
   }
   {
@@ -485,15 +492,15 @@ TEST(DenseTiles, ParallelKernelsSplitLargeShapesBitwise) {
     const auto a0 = random_spd_dense(n, n, 53);
     auto a1 = a0, a2 = a0;
     potrf_lower(n, a1.data(), n);
-    potrf_lower_parallel(pool, 8, n, a2.data(), n);
+    potrf_lower_parallel(crew, 8, n, a2.data(), n);
     EXPECT_TRUE(same_bits(a1, a2)) << "potrf";
   }
 }
 
-// Several callers share ThreadPool::global() at once, as scheduler tasks
-// do: each thread's pack scratch is its own, so results stay bitwise equal
-// to isolated serial calls.
-TEST(DenseTiles, ConcurrentCallersOnTheSharedPool) {
+// Several callers fork on one crew at once, as scheduler tasks do: each
+// thread's pack scratch is its own, so results stay bitwise equal to
+// isolated serial calls.
+TEST(DenseTiles, ConcurrentCallersOnTheSharedCrew) {
   const index_t m = 301, n = 77, k = 90;
   constexpr int kCallers = 3;
   std::vector<std::vector<double>> a, b, want, got;
@@ -508,9 +515,9 @@ TEST(DenseTiles, ConcurrentCallersOnTheSharedPool) {
   std::vector<std::thread> callers;
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&, t] {
-      gemm_nt_minus_parallel(ThreadPool::global(), 4, m, n, k, a[t].data(), m,
+      gemm_nt_minus_parallel(shared_crew(), 4, m, n, k, a[t].data(), m,
                              b[t].data(), n, got[t].data(), m);
-      syrk_lower_nt_parallel(ThreadPool::global(), 4, n, k, b[t].data(), n,
+      syrk_lower_nt_parallel(shared_crew(), 4, n, k, b[t].data(), n,
                              got[t].data(), m);
     });
   }

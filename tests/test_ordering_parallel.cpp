@@ -18,6 +18,7 @@
 #include "spchol/matrix/coo.hpp"
 #include "spchol/matrix/generators.hpp"
 #include "spchol/support/task_scheduler.hpp"
+#include "spchol/support/worker_crew.hpp"
 
 namespace spchol {
 namespace {
@@ -267,7 +268,8 @@ TEST(SchedulerSpawn, SpawnedTasksRunAndAreCounted) {
       });
     }
   });
-  const SchedulerStats st = sched.run(4);
+  WorkerCrew crew(3);
+  const SchedulerStats st = sched.run_on(crew);
   EXPECT_EQ(runs.load(), 21);
   EXPECT_EQ(st.tasks_run, 21u);
   EXPECT_EQ(st.tasks_spawned, 20u);
@@ -291,7 +293,8 @@ TEST(SchedulerSpawn, ModeledMakespanReplaysSpawnEdges) {
       kids.push_back(id);
     }
   });
-  sched.run(4);
+  WorkerCrew crew(3);
+  sched.run_on(crew);
   const auto& dur = sched.task_seconds();
   double kid_sum = 0.0, kid_max = 0.0, total = 0.0;
   for (const double d : dur) total += d;
@@ -326,7 +329,8 @@ TEST(SchedulerSpawn, SpawnedTasksRespectPartitionQueues) {
         }
       };
   sched.add_task(0, [&](std::size_t w) { recurse(w, 6); });
-  const SchedulerStats st = sched.run(8);
+  WorkerCrew crew(7);
+  const SchedulerStats st = sched.run_on(crew);
   EXPECT_EQ(runs.load(), (1 << 7) - 1);  // a full binary tree of depth 6
   EXPECT_EQ(st.tasks_run, static_cast<std::size_t>((1 << 7) - 1));
   EXPECT_EQ(st.tasks_spawned, static_cast<std::size_t>((1 << 7) - 2));

@@ -12,12 +12,13 @@
 #include <cstring>
 #include <latch>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 
 #include "spchol/matrix/coo.hpp"
 #include "spchol/support/task_scheduler.hpp"
-#include "spchol/support/thread_pool.hpp"
+#include "spchol/support/worker_crew.hpp"
 #include "spchol/symbolic/etree.hpp"
 #include "spchol/symbolic/exec_plan.hpp"
 #include "test_util.hpp"
@@ -104,7 +105,8 @@ TEST(TaskScheduler, FourWorkersExecuteTasksConcurrently) {
       workers_seen.insert(worker);
     });
   }
-  const SchedulerStats st = sched.run(8);
+  WorkerCrew crew(7);
+  const SchedulerStats st = sched.run_on(crew);
   EXPECT_EQ(st.tasks_run, 4u);
   EXPECT_EQ(st.workers, 8u);
   EXPECT_GE(st.threads_used, 4u);
@@ -132,7 +134,8 @@ TEST(TaskScheduler, RespectsEdgesAndPriorities) {
       EXPECT_EQ(stage.exchange(2), 1);
     });
     for (const auto m : mids) sched.add_edge(m, z);
-    const SchedulerStats st = sched.run(4);
+    WorkerCrew crew(3);
+    const SchedulerStats st = sched.run_on(crew);
     EXPECT_EQ(st.tasks_run, 10u);
     EXPECT_EQ(stage.load(), 2);
   }
@@ -145,7 +148,8 @@ TEST(TaskScheduler, ReportsDependencyCycle) {
   const auto b = sched.add_task(0, [](std::size_t) {});
   sched.add_edge(a, b);
   sched.add_edge(b, a);
-  EXPECT_THROW(sched.run(2), Error);
+  WorkerCrew crew(1);
+  EXPECT_THROW(sched.run_on(crew), Error);
 }
 
 TEST(TaskScheduler, ResourceTokensBoundConcurrency) {
@@ -169,7 +173,8 @@ TEST(TaskScheduler, ResourceTokensBoundConcurrency) {
         },
         res);
   }
-  const SchedulerStats st = sched.run(8);
+  WorkerCrew crew(7);
+  const SchedulerStats st = sched.run_on(crew);
   EXPECT_EQ(st.tasks_run, 12u);
   EXPECT_LE(peak.load(), 2);
   // Ten of the twelve initially-ready tasks had to park for a token.
@@ -186,31 +191,51 @@ TEST(TaskScheduler, ResourceTasksInterleaveWithUnboundedOnes) {
     sched.add_task(0, [&](std::size_t) { done_res.fetch_add(1); }, res);
     sched.add_task(0, [&](std::size_t) { done_free.fetch_add(1); });
   }
-  const SchedulerStats st = sched.run(4);
+  WorkerCrew crew(3);
+  const SchedulerStats st = sched.run_on(crew);
   EXPECT_EQ(st.tasks_run, 12u);
   EXPECT_EQ(done_free.load(), 6);
   EXPECT_EQ(done_res.load(), 6);
 }
 
-TEST(TaskScheduler, NestedPoolForksFromConcurrentTasks) {
-  // Scheduler tasks fork their dense kernels onto ThreadPool::global();
-  // on multicore hardware several tasks call ThreadPool::run at once.
-  // Exercise that pattern directly (mainly for the TSan build).
-  ThreadPool pool(3);
+TEST(TaskScheduler, TasksForkOnTheCrewTheyRunOn) {
+  // Scheduler tasks fork their dense kernels on the crew that runs them.
+  // Here every other worker is held inside a blocking task while 16
+  // tasks fork one after another on the one free thread: each fork must
+  // complete with that thread running all of its chunks (the no-deadlock
+  // case of caller participation). The caller of run_on is one of the
+  // four workers, so whichever thread is free, it is never waited for.
+  WorkerCrew crew(3);
   TaskScheduler sched;
+  constexpr int kBlockers = 3, kForkers = 16;
+  std::latch started(kBlockers);
+  std::atomic<bool> release{false};
+  std::atomic<int> forks_done{0};
   std::atomic<long> sum{0};
-  for (int i = 0; i < 16; ++i) {
+  std::atomic<int> foreign_chunks{0};
+  for (int i = 0; i < kBlockers; ++i) {
     sched.add_task(0, [&](std::size_t) {
-      parallel_for(pool, 0, 100, 4, [&](index_t lo, index_t hi) {
+      started.count_down();
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  for (int i = 0; i < kForkers; ++i) {
+    sched.add_task(1, [&](std::size_t) {
+      started.wait();
+      const auto me = std::this_thread::get_id();
+      parallel_for(crew, 0, 100, 4, [&](index_t lo, index_t hi) {
+        if (std::this_thread::get_id() != me) foreign_chunks++;
         long local = 0;
         for (index_t k = lo; k < hi; ++k) local += k;
         sum += local;
       });
+      if (forks_done.fetch_add(1) + 1 == kForkers) release.store(true);
     });
   }
-  const SchedulerStats st = sched.run(4);
-  EXPECT_EQ(st.tasks_run, 16u);
-  EXPECT_EQ(sum.load(), 16L * (99 * 100 / 2));
+  const SchedulerStats st = sched.run_on(crew);
+  EXPECT_EQ(st.tasks_run, static_cast<std::size_t>(kBlockers + kForkers));
+  EXPECT_EQ(sum.load(), kForkers * (99L * 100 / 2));
+  EXPECT_EQ(foreign_chunks.load(), 0);
 }
 
 TEST(ParallelFactor, SchedulerCountersPopulated) {
@@ -231,6 +256,34 @@ TEST(ParallelFactor, SchedulerCountersPopulated) {
   // istically by TaskScheduler.FourWorkersExecuteTasksConcurrently
   // (on a single-core box one worker may legitimately drain the graph).
   EXPECT_GE(st.scheduler_threads_used, 1u);
+}
+
+const std::optional<std::size_t> threads_at_start =
+    testing::baseline_threads();
+
+TEST(ParallelFactor, PerCallRunsLeaveNoThreadBehind) {
+  // A per-call run builds its one crew (workers − 1 threads) for the DAG
+  // and the kernel bands, and joins it before returning.
+  if (!threads_at_start) GTEST_SKIP() << "no /proc/self/task";
+  const auto before = testing::process_threads();
+  EXPECT_EQ(before, threads_at_start);
+  const CscMatrix a = grid3d_7pt(12, 12, 12);
+  SolverOptions opts;
+  opts.factor.exec = Execution::kCpuParallel;
+  opts.factor.cpu_workers = 4;
+  opts.solve.exec = Execution::kCpuParallel;
+  opts.solve.workers = 4;
+  CholeskySolver solver(opts);
+  solver.factorize(a);
+  EXPECT_EQ(solver.stats().scheduler_workers, 4u);
+  EXPECT_EQ(testing::process_threads(), before);
+  const std::vector<double> b(static_cast<std::size_t>(a.cols()), 1.0);
+  std::vector<double> x(b.size());
+  SolveStats sst;
+  solver.factor().solve(b, x, opts.solve, &sst);
+  EXPECT_EQ(sst.workers, 4u);
+  EXPECT_GT(sst.tasks, 0u);
+  EXPECT_EQ(testing::process_threads(), before);
 }
 
 TEST(ParallelFactor, SequentialDriverReportsNoScheduler) {
@@ -618,7 +671,8 @@ TEST(PartitionedScheduler, StealingDrainsAnUnbalancedQueue) {
         TaskScheduler::kNoResource, /*partition=*/0));
   }
   for (int i = 1; i < kTasks; ++i) sched.add_edge(ids[i - 1], ids[i]);
-  const SchedulerStats st = sched.run(4);
+  WorkerCrew crew(3);
+  const SchedulerStats st = sched.run_on(crew);
   EXPECT_EQ(runs.load(), kTasks);
   EXPECT_EQ(st.tasks_run, static_cast<std::size_t>(kTasks));
   EXPECT_EQ(st.partitions, 4u);
@@ -645,7 +699,8 @@ TEST(PartitionedScheduler, StealIsForcedAndCounted) {
         while (!flag_a.load()) std::this_thread::yield();
       },
       TaskScheduler::kNoResource, /*partition=*/1);
-  const SchedulerStats st = sched.run(2);
+  WorkerCrew crew(1);
+  const SchedulerStats st = sched.run_on(crew);
   EXPECT_EQ(st.tasks_run, 2u);
   EXPECT_GE(st.steals, 1u);
   EXPECT_EQ(st.threads_used, 2u);
@@ -689,7 +744,8 @@ TEST(PartitionedScheduler, CrossPartitionDagStress) {
       }
     }
   }
-  const SchedulerStats st = sched.run(8);
+  WorkerCrew crew(7);
+  const SchedulerStats st = sched.run_on(crew);
   EXPECT_EQ(st.tasks_run, static_cast<std::size_t>(kLayers * kWidth));
   EXPECT_EQ(violations.load(), 0);
 }
@@ -705,7 +761,8 @@ TEST(PartitionedScheduler, ModeledMakespanBoundsHold) {
                                  [&](std::size_t) { sink++; }));
     if (i > 0) chain.add_edge(ids[i - 1], ids[i]);
   }
-  chain.run(4);
+  WorkerCrew crew(3);
+  chain.run_on(crew);
   double sum = 0.0, longest = 0.0;
   for (const double d : chain.task_seconds()) {
     sum += d;
@@ -721,7 +778,7 @@ TEST(PartitionedScheduler, ModeledMakespanBoundsHold) {
   for (int i = 0; i < 8; ++i) {
     wide.add_task(static_cast<std::size_t>(i), [&](std::size_t) { sink++; });
   }
-  wide.run(4);
+  wide.run_on(crew);
   double wsum = 0.0, wmax = 0.0;
   for (const double d : wide.task_seconds()) {
     wsum += d;

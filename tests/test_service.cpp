@@ -14,6 +14,7 @@
 #include <string>
 #include <latch>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -165,6 +166,29 @@ SolverOptions gpu_solve_options() {
 
 std::vector<double> ones(const CscMatrix& a, index_t nrhs) {
   return std::vector<double>(static_cast<std::size_t>(a.cols()) * nrhs, 1.0);
+}
+
+const std::optional<std::size_t> threads_at_start =
+    testing::baseline_threads();
+
+TEST(SolverService, ThreadsAreTheCrewAndTheCaller) {
+  // The runtime's crew is the process's one set of worker threads: task
+  // DAGs, dense kernel bands and device kernels all run on its 3 threads
+  // and the calling thread, and no other thread outlives a request.
+  if (!threads_at_start) GTEST_SKIP() << "no /proc/self/task";
+  const CscMatrix a = grid3d_7pt(8, 8, 8);
+  ServiceOptions so;
+  so.runtime.workers = 3;
+  SolverService service(so);
+  const SolverOptions opts = gpu_solve_options();
+  const auto session = service.session(a, opts);
+  for (int rep = 0; rep < 2; ++rep) {  // cold, then warm
+    session->factorize(a);
+    (void)session->solve(ones(a, 1));
+  }
+  ASSERT_GT(session->stats().last_factor.supernodes_on_gpu, 0);
+  ASSERT_GT(session->stats().last_solve.supernodes_on_gpu, 0);
+  EXPECT_EQ(testing::process_threads(), *threads_at_start + 3);
 }
 
 TEST(SolverService, SolveWidthsShareOneSolvePool) {

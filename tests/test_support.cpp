@@ -1,67 +1,102 @@
-// ThreadPool / parallel_for / Permutation / Rng unit tests.
+// WorkerCrew fork-join / parallel_for / Permutation / Rng unit tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "spchol/support/permutation.hpp"
 #include "spchol/support/rng.hpp"
-#include "spchol/support/thread_pool.hpp"
+#include "spchol/support/worker_crew.hpp"
 
 namespace spchol {
 namespace {
 
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
+TEST(CrewForkJoin, RunsEveryTaskExactlyOnce) {
+  WorkerCrew crew(3);
   std::vector<std::atomic<int>> hits(257);
-  pool.run(hits.size(), [&](std::size_t i) { hits[i]++; });
+  crew.run(hits.size(), [&](std::size_t i) { hits[i]++; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ZeroAndSingleTask) {
-  ThreadPool pool(3);
-  pool.run(0, [&](std::size_t) { FAIL() << "no task expected"; });
+TEST(CrewForkJoin, ZeroAndSingleTask) {
+  WorkerCrew crew(2);
+  crew.run(0, [&](std::size_t) { FAIL() << "no task expected"; });
   int count = 0;
-  pool.run(1, [&](std::size_t i) {
+  crew.run(1, [&](std::size_t i) {
     EXPECT_EQ(i, 0u);
     ++count;
   });
   EXPECT_EQ(count, 1);
 }
 
-TEST(ThreadPool, PropagatesException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.run(64,
+TEST(CrewForkJoin, PropagatesException) {
+  WorkerCrew crew(3);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(crew.run(64,
                         [&](std::size_t i) {
+                          ran++;
                           if (i == 13) throw std::runtime_error("boom");
                         }),
                std::runtime_error);
+  // The call returns only when every task is done, the failed one too.
+  EXPECT_EQ(ran.load(), 64);
 }
 
-TEST(ThreadPool, ManyConsecutiveBatches) {
-  ThreadPool pool(8);
+TEST(CrewForkJoin, ManyConsecutiveBatches) {
+  WorkerCrew crew(7);
   std::atomic<long> sum{0};
   for (int rep = 0; rep < 200; ++rep) {
-    pool.run(16, [&](std::size_t i) { sum += static_cast<long>(i); });
+    crew.run(16, [&](std::size_t i) { sum += static_cast<long>(i); });
   }
   EXPECT_EQ(sum.load(), 200L * (15 * 16 / 2));
 }
 
+TEST(CrewForkJoin, NoThreadsRunsOnTheCaller) {
+  WorkerCrew crew(0);
+  EXPECT_EQ(crew.size(), 0u);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  crew.run(5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(CrewForkJoin, ConcurrentCallersShareTheCrew) {
+  // Several threads fork on one crew at once, as scheduler tasks and
+  // device kernels do: every batch completes with each task run once.
+  WorkerCrew crew(2);
+  std::vector<std::thread> callers;
+  std::vector<std::atomic<long>> sums(4);
+  for (std::size_t t = 0; t < sums.size(); ++t) {
+    callers.emplace_back([&, t] {
+      for (int rep = 0; rep < 50; ++rep) {
+        crew.run(8, [&](std::size_t i) { sums[t] += static_cast<long>(i); });
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  for (const auto& s : sums) EXPECT_EQ(s.load(), 50L * 28);
+}
+
 TEST(ParallelFor, CoversRangeWithoutOverlap) {
-  ThreadPool pool(6);
+  WorkerCrew crew(5);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, 0, 1000, 6, [&](index_t lo, index_t hi) {
+  parallel_for(crew, 0, 1000, 6, [&](index_t lo, index_t hi) {
     for (index_t i = lo; i < hi; ++i) hits[i]++;
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, RespectsGrain) {
-  ThreadPool pool(8);
+  WorkerCrew crew(7);
   std::atomic<int> chunks{0};
   parallel_for(
-      pool, 0, 100, 8,
+      crew, 0, 100, 8,
       [&](index_t lo, index_t hi) {
         EXPECT_GE(hi - lo, 1);
         chunks++;
@@ -71,15 +106,15 @@ TEST(ParallelFor, RespectsGrain) {
 }
 
 TEST(ParallelFor, EmptyRange) {
-  ThreadPool pool(2);
-  parallel_for(pool, 5, 5, 4,
+  WorkerCrew crew(1);
+  parallel_for(crew, 5, 5, 4,
                [&](index_t, index_t) { FAIL() << "empty range"; });
 }
 
 TEST(ParallelFor, SerialWhenOneThread) {
-  ThreadPool pool(4);
+  WorkerCrew crew(3);
   std::vector<int> order;
-  parallel_for(pool, 0, 10, 1, [&](index_t lo, index_t hi) {
+  parallel_for(crew, 0, 10, 1, [&](index_t lo, index_t hi) {
     for (index_t i = lo; i < hi; ++i) order.push_back(i);
   });
   std::vector<int> expect(10);

@@ -3,11 +3,34 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <iterator>
+#include <optional>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "spchol/spchol.hpp"
 
 namespace spchol::testing {
+
+/// Threads of this process (the entries of /proc/self/task), or nullopt
+/// where there is no /proc/self/task.
+inline std::optional<std::size_t> process_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return std::nullopt;
+  return static_cast<std::size_t>(
+      std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+/// process_threads() once a first thread has come and gone: a sanitizer
+/// runtime starts its helper thread then, and keeps it. Taken before
+/// main() (gtest starts no thread), every thread beyond it is spchol's.
+inline std::optional<std::size_t> baseline_threads() {
+  std::thread([] {}).join();
+  return process_threads();
+}
 
 /// Dense column-major copy of a symmetric matrix given its lower triangle.
 inline std::vector<double> dense_from_sym_lower(const CscMatrix& a) {
