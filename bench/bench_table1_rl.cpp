@@ -46,7 +46,7 @@ int main() {
   for (const DatasetEntry* e : bench_set()) {
     PreparedMatrix m = prepare(*e);
     {
-      const ExecutionPlan plan = ExecutionPlan::build(m.symb, {}, {}, {});
+      const ExecutionPlan plan = ExecutionPlan::build(m.symb, {}, {});
       grains.push_back({e->name, m.symb.num_supernodes(),
                         plan.nodes().size(), plan.batches_formed(),
                         plan.supernodes_batched()});
@@ -169,19 +169,19 @@ int main() {
   const CscMatrix na = nlp.make();
   std::printf("\nOrdering scaling (ND task DAG, nlpkkt80 analog)\n");
   print_rule('=');
-  std::printf("%-17s %10s %10s %10s %10s %9s %7s %7s %7s\n", "matrix",
+  std::printf("%-17s %10s %10s %10s %10s %9s %7s %7s\n", "matrix",
               "workers", "wall(s)", "task(s)", "modeled", "speedup",
-              "tasks", "leaves", "steals");
+              "tasks", "leaves");
   for (const int workers : {1, 2, 4, 8}) {
     OrderingOptions oo;
     oo.workers = workers;
     OrderingStats st;
     compute_ordering(na, oo, &st);
-    std::printf("%-17s %10d %10.4f %10.4f %10.4f %8.2fx %7zu %7zu %7zu\n",
+    std::printf("%-17s %10d %10.4f %10.4f %10.4f %8.2fx %7zu %7zu\n",
                 nlp.name.c_str(), workers, st.total_seconds,
                 st.task_seconds, st.modeled_parallel_seconds,
                 st.task_seconds / st.modeled_parallel_seconds,
-                st.tasks_run, st.leaves, st.steals);
+                st.tasks_run, st.leaves);
   }
   print_rule();
 

@@ -287,7 +287,6 @@ CholeskyFactor CholeskyFactor::factorize(
   st.scheduler_max_ready = ctx.sched_stats.max_ready_depth;
   st.scheduler_threads_used = ctx.sched_stats.threads_used;
   st.scheduler_workers = ctx.sched_stats.workers;
-  st.scheduler_steals = ctx.sched_stats.steals;
   st.symbolic = symb.stats();
   st.gpu_stream_pairs = ctx.gpu_stream_pairs;
   st.scheduler_resource_waits = ctx.sched_stats.resource_waits;

@@ -148,7 +148,6 @@ struct SolveStats {
   double modeled_parallel_seconds = 0.0;
   std::size_t tasks = 0;      ///< scheduler tasks executed (0 = serial)
   std::size_t edges = 0;      ///< dependency edges after deduplication
-  std::size_t steals = 0;     ///< tasks run off their home queue
   std::size_t workers = 1;    ///< resolved worker count
   index_t rhs_panels = 0;     ///< RHS panels the plan was instantiated for
   index_t supernodes_on_gpu = 0;  ///< supernodes solved on the device
@@ -179,7 +178,10 @@ struct FactorStats {
   std::size_t scheduler_max_ready = 0;    ///< peak ready-queue depth
   std::size_t scheduler_threads_used = 0; ///< workers that ran ≥ 1 task
   std::size_t scheduler_workers = 0;      ///< worker threads launched
-  std::size_t scheduler_steals = 0;       ///< tasks run off their home queue
+  /// Always 0: the scheduler has one ready queue, so no task runs off a
+  /// home queue. Kept because the request benchmark
+  /// (reqbench/bench_request.cpp) reads it into `support.steals`.
+  std::size_t scheduler_steals = 0;
   // --- symbolic analysis phase timers of the SymbolicFactor used --------
   // (copied from SymbolicFactor::stats() so one struct describes the
   // whole analyze + factorize pipeline).

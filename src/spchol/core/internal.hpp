@@ -383,7 +383,7 @@ std::size_t PlanExecutor::add(const PlanNode& n, Fn fn,
         FactorContext::NodeScope scope(*ctx, id);
         fn();
       },
-      resource, n.queue);
+      resource);
 }
 
 /// Factors the supernode panel on the CPU (DPOTRF on the diagonal block,

@@ -10,50 +10,34 @@ namespace spchol::detail {
 
 namespace {
 
-/// The layout half shared by build_planned_graph and build_planned_solve:
-/// subtree-partitioned ready queues (whole etree subtrees map to one
-/// queue, so a supernode's tasks usually land on the worker that just ran
-/// its children) and the on_gpu marks.
-PlanLayout plan_layout(const SymbolicFactor& symb, std::size_t workers,
-                       Execution exec, offset_t threshold) {
-  PlanLayout l;
-  l.partitions = std::min(std::max<std::size_t>(1, workers),
-                          TaskScheduler::kMaxPartitions);
-  const index_t ns = symb.num_supernodes();
-  std::vector<index_t> parent(static_cast<std::size_t>(ns));
-  for (index_t s = 0; s < ns; ++s) parent[s] = symb.sn_parent(s);
-  l.queue_of = subtree_partition(parent, static_cast<index_t>(l.partitions));
-  l.on_gpu.resize(static_cast<std::size_t>(ns));
-  for (index_t s = 0; s < ns; ++s) {
-    l.on_gpu[s] = gpu_marked(exec, threshold, symb.sn_entries(s)) ? 1 : 0;
+/// gpu_marked() per supernode: the on_gpu span both plan builders take.
+std::vector<char> gpu_marks(const SymbolicFactor& symb, Execution exec,
+                            offset_t threshold) {
+  std::vector<char> on_gpu(static_cast<std::size_t>(symb.num_supernodes()));
+  for (index_t s = 0; s < symb.num_supernodes(); ++s) {
+    on_gpu[s] = gpu_marked(exec, threshold, symb.sn_entries(s)) ? 1 : 0;
   }
-  return l;
+  return on_gpu;
 }
 
 }  // namespace
 
-PlannedGraph build_planned_graph(const SymbolicFactor& symb,
-                                 const FactorOptions& opts,
-                                 std::size_t workers) {
+ExecutionPlan build_planned_graph(const SymbolicFactor& symb,
+                                  const FactorOptions& opts) {
   const bool rl = opts.method == Method::kRL;
-  PlannedGraph pg;
-  static_cast<PlanLayout&>(pg) = plan_layout(
-      symb, workers, opts.exec,
-      rl ? opts.gpu_threshold_rl : opts.gpu_threshold_rlb);
   PlanOptions popts;
   popts.fuse_gpu_scatter = !rl;
-  pg.plan = ExecutionPlan::build(symb, pg.on_gpu, pg.queue_of, popts);
-  return pg;
+  return ExecutionPlan::build(
+      symb,
+      gpu_marks(symb, opts.exec,
+                rl ? opts.gpu_threshold_rl : opts.gpu_threshold_rlb),
+      popts);
 }
 
-PlannedSolve build_planned_solve(const SymbolicFactor& symb,
-                                 const SolveOptions& opts,
-                                 std::size_t workers) {
-  PlannedSolve ps;
-  static_cast<PlanLayout&>(ps) =
-      plan_layout(symb, workers, opts.exec, opts.gpu_threshold);
-  ps.plan = SolvePlan::build(symb, ps.on_gpu, ps.queue_of);
-  return ps;
+SolvePlan build_planned_solve(const SymbolicFactor& symb,
+                              const SolveOptions& opts) {
+  return SolvePlan::build(symb,
+                          gpu_marks(symb, opts.exec, opts.gpu_threshold));
 }
 
 PlanExecutor::PlanExecutor(FactorContext& ctx)
@@ -68,13 +52,11 @@ PlanExecutor::PlanExecutor(FactorContext& ctx)
     sched_ = res->sched;
     sched_->reset();
   }
-  graph_ = (res != nullptr && res->planned != nullptr)
-               ? res->planned
-               : &own_graph_.emplace(
-                     build_planned_graph(ctx.symb, ctx.opts, ctx.workers));
-  sched_->set_partitions(graph_->partitions);
-  ctx.batches_formed = graph_->plan.batches_formed();
-  ctx.supernodes_batched = graph_->plan.supernodes_batched();
+  plan_ = (res != nullptr && res->planned != nullptr)
+              ? res->planned
+              : &own_plan_.emplace(build_planned_graph(ctx.symb, ctx.opts));
+  ctx.batches_formed = plan_->batches_formed();
+  ctx.supernodes_batched = plan_->supernodes_batched();
 
   // Device-resident factor storage: the factor panels of every GPU
   // supernode stay on the device for the whole factorization, so the
@@ -103,9 +85,8 @@ PlanExecutor::PlanExecutor(const SymbolicFactor& symb,
                 : &own_crew_.emplace(workers - 1)) {
   solve_ = (res != nullptr && res->planned_solve != nullptr)
                ? res->planned_solve
-               : &own_solve_.emplace(build_planned_solve(symb, opts, workers));
-  sched_->set_partitions(solve_->partitions);
-  const auto nodes = solve_->plan.nodes();
+               : &own_solve_.emplace(build_planned_solve(symb, opts));
+  const auto nodes = solve_->nodes();
   if (std::any_of(nodes.begin(), nodes.end(), [](const SolveNode& nd) {
         return nd.kind == SolveNodeKind::kCompute && nd.on_gpu;
       })) {

@@ -5,8 +5,7 @@
 // The three scheduled paths differ only in their node kernels
 // (COMPUTE/SCATTER/BATCH for the factorizations, forward and backward
 // solve steps for the solve). Everything else lives here:
-//   * the layout every plan is built from — ready-queue partitions and
-//     on_gpu marks;
+//   * the on_gpu marks every plan is built from;
 //   * scheduler and plan acquisition (injected by the service, or built
 //     per call through the same builder);
 //   * the device's slot pool sized from ranked buffer needs (factor
@@ -50,41 +49,19 @@ inline bool gpu_marked(Execution exec, offset_t threshold, offset_t entries) {
   return exec == Execution::kGpuOnly || entries >= threshold;
 }
 
-/// Everything a scheduled plan is built from besides the pattern. The
-/// worker count feeds only the partition count — a locality hint, never
-/// a correctness input.
-struct PlanLayout {
-  std::vector<index_t> queue_of;  ///< ready-queue partition per supernode
-  std::size_t partitions = 1;  ///< partition count queue_of was built for
-  std::vector<char> on_gpu;    ///< gpu_marked() per supernode
-};
+/// Builds the scheduled-driver plan for `symb` under `opts`: a function
+/// of the pattern, the on_gpu marks and the plan options alone.
+/// SolverService caches one per (pattern, plan options) fingerprint; the
+/// per-call path builds a transient one through the SAME function, so
+/// both execute the same graph shape.
+ExecutionPlan build_planned_graph(const SymbolicFactor& symb,
+                                  const FactorOptions& opts);
 
-/// The read-only, reusable half of a scheduled factorization: the
-/// ExecutionPlan plus its layout. SolverService caches one per (pattern,
-/// plan options) fingerprint; the per-call path builds a transient one
-/// through the SAME function, so both execute the same graph shape.
-struct PlannedGraph : PlanLayout {
-  ExecutionPlan plan;
-};
-
-/// The solve-path counterpart: one SolvePlan (forward + backward DAGs)
-/// plus its layout. Immutable after construction; shared by any number
-/// of concurrent solves against any factor of the same pattern.
-struct PlannedSolve : PlanLayout {
-  SolvePlan plan;
-};
-
-/// Builds the scheduled-driver graph for `symb` under `opts` with
-/// `workers` scheduler workers.
-PlannedGraph build_planned_graph(const SymbolicFactor& symb,
-                                 const FactorOptions& opts,
-                                 std::size_t workers);
-
-/// Builds the scheduled-solve graph for `symb` under `opts` with
-/// `workers` scheduler workers.
-PlannedSolve build_planned_solve(const SymbolicFactor& symb,
-                                 const SolveOptions& opts,
-                                 std::size_t workers);
+/// The solve-path counterpart: one SolvePlan (forward + backward DAGs),
+/// immutable after construction and shared by any number of concurrent
+/// solves against any factor of the same pattern.
+SolvePlan build_planned_solve(const SymbolicFactor& symb,
+                              const SolveOptions& opts);
 
 /// Long-lived execution substrate injected by SolverRuntime/SolverService
 /// into one factorization or solve call. Every field is optional and all
@@ -105,11 +82,11 @@ struct ExecutionResources {
   /// Reusable per-session scheduler (reset() and rebuilt each run).
   /// Solves never borrow it: concurrent solves drain their own.
   TaskScheduler* sched = nullptr;
-  /// Cached plan; must have been built for this call's (symb, opts,
-  /// workers) via build_planned_graph.
-  const PlannedGraph* planned = nullptr;
+  /// Cached plan; must have been built for this call's (symb, opts) via
+  /// build_planned_graph.
+  const ExecutionPlan* planned = nullptr;
   /// Cached SOLVE plan; must have been built via build_planned_solve.
-  const PlannedSolve* planned_solve = nullptr;
+  const SolvePlan* planned_solve = nullptr;
   /// Cached A→L assembly map; must have been built for this call's symb.
   /// Used only when its pattern is the call's matrix pattern — any other
   /// matrix is assembled through a transient map.
@@ -173,8 +150,8 @@ class PlanExecutor {
   PlanExecutor(const PlanExecutor&) = delete;
   PlanExecutor& operator=(const PlanExecutor&) = delete;
 
-  const PlannedGraph& graph() const noexcept { return *graph_; }
-  const PlannedSolve& solve_plan() const noexcept { return *solve_; }
+  const ExecutionPlan& plan() const noexcept { return *plan_; }
+  const SolvePlan& solve_plan() const noexcept { return *solve_; }
   TaskScheduler& sched() noexcept { return *sched_; }
   /// The device this run's device tasks run on.
   gpu::Device& device() noexcept { return *dev_; }
@@ -246,10 +223,10 @@ class PlanExecutor {
     return p;
   }
 
-  /// Adds factor plan node n's task (its priority and ready queue)
-  /// running fn() under a FactorContext::NodeScope: its costs go to the
-  /// record of its task id, and it counts toward the in-flight tasks the
-  /// dense kernels' fork width follows. Defined in internal.hpp.
+  /// Adds factor plan node n's task (at its priority) running fn() under
+  /// a FactorContext::NodeScope: its costs go to the record of its task
+  /// id, and it counts toward the in-flight tasks the dense kernels' fork
+  /// width follows. Defined in internal.hpp.
   template <class Fn>
   std::size_t add(const PlanNode& n, Fn fn,
                   std::size_t resource = TaskScheduler::kNoResource);
@@ -258,14 +235,13 @@ class PlanExecutor {
   /// then adds the plan's edges between them (chain flags forwarded).
   template <class AddNode>
   void add_nodes(AddNode&& add_node) {
-    const ExecutionPlan& plan = graph_->plan;
-    const auto nodes = plan.nodes();
+    const auto nodes = plan_->nodes();
     task_of_.resize(nodes.size());
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       task_of_[i] = add_node(i, nodes[i]);
     }
-    wire(plan.edges(), [&](std::size_t k) { return task_of_[k]; },
-         plan.edge_chain());
+    wire(plan_->edges(), [&](std::size_t k) { return task_of_[k]; },
+         plan_->edge_chain());
   }
   /// The task add_nodes() mapped plan node i to.
   std::size_t task_of(std::size_t i) const { return task_of_[i]; }
@@ -305,10 +281,10 @@ class PlanExecutor {
   std::size_t workers_ = 1;
   std::optional<WorkerCrew> own_crew_;
   WorkerCrew* crew_ = nullptr;
-  std::optional<PlannedGraph> own_graph_;
-  const PlannedGraph* graph_ = nullptr;
-  std::optional<PlannedSolve> own_solve_;
-  const PlannedSolve* solve_ = nullptr;
+  std::optional<ExecutionPlan> own_plan_;
+  const ExecutionPlan* plan_ = nullptr;
+  std::optional<SolvePlan> own_solve_;
+  const SolvePlan* solve_ = nullptr;
   std::optional<gpu::Device> own_dev_;
   gpu::Device* dev_ = nullptr;
   TaskScheduler own_sched_;

@@ -211,7 +211,7 @@ void run_rl_scheduled(FactorContext& ctx) {
   // and per-target chain edges, with small sibling subtrees coalesced
   // into BATCH nodes (see symbolic/exec_plan.*).
   PlanExecutor ex(ctx);
-  const ExecutionPlan& plan = ex.graph().plan;
+  const ExecutionPlan& plan = ex.plan();
   const auto nodes = plan.nodes();
 
   // Packed buffer needs of one batch (panel entries, update entries).

@@ -341,7 +341,7 @@ void run_rlb_scheduled(FactorContext& ctx) {
   // subtrees coalesce into BATCH nodes.
   PlanExecutor ex(ctx);
 
-  for (const PlanNode& n : ex.graph().plan.nodes()) {
+  for (const PlanNode& n : ex.plan().nodes()) {
     if (n.kind == PlanNodeKind::kCompute && n.on_gpu) {
       ex.need(static_cast<std::size_t>(symb.sn_entries(n.sn)),
               rlb_update_entries(symb, n.sn, batched));

@@ -138,8 +138,7 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
                      std::size_t workers, SolveStats* stats) {
   PlanExecutor ex(symb, opts, res, workers);
   TaskScheduler& sched = ex.sched();
-  const PlannedSolve& ps = ex.solve_plan();
-  const SolvePlan& plan = ps.plan;
+  const SolvePlan& plan = ex.solve_plan();
   const auto nodes = plan.nodes();
   constexpr std::size_t kNoNode = SolvePlan::kNoNode;
 
@@ -168,7 +167,7 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
 
   // --- map (plan node, RHS panel) to scheduler tasks ----------------------
   // Panels touch disjoint RHS columns, so tasks of different panels never
-  // need edges; queues rotate with the panel to spread panel work.
+  // need edges.
   const std::size_t nn = nodes.size();
   std::vector<std::size_t> fwd_task(nn * static_cast<std::size_t>(npanels));
   std::vector<std::size_t> bwd_task(nn * static_cast<std::size_t>(npanels),
@@ -178,8 +177,6 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
     const index_t q1 = std::min(nrhs, q0 + pw);
     for (std::size_t i = 0; i < nn; ++i) {
       const SolveNode& nd = nodes[i];
-      const std::size_t queue =
-          (nd.queue + static_cast<std::size_t>(p)) % ps.partitions;
       const std::size_t at = i * static_cast<std::size_t>(npanels) +
                              static_cast<std::size_t>(p);
       switch (nd.kind) {
@@ -200,7 +197,7 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
                     gpu_solve_node(symb, values, y, n, ex.device(), *lease,
                                    s, q0, q1, forward);
                   },
-                  pool.res, queue);
+                  pool.res);
             };
             fwd_task[at] = gpu_task(nd.fwd_priority, /*forward=*/true);
             bwd_task[at] = gpu_task(nd.bwd_priority, /*forward=*/false);
@@ -210,15 +207,13 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
                 [&symb, values, y, n, s, q0, q1](std::size_t) {
                   cpu_solve(symb, values, y, n, s, 0, symb.sn_width(s), q0,
                             q1, /*forward=*/true);
-                },
-                TaskScheduler::kNoResource, queue);
+                });
             bwd_task[at] = sched.add_task(
                 nd.bwd_priority,
                 [&symb, values, y, n, s, q0, q1](std::size_t) {
                   cpu_solve(symb, values, y, n, s, 0, symb.sn_nrows(s), q0,
                             q1, /*forward=*/false);
-                },
-                TaskScheduler::kNoResource, queue);
+                });
           }
           break;
         }
@@ -231,8 +226,7 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
               [&symb, values, y, n, s, lo, hi, q0, q1](std::size_t) {
                 cpu_solve(symb, values, y, n, s, lo, hi, q0, q1,
                           /*forward=*/true);
-              },
-              TaskScheduler::kNoResource, queue);
+              });
           break;
         }
         case SolveNodeKind::kBatch: {
@@ -244,8 +238,7 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
                 [&symb, values, y, n, first, last, q0, q1,
                  forward](std::size_t) {
                   sweep(symb, values, y, n, first, last, q0, q1, forward);
-                },
-                TaskScheduler::kNoResource, queue);
+                });
           };
           fwd_task[at] = batch_task(nd.fwd_priority, /*forward=*/true);
           bwd_task[at] = batch_task(nd.bwd_priority, /*forward=*/false);
@@ -275,7 +268,6 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
   if (stats != nullptr) {
     stats->tasks = dr.stats.tasks_run;
     stats->edges = dr.stats.edges;
-    stats->steals = dr.stats.steals;
     stats->rhs_panels = npanels;
     stats->gpu_stream_pairs = static_cast<index_t>(pool.slots);
     stats->supernodes_on_gpu = static_cast<index_t>(num_gpu_nodes);

@@ -3,16 +3,12 @@
 // recursion either inline over an explicit stack (serial path) or as a
 // dynamically-spawned task DAG on the shared TaskScheduler: each piece
 // is one task that either leaf-orders its slice or splits and spawns
-// its sub-pieces (components, or the A/B sides of a bisection). Ready
-// queues are partitioned by slice offset — a piece's subtree occupies a
-// contiguous slice, so offset partitioning is the recursion-tree analog
-// of the numeric drivers' etree subtree partitioning and keeps a
-// subtree's tasks on the worker that split their parent. Both paths run
-// the same nd_process_piece bodies and every slice position is fixed at
-// split time, so the permutation is identical for every worker count.
+// its sub-pieces (components, or the A/B sides of a bisection), bigger
+// pieces first. Both paths run the same nd_process_piece bodies and
+// every slice position is fixed at split time, so the permutation is
+// identical for every worker count.
 #include "spchol/graph/ordering.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <string>
@@ -29,7 +25,7 @@ namespace spchol {
 namespace {
 
 /// Matrices below this order always take the serial path: task overhead
-/// would dominate the traversals (same floor as the symbolic pipeline).
+/// would dominate the traversals.
 constexpr index_t kMinParallelOrder = 512;
 
 /// Owns the workspace and output slice of one nested-dissection run and
@@ -46,7 +42,7 @@ class OrderingPipeline {
     if (workers_ > 1 && n >= kMinParallelOrder) {
       run_staged(nd_root_piece(ws_), st);
     } else {
-      run_serial(nd_root_piece(ws_), st);
+      run_serial(nd_root_piece(ws_));
     }
     st.dissect_seconds = dissect_seconds_.load();
     st.leaf_seconds = leaf_seconds_.load();
@@ -73,48 +69,35 @@ class OrderingPipeline {
     book(was_leaf, timer.seconds());
   }
 
-  void run_serial(NdPiece&& root, OrderingStats& st) {
+  void run_serial(NdPiece&& root) {
     nd_run_serial(ws_, std::move(root), opts_.nd,
                   {order_.data(), order_.size()},
                   [this](bool was_leaf, double s) { book(was_leaf, s); });
-    st.partitions = 1;
   }
 
   void run_staged(NdPiece&& root, OrderingStats& st) {
     const index_t n = g_.num_vertices();
     TaskScheduler sched;
-    const std::size_t nparts =
-        std::min({2 * workers_, TaskScheduler::kMaxPartitions,
-                  static_cast<std::size_t>(n / 64) + 1});
-    sched.set_partitions(nparts);
-    // Bigger pieces first among simultaneously-ready tasks; the ready
-    // queue of a piece follows its slice offset, so a recursion subtree
-    // (a contiguous slice) stays in one queue like an etree subtree.
+    // Bigger pieces first among simultaneously-ready tasks.
     const auto priority_of = [n](const NdPiece& p) {
       return static_cast<std::size_t>(n) -
              static_cast<std::size_t>(p.verts.size());
-    };
-    const auto partition_of = [n, nparts](const NdPiece& p) {
-      return static_cast<std::size_t>(
-          p.out_begin * static_cast<offset_t>(nparts) / n);
     };
     // Recursive task factory: a piece's task processes it and spawns one
     // task per emitted child. Lives on this frame, which outlives run().
     std::function<TaskScheduler::TaskFn(NdPiece&&)> make_body;
     auto* factory = &make_body;
-    make_body = [this, &sched, factory, priority_of,
-                 partition_of](NdPiece&& p) -> TaskScheduler::TaskFn {
-      return [this, &sched, factory, priority_of, partition_of,
+    make_body = [this, &sched, factory,
+                 priority_of](NdPiece&& p) -> TaskScheduler::TaskFn {
+      return [this, &sched, factory, priority_of,
               p = std::move(p)](std::size_t worker) mutable {
         process(std::move(p), [&](NdPiece&& kid) {
           const std::size_t prio = priority_of(kid);
-          const std::size_t part = partition_of(kid);
-          sched.spawn(worker, prio, (*factory)(std::move(kid)), part);
+          sched.spawn(worker, prio, (*factory)(std::move(kid)));
         });
       };
     };
-    sched.add_task(priority_of(root), make_body(std::move(root)),
-                   TaskScheduler::kNoResource, 0);
+    sched.add_task(priority_of(root), make_body(std::move(root)));
     std::optional<WorkerCrew> own_crew;
     const SchedulerStats ss = sched.run_on(
         opts_.crew != nullptr ? *opts_.crew : own_crew.emplace(workers_ - 1));
@@ -123,8 +106,6 @@ class OrderingPipeline {
     st.modeled_parallel_seconds = sched.modeled_makespan(workers_);
     st.tasks_run = ss.tasks_run;
     st.tasks_spawned = ss.tasks_spawned;
-    st.partitions = ss.partitions;
-    st.steals = ss.steals;
   }
 
   const Graph& g_;
@@ -206,7 +187,6 @@ Permutation compute_ordering(const CscMatrix& lower,
     // the stage sum itself.
     st.task_seconds = st.graph_seconds + st.dissect_seconds + st.leaf_seconds;
     st.modeled_parallel_seconds = st.task_seconds;
-    st.partitions = std::max<std::size_t>(st.partitions, 1);
   } else {
     // The GraphStage is a serial prefix of the scheduled recursion.
     st.task_seconds += st.graph_seconds;

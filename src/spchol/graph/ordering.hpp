@@ -70,8 +70,6 @@ struct OrderingStats {
   std::size_t workers = 1;        ///< resolved worker count
   std::size_t tasks_run = 0;      ///< scheduler tasks executed (0 = serial)
   std::size_t tasks_spawned = 0;  ///< tasks spawned by the ND recursion
-  std::size_t partitions = 0;     ///< slice-partitioned ready queues
-  std::size_t steals = 0;         ///< tasks run outside their home queue
   std::size_t pieces = 0;         ///< recursion pieces processed
   std::size_t leaves = 0;         ///< pieces ordered directly
 };

@@ -160,8 +160,8 @@ SolverSession::SolverSession(
     SolverRuntime* runtime, SolverOptions opts,
     std::shared_ptr<const SymbolicFactor> symb,
     std::shared_ptr<const detail::AssemblyMap> assembly,
-    std::shared_ptr<detail::CachedPlan<detail::PlannedGraph>> plan,
-    std::shared_ptr<detail::CachedPlan<detail::PlannedSolve>> solve_plan,
+    std::shared_ptr<detail::CachedPlan<ExecutionPlan>> plan,
+    std::shared_ptr<detail::CachedPlan<SolvePlan>> solve_plan,
     bool cached, double analyze_seconds)
     : runtime_(runtime),
       opts_(std::move(opts)),
@@ -260,8 +260,8 @@ struct SolverService::Entry {
   std::shared_ptr<const SymbolicFactor> symb;
   std::shared_ptr<const detail::AssemblyMap> assembly;
   double analyze_seconds = 0.0;
-  PlanList<detail::PlannedGraph> plans;
-  PlanList<detail::PlannedSolve> solve_plans;
+  PlanList<ExecutionPlan> plans;
+  PlanList<SolvePlan> solve_plans;
   std::uint64_t stamp = 0;  // bumped on every hit: LRU eviction order
 };
 
@@ -355,26 +355,22 @@ std::shared_ptr<SolverSession> SolverService::session(
 
   // Plan resolution: reuse the entry's cached ExecutionPlan and
   // SolvePlan of matching fingerprint, building outside the lock on a
-  // miss. Plan partitioning follows the crew width (crew + calling
-  // thread), the parallelism every session of this runtime runs at.
-  // Unscheduled sessions carry no plan, serial-solve sessions no solve
-  // plan.
-  const std::size_t workers = runtime_.workers() + 1;
-  std::shared_ptr<detail::CachedPlan<detail::PlannedGraph>> plan;
+  // miss. Unscheduled sessions carry no plan, serial-solve sessions no
+  // solve plan.
+  std::shared_ptr<detail::CachedPlan<ExecutionPlan>> plan;
   if (detail::runs_scheduled(solver_opts.factor)) {
     plan = cached_plan(mu_, entry->plans, plan_fingerprint(solver_opts.factor),
                        runtime_.pools(), [&] {
                          return detail::build_planned_graph(
-                             *entry->symb, solver_opts.factor, workers);
+                             *entry->symb, solver_opts.factor);
                        });
   }
-  std::shared_ptr<detail::CachedPlan<detail::PlannedSolve>> solve_plan;
+  std::shared_ptr<detail::CachedPlan<SolvePlan>> solve_plan;
   if (detail::runs_scheduled(solver_opts.solve)) {
     solve_plan = cached_plan(
         mu_, entry->solve_plans, solve_plan_fingerprint(solver_opts.solve),
         runtime_.pools(), [&] {
-          return detail::build_planned_solve(*entry->symb, solver_opts.solve,
-                                             workers);
+          return detail::build_planned_solve(*entry->symb, solver_opts.solve);
         });
   }
 

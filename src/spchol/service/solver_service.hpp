@@ -41,10 +41,11 @@
 
 namespace spchol {
 
+class ExecutionPlan;  // symbolic/exec_plan.hpp: reusable factor plan
+class SolvePlan;      // symbolic/solve_plan.hpp: reusable solve plan
+
 namespace detail {
-struct AssemblyMap;   // core/internal.hpp: cached A→L value map
-struct PlannedGraph;  // core/internal.hpp: reusable plan + partitioning
-struct PlannedSolve;  // core/internal.hpp: reusable SolvePlan + partitioning
+struct AssemblyMap;  // core/internal.hpp: cached A→L value map
 template <class Planned>
 struct CachedPlan;  // solver_service.cpp: a plan + its slot pool cell
 }
@@ -147,9 +148,8 @@ class SolverSession {
   SolverSession(SolverRuntime* runtime, SolverOptions opts,
                 std::shared_ptr<const SymbolicFactor> symb,
                 std::shared_ptr<const detail::AssemblyMap> assembly,
-                std::shared_ptr<detail::CachedPlan<detail::PlannedGraph>> plan,
-                std::shared_ptr<detail::CachedPlan<detail::PlannedSolve>>
-                    solve_plan,
+                std::shared_ptr<detail::CachedPlan<ExecutionPlan>> plan,
+                std::shared_ptr<detail::CachedPlan<SolvePlan>> solve_plan,
                 bool cached, double analyze_seconds);
 
   SolverRuntime* runtime_;
@@ -158,10 +158,10 @@ class SolverSession {
   /// Cached A→L map of the session's pattern (shared with the cache).
   std::shared_ptr<const detail::AssemblyMap> assembly_;
   /// Cached factor plan and its pool; null when unscheduled.
-  std::shared_ptr<detail::CachedPlan<detail::PlannedGraph>> plan_;
+  std::shared_ptr<detail::CachedPlan<ExecutionPlan>> plan_;
   /// Cached solve plan and its pool; null when solves run the serial
   /// sweep.
-  std::shared_ptr<detail::CachedPlan<detail::PlannedSolve>> solve_plan_;
+  std::shared_ptr<detail::CachedPlan<SolvePlan>> solve_plan_;
 
   /// Serializes this session's factorize() calls (the session-owned
   /// scheduler is reused across them); distinct sessions don't contend.

@@ -36,7 +36,7 @@ HeapEntry heap_pop(std::vector<HeapEntry>& h) {
 }  // namespace
 
 /// All coordination state of one run, on run_on()'s stack. spawn() — a
-/// member called from inside task bodies — reaches the queues and
+/// member called from inside task bodies — reaches the queue and
 /// counters through run_.
 ///
 /// Spawned tasks live in geometrically-growing chunks behind a fixed
@@ -48,13 +48,6 @@ HeapEntry heap_pop(std::vector<HeapEntry>& h) {
 /// chunk's allocation) before any reader's pop.
 struct TaskScheduler::RunState {
   static constexpr std::size_t kSpawnChunk = 1024;
-
-  struct alignas(64) Partition {
-    std::mutex mu;
-    std::vector<HeapEntry> heap;
-  };
-
-  explicit RunState(std::size_t nparts) : parts(nparts) {}
 
   // --- spawned-task store ------------------------------------------------
   std::array<std::unique_ptr<Task[]>, 48> chunks;
@@ -72,17 +65,16 @@ struct TaskScheduler::RunState {
   // --- graph bookkeeping (seeded by prepare()) ---------------------------
   std::vector<std::atomic<std::size_t>> pending;  // unmet in-edges per task
   std::size_t num_edges = 0;                      // after dedup
-  std::vector<std::size_t> runs_by;    // tasks executed, per worker
-  std::vector<std::size_t> steals_by;  // off-partition pops, per worker
+  std::vector<std::size_t> runs_by;  // tasks executed, per worker
 
-  // --- ready queues + crew coordination ----------------------------------
+  // --- ready queue + crew coordination -----------------------------------
   WorkerCrew* crew = nullptr;  // nudged whenever the run's state moves
-  std::vector<Partition> parts;
+  std::mutex ready_mu;           // guards `ready` and `max_ready`
+  std::vector<HeapEntry> ready;  // (priority, id) min-heap
+  std::size_t max_ready = 0;     // peak ready.size()
   std::vector<std::size_t> current;  // running task id per worker
-  std::atomic<std::size_t> num_ready{0};
   std::atomic<std::size_t> live{0};
   std::atomic<std::size_t> remaining{0};
-  std::atomic<std::size_t> max_ready{0};
   std::atomic<std::size_t> resource_waits{0};
   std::atomic<std::size_t> chain_waits{0};
   std::atomic<bool> cancelled{false};
@@ -129,10 +121,6 @@ struct TaskScheduler::CrewSource : WorkerCrew::Source {
   }
 };
 
-void TaskScheduler::set_partitions(std::size_t parts) {
-  partitions_ = std::max<std::size_t>(1, parts);
-}
-
 std::size_t TaskScheduler::add_resource(std::size_t tokens) {
   SPCHOL_CHECK(tokens >= 1, "a resource needs at least one token");
   resource_tokens_.push_back(tokens);
@@ -140,12 +128,11 @@ std::size_t TaskScheduler::add_resource(std::size_t tokens) {
 }
 
 std::size_t TaskScheduler::add_task(std::size_t priority, TaskFn fn,
-                                    std::size_t resource,
-                                    std::size_t partition) {
+                                    std::size_t resource) {
   SPCHOL_CHECK(resource == kNoResource || resource < resource_tokens_.size(),
                "task resource out of range");
-  tasks_.push_back(Task{std::move(fn), priority, resource, partition,
-                        kNoResource, 0.0, {}, {}});
+  tasks_.push_back(
+      Task{std::move(fn), priority, resource, kNoResource, 0.0, {}, {}});
   return tasks_.size() - 1;
 }
 
@@ -164,19 +151,14 @@ TaskScheduler::Task& TaskScheduler::task(std::size_t id) {
   return rs.chunks[c][i - RunState::chunk_base(c)];
 }
 
-// Makes a runnable task visible: push to its partition queue, then nudge
-// the crew, whose version protocol makes the wakeup impossible to lose.
+// Makes a runnable task visible: push to the ready queue, then nudge the
+// crew, whose version protocol makes the wakeup impossible to lose.
 void TaskScheduler::push_ready(RunState& rs, std::size_t id) {
-  const Task& t = task(id);
-  const std::size_t q = t.partition % rs.parts.size();
+  const std::size_t priority = task(id).priority;
   {
-    std::lock_guard<std::mutex> lk(rs.parts[q].mu);
-    heap_push(rs.parts[q].heap, {t.priority, id});
-  }
-  const std::size_t nr = rs.num_ready.fetch_add(1) + 1;
-  std::size_t seen = rs.max_ready.load(std::memory_order_relaxed);
-  while (nr > seen && !rs.max_ready.compare_exchange_weak(
-                          seen, nr, std::memory_order_relaxed)) {
+    std::lock_guard<std::mutex> lk(rs.ready_mu);
+    heap_push(rs.ready, {priority, id});
+    rs.max_ready = std::max(rs.max_ready, rs.ready.size());
   }
   rs.crew->notify();
 }
@@ -202,7 +184,7 @@ void TaskScheduler::stage(RunState& rs, std::size_t id) {
 }
 
 std::size_t TaskScheduler::spawn(std::size_t worker, std::size_t priority,
-                                 TaskFn fn, std::size_t partition) {
+                                 TaskFn fn) {
   RunState* rs = run_;
   SPCHOL_CHECK(rs != nullptr, "spawn() may only be called during run_on()");
   SPCHOL_CHECK(worker < rs->current.size(), "spawn() worker out of range");
@@ -219,7 +201,6 @@ std::size_t TaskScheduler::spawn(std::size_t worker, std::size_t priority,
     Task& t = rs->chunks[c][i - RunState::chunk_base(c)];
     t.fn = std::move(fn);
     t.priority = priority;
-    t.partition = partition;
     t.spawned_by = rs->current[worker];
     id = rs->base + i;
     rs->spawned.store(i + 1, std::memory_order_relaxed);
@@ -262,7 +243,6 @@ void TaskScheduler::prepare(RunState& rs) {
   rs.tokens = resource_tokens_;
   rs.parked.assign(resource_tokens_.size(), {});
   rs.runs_by.assign(rs.current.size(), 0);
-  rs.steals_by.assign(rs.current.size(), 0);
   run_ = &rs;
 
   for (std::size_t i = 0; i < ntasks; ++i) {
@@ -272,21 +252,12 @@ void TaskScheduler::prepare(RunState& rs) {
 
 bool TaskScheduler::step(RunState& rs, std::size_t worker) {
   if (rs.cancelled.load() || rs.remaining.load() == 0) return false;
-  const std::size_t nparts = rs.parts.size();
-  const std::size_t home = worker % nparts;
-  // Hunt: home queue first, then sweep the others (work stealing).
-  std::size_t id = kNoResource;
-  bool stolen = false;
-  for (std::size_t k = 0; k < nparts && id == kNoResource; ++k) {
-    RunState::Partition& part = rs.parts[(home + k) % nparts];
-    std::lock_guard<std::mutex> lk(part.mu);
-    if (!part.heap.empty()) {
-      id = heap_pop(part.heap).second;
-      stolen = k > 0;
-    }
+  std::size_t id;
+  {
+    std::lock_guard<std::mutex> lk(rs.ready_mu);
+    if (rs.ready.empty()) return false;
+    id = heap_pop(rs.ready).second;
   }
-  if (id == kNoResource) return false;
-  rs.num_ready.fetch_sub(1);
   rs.current[worker] = id;
   const WallTimer timer;
   try {
@@ -298,7 +269,6 @@ bool TaskScheduler::step(RunState& rs, std::size_t worker) {
   task(id).seconds = timer.seconds();
   rs.current[worker] = kNoResource;
   rs.runs_by[worker]++;
-  if (stolen) rs.steals_by[worker]++;
   // Hand this task's token to the highest-priority parked peer, or
   // return it to the pool.
   const std::size_t r = task(id).resource;
@@ -375,15 +345,13 @@ SchedulerStats TaskScheduler::finish(RunState& rs, std::size_t workers) {
 
   SchedulerStats stats;
   stats.workers = workers;
-  stats.partitions = rs.parts.size();
   for (std::size_t w = 0; w < rs.runs_by.size(); ++w) {
     stats.tasks_run += rs.runs_by[w];
-    stats.steals += rs.steals_by[w];
     if (rs.runs_by[w] > 0) stats.threads_used++;
   }
   stats.tasks_spawned = spawned;
   stats.edges = rs.num_edges;
-  stats.max_ready_depth = rs.max_ready.load();
+  stats.max_ready_depth = rs.max_ready;
   stats.resource_waits = rs.resource_waits.load();
   stats.chain_waits = rs.chain_waits.load();
   if (rs.error) std::rethrow_exception(rs.error);
@@ -394,7 +362,7 @@ SchedulerStats TaskScheduler::finish(RunState& rs, std::size_t workers) {
 
 SchedulerStats TaskScheduler::run_on(WorkerCrew& crew) {
   const std::size_t nworkers = crew.size() + 1;
-  RunState rs(partitions_);
+  RunState rs;
   rs.current.assign(nworkers, kNoResource);
   rs.crew = &crew;
   prepare(rs);
@@ -416,7 +384,6 @@ void TaskScheduler::reset() {
   tasks_.clear();
   resource_tokens_.clear();
   durations_.clear();
-  partitions_ = 1;
   completed_ = false;
 }
 

@@ -5,13 +5,13 @@
 // A TaskScheduler holds a DAG of tasks (build phase, single-threaded),
 // then executes it on a crew of worker threads: every task carries an
 // atomic-decrement ready count seeded from its in-edges, a finished task
-// decrements its successors, and tasks whose count reaches zero enter a
-// ready queue (lowest priority value first). The numeric drivers use
-// the edges both for readiness (a supernode is ready when all its
-// descendants' updates have been applied) and for write protection:
-// chaining the scatter tasks of a shared ancestor's contributors in
-// ascending supernode order makes the ancestor's storage single-writer
-// AND reproduces the serial accumulation order bit for bit.
+// decrements its successors, and tasks whose count reaches zero enter
+// the ready queue. The numeric drivers use the edges both for readiness
+// (a supernode is ready when all its descendants' updates have been
+// applied) and for write protection: chaining the scatter tasks of a
+// shared ancestor's contributors in ascending supernode order makes the
+// ancestor's storage single-writer AND reproduces the serial
+// accumulation order bit for bit.
 //
 // Graphs whose shape is only discovered while running (the ND recursion:
 // each bisection's sub-pieces exist only after the separator is cut) use
@@ -19,14 +19,10 @@
 // The spawner is recorded so graph() and modeled_makespan() keep the
 // implicit spawner→child dependency.
 //
-// Ready queues are PARTITIONED: add_task optionally assigns a task to one
-// of set_partitions() queues (the drivers partition by elimination-tree
-// subtree), each with its own lock. A worker pops from its home queue
-// first and steals from the others only when home is empty, so at high
-// worker counts the crew stops convoying on a single global heap and a
-// subtree's tasks tend to stay on the worker that ran their children
-// (warm caches). Correctness never depends on the partitioning: it is a
-// locality/contention hint, and stealing guarantees progress.
+// There is ONE ready queue: a (priority, id) min-heap under one mutex,
+// from which every worker pops the lowest priority value first, ties
+// broken by task id. Nothing in a graph depends on the worker count, so
+// one plan serves every crew width.
 //
 // A graph executes on a WorkerCrew (run_on): the crew's idle workers
 // and the CALLING thread drain it together. The crew is the one set of
@@ -42,8 +38,7 @@
 //
 // A scheduler is single-shot per graph: after run_on() returns,
 // reset() clears it back to an empty build phase so a long-lived
-// per-session scheduler can be reused for the next factorization
-// (partitions are re-bound by the next set_partitions call).
+// per-session scheduler can be reused for the next factorization.
 #pragma once
 
 #include <array>
@@ -62,12 +57,10 @@ class WorkerCrew;
 /// Execution counters surfaced through FactorStats / OrderingStats.
 struct SchedulerStats {
   std::size_t tasks_run = 0;        ///< tasks executed
-  std::size_t max_ready_depth = 0;  ///< peak total size of the ready queues
+  std::size_t max_ready_depth = 0;  ///< peak size of the ready queue
   std::size_t threads_used = 0;     ///< workers that ran at least one task
   std::size_t workers = 0;          ///< crew threads + the caller
   std::size_t resource_waits = 0;   ///< ready tasks parked for a token
-  std::size_t partitions = 0;       ///< ready-queue partitions used
-  std::size_t steals = 0;           ///< tasks run outside their partition
   std::size_t tasks_spawned = 0;    ///< tasks added dynamically via spawn()
   std::size_t edges = 0;            ///< dependency edges (after dedup)
   /// Tasks whose LAST unmet dependency was a chain edge (same-target
@@ -110,14 +103,6 @@ class TaskScheduler {
   /// "No resource" marker for tasks without a token requirement.
   static constexpr std::size_t kNoResource = static_cast<std::size_t>(-1);
 
-  /// Cap the drivers apply when sizing ready-queue partitions: beyond
-  /// this, per-partition scratch and fan-out granularity stop paying off.
-  static constexpr std::size_t kMaxPartitions = 16;
-
-  /// Declares `parts` ready-queue partitions (>= 1; default 1, the old
-  /// single-queue behaviour). Task partition ids are taken modulo this.
-  void set_partitions(std::size_t parts);
-
   /// Declares a counting resource with `tokens` tokens (tokens >= 1). A
   /// task bound to the resource holds one token from the moment it enters
   /// the ready queue until it completes; ready tasks beyond the token
@@ -127,13 +112,10 @@ class TaskScheduler {
   std::size_t add_resource(std::size_t tokens);
 
   /// Registers a task and returns its id. Lower `priority` runs first
-  /// among simultaneously-ready tasks of the same partition (ties broken
-  /// by id). `resource` optionally binds the task to a token of an
-  /// add_resource() resource. `partition` selects the ready queue the
-  /// task enters when it becomes runnable.
+  /// among simultaneously-ready tasks (ties broken by id). `resource`
+  /// optionally binds the task to a token of an add_resource() resource.
   std::size_t add_task(std::size_t priority, TaskFn fn,
-                       std::size_t resource = kNoResource,
-                       std::size_t partition = 0);
+                       std::size_t resource = kNoResource);
 
   /// Declares that `from` must complete before `to` may start.
   /// Duplicate edges are deduplicated at run_on(); the graph must be acyclic
@@ -153,8 +135,7 @@ class TaskScheduler {
   /// case (the ND recursion tree) needs neither. Thread-safe; returns
   /// the new task id. After run_on() the spawned tasks appear in tasks()
   /// order behind the pre-run graph, so task_seconds() covers them.
-  std::size_t spawn(std::size_t worker, std::size_t priority, TaskFn fn,
-                    std::size_t partition = 0);
+  std::size_t spawn(std::size_t worker, std::size_t priority, TaskFn fn);
 
   /// Tasks registered so far (including, after run_on(), spawned ones).
   std::size_t num_tasks() const noexcept { return tasks_.size(); }
@@ -172,8 +153,8 @@ class TaskScheduler {
   SchedulerStats run_on(WorkerCrew& crew);
 
   /// Clears the scheduler back to its post-construction state (no tasks,
-  /// no resources, one partition) so a long-lived scheduler can be
-  /// reused for the next graph. Must not be called during a run.
+  /// no resources) so a long-lived scheduler can be reused for the next
+  /// graph. Must not be called during a run.
   void reset();
 
   /// Measured wall seconds of each executed task (indexed by task id;
@@ -198,7 +179,6 @@ class TaskScheduler {
     TaskFn fn;
     std::size_t priority = 0;
     std::size_t resource = kNoResource;
-    std::size_t partition = 0;
     std::size_t spawned_by = kNoResource;  // spawning task id, if any
     double seconds = 0.0;                  // measured by run_on()
     std::vector<std::size_t> out;          // successor task ids
@@ -230,7 +210,6 @@ class TaskScheduler {
   std::vector<Task> tasks_;
   std::vector<std::size_t> resource_tokens_;
   std::vector<double> durations_;
-  std::size_t partitions_ = 1;
   bool completed_ = false;   // a graph ran; reset() required before reuse
   RunState* run_ = nullptr;  // non-null only while a run is draining
 };

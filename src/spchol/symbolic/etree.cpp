@@ -145,49 +145,4 @@ std::vector<index_t> child_counts(const std::vector<index_t>& parent) {
   return nc;
 }
 
-std::vector<index_t> subtree_partition(const std::vector<index_t>& parent,
-                                       index_t nparts) {
-  const index_t n = static_cast<index_t>(parent.size());
-  std::vector<index_t> part(static_cast<std::size_t>(n), 0);
-  if (n == 0 || nparts <= 1) return part;
-  SPCHOL_CHECK(is_postordered(parent), "subtree_partition needs a postorder");
-
-  std::vector<index_t> size(static_cast<std::size_t>(n), 1);
-  for (index_t j = 0; j < n; ++j) {
-    if (parent[j] != -1) size[parent[j]] += size[j];
-  }
-  const index_t target = (n + nparts - 1) / nparts;
-
-  // Ascending walk. Postorder makes every subtree the contiguous range
-  // [j - size[j] + 1, j], so a cut root claims its whole range at once and
-  // its descendants (visited earlier, but never cut roots themselves —
-  // their parents' subtrees are <= target too) are already covered.
-  std::vector<char> assigned(static_cast<std::size_t>(n), 0);
-  index_t bin = 0;
-  index_t load = 0;
-  for (index_t j = 0; j < n; ++j) {
-    if (size[j] > target) {
-      // Spine vertex: all descendants were cut below it; ride with the
-      // partition of the last one so the parent task's queue matches the
-      // queue that just produced its children.
-      part[j] = part[j - 1];
-      continue;
-    }
-    if (assigned[j]) continue;
-    const index_t p = parent[j];
-    if (p != -1 && size[p] <= target) continue;  // an ancestor will cut
-    // Maximal small subtree: pack into the current bin, greedily.
-    if (load > 0 && load + size[j] > target) {
-      bin = std::min<index_t>(bin + 1, nparts - 1);
-      load = 0;
-    }
-    for (index_t k = j - size[j] + 1; k <= j; ++k) {
-      part[k] = bin;
-      assigned[k] = 1;
-    }
-    load += size[j];
-  }
-  return part;
-}
-
 }  // namespace spchol

@@ -1,6 +1,5 @@
-// Elimination tree (Liu 1990), postorder utilities, and the subtree
-// partitioner behind the scheduler's partitioned ready queues. All
-// CscMatrix-taking functions operate on the lower triangle of a
+// Elimination tree (Liu 1990), postorder utilities and column counts.
+// All CscMatrix-taking functions operate on the lower triangle of a
 // symmetric matrix; the *_upper variants take the transposed (row-wise)
 // pattern directly so symbolic analysis, which already holds both
 // triangles, skips the internal transpose.
@@ -51,16 +50,5 @@ std::vector<index_t> column_counts_upper(std::span<const offset_t> uptr,
 
 /// Number of etree children per vertex.
 std::vector<index_t> child_counts(const std::vector<index_t>& parent);
-
-/// Partitions the vertices of a POSTORDERED forest into `nparts` groups
-/// of whole subtrees with roughly equal vertex counts: maximal subtrees
-/// no larger than ceil(n / nparts) are packed greedily in postorder, and
-/// every vertex above that cut (the roots' "spine", whose subtrees were
-/// too big) joins the partition of its last descendant. Used to assign
-/// scheduler ready-queue partitions: vertices of one group form whole
-/// subtrees, so their tasks depend only on tasks of the same group (plus
-/// the spine). Deterministic; returns all zeros for nparts <= 1.
-std::vector<index_t> subtree_partition(const std::vector<index_t>& parent,
-                                       index_t nparts);
 
 }  // namespace spchol

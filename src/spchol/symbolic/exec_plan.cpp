@@ -144,15 +144,11 @@ std::size_t ExecutionPlan::scatter_node(index_t sn, index_t target) const {
 
 ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
                                    std::span<const char> on_gpu,
-                                   std::span<const index_t> queue_of,
                                    const PlanOptions& opts) {
   const index_t ns = symb.num_supernodes();
   SPCHOL_CHECK(on_gpu.empty() ||
                    on_gpu.size() == static_cast<std::size_t>(ns),
                "on_gpu span size mismatch");
-  SPCHOL_CHECK(queue_of.empty() ||
-                   queue_of.size() == static_cast<std::size_t>(ns),
-               "queue_of span size mismatch");
 
   ExecutionPlan plan;
   plan.fuse_gpu_scatter_ = opts.fuse_gpu_scatter;
@@ -168,10 +164,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
   }
   plan.batches_formed_ = static_cast<index_t>(defs.size());
 
-  auto queue = [&](index_t s) {
-    return queue_of.empty() ? std::size_t{0}
-                            : static_cast<std::size_t>(queue_of[s]);
-  };
   auto add_edge = [&plan](std::size_t from, std::size_t to,
                           bool chain = false) {
     plan.edges_.emplace_back(from, to);
@@ -193,7 +185,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
         b.device_eligible = defs[d].leaves_only;
         b.priority = prio_scatter_base +
                      static_cast<std::size_t>(defs[d].last);
-        b.queue = queue(defs[d].first);
         const std::size_t id = plan.nodes_.size();
         plan.nodes_.push_back(b);
         for (index_t m = defs[d].first; m <= defs[d].last; ++m) {
@@ -211,7 +202,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
     // CPU computes queue behind every runnable scatter.
     c.priority = (gpu ? prio_scatter_base : prio_compute_base) +
                  static_cast<std::size_t>(s);
-    c.queue = queue(s);
     plan.compute_of_[s] = plan.nodes_.size();
     plan.nodes_.push_back(c);
     if ((gpu && opts.fuse_gpu_scatter) || symb.sn_below(s) == 0) continue;
@@ -221,7 +211,6 @@ ExecutionPlan ExecutionPlan::build(const SymbolicFactor& symb,
       n.sn = s;
       n.target = target;
       n.priority = prio_scatter_base + static_cast<std::size_t>(s);
-      n.queue = queue(s);
       const std::size_t id = plan.nodes_.size();
       plan.nodes_.push_back(n);
       plan.scatter_nodes_.push_back(id);

@@ -72,7 +72,6 @@ struct PlanNode {
   /// another member), so the batch may run as one fused device launch.
   bool device_eligible = false;
   std::size_t priority = 0;  ///< scheduler priority (lower runs first)
-  std::size_t queue = 0;     ///< ready-queue partition
 };
 
 /// A contiguous postorder run of small sibling subtrees — the unit of
@@ -109,19 +108,17 @@ class ExecutionPlan {
   static constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
 
   /// Builds the plan. `on_gpu[s]` marks supernodes the executor will run
-  /// on the device (never batched); `queue_of[s]` assigns ready-queue
-  /// partitions (empty span → all 0). Both spans are indexed by
-  /// supernode and must be empty or of length num_supernodes().
+  /// on the device (never batched); the span is indexed by supernode and
+  /// must be empty (nothing on the device) or of length num_supernodes().
   ///
-  /// Reuse contract: a built plan is an immutable function of
-  /// (symbolic pattern, on_gpu marks, queue partitioning, PlanOptions) —
-  /// it holds no numeric state and the scheduled drivers only read it, so
-  /// one plan may back any number of factorizations, including
-  /// concurrently, as long as those inputs match. SolverService caches
-  /// plans keyed by exactly those inputs (detail::PlannedGraph).
+  /// Reuse contract: a built plan is an immutable function of (symbolic
+  /// pattern, on_gpu marks, PlanOptions) — it holds no numeric state and
+  /// the scheduled drivers only read it, so one plan may back any number
+  /// of factorizations, including concurrently, as long as those inputs
+  /// match. SolverService caches plans keyed by exactly those inputs
+  /// (detail::build_planned_graph).
   static ExecutionPlan build(const SymbolicFactor& symb,
                              std::span<const char> on_gpu,
-                             std::span<const index_t> queue_of,
                              const PlanOptions& opts);
 
   std::span<const PlanNode> nodes() const noexcept { return nodes_; }

@@ -7,15 +7,11 @@
 namespace spchol {
 
 SolvePlan SolvePlan::build(const SymbolicFactor& symb,
-                           std::span<const char> on_gpu,
-                           std::span<const index_t> queue_of) {
+                           std::span<const char> on_gpu) {
   const index_t ns = symb.num_supernodes();
   SPCHOL_CHECK(on_gpu.empty() ||
                    on_gpu.size() == static_cast<std::size_t>(ns),
                "on_gpu span size mismatch");
-  SPCHOL_CHECK(queue_of.empty() ||
-                   queue_of.size() == static_cast<std::size_t>(ns),
-               "queue_of span size mismatch");
 
   SolvePlan plan;
   plan.compute_of_.assign(static_cast<std::size_t>(ns), kNoNode);
@@ -29,10 +25,6 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
   }
   plan.batches_formed_ = static_cast<index_t>(defs.size());
 
-  auto queue = [&](index_t s) {
-    return queue_of.empty() ? std::size_t{0}
-                            : static_cast<std::size_t>(queue_of[s]);
-  };
   // Forward: scatters (and GPU pipeline feeders) drain before CPU
   // computes, exactly as in the factorization plan. Backward: the solve
   // runs root-to-leaf, so priorities descend with the supernode index;
@@ -63,7 +55,6 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
         b.fwd_priority = prio_scatter_base +
                          static_cast<std::size_t>(defs[d].last);
         b.bwd_priority = bwd_prio(defs[d].last);
-        b.queue = queue(defs[d].first);
         const std::size_t id = plan.nodes_.size();
         plan.nodes_.push_back(b);
         for (index_t m = defs[d].first; m <= defs[d].last; ++m) {
@@ -80,7 +71,6 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
     c.fwd_priority = (gpu ? prio_scatter_base : prio_compute_base) +
                      static_cast<std::size_t>(s);
     c.bwd_priority = bwd_prio(s);
-    c.queue = queue(s);
     plan.compute_of_[s] = plan.nodes_.size();
     plan.nodes_.push_back(c);
     // GPU computes absorb their scatters (fused device solve); CPU
@@ -102,7 +92,6 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
       n.rows_lo = k;
       n.rows_hi = k2;
       n.fwd_priority = prio_scatter_base + static_cast<std::size_t>(s);
-      n.queue = queue(s);
       const std::size_t id = plan.nodes_.size();
       plan.nodes_.push_back(n);
       scatter_nodes.push_back(id);

@@ -44,11 +44,11 @@
 // backward reads outside the batch are exactly the members' targets.
 //
 // A built plan is immutable and holds no numeric state: it is a function
-// of (pattern, on_gpu marks, queue partitioning) alone, shared
-// by any number of concurrent solves, and cached by SolverService under
-// the pattern key (detail::PlannedSolve). RHS panel blocking is an
-// EXECUTOR concern: the executor instantiates one task per (node, RHS
-// panel), panels being fully independent.
+// of (pattern, on_gpu marks) alone, shared by any number of concurrent
+// solves, and cached by SolverService under the pattern key
+// (detail::build_planned_solve). RHS panel blocking is an EXECUTOR
+// concern: the executor instantiates one task per (node, RHS panel),
+// panels being fully independent.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +75,6 @@ struct SolveNode {
   bool on_gpu = false;       ///< kCompute: fused device solve
   std::size_t fwd_priority = 0;  ///< forward-phase scheduler priority
   std::size_t bwd_priority = 0;  ///< backward-phase priority (root first)
-  std::size_t queue = 0;         ///< ready-queue partition
 };
 
 class SolvePlan {
@@ -83,12 +82,11 @@ class SolvePlan {
   static constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
 
   /// Builds the plan. `on_gpu[s]` marks supernodes the executor routes
-  /// through the device (never batched); `queue_of[s]` assigns
-  /// ready-queue partitions (empty span → all 0). Both spans are indexed
-  /// by supernode and must be empty or of length num_supernodes().
+  /// through the device (never batched); the span is indexed by
+  /// supernode and must be empty (nothing on the device) or of length
+  /// num_supernodes().
   static SolvePlan build(const SymbolicFactor& symb,
-                         std::span<const char> on_gpu,
-                         std::span<const index_t> queue_of);
+                         std::span<const char> on_gpu);
 
   std::span<const SolveNode> nodes() const noexcept { return nodes_; }
   /// Forward-phase dependency edges over node ids.

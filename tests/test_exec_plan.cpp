@@ -1,6 +1,6 @@
 // ExecutionPlan coverage: the derived task grain (batch-packing
-// invariants, PFlow_742_small task counts, worker-independence, the KKT
-// stencil left uncoarsened), coarsened-vs-serial bitwise identity across
+// invariants, PFlow_742_small task counts, the KKT stencil left
+// uncoarsened), coarsened-vs-serial bitwise identity across
 // worker/stream counts on the PFlow_742_small analog and the
 // pathological graphs, FactorOptions validation, the batch stats
 // counters (including fused device launches), the >= 1.3x modeled
@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -83,7 +82,7 @@ TEST(ExecPlan, BatchesAreContiguousSmallSiblingSubtrees) {
   const Permutation fill = compute_ordering(a, OrderingMethod::kNatural);
   const SymbolicFactor symb = SymbolicFactor::analyze(a, fill);
 
-  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {}, {});
+  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {});
   EXPECT_GT(plan.batches_formed(), 0);
   EXPECT_GT(plan.supernodes_batched(), 0);
 
@@ -132,7 +131,7 @@ TEST(ExecPlan, LeafForestBatchesAreDeviceEligible) {
   const CscMatrix a = small_supernode_forest(80, 8, 12);
   const Permutation fill = compute_ordering(a, OrderingMethod::kNatural);
   const SymbolicFactor symb = SymbolicFactor::analyze(a, fill);
-  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {}, {});
+  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {});
   index_t batches = 0;
   for (const PlanNode& n : plan.nodes()) {
     if (n.kind != PlanNodeKind::kBatch) continue;
@@ -245,7 +244,7 @@ TEST(ExecPlan, BatchingCoarsensTheTaskGraph) {
   solver.factorize(a);
   const FactorStats st = solver.stats();
   const SymbolicFactor& symb = solver.factor().symbolic();
-  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {}, {});
+  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {});
   // The RL graph with one task per supernode: a COMPUTE per supernode,
   // a SCATTER per supernode with ancestors, and per target one chain
   // edge per contributor (the last into the target's COMPUTE).
@@ -270,33 +269,14 @@ TEST(ExecPlan, GrainIsDerivedFromThePattern) {
   const SymbolicFactor symb =
       SymbolicFactor::analyze(a, compute_ordering(a, OrderingOptions{}));
   ASSERT_EQ(symb.num_supernodes(), 2365);
-  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {}, {});
+  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {});
   EXPECT_LE(plan.nodes().size(), 160u);
-  const SolvePlan splan = SolvePlan::build(symb, {}, {});
+  const SolvePlan splan = SolvePlan::build(symb, {});
   std::size_t fwd = splan.nodes().size(), bwd = 0;
   for (const SolveNode& n : splan.nodes()) {
     if (n.kind != SolveNodeKind::kScatter) bwd++;
   }
   EXPECT_LE(fwd + bwd, 320u);
-
-  // The plan is a function of the pattern alone: identical for every
-  // worker count (which only sets the ready-queue partitioning).
-  auto shape = [&](std::size_t workers) {
-    const detail::PlannedGraph pg =
-        detail::build_planned_graph(symb, FactorOptions{}, workers);
-    std::vector<std::tuple<int, index_t, index_t, index_t>> nodes;
-    for (const PlanNode& n : pg.plan.nodes()) {
-      nodes.emplace_back(static_cast<int>(n.kind), n.sn, n.batch_first,
-                         n.batch_last);
-    }
-    const auto e = pg.plan.edges();
-    return std::make_pair(
-        nodes, std::vector<std::pair<std::size_t, std::size_t>>(e.begin(),
-                                                                e.end()));
-  };
-  const auto one = shape(1);
-  EXPECT_EQ(one, shape(4));
-  EXPECT_EQ(one, shape(8));
 }
 
 TEST(ExecPlan, KktStencilKeepsOneComputePerSupernode) {
@@ -305,7 +285,7 @@ TEST(ExecPlan, KktStencilKeepsOneComputePerSupernode) {
   const CscMatrix a = grid3d_wide(15, 15, 15, 2);
   const SymbolicFactor symb =
       SymbolicFactor::analyze(a, compute_ordering(a, OrderingOptions{}));
-  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {}, {});
+  const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {});
   EXPECT_EQ(plan.batches_formed(), 0);
   std::size_t computes = 0;
   for (const PlanNode& n : plan.nodes()) {
@@ -313,7 +293,7 @@ TEST(ExecPlan, KktStencilKeepsOneComputePerSupernode) {
     if (n.kind == PlanNodeKind::kCompute) computes++;
   }
   EXPECT_EQ(computes, static_cast<std::size_t>(symb.num_supernodes()));
-  const SolvePlan splan = SolvePlan::build(symb, {}, {});
+  const SolvePlan splan = SolvePlan::build(symb, {});
   EXPECT_EQ(splan.batches_formed(), 0);
 }
 
@@ -380,7 +360,7 @@ TEST(ExecPlan, RlbSplitScattersRunPerTarget) {
   const Permutation fill =
       compute_ordering(a, OrderingMethod::kNestedDissection);
   const SymbolicFactor symb = SymbolicFactor::analyze(a, fill, {});
-  const ExecutionPlan rl = ExecutionPlan::build(symb, {}, {}, {});
+  const ExecutionPlan rl = ExecutionPlan::build(symb, {}, {});
   std::size_t expect = static_cast<std::size_t>(rl.batches_formed());
   // The same graph with one SCATTER per source instead of per target.
   std::size_t per_source = expect;
@@ -428,7 +408,7 @@ TEST(ExecPlan, ConcurrentSlotCapsMatchBruteForce) {
     // others may pack into BATCH runs between them.
     std::vector<char> on_gpu(static_cast<std::size_t>(symb.num_supernodes()));
     for (std::size_t s = 0; s < on_gpu.size(); ++s) on_gpu[s] = s % 3 == 0;
-    const ExecutionPlan plan = ExecutionPlan::build(symb, on_gpu, {}, {});
+    const ExecutionPlan plan = ExecutionPlan::build(symb, on_gpu, {});
     std::vector<detail::SlotNeed> all;
     for (const PlanNode& n : plan.nodes()) {
       if (n.kind == PlanNodeKind::kCompute) all.push_back({0, 0, n.sn, n.sn});

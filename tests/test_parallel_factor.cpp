@@ -1,10 +1,9 @@
 // Etree task-scheduler coverage: kCpuParallel with real worker threads
 // must produce bitwise-identical factors to kCpuSerial across methods,
 // matrices, and worker counts; the hybrid overlap path must keep the
-// GPU pipeline's determinism; scheduler counters must be populated; the
-// subtree partitioner must produce subtree-closed groups, and the
-// scheduler's partitioned ready queues must complete under forced work
-// stealing.
+// GPU pipeline's determinism; scheduler counters must be populated, and
+// the scheduler's one ready queue must hand ready tasks to every idle
+// worker.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -249,7 +248,7 @@ TEST(ParallelFactor, SchedulerCountersPopulated) {
   EXPECT_EQ(st.scheduler_workers, 8u);
   // One task per node of the RL plan built for this pattern.
   const ExecutionPlan plan =
-      ExecutionPlan::build(solver.factor().symbolic(), {}, {}, {});
+      ExecutionPlan::build(solver.factor().symbolic(), {}, {});
   EXPECT_EQ(st.scheduler_tasks, plan.nodes().size());
   EXPECT_GE(st.scheduler_max_ready, 1u);
   // ≥ 1 always; concurrent multi-worker execution is proven determin-
@@ -619,100 +618,46 @@ TEST(ParallelFactor, WideStencilRlRlbBitwiseIdenticalToSerial) {
   }
 }
 
-// --- subtree partitions + partitioned ready queues + work stealing -----
+// --- the one ready queue ---------------------------------------------------
 
-TEST(SubtreePartition, GroupsAreSubtreeClosedAndCoverEverything) {
-  const CscMatrix a = grid3d_7pt(8, 8, 8);
-  const Permutation fill =
-      compute_ordering(a, OrderingMethod::kNestedDissection);
-  const SymbolicFactor sf = SymbolicFactor::analyze(a, fill, {});
-  const std::vector<index_t>& parent = sf.etree();
-  const index_t n = static_cast<index_t>(parent.size());
-  std::vector<index_t> size(parent.size(), 1);
-  for (index_t j = 0; j < n; ++j) {
-    if (parent[j] >= 0) size[parent[j]] += size[j];
-  }
-  for (const index_t nparts : {2, 4, 8}) {
-    const std::vector<index_t> part = subtree_partition(parent, nparts);
-    ASSERT_EQ(part.size(), parent.size());
-    // The spine: vertices whose subtree exceeds the per-part target.
-    const index_t target = (n + nparts - 1) / nparts;
-    for (index_t j = 0; j < n; ++j) {
-      EXPECT_GE(part[j], 0);
-      EXPECT_LT(part[j], nparts);
-      const index_t p = parent[j];
-      if (p < 0) continue;
-      // Subtree-closed: a below-cut vertex shares its parent's partition
-      // unless the parent is on the spine; the spine is upward-closed.
-      if (size[p] <= target) {
-        EXPECT_EQ(part[j], part[p]) << "vertex " << j;
-      }
-      if (size[j] > target) {
-        EXPECT_GT(size[p], target) << "vertex " << j;
-      }
+TEST(TaskScheduler, ReadyTasksRunConcurrently) {
+  // Two tasks that can only finish if they run CONCURRENTLY on different
+  // workers (each spins on the other's flag), on a crew of one thread +
+  // the caller. Either they are ready from the start, or a root task
+  // releases them both when it completes: the root sleeps long enough
+  // for the other worker to go idle, which then must be woken by the
+  // push that readies them, so a lost wake-up hangs this test.
+  for (const bool released : {false, true}) {
+    TaskScheduler sched;
+    std::atomic<bool> flag_a{false}, flag_b{false};
+    const std::size_t a = sched.add_task(0, [&](std::size_t) {
+      flag_a.store(true);
+      while (!flag_b.load()) std::this_thread::yield();
+    });
+    const std::size_t b = sched.add_task(1, [&](std::size_t) {
+      flag_b.store(true);
+      while (!flag_a.load()) std::this_thread::yield();
+    });
+    if (released) {
+      const std::size_t root = sched.add_task(2, [](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      });
+      sched.add_edge(root, a);
+      sched.add_edge(root, b);
     }
+    WorkerCrew crew(1);
+    const SchedulerStats st = sched.run_on(crew);
+    EXPECT_EQ(st.tasks_run, released ? 3u : 2u);
+    EXPECT_EQ(st.threads_used, 2u) << "released = " << released;
   }
-  // nparts <= 1: everything in partition 0.
-  const std::vector<index_t> one = subtree_partition(parent, 1);
-  for (const index_t p : one) EXPECT_EQ(p, 0);
 }
 
-TEST(PartitionedScheduler, StealingDrainsAnUnbalancedQueue) {
-  // Every task sits in partition 0 of a 4-partition scheduler: workers
-  // whose home queue stays empty must steal to finish the graph.
-  TaskScheduler sched;
-  sched.set_partitions(4);
-  std::atomic<int> runs{0};
-  constexpr int kTasks = 64;
-  std::vector<std::size_t> ids;
-  for (int i = 0; i < kTasks; ++i) {
-    ids.push_back(sched.add_task(
-        static_cast<std::size_t>(i), [&](std::size_t) { runs++; },
-        TaskScheduler::kNoResource, /*partition=*/0));
-  }
-  for (int i = 1; i < kTasks; ++i) sched.add_edge(ids[i - 1], ids[i]);
-  WorkerCrew crew(3);
-  const SchedulerStats st = sched.run_on(crew);
-  EXPECT_EQ(runs.load(), kTasks);
-  EXPECT_EQ(st.tasks_run, static_cast<std::size_t>(kTasks));
-  EXPECT_EQ(st.partitions, 4u);
-}
-
-TEST(PartitionedScheduler, StealIsForcedAndCounted) {
-  // Two tasks in partition 1 that can only finish if they run
-  // CONCURRENTLY on different workers (they spin on each other's flag):
-  // with 2 workers, the home-0 worker MUST steal one of them.
-  TaskScheduler sched;
-  sched.set_partitions(2);
-  std::atomic<bool> flag_a{false}, flag_b{false};
-  sched.add_task(
-      0,
-      [&](std::size_t) {
-        flag_a.store(true);
-        while (!flag_b.load()) std::this_thread::yield();
-      },
-      TaskScheduler::kNoResource, /*partition=*/1);
-  sched.add_task(
-      1,
-      [&](std::size_t) {
-        flag_b.store(true);
-        while (!flag_a.load()) std::this_thread::yield();
-      },
-      TaskScheduler::kNoResource, /*partition=*/1);
-  WorkerCrew crew(1);
-  const SchedulerStats st = sched.run_on(crew);
-  EXPECT_EQ(st.tasks_run, 2u);
-  EXPECT_GE(st.steals, 1u);
-  EXPECT_EQ(st.threads_used, 2u);
-}
-
-TEST(PartitionedScheduler, CrossPartitionDagStress) {
-  // A layered DAG spread over 8 partitions with cross-partition edges:
-  // every task must observe all its predecessors complete (acq/rel via
-  // the scheduler), and the whole graph must drain under stealing.
+TEST(TaskScheduler, LayeredDagStress) {
+  // A layered DAG on 8 workers, each task depending on three tasks of
+  // the layer before: every task must observe all its predecessors
+  // complete (acq/rel via the scheduler), and the whole graph must drain.
   constexpr int kLayers = 20, kWidth = 16;
   TaskScheduler sched;
-  sched.set_partitions(8);
   std::vector<std::atomic<int>> done(kLayers * kWidth);
   for (auto& d : done) d.store(0);
   std::vector<std::size_t> ids(kLayers * kWidth);
@@ -732,9 +677,7 @@ TEST(PartitionedScheduler, CrossPartitionDagStress) {
               }
             }
             done[me].store(1);
-          },
-          TaskScheduler::kNoResource,
-          /*partition=*/static_cast<std::size_t>(w % 8));
+          });
       if (l > 0) {
         for (int dw = -1; dw <= 1; ++dw) {
           const int pw = w + dw;
@@ -750,7 +693,7 @@ TEST(PartitionedScheduler, CrossPartitionDagStress) {
   EXPECT_EQ(violations.load(), 0);
 }
 
-TEST(PartitionedScheduler, ModeledMakespanBoundsHold) {
+TEST(TaskScheduler, ModeledMakespanBoundsHold) {
   // A chain replays to the duration sum at any width; a wide independent
   // layer replays to at most the sum and at least the longest task.
   TaskScheduler chain;
