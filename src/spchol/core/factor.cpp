@@ -65,7 +65,6 @@ void validate(const SolveOptions& o) {
     throw InvalidArgument("SolveOptions::gpu_threshold must be >= 0; got " +
                           std::to_string(o.gpu_threshold));
   }
-  gpu::validate(o.device, "SolveOptions::device");
 }
 
 namespace detail {

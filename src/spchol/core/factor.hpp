@@ -41,6 +41,9 @@ enum class Method {
   kLeftLooking,  ///< supernodal left-looking baseline (CPU only)
 };
 
+/// Where a factorization runs its dense kernels. A solve runs on the host
+/// in every mode: kCpuSerial is the serial sweep, every other mode the
+/// SolvePlan task DAG (SolveOptions).
 enum class Execution {
   /// Single-threaded CPU execution (and the 1-thread BLAS time model).
   kCpuSerial,
@@ -49,9 +52,9 @@ enum class Execution {
   /// threads (results bitwise identical to kCpuSerial); modeled time uses
   /// the paper's best-of-{8..128}-thread MKL sweep.
   kCpuParallel,
-  /// Threshold split: large supernodes run the sequential GPU pipeline,
-  /// small supernodes execute concurrently on CPU worker threads so the
-  /// host no longer idles during device kernels.
+  /// Threshold split: large supernodes are factored through the GPU
+  /// pipeline, small supernodes concurrently on CPU worker threads so
+  /// the host no longer idles during device kernels.
   kGpuHybrid,
   kGpuOnly,  ///< every BLAS call on the device (paper's first experiment)
 };
@@ -102,39 +105,33 @@ struct FactorOptions {
 };
 
 /// Options of one triangular-solve call (CholeskyFactor::solve /
-/// solve_multi with options, SolverSession::solve). The solve path reuses
-/// the factorization's Execution taxonomy: kCpuSerial is the plain
-/// sweep, kCpuParallel runs the SolvePlan task DAG on worker threads,
-/// kGpuHybrid additionally routes large supernodes through the
-/// stream-pooled device path, kGpuOnly sends every supernode there.
-/// Results are bitwise identical to the serial sweep for EVERY setting.
+/// solve_multi with options, SolverSession::solve). The solve runs on the
+/// host whatever the factorization did, as in the paper, which offloads
+/// only the factorization's dense kernels: kCpuSerial is the plain sweep,
+/// every other Execution mode runs the SolvePlan task DAG on worker
+/// threads. Results are bitwise identical to the serial sweep for EVERY
+/// setting.
 struct SolveOptions {
   Execution exec = Execution::kCpuParallel;
   /// Threads a per-call scheduled solve uses in total, the calling
-  /// thread included (a crew of workers − 1 threads runs its DAG and
-  /// device nodes). 0 = hardware concurrency; 1 keeps the serial sweep
-  /// on the calling thread; negative values are rejected with
-  /// InvalidArgument. Under a SolverRuntime the runtime's crew runs
-  /// instead.
+  /// thread included (a crew of workers − 1 threads runs its DAG).
+  /// 0 = hardware concurrency; 1 keeps the serial sweep on the calling
+  /// thread; negative values are rejected with InvalidArgument. Under a
+  /// SolverRuntime the runtime's crew runs instead.
   int workers = 0;
   /// Right-hand-side columns per panel: each plan node becomes one task
   /// per panel, so panels are the unit of RHS parallelism and the
   /// GEMM shape of the supernode solves. >= 1; rejected otherwise.
   index_t rhs_panel = 8;
-  /// Supernode-entries threshold at or above which a supernode's solve
-  /// runs on the device in kGpuHybrid (fused gather + TRSM + GEMM +
-  /// scatter). Negative values are rejected with InvalidArgument.
+  /// Validated (negative values are rejected with InvalidArgument) but
+  /// without effect: no solve runs on the device. Kept because existing
+  /// callers set it.
   offset_t gpu_threshold = 60'000;
-  /// Simulated device configuration (used only when no shared device is
-  /// injected and the exec mode touches the device); validated as in
-  /// FactorOptions.
-  gpu::DeviceConfig device{};
 };
 
 /// Rejects malformed SolveOptions with InvalidArgument (negative
-/// workers, rhs_panel < 1, negative gpu_threshold, an invalid device
-/// model). Every solve entry point calls this before touching the
-/// right-hand side.
+/// workers, rhs_panel < 1, negative gpu_threshold). Every solve entry
+/// point calls this before touching the right-hand side.
 void validate(const SolveOptions& opts);
 
 /// Execution statistics of one solve / solve_multi call.
@@ -150,8 +147,6 @@ struct SolveStats {
   std::size_t edges = 0;      ///< dependency edges after deduplication
   std::size_t workers = 1;    ///< resolved worker count
   index_t rhs_panels = 0;     ///< RHS panels the plan was instantiated for
-  index_t supernodes_on_gpu = 0;  ///< supernodes solved on the device
-  index_t gpu_stream_pairs = 0;   ///< solve slot pairs actually allocated
   index_t batches_formed = 0;
   index_t supernodes_batched = 0;
 };
@@ -290,10 +285,9 @@ class CholeskyFactor {
                    index_t nrhs) const;
 
   /// Plan-driven scheduled solves: the SolvePlan forward/backward task
-  /// DAGs run on `opts.workers` threads with the RHS blocked into
-  /// `opts.rhs_panel`-column panels (and, in the GPU modes, large
-  /// supernodes solved on the device). Bitwise identical to the serial
-  /// sweep for every worker/stream/panel setting; opts.workers <= 1 or
+  /// DAGs run on `opts.workers` host threads with the RHS blocked into
+  /// `opts.rhs_panel`-column panels. Bitwise identical to the serial
+  /// sweep for every worker/panel setting; opts.workers <= 1 or
   /// Execution::kCpuSerial IS the serial sweep. Throws InvalidArgument
   /// on malformed options or size mismatches.
   void solve(std::span<const double> b, std::span<double> x,

@@ -20,15 +20,21 @@
 
 namespace spchol::detail {
 
-/// True when supernode s runs its BLAS on the device under `opts` — the
-/// hybrid threshold split of the drivers (FactorContext::on_gpu) and the
-/// plan builder alike.
+/// True when supernode s runs its BLAS on the device under `opts`: never
+/// on the CPU modes, always in kGpuOnly, at or above the method's
+/// threshold in kGpuHybrid. The one placement rule of the drivers
+/// (FactorContext::on_gpu) and the plan builder alike, so a cached plan
+/// and a per-call plan never disagree.
 inline bool supernode_on_gpu(const SymbolicFactor& symb,
                              const FactorOptions& opts, index_t s) {
-  return gpu_marked(opts.exec,
-                    opts.method == Method::kRL ? opts.gpu_threshold_rl
-                                               : opts.gpu_threshold_rlb,
-                    symb.sn_entries(s));
+  if (opts.exec == Execution::kCpuSerial ||
+      opts.exec == Execution::kCpuParallel) {
+    return false;
+  }
+  return opts.exec == Execution::kGpuOnly ||
+         symb.sn_entries(s) >= (opts.method == Method::kRL
+                                    ? opts.gpu_threshold_rl
+                                    : opts.gpu_threshold_rlb);
 }
 
 /// True when a call drains the task scheduler instead of running a
@@ -104,9 +110,20 @@ void solve_with_resources(const SymbolicFactor& symb,
                           index_t nrhs, const SolveOptions& opts,
                           const ExecutionResources* res, SolveStats* stats);
 
-/// One in-flight device node's buffers, ranked by a slot pool: the
-/// supernode's panel (its L rectangle) and a work buffer (the RL update
-/// matrix, or a solve node's gathered RHS block).
+/// Fault injection for the solve's failure tests: while one is alive,
+/// every task of scheduled solve plan node `node` throws Error instead of
+/// running, so the solve fails mid-DAG. Not an option; scopes do not nest.
+class SolveFault {
+ public:
+  explicit SolveFault(std::size_t node);
+  ~SolveFault();
+  SolveFault(const SolveFault&) = delete;
+  SolveFault& operator=(const SolveFault&) = delete;
+};
+
+/// One in-flight RL device node's buffers, ranked by a slot pool: the
+/// supernode's panel (its L rectangle) and a work buffer (the update
+/// matrix).
 struct GpuSlot {
   gpu::DeviceBuffer panel;
   gpu::DeviceBuffer work;

@@ -8,36 +8,15 @@
 
 namespace spchol::detail {
 
-namespace {
-
-/// gpu_marked() per supernode: the on_gpu span both plan builders take.
-std::vector<char> gpu_marks(const SymbolicFactor& symb, Execution exec,
-                            offset_t threshold) {
-  std::vector<char> on_gpu(static_cast<std::size_t>(symb.num_supernodes()));
-  for (index_t s = 0; s < symb.num_supernodes(); ++s) {
-    on_gpu[s] = gpu_marked(exec, threshold, symb.sn_entries(s)) ? 1 : 0;
-  }
-  return on_gpu;
-}
-
-}  // namespace
-
 ExecutionPlan build_planned_graph(const SymbolicFactor& symb,
                                   const FactorOptions& opts) {
-  const bool rl = opts.method == Method::kRL;
+  std::vector<char> on_gpu(static_cast<std::size_t>(symb.num_supernodes()));
+  for (index_t s = 0; s < symb.num_supernodes(); ++s) {
+    on_gpu[s] = supernode_on_gpu(symb, opts, s) ? 1 : 0;
+  }
   PlanOptions popts;
-  popts.fuse_gpu_scatter = !rl;
-  return ExecutionPlan::build(
-      symb,
-      gpu_marks(symb, opts.exec,
-                rl ? opts.gpu_threshold_rl : opts.gpu_threshold_rlb),
-      popts);
-}
-
-SolvePlan build_planned_solve(const SymbolicFactor& symb,
-                              const SolveOptions& opts) {
-  return SolvePlan::build(symb,
-                          gpu_marks(symb, opts.exec, opts.gpu_threshold));
+  popts.fuse_gpu_scatter = opts.method != Method::kRL;
+  return ExecutionPlan::build(symb, on_gpu, popts);
 }
 
 PlanExecutor::PlanExecutor(FactorContext& ctx)
@@ -74,7 +53,6 @@ PlanExecutor::PlanExecutor(FactorContext& ctx)
 }
 
 PlanExecutor::PlanExecutor(const SymbolicFactor& symb,
-                           const SolveOptions& opts,
                            const ExecutionResources* res,
                            std::size_t workers)
     : symb_(&symb),
@@ -82,19 +60,10 @@ PlanExecutor::PlanExecutor(const SymbolicFactor& symb,
       workers_(workers),
       crew_(res != nullptr && res->crew != nullptr
                 ? res->crew
-                : &own_crew_.emplace(workers - 1)) {
-  solve_ = (res != nullptr && res->planned_solve != nullptr)
-               ? res->planned_solve
-               : &own_solve_.emplace(build_planned_solve(symb, opts));
-  const auto nodes = solve_->nodes();
-  if (std::any_of(nodes.begin(), nodes.end(), [](const SolveNode& nd) {
-        return nd.kind == SolveNodeKind::kCompute && nd.on_gpu;
-      })) {
-    dev_ = res != nullptr && res->device != nullptr
-               ? res->device
-               : &own_dev_.emplace(opts.device);
-  }
-}
+                : &own_crew_.emplace(workers - 1)),
+      solve_(res != nullptr && res->planned_solve != nullptr
+                 ? res->planned_solve
+                 : &own_solve_.emplace(SolvePlan::build(symb))) {}
 
 namespace {
 

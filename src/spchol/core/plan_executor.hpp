@@ -5,13 +5,13 @@
 // The three scheduled paths differ only in their node kernels
 // (COMPUTE/SCATTER/BATCH for the factorizations, forward and backward
 // solve steps for the solve). Everything else lives here:
-//   * the on_gpu marks every plan is built from;
+//   * the on_gpu marks every factor plan is built from;
 //   * scheduler and plan acquisition (injected by the service, or built
 //     per call through the same builder);
-//   * the device's slot pool sized from ranked buffer needs (factor
-//     tasks: from the needs that can be in flight together), kept in the
-//     cached plan's pool cell or built per call, with one scheduler
-//     resource capping in-flight device tasks at the pool size;
+//   * the device's slot pool sized from ranked buffer needs (RL tasks:
+//     from the needs that can be in flight together), kept in the cached
+//     plan's pool cell or built per call, with one scheduler resource
+//     capping in-flight device tasks at the pool size;
 //   * the device-resident reservation;
 //   * plan-edge wiring and the drain.
 // Nothing here touches numerics: the plan and the kernels fix every
@@ -38,17 +38,6 @@ namespace spchol::detail {
 struct AssemblyMap;
 struct FactorContext;
 
-/// True when a supernode of `entries` dense entries runs on the device
-/// under `exec`: never on the CPU modes, always in kGpuOnly, at or above
-/// `threshold` in kGpuHybrid. The one placement rule of the factor and
-/// solve paths, so a cached plan and a per-call plan never disagree.
-inline bool gpu_marked(Execution exec, offset_t threshold, offset_t entries) {
-  if (exec == Execution::kCpuSerial || exec == Execution::kCpuParallel) {
-    return false;
-  }
-  return exec == Execution::kGpuOnly || entries >= threshold;
-}
-
 /// Builds the scheduled-driver plan for `symb` under `opts`: a function
 /// of the pattern, the on_gpu marks and the plan options alone.
 /// SolverService caches one per (pattern, plan options) fingerprint; the
@@ -56,12 +45,6 @@ inline bool gpu_marked(Execution exec, offset_t threshold, offset_t entries) {
 /// both execute the same graph shape.
 ExecutionPlan build_planned_graph(const SymbolicFactor& symb,
                                   const FactorOptions& opts);
-
-/// The solve-path counterpart: one SolvePlan (forward + backward DAGs),
-/// immutable after construction and shared by any number of concurrent
-/// solves against any factor of the same pattern.
-SolvePlan build_planned_solve(const SymbolicFactor& symb,
-                              const SolveOptions& opts);
 
 /// Long-lived execution substrate injected by SolverRuntime/SolverService
 /// into one factorization or solve call. Every field is optional and all
@@ -85,7 +68,7 @@ struct ExecutionResources {
   /// Cached plan; must have been built for this call's (symb, opts) via
   /// build_planned_graph.
   const ExecutionPlan* planned = nullptr;
-  /// Cached SOLVE plan; must have been built via build_planned_solve.
+  /// Cached SOLVE plan; must have been built for this call's symb.
   const SolvePlan* planned_solve = nullptr;
   /// Cached A→L assembly map; must have been built for this call's symb.
   /// Used only when its pattern is the call's matrix pattern — any other
@@ -96,9 +79,9 @@ struct ExecutionResources {
   std::shared_ptr<const SymbolicFactor> symbolic;
 };
 
-/// One device task's buffer needs (entries). A factor task also names the
+/// One device task's buffer needs (entries). An RL task also names the
 /// supernodes it factors, [first, last] (one COMPUTE, or a BATCH's
-/// postorder run); other tasks leave first = last = -1.
+/// postorder run); RLB tasks leave first = last = -1.
 struct SlotNeed {
   std::size_t a = 0;
   std::size_t b = 0;
@@ -139,23 +122,19 @@ class PlanExecutor {
   /// reservation (FactorOptions::device_resident_factor, kGpuHybrid
   /// only) before any pool exists.
   explicit PlanExecutor(FactorContext& ctx);
-  /// Scheduled solve. The plan is res->planned_solve or a per-call
-  /// build_planned_solve; the scheduler is always this call's own, so
-  /// concurrent solves never share mutable state (the crew is still
-  /// shared: res->crew, else a per-call one of `workers` − 1 threads).
-  /// The device (res->device, else a per-call one) is resolved only
-  /// when the plan has device nodes.
-  PlanExecutor(const SymbolicFactor& symb, const SolveOptions& opts,
-               const ExecutionResources* res, std::size_t workers);
+  /// Scheduled solve, on the host alone. The plan is res->planned_solve
+  /// or a per-call SolvePlan::build; the scheduler is always this call's
+  /// own, so concurrent solves never share mutable state (the crew is
+  /// still shared: res->crew, else a per-call one of `workers` − 1
+  /// threads).
+  PlanExecutor(const SymbolicFactor& symb, const ExecutionResources* res,
+               std::size_t workers);
   PlanExecutor(const PlanExecutor&) = delete;
   PlanExecutor& operator=(const PlanExecutor&) = delete;
 
   const ExecutionPlan& plan() const noexcept { return *plan_; }
   const SolvePlan& solve_plan() const noexcept { return *solve_; }
   TaskScheduler& sched() noexcept { return *sched_; }
-  /// The device this run's device tasks run on.
-  gpu::Device& device() noexcept { return *dev_; }
-
   /// Records one device task's buffer needs (entries).
   void need(std::size_t a, std::size_t b) { needs_.push_back({a, b}); }
   /// Same, for a factor task over supernodes [first, last]. When every
@@ -190,7 +169,7 @@ class PlanExecutor {
   /// The pool for the recorded needs, at most kDeviceSlots slots and no
   /// more than can ever be in flight together, slot k made by
   /// make(device, a_k, b_k) from the needs ranked descending (per
-  /// dimension, or by concurrent_slot_caps for factor tasks): slot k only
+  /// dimension, or by concurrent_slot_caps for RL tasks): slot k only
   /// hosts the k-th largest concurrent task, so N slots cost far less
   /// than N copies of the largest — that is what lets several fit under
   /// a tight memory cap. The pool shrinks (down to one slot) when the
@@ -285,7 +264,6 @@ class PlanExecutor {
   const ExecutionPlan* plan_ = nullptr;
   std::optional<SolvePlan> own_solve_;
   const SolvePlan* solve_ = nullptr;
-  std::optional<gpu::Device> own_dev_;
   gpu::Device* dev_ = nullptr;
   TaskScheduler own_sched_;
   TaskScheduler* sched_ = &own_sched_;

@@ -1,6 +1,11 @@
 // Plan-driven triangular solves (the SolvePlan executor) and the serial
 // supernode sweep they must match bitwise.
 //
+// Every solve runs on the host, whatever SolveOptions::exec says: the
+// paper offloads only the factorization's dense kernels and solves with
+// the resulting factor on the CPU. kCpuSerial is the serial sweep; every
+// other mode runs the scheduled path.
+//
 // The scheduled path instantiates one task per (plan node, RHS panel):
 // the right-hand side is blocked into SolveOptions::rhs_panel columns, so
 // a supernode's solve becomes a GEMM-shaped operation over the panel and
@@ -8,22 +13,15 @@
 // RHS columns — no edges between panels). Within one panel the forward
 // DAG serializes every target's updates in ascending contributor order and
 // the backward DAG is the forward update relation reversed. Every node
-// body — serial sweep, CPU COMPUTE/SCATTER/BATCH, device node — is
+// body (serial sweep, COMPUTE, SCATTER, BATCH) is
 // dense::trsm_left_lower[_trans] on the supernode's gathered rows, whose
 // per-entry operation sequence does not depend on the RHS columns or the
 // row range a task covers. So scheduled results are bitwise identical to
-// solve()/solve_multi() for every worker/stream/panel
-// configuration (asserted across the grid in tests/test_solve_parallel.cpp).
-//
-// Device routing (kGpuHybrid / kGpuOnly): supernodes at or above
-// SolveOptions::gpu_threshold run as fused device tasks — gather the
-// supernode's rows of the RHS panel, upload panel + L rectangle, run the
-// forward or transposed form, scatter back. The backward task writes back
-// ONLY the supernode's own w rows: the below rows were read-only inputs,
-// and writing them back would race with the concurrent readers that own
-// those values. Slots (stream + L-panel + RHS buffers) come from a ranked
-// SlotPool: the cached solve plan's pool under the service, else one
-// built for the call.
+// solve()/solve_multi() for every worker/panel configuration (asserted
+// across the grid in tests/test_solve_parallel.cpp). A solve allocates no
+// device memory.
+#include <atomic>
+
 #include "spchol/core/internal.hpp"
 #include "spchol/support/timer.hpp"
 
@@ -41,12 +39,12 @@ namespace {
 // RHS columns or (SCATTER) some of its below rows, which the routine's
 // split invariance makes bitwise equal to the serial sweep's whole call.
 
-/// Supernode s on RHS columns [q0, q1), laid out as on a device node: the
-/// rows the form reads are gathered into a per-thread r-row panel, the
-/// rows it writes are scattered back. The forward form writes sn_rows(s)
-/// [lo, hi) — [0, r) the serial body, [0, w) the COMPUTE node, a range of
-/// the rows below w one SCATTER — and also reads [0, w); the transposed
-/// form reads all r rows and writes the first w.
+/// Supernode s on RHS columns [q0, q1): the rows the form reads are
+/// gathered into a per-thread r-row panel, the rows it writes are
+/// scattered back. The forward form writes sn_rows(s) [lo, hi) — [0, r)
+/// the serial body, [0, w) the COMPUTE node, a range of the rows below w
+/// one SCATTER — and also reads [0, w); the transposed form ignores
+/// [lo, hi), reads all r rows and writes the first w.
 void cpu_solve(const SymbolicFactor& symb, const double* values, double* y,
                index_t n, index_t s, index_t lo, index_t hi, index_t q0,
                index_t q1, bool forward) {
@@ -95,75 +93,23 @@ void sweep(const SymbolicFactor& symb, const double* values, double* y,
   }
 }
 
-// --- scheduled task bodies (device) ---------------------------------------
-
-/// Fused device solve of supernode s over RHS columns [q0, q1): gather
-/// all r rows, upload the L rectangle, then
-///   forward:  the forward form → scatter all r rows back; the node stands
-///             in the forward chains for every one of s's targets;
-///   backward: the transposed form → scatter back ONLY s's own w rows
-///             (the below rows are other supernodes' solution values —
-///             inputs, not outputs).
-/// No solve stat reads device time, so the ops record none: they only
-/// bump the device's byte and kernel counters.
-void gpu_solve_node(const SymbolicFactor& symb, const double* values,
-                    double* y, index_t n, gpu::Device& dev,
-                    GpuSlot& slot, index_t s, index_t q0, index_t q1,
-                    bool forward) {
-  auto rows = symb.sn_rows(s);
-  const index_t w = symb.sn_width(s);
-  const index_t r = static_cast<index_t>(rows.size());
-  const index_t pw = q1 - q0;
-  double* yp = y + static_cast<std::size_t>(q0) * n;
-  const gpu::Stream st{};
-  gpu::copy_h2d(dev, st, slot.panel, 0, values + symb.sn_values_offset(s),
-                static_cast<std::size_t>(symb.sn_entries(s)), /*async=*/true);
-  gpu::gather_rows_h2d(dev, st, rows, yp, n, pw, slot.work, 0);
-  if (forward) {
-    gpu::trsm_left_lower(dev, st, w, r, pw, slot.panel, 0, r, slot.work, 0,
-                         r);
-  } else {
-    gpu::trsm_left_lower_trans(dev, st, w, r, pw, slot.panel, 0, r,
-                               slot.work, 0, r);
-    rows = rows.first(static_cast<std::size_t>(w));
-  }
-  gpu::scatter_rows_d2h(dev, st, rows, r, yp, n, pw, slot.work, 0);
-}
-
 // --- the scheduled executor ------------------------------------------------
+
+std::atomic<std::size_t> fault_node{SolvePlan::kNoNode};
 
 void scheduled_solve(const SymbolicFactor& symb, const double* values,
                      double* y, index_t n, index_t nrhs,
                      const SolveOptions& opts, const ExecutionResources* res,
                      std::size_t workers, SolveStats* stats) {
-  PlanExecutor ex(symb, opts, res, workers);
+  PlanExecutor ex(symb, res, workers);
   TaskScheduler& sched = ex.sched();
   const SolvePlan& plan = ex.solve_plan();
   const auto nodes = plan.nodes();
   constexpr std::size_t kNoNode = SolvePlan::kNoNode;
+  const std::size_t fault = fault_node.load();
 
   const index_t pw = opts.rhs_panel;
   const index_t npanels = (nrhs + pw - 1) / pw;
-
-  // Device slots: the (L entries, RHS entries) needs of every (GPU node,
-  // panel) task.
-  std::size_t num_gpu_nodes = 0;
-  for (const SolveNode& nd : nodes) {
-    if (nd.kind != SolveNodeKind::kCompute || !nd.on_gpu) continue;
-    num_gpu_nodes++;
-    const std::size_t r = static_cast<std::size_t>(symb.sn_nrows(nd.sn));
-    for (index_t p = 0; p < npanels; ++p) {
-      const index_t width = std::min(pw, nrhs - p * pw);
-      ex.need(static_cast<std::size_t>(symb.sn_entries(nd.sn)),
-              r * static_cast<std::size_t>(width));
-    }
-  }
-  // The needs grow with the RHS width: a solve reuses its cached plan's
-  // pool when that was built for a solve at least as wide.
-  const auto pool =
-      ex.pool<GpuSlot>([](gpu::Device& dv, std::size_t l, std::size_t r) {
-        return std::make_unique<GpuSlot>(dv, l, r);
-      });
 
   // --- map (plan node, RHS panel) to scheduler tasks ----------------------
   // Panels touch disjoint RHS columns, so tasks of different panels never
@@ -179,69 +125,45 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
       const SolveNode& nd = nodes[i];
       const std::size_t at = i * static_cast<std::size_t>(npanels) +
                              static_cast<std::size_t>(p);
+      // One task of node i in one phase: fn(forward) on this panel.
+      auto add = [&](std::size_t priority, bool forward, auto fn) {
+        return sched.add_task(
+            priority, [fn, forward, hit = i == fault](std::size_t) {
+              if (hit) throw Error("injected solve fault");
+              fn(forward);
+            });
+      };
+      const index_t s = nd.sn;
       switch (nd.kind) {
         case SolveNodeKind::kCompute: {
-          const index_t s = nd.sn;
-          if (nd.on_gpu) {
-            const std::size_t ln =
-                static_cast<std::size_t>(symb.sn_entries(s));
-            const std::size_t rn =
-                static_cast<std::size_t>(symb.sn_nrows(s)) *
-                static_cast<std::size_t>(q1 - q0);
-            auto gpu_task = [&](std::size_t priority, bool forward) {
-              return sched.add_task(
-                  priority,
-                  [&symb, values, y, n, &ex, &pool, s, q0, q1, ln, rn,
-                   forward](std::size_t) {
-                    auto lease = pool.acquire(ln, rn);
-                    gpu_solve_node(symb, values, y, n, ex.device(), *lease,
-                                   s, q0, q1, forward);
-                  },
-                  pool.res);
-            };
-            fwd_task[at] = gpu_task(nd.fwd_priority, /*forward=*/true);
-            bwd_task[at] = gpu_task(nd.bwd_priority, /*forward=*/false);
-          } else {
-            fwd_task[at] = sched.add_task(
-                nd.fwd_priority,
-                [&symb, values, y, n, s, q0, q1](std::size_t) {
-                  cpu_solve(symb, values, y, n, s, 0, symb.sn_width(s), q0,
-                            q1, /*forward=*/true);
-                });
-            bwd_task[at] = sched.add_task(
-                nd.bwd_priority,
-                [&symb, values, y, n, s, q0, q1](std::size_t) {
-                  cpu_solve(symb, values, y, n, s, 0, symb.sn_nrows(s), q0,
-                            q1, /*forward=*/false);
-                });
-          }
+          // Forward: the w own rows (SCATTER nodes push the rest).
+          auto node = [&symb, values, y, n, s, q0, q1](bool forward) {
+            cpu_solve(symb, values, y, n, s, 0, symb.sn_width(s), q0, q1,
+                      forward);
+          };
+          fwd_task[at] = add(nd.fwd_priority, true, node);
+          bwd_task[at] = add(nd.bwd_priority, false, node);
           break;
         }
         case SolveNodeKind::kScatter: {
-          const index_t s = nd.sn;
           const index_t lo = nd.rows_lo;
           const index_t hi = nd.rows_hi;
-          fwd_task[at] = sched.add_task(
-              nd.fwd_priority,
-              [&symb, values, y, n, s, lo, hi, q0, q1](std::size_t) {
-                cpu_solve(symb, values, y, n, s, lo, hi, q0, q1,
-                          /*forward=*/true);
+          fwd_task[at] = add(
+              nd.fwd_priority, true,
+              [&symb, values, y, n, s, lo, hi, q0, q1](bool forward) {
+                cpu_solve(symb, values, y, n, s, lo, hi, q0, q1, forward);
               });
           break;
         }
         case SolveNodeKind::kBatch: {
           const index_t first = nd.batch_first;
           const index_t last = nd.batch_last;
-          auto batch_task = [&](std::size_t priority, bool forward) {
-            return sched.add_task(
-                priority,
-                [&symb, values, y, n, first, last, q0, q1,
-                 forward](std::size_t) {
-                  sweep(symb, values, y, n, first, last, q0, q1, forward);
-                });
+          auto batch = [&symb, values, y, n, first, last, q0,
+                        q1](bool forward) {
+            sweep(symb, values, y, n, first, last, q0, q1, forward);
           };
-          fwd_task[at] = batch_task(nd.fwd_priority, /*forward=*/true);
-          bwd_task[at] = batch_task(nd.bwd_priority, /*forward=*/false);
+          fwd_task[at] = add(nd.fwd_priority, true, batch);
+          bwd_task[at] = add(nd.bwd_priority, false, batch);
           break;
         }
       }
@@ -269,8 +191,6 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
     stats->tasks = dr.stats.tasks_run;
     stats->edges = dr.stats.edges;
     stats->rhs_panels = npanels;
-    stats->gpu_stream_pairs = static_cast<index_t>(pool.slots);
-    stats->supernodes_on_gpu = static_cast<index_t>(num_gpu_nodes);
     stats->batches_formed = plan.batches_formed();
     stats->supernodes_batched = plan.supernodes_batched();
     stats->modeled_serial_seconds = dr.serial_seconds;
@@ -279,6 +199,9 @@ void scheduled_solve(const SymbolicFactor& symb, const double* values,
 }
 
 }  // namespace
+
+SolveFault::SolveFault(std::size_t node) { fault_node.store(node); }
+SolveFault::~SolveFault() { fault_node.store(SolvePlan::kNoNode); }
 
 void solve_with_resources(const SymbolicFactor& symb,
                           std::span<const double> values,

@@ -150,74 +150,6 @@ void batched_syrk_update(Device& dev, Stream s,
              dev.model().gpu_batched_kernel_seconds(flops, members));
 }
 
-namespace {
-
-void account_solve_kernel(Device& dev, Stream s, double flops) {
-  dev.record(s, OpKind::kKernel, dev.model().gpu_solve_kernel_seconds(flops));
-}
-
-/// One solve node's kernel flops: the in-panel TRSM plus the update of the
-/// r − w rows below.
-double solve_flops(index_t w, index_t r, index_t nrhs) {
-  return dense::flops_trsm(nrhs, w) + dense::flops_gemm(r - w, nrhs, w);
-}
-
-}  // namespace
-
-void trsm_left_lower(Device& dev, Stream s, index_t w, index_t r,
-                     index_t nrhs, const DeviceBuffer& lbuf,
-                     std::size_t l_off, index_t ldl, DeviceBuffer& bbuf,
-                     std::size_t b_off, index_t ldb) {
-  dense::trsm_left_lower(w, 0, r, nrhs, lbuf.data() + l_off, ldl,
-                         bbuf.data() + b_off, ldb);
-  account_solve_kernel(dev, s, solve_flops(w, r, nrhs));
-}
-
-void trsm_left_lower_trans(Device& dev, Stream s, index_t w, index_t r,
-                           index_t nrhs, const DeviceBuffer& lbuf,
-                           std::size_t l_off, index_t ldl,
-                           DeviceBuffer& bbuf, std::size_t b_off,
-                           index_t ldb) {
-  dense::trsm_left_lower_trans(w, r, nrhs, lbuf.data() + l_off, ldl,
-                               bbuf.data() + b_off, ldb);
-  account_solve_kernel(dev, s, solve_flops(w, r, nrhs));
-}
-
-void gather_rows_h2d(Device& dev, Stream s, std::span<const index_t> rows,
-                     const double* y, offset_t ld_y, index_t ncols,
-                     DeviceBuffer& dst, std::size_t off) {
-  const std::size_t nr = rows.size();
-  SPCHOL_CHECK(off + nr * static_cast<std::size_t>(ncols) <= dst.size(),
-               "gather_rows_h2d out of range");
-  for (index_t q = 0; q < ncols; ++q) {
-    double* col = dst.data() + off + static_cast<std::size_t>(q) * nr;
-    const double* yq = y + static_cast<offset_t>(q) * ld_y;
-    for (std::size_t i = 0; i < nr; ++i) col[i] = yq[rows[i]];
-  }
-  const std::size_t bytes =
-      nr * static_cast<std::size_t>(ncols) * sizeof(double);
-  dev.record(s, OpKind::kH2D,
-             dev.model().h2d_seconds(static_cast<double>(bytes)), bytes);
-}
-
-void scatter_rows_d2h(Device& dev, Stream s, std::span<const index_t> rows,
-                      index_t ld, double* y, offset_t ld_y, index_t ncols,
-                      const DeviceBuffer& src, std::size_t off) {
-  const std::size_t nr = rows.size();
-  SPCHOL_CHECK(nr <= static_cast<std::size_t>(ld), "scatter rows exceed ld");
-  SPCHOL_CHECK(off + static_cast<std::size_t>(ld) * ncols <= src.size(),
-               "scatter_rows_d2h out of range");
-  for (index_t q = 0; q < ncols; ++q) {
-    const double* col = src.data() + off + static_cast<std::size_t>(q) * ld;
-    double* yq = y + static_cast<offset_t>(q) * ld_y;
-    for (std::size_t i = 0; i < nr; ++i) yq[rows[i]] = col[i];
-  }
-  const std::size_t bytes =
-      nr * static_cast<std::size_t>(ncols) * sizeof(double);
-  dev.record(s, OpKind::kD2H,
-             dev.model().d2h_seconds(static_cast<double>(bytes)), bytes);
-}
-
 void zero_fill(Device& dev, Stream s, DeviceBuffer& buf, std::size_t off,
                std::size_t count) {
   SPCHOL_CHECK(off + count <= buf.size(), "zero_fill out of range");

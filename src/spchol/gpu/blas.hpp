@@ -80,47 +80,4 @@ void batched_syrk_update(Device& dev, Stream s,
                          std::span<const BatchedPanel> panels,
                          const DeviceBuffer& pbuf, DeviceBuffer& ubuf);
 
-// --- triangular solve kernels (the SolvePlan device path) ------------------
-//
-// One supernode's solve on an RHS panel the node gathered into a device
-// buffer: the L rectangle is r×w (ld ldl) and the panel r×nrhs (ld ldb).
-// Both run dense::trsm_left_lower[_trans], the routine the CPU solve paths
-// call with the same blocking, so device placement never changes bits.
-// Each records one kernel at the solve-calibrated rate
-// (PerfModel::gpu_solve_kernel_seconds): TRSM is diagonal-serialized and
-// far off the GEMM asymptote.
-
-/// Forward: B₁ := L₁₁⁻¹·B₁, then B₂ −= L₂₁·B₁.
-void trsm_left_lower(Device& dev, Stream s, index_t w, index_t r,
-                     index_t nrhs, const DeviceBuffer& lbuf,
-                     std::size_t l_off, index_t ldl, DeviceBuffer& bbuf,
-                     std::size_t b_off, index_t ldb);
-
-/// Backward: B₁ −= L₂₁ᵀ·B₂, then B₁ := L₁₁⁻ᵀ·B₁.
-void trsm_left_lower_trans(Device& dev, Stream s, index_t w, index_t r,
-                           index_t nrhs, const DeviceBuffer& lbuf,
-                           std::size_t l_off, index_t ldl,
-                           DeviceBuffer& bbuf, std::size_t b_off,
-                           index_t ldb);
-
-// --- RHS panel gather / scatter --------------------------------------------
-
-/// Gathers y[rows[i] + q·ld_y] (q < ncols) into the packed column-major
-/// block at `off` in `dst` (ld = rows.size()) and uploads it: eager data
-/// movement plus ONE modeled H2D transfer of the packed bytes — the
-/// cudaMemcpy of a host-side gather staging buffer.
-void gather_rows_h2d(Device& dev, Stream s, std::span<const index_t> rows,
-                     const double* y, offset_t ld_y, index_t ncols,
-                     DeviceBuffer& dst, std::size_t off);
-
-/// Downloads the leading rows.size() rows of the packed block at `off` in
-/// `src` (device leading dimension `ld` ≥ rows.size()) and scatters them
-/// to y[rows[i] + q·ld_y]: ONE modeled D2H transfer of the packed bytes.
-/// Passing a prefix of the gathered row list writes back only those rows
-/// (the backward solve returns a supernode's own w rows, never the
-/// ancestor rows it only read).
-void scatter_rows_d2h(Device& dev, Stream s, std::span<const index_t> rows,
-                      index_t ld, double* y, offset_t ld_y, index_t ncols,
-                      const DeviceBuffer& src, std::size_t off);
-
 }  // namespace spchol::gpu

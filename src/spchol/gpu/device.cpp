@@ -48,7 +48,6 @@ void validate(const DeviceConfig& cfg, const char* what) {
   const std::pair<const char*, double> rates[] = {
       {"cpu_core_gflops", m.cpu_core_gflops},
       {"gpu_peak_gflops", m.gpu_peak_gflops},
-      {"gpu_solve_peak_gflops", m.gpu_solve_peak_gflops},
       {"h2d_gbytes_per_s", m.h2d_gbytes_per_s},
       {"d2h_gbytes_per_s", m.d2h_gbytes_per_s},
   };

@@ -112,7 +112,8 @@ using OpRecord = std::vector<Op>;
 
 /// Where a device op is issued: the `role` stream, recorded into `rec`.
 /// A null `rec` records no time — the op only bumps the device counters
-/// (the triangular solve, whose stats read no device time).
+/// (a kernel driven directly, outside any plan node, as the device's
+/// unit tests do).
 struct Stream {
   OpRecord* rec = nullptr;
   Role role = Role::kCompute;

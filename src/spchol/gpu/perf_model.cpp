@@ -36,13 +36,6 @@ double PerfModel::gpu_kernel_seconds(double flops) const {
   return gpu_kernel_launch + flops / rate;
 }
 
-double PerfModel::gpu_solve_kernel_seconds(double flops) const {
-  if (flops <= 0.0) return 0.0;
-  const double rate = gpu_solve_peak_gflops * 1e9 * flops /
-                      (flops + gpu_solve_half_flops);
-  return gpu_kernel_launch + flops / rate;
-}
-
 double PerfModel::gpu_batched_kernel_seconds(double total_flops,
                                              std::size_t count) const {
   return gpu_kernel_seconds(total_flops) +
@@ -77,8 +70,6 @@ PerfModel PerfModel::a100_nominal() {
   m.cpu_max_useful_threads = 128.0;
   m.gpu_peak_gflops = 8500.0;
   m.gpu_half_flops = 2.0e8;
-  m.gpu_solve_peak_gflops = 2100.0;
-  m.gpu_solve_half_flops = 4.0e7;
   m.h2d_gbytes_per_s = 24.0;
   m.d2h_gbytes_per_s = 22.0;
   m.cpu_call_overhead = 2.0e-6;

@@ -60,15 +60,6 @@ struct PerfModel {
   /// Host-side cost of issuing an asynchronous operation.
   double issue_overhead = 0.2e-6;
 
-  // --- GPU triangular solve kernels (TRSM / solve-shaped GEMM) ---
-  /// Solve kernels are bandwidth-bound and serialized along the panel
-  /// diagonal: effective rates sit far below the GEMM/SYRK asymptote
-  /// (cuSPARSE/MAGMA TRSM reaches only a fraction of DGEMM throughput),
-  /// and the half-performance point comes much earlier because the RHS
-  /// panel, not the matrix, carries the parallelism.
-  double gpu_solve_peak_gflops = 650.0;
-  double gpu_solve_half_flops = 2.0e6;
-
   // --- fused batched launches (the small-supernode batching path) ---
   /// Per-member dispatch cost inside ONE fused batched device launch
   /// (cuBLAS/MAGMA batched-API style): the launch latency is paid once
@@ -97,10 +88,6 @@ struct PerfModel {
   double cpu_kernel_seconds_best(double flops) const;
   /// Modeled time of a device kernel of `flops`.
   double gpu_kernel_seconds(double flops) const;
-  /// Modeled time of a device triangular-solve-shaped kernel (TRSM or
-  /// the GEMM updates of a blocked solve) of `flops`: same launch
-  /// latency, solve-calibrated asymptote and half-performance point.
-  double gpu_solve_kernel_seconds(double flops) const;
   /// Modeled time of ONE fused batched device launch executing `count`
   /// member kernels of `total_flops` combined work: a single launch
   /// latency plus per-member dispatch, with the size-dependent efficiency

@@ -14,13 +14,12 @@ namespace spchol {
 
 namespace detail {
 
-/// A plan the service caches, with the slot pool its runs lease: the
-/// pool lives exactly as long as the plan.
-template <class Planned>
+/// A factor plan the service caches, with the slot pool its runs lease:
+/// the pool lives exactly as long as the plan.
 struct CachedPlan {
-  CachedPlan(Planned p, gpu::PoolLedger& ledger)
+  CachedPlan(ExecutionPlan p, gpu::PoolLedger& ledger)
       : planned(std::move(p)), pool(ledger) {}
-  const Planned planned;
+  const ExecutionPlan planned;
   gpu::PoolCell pool;
 };
 
@@ -101,32 +100,21 @@ std::uint64_t plan_fingerprint(const FactorOptions& fo) {
   return f.hash();
 }
 
-/// Fingerprint of the SolveOptions that shape a SolvePlan: execution
-/// mode + GPU threshold (the on_gpu marks). rhs_panel is EXCLUDED — the
-/// plan is per-panel and identical for every panel width (the executor
-/// replicates it across panels at solve time); the plan's pool follows
-/// the widest RHS blocking asked of it.
-std::uint64_t solve_plan_fingerprint(const SolveOptions& so) {
-  Fnv f;
-  f.pod(so.exec);
-  f.pod(so.gpu_threshold);
-  return f.hash();
-}
-
-/// A pattern's cached plans of one kind, by fingerprint.
-template <class Planned>
-using PlanList = std::vector<
-    std::pair<std::uint64_t, std::shared_ptr<detail::CachedPlan<Planned>>>>;
+/// A pattern's cached factor plans, by fingerprint.
+using PlanList =
+    std::vector<std::pair<std::uint64_t, std::shared_ptr<detail::CachedPlan>>>;
 
 /// The plan of fingerprint `fp` in `plans` (guarded by `mu`), built by
 /// `build()` outside the lock on a miss; two racing builders keep the
 /// first inserted plan.
-template <class Planned, class Build>
-std::shared_ptr<detail::CachedPlan<Planned>> cached_plan(
-    std::mutex& mu, PlanList<Planned>& plans, std::uint64_t fp,
-    gpu::PoolLedger& ledger, Build&& build) {
+template <class Build>
+std::shared_ptr<detail::CachedPlan> cached_plan(std::mutex& mu,
+                                                PlanList& plans,
+                                                std::uint64_t fp,
+                                                gpu::PoolLedger& ledger,
+                                                Build&& build) {
   const auto find_locked = [&] {
-    std::shared_ptr<detail::CachedPlan<Planned>> hit;
+    std::shared_ptr<detail::CachedPlan> hit;
     for (const auto& [f, plan] : plans) {
       if (f == fp) hit = plan;
     }
@@ -136,7 +124,7 @@ std::shared_ptr<detail::CachedPlan<Planned>> cached_plan(
     std::lock_guard<std::mutex> lk(mu);
     if (auto hit = find_locked()) return hit;
   }
-  auto built = std::make_shared<detail::CachedPlan<Planned>>(build(), ledger);
+  auto built = std::make_shared<detail::CachedPlan>(build(), ledger);
   std::lock_guard<std::mutex> lk(mu);
   if (auto hit = find_locked()) return hit;
   plans.emplace_back(fp, built);
@@ -160,9 +148,9 @@ SolverSession::SolverSession(
     SolverRuntime* runtime, SolverOptions opts,
     std::shared_ptr<const SymbolicFactor> symb,
     std::shared_ptr<const detail::AssemblyMap> assembly,
-    std::shared_ptr<detail::CachedPlan<ExecutionPlan>> plan,
-    std::shared_ptr<detail::CachedPlan<SolvePlan>> solve_plan,
-    bool cached, double analyze_seconds)
+    std::shared_ptr<detail::CachedPlan> plan,
+    std::shared_ptr<const SolvePlan> solve_plan, bool cached,
+    double analyze_seconds)
     : runtime_(runtime),
       opts_(std::move(opts)),
       symb_(std::move(symb)),
@@ -211,18 +199,13 @@ std::vector<double> SolverSession::solve_multi(std::span<const double> b,
     factor = factor_;
   }
   SPCHOL_CHECK(factor != nullptr, "solve requires factorize()");
-  // Scheduled solves draw on the shared runtime: crew, device, and the
-  // session's cached SolvePlan with its slot pool. No scheduler is
-  // injected — each solve drains its own, so concurrent solves (and a
-  // concurrent refactorize on this session's scheduler) never share
-  // mutable scheduler state.
+  // Scheduled solves run on the runtime crew from the session's cached
+  // SolvePlan. No scheduler is injected — each solve drains its own, so
+  // concurrent solves (and a concurrent refactorize on this session's
+  // scheduler) never share mutable scheduler state.
   detail::ExecutionResources res;
   res.crew = &runtime_->crew();
-  res.device = &runtime_->device();
-  if (solve_plan_ != nullptr) {
-    res.planned_solve = &solve_plan_->planned;
-    res.pool = &solve_plan_->pool;
-  }
+  res.planned_solve = solve_plan_.get();
   std::vector<double> x(b.size());
   SolveStats sstats;
   detail::solve_with_resources(factor->symbolic(), factor->values(), b, x,
@@ -253,15 +236,15 @@ SessionStats SolverSession::stats() const {
 // --- SolverService -------------------------------------------------------
 
 /// One cached pattern: the shared symbolic factor, the A→L assembly map
-/// (whose pattern is the exact-match collision guard), and the plans
-/// built for it so far, each with its slot pool.
+/// (whose pattern is the exact-match collision guard), its solve plan,
+/// and the factor plans built for it so far, each with its slot pool.
 struct SolverService::Entry {
   std::uint64_t key = 0;
   std::shared_ptr<const SymbolicFactor> symb;
   std::shared_ptr<const detail::AssemblyMap> assembly;
   double analyze_seconds = 0.0;
-  PlanList<ExecutionPlan> plans;
-  PlanList<SolvePlan> solve_plans;
+  PlanList plans;
+  std::shared_ptr<const SolvePlan> solve_plan;
   std::uint64_t stamp = 0;  // bumped on every hit: LRU eviction order
 };
 
@@ -275,7 +258,6 @@ bool SolverService::drop_idle_pools() {
   bool dropped = false;
   for (const auto& e : entries_) {
     for (const auto& [fp, c] : e->plans) dropped |= c->pool.drop_idle();
-    for (const auto& [fp, c] : e->solve_plans) dropped |= c->pool.drop_idle();
   }
   return dropped;
 }
@@ -332,6 +314,8 @@ std::shared_ptr<SolverSession> SolverService::session(
     fresh->key = key;
     fresh->assembly = std::make_shared<const detail::AssemblyMap>(
         detail::build_assembly_map(a_lower, *symb));
+    fresh->solve_plan =
+        std::make_shared<const SolvePlan>(SolvePlan::build(*symb));
     fresh->symb = std::move(symb);
     fresh->analyze_seconds = timer.seconds();
 
@@ -353,11 +337,10 @@ std::shared_ptr<SolverSession> SolverService::session(
     }
   }
 
-  // Plan resolution: reuse the entry's cached ExecutionPlan and
-  // SolvePlan of matching fingerprint, building outside the lock on a
-  // miss. Unscheduled sessions carry no plan, serial-solve sessions no
-  // solve plan.
-  std::shared_ptr<detail::CachedPlan<ExecutionPlan>> plan;
+  // Plan resolution: reuse the entry's cached ExecutionPlan of matching
+  // fingerprint, building outside the lock on a miss. Unscheduled
+  // sessions carry no plan, serial-solve sessions no solve plan.
+  std::shared_ptr<detail::CachedPlan> plan;
   if (detail::runs_scheduled(solver_opts.factor)) {
     plan = cached_plan(mu_, entry->plans, plan_fingerprint(solver_opts.factor),
                        runtime_.pools(), [&] {
@@ -365,14 +348,8 @@ std::shared_ptr<SolverSession> SolverService::session(
                              *entry->symb, solver_opts.factor);
                        });
   }
-  std::shared_ptr<detail::CachedPlan<SolvePlan>> solve_plan;
-  if (detail::runs_scheduled(solver_opts.solve)) {
-    solve_plan = cached_plan(
-        mu_, entry->solve_plans, solve_plan_fingerprint(solver_opts.solve),
-        runtime_.pools(), [&] {
-          return detail::build_planned_solve(*entry->symb, solver_opts.solve);
-        });
-  }
+  std::shared_ptr<const SolvePlan> solve_plan;
+  if (detail::runs_scheduled(solver_opts.solve)) solve_plan = entry->solve_plan;
 
   return std::shared_ptr<SolverSession>(new SolverSession(
       &runtime_, solver_opts, entry->symb, entry->assembly, std::move(plan),

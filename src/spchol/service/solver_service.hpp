@@ -19,14 +19,15 @@
 // Per cached pattern the service also caches ExecutionPlans (the
 // scheduled drivers' task-graph blueprint), keyed by the plan-shaping
 // FactorOptions (method, RLB variant, execution mode, GPU thresholds,
-// device-resident reservation), and SolvePlans keyed by the plan-shaping
-// SolveOptions (execution mode, GPU threshold). Each cached plan keeps
-// the device slot pool its runs lease (gpu::PoolCell), so the pool lives
-// and dies with the plan: evicting a pattern or clear_cache() frees its
-// pools once no session holds them. A warm session therefore runs ZERO
-// symbolic work: it admits, reuses the cached plans, runs the numeric
-// factorization — and every subsequent solve()/solve_multi() — on the
-// shared crew leasing the plans' device slots, with results bitwise
+// device-resident reservation), and one SolvePlan, a function of the
+// pattern alone. Each cached ExecutionPlan keeps the device slot pool
+// its runs lease (gpu::PoolCell), so the pool lives and dies with the
+// plan: evicting a pattern or clear_cache() frees its pools once no
+// session holds them. Solves run on the host and hold no device memory.
+// A warm session therefore runs ZERO symbolic work: it admits, reuses
+// the cached plans, runs the numeric factorization on the shared crew
+// leasing its plan's device slots — and every subsequent
+// solve()/solve_multi() on the same crew — with results bitwise
 // identical to a cold, per-call CholeskySolver run.
 #pragma once
 
@@ -46,8 +47,7 @@ class SolvePlan;      // symbolic/solve_plan.hpp: reusable solve plan
 
 namespace detail {
 struct AssemblyMap;  // core/internal.hpp: cached A→L value map
-template <class Planned>
-struct CachedPlan;  // solver_service.cpp: a plan + its slot pool cell
+struct CachedPlan;   // solver_service.cpp: a factor plan + its pool cell
 }
 
 struct ServiceOptions {
@@ -148,9 +148,9 @@ class SolverSession {
   SolverSession(SolverRuntime* runtime, SolverOptions opts,
                 std::shared_ptr<const SymbolicFactor> symb,
                 std::shared_ptr<const detail::AssemblyMap> assembly,
-                std::shared_ptr<detail::CachedPlan<ExecutionPlan>> plan,
-                std::shared_ptr<detail::CachedPlan<SolvePlan>> solve_plan,
-                bool cached, double analyze_seconds);
+                std::shared_ptr<detail::CachedPlan> plan,
+                std::shared_ptr<const SolvePlan> solve_plan, bool cached,
+                double analyze_seconds);
 
   SolverRuntime* runtime_;
   SolverOptions opts_;
@@ -158,10 +158,9 @@ class SolverSession {
   /// Cached A→L map of the session's pattern (shared with the cache).
   std::shared_ptr<const detail::AssemblyMap> assembly_;
   /// Cached factor plan and its pool; null when unscheduled.
-  std::shared_ptr<detail::CachedPlan<ExecutionPlan>> plan_;
-  /// Cached solve plan and its pool; null when solves run the serial
-  /// sweep.
-  std::shared_ptr<detail::CachedPlan<SolvePlan>> solve_plan_;
+  std::shared_ptr<detail::CachedPlan> plan_;
+  /// Cached solve plan; null when solves run the serial sweep.
+  std::shared_ptr<const SolvePlan> solve_plan_;
 
   /// Serializes this session's factorize() calls (the session-owned
   /// scheduler is reused across them); distinct sessions don't contend.

@@ -6,18 +6,14 @@
 
 namespace spchol {
 
-SolvePlan SolvePlan::build(const SymbolicFactor& symb,
-                           std::span<const char> on_gpu) {
+SolvePlan SolvePlan::build(const SymbolicFactor& symb) {
   const index_t ns = symb.num_supernodes();
-  SPCHOL_CHECK(on_gpu.empty() ||
-                   on_gpu.size() == static_cast<std::size_t>(ns),
-               "on_gpu span size mismatch");
 
   SolvePlan plan;
   plan.compute_of_.assign(static_cast<std::size_t>(ns), kNoNode);
   plan.batch_of_.assign(static_cast<std::size_t>(ns), kNoNode);
 
-  const std::vector<SubtreeBatch> defs = pack_subtree_batches(symb, on_gpu);
+  const std::vector<SubtreeBatch> defs = pack_subtree_batches(symb, {});
   std::vector<std::size_t> def_of(static_cast<std::size_t>(ns), kNoNode);
   for (std::size_t d = 0; d < defs.size(); ++d) {
     for (index_t s = defs[d].first; s <= defs[d].last; ++s) def_of[s] = d;
@@ -25,10 +21,10 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
   }
   plan.batches_formed_ = static_cast<index_t>(defs.size());
 
-  // Forward: scatters (and GPU pipeline feeders) drain before CPU
-  // computes, exactly as in the factorization plan. Backward: the solve
-  // runs root-to-leaf, so priorities descend with the supernode index;
-  // the 2·ns base keeps the two phase bands disjoint.
+  // Forward: scatters drain before computes, exactly as in the
+  // factorization plan. Backward: the solve runs root-to-leaf, so
+  // priorities descend with the supernode index; the 2·ns base keeps the
+  // two phase bands disjoint.
   const std::size_t prio_scatter_base = 0;
   const std::size_t prio_compute_base = static_cast<std::size_t>(ns);
   const std::size_t prio_backward_base = 2 * static_cast<std::size_t>(ns);
@@ -36,7 +32,7 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
     return prio_backward_base + static_cast<std::size_t>(ns - 1 - s);
   };
 
-  // Per-supernode scatter lookup (CPU, unbatched sources only):
+  // Per-supernode scatter lookup (unbatched sources only):
   // targets are ascending within [scatter_ptr[s], scatter_ptr[s+1]).
   std::vector<std::size_t> scatter_ptr(static_cast<std::size_t>(ns) + 1, 0);
   std::vector<std::size_t> scatter_nodes;
@@ -63,19 +59,15 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
       }
       continue;
     }
-    const bool gpu = !on_gpu.empty() && on_gpu[s] != 0;
     SolveNode c;
     c.kind = SolveNodeKind::kCompute;
     c.sn = s;
-    c.on_gpu = gpu;
-    c.fwd_priority = (gpu ? prio_scatter_base : prio_compute_base) +
-                     static_cast<std::size_t>(s);
+    c.fwd_priority = prio_compute_base + static_cast<std::size_t>(s);
     c.bwd_priority = bwd_prio(s);
     plan.compute_of_[s] = plan.nodes_.size();
     plan.nodes_.push_back(c);
-    // GPU computes absorb their scatters (fused device solve); CPU
-    // sources emit one GEMV scatter per contiguous target row segment.
-    if (gpu || symb.sn_below(s) == 0) continue;
+    // One GEMV scatter per contiguous target row segment.
+    if (symb.sn_below(s) == 0) continue;
     const std::span<const index_t> rows = symb.sn_rows(s);
     const index_t w = symb.sn_width(s);
     const index_t r = symb.sn_nrows(s);
@@ -105,7 +97,6 @@ SolvePlan SolvePlan::build(const SymbolicFactor& symb,
   // Node standing in for s's forward push into target t.
   auto scatter_node = [&](index_t s, index_t t) {
     if (plan.batch_of_[s] != kNoNode) return plan.batch_of_[s];
-    if (plan.nodes_[plan.compute_of_[s]].on_gpu) return plan.compute_of_[s];
     const auto first = scatter_tgts.begin() +
                        static_cast<offset_t>(scatter_ptr[s]);
     const auto last = scatter_tgts.begin() +

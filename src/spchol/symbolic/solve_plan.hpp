@@ -5,9 +5,7 @@
 //
 //   forward  (L y = b):
 //     * COMPUTE(s)      — TRSV-shaped in-panel forward substitution of
-//                         supernode s's w columns. For `on_gpu` supernodes
-//                         the node is a fused device solve (gather → TRSM
-//                         → GEMM update → scatter) absorbing the scatters.
+//                         supernode s's w columns.
 //     * SCATTER(s, t)   — GEMV-shaped update: subtract L(below, :)·y(s)
 //                         from target supernode t's entries. One node per
 //                         (source, target) row segment, so one
@@ -44,9 +42,9 @@
 // backward reads outside the batch are exactly the members' targets.
 //
 // A built plan is immutable and holds no numeric state: it is a function
-// of (pattern, on_gpu marks) alone, shared by any number of concurrent
-// solves, and cached by SolverService under the pattern key
-// (detail::build_planned_solve). RHS panel blocking is an EXECUTOR
+// of the pattern alone, shared by any number of concurrent solves, and
+// cached by SolverService once per pattern. Every node runs on the host,
+// whatever the execution mode. RHS panel blocking is an EXECUTOR
 // concern: the executor instantiates one task per (node, RHS panel),
 // panels being fully independent.
 #pragma once
@@ -72,7 +70,6 @@ struct SolveNode {
   index_t rows_hi = 0;
   index_t batch_first = -1;  ///< kBatch: first supernode of the range
   index_t batch_last = -1;   ///< kBatch: last supernode (inclusive)
-  bool on_gpu = false;       ///< kCompute: fused device solve
   std::size_t fwd_priority = 0;  ///< forward-phase scheduler priority
   std::size_t bwd_priority = 0;  ///< backward-phase priority (root first)
 };
@@ -81,12 +78,7 @@ class SolvePlan {
  public:
   static constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
 
-  /// Builds the plan. `on_gpu[s]` marks supernodes the executor routes
-  /// through the device (never batched); the span is indexed by
-  /// supernode and must be empty (nothing on the device) or of length
-  /// num_supernodes().
-  static SolvePlan build(const SymbolicFactor& symb,
-                         std::span<const char> on_gpu);
+  static SolvePlan build(const SymbolicFactor& symb);
 
   std::span<const SolveNode> nodes() const noexcept { return nodes_; }
   /// Forward-phase dependency edges over node ids.

@@ -271,7 +271,7 @@ TEST(ExecPlan, GrainIsDerivedFromThePattern) {
   ASSERT_EQ(symb.num_supernodes(), 2365);
   const ExecutionPlan plan = ExecutionPlan::build(symb, {}, {});
   EXPECT_LE(plan.nodes().size(), 160u);
-  const SolvePlan splan = SolvePlan::build(symb, {});
+  const SolvePlan splan = SolvePlan::build(symb);
   std::size_t fwd = splan.nodes().size(), bwd = 0;
   for (const SolveNode& n : splan.nodes()) {
     if (n.kind != SolveNodeKind::kScatter) bwd++;
@@ -293,7 +293,7 @@ TEST(ExecPlan, KktStencilKeepsOneComputePerSupernode) {
     if (n.kind == PlanNodeKind::kCompute) computes++;
   }
   EXPECT_EQ(computes, static_cast<std::size_t>(symb.num_supernodes()));
-  const SolvePlan splan = SolvePlan::build(symb, {});
+  const SolvePlan splan = SolvePlan::build(symb);
   EXPECT_EQ(splan.batches_formed(), 0);
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -154,8 +155,8 @@ TEST(SolverService, CachedPlanAndPoolsAreReused) {
   expect_bitwise_equal(reference_values(a, ho), s2->factor()->values());
 }
 
-/// RL kGpuHybrid factor and solve options with device solve nodes on the
-/// small test matrices.
+/// RL kGpuHybrid factor and solve options: device factor nodes on the
+/// small test matrices, and a scheduled solve, which runs on the host.
 SolverOptions gpu_solve_options() {
   SolverOptions so = hybrid_options(Method::kRL, 4);
   so.solve.exec = Execution::kGpuHybrid;
@@ -187,72 +188,69 @@ TEST(SolverService, ThreadsAreTheCrewAndTheCaller) {
     (void)session->solve(ones(a, 1));
   }
   ASSERT_GT(session->stats().last_factor.supernodes_on_gpu, 0);
-  ASSERT_GT(session->stats().last_solve.supernodes_on_gpu, 0);
+  ASSERT_GT(session->stats().last_solve.tasks, 0u);
   EXPECT_EQ(testing::process_threads(), *threads_at_start + 3);
 }
 
-TEST(SolverService, SolveWidthsShareOneSolvePool) {
-  // Solves of widths 1 to 12 keep one solve pool: a solve wider than the
-  // cached pool was built for replaces it, a narrower one reuses it. The
-  // device then holds exactly what a fresh service holds after one
-  // factorization and one width-12 solve.
-  const CscMatrix a = grid3d_7pt(8, 8, 8);
-  const SolverOptions so = gpu_solve_options();
-  ServiceOptions svc;
-  svc.runtime.workers = 3;
-
-  SolverService fresh(svc);
-  const auto f = fresh.session(a, so);
-  f->factorize(a);
-  (void)f->solve_multi(ones(a, 12), 12);
-
-  SolverService service(svc);
-  const auto s = service.session(a, so);
-  s->factorize(a);
-  for (index_t w = 1; w <= 12; ++w) (void)s->solve_multi(ones(a, w), w);
-  const RuntimeStats before = service.runtime().stats();
-  std::vector<double> b(static_cast<std::size_t>(a.cols()));
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = 1.0 + 0.25 * static_cast<double>(i % 7);
-  }
-  const std::vector<double> x = s->solve(b);
-  const RuntimeStats after = service.runtime().stats();
-  ASSERT_GT(s->stats().last_solve.supernodes_on_gpu, 0);
-  EXPECT_EQ(after.pools_cached, 2u);
-  EXPECT_EQ(after.pool_misses, before.pool_misses);
-  EXPECT_EQ(after.pool_hits, before.pool_hits + 1);
-  EXPECT_EQ(service.runtime().device().mem_used(),
-            fresh.runtime().device().mem_used());
-  std::vector<double> x_ref(b.size());
-  s->factor()->solve(b, x_ref);
-  expect_bitwise_equal(x_ref, x);
+/// Device memory in use and bytes moved so far: what a solve must leave
+/// as it found them.
+std::array<std::size_t, 3> device_footprint(SolverService& service) {
+  const gpu::Device& dev = service.runtime().device();
+  const gpu::DeviceStats st = dev.stats();
+  return {dev.mem_used(), st.h2d_bytes, st.d2h_bytes};
 }
 
-TEST(SolverService, ConcurrentSolveWidthsShareOneSolvePool) {
-  // Four threads solve widths 1 to 8 on one session, two in ascending
-  // and two in descending order, so builds, replacements and hits of the
-  // one solve pool race (this file runs under TSan in CI). Every solve
-  // stays bitwise equal to the serial sweep, and once all have ended the
-  // device holds what a fresh service holds after one factorization and
-  // one width-8 solve.
+TEST(SolverService, SolveWidthsAllocateNoDeviceMemory) {
+  // Solves of widths 1 to 12 in kGpuHybrid, after a factorization that
+  // put supernodes on the device, run on the host: each is bitwise equal
+  // to the serial sweep, and none allocates device memory, moves a byte
+  // to or from the device, or consults a pool.
   const CscMatrix a = grid3d_7pt(8, 8, 8);
   const SolverOptions so = gpu_solve_options();
   ServiceOptions svc;
   svc.runtime.workers = 3;
-
-  SolverService fresh(svc);
-  const auto f = fresh.session(a, so);
-  f->factorize(a);
-  (void)f->solve_multi(ones(a, 8), 8);
-
   SolverService service(svc);
   const auto s = service.session(a, so);
   s->factorize(a);
+  ASSERT_GT(s->stats().last_factor.supernodes_on_gpu, 0);
+  const auto footprint = device_footprint(service);
+  const RuntimeStats before = service.runtime().stats();
+  for (index_t w = 1; w <= 12; ++w) {
+    std::vector<double> b(static_cast<std::size_t>(a.cols()) * w);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = 1.0 + 0.25 * static_cast<double>(i % 7);
+    }
+    std::vector<double> x_ref(b.size());
+    s->factor()->solve_multi(b, x_ref, w);
+    expect_bitwise_equal(x_ref, s->solve_multi(b, w));
+    ASSERT_GT(s->stats().last_solve.tasks, 0u);
+  }
+  EXPECT_EQ(device_footprint(service), footprint);
+  const RuntimeStats after = service.runtime().stats();
+  EXPECT_EQ(after.pools_cached, 1u);
+  EXPECT_EQ(after.pool_misses, before.pool_misses);
+  EXPECT_EQ(after.pool_hits, before.pool_hits);
+}
+
+TEST(SolverService, ConcurrentSolveWidthsAllocateNoDeviceMemory) {
+  // Four threads solve widths 1 to 8 on one session, two in ascending
+  // and two in descending order (this file runs under TSan in CI). Every
+  // solve stays bitwise equal to the serial sweep, and together they
+  // leave the device's memory and byte counters as they found them.
+  const CscMatrix a = grid3d_7pt(8, 8, 8);
+  const SolverOptions so = gpu_solve_options();
+  ServiceOptions svc;
+  svc.runtime.workers = 3;
+  SolverService service(svc);
+  const auto s = service.session(a, so);
+  s->factorize(a);
+  ASSERT_GT(s->stats().last_factor.supernodes_on_gpu, 0);
   std::vector<std::vector<double>> want(9);
   for (index_t w = 1; w <= 8; ++w) {
     want[w].resize(static_cast<std::size_t>(a.cols()) * w);
     s->factor()->solve_multi(ones(a, w), want[w], w);
   }
+  const auto footprint = device_footprint(service);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
@@ -263,16 +261,15 @@ TEST(SolverService, ConcurrentSolveWidthsShareOneSolvePool) {
     });
   }
   for (std::thread& th : threads) th.join();
-  EXPECT_EQ(service.runtime().stats().pools_cached, 2u);
-  EXPECT_EQ(service.runtime().device().mem_used(),
-            fresh.runtime().device().mem_used());
+  EXPECT_EQ(service.runtime().stats().pools_cached, 1u);
+  EXPECT_EQ(device_footprint(service), footprint);
 }
 
 TEST(SolverService, EvictedPatternsReleaseTheirPools) {
   // With room for one pattern, each new pattern evicts the last, and the
   // evicted plans free their slot pools once no session holds them: the
-  // device keeps only the cached pattern's factor and solve pools, and
-  // clear_cache() frees those too.
+  // device keeps only the cached pattern's factor pool (solves hold
+  // none), and clear_cache() frees that too.
   ServiceOptions svc;
   svc.runtime.workers = 3;
   svc.cache_capacity = 1;
@@ -285,12 +282,12 @@ TEST(SolverService, EvictedPatternsReleaseTheirPools) {
   };
   SolverService last(svc);
   run(last, 10);
-  ASSERT_EQ(last.runtime().stats().pools_cached, 2u);
+  ASSERT_EQ(last.runtime().stats().pools_cached, 1u);
 
   SolverService service(svc);
   for (const index_t k : {8, 9, 10}) run(service, k);
   EXPECT_EQ(service.stats().cache_evictions, 2u);
-  EXPECT_EQ(service.runtime().stats().pools_cached, 2u);
+  EXPECT_EQ(service.runtime().stats().pools_cached, 1u);
   EXPECT_EQ(service.runtime().device().mem_used(),
             last.runtime().device().mem_used());
   service.clear_cache();
@@ -465,8 +462,7 @@ TEST(SolverService, DeviceOutOfMemoryLeavesRuntimeUsable) {
   EXPECT_EQ(service.runtime().stats().in_flight, 0u);
 }
 
-/// Options that factor on the CPU and solve in kGpuHybrid, so a device's
-/// capacity bounds the largest solve node (the pool's first slot).
+/// Options that factor on the CPU and run a scheduled kGpuHybrid solve.
 SolverOptions cpu_factor_gpu_solve_options() {
   SolverOptions so;
   so.factor.exec = Execution::kCpuParallel;
@@ -474,75 +470,60 @@ SolverOptions cpu_factor_gpu_solve_options() {
   so.solve.exec = Execution::kGpuHybrid;
   so.solve.workers = 4;
   so.solve.rhs_panel = 8;
-  so.solve.gpu_threshold = 2'000;
   return so;
 }
 
-TEST(SolverService, SolveDeviceOutOfMemoryLeavesRuntimeUsable) {
-  // A session that factors on the CPU and solves in kGpuHybrid on a
-  // device too small for its largest solve slot throws DeviceOutOfMemory
-  // while the scheduled solve builds its slot pool. The failure must
-  // release every device byte it took and leave no request in flight, so
-  // a smaller pattern's session on the same runtime then solves bitwise
-  // equal to the serial sweep.
-  constexpr std::size_t kDeviceBytes = 128ull << 10;
+/// The plan node in the middle of `symb`'s solve plan: a fault there
+/// fails a solve mid-DAG.
+std::size_t middle_solve_node(const SymbolicFactor& symb) {
+  return SolvePlan::build(symb).nodes().size() / 2;
+}
+
+TEST(SolverService, FailedSolveLeavesRuntimeUsable) {
+  // A scheduled solve whose middle plan node throws must fail only that
+  // request: nothing stays in flight, and the same session's next solve
+  // on the same runtime is bitwise equal to the serial sweep.
   ServiceOptions so;
   so.runtime.workers = 3;
-  so.runtime.device.memory_bytes = kDeviceBytes;
   SolverService service(so);
   const SolverOptions ho = cpu_factor_gpu_solve_options();
   const index_t nrhs = 8;
-
-  const CscMatrix big = grid3d_7pt(12, 12, 12);
-  const auto s_big = service.session(big, ho);
-  const auto slot_bytes = [&](const SymbolicFactor& symb) {
-    return testing::solve_slot_bytes(symb, ho.solve.gpu_threshold,
-                                     ho.solve.rhs_panel);
-  };
-  ASSERT_GT(slot_bytes(s_big->symbolic()), kDeviceBytes);
-  s_big->factorize(big);
-  const std::vector<double> b_big(
-      static_cast<std::size_t>(big.cols()) * nrhs, 1.0);
-  const std::size_t used_before = service.runtime().device().mem_used();
-  EXPECT_THROW((void)s_big->solve_multi(b_big, nrhs), gpu::DeviceOutOfMemory);
-  EXPECT_EQ(service.runtime().stats().in_flight, 0u);
-  EXPECT_EQ(service.runtime().device().mem_used(), used_before);
-
-  const CscMatrix small = grid3d_7pt(8, 8, 8);
-  const auto s_small = service.session(small, ho);
-  ASSERT_LE(slot_bytes(s_small->symbolic()), kDeviceBytes);
-  s_small->factorize(small);
-  std::vector<double> b(static_cast<std::size_t>(small.cols()) * nrhs);
+  const CscMatrix a = grid3d_7pt(10, 10, 10);
+  const auto s = service.session(a, ho);
+  s->factorize(a);
+  std::vector<double> b(static_cast<std::size_t>(a.cols()) * nrhs);
   for (std::size_t i = 0; i < b.size(); ++i) {
     b[i] = 1.0 + 0.25 * static_cast<double>(i % 7);
   }
+  {
+    const detail::SolveFault fault(middle_solve_node(s->symbolic()));
+    EXPECT_THROW((void)s->solve_multi(b, nrhs), Error);
+  }
+  EXPECT_EQ(service.runtime().stats().in_flight, 0u);
+
   std::vector<double> x_ref(b.size());
-  s_small->factor()->solve_multi(b, x_ref, nrhs);
-  expect_bitwise_equal(x_ref, s_small->solve_multi(b, nrhs));
-  EXPECT_GT(s_small->stats().last_solve.supernodes_on_gpu, 0);
+  s->factor()->solve_multi(b, x_ref, nrhs);
+  expect_bitwise_equal(x_ref, s->solve_multi(b, nrhs));
+  EXPECT_GT(s->stats().last_solve.tasks, 0u);
   EXPECT_EQ(service.runtime().stats().in_flight, 0u);
 }
 
 TEST(SolverService, FailedSolveLeavesAliasedRhsUnmodified) {
   // The per-call form: b aliases x, and the scheduled solve throws
-  // DeviceOutOfMemory before any result is written back.
-  const CscMatrix a = grid3d_7pt(12, 12, 12);
-  SolverOptions so = cpu_factor_gpu_solve_options();
-  so.solve.device.memory_bytes = 128ull << 10;
+  // mid-DAG before any result is written back.
+  const CscMatrix a = grid3d_7pt(10, 10, 10);
+  const SolverOptions so = cpu_factor_gpu_solve_options();
   CholeskySolver solver(so);
   solver.factorize(a);
-  ASSERT_GT(testing::solve_slot_bytes(solver.factor().symbolic(),
-                                      so.solve.gpu_threshold,
-                                      so.solve.rhs_panel),
-            so.solve.device.memory_bytes);
   const index_t nrhs = 8;
   std::vector<double> x(static_cast<std::size_t>(a.cols()) * nrhs);
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = 0.5 - 0.125 * static_cast<double>(i % 5);
   }
   const std::vector<double> before = x;
-  EXPECT_THROW(solver.factor().solve_multi(x, x, nrhs, so.solve),
-               gpu::DeviceOutOfMemory);
+  const detail::SolveFault fault(
+      middle_solve_node(solver.factor().symbolic()));
+  EXPECT_THROW(solver.factor().solve_multi(x, x, nrhs, so.solve), Error);
   expect_bitwise_equal(before, x);
 }
 
@@ -728,7 +709,7 @@ TEST(ServiceValidation, RuntimeDeviceModelValidated) {
   EXPECT_THROW(construct([](gpu::PerfModel& m) { m.d2h_gbytes_per_s = 0; }),
                InvalidArgument);
   EXPECT_THROW(
-      construct([](gpu::PerfModel& m) { m.gpu_solve_peak_gflops = -1; }),
+      construct([](gpu::PerfModel& m) { m.gpu_peak_gflops = -1; }),
       InvalidArgument);
   EXPECT_THROW(
       construct([](gpu::PerfModel& m) { m.gpu_kernel_launch = -1e-6; }),

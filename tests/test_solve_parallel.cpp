@@ -1,9 +1,8 @@
 // SolvePlan executor coverage: the scheduled plan-driven triangular
 // solve must be bitwise identical to the serial sweep for every
-// worker / device-size / RHS-panel combination (CPU and hybrid GPU paths,
-// coarsened and per-supernode plans), SolveOptions must be validated up
-// front, the
-// modeled solve_multi makespan on the nlpkkt80 analog must meet the
+// execution mode / worker / RHS-panel combination (every mode solves on
+// the host; coarsened and per-supernode plans), SolveOptions must be
+// validated up front, the modeled solve_multi makespan on the nlpkkt80 analog must meet the
 // >= 1.5x speedup bar at 8 workers, and SolverSession::solve must stay
 // safe (and bitwise deterministic) while the session refactorizes on
 // another thread (this file runs under TSan in CI).
@@ -55,9 +54,8 @@ CholeskyFactor factor_of(const CscMatrix& a) {
 }
 
 TEST(SolveParallel, BitwiseIdentityAcrossConfigs) {
-  // The acceptance grid: every worker / stream / panel combination, on
-  // both the CPU-parallel and the hybrid GPU path, must reproduce the
-  // serial sweep bit for bit.
+  // The acceptance grid: every execution mode / worker / panel
+  // combination must reproduce the serial sweep bit for bit.
   struct Case {
     const char* name;
     CscMatrix a;
@@ -71,50 +69,35 @@ TEST(SolveParallel, BitwiseIdentityAcrossConfigs) {
       {"grid3d_wide_10", grid3d_wide(10, 10, 10, 2)},
   };
   const index_t nrhs = 12;
-  // Low enough that the test matrices actually route their big
-  // supernodes to the device on the hybrid path.
-  const offset_t threshold = 500;
   for (const Case& c : cases) {
     const CholeskyFactor f = factor_of(c.a);
     const std::vector<double> b = make_rhs(c.a.cols(), nrhs);
     const std::vector<double> ref = serial_solve(f, b, nrhs);
-    for (const Execution exec :
-         {Execution::kCpuParallel, Execution::kGpuHybrid}) {
+    for (const Execution exec : {Execution::kCpuParallel,
+                                 Execution::kGpuHybrid, Execution::kGpuOnly}) {
       for (const int workers : {0, 1, 4, 8}) {
         // 3 is ragged against every micro-tile width.
         for (const index_t panel : {1, 3, 8, 32}) {
-          // The default device, and one that fits exactly one slot.
-          for (const bool capped : {false, true}) {
-            SolveOptions o;
-            o.exec = exec;
-            o.workers = workers;
-            o.rhs_panel = panel;
-            o.gpu_threshold = threshold;
-            if (capped) {
-              o.device.memory_bytes =
-                  testing::solve_slot_bytes(f.symbolic(), threshold,
-                                            std::min(panel, nrhs));
-            }
-            SolveStats st;
-            std::vector<double> x(b.size());
-            f.solve_multi(b, x, nrhs, o, &st);
-            const std::string what =
-                std::string(c.name) + " exec=" +
-                (exec == Execution::kGpuHybrid ? "hybrid" : "cpu") +
-                " workers=" + std::to_string(workers) +
-                (capped ? " one-slot device" : " default device") +
-                " panel=" + std::to_string(panel);
-            expect_bitwise_equal(ref, x, what);
-            if (workers == 4 || workers == 8) {
-              EXPECT_GT(st.tasks, 0u) << what;
-              EXPECT_EQ(st.rhs_panels, (nrhs + panel - 1) / panel) << what;
-              if (capped && st.supernodes_on_gpu > 0) {
-                EXPECT_EQ(st.gpu_stream_pairs, 1) << what;
-              }
-            }
-            if (workers == 1) {
-              EXPECT_EQ(st.tasks, 0u) << what;  // serial fallback
-            }
+          SolveOptions o;
+          o.exec = exec;
+          o.workers = workers;
+          o.rhs_panel = panel;
+          // Below the big supernodes' entries; it must change nothing.
+          o.gpu_threshold = 500;
+          SolveStats st;
+          std::vector<double> x(b.size());
+          f.solve_multi(b, x, nrhs, o, &st);
+          const std::string what =
+              std::string(c.name) + " exec=" + to_string(exec) +
+              " workers=" + std::to_string(workers) +
+              " panel=" + std::to_string(panel);
+          expect_bitwise_equal(ref, x, what);
+          if (workers == 4 || workers == 8) {
+            EXPECT_GT(st.tasks, 0u) << what;
+            EXPECT_EQ(st.rhs_panels, (nrhs + panel - 1) / panel) << what;
+          }
+          if (workers == 1) {
+            EXPECT_EQ(st.tasks, 0u) << what;  // serial fallback
           }
         }
       }
@@ -174,29 +157,6 @@ TEST(SolveParallel, SolveOptionsValidation) {
                InvalidArgument);
   // The defaults pass.
   try_opts([](SolveOptions&) {});
-}
-
-TEST(SolveParallel, DeviceModelValidated) {
-  // Checked on every solve, even one that never reaches the device.
-  const CscMatrix a = grid2d_5pt(6, 6);
-  const CholeskyFactor f = factor_of(a);
-  const std::vector<double> b = make_rhs(a.cols(), 1);
-  std::vector<double> x(b.size());
-  const auto try_model = [&](auto mutate) {
-    SolveOptions o;
-    o.exec = Execution::kGpuHybrid;
-    o.workers = 2;
-    mutate(o.device.model);
-    f.solve(b, x, o);
-  };
-  EXPECT_THROW(try_model([](gpu::PerfModel& m) { m.h2d_gbytes_per_s = 0; }),
-               InvalidArgument);
-  EXPECT_THROW(try_model([](gpu::PerfModel& m) { m.d2h_gbytes_per_s = -80; }),
-               InvalidArgument);
-  EXPECT_THROW(
-      try_model([](gpu::PerfModel& m) { m.transfer_latency = -1.0e-6; }),
-      InvalidArgument);
-  try_model([](gpu::PerfModel& m) { m.transfer_latency = 0.0; });
 }
 
 TEST(SolveParallel, SolverFacadeAccumulatesSolveStats) {

@@ -124,22 +124,6 @@ inline double solve_residual(const CscMatrix& a_lower,
   return relative_residual(a_lower, x, b);
 }
 
-/// Bytes of the largest slot of a scheduled solve's device pool: the
-/// largest L rectangle among the supernodes at or above `threshold`
-/// entries plus their most rows times `width`, the widest RHS panel. A
-/// device of exactly this size holds one slot.
-inline std::size_t solve_slot_bytes(const SymbolicFactor& symb,
-                                    offset_t threshold, index_t width) {
-  std::size_t l = 0;
-  std::size_t rows = 0;
-  for (index_t s = 0; s < symb.num_supernodes(); ++s) {
-    if (symb.sn_entries(s) < threshold) continue;
-    l = std::max(l, static_cast<std::size_t>(symb.sn_entries(s)));
-    rows = std::max(rows, static_cast<std::size_t>(symb.sn_nrows(s)));
-  }
-  return (l + rows * static_cast<std::size_t>(width)) * sizeof(double);
-}
-
 /// The device capacity that fits exactly one slot of the pool a run
 /// builds: `run(bytes)` factors on a fresh device of `bytes` and returns
 /// its FactorStats. The pool builds its slots largest first and stops at
